@@ -10,15 +10,14 @@ import math
 
 import numpy as np
 
-from gcdstats import build_table, constants, montecarlo, stattest
+from gcdstats import constants, montecarlo, stattest
 
 z2 = constants.zeta(2)
 
 m = 64
 n = round(m**2.5)
-table = build_table(n)
 cfg = montecarlo.SampleConfig(m=m, n=n, replicates=2000, master_seed=11)
-emp = montecarlo.run_replicates(cfg, "M", "frechet-scale", table)
+emp = montecarlo.run_replicates(cfg, "M", "frechet-scale")
 law = stattest.ReferenceLaw.frechet(1 / z2)
 print(f"max pair gcd / C(m,2) at m={m}, n=m^2.5={n}, 2000 replicates")
 print(f"  KS distance to Frechet(shape 1, scale 1/zeta(2)): "
@@ -30,9 +29,8 @@ for t in (0.25, 0.5, 1.0, 2.0, 4.0):
 print()
 
 m, n = 100, 1_000_000
-table = build_table(n)
 cfg = montecarlo.SampleConfig(m=m, n=n, replicates=2000, master_seed=11)
-emp = montecarlo.run_replicates(cfg, "N", "none", table, t=1.0)
+emp = montecarlo.run_replicates(cfg, "N", "none", t=1.0)
 lam = 1 / z2
 law = stattest.ReferenceLaw.poisson(lam)
 mean = sum(k * c for k, c in emp.counts.items()) / emp.size

@@ -169,7 +169,7 @@ def build_table(n_max: int, orders=(1,), max_n: int = DEFAULT_MAX_N) -> ArithTab
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > max_n:
-        raise CapacityError(f"n_max={n_max} exceeds the memory budget ({max_n})")
+        raise CapacityError(f"a table up to n_max={n_max} exceeds the table cap of {max_n}")
     primes = primes_up_to(n_max)
     table = ArithTable(
         n_max=n_max,

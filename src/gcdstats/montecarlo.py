@@ -7,19 +7,22 @@ Statistics over a sample x_1..x_m from {1..n}:
     M = max gcd over pairs
     N(t) = number of pairs with gcd > t * C(m,2)
 
-All are computed without looping over subsets, via the divisor
+C and Z are computed without looping over subsets, via the divisor
 multiplicities cnt(d) = #{i : d | x_i}:
 
     C = sum_d mu(d)    * C(cnt(d), r)
     Z = sum_d phi_q(d) * C(cnt(d), r)
-    M = max { d : cnt(d) >= 2 }
 
-since sum_{d | g} mu(d) = [g = 1] and sum_{d | g} phi_q(d) = g^q.  The
-naive subset loops live in `brute` and gate these in the tests.
+since sum_{d | g} mu(d) = [g = 1] and sum_{d | g} phi_q(d) = g^q.  M and
+N(t) are functions of the C(m,2) pair gcds alone, so they come from
+np.gcd over the pairs and read no arithmetic table; n may then be as large
+as int64 allows.  The naive subset loops live in `brute` and gate these in
+the tests.
 
 Replicate i draws from a counter-based Philox stream keyed by
 (master_seed, i), so results are independent of worker count and
-scheduling; uniform integers use rejection-based bounded draws.
+scheduling; uniform integers use rejection-based bounded draws.  A run
+draws and evaluates its replicates once each, a block at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +40,28 @@ from . import exact
 from .arith import ArithTable, build_table
 
 _INT64_SAFE = 2**62
+_INT64_MAX = 2**63 - 1
+_INT32_MAX = 2**31 - 1
+
+# Sample values held by one block of replicates, and so the most pair gcds
+# one numpy call of the pair kernel holds: 0.5 MB per int64 array, whatever
+# the replicate count and m.  Larger blocks gain no speed; at 1 << 20 the
+# (m=2000, n=40) Z run peaked 14 MB above the per-replicate loop.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+
+
+def _philox_key(seed: int, index: int) -> np.ndarray:
+    """The Philox key (seed, index) as two uint64 words.
+
+    Given a list instead, numpy converts words >= 2^63 through float64,
+    which rounds them and so aliases distinct seeds.
+    """
+    return np.array([seed, index], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -57,6 +82,9 @@ class SampleConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.n > _INT64_MAX:
+            raise ValueError(
+                f"n must be <= 2^63 - 1 = {_INT64_MAX} (samples are int64), got {self.n}")
         if self.r < 2:
             raise ValueError(f"r must be >= 2, got {self.r}")
         if self.m < self.r:
@@ -65,6 +93,7 @@ class SampleConfig:
             raise ValueError(f"q must be >= 1, got {self.q}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        _check_seed(self.master_seed)
 
     def regime_warnings(self, statistic: str) -> list[str]:
         """Labels for configs outside the proven limit-law regimes.
@@ -97,12 +126,77 @@ def draw_sample(config: SampleConfig, replicate_index: int) -> np.ndarray:
     if replicate_index < 0:
         raise ValueError("replicate_index must be >= 0")
     rng = np.random.Generator(
-        np.random.Philox(key=[config.master_seed & (2**64 - 1), replicate_index])
+        np.random.Philox(key=_philox_key(config.master_seed, replicate_index))
     )
     return rng.integers(1, config.n + 1, size=config.m, dtype=np.int64)
 
 
-# --- divisor multiplicities -------------------------------------------------
+def _draw_block(config: SampleConfig, start: int, stop: int) -> np.ndarray:
+    """Samples of replicates start..stop-1 as rows, each equal to draw_sample.
+
+    One Philox is re-keyed per replicate rather than a Generator built for
+    each: restoring the state of a freshly keyed Philox (zero counter, empty
+    buffer, no cached 32-bit half) with only the key's index word changed
+    gives the same stream.
+    """
+    bitgen = np.random.Philox(key=_philox_key(config.master_seed, start))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    out = np.empty((stop - start, config.m), dtype=np.int64)
+    for row, idx in enumerate(range(start, stop)):
+        key[1] = idx
+        bitgen.state = fresh
+        out[row] = rng.integers(1, config.n + 1, size=config.m, dtype=np.int64)
+    return out
+
+
+# --- pair gcds: M and N -----------------------------------------------------
+
+def _pair_cut(threshold: float) -> int:
+    """Integer cut with gcd > threshold iff gcd > cut, inside [0, 2^63 - 1]."""
+    if not threshold < _INT64_MAX:  # also NaN: no gcd exceeds it
+        return _INT64_MAX
+    return max(math.floor(threshold), 0)
+
+
+def _pair_gcd_reduce(xs: np.ndarray, cut: int | None = None) -> np.ndarray:
+    """Per row of xs, the largest pair gcd, or given `cut` the number of
+    pairs whose gcd exceeds it.
+
+    The upper triangle is taken a row at a time, gcd(x_i, x_{i+1..m}), so
+    one numpy call holds fewer than xs.size gcds.  int32 division is faster
+    than int64 and exact when every value fits.
+    """
+    out = np.zeros(xs.shape[0], dtype=np.int64)
+    if xs.shape[1] < 2:
+        return out
+    if xs.max() <= _INT32_MAX:
+        xs = xs.astype(np.int32)
+    for i in range(xs.shape[1] - 1):
+        g = np.gcd(xs[:, i : i + 1], xs[:, i + 1 :])
+        if cut is None:
+            np.maximum(out, g.max(axis=1), out=out)
+        else:
+            out += np.count_nonzero(g > cut, axis=1)
+    return out
+
+
+def stat_M(sample) -> int:
+    """Maximum gcd over the pairs of the sample (values below 2^63)."""
+    x = np.asarray(sample, dtype=np.int64)
+    if x.size < 2:
+        raise ValueError("stat_M needs at least two sample values")
+    return int(_pair_gcd_reduce(x[None, :])[0])
+
+
+def poisson_count(sample, threshold: float) -> int:
+    """Number of unordered pairs with gcd strictly above `threshold`."""
+    x = np.asarray(sample, dtype=np.int64)
+    return int(_pair_gcd_reduce(x[None, :], _pair_cut(threshold))[0])
+
+
+# --- divisor multiplicities: C and Z -----------------------------------------
 
 @lru_cache(maxsize=1 << 15)
 def _divisors_trial(v: int) -> tuple:
@@ -223,50 +317,6 @@ def stat_Z(sample, r: int, q: int, table: ArithTable, n: int | None = None) -> i
     return _subset_weighted_count(cnt, table, r, "totient", q)
 
 
-def stat_M(sample, table: ArithTable, n: int | None = None) -> int:
-    """Maximum gcd over pairs: the largest d dividing two sample members."""
-    if len(sample) < 2:
-        raise ValueError("stat_M needs at least two sample values")
-    n = int(n if n is not None else max(sample))
-    cnt = _multiplicities(sample, table, n)
-    if isinstance(cnt, dict):
-        return max(d for d, c in cnt.items() if c >= 2)
-    hits = np.nonzero(cnt >= 2)[0]
-    return int(hits[-1])
-
-
-def poisson_count(sample, threshold: float, table: ArithTable, n: int | None = None) -> int:
-    """Number of unordered pairs with gcd strictly above `threshold`.
-
-    Uses exact-gcd pair counts: pairs with both members divisible by d
-    number C(cnt(d), 2); subtracting the counts of exact multiples,
-    descending over d > threshold, isolates pairs with gcd exactly d.
-    """
-    n = int(n if n is not None else max(sample))
-    cnt = _multiplicities(sample, table, n)
-    if isinstance(cnt, dict):
-        cand = {d: c for d, c in cnt.items() if d > threshold and c >= 2}
-    else:
-        start = max(int(math.floor(threshold)) + 1, 1)
-        cand = {
-            int(d): int(cnt[d]) for d in np.nonzero(cnt[start:] >= 2)[0] + start
-        } if start <= n else {}
-    if not cand:
-        return 0
-    exact_pairs: dict[int, int] = {}
-    total = 0
-    top = max(cand)
-    for d in sorted(cand, reverse=True):
-        e = comb(cand[d], 2)
-        mult = 2 * d
-        while mult <= top:
-            e -= exact_pairs.get(mult, 0)
-            mult += d
-        exact_pairs[d] = e
-        total += e
-    return total
-
-
 # --- replicate running -------------------------------------------------------
 
 @dataclass
@@ -276,6 +326,7 @@ class EmpiricalDistribution:
     kind "continuous": `values` holds the sorted replicate values.
     kind "integer-counts": `counts` maps value -> count.
     `meta` echoes the config and any normalization constants used.
+    `rows` keeps the (index, raw, normalized) rows in replicate order.
     """
 
     kind: str
@@ -283,45 +334,49 @@ class EmpiricalDistribution:
     values: np.ndarray = None
     counts: dict = None
     meta: dict = field(default_factory=dict)
+    rows: list = None
 
 
 _STATISTICS = ("C", "Z", "M", "N")
+_NORMALIZATIONS = ("none", "exact-moments", "frechet-scale")
 
 # worker context inherited over fork; set immediately before pool creation
 _SIM_CTX = {}
 
 
-def _replicate_raw(config: SampleConfig, statistic: str, idx: int,
-                   table: ArithTable, threshold: float):
-    x = draw_sample(config, idx)
-    if statistic == "C":
-        return stat_C(x, config.r, table, config.n)
-    if statistic == "Z":
-        return stat_Z(x, config.r, config.q, table, config.n)
-    if statistic == "M":
-        return stat_M(x, table, config.n)
-    if statistic == "N":
-        return poisson_count(x, threshold, table, config.n)
-    raise ValueError(f"statistic must be one of {_STATISTICS}, got {statistic!r}")
+def _raws_in_range(config: SampleConfig, statistic: str, table, threshold: float,
+                   start: int, stop: int) -> list:
+    """Raw statistic of replicates start..stop-1, a block of samples at a time."""
+    per_block = max(1, _BLOCK_ELEMENTS // config.m)
+    cut = _pair_cut(threshold)
+    raws = []
+    for lo in range(start, stop, per_block):
+        xs = _draw_block(config, lo, min(lo + per_block, stop))
+        if statistic == "M":
+            raws.extend(_pair_gcd_reduce(xs).tolist())
+        elif statistic == "N":
+            raws.extend(_pair_gcd_reduce(xs, cut).tolist())
+        elif statistic == "C":
+            raws.extend(stat_C(x, config.r, table, config.n) for x in xs)
+        else:
+            raws.extend(stat_Z(x, config.r, config.q, table, config.n) for x in xs)
+    return raws
 
 
 def _sim_chunk(bounds):
-    start, stop = bounds
-    cfg = _SIM_CTX["config"]
-    return [
-        _replicate_raw(cfg, _SIM_CTX["statistic"], i, _SIM_CTX["table"],
-                       _SIM_CTX["threshold"])
-        for i in range(start, stop)
-    ]
+    return _raws_in_range(_SIM_CTX["config"], _SIM_CTX["statistic"],
+                          _SIM_CTX["table"], _SIM_CTX["threshold"], *bounds)
 
 
-def _raw_replicates(config, statistic, table, threshold, workers):
+def _raw_replicates(config, statistic, table, threshold, workers) -> list:
+    """Raw values of all replicates in replicate order, each computed once.
+
+    Workers take contiguous index ranges, so the values do not depend on
+    the worker count.
+    """
     total = config.replicates
     if workers <= 1:
-        return [
-            _replicate_raw(config, statistic, i, table, threshold)
-            for i in range(total)
-        ]
+        return _raws_in_range(config, statistic, table, threshold, 0, total)
     _SIM_CTX.update(config=config, statistic=statistic, table=table,
                     threshold=threshold)
     chunk = max(1, math.ceil(total / (workers * 4)))
@@ -357,15 +412,18 @@ def run_replicates(
 
     normalization "exact-moments" centers and scales by the exact mean and
     standard deviation; "frechet-scale" divides the pair max by C(m,2);
-    "none" returns raw values (integer counts for N).
+    "none" returns raw values (integer counts for N).  Only C and Z read
+    `table` (built to n when not given); M and N need none.  Each
+    replicate is drawn and evaluated once, and the result also carries the
+    replicate-order rows.
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"statistic must be one of {_STATISTICS}, got {statistic!r}")
-    if table is None:
+    if normalization not in _NORMALIZATIONS:
+        raise ValueError(f"unknown normalization {normalization!r}")
+    if table is None and statistic in ("C", "Z"):
         table = build_table(config.n)
     threshold = t * comb(config.m, 2)
-    raws = _raw_replicates(config, statistic, table, threshold, workers)
-
     meta = {
         "config": {
             "m": config.m, "n": config.n, "r": config.r, "q": config.q,
@@ -375,45 +433,33 @@ def run_replicates(
         "normalization": normalization,
         "regime_warnings": config.regime_warnings(statistic),
     }
+    shift, scale = 0, 1
+    if normalization == "exact-moments":
+        shift, scale = exact_moments(config, statistic, table)
+        meta["exact_mean"], meta["exact_sd"] = shift, scale
+    elif normalization == "frechet-scale":
+        scale = meta["scale"] = comb(config.m, 2)
+
+    raws = _raw_replicates(config, statistic, table, threshold, workers)
+    normalized = [(float(v) - shift) / scale for v in raws]
+    rows = list(zip(range(len(raws)), raws, normalized))
+
     if statistic == "N":
         meta["threshold"] = threshold
         counts: dict[int, int] = {}
         for v in raws:
             counts[v] = counts.get(v, 0) + 1
-        return EmpiricalDistribution(
-            "integer-counts", len(raws), counts=counts, meta=meta
-        )
-
-    if normalization == "exact-moments":
-        mean, sd = exact_moments(config, statistic, table)
-        meta["exact_mean"] = mean
-        meta["exact_sd"] = sd
-        vals = np.array([(float(v) - mean) / sd for v in raws])
-    elif normalization == "frechet-scale":
-        scale = comb(config.m, 2)
-        meta["scale"] = scale
-        vals = np.array([float(v) / scale for v in raws])
-    elif normalization == "none":
-        vals = np.array([float(v) for v in raws])
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    return EmpiricalDistribution("continuous", len(raws), values=np.sort(vals), meta=meta)
+        return EmpiricalDistribution("integer-counts", len(raws), counts=counts,
+                                     meta=meta, rows=rows)
+    return EmpiricalDistribution("continuous", len(raws),
+                                 values=np.sort(np.array(normalized)),
+                                 meta=meta, rows=rows)
 
 
 def replicate_rows(config, statistic, normalization="none", table=None,
                    t: float = 1.0, workers: int = 1):
     """(index, raw, normalized) rows in replicate order, for CSV export."""
-    if table is None:
-        table = build_table(config.n)
-    threshold = t * comb(config.m, 2)
-    raws = _raw_replicates(config, statistic, table, threshold, workers)
-    if normalization == "exact-moments":
-        mean, sd = exact_moments(config, statistic, table)
-        return [(i, v, (float(v) - mean) / sd) for i, v in enumerate(raws)]
-    if normalization == "frechet-scale":
-        scale = comb(config.m, 2)
-        return [(i, v, float(v) / scale) for i, v in enumerate(raws)]
-    return [(i, v, float(v)) for i, v in enumerate(raws)]
+    return run_replicates(config, statistic, normalization, table, t, workers).rows
 
 
 def strong_law_trajectory(n: int, r: int, m_grid, seed: int,
@@ -423,6 +469,7 @@ def strong_law_trajectory(n: int, r: int, m_grid, seed: int,
     The same stream is extended as m grows (values are reused), so the
     trajectory is a single realization of the almost-sure limit statement.
     """
+    _check_seed(seed)
     grid = [int(v) for v in m_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("m_grid must be strictly increasing")
@@ -431,7 +478,7 @@ def strong_law_trajectory(n: int, r: int, m_grid, seed: int,
     if table is None:
         table = build_table(n)
     top = grid[-1]
-    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0]))
+    rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, 0)))
     xs = rng.integers(1, n + 1, size=top, dtype=np.int64)
 
     mu = table.mobius

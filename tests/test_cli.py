@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from gcdstats.cli import main, parse_n_rule
@@ -157,3 +158,66 @@ def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--suite", "nope"])
     assert err.value.code == 2
+
+
+def _usage_error(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    text = capsys.readouterr().err
+    assert text.startswith("error: ") and text.count("\n") == 1
+    assert "Traceback" not in text
+    return text
+
+
+def test_simulate_n_beyond_int64_is_usage_error(monkeypatch, capsys):
+    from gcdstats import montecarlo
+
+    def no_draws(*args):
+        raise AssertionError("drew samples for an invalid n")
+
+    monkeypatch.setattr(montecarlo, "_draw_block", no_draws)
+    text = _usage_error(["simulate", "--statistic", "M", "--m", "1000",
+                         "--n", "m^7", "--reps", "2"], capsys)
+    assert "2^63" in text
+
+
+def test_simulate_overflowing_exp_rule_is_usage_error(capsys):
+    text = _usage_error(["simulate", "--statistic", "M", "--m", "100",
+                         "--n", "exp(m^2)", "--reps", "2"], capsys)
+    assert "overflows" in text
+
+
+def test_simulate_C_above_table_cap_is_usage_error(capsys):
+    from gcdstats.arith import DEFAULT_MAX_N
+
+    text = _usage_error(["simulate", "--statistic", "C", "--m", "100",
+                         "--n", "m^4", "--reps", "2"], capsys)
+    assert str(DEFAULT_MAX_N) in text
+
+
+@pytest.mark.parametrize("t", ["0", "nan", "-1"])
+def test_simulate_N_threshold_scale_must_be_positive(t, capsys):
+    _usage_error(["simulate", "--statistic", "N", "--m", "10", "--n", "1000",
+                  "--reps", "5", "--t", t], capsys)
+
+
+def test_simulate_negative_seed_is_usage_error(capsys):
+    _usage_error(["simulate", "--statistic", "C", "--m", "8", "--n", "30",
+                  "--reps", "2", "--seed", "-1"], capsys)
+
+
+def test_simulate_frechet_window_beyond_table_cap(tmp_path, capsys):
+    # n = 1000^2.5 ~ 3.2e10 is above the sieve cap; M needs no table
+    prefix = str(tmp_path / "wide")
+    code, _ = run_cli(["simulate", "--statistic", "M", "--m", "1000",
+                       "--n", "m^2.5", "--reps", "2", "--seed", "4",
+                       "--out", prefix], capsys)
+    assert code == 0
+    rows = (tmp_path / "wide.csv").read_text().split("\n")[1:-1]
+    assert len(rows) == 2
+    n = round(1000**2.5)
+    for i, line in enumerate(rows):
+        x = np.random.Generator(np.random.Philox(key=[4, i])).integers(1, n + 1, 1000)
+        brute = int(np.gcd.outer(x, x)[np.triu_indices(1000, k=1)].max())
+        assert int(line.split(",")[1]) == brute

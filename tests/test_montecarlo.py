@@ -79,10 +79,10 @@ def test_stat_examples(table_50):
     assert stat_C([2, 4, 6], 2, table_50) == 0
     assert stat_Z([2, 4, 6], 2, 1, table_50) == 6
     assert stat_Z([2, 4, 6], 3, 1, table_50) == 2
-    assert stat_M([6, 10, 15], table_50) == 5
-    assert stat_M([7, 7, 3], table_50) >= 7  # repeated value
-    assert poisson_count([2, 4, 6], 1, table_50) == 3
-    assert poisson_count([2, 4, 6], 2, table_50) == 0
+    assert stat_M([6, 10, 15]) == 5
+    assert stat_M([7, 7, 3]) >= 7  # repeated value
+    assert poisson_count([2, 4, 6], 1) == 3
+    assert poisson_count([2, 4, 6], 2) == 0
 
 
 def test_fast_statistics_match_naive_loops(table_50):
@@ -94,9 +94,9 @@ def test_fast_statistics_match_naive_loops(table_50):
         x = draw_sample(cfg, 0)
         assert stat_C(x, 2, table_50, n) == brute.naive_stat_C(x, 2)
         assert stat_Z(x, 2, 2, table_50, n) == brute.naive_stat_Z(x, 2, 2)
-        assert stat_M(x, table_50, n) == brute.naive_stat_M(x)
+        assert stat_M(x) == brute.naive_stat_M(x)
         thr = rng.choice([0.5, 1, 2, 5, n])
-        assert poisson_count(x, thr, table_50, n) == brute.naive_poisson_count(x, thr)
+        assert poisson_count(x, thr) == brute.naive_poisson_count(x, thr)
         if m <= 15:
             assert stat_C(x, 3, table_50, n) == brute.naive_stat_C(x, 3)
             assert stat_Z(x, 3, 1, table_50, n) == brute.naive_stat_Z(x, 3, 1)
@@ -120,10 +120,10 @@ def test_sparse_path_beyond_table_range():
     # elements exceed the table bound: trial-division divisor fallback
     table = build_table(10, (1,))
     x = [1009 * 2, 1009 * 3, 14]  # 1009 is prime, far above n_max=10
-    assert stat_M(x, table) == 1009
+    assert stat_M(x) == 1009
     assert stat_C(x, 2, table) == brute.naive_stat_C(x, 2)
     assert stat_Z(x, 2, 1, table) == brute.naive_stat_Z(x, 2, 1)
-    assert poisson_count(x, 100, table) == brute.naive_poisson_count(x, 100)
+    assert poisson_count(x, 100) == brute.naive_poisson_count(x, 100)
 
 
 def test_run_replicates_deterministic(table_50):
@@ -204,3 +204,89 @@ def test_strong_law_matches_direct_statistic():
     direct = stat_C(x, r, table, n)
     expected = comb(top, r) * exact.mean_mu(table, n, r - 1).float_value
     assert abs(ratios[0] - direct / expected) < 1e-12
+
+
+def test_seed_outside_uint64_is_rejected():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            SampleConfig(m=5, n=10, master_seed=seed)
+        with pytest.raises(ValueError):
+            strong_law_trajectory(10, 2, (2, 5), seed=seed,
+                                  table=build_table(10, (1,)))
+    SampleConfig(m=5, n=10, master_seed=2**64 - 1)
+
+
+def test_seeds_above_2_63_keep_distinct_streams():
+    # a list key would pass these through float64: 2^63 + 1 rounds to 2^63
+    # and 2^64 - 1 casts to 0
+    def first(seed):
+        return draw_sample(SampleConfig(m=8, n=10**9, master_seed=seed), 0)
+
+    assert not np.array_equal(first(2**63), first(2**63 + 1))
+    assert not np.array_equal(first(2**64 - 1), first(0))
+
+
+def test_sample_space_bounded_by_int64():
+    with pytest.raises(ValueError):
+        SampleConfig(m=5, n=2**63)
+    cfg = SampleConfig(m=50, n=2**63 - 1, replicates=1, master_seed=3)
+    x = draw_sample(cfg, 0)
+    assert x.min() >= 1 and x.max() > 2**62 // 4
+
+
+def test_draw_block_rows_equal_draw_sample():
+    for seed in (0, 17, 2**63 + 5):
+        cfg = SampleConfig(m=7, n=1000, replicates=40, master_seed=seed)
+        block = montecarlo._draw_block(cfg, 13, 40)
+        for row, idx in enumerate(range(13, 40)):
+            assert np.array_equal(block[row], draw_sample(cfg, idx))
+
+
+def test_block_pair_kernel_matches_naive_loops(monkeypatch):
+    # few sample values per block, so replicate ranges split across blocks
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 40)
+    rng = random.Random(4321)
+    spaces = (2, 30, 1000, 2**31 - 1, 2**31 + 11, 2**40, 2**63 - 1)
+    for trial in range(24):
+        m = rng.randint(2, 25)
+        n = rng.choice(spaces)
+        reps = rng.randint(1, 12)
+        t = rng.choice([0.0, 0.3, 1.0, 4.0])
+        cfg = SampleConfig(m=m, n=n, replicates=reps, master_seed=500 + trial)
+        max_rows = montecarlo.replicate_rows(cfg, "M")
+        count_rows = montecarlo.replicate_rows(cfg, "N", t=t)
+        for i in range(reps):
+            x = draw_sample(cfg, i)
+            assert max_rows[i][1] == brute.naive_stat_M(x)
+            assert count_rows[i][1] == brute.naive_poisson_count(x, t * comb(m, 2))
+
+
+def test_pair_kernel_on_values_beyond_2_31():
+    big = 2**33 + 7
+    x = [3 * big, 5 * big, 2**40, 2**41, 6]
+    assert stat_M(x) == brute.naive_stat_M(x) == 2**40
+    for thr in (0, 2.5, big - 0.5, big, 2**40 - 1, 2**62, float("inf")):
+        assert poisson_count(x, thr) == brute.naive_poisson_count(x, thr)
+    # int32 samples against cuts far beyond int32
+    for thr in (2**40, 2**62, float("inf"), float("nan")):
+        assert poisson_count([6, 12, 18], thr) == 0
+
+
+def test_cli_simulate_draws_each_replicate_once(monkeypatch, tmp_path, capsys):
+    from gcdstats.cli import main
+
+    drawn = []
+    real = montecarlo._draw_block
+
+    def counting(config, start, stop):
+        drawn.extend(range(start, stop))
+        return real(config, start, stop)
+
+    monkeypatch.setattr(montecarlo, "_draw_block", counting)
+    for statistic, n in (("C", "30"), ("M", "m^2.5"), ("N", "1000")):
+        drawn.clear()
+        argv = ["simulate", "--statistic", statistic, "--m", "6", "--n", n,
+                "--reps", "25", "--seed", "2", "--out", str(tmp_path / statistic)]
+        assert main(argv) == 0
+        assert sorted(drawn) == list(range(25))
+    capsys.readouterr()
