@@ -101,10 +101,22 @@ def _jordan_sieve(n: int, s: int, primes: np.ndarray):
     return v
 
 
-def _tau_sieve(n: int) -> np.ndarray:
-    tau = np.zeros(n + 1, dtype=np.int32)
-    for d in range(1, n + 1):
-        tau[d::d] += 1
+def _tau_sieve(n: int, primes: np.ndarray) -> np.ndarray:
+    """Divisor counts, multiplicatively: tau(k) = prod_{p^e || k} (e + 1).
+
+    For each prime power p^e <= n, the multiples of p^e carry the factor e
+    from the step before, replaced here by e + 1 (exact integer division).
+    """
+    tau = np.ones(n + 1, dtype=np.int32)
+    tau[0] = 0
+    for p in primes.tolist():
+        tau[p::p] *= 2
+        pe, e = p * p, 2
+        while pe <= n:
+            seg = tau[pe::pe]
+            seg //= e
+            seg *= e + 1
+            pe, e = pe * p, e + 1
     return tau
 
 
@@ -175,7 +187,7 @@ def build_table(n_max: int, orders=(1,), max_n: int = DEFAULT_MAX_N) -> ArithTab
         n_max=n_max,
         mobius=_mobius_sieve(n_max, primes),
         totient_s={},
-        tau=_tau_sieve(n_max),
+        tau=_tau_sieve(n_max, primes),
         smallest_prime_factor=_spf_sieve(n_max),
         primes=primes,
     )

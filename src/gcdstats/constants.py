@@ -19,13 +19,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .arith import _jordan_sieve, build_table, primes_up_to
+from .exact import _divisor_accumulate
 
 DEFAULT_CUTOFF = 1_000_000
+
+# slice length of `_totient_ratio`'s in-place division
+_CHUNK = 1 << 16
 
 # Bernoulli numbers B_2, B_4, ... for the Euler-Maclaurin zeta tail.
 _BERNOULLI = (
@@ -78,14 +83,27 @@ class ProductSpec:
     prefactor: float = 1.0
 
 
+# the tail bar's constant is calibrated on this many primes below the cutoff
+_CALIBRATION_PRIMES = 5
+
+
 @lru_cache(maxsize=8)
 def _prime_cache(cutoff: int) -> np.ndarray:
     return primes_up_to(cutoff).astype(np.float64)
 
 
 def euler_product(spec: ProductSpec) -> ProductValue:
-    """Evaluate a ProductSpec; returns (value, tail bound, cutoff)."""
+    """Evaluate a ProductSpec; returns (value, tail bound, cutoff).
+
+    Raises ValueError when fewer than `_CALIBRATION_PRIMES` primes lie at
+    or below the cutoff: the tail bar is calibrated on those last primes.
+    """
     p = _prime_cache(spec.prime_cutoff)
+    if p.size < _CALIBRATION_PRIMES:
+        raise ValueError(
+            f"cutoff {spec.prime_cutoff} leaves {p.size} primes; the tail bound "
+            f"is calibrated on the last {_CALIBRATION_PRIMES} (cutoff >= 11)"
+        )
     factors = np.asarray(spec.local_factor(p), dtype=np.float64)
     for s, e in spec.zeta_shifts:
         factors = factors * (1.0 - p**-s) ** e
@@ -102,8 +120,8 @@ def euler_product(spec: ProductSpec) -> ProductValue:
     if a <= 1:
         raise ValueError("tail_exponent must exceed 1 for a convergent product")
     # calibrate |log f(p)| ~ C p^-a on the last primes, then integrate the tail
-    last = logs[-5:]
-    c_est = float(np.max(np.abs(last) * p[-5:] ** a)) if last.size else 0.0
+    last = slice(-_CALIBRATION_PRIMES, None)
+    c_est = float(np.max(np.abs(logs[last]) * p[last] ** a))
     tail_log = 2.0 * c_est * spec.prime_cutoff ** (1 - a) / (a - 1)
     # factors within an ulp of 1 contribute nothing to the log sum, so the
     # bar cannot honestly drop below the float accumulation noise
@@ -376,20 +394,43 @@ def tauberian_trend(kind: str, n_grid, table=None, max_n: int = 20_000_000):
     return ratios, target
 
 
+def _totient_ratio(table, top: int, power: int) -> np.ndarray:
+    """phi(k)/k^power in float64 for k = 0..top (entry 0 is 0).
+
+    Divides in place a slice at a time, so no second length-top array is
+    made next to the result.
+    """
+    out = table.totient(1)[: top + 1].astype(np.float64)
+    for lo in range(1, top + 1, _CHUNK):
+        k = np.arange(lo, min(lo + _CHUNK, top + 1), dtype=np.float64)
+        out[lo : lo + k.size] /= k**power
+    return out
+
+
 def _product_restricted_sums(table, grid):
+    """sum_{i j <= N} w(i) w(j) gcd(i,j) with w(i) = phi(i)/i^2, per grid N.
+
+    gcd(i,j) = sum_{d | i, d | j} phi(d) turns the sum into
+    sum_{d <= sqrt N} phi(d) S_d(N/d^2), where S_d(M) = sum_{a b <= M}
+    u(a) u(b) with u(a) = w(d a).  Each S_d is read from one prefix-sum
+    array U of u by the hyperbola identity
+    S_d(M) = 2 sum_{a <= sqrt M} u(a) U(M/a) - U(sqrt M)^2.
+    """
     top = grid[-1]
-    phi = table.totient(1)[: top + 1].astype(np.float64)
-    w = phi.copy()
-    w[1:] /= np.arange(1, top + 1, dtype=np.float64) ** 2
+    phi = table.totient(1)
+    w = _totient_ratio(table, top, 2)
+    prefix = np.empty(top)
     out = []
     for n in grid:
         total = 0.0
-        js = np.arange(1, n + 1)
-        for i in range(1, n + 1):
-            cap = n // i
-            if cap == 0:
-                break
-            total += w[i] * float(np.dot(w[1 : cap + 1], np.gcd(i, js[:cap])))
+        for d in range(1, isqrt(n) + 1):
+            m = n // (d * d)
+            u = w[d : d * m + 1 : d]
+            big_u = np.cumsum(u, out=prefix[:m])
+            root = isqrt(m)
+            a = np.arange(1, root + 1)
+            inner = 2.0 * float(np.dot(u[:root], big_u[m // a - 1])) - big_u[root - 1] ** 2
+            total += float(phi[d]) * inner
         out.append(total)
     return out
 
@@ -434,12 +475,11 @@ def _lcm_restricted_sums(table, grid):
 
 
 def _pillai_mean_square(table, grid):
+    """(1/N) sum_{k <= N} (P(k)/k)^2 with P(k)/k = sum_{d|k} phi(d)/d."""
     top = grid[-1]
-    phi = table.totient(1)[: top + 1].astype(np.float64)
-    val = np.zeros(top + 1)
-    for d in range(1, top + 1):
-        val[d::d] += phi[d] / d
-    prefix = np.cumsum(val * val)
+    val = _divisor_accumulate(_totient_ratio(table, top, 1), top)
+    val *= val
+    prefix = np.cumsum(val, out=val)
     return [float(prefix[n]) / n for n in grid]
 
 

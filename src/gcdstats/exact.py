@@ -10,9 +10,12 @@ exact rationals: an integer numerator over a structural power of n.
 
 The floor sums are evaluated blockwise over the O(sqrt n) distinct values
 of floor(n/j) against exact prefix sums, so single quantities cost
-O(sqrt n) after an O(n) prefix pass.  Shared-variable covariances use a
-divisor-pair enumeration grouped by the lcm (subquadratic; only pairs with
-lcm(i,j) <= n contribute).
+O(sqrt n) after an O(n) prefix pass.  Whole profiles over k = 1..n are
+divisor sums  h(k) = sum_{j|k} w(j), which one kernel
+(`_divisor_accumulate`) evaluates with Dirichlet's hyperbola split in
+O(sqrt n) array operations.  Shared-variable covariances reduce to
+sum_d G_s(d) h(d)^2, with G_s(d) the number of s-tuples whose gcd is
+exactly d.
 """
 
 from __future__ import annotations
@@ -20,17 +23,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd as _gcd
+from math import comb, isqrt
 
 import numpy as np
 
 from .arith import ArithTable, divisors
 
 _INT64_SAFE = 2**62
-
-
-class BudgetError(Exception):
-    """Operation refused: cost beyond the configured budget."""
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,68 @@ def _floor_power_sum(prefix, n: int, r: int, k: int = 1) -> int:
     return total
 
 
+def _exact_gcd_counts(table: ArithTable, n: int, s: int, top: int):
+    """G_s(d) for d = 1..top, the number of s-tuples in [n]^s with gcd d.
+
+    G_s(d) = sum_{j <= n/d} mu(j) floor(n/(d j))^s depends on d only
+    through floor(n/d), so it is evaluated once per block of equal
+    quotients; yields (lo, hi, G_s) for the blocks d = lo..hi in order.
+    """
+    mu_prefix = _exact_prefix(table.mobius, n)
+    d = 1
+    while d <= top:
+        v = n // d
+        hi = min(n // v, top)
+        yield d, hi, _floor_power_sum(mu_prefix, v, s)
+        d = hi + 1
+
+
+def _divisor_accumulate(w: np.ndarray, n: int) -> np.ndarray:
+    """acc[k] = sum_{j|k} w[j] for k = 1..n (acc[0] = 0), same dtype as w.
+
+    Dirichlet's hyperbola split: every pair j e = k <= n has j <= sqrt(n)
+    or, when j > sqrt(n), e <= sqrt(n).  The first kind adds w[j] to every
+    multiple of j; the second adds the slice w[sqrt(n)+1 : n/e] to the
+    e-strided positions it lands on.  That is 2 sqrt(n) slice operations,
+    not n.  Taking e in descending order adds the terms of each acc[k] in
+    ascending j, as the plain loop over j does, so float sums round
+    identically.  Exact for int64 (when the caller has bounded the sums)
+    and for object arrays of Python ints.
+    """
+    acc = np.zeros(n + 1, dtype=w.dtype)
+    root = isqrt(n)
+    for j in range(1, root + 1):
+        if w[j]:
+            acc[j::j] += w[j]
+    for e in range(root, 0, -1):
+        hi = n // e
+        if hi > root:
+            acc[e * (root + 1) : e * hi + 1 : e] += w[root + 1 : hi + 1]
+    return acc
+
+
+def _divisor_profile(g, n: int, power: int) -> np.ndarray:
+    """h(k) = sum_{j|k} g(j) floor(n/j)^power for k = 1..n, exactly.
+
+    int64 when the bound sum_j |g(j)| floor(n/j)^power on every |h(k)|
+    fits, else Python ints in an object array.  Every weight g here has
+    g(1) = 1, so the bound also covers the powers floor(n/j)^power.
+    """
+    head = g[: n + 1]
+    absg = np.abs(head) if isinstance(head, np.ndarray) else [abs(v) for v in head]
+    bound = _floor_power_sum(_exact_prefix(absg, n), n, power)
+    if isinstance(head, np.ndarray) and bound < _INT64_SAFE:
+        w = np.arange(n + 1, dtype=np.int64)
+        np.floor_divide(n, w[1:], out=w[1:])
+        w **= power
+        w *= head
+    else:
+        w = np.empty(n + 1, dtype=object)
+        w[0] = 0
+        w[1:] = [int(head[j]) * (n // j) ** power for j in range(1, n + 1)]
+    return _divisor_accumulate(w, n)
+
+
 def cesaro_expectation(table: ArithTable, g, n: int, r: int) -> ExactResult:
     """E F(gcd of r uniform variables) for g = mu*F supplied directly.
 
@@ -117,11 +178,9 @@ def gcd_pmf(table: ArithTable, n: int, r: int) -> list[ExactResult]:
     table.check_index(n)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    prefix = _exact_prefix(table.mobius, n)
-    return [
-        ExactResult.from_ratio(_floor_power_sum(prefix, n, r, k), n, r)
-        for k in range(1, n + 1)
-    ]
+    blocks = _exact_gcd_counts(table, n, r, n)
+    return [ExactResult.from_ratio(c, n, r)
+            for lo, hi, c in blocks for _ in range(lo, hi + 1)]
 
 
 def gcd_moment(table: ArithTable, n: int, r: int, q: int) -> ExactResult:
@@ -136,8 +195,8 @@ def gcd_tail(table: ArithTable, n: int, threshold: int) -> ExactResult:
     table.check_index(n)
     if not 0 <= threshold <= n:
         raise ValueError(f"threshold must be in 0..{n}, got {threshold}")
-    prefix = _exact_prefix(table.mobius, n)
-    head = sum(_floor_power_sum(prefix, n, 2, k) for k in range(1, threshold + 1))
+    blocks = _exact_gcd_counts(table, n, 2, threshold)
+    head = sum((hi - lo + 1) * c for lo, hi, c in blocks)
     return ExactResult.from_ratio(n**2 - head, n, 2)
 
 
@@ -155,7 +214,7 @@ class MarginalProfile:
     n: int
     r: int
     kind: str
-    numerators: object  # int64 array or list of ints, index 0 unused
+    numerators: np.ndarray  # int64, or object (Python ints); index 0 unused
 
     def value(self, k: int) -> ExactResult:
         if not 1 <= k <= self.n:
@@ -163,30 +222,21 @@ class MarginalProfile:
         return ExactResult.from_ratio(int(self.numerators[k]), self.n, self.r)
 
     def float_values(self) -> np.ndarray:
-        nums = self.numerators
-        if isinstance(nums, np.ndarray):
-            arr = nums[1:].astype(np.float64)
-        else:
-            arr = np.array([float(v) for v in nums[1:]])
-        return arr / float(self.n) ** self.r
+        return self.numerators[1:].astype(np.float64) / float(self.n) ** self.r
 
     def mean(self) -> ExactResult:
-        total = int(np.sum(self.numerators, dtype=object)) if isinstance(
-            self.numerators, np.ndarray
-        ) else sum(self.numerators)
+        total = int(np.sum(self.numerators, dtype=object))
         return ExactResult.from_ratio(total, self.n, self.r + 1)
 
     def variance(self) -> ExactResult:
-        nums = self.numerators[1:]
-        if isinstance(self.numerators, np.ndarray):
-            nums = nums.tolist()
+        nums = self.numerators[1:].tolist()
         s1 = sum(nums)
         s2 = sum(v * v for v in nums)
         return ExactResult.from_ratio(self.n * s2 - s1 * s1, self.n, 2 * self.r + 2)
 
 
 def marginal_profile(table: ArithTable, n: int, r: int, kind: str) -> MarginalProfile:
-    """Build the whole profile in O(n log n) by the inverted divisor loop."""
+    """The whole profile as the divisor sums sum_{j|k} g(j) floor(n/j)^r."""
     table.check_index(n)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -196,24 +246,7 @@ def marginal_profile(table: ArithTable, n: int, r: int, kind: str) -> MarginalPr
         g = table.totient(1)
     else:
         raise ValueError(f"unknown profile kind {kind!r}")
-
-    prefix = _exact_prefix(np.abs(g) if isinstance(g, np.ndarray) else [abs(v) for v in g], n)
-    bound = _floor_power_sum(prefix, n, r)
-    if isinstance(g, np.ndarray) and bound < _INT64_SAFE:
-        acc = np.zeros(n + 1, dtype=np.int64)
-        for j in range(1, n + 1):
-            w = int(g[j])
-            if w:
-                acc[j::j] += w * (n // j) ** r
-        return MarginalProfile(n, r, kind, acc)
-    acc = [0] * (n + 1)
-    for j in range(1, n + 1):
-        w = int(g[j])
-        if w:
-            w *= (n // j) ** r
-            for k in range(j, n + 1, j):
-                acc[k] += w
-    return MarginalProfile(n, r, kind, acc)
+    return MarginalProfile(n, r, kind, _divisor_profile(g, n, r))
 
 
 def marginal_error_bound_check(profile: MarginalProfile, table: ArithTable):
@@ -292,7 +325,6 @@ def shared_covariance(
     s: int,
     kind: str = "indicator",
     q: int = 1,
-    max_n: int = 200_000,
 ) -> ExactResult:
     """Covariance of two r-tuple gcd kernels sharing exactly s variables.
 
@@ -302,40 +334,28 @@ def shared_covariance(
                 floor(n/i)^(r-s) floor(n/j)^(r-s) floor(n/lcm(i,j))^s
 
     and the covariance subtracts the squared single-kernel mean.  For
-    s >= 1 only pairs with lcm(i,j) <= n contribute, so the double sum is
-    enumerated by L = lcm over divisor pairs of L (cost ~ sum tau(L)^2,
-    far below n^2).  The result is exact; it is gated against exhaustive
-    enumeration in the test suite before anything downstream trusts it.
+    s >= 1, floor(n/lcm(i,j))^s counts the s-tuples whose gcd d is a
+    multiple of both i and j, so grouping by d gives
+
+      E[XY] n^(2r-s) = sum_{d<=n} G_s(d) h(d)^2,
+      h(d) = sum_{i|d} g(i) floor(n/i)^(r-s),
+
+    with G_s(d) the number of s-tuples in [n]^s with gcd exactly d.  The
+    result is exact; it is gated against exhaustive enumeration and the
+    literal double sum in the test suite.
     """
     table.check_index(n)
     if not 0 <= s <= r:
         raise ValueError(f"need 0 <= s <= r, got s={s}, r={r}")
-    if n > max_n:
-        raise BudgetError(f"n={n} beyond the covariance enumeration budget ({max_n})")
     if s == 0:
         # no shared variables: the kernels are independent
         return ExactResult.from_ratio(0, n, 2 * r)
 
     g = _kernel_weights(table, kind, q)
-    squarefree_only = kind == "indicator"
-
+    h = _divisor_profile(g, n, r - s)
     exy = 0
-    for bigl in range(1, n + 1):
-        if squarefree_only and table.mobius[bigl] == 0:
-            continue
-        ds = divisors(table, bigl)
-        items = [(d, int(g[d]), (n // d) ** (r - s)) for d in ds if int(g[d]) != 0]
-        if not items:
-            continue
-        inner = 0
-        for a, (i, gi, fi) in enumerate(items):
-            for j, gj, fj in items[a:]:
-                if i * j // _gcd(i, j) != bigl:
-                    continue
-                term = gi * gj * fi * fj
-                inner += term if i == j else 2 * term
-        if inner:
-            exy += inner * (n // bigl) ** s
+    for lo, hi, c in _exact_gcd_counts(table, n, s, n):
+        exy += c * sum(v * v for v in h[lo : hi + 1].tolist())
     mean_num = _floor_power_sum(_exact_prefix(g, n), n, r)
     cov_num = exy * n**s - mean_num * mean_num
     return ExactResult.from_ratio(cov_num, n, 2 * r)
@@ -382,21 +402,7 @@ def mixed_moment_pi(table: ArithTable, n: int, r: int, q: int) -> ExactResult:
         raise ValueError(f"r must be >= 2, got {r}")
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    g = table.totient(q)
-    prefix = _exact_prefix(np.abs(g) if isinstance(g, np.ndarray) else [abs(v) for v in g], n)
-    bound = _floor_power_sum(prefix, n, r - 1)
-    if isinstance(g, np.ndarray) and bound < _INT64_SAFE:
-        acc = np.zeros(n + 1, dtype=np.int64)
-        for j in range(1, n + 1):
-            acc[j::j] += int(g[j]) * (n // j) ** (r - 1)
-        nums = acc[1:].tolist()
-    else:
-        acc = [0] * (n + 1)
-        for j in range(1, n + 1):
-            w = int(g[j]) * (n // j) ** (r - 1)
-            for k in range(j, n + 1, j):
-                acc[k] += w
-        nums = acc[1:]
+    nums = _divisor_profile(table.totient(q), n, r - 1)[1:].tolist()
     return ExactResult.from_ratio(sum(v * v for v in nums), n, 2 * r - 1)
 
 

@@ -6,18 +6,28 @@ import pytest
 
 from gcdstats.arith import (
     CapacityError,
+    _tau_sieve,
     build_table,
     divisors,
     gcd,
     lcm,
     load_table,
     pillai,
+    primes_up_to,
     save_table,
 )
 
 
 def naive_pillai(k, s):
     return sum(math_gcd(i, k) ** s for i in range(1, k + 1))
+
+
+def plain_tau_sieve(n):
+    """Divisor counts by adding 1 at every multiple of every d (reference)."""
+    tau = np.zeros(n + 1, dtype=np.int32)
+    for d in range(1, n + 1):
+        tau[d::d] += 1
+    return tau
 
 
 def test_mobius_values(table_100):
@@ -160,12 +170,23 @@ def test_lazy_totient_order(table_100):
     assert int(vals[3]) == 3**4 - 1
 
 
+def test_multiplicative_tau_sieve_is_the_plain_sieve():
+    for n in list(range(1, 130)) + [255, 256, 257, 1000, 4096, 9973, 10_000]:
+        got = _tau_sieve(n, primes_up_to(n))
+        want = plain_tau_sieve(n)
+        assert got.dtype == want.dtype and np.array_equal(got, want), n
+
+
 def test_table_save_load_roundtrip(tmp_path):
     table = build_table(500, (1, 2))
     path = tmp_path / "t.tbl"
     save_table(table, path)
     save_table(table, tmp_path / "t2.tbl")
     assert (tmp_path / "t.tbl").read_bytes() == (tmp_path / "t2.tbl").read_bytes()
+    # the file holds the same bytes as with the plain tau sieve
+    table.tau = plain_tau_sieve(500)
+    save_table(table, tmp_path / "t3.tbl")
+    assert (tmp_path / "t3.tbl").read_bytes() == path.read_bytes()
     loaded = load_table(path)
     assert loaded.n_max == 500
     assert np.array_equal(loaded.mobius, table.mobius)

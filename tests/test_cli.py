@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gcdstats.cli import main, parse_n_rule
+from gcdstats.cli import _EXACT_QUANTITIES, main, parse_n_rule
 
 
 def run_cli(argv, capsys):
@@ -79,6 +79,20 @@ def test_exact_quantities(argv, expected, capsys):
     assert json.loads(text)["value"] == expected
 
 
+_REQUIRED_FLAGS = {"varC": ["--m", "6"], "varZ": ["--m", "6"], "gamma": ["--s", "1"],
+                   "omega": ["--s", "1"], "tail": ["--t", "3"]}
+
+
+@pytest.mark.parametrize("quantity", _EXACT_QUANTITIES)
+def test_every_exact_quantity_runs_at_n30(quantity, capsys):
+    argv = ["exact", "--quantity", quantity, "--n", "30"] + _REQUIRED_FLAGS.get(quantity, [])
+    code, text = run_cli(argv, capsys)
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["exact"] is True
+    assert payload["quantity"] == quantity
+
+
 def test_exact_missing_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["exact", "--quantity", "varC", "--n", "4"])
@@ -98,6 +112,12 @@ def test_constants_table(capsys):
     names = payload["constants"]
     assert abs(names["delta"]["value"] - 0.01186) < 2e-4
     assert "delta_toth" in names and "S_2^(1)" in names and "M(2.0)" in names
+
+
+@pytest.mark.parametrize("cutoff", ["0", "1", "-5", "10"])
+def test_constants_cutoff_below_calibration_is_usage_error(cutoff, capsys):
+    text = _usage_error(["constants", "--cutoff", cutoff], capsys)
+    assert "tail bound" in text
 
 
 def test_simulate_writes_csv_and_json(tmp_path, capsys):

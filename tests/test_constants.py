@@ -5,7 +5,7 @@ import pytest
 from scipy.special import zeta as scipy_zeta
 
 from gcdstats import constants
-from gcdstats.arith import primes_up_to
+from gcdstats.arith import build_table, primes_up_to
 from gcdstats.constants import ProductSpec, euler_product, zeta
 
 CUTOFF = 1_000_000
@@ -18,6 +18,33 @@ def _plain_gcd_double_sum(w):
     for i in range(1, len(w) + 1):
         total += w[i - 1] * float(np.dot(w, np.gcd(i, idx)))
     return total
+
+
+def _plain_product_restricted_sums(table, grid):
+    """sum_{i j <= N} w(i) w(j) gcd(i,j), w = phi/k^2, one row of i at a time."""
+    top = grid[-1]
+    w = table.totient(1)[: top + 1].astype(np.float64)
+    w[1:] /= np.arange(1, top + 1, dtype=np.float64) ** 2
+    out = []
+    for n in grid:
+        total = 0.0
+        js = np.arange(1, n + 1)
+        for i in range(1, n + 1):
+            cap = n // i
+            total += w[i] * float(np.dot(w[1 : cap + 1], np.gcd(i, js[:cap])))
+        out.append(total)
+    return out
+
+
+def _plain_pillai_mean_square(table, grid):
+    """(1/N) sum_{k <= N} (P(k)/k)^2, adding phi(d)/d at every multiple of each d."""
+    top = grid[-1]
+    phi = table.totient(1)[: top + 1].astype(np.float64)
+    val = np.zeros(top + 1)
+    for d in range(1, top + 1):
+        val[d::d] += phi[d] / d
+    prefix = np.cumsum(val * val)
+    return [float(prefix[n]) / n for n in grid]
 
 
 def test_zeta_closed_forms():
@@ -56,6 +83,16 @@ def test_euler_product_examples():
 def test_euler_product_rejects_nonpositive():
     with pytest.raises(ValueError):
         euler_product(ProductSpec(lambda p: 1 - 2.0 / p, 100, 2.0))
+
+
+@pytest.mark.parametrize("cutoff", [-5, 0, 1, 2, 10])
+def test_euler_product_rejects_cutoffs_below_the_calibration_primes(cutoff):
+    # the tail bar is calibrated on the last 5 primes, and 11 is the 5th
+    with pytest.raises(ValueError, match="tail bound"):
+        euler_product(ProductSpec(lambda p: 1 - p**-2.0, cutoff, 2.0))
+    with pytest.raises(ValueError):
+        constants.delta(cutoff)
+    assert euler_product(ProductSpec(lambda p: 1 - p**-2.0, 11, 2.0)).value > 0
 
 
 def test_tail_bound_honest_under_cutoff_doubling():
@@ -198,6 +235,18 @@ def test_tauberian_trend_small_grid():
     assert all(v > 0 for v in cor + toth + pil)
     with pytest.raises(ValueError):
         constants.tauberian_trend("nope", grid)
+
+
+@pytest.mark.parametrize("grid", [(10, 11, 12, 13, 16, 17), (100, 999, 1000, 1001),
+                                  (10, 2_000, 19_999, 20_000)])
+def test_trend_sums_are_the_plain_loops(grid, table_10k):
+    table = table_10k if grid[-1] <= table_10k.n_max else build_table(grid[-1])
+    got = constants._product_restricted_sums(table, list(grid))
+    want = _plain_product_restricted_sums(table, list(grid))
+    assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
+    # same float additions in the same order: bit-identical
+    got = constants._pillai_mean_square(table, list(grid))
+    assert repr(got) == repr(_plain_pillai_mean_square(table, list(grid)))
 
 
 def test_pillai_mean_square_magnitude_at_1e6():

@@ -1,15 +1,69 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gcdstats import constants, exact
-from gcdstats.exact import BudgetError
+from gcdstats.arith import DEFAULT_MAX_N, build_table
+from gcdstats.cli import main
 from gcdstats.verify import _shared_table
 
 
 def frac(res):
     return res.as_fraction()
+
+
+def plain_divisor_accumulate(w, n):
+    """acc[k] = sum_{j|k} w[j]: one slice add per j (reference)."""
+    acc = np.zeros(n + 1, dtype=w.dtype)
+    for j in range(1, n + 1):
+        acc[j::j] += w[j]
+    return acc
+
+
+def plain_divisor_sums(g, n, power):
+    """sum_{j|k} g(j) floor(n/j)^power for k = 0..n in Python ints (reference)."""
+    acc = [0] * (n + 1)
+    for j in range(1, n + 1):
+        w = int(g[j]) * (n // j) ** power
+        for k in range(j, n + 1, j):
+            acc[k] += w
+    return acc
+
+
+def per_k_gcd_counts(table, n, r):
+    """#{r-tuples in [n]^r with gcd k}, one floor sum per k (reference)."""
+    prefix = exact._exact_prefix(table.mobius, n)
+    return [exact._floor_power_sum(prefix, n, r, k) for k in range(1, n + 1)]
+
+
+# --- divisor-sum kernel --------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 1000])
+def test_divisor_accumulate_is_the_plain_loop(n):
+    rng = np.random.default_rng(n)
+    w = rng.integers(-10**6, 10**6, n + 1, dtype=np.int64)
+    got = exact._divisor_accumulate(w, n)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, plain_divisor_accumulate(w, n))
+    big = np.array([int(v) * 10**30 + 7 for v in w], dtype=object)
+    got = exact._divisor_accumulate(big, n)
+    assert got.dtype == object
+    assert got.tolist() == plain_divisor_accumulate(big, n).tolist()
+    assert all(type(v) is int for v in got.tolist())
+
+
+def test_big_integer_profiles_at_r7():
+    # 1000^7 exceeds int64, so the kernel runs on Python ints
+    n, r = 1000, 7
+    table = build_table(n, (1,))
+    for kind, g in (("probability", table.mobius), ("expectation", table.totient(1))):
+        prof = exact.marginal_profile(table, n, r, kind)
+        assert prof.numerators.dtype == object
+        assert prof.numerators.tolist() == plain_divisor_sums(g, n, r)
+    want = sum(v * v for v in plain_divisor_sums(table.totient(1), n, r - 1)[1:])
+    assert exact.mixed_moment_pi(table, n, r, 1).numerator == want
 
 
 # --- Cesaro formula and pmf --------------------------------------------------
@@ -40,6 +94,17 @@ def test_gcd_pmf_r1_is_uniform(table_100):
     # with one variable the value itself is the "gcd", so the pmf is uniform
     pmf = exact.gcd_pmf(table_100, 10, 1)
     assert all(frac(v) == Fraction(1, 10) for v in pmf)
+
+
+def test_gcd_pmf_and_tail_are_the_per_k_floor_sums(table_1000):
+    for n in (1, 2, 17, 100, 1000):
+        for r in (1, 2, 3):
+            want = per_k_gcd_counts(table_1000, n, r)
+            assert [v.numerator for v in exact.gcd_pmf(table_1000, n, r)] == want
+            if r == 2:
+                for t in {0, 1, n // 3, n - 1, n}:
+                    got = exact.gcd_tail(table_1000, n, t).numerator
+                    assert got == n**2 - sum(want[:t]), (n, t)
 
 
 def test_gcd_pmf_limit_at_k1():
@@ -214,9 +279,14 @@ def test_omega_rr_is_kernel_variance(table_100):
             assert got == second - first * first
 
 
-def test_covariance_budget_guard(table_1000):
-    with pytest.raises(BudgetError):
-        exact.shared_covariance(table_1000, 900, 2, 1, "indicator", max_n=100)
+def test_covariance_refused_above_table_cap(capsys):
+    # the table cap is the only size guard: no covariance work is attempted
+    with pytest.raises(SystemExit) as err:
+        main(["exact", "--quantity", "varC", "--n", "40000000", "--m", "50"])
+    assert err.value.code == 2
+    text = capsys.readouterr().err
+    assert text.startswith("error: ") and text.count("\n") == 1
+    assert str(DEFAULT_MAX_N) in text
 
 
 # --- U-statistic variances -----------------------------------------------------------

@@ -1,9 +1,11 @@
 """Gating tests: the fast exact formulas against exhaustive enumeration.
 
-The lcm-grouped covariance enumeration must match brute force on the full
-n <= 20, r <= 3 grid before anything downstream (variance formulas,
-normalizations) may rely on it; the same holds for the literal quadratic
-double-sum form it reorganizes.
+The shared-variable covariances, summed as sum_d G_s(d) h(d)^2 over the
+exact gcd counts G_s and the divisor sums h, must match brute force on the
+full n <= 20, r <= 3 grid before anything downstream (variance formulas,
+normalizations) may rely on them; they must also equal the literal
+quadratic double sum over (i, j) with its floor(n/lcm(i,j))^s factor, which
+they reorganize, up to n = 150.
 """
 
 from fractions import Fraction
@@ -58,17 +60,15 @@ def test_shared_covariance_gate(tables, r):
 
 
 @pytest.mark.parametrize("r", [2, 3])
-def test_quadratic_form_matches_lcm_enumeration(tables, r):
-    # the divisor-pair enumeration is the same sum as the literal O(n^2) form
-    for n in (1, 2, 3, 5, 8, 12):
-        table = tables[n]
-        for s in range(1, r + 1):
-            for kind, q in (("indicator", 1), ("moment", 1), ("moment", 2)):
-                mean_hist = brute.gcd_histogram(n, r)
-                f = brute._kernel(kind, q)
-                mean = Fraction(
-                    sum(int(mean_hist[g]) * f(g) for g in range(1, n + 1)), n**r
-                )
+def test_quadratic_form_matches_lcm_enumeration(r):
+    # the gcd-count grouping is the same sum as the literal O(n^2) form
+    table = build_table(150, (1, 2))
+    for n in (1, 2, 3, 5, 8, 12, 31, 64, 97, 150):
+        for s in range(0, r + 1):
+            for kind, q in (("indicator", 1), ("gcd", 1), ("moment", 1), ("moment", 2)):
+                g = exact._kernel_weights(table, kind, q)
+                # the plain Cesaro sum: E F(gcd) = sum_i (mu*F)(i) floor(n/i)^r / n^r
+                mean = Fraction(sum(int(g[i]) * (n // i) ** r for i in range(1, n + 1)), n**r)
                 want = quadratic_shared_exy(table, n, r, s, kind, q) - mean * mean
                 got = exact.shared_covariance(table, n, r, s, kind, q).as_fraction()
                 assert got == want, (n, r, s, kind, q)
