@@ -16,6 +16,7 @@ Function conventions (k >= 1):
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field
 from math import gcd as _gcd, isqrt
@@ -135,19 +136,10 @@ class ArithTable:
     tau: np.ndarray = None
     smallest_prime_factor: np.ndarray = None
     primes: np.ndarray = None
-    _divisor_cache: dict = field(default_factory=dict, repr=False)
 
     def check_index(self, k: int) -> None:
         if not 1 <= k <= self.n_max:
             raise ValueError(f"index {k} outside table range 1..{self.n_max}")
-
-    def divisor_tuple(self, k: int) -> tuple:
-        """Memoized ascending divisors; hot path for per-sample statistics."""
-        ds = self._divisor_cache.get(k)
-        if ds is None:
-            ds = tuple(divisors(self, k))
-            self._divisor_cache[k] = ds
-        return ds
 
     def totient(self, s: int = 1):
         """Value array for phi_s, sieving it on demand if missing."""
@@ -158,17 +150,31 @@ class ArithTable:
         return vals
 
     def factorize(self, k: int) -> list[tuple[int, int]]:
-        """Prime factorization [(p, e), ...] of k via the spf array."""
-        self.check_index(k)
+        """Prime factorization [(p, e), ...] of k >= 1, primes ascending.
+
+        The spf array gives each factor inside the table.  Beyond it, trial
+        division by the table's primes, then by the odd numbers past them,
+        runs until the cofactor is inside the table or is prime.
+        """
+        if k < 1:
+            raise ValueError(f"can only factorize k >= 1, got {k}")
+        # 2 is among the table's primes whenever n_max >= 2
+        trial = itertools.chain(map(int, self.primes) if self.n_max >= 2 else (2,),
+                                itertools.count(self.n_max + 1 | 1, 2))
         out = []
-        spf = self.smallest_prime_factor
         while k > 1:
-            p = int(spf[k])
+            if k <= self.n_max:
+                p = int(self.smallest_prime_factor[k])
+            else:
+                p = next(trial)
+                if p * p > k:
+                    p = k
             e = 0
             while k % p == 0:
                 k //= p
                 e += 1
-            out.append((p, e))
+            if e:
+                out.append((p, e))
         return out
 
 

@@ -48,9 +48,9 @@ class ExactResult:
 
     @classmethod
     def from_ratio(cls, numerator: int, base: int, power: int) -> "ExactResult":
+        # int / int is correctly rounded, the float of the exact fraction
         numerator = int(numerator)
-        value = float(Fraction(numerator, base**power))
-        return cls(numerator, base, power, value)
+        return cls(numerator, base, power, numerator / base**power)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denom_base**self.denom_power)

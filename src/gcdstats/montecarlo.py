@@ -13,11 +13,13 @@ multiplicities cnt(d) = #{i : d | x_i}:
     C = sum_d mu(d)    * C(cnt(d), r)
     Z = sum_d phi_q(d) * C(cnt(d), r)
 
-since sum_{d | g} mu(d) = [g = 1] and sum_{d | g} phi_q(d) = g^q.  M and
-N(t) are functions of the C(m,2) pair gcds alone, so they come from
-np.gcd over the pairs and read no arithmetic table; n may then be as large
-as int64 allows.  The naive subset loops live in `brute` and gate these in
-the tests.
+since sum_{d | g} mu(d) = [g = 1] and sum_{d | g} phi_q(d) = g^q.  One
+kernel evaluates them for a whole block of replicates, exactly: over a
+(B, n+1) count matrix when n is small next to the block's divisor count,
+else over one key per (replicate, divisor).  M and N(t) are functions of
+the C(m,2) pair gcds alone, so they come from np.gcd over the pairs and
+read no table; n may then be as large as int64 allows.  The naive subset
+loops live in `brute` and gate these in the tests.
 
 Replicate i draws from a counter-based Philox stream keyed by
 (master_seed, i), so results are independent of worker count and
@@ -28,9 +30,9 @@ draws and evaluates its replicates once each, a block at a time.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb
 from multiprocessing import get_context
 
@@ -44,9 +46,10 @@ _INT64_MAX = 2**63 - 1
 _INT32_MAX = 2**31 - 1
 
 # Sample values held by one block of replicates, and so the most pair gcds
-# one numpy call of the pair kernel holds: 0.5 MB per int64 array, whatever
-# the replicate count and m.  Larger blocks gain no speed; at 1 << 20 the
-# (m=2000, n=40) Z run peaked 14 MB above the per-replicate loop.
+# one numpy call of the pair kernel holds, and the most cells of a dense C/Z
+# count matrix: 0.5 MB per int64 array, whatever the replicate count, m and
+# n.  Larger blocks gain no speed; at 1 << 20 the (m=2000, n=40) Z run
+# peaked 14 MB above the per-replicate loop.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -198,123 +201,131 @@ def poisson_count(sample, threshold: float) -> int:
 
 # --- divisor multiplicities: C and Z -----------------------------------------
 
-@lru_cache(maxsize=1 << 15)
-def _divisors_trial(v: int) -> tuple:
-    """Divisors of v by trial division; only used beyond the table range."""
-    ds = [1]
-    rest = v
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            ds = [d * p**i for d in ds for i in range(e + 1)]
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        ds = [d * rest**i for d in ds for i in range(2)]
-    return tuple(ds)
+def _binom(cnt: np.ndarray, r: int) -> np.ndarray:
+    """C(cnt, r) elementwise, in cnt's dtype; counts cnt down in place.
 
-
-def _element_divisors(v: int, table: ArithTable):
-    if v <= table.n_max:
-        return table.divisor_tuple(v)
-    return _divisors_trial(v)
-
-
-def _multiplicities(sample, table: ArithTable, n: int, mode: str = "auto"):
-    """cnt(d) = #{i : d | x_i}; dense int64 array or sparse dict.
-
-    Dense (multiples-of-d sums over a frequency table) costs ~n slice
-    sums; the sparse path costs sum_i tau(x_i) ~ m ln n dictionary
-    updates, so it wins whenever the sample is short relative to n.
-    Both paths produce identical statistics; `mode` pins one for testing.
+    Step i turns C(cnt, i-1) into C(cnt, i) = C(cnt, i-1) (cnt-i+1) / i,
+    an exact division whose dividend is at most cnt^i.
     """
-    x = np.asarray(sample)
-    m = x.size
-    dense = n <= 2 * m if mode == "auto" else mode == "dense"
-    if dense and n <= table.n_max:
-        freq = np.bincount(x, minlength=n + 1)
-        cnt = np.zeros(n + 1, dtype=np.int64)
-        for d in range(1, n + 1):
-            cnt[d] = int(freq[d::d].sum())
-        return cnt
-    counts: dict[int, int] = {}
-    for v in x.tolist():
-        for d in _element_divisors(int(v), table):
-            counts[d] = counts.get(d, 0) + 1
-    return counts
+    out = cnt.copy()
+    for i in range(2, r + 1):
+        cnt -= 1
+        out *= cnt
+        out //= i
+    return out
 
 
-def _weight_of(d: int, table: ArithTable, kind: str, q: int) -> int:
-    if d <= table.n_max:
-        if kind == "mobius":
-            return int(table.mobius[d])
-        return int(table.totient(q)[d])
-    # factor by trial division; weights are multiplicative over prime powers
-    fact = []
-    rest = d
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            fact.append((p, e))
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        fact.append((rest, 1))
-    if kind == "mobius":
-        if any(e >= 2 for _, e in fact):
-            return 0
-        return -1 if len(fact) % 2 else 1
-    w = 1
-    for p, e in fact:
-        w *= p ** (q * (e - 1)) * (p**q - 1)
-    return w
+def _exact_dtype(weight_sum: int, m: int, r: int):
+    """int64 when weight_sum m^r < 2^62, else object (Python ints).
+
+    With cnt <= m, every C(cnt, r) and every `_binom` intermediate is at
+    most m^r, so a row's sum_d w(d) C(cnt(d), r) is at most sum |w| m^r.
+    """
+    return np.int64 if weight_sum * m**r < _INT64_SAFE else object
 
 
-def _subset_weighted_count(cnt, table: ArithTable, r: int, kind: str, q: int) -> int:
-    """sum_d weight(d) * C(cnt(d), r), exactly."""
-    if isinstance(cnt, dict):
-        total = 0
-        for d, c in cnt.items():
-            if c >= r:
-                w = _weight_of(d, table, kind, q)
-                if w:
-                    total += w * comb(c, r)
-        return total
-    n = len(cnt) - 1
-    g = table.mobius if kind == "mobius" else table.totient(q)
-    if r == 2 and isinstance(g, np.ndarray):
-        c2 = cnt * (cnt - 1) // 2
-        peak = int(np.abs(g[: n + 1]).max()) * int(c2.max(initial=0))
-        if (n + 1) * peak < _INT64_SAFE:
-            return int(np.dot(g[: n + 1].astype(np.int64), c2))
-    total = 0
-    for d in range(1, n + 1):
-        c = int(cnt[d])
-        if c >= r:
-            w = int(g[d])
-            if w:
-                total += w * comb(c, r)
-    return total
+def _dense_route(xs: np.ndarray, r: int, g, primes) -> np.ndarray:
+    """Per row, sum_{d <= n} g(d) C(cnt(d), r) from a (B, n+1) count matrix.
+
+    g holds the weights g(0..n) in the result dtype and `primes` the primes
+    up to n.  One bincount gives each row's value frequencies; a sum over
+    multiples, prime by prime, turns them into cnt(d).  For a prime p,
+    cnt[i] += cnt[i p] runs for i = n/p down to 1, one slice per power of
+    p: the i in (n/p^(k+1), n/p^k] read the i p in (n/p^k, n/p^(k-1)],
+    which the slice before has finished.
+    """
+    rows, n = xs.shape[0], g.size - 1
+    keys = (np.arange(rows)[:, None] * (n + 1) + xs).ravel()
+    cnt = np.bincount(keys, minlength=rows * (n + 1)).reshape(rows, n + 1)
+    for p in primes:
+        hi = n // p
+        while hi:
+            lo = hi // p
+            cnt[:, lo + 1 : hi + 1] += cnt[:, (lo + 1) * p : hi * p + 1 : p]
+            hi = lo
+    return _binom(cnt.astype(g.dtype, copy=False), r) @ g
+
+
+def _weighted_divisors(factors, q: int | None) -> list:
+    """(d, w(d)) for the divisors d of prod p^e with w(d) != 0.
+
+    w is mu when q is None (so d squarefree), else phi_q, both
+    multiplicative: mu(p) = -1 and phi_q(p^i) = p^(q(i-1)) (p^q - 1).
+    """
+    pairs = [(1, 1)]
+    for p, e in factors:
+        if q is None:
+            pairs += [(d * p, -w) for d, w in pairs]
+        else:
+            pq = p**q
+            powers = [(p**i, p ** (q * (i - 1)) * (pq - 1)) for i in range(1, e + 1)]
+            pairs += [(d * pd, w * pw) for d, w in pairs for pd, pw in powers]
+    return pairs
+
+
+def _sparse_route(xs: np.ndarray, r: int, q: int | None, table: ArithTable) -> np.ndarray:
+    """Per row, sum_d w(d) C(cnt(d), r) over the divisors its values have.
+
+    Each distinct value of the block is factorised once (`factorize`: the
+    table's spf inside it, trial division beyond) and expanded into its
+    divisors of nonzero weight.  One key per (row, divisor) occurrence;
+    np.unique counts them into cnt, and reduceat sums each row's terms.
+    """
+    rows, m = xs.shape
+    vals, inv = np.unique(xs.ravel(), return_inverse=True)
+    per_value = [_weighted_divisors(table.factorize(v), q) for v in vals.tolist()]
+    sizes = np.array([len(pairs) for pairs in per_value], dtype=np.int64)
+    divs, weights = zip(*[pair for pairs in per_value for pair in pairs])
+    dvals, div_id = np.unique(np.array(divs, dtype=np.int64), return_inverse=True)
+    w = np.empty(dvals.size, dtype=object)
+    w[div_id] = weights
+    w = w.astype(_exact_dtype(int(np.abs(w).sum()), m, r))
+
+    per_elem = sizes[inv]
+    # position in the flat divisor list of each (element, divisor) occurrence
+    shift = (np.cumsum(sizes) - sizes)[inv] - (np.cumsum(per_elem) - per_elem)
+    pos = np.arange(per_elem.sum()) + np.repeat(shift, per_elem)
+    row = np.repeat(np.arange(rows * m) // m, per_elem)
+    keys, cnt = np.unique(row * dvals.size + div_id[pos], return_counts=True)
+    terms = _binom(cnt.astype(w.dtype, copy=False), r) * w[keys % dvals.size]
+    # every row holds divisor 1 (weight 1), so every row has a key
+    row_starts = np.flatnonzero(np.diff(keys // dvals.size, prepend=-1))
+    return np.add.reduceat(terms, row_starts)
+
+
+def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, table: ArithTable,
+                           n: int) -> list:
+    """Exact C (q None) or Z with exponent q of every row of xs, values in 1..n.
+
+    Both are sum_d w(d) C(cnt(d), r), with w = mu or phi_q and
+    cnt(d) = #{i : d | x_i} in the row.  The cheaper route runs: the dense
+    sweep touches n + 1 + sum_{p <= n} floor(n/p) cells a row, the sparse
+    route sorts about D keys, D the block's divisor count, in D log2 D
+    comparisons.  Dense blocks hold at most _BLOCK_ELEMENTS cells.
+    """
+    rows, m = xs.shape
+    if n <= table.n_max:
+        primes = table.primes[: np.searchsorted(table.primes, n, "right")]
+        divisor_count = int(table.tau[xs].sum(dtype=np.int64))
+        if rows * (n + 1 + int((n // primes).sum())) <= divisor_count * math.log2(divisor_count):
+            g = np.array((table.mobius if q is None else table.totient(q))[: n + 1], dtype=object)
+            g = g.astype(_exact_dtype(int(np.abs(g).sum()), m, r))
+            step = max(1, _BLOCK_ELEMENTS // (n + 1))
+            return np.concatenate([_dense_route(xs[lo : lo + step], r, g, primes.tolist())
+                                   for lo in range(0, rows, step)]).tolist()
+    return _sparse_route(xs, r, q, table).tolist()
 
 
 def stat_C(sample, r: int, table: ArithTable, n: int | None = None) -> int:
     """Number of r-subsets of the sample whose gcd is exactly 1."""
-    n = int(n if n is not None else max(sample))
-    cnt = _multiplicities(sample, table, n)
-    return _subset_weighted_count(cnt, table, r, "mobius", 1)
+    x = np.asarray(sample, dtype=np.int64)[None, :]
+    return _subset_weighted_block(x, r, None, table, int(x.max()) if n is None else n)[0]
 
 
 def stat_Z(sample, r: int, q: int, table: ArithTable, n: int | None = None) -> int:
     """Sum of gcd^q over all r-subsets of the sample."""
-    n = int(n if n is not None else max(sample))
-    cnt = _multiplicities(sample, table, n)
-    return _subset_weighted_count(cnt, table, r, "totient", q)
+    x = np.asarray(sample, dtype=np.int64)[None, :]
+    return _subset_weighted_block(x, r, q, table, int(x.max()) if n is None else n)[0]
 
 
 # --- replicate running -------------------------------------------------------
@@ -356,10 +367,9 @@ def _raws_in_range(config: SampleConfig, statistic: str, table, threshold: float
             raws.extend(_pair_gcd_reduce(xs).tolist())
         elif statistic == "N":
             raws.extend(_pair_gcd_reduce(xs, cut).tolist())
-        elif statistic == "C":
-            raws.extend(stat_C(x, config.r, table, config.n) for x in xs)
         else:
-            raws.extend(stat_Z(x, config.r, config.q, table, config.n) for x in xs)
+            q = None if statistic == "C" else config.q
+            raws.extend(_subset_weighted_block(xs, config.r, q, table, config.n))
     return raws
 
 
@@ -372,7 +382,8 @@ def _raw_replicates(config, statistic, table, threshold, workers) -> list:
     """Raw values of all replicates in replicate order, each computed once.
 
     Workers take contiguous index ranges, so the values do not depend on
-    the worker count.
+    the worker count.  The fork context starts every pool process up
+    front, so the pool has no more processes than ranges or CPUs.
     """
     total = config.replicates
     if workers <= 1:
@@ -381,7 +392,8 @@ def _raw_replicates(config, statistic, table, threshold, workers) -> list:
                     threshold=threshold)
     chunk = max(1, math.ceil(total / (workers * 4)))
     bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork")) as ex:
+    processes = min(workers, len(bounds), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=processes, mp_context=get_context("fork")) as ex:
         parts = list(ex.map(_sim_chunk, bounds))
     return [v for part in parts for v in part]
 
@@ -481,24 +493,6 @@ def strong_law_trajectory(n: int, r: int, m_grid, seed: int,
     rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, 0)))
     xs = rng.integers(1, n + 1, size=top, dtype=np.int64)
 
-    mu = table.mobius
     mean_single = exact.mean_mu(table, n, r - 1).float_value
-    cnt = np.zeros(n + 1, dtype=np.int64)
-    running = 0
-    ratios = []
-    targets = set(grid)
-    for m, v in enumerate(xs.tolist(), start=1):
-        ds = table.divisor_tuple(int(v))
-        # new r-subsets through this element: choose r-1 earlier multiples
-        for d in ds:
-            w = int(mu[d])
-            if w:
-                c = int(cnt[d])
-                if c >= r - 1:
-                    running += w * comb(c, r - 1)
-        for d in ds:
-            cnt[d] += 1
-        if m in targets:
-            expected = comb(m, r) * mean_single
-            ratios.append(running / expected)
-    return np.array(ratios)
+    return np.array([_subset_weighted_block(xs[None, :m], r, None, table, n)[0]
+                     / (comb(m, r) * mean_single) for m in grid])

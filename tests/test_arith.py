@@ -127,6 +127,32 @@ def test_pillai_examples_and_oracle(table_100):
         assert pillai(table_100, s, k) == naive_pillai(k, s)
 
 
+def naive_factorize(k):
+    """Prime factorization by trial division over every d >= 2 (reference)."""
+    out, d = [], 2
+    while d * d <= k:
+        e = 0
+        while k % d == 0:
+            k //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return out + [(k, 1)] if k > 1 else out
+
+
+def test_factorize_inside_and_beyond_the_table():
+    rng = random.Random(3)
+    ks = list(range(1, 300)) + [rng.randint(1, 10**9) for _ in range(100)]
+    ks += [1009 * 1013, 2**40, 3**20 * 7, 2**31 - 1, 99_991**2]
+    expected = [naive_factorize(k) for k in ks]
+    for n_max in (1, 2, 3, 10, 97, 1000):
+        table = build_table(n_max, (1,))
+        assert [table.factorize(k) for k in ks] == expected
+    with pytest.raises(ValueError):
+        table.factorize(0)
+
+
 def test_divisors(table_100):
     assert divisors(table_100, 1) == [1]
     assert divisors(table_100, 12) == [1, 2, 3, 4, 6, 12]

@@ -68,6 +68,16 @@ def test_big_integer_profiles_at_r7():
 
 # --- Cesaro formula and pmf --------------------------------------------------
 
+def test_from_ratio_float_is_the_float_of_the_fraction():
+    rng = np.random.default_rng(12)
+    for _ in range(3000):
+        base = int(rng.integers(1, 10**6))
+        power = int(rng.integers(0, 80))
+        numerator = int(rng.integers(-(2**62), 2**62)) * base ** int(rng.integers(0, power + 1))
+        res = exact.ExactResult.from_ratio(numerator, base, power)
+        assert res.float_value == float(Fraction(numerator, base**power))
+
+
 def test_cesaro_expectation_pairs_n2(table_100):
     # all four pairs from {1,2}: gcds 1,1,1,2
     r = exact.cesaro_expectation(table_100, table_100.totient(1), 2, 2)

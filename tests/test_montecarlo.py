@@ -9,7 +9,6 @@ from gcdstats import brute, exact, montecarlo
 from gcdstats.arith import build_table
 from gcdstats.montecarlo import (
     SampleConfig,
-    _multiplicities,
     draw_sample,
     poisson_count,
     run_replicates,
@@ -102,18 +101,112 @@ def test_fast_statistics_match_naive_loops(table_50):
             assert stat_Z(x, 3, 1, table_50, n) == brute.naive_stat_Z(x, 3, 1)
 
 
-def test_dense_and_sparse_paths_agree(table_50):
+def test_dense_and_sparse_routes_agree(table_50):
     rng = random.Random(77)
     for trial in range(10):
         n = rng.randint(5, 50)
         m = rng.randint(4, 30)
-        cfg = SampleConfig(m=m, n=n, replicates=1, master_seed=1000 + trial)
-        x = draw_sample(cfg, 0)
-        dense = _multiplicities(x, table_50, n, mode="dense")
-        sparse = _multiplicities(x, table_50, n, mode="sparse")
-        assert isinstance(sparse, dict)
-        for d in range(1, n + 1):
-            assert int(dense[d]) == sparse.get(d, 0)
+        cfg = SampleConfig(m=m, n=n, replicates=6, master_seed=1000 + trial)
+        xs = montecarlo._draw_block(cfg, 0, 6)
+        primes = [p for p in table_50.primes.tolist() if p <= n]
+        for q in (None, 1, 2):
+            g = table_50.mobius if q is None else table_50.totient(q)
+            dense = montecarlo._dense_route(xs, 2, g[: n + 1].astype(np.int64), primes)
+            sparse = montecarlo._sparse_route(xs, 2, q, table_50)
+            assert dense.tolist() == sparse.tolist()
+
+
+def _route_spy(monkeypatch):
+    """Record which route each block takes."""
+    taken = []
+    for name in ("_dense_route", "_sparse_route"):
+        real = getattr(montecarlo, name)
+
+        def spy(*args, _real=real, _name=name):
+            taken.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(montecarlo, name, spy)
+    return taken
+
+
+def test_route_follows_row_width_against_divisor_count(monkeypatch):
+    taken = _route_spy(monkeypatch)
+    # n small next to the block's divisor count: the dense sweep is cheaper
+    for m, n in ((20, 100), (2000, 40), (1000, 1000)):
+        taken.clear()
+        montecarlo.replicate_rows(SampleConfig(m=m, n=n, replicates=3, master_seed=1), "C")
+        assert set(taken) == {"_dense_route"}
+    # n large next to it: the sparse route
+    for m, n in ((5, 1000), (20, 10_000), (100, 100_000)):
+        taken.clear()
+        montecarlo.replicate_rows(SampleConfig(m=m, n=n, replicates=3, master_seed=1), "Z")
+        assert set(taken) == {"_sparse_route"}
+
+
+def test_block_statistics_match_naive_loops(monkeypatch):
+    # few cells per block, so replicate ranges split across blocks and
+    # dense blocks split into row chunks
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 40)
+    taken = _route_spy(monkeypatch)
+    rng = random.Random(2468)
+    for trial in range(40):
+        r = rng.choice([2, 3, 4])
+        q = rng.choice([1, 2, 3])
+        m = rng.randint(r, 12)
+        n = rng.choice([1, 2, 7, 30, 100, 400, 5000])
+        reps = rng.randint(1, 12)
+        cfg = SampleConfig(m=m, n=n, r=r, q=q, replicates=reps, master_seed=900 + trial)
+        table = build_table(n, (1,))
+        c_rows = montecarlo.replicate_rows(cfg, "C", table=table)
+        z_rows = montecarlo.replicate_rows(cfg, "Z", table=table)
+        for i in range(reps):
+            x = draw_sample(cfg, i)
+            assert c_rows[i][1] == brute.naive_stat_C(x, r)
+            assert z_rows[i][1] == brute.naive_stat_Z(x, r, q)
+    assert set(taken) == {"_dense_route", "_sparse_route"}
+
+
+def test_python_int_fallback_matches_naive_loops(monkeypatch):
+    dtypes = []
+    real = montecarlo._binom
+
+    def spy(cnt, r):
+        dtypes.append(cnt.dtype)
+        return real(cnt, r)
+
+    monkeypatch.setattr(montecarlo, "_binom", spy)
+    taken = _route_spy(monkeypatch)
+    table = build_table(1000, (1,))
+    # m^r times the sum of the phi_q weights passes 2^62: through m^r at
+    # r = 7, through the weights (Python ints in the table) at q = 14.
+    # n = 1000 runs sparse, n <= 30 dense.
+    for m, n, r, q in ((16, 1000, 7, 7), (16, 30, 7, 7), (9, 1000, 2, 14), (9, 20, 2, 14)):
+        cfg = SampleConfig(m=m, n=n, r=r, q=q, replicates=2, master_seed=m + n)
+        xs = montecarlo._draw_block(cfg, 0, 2)
+        dtypes.clear()
+        got = montecarlo._subset_weighted_block(xs, r, q, table, n)
+        assert dtypes and all(dt == object for dt in dtypes)
+        assert got == [brute.naive_stat_Z(x, r, q) for x in xs]
+        assert all(type(v) is int for v in got)
+    assert taken == ["_sparse_route", "_dense_route"] * 2
+
+
+def test_values_beyond_the_table_match_naive_loops():
+    rng = random.Random(55)
+    for table_n in (1, 2, 10, 97):
+        table = build_table(table_n, (1,))
+        for trial in range(6):
+            n = rng.choice([200, 10**4, 10**6, 10**9])
+            r = rng.choice([2, 3])
+            q = rng.choice([1, 2])
+            cfg = SampleConfig(m=rng.randint(r, 10), n=n, r=r, q=q, replicates=3,
+                               master_seed=trial + 40 * table_n)
+            xs = montecarlo._draw_block(cfg, 0, 3)
+            assert montecarlo._subset_weighted_block(xs, r, None, table, n) == \
+                [brute.naive_stat_C(x, r) for x in xs]
+            assert montecarlo._subset_weighted_block(xs, r, q, table, n) == \
+                [brute.naive_stat_Z(x, r, q) for x in xs]
 
 
 def test_sparse_path_beyond_table_range():
@@ -290,3 +383,34 @@ def test_cli_simulate_draws_each_replicate_once(monkeypatch, tmp_path, capsys):
         assert main(argv) == 0
         assert sorted(drawn) == list(range(25))
     capsys.readouterr()
+
+
+def test_pool_has_no_more_processes_than_ranges_or_cpus(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Records the requested pool size and runs the ranges in-process."""
+
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+    cfg = SampleConfig(m=6, n=30, replicates=5, master_seed=8)
+    serial = montecarlo.replicate_rows(cfg, "C", workers=1)
+    assert sizes == []
+    for workers, expected in ((2, 2), (16, 3), (64, 3)):
+        assert montecarlo.replicate_rows(cfg, "C", workers=workers) == serial
+        assert sizes[-1] == expected
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
+    assert montecarlo.replicate_rows(cfg, "C", workers=64) == serial
+    assert sizes[-1] == 5  # one process per replicate range
