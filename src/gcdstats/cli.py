@@ -72,7 +72,10 @@ def _emit(payload: dict, out: str | None, fmt: str) -> None:
 def cmd_tables(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be a positive table bound")
-    orders = tuple(sorted({int(s) for s in args.orders.split(",")})) if args.orders else (1,)
+    try:
+        orders = tuple(sorted({int(s) for s in args.orders.split(",")})) if args.orders else (1,)
+    except ValueError:
+        raise ValueError(f"--orders must be comma-separated integers, got {args.orders!r}") from None
     t0 = time.perf_counter()
     path = args.out or f"arith-{args.n}.tbl"
     hit = False
@@ -107,11 +110,17 @@ _EXACT_QUANTITIES = ("mu", "nu", "c", "d", "pmf", "moment", "varC", "varZ",
 
 def cmd_exact(args) -> int:
     n, r, q, s, m = args.n, args.r, args.q, args.s, args.m
+    quantity = args.quantity
     if n is None or n < 1:
         raise ValueError("--n is required and must be >= 1")
+    # mu and nu are expectations over r + 1 variables, so r = 0 is valid
+    # and the library's own check would report r + 1
+    if quantity in ("mu", "nu") and r < 0:
+        raise ValueError(f"--r must be >= 0 for quantity {quantity}, got {r}")
+    if quantity == "tail" and not 0 <= args.t <= n:
+        raise ValueError(f"--t must lie in 0..{n} for quantity tail, got {args.t}")
     orders = (1, q) if q != 1 else (1,)
     table = build_table(n, orders)
-    quantity = args.quantity
     t0 = time.perf_counter()
     if quantity == "pmf":
         res = exact.gcd_pmf(table, n, r)
@@ -256,8 +265,25 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `error:` line, as main does."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gcdstats",
         description="Exact and simulated statistics of gcds of random integer samples",
     )
@@ -296,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", default=None, help="prefix for .csv and .json outputs")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(func=cmd_simulate)
@@ -304,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run acceptance suites")
     p.add_argument("--suite", default="all",
                    help="one of %s or 'all'" % ", ".join(sorted(verify.SUITES)))
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .arith import _jordan_sieve, build_table, primes_up_to
+from .arith import DEFAULT_MAX_N, CapacityError, _jordan_sieve, build_table, primes_up_to
 from .exact import _divisor_accumulate
 
 DEFAULT_CUTOFF = 1_000_000
@@ -89,6 +89,8 @@ _CALIBRATION_PRIMES = 5
 
 @lru_cache(maxsize=8)
 def _prime_cache(cutoff: int) -> np.ndarray:
+    if cutoff > DEFAULT_MAX_N:
+        raise CapacityError(f"cutoff {cutoff} exceeds the sieve cap of {DEFAULT_MAX_N}")
     return primes_up_to(cutoff).astype(np.float64)
 
 

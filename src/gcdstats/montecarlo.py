@@ -24,7 +24,11 @@ loops live in `brute` and gate these in the tests.
 Replicate i draws from a counter-based Philox stream keyed by
 (master_seed, i), so results are independent of worker count and
 scheduling; uniform integers use rejection-based bounded draws.  A run
-draws and evaluates its replicates once each, a block at a time.
+draws and evaluates its replicates once each, a block at a time.  A block
+of short rows is drawn by running Philox4x64-10 itself as numpy array
+rounds over all its rows and mapping the words to [1, n] as numpy's
+bounded draw does; rows with a rejected draw, and blocks of long rows,
+make one numpy Generator call a row.  The bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -46,16 +50,11 @@ _INT64_MAX = 2**63 - 1
 _INT32_MAX = 2**31 - 1
 
 # Sample values held by one block of replicates, and so the most pair gcds
-# one numpy call of the pair kernel holds, and the most cells of a dense C/Z
-# count matrix: 0.5 MB per int64 array, whatever the replicate count, m and
-# n.  Larger blocks gain no speed; at 1 << 20 the (m=2000, n=40) Z run
+# one numpy call of the pair kernel holds, the most cells of a dense C/Z
+# count matrix and the most words a vectorised Philox pass holds at once:
+# 0.5 MB per 64-bit array, whatever the replicate count, m and n.  Larger blocks gain no speed; at 1 << 20 the (m=2000, n=40) Z run
 # peaked 14 MB above the per-replicate loop.
 _BLOCK_ELEMENTS = 1 << 16
-
-
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
 
 
 def _philox_key(seed: int, index: int) -> np.ndarray:
@@ -96,7 +95,8 @@ class SampleConfig:
             raise ValueError(f"q must be >= 1, got {self.q}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        _check_seed(self.master_seed)
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.master_seed}")
 
     def regime_warnings(self, statistic: str) -> list[str]:
         """Labels for configs outside the proven limit-law regimes.
@@ -134,24 +134,178 @@ def draw_sample(config: SampleConfig, replicate_index: int) -> np.ndarray:
     return rng.integers(1, config.n + 1, size=config.m, dtype=np.int64)
 
 
-def _draw_block(config: SampleConfig, start: int, stop: int) -> np.ndarray:
-    """Samples of replicates start..stop-1 as rows, each equal to draw_sample.
+def _draw_rows(config: SampleConfig, indices) -> np.ndarray:
+    """Samples of the given replicates as rows, one Generator call each.
 
     One Philox is re-keyed per replicate rather than a Generator built for
     each: restoring the state of a freshly keyed Philox (zero counter, empty
     buffer, no cached 32-bit half) with only the key's index word changed
     gives the same stream.
     """
-    bitgen = np.random.Philox(key=_philox_key(config.master_seed, start))
+    bitgen = np.random.Philox(key=_philox_key(config.master_seed, 0))
     rng = np.random.Generator(bitgen)
     fresh = bitgen.state
     key = fresh["state"]["key"]
-    out = np.empty((stop - start, config.m), dtype=np.int64)
-    for row, idx in enumerate(range(start, stop)):
+    out = np.empty((len(indices), config.m), dtype=np.int64)
+    for row, idx in enumerate(indices):
         key[1] = idx
         bitgen.state = fresh
         out[row] = rng.integers(1, config.n + 1, size=config.m, dtype=np.int64)
     return out
+
+
+# Philox4x64-10 (Salmon et al., SC'11): the multipliers of lanes 0 and 2,
+# and the Weyl increments of the two key words between rounds.
+_PHILOX_MUL = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_BUMP = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
+_LO32 = np.uint64(0xFFFFFFFF)
+_HALF = np.uint64(32)
+
+
+def _mulhi(x: np.ndarray, mul, out: np.ndarray, scratch) -> None:
+    """out = the high words of the 128-bit products x * mul, exactly.
+
+    mul (uint64) broadcasts against x.  The product is put together from
+    32-bit halves, whose products fit a uint64: hi = xh mh + carries of
+    xl ml, xl mh and xh ml.  `scratch` holds three arrays of x's shape.
+    """
+    lo, t, u = scratch
+    mul_lo, mul_hi = mul & _LO32, mul >> _HALF
+    np.bitwise_and(x, _LO32, out=lo)
+    np.multiply(lo, mul_lo, out=t)
+    t >>= _HALF
+    np.multiply(lo, mul_hi, out=u)
+    t += u                              # xl mh + (xl ml >> 32) < 2^64
+    np.right_shift(x, _HALF, out=lo)
+    np.bitwise_and(t, _LO32, out=u)
+    np.multiply(lo, mul_lo, out=out)
+    u += out                            # xh ml + (t mod 2^32) < 2^64
+    np.multiply(lo, mul_hi, out=out)
+    t >>= _HALF
+    out += t
+    u >>= _HALF
+    out += u
+
+
+def _philox_words(seed: int, start: int, stop: int, words: int) -> np.ndarray:
+    """The first `words` Philox4x64-10 outputs of replicates start..stop-1,
+    as rows, rounded up to whole blocks of four.
+
+    Replicate i's stream is keyed by (seed, i); its word j is lane j % 4 of
+    the block with counter (j // 4 + 1, 0, 0, 0), as numpy's Philox makes
+    them.  All blocks go through the ten rounds together, lanes 0 and 2
+    (which get multiplied) in one (2, blocks, rows) array and lanes 1 and 3
+    in another; rows run along the last axis, so the per-row key does too.
+    """
+    rows, blocks = stop - start, -(-words // 4)
+    shape = (2, blocks, rows)
+    even = np.zeros(shape, dtype=np.uint64)
+    odd = np.zeros(shape, dtype=np.uint64)
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
+    key = np.empty((2, 1, rows), dtype=np.uint64)
+    key[0] = seed
+    key[1, 0] = np.arange(start, stop, dtype=np.uint64)
+    hi, *scratch = (np.empty(shape, dtype=np.uint64) for _ in range(4))
+    for rnd in range(10):
+        if rnd:
+            key += _PHILOX_BUMP
+        _mulhi(even, _PHILOX_MUL, hi, scratch)
+        even *= _PHILOX_MUL
+        # (x0, x1, x2, x3) <- (hi(x2 M1) ^ x1 ^ k0, lo(x2 M1), hi(x0 M0) ^ x3 ^ k1, lo(x0 M0))
+        odd ^= hi[::-1]
+        odd ^= key
+        even, odd = odd, even[::-1]
+    out = np.empty((rows, blocks, 4), dtype=np.uint64)
+    out[..., 0::2] = even.transpose(2, 1, 0)
+    out[..., 1::2] = odd.transpose(2, 1, 0)
+    return out.reshape(rows, 4 * blocks)
+
+
+def _philox_plan(m: int, n: int) -> tuple:
+    """(bits, threshold, words, rows) of a vectorised draw of m values in [1, n].
+
+    numpy takes one 32-bit half of a Philox word per value when n <= 2^32,
+    else one whole word, and rejects a half or word u when u n mod 2^bits
+    falls below the threshold (2^bits - n) mod n.  `words` is a row's words
+    rounded up to whole blocks of four (256 bits), and `rows` how many rows
+    one pass takes: a pass holds at most four arrays of its words at once,
+    so at most _BLOCK_ELEMENTS elements.
+    """
+    bits = 32 if n <= 2**32 else 64
+    words = 4 * -(-m // (256 // bits))
+    return bits, (2**bits - n) % n, words, max(1, _BLOCK_ELEMENTS // (4 * words))
+
+
+def _draw_philox(config: SampleConfig, start: int, stop: int) -> np.ndarray:
+    """Samples of replicates start..stop-1 as rows, from numpy array rounds.
+
+    Computes the rows' Philox words all at once and maps them to [1, n] the
+    way numpy's bounded draws do (Lemire, ACM TOMACS 2019): half or word u
+    gives (u n >> bits) + 1.  A rejected u would shift every later value of
+    its row onto the next one, so rows with a rejection are redrawn with
+    `_draw_rows`; every row equals draw_sample.
+    """
+    m, n = config.m, config.n
+    bits, threshold, words, per_pass = _philox_plan(m, n)
+    out = np.empty((stop - start, m), dtype=np.int64)
+    for lo in range(start, stop, per_pass):
+        hi = min(lo + per_pass, stop)
+        w = _philox_words(config.master_seed, lo, hi, words)
+        u = out[lo - start : hi - start].view(np.uint64)
+        if bits == 32:
+            # the halves of each word, low half first
+            np.multiply(w.astype("<u8", copy=False).view("<u4")[:, :m], np.uint64(n), out=u)
+            rejected = (u & _LO32) < threshold
+            u >>= _HALF
+        else:
+            w = w[:, :m]
+            _mulhi(w, np.uint64(n), u, [np.empty_like(u) for _ in range(3)])
+            w *= np.uint64(n)
+            rejected = w < threshold
+        u += np.uint64(1)
+        redo = np.flatnonzero(rejected.any(axis=1))
+        if redo.size:
+            out[redo + (lo - start)] = _draw_rows(config, (redo + lo).tolist())
+    return out
+
+
+# Route costs in ns, from least-squares lines through median times of
+# each route on m = 2..2000 with n = 100 and 2^40, numpy 2.4.6 on one core
+# of a 2-vCPU Intel Xeon: per-row 11.5-12.3 us a row plus 8.1-10.6 ns a
+# value; vectorised 57-62 ns a word plus 297-316 us a pass.  With these,
+# full blocks go vectorised up to m ~ 350 for n <= 2^32 and m ~ 160 above.
+_ROW_NS = 12_000
+_ROW_VALUE_NS = 9
+_PHILOX_WORD_NS = 60
+_PHILOX_PASS_NS = 300_000
+
+
+def _philox_is_cheaper(config: SampleConfig, rows: int) -> bool:
+    """Whether `_draw_philox` costs less than `_draw_rows` on `rows` rows.
+
+    The per-row route costs a Generator call a row plus a little per value;
+    the vectorised one a fixed cost a pass plus much more per Philox word,
+    and it also redraws each row that has a rejection on the per-row route.
+    """
+    m, n = config.m, config.n
+    bits, threshold, words, per_pass = _philox_plan(m, n)
+    per_row = rows * (_ROW_NS + _ROW_VALUE_NS * m)
+    redrawn = 1 - (1 - threshold / 2**bits) ** m
+    philox = rows * words * _PHILOX_WORD_NS + -(-rows // per_pass) * _PHILOX_PASS_NS
+    return philox + redrawn * per_row < per_row
+
+
+def _draw_block(config: SampleConfig, start: int, stop: int) -> np.ndarray:
+    """Samples of replicates start..stop-1 as rows, each equal to draw_sample.
+
+    Two routes give the same bytes: `_draw_rows` makes one Generator call a
+    row, `_draw_philox` computes the whole block's Philox words in numpy
+    array rounds and redraws the rare rows with a rejected word one at a
+    time.  The cheaper route for the block's m, n and row count runs.
+    """
+    if _philox_is_cheaper(config, stop - start):
+        return _draw_philox(config, start, stop)
+    return _draw_rows(config, range(start, stop))
 
 
 # --- pair gcds: M and N -----------------------------------------------------
@@ -481,17 +635,16 @@ def strong_law_trajectory(n: int, r: int, m_grid, seed: int,
     The same stream is extended as m grows (values are reused), so the
     trajectory is a single realization of the almost-sure limit statement.
     """
-    _check_seed(seed)
     grid = [int(v) for v in m_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("m_grid must be strictly increasing")
     if grid[0] < r:
         raise ValueError(f"grid starts below r={r}")
+    # replicate 0 of a one-replicate config: the stream keyed by (seed, 0)
+    config = SampleConfig(m=grid[-1], n=n, r=r, master_seed=seed)
     if table is None:
         table = build_table(n)
-    top = grid[-1]
-    rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, 0)))
-    xs = rng.integers(1, n + 1, size=top, dtype=np.int64)
+    xs = _draw_block(config, 0, 1)[0]
 
     mean_single = exact.mean_mu(table, n, r - 1).float_value
     return np.array([_subset_weighted_block(xs[None, :m], r, None, table, n)[0]

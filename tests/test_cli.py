@@ -241,3 +241,38 @@ def test_simulate_frechet_window_beyond_table_cap(tmp_path, capsys):
         x = np.random.Generator(np.random.Philox(key=[4, i])).integers(1, n + 1, 1000)
         brute = int(np.gcd.outer(x, x)[np.triu_indices(1000, k=1)].max())
         assert int(line.split(",")[1]) == brute
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["exact", "--quantity", "tail", "--n", "10", "--t", "nan"], "--t", "nan"),
+    (["exact", "--quantity", "tail", "--n", "10", "--t", "inf"], "--t", "inf"),
+    (["exact", "--quantity", "mu", "--n", "10", "--r", "-1"], "--r", "-1"),
+    (["tables", "--n", "10", "--orders", "x"], "--orders", "x"),
+    (["simulate", "--statistic", "C", "--m", "5", "--n", "10", "--workers", "0"],
+     "--workers", "0"),
+    (["simulate", "--statistic", "M", "--m", "5", "--n", "10", "--workers", "-1"],
+     "--workers", "-1"),
+    (["verify", "--suite", "stronglaw", "--workers", "0"], "--workers", "0"),
+    (["verify", "--suite", "stronglaw", "--workers", "-1"], "--workers", "-1"),
+])
+def test_usage_error_names_flag_and_value(argv, flag, value, capsys):
+    text = _usage_error(argv, capsys)
+    assert flag in text and value in text
+
+
+def test_mu_of_one_variable_is_one_over_n(capsys):
+    code, text = run_cli(["exact", "--quantity", "mu", "--n", "10", "--r", "0"], capsys)
+    assert code == 0
+    assert json.loads(text)["value"] == 0.1
+
+
+def test_constants_cutoff_above_sieve_cap_is_refused_before_sieving(monkeypatch, capsys):
+    from gcdstats import constants
+    from gcdstats.arith import DEFAULT_MAX_N
+
+    def no_sieve(n):
+        raise AssertionError(f"sieved up to {n}")
+
+    monkeypatch.setattr(constants, "primes_up_to", no_sieve)
+    text = _usage_error(["constants", "--cutoff", str(10**11)], capsys)
+    assert str(10**11) in text and str(DEFAULT_MAX_N) in text

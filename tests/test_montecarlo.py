@@ -116,10 +116,10 @@ def test_dense_and_sparse_routes_agree(table_50):
             assert dense.tolist() == sparse.tolist()
 
 
-def _route_spy(monkeypatch):
+def _route_spy(monkeypatch, routes=("_dense_route", "_sparse_route")):
     """Record which route each block takes."""
     taken = []
-    for name in ("_dense_route", "_sparse_route"):
+    for name in routes:
         real = getattr(montecarlo, name)
 
         def spy(*args, _real=real, _name=name):
@@ -327,12 +327,48 @@ def test_sample_space_bounded_by_int64():
     assert x.min() >= 1 and x.max() > 2**62 // 4
 
 
-def test_draw_block_rows_equal_draw_sample():
-    for seed in (0, 17, 2**63 + 5):
-        cfg = SampleConfig(m=7, n=1000, replicates=40, master_seed=seed)
-        block = montecarlo._draw_block(cfg, 13, 40)
-        for row, idx in enumerate(range(13, 40)):
-            assert np.array_equal(block[row], draw_sample(cfg, idx))
+def test_draw_block_rows_equal_draw_sample(monkeypatch):
+    # few words a pass, so blocks split into passes; 3 2^30 and 2^62 + 1
+    # reject about a quarter of their draws, so most rows are redrawn
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 200)
+    taken = _route_spy(monkeypatch, ("_draw_philox", "_draw_rows"))
+    rng = random.Random(2024)
+    seeds = (rng.randrange(2**64), rng.randrange(2**64), 2**63, 2**64 - 1)
+    spaces = (1, 2, 100, 3 * 2**30, 2**31, 2**32 - 1, 2**32, 2**32 + 1,
+              2**62 + 1, 2**63 - 1)
+    for route in ("_draw_philox", "_draw_rows"):
+        monkeypatch.setattr(montecarlo, "_philox_is_cheaper",
+                            lambda config, rows: route == "_draw_philox")
+        for seed in seeds:
+            for m in (2, 7, 20):
+                for n in spaces:
+                    cfg = SampleConfig(m=m, n=n, replicates=40, master_seed=seed)
+                    start = rng.randrange(0, 20)
+                    taken.clear()
+                    block = montecarlo._draw_block(cfg, start, 40)
+                    assert taken[0] == route
+                    for row, idx in enumerate(range(start, 40)):
+                        assert np.array_equal(block[row], draw_sample(cfg, idx))
+
+
+def test_draw_route_follows_values_a_row(monkeypatch):
+    taken = _route_spy(monkeypatch, ("_draw_philox", "_draw_rows"))
+    # the benchmark's shapes, one full block each: few values a row pay
+    # mostly the per-row Generator call, many mostly the per-word rounds
+    for m, n, reps, route in ((20, 100, 20000, "_draw_philox"),
+                              (64, 32768, 2000, "_draw_philox"),
+                              (64, 262144, 1000, "_draw_philox"),
+                              (1000, 1000, 300, "_draw_rows"),
+                              (2000, 40, 1000, "_draw_rows")):
+        cfg = SampleConfig(m=m, n=n, replicates=reps, master_seed=1)
+        taken.clear()
+        montecarlo._draw_block(cfg, 0, min(reps, montecarlo._BLOCK_ELEMENTS // m))
+        assert taken == [route]
+    # a single row cannot repay a pass, and nor can rows that are mostly redrawn
+    for n, rows in ((100, 1), (3 * 2**30, 3000)):
+        taken.clear()
+        montecarlo._draw_block(SampleConfig(m=20, n=n, replicates=rows), 0, rows)
+        assert taken == ["_draw_rows"]
 
 
 def test_block_pair_kernel_matches_naive_loops(monkeypatch):
