@@ -244,6 +244,14 @@ def _draw_philox(config: SampleConfig, start: int, stop: int) -> np.ndarray:
     gives (u n >> bits) + 1.  A rejected u would shift every later value of
     its row onto the next one, so rows with a rejection are redrawn with
     `_draw_rows`; every row equals draw_sample.
+
+    This reproduces numpy's own Philox buffering (four words a counter, a
+    32-bit draw taking the low half of a fresh word first) and its bounded
+    map, neither of which numpy promises to keep across feature releases.
+    The route taken depends on a block's row count, and so on --workers;
+    test_draw_block_rows_equal_draw_sample compares every route with
+    draw_sample and is the gate that keeps results independent of the
+    worker count on the installed numpy.
     """
     m, n = config.m, config.n
     bits, threshold, words, per_pass = _philox_plan(m, n)
@@ -253,8 +261,11 @@ def _draw_philox(config: SampleConfig, start: int, stop: int) -> np.ndarray:
         w = _philox_words(config.master_seed, lo, hi, words)
         u = out[lo - start : hi - start].view(np.uint64)
         if bits == 32:
-            # the halves of each word, low half first
-            np.multiply(w.astype("<u8", copy=False).view("<u4")[:, :m], np.uint64(n), out=u)
+            # the halves of each word, low half first; dtype= keeps the
+            # product in a uint64 loop on numpy 1.x, whose value-based
+            # casting would otherwise multiply uint32 halves mod 2^32
+            halves = w.astype("<u8", copy=False).view("<u4")[:, :m]
+            np.multiply(halves, np.uint64(n), dtype=np.uint64, out=u)
             rejected = (u & _LO32) < threshold
             u >>= _HALF
         else:
@@ -634,7 +645,10 @@ def strong_law_trajectory(n: int, r: int, m_grid, seed: int,
 
     The same stream is extended as m grows (values are reused), so the
     trajectory is a single realization of the almost-sure limit statement.
+    It is replicate 0 of a SampleConfig, so r >= 2 as there.
     """
+    if r < 2:
+        raise ValueError(f"r must be >= 2, got {r}")
     grid = [int(v) for v in m_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("m_grid must be strictly increasing")

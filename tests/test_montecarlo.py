@@ -309,6 +309,13 @@ def test_seed_outside_uint64_is_rejected():
     SampleConfig(m=5, n=10, master_seed=2**64 - 1)
 
 
+def test_strong_law_needs_r_at_least_2():
+    # checked before the grid, so the message is about r, not the grid
+    for r in (1, 0):
+        with pytest.raises(ValueError, match=f"r must be >= 2, got {r}"):
+            strong_law_trajectory(10, r, (1, 5), seed=1, table=build_table(10, (1,)))
+
+
 def test_seeds_above_2_63_keep_distinct_streams():
     # a list key would pass these through float64: 2^63 + 1 rounds to 2^63
     # and 2^64 - 1 casts to 0
