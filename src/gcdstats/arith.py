@@ -5,6 +5,11 @@ Everything is exact integer arithmetic.  An `ArithTable` is built once up to
 a bound `n_max` and is immutable afterwards; all downstream formulas read
 from it.
 
+Every multiplicative function comes from one `prime_power_sieve` over its
+prime-power values; those of mu, tau and phi_s are written once, here.  One
+sweep, `sum_over_multiples`, serves the dense C/Z route and the totient-gcd
+series.
+
 Function conventions (k >= 1):
 
     mu(k)        Mobius function, in {-1, 0, 1}
@@ -63,62 +68,79 @@ def _spf_sieve(n: int) -> np.ndarray:
     return spf
 
 
-def _mobius_sieve(n: int, primes: np.ndarray) -> np.ndarray:
-    mu = np.ones(n + 1, dtype=np.int8)
-    mu[0] = 0
-    for p in primes.tolist():
-        mu[p::p] *= -1
-        sq = p * p
-        if sq <= n:
-            mu[sq::sq] = 0
-    return mu
+def mobius_local(p, e):
+    """mu(p^e): -1 for e = 1, 0 above."""
+    return -1 if e == 1 else 0
 
 
-def _jordan_sieve(n: int, s: int, primes: np.ndarray):
-    """phi_s(k) for k = 0..n, exact.
+def tau_local(p, e):
+    """tau(p^e) = e + 1."""
+    return e + 1
 
-    Uses the in-place division trick: start from k^s and apply
-    v -= v // p^s for every prime p | k, which realizes
-    k^s * prod_{p|k} (1 - p^-s) in integers.  Falls back to Python ints
-    when n^s does not fit in int64.
+
+def totient_local(s: int):
+    """phi_s(p^e) = p^(s(e-1)) (p^s - 1), as a function of (p, e)."""
+    def local(p, e):
+        return p ** (s * (e - 1)) * (p**s - 1)
+    return local
+
+
+def prime_power_sieve(n: int, primes: np.ndarray, local, dtype) -> np.ndarray:
+    """f(k) = prod_{p^e || k} local(p, e) for k = 0..n (f(0) = 0, f(1) = 1).
+
+    `primes` holds (at least) the ascending primes up to n.  No step divides,
+    so integer dtypes (object too) are exact while the values fit.  A prime
+    p <= sqrt n fills one reused buffer with local(p, v_p(j p)), j <= n/p,
+    and multiplies f[p::p] by it.  A prime q > sqrt n divides k at most
+    once: f[i q] *= local(q, 1) runs over all such q at once for each
+    cofactor i.  local gets p as a Python int, q as an array.
     """
-    if s < 1:
-        raise ValueError(f"totient order must be >= 1, got {s}")
-    if n**s <= _INT64_MAX:
-        base = np.arange(n + 1, dtype=np.int64)
-        v = base.copy()
-        for _ in range(s - 1):
-            v *= base
-        for p in primes.tolist():
-            ps = p**s
-            v[p::p] -= v[p::p] // ps
-        return v
-    # big-integer path, list indexed by k
-    v = [k**s for k in range(n + 1)]
-    for p in primes.tolist():
-        ps = p**s
-        for k in range(p, n + 1, p):
-            v[k] -= v[k] // ps
-    return v
+    f = np.ones(n + 1, dtype=dtype)
+    f[0] = 0
+    primes = primes[: np.searchsorted(primes, n, "right")]
+    split = np.searchsorted(primes, isqrt(n), "right")
+    buf = np.empty(n // 2, dtype=dtype)
+    for p in primes[:split].tolist():
+        size = n // p
+        buf[:size] = local(p, 1)
+        step, e = p, 2
+        while step <= size:
+            buf[step - 1 : size : step] = local(p, e)
+            step, e = step * p, e + 1
+        f[p::p] *= buf[:size]
+    del buf  # freed before the large-prime pass allocates, which lowers the peak
+    large = primes[split:]
+    vals = local(large.astype(np.result_type(dtype, np.int64)), 1)
+    vals = np.broadcast_to(np.asarray(vals, dtype=dtype), large.shape)
+    # the cofactor i = k / q is below sqrt n: stop at the first i with no q <= n / i
+    i = 1
+    while (count := np.searchsorted(large, n // i, "right")):
+        f[i * large[:count]] *= vals[:count]
+        i += 1
+    return f
 
 
-def _tau_sieve(n: int, primes: np.ndarray) -> np.ndarray:
-    """Divisor counts, multiplicatively: tau(k) = prod_{p^e || k} (e + 1).
+def sum_over_multiples(a: np.ndarray, primes) -> None:
+    """In place, a[..., d] becomes sum_{d | k <= n} a[..., k], n = a.shape[-1] - 1.
 
-    For each prime power p^e <= n, the multiples of p^e carry the factor e
-    from the step before, replaced here by e + 1 (exact integer division).
+    `primes` are the ascending primes up to n, as Python ints; entry 0 is
+    left alone.  For each prime p, a[i] += a[i p]
+    runs for i = n/p down to 1, one slice per power of p: the i in
+    (n/p^(k+1), n/p^k] read the i p in (n/p^k, n/p^(k-1)], which the slice
+    before has finished.  On integers it is exact.
     """
-    tau = np.ones(n + 1, dtype=np.int32)
-    tau[0] = 0
-    for p in primes.tolist():
-        tau[p::p] *= 2
-        pe, e = p * p, 2
-        while pe <= n:
-            seg = tau[pe::pe]
-            seg //= e
-            seg *= e + 1
-            pe, e = pe * p, e + 1
-    return tau
+    n = a.shape[-1] - 1
+    for p in primes:
+        hi = n // p
+        while hi:
+            lo = hi // p
+            a[..., lo + 1 : hi + 1] += a[..., (lo + 1) * p : hi * p + 1 : p]
+            hi = lo
+
+
+def totient_fits_int64(n: int, s: int) -> bool:
+    """Whether phi_s(k) <= n^s fits int64 for every k <= n (no big power for s >= 64)."""
+    return n < 2 or (s < 64 and n**s <= _INT64_MAX)
 
 
 @dataclass
@@ -142,10 +164,15 @@ class ArithTable:
             raise ValueError(f"index {k} outside table range 1..{self.n_max}")
 
     def totient(self, s: int = 1):
-        """Value array for phi_s, sieving it on demand if missing."""
+        """phi_s(0..n_max), sieved on demand (a list of ints past int64)."""
         vals = self.totient_s.get(s)
         if vals is None:
-            vals = _jordan_sieve(self.n_max, s, self.primes)
+            if s < 1:
+                raise ValueError(f"totient order must be >= 1, got {s}")
+            if totient_fits_int64(self.n_max, s):
+                vals = prime_power_sieve(self.n_max, self.primes, totient_local(s), np.int64)
+            else:
+                vals = prime_power_sieve(self.n_max, self.primes, totient_local(s), object).tolist()
             self.totient_s[s] = vals
         return vals
 
@@ -191,14 +218,14 @@ def build_table(n_max: int, orders=(1,), max_n: int = DEFAULT_MAX_N) -> ArithTab
     primes = primes_up_to(n_max)
     table = ArithTable(
         n_max=n_max,
-        mobius=_mobius_sieve(n_max, primes),
+        mobius=prime_power_sieve(n_max, primes, mobius_local, np.int8),
         totient_s={},
-        tau=_tau_sieve(n_max, primes),
+        tau=prime_power_sieve(n_max, primes, tau_local, np.int32),
         smallest_prime_factor=_spf_sieve(n_max),
         primes=primes,
     )
     for s in sorted(set(orders)):
-        table.totient_s[s] = _jordan_sieve(n_max, s, primes)
+        table.totient(s)
     return table
 
 

@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import __version__, constants, exact, montecarlo, stattest, verify
-from .arith import CapacityError, build_table, load_table, save_table
+from .arith import CapacityError, build_table, load_table, save_table, totient_fits_int64
 
 
 def _manifest(subcommand: str, params: dict) -> dict:
@@ -76,6 +76,9 @@ def cmd_tables(args) -> int:
         orders = tuple(sorted({int(s) for s in args.orders.split(",")})) if args.orders else (1,)
     except ValueError:
         raise ValueError(f"--orders must be comma-separated integers, got {args.orders!r}") from None
+    for s in orders:
+        if not totient_fits_int64(args.n, s):
+            raise ValueError(f"totient order {s} exceeds int64, not serializable")
     t0 = time.perf_counter()
     path = args.out or f"arith-{args.n}.tbl"
     hit = False

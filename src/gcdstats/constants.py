@@ -24,7 +24,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .arith import DEFAULT_MAX_N, CapacityError, _jordan_sieve, build_table, primes_up_to
+from .arith import (DEFAULT_MAX_N, CapacityError, build_table, prime_power_sieve, primes_up_to,
+                    sum_over_multiples, totient_local)
 from .exact import _divisor_accumulate
 
 DEFAULT_CUTOFF = 1_000_000
@@ -349,19 +350,21 @@ def _totient_gcd_terms(exponent: float, bound: int) -> np.ndarray:
 
     Since gcd(i,j) = sum_{d|i, d|j} phi(d), these terms add up to the
     square-truncated double series
-    sum_{i,j<=bound} phi(i)phi(j) gcd(i,j)/(ij)^exponent in O(bound log bound)
-    work instead of the O(bound^2) pairs.
+    sum_{i,j<=bound} phi(i)phi(j) gcd(i,j)/(ij)^exponent.  One sum over
+    multiples gives every T_d in O(bound log log bound) work instead of the
+    O(bound^2) pairs.
     """
-    phi = _jordan_sieve(bound, 1, primes_up_to(bound)).astype(np.float64)
-    w = phi[1:] / np.arange(1, bound + 1, dtype=np.float64) ** exponent
-    t = np.fromiter((w[d - 1 :: d].sum() for d in range(1, bound + 1)),
-                    dtype=np.float64, count=bound)
-    return phi[1:] * t * t
+    primes = primes_up_to(bound)
+    # every partial product is an integer below 2^53, so phi is exact in float
+    phi = prime_power_sieve(bound, primes, totient_local(1), np.float64)
+    t = phi / np.arange(bound + 1.0).clip(1) ** exponent
+    sum_over_multiples(t, primes.tolist())
+    return phi[1:] * t[1:] * t[1:]
 
 
 # --- finite partial-sum trends ---------------------------------------------
 
-def tauberian_trend(kind: str, n_grid, table=None, max_n: int = 20_000_000):
+def tauberian_trend(kind: str, n_grid, table=None):
     """Ratio-to-ln(N)^3 of the slowly divergent partial sums, per grid point.
 
     kind "corollary22": sum_{i j <= N} phi(i)phi(j) gcd(i,j)/(ij)^2,
@@ -376,8 +379,6 @@ def tauberian_trend(kind: str, n_grid, table=None, max_n: int = 20_000_000):
     if not grid or grid[0] < 10:
         raise ValueError("grid points must be >= 10")
     top = grid[-1]
-    if top > max_n:
-        raise ValueError(f"largest grid point {top} beyond budget {max_n}")
     if table is None or table.n_max < top:
         table = build_table(top)
 
@@ -437,42 +438,22 @@ def _product_restricted_sums(table, grid):
     return out
 
 
-def _lcm_restricted_sums(table, grid):
-    """Sum over lcm(i,j) <= N via the multiplicative per-lcm mass.
+def _lcm_local_mass(p, a: int):
+    """T(p^a) = sum_{max(al,be)=a} phi(p^al) phi(p^be) p^min(al,be) / p^(2(al+be)).
 
-    The mass at lcm = L factors over prime powers:
-    T(p^a) = sum_{max(al,be)=a} phi(p^al) phi(p^be) p^min(al,be) / p^(2(al+be)).
+    p is a Python int (exact powers, one rounding per term) or a float array.
     """
-    top = grid[-1]
-    spf = table.smallest_prime_factor
+    phi = [1] + [totient_local(1)(p, e) for e in range(1, a + 1)]
+    total = 0.0
+    for al, be in [(al, a) for al in range(a)] + [(a, be) for be in range(a + 1)]:
+        total = total + phi[al] * phi[be] * p ** min(al, be) / p ** (2 * (al + be))
+    return total
 
-    def local_mass(p, a):
-        def ph(e):
-            return 1 if e == 0 else p**e - p ** (e - 1)
-        total = 0.0
-        for al in range(a + 1):
-            for be in range(a + 1):
-                if max(al, be) == a:
-                    total += ph(al) * ph(be) * p ** min(al, be) / p ** (2 * (al + be))
-        return total
 
-    cache = {}
-    mass = np.zeros(top + 1)
-    mass[1] = 1.0
-    for k in range(2, top + 1):
-        p = int(spf[k])
-        rest = k // p
-        a = 1
-        while rest % p == 0:
-            rest //= p
-            a += 1
-        key = (p, a)
-        v = cache.get(key)
-        if v is None:
-            v = local_mass(p, a)
-            cache[key] = v
-        mass[k] = mass[rest] * v
-    prefix = np.cumsum(mass)
+def _lcm_restricted_sums(table, grid):
+    """Sum over lcm(i,j) <= N: prefix sums of the per-lcm mass, multiplicative in L."""
+    mass = prime_power_sieve(grid[-1], table.primes, _lcm_local_mass, np.float64)
+    prefix = np.cumsum(mass, out=mass)
     return [float(prefix[n]) for n in grid]
 
 

@@ -43,7 +43,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import exact
-from .arith import ArithTable, build_table
+from .arith import ArithTable, build_table, mobius_local, sum_over_multiples, totient_local
 
 _INT64_SAFE = 2**62
 _INT64_MAX = 2**63 - 1
@@ -393,38 +393,25 @@ def _dense_route(xs: np.ndarray, r: int, g, primes) -> np.ndarray:
     """Per row, sum_{d <= n} g(d) C(cnt(d), r) from a (B, n+1) count matrix.
 
     g holds the weights g(0..n) in the result dtype and `primes` the primes
-    up to n.  One bincount gives each row's value frequencies; a sum over
-    multiples, prime by prime, turns them into cnt(d).  For a prime p,
-    cnt[i] += cnt[i p] runs for i = n/p down to 1, one slice per power of
-    p: the i in (n/p^(k+1), n/p^k] read the i p in (n/p^k, n/p^(k-1)],
-    which the slice before has finished.
+    up to n.  One bincount gives each row's value frequencies, and
+    `sum_over_multiples` along each row turns them into cnt(d).
     """
     rows, n = xs.shape[0], g.size - 1
     keys = (np.arange(rows)[:, None] * (n + 1) + xs).ravel()
     cnt = np.bincount(keys, minlength=rows * (n + 1)).reshape(rows, n + 1)
-    for p in primes:
-        hi = n // p
-        while hi:
-            lo = hi // p
-            cnt[:, lo + 1 : hi + 1] += cnt[:, (lo + 1) * p : hi * p + 1 : p]
-            hi = lo
+    sum_over_multiples(cnt, primes)
     return _binom(cnt.astype(g.dtype, copy=False), r) @ g
 
 
-def _weighted_divisors(factors, q: int | None) -> list:
+def _weighted_divisors(factors, local) -> list:
     """(d, w(d)) for the divisors d of prod p^e with w(d) != 0.
 
-    w is mu when q is None (so d squarefree), else phi_q, both
-    multiplicative: mu(p) = -1 and phi_q(p^i) = p^(q(i-1)) (p^q - 1).
+    w is the multiplicative function with w(p^i) = local(p, i).
     """
     pairs = [(1, 1)]
     for p, e in factors:
-        if q is None:
-            pairs += [(d * p, -w) for d, w in pairs]
-        else:
-            pq = p**q
-            powers = [(p**i, p ** (q * (i - 1)) * (pq - 1)) for i in range(1, e + 1)]
-            pairs += [(d * pd, w * pw) for d, w in pairs for pd, pw in powers]
+        powers = [(p**i, local(p, i)) for i in range(1, e + 1)]
+        pairs += [(d * pd, w * pw) for d, w in pairs for pd, pw in powers if pw]
     return pairs
 
 
@@ -437,8 +424,9 @@ def _sparse_route(xs: np.ndarray, r: int, q: int | None, table: ArithTable) -> n
     np.unique counts them into cnt, and reduceat sums each row's terms.
     """
     rows, m = xs.shape
+    local = mobius_local if q is None else totient_local(q)
     vals, inv = np.unique(xs.ravel(), return_inverse=True)
-    per_value = [_weighted_divisors(table.factorize(v), q) for v in vals.tolist()]
+    per_value = [_weighted_divisors(table.factorize(v), local) for v in vals.tolist()]
     sizes = np.array([len(pairs) for pairs in per_value], dtype=np.int64)
     divs, weights = zip(*[pair for pairs in per_value for pair in pairs])
     dvals, div_id = np.unique(np.array(divs, dtype=np.int64), return_inverse=True)

@@ -6,7 +6,6 @@ import pytest
 
 from gcdstats.arith import (
     CapacityError,
-    _tau_sieve,
     build_table,
     divisors,
     gcd,
@@ -28,6 +27,24 @@ def plain_tau_sieve(n):
     for d in range(1, n + 1):
         tau[d::d] += 1
     return tau
+
+
+def plain_mobius_sieve(n):
+    """mu by a sign flip at every multiple of p and a zero at every multiple of p^2."""
+    mu = np.ones(n + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in primes_up_to(n).tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    return mu
+
+
+def plain_jordan_sieve(n, s, dtype=np.int64):
+    """phi_s from k^s by v -= v // p^s at every multiple of every prime p."""
+    phi = np.arange(n + 1, dtype=dtype) ** s
+    for p in primes_up_to(n).tolist():
+        phi[p::p] -= phi[p::p] // p**s
+    return phi
 
 
 def test_mobius_values(table_100):
@@ -196,11 +213,18 @@ def test_lazy_totient_order(table_100):
     assert int(vals[3]) == 3**4 - 1
 
 
-def test_multiplicative_tau_sieve_is_the_plain_sieve():
+def test_prime_power_sieve_is_the_plain_sieves():
     for n in list(range(1, 130)) + [255, 256, 257, 1000, 4096, 9973, 10_000]:
-        got = _tau_sieve(n, primes_up_to(n))
-        want = plain_tau_sieve(n)
-        assert got.dtype == want.dtype and np.array_equal(got, want), n
+        table = build_table(n, (1, 2))
+        for got, want in ((table.mobius, plain_mobius_sieve(n)),
+                          (table.tau, plain_tau_sieve(n)),
+                          (table.totient(1), plain_jordan_sieve(n, 1)),
+                          (table.totient(2), plain_jordan_sieve(n, 2))):
+            assert got.dtype == want.dtype and np.array_equal(got, want), n
+    # 50^12 exceeds int64: the order stays a list of Python ints
+    got = build_table(50, (12,)).totient(12)
+    want = plain_jordan_sieve(50, 12, dtype=object).tolist()
+    assert isinstance(got, list) and all(type(v) is int for v in got) and got == want
 
 
 def test_table_save_load_roundtrip(tmp_path):
@@ -209,8 +233,10 @@ def test_table_save_load_roundtrip(tmp_path):
     save_table(table, path)
     save_table(table, tmp_path / "t2.tbl")
     assert (tmp_path / "t.tbl").read_bytes() == (tmp_path / "t2.tbl").read_bytes()
-    # the file holds the same bytes as with the plain tau sieve
+    # the file holds the same bytes as with the plain sieves
+    table.mobius = plain_mobius_sieve(500)
     table.tau = plain_tau_sieve(500)
+    table.totient_s = {1: plain_jordan_sieve(500, 1), 2: plain_jordan_sieve(500, 2)}
     save_table(table, tmp_path / "t3.tbl")
     assert (tmp_path / "t3.tbl").read_bytes() == path.read_bytes()
     loaded = load_table(path)

@@ -40,6 +40,19 @@ def test_tables_usage_error(capsys):
     assert err.value.code == 2
 
 
+def test_tables_refuses_a_big_int_order_before_building(monkeypatch, capsys, tmp_path):
+    from gcdstats import cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a table")
+
+    monkeypatch.setattr(cli, "build_table", no_build)
+    text = _usage_error(["tables", "--n", "1000000", "--orders", "1,4",
+                         "--out", str(tmp_path / "t.tbl")], capsys)
+    assert "totient order 4 exceeds int64, not serializable" in text
+    assert not (tmp_path / "t.tbl").exists()
+
+
 def test_exact_mu(capsys):
     code, text = run_cli(["exact", "--quantity", "mu", "--n", "2", "--r", "1"], capsys)
     assert code == 0

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import zeta as scipy_zeta
 
 from gcdstats import constants
-from gcdstats.arith import build_table, primes_up_to
+from gcdstats.arith import DEFAULT_MAX_N, CapacityError, build_table, primes_up_to
 from gcdstats.constants import ProductSpec, euler_product, zeta
 
 CUTOFF = 1_000_000
@@ -34,6 +34,41 @@ def _plain_product_restricted_sums(table, grid):
             total += w[i] * float(np.dot(w[1 : cap + 1], np.gcd(i, js[:cap])))
         out.append(total)
     return out
+
+
+def _plain_lcm_restricted_sums(table, grid):
+    """sum over lcm(i,j) <= N, the per-lcm mass built k by k from spf divisions."""
+    top = grid[-1]
+    spf = table.smallest_prime_factor
+
+    def local_mass(p, a):
+        def ph(e):
+            return 1 if e == 0 else p**e - p ** (e - 1)
+        total = 0.0
+        for al in range(a + 1):
+            for be in range(a + 1):
+                if max(al, be) == a:
+                    total += ph(al) * ph(be) * p ** min(al, be) / p ** (2 * (al + be))
+        return total
+
+    cache = {}
+    mass = np.zeros(top + 1)
+    mass[1] = 1.0
+    for k in range(2, top + 1):
+        p = int(spf[k])
+        rest = k // p
+        a = 1
+        while rest % p == 0:
+            rest //= p
+            a += 1
+        key = (p, a)
+        v = cache.get(key)
+        if v is None:
+            v = local_mass(p, a)
+            cache[key] = v
+        mass[k] = mass[rest] * v
+    prefix = np.cumsum(mass)
+    return [float(prefix[n]) for n in grid]
 
 
 def _plain_pillai_mean_square(table, grid):
@@ -244,9 +279,25 @@ def test_trend_sums_are_the_plain_loops(grid, table_10k):
     got = constants._product_restricted_sums(table, list(grid))
     want = _plain_product_restricted_sums(table, list(grid))
     assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
+    got = constants._lcm_restricted_sums(table, list(grid))
+    want = _plain_lcm_restricted_sums(table, list(grid))
+    assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
     # same float additions in the same order: bit-identical
     got = constants._pillai_mean_square(table, list(grid))
     assert repr(got) == repr(_plain_pillai_mean_square(table, list(grid)))
+
+
+def test_trend_grid_above_the_table_cap_is_refused_before_sieving(monkeypatch):
+    from gcdstats import arith
+
+    def no_sieve(n, *args):
+        raise AssertionError(f"sieved up to {n}")
+
+    monkeypatch.setattr(arith, "primes_up_to", no_sieve)
+    monkeypatch.setattr(arith, "prime_power_sieve", no_sieve)
+    monkeypatch.setattr(constants, "prime_power_sieve", no_sieve)
+    with pytest.raises(CapacityError):
+        constants.tauberian_trend("toth", (10, DEFAULT_MAX_N + 1))
 
 
 def test_pillai_mean_square_magnitude_at_1e6():
