@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="integer, 'm^2.5', or 'exp(m^0.3)'")
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--q", type=int, default=1)
-    p.add_argument("--reps", type=int, default=1000)
+    p.add_argument("--reps", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--workers", type=_positive_int, default=1)

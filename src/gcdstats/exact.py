@@ -221,9 +221,6 @@ class MarginalProfile:
             raise ValueError(f"k={k} outside 1..{self.n}")
         return ExactResult.from_ratio(int(self.numerators[k]), self.n, self.r)
 
-    def float_values(self) -> np.ndarray:
-        return self.numerators[1:].astype(np.float64) / float(self.n) ** self.r
-
     def mean(self) -> ExactResult:
         total = int(np.sum(self.numerators, dtype=object))
         return ExactResult.from_ratio(total, self.n, self.r + 1)

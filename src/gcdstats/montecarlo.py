@@ -17,9 +17,15 @@ since sum_{d | g} mu(d) = [g = 1] and sum_{d | g} phi_q(d) = g^q.  One
 kernel evaluates them for a whole block of replicates, exactly: over a
 (B, n+1) count matrix when n is small next to the block's divisor count,
 else over one key per (replicate, divisor).  M and N(t) are functions of
-the C(m,2) pair gcds alone, so they come from np.gcd over the pairs and
-read no table; n may then be as large as int64 allows.  The naive subset
-loops live in `brute` and gate these in the tests.
+the C(m,2) pair gcds alone and read no table; n may then be as large as
+int64 allows.  They need only the large gcds: a pair gcd g > T makes both
+values g times a cofactor below n/T, so a floor_divide by each small
+cofactor lists every divisor above T of every value, and a divisor met
+twice in a row is a shared one.  M walks bands of divisors from the top
+down until each row has one; N(t) takes those above t C(m,2).  Blocks
+where np.gcd over the pairs costs less (few rows, or n so far above
+C(m,2) that the cofactors run into the millions) take that route
+instead.  The naive loops live in `brute` and gate these in the tests.
 
 Replicate i draws from a counter-based Philox stream keyed by
 (master_seed, i), so results are independent of worker count and
@@ -328,17 +334,90 @@ def _pair_cut(threshold: float) -> int:
     return max(math.floor(threshold), 0)
 
 
-def _pair_gcd_reduce(xs: np.ndarray, cut: int | None = None) -> np.ndarray:
+# Route costs in ns, from least-squares fits through median times of each
+# route, numpy 2.4.6 on one core of a 2-vCPU Intel Xeon.  Pair route (m =
+# 8..300, 1..8192 rows, n = 100..2^62): 5.8 us a numpy step plus 4.2 ns
+# (int32) or 4.6 ns (int64) a pair per bit of n.  Cofactor routes (m =
+# 8..100, 1..8192 rows, n = 1000..2^22): 36 ns a value for the sort, and a
+# band 52 us plus 4.2 us a cofactor u, 1.65 ns a value scanned and 36 ns a
+# key.  With these, the benchmark's M and N blocks take the cofactor route
+# and 32-row blocks of M at n = m^3 the pair route.
+_PAIR_STEP_NS = 5_800
+_GCD_BIT_NS = (4.2, 4.6)
+_SORT_NS = 36
+_BAND_NS = 52_000
+_BAND_U_NS = 4_200
+_SCAN_NS = 1.65
+_KEY_NS = 36
+
+
+def _pair_cost(rows: int, m: int, n: int) -> float:
+    """Estimated ns of `_pair_route`: a numpy step per value, and Euclid's
+    divisions, about one per bit of n, per pair."""
+    per_pair = n.bit_length() * _GCD_BIT_NS[n > _INT32_MAX]
+    return (m - 1) * _PAIR_STEP_NS + rows * comb(m, 2) * per_pair
+
+
+def _band_below(hi: int, floor: int) -> int:
+    """The low end lo >= floor of the band [lo, hi) of divisors below hi.
+
+    hi/lo is about 1.5, so a band holds about ln 1.5 = 0.4 divisors a
+    value; a ratio of 2 took no less time and 0.3 MB more on a block of
+    the benchmark's N job.
+    """
+    return max(floor, hi - max(1, hi // 3))
+
+
+def _band_cost(values: int, n: int, lo: int, hi: int) -> float:
+    """Estimated ns of `_band_keys` over `values` uniform values.
+
+    A value x is scanned once per u with x/u in [lo, hi), about
+    x (1/lo - 1/hi) times, and has about ln(hi/lo) divisors there.
+    """
+    scanned = values * n / 2 * (1 / lo - 1 / hi)
+    return (_BAND_NS + n // lo * _BAND_U_NS + scanned * _SCAN_NS
+            + values * math.log(hi / lo) * _KEY_NS)
+
+
+def _cofactor_count_cost(rows: int, m: int, n: int, cut: int) -> float:
+    """Estimated ns of `_cofactor_count`: its bands down to cut + 1."""
+    cost, hi = rows * m * _SORT_NS, n + 1
+    while hi > cut + 1:
+        lo = _band_below(hi, cut + 1)
+        cost += _band_cost(rows * m, n, lo, hi)
+        hi = lo
+    return cost
+
+
+def _cofactor_max_cost(rows: int, m: int, n: int) -> float:
+    """Estimated ns of `_cofactor_max`, its rows dropping out as the limit
+    law of M predicts: P(M < lo) ~ exp(-C(m,2) / (zeta(2) lo)).
+
+    The walk stops, as `_cofactor_max` does, where a band costs more than
+    the pair gcds of the rows still in it.
+    """
+    scale = comb(m, 2) * 6 / math.pi**2
+    cost, hi = rows * m * _SORT_NS, n + 1
+    while hi > 1:
+        active = rows * math.exp(-scale / hi)
+        lo = _band_below(hi, 1)
+        band = _band_cost(active * m, n, lo, hi)
+        if band > _pair_cost(active, m, n):
+            return cost + _pair_cost(active, m, n)
+        cost += band
+        hi = lo
+    return cost
+
+
+def _pair_route(xs: np.ndarray, cut: int | None = None) -> np.ndarray:
     """Per row of xs, the largest pair gcd, or given `cut` the number of
-    pairs whose gcd exceeds it.
+    pairs whose gcd exceeds it, from np.gcd over the C(m,2) pairs.
 
     The upper triangle is taken a row at a time, gcd(x_i, x_{i+1..m}), so
     one numpy call holds fewer than xs.size gcds.  int32 division is faster
     than int64 and exact when every value fits.
     """
     out = np.zeros(xs.shape[0], dtype=np.int64)
-    if xs.shape[1] < 2:
-        return out
     if xs.max() <= _INT32_MAX:
         xs = xs.astype(np.int32)
     for i in range(xs.shape[1] - 1):
@@ -348,6 +427,162 @@ def _pair_gcd_reduce(xs: np.ndarray, cut: int | None = None) -> np.ndarray:
         else:
             out += np.count_nonzero(g > cut, axis=1)
     return out
+
+
+def _sorted_values(xs: np.ndarray, n: int) -> tuple:
+    """The block's values in ascending order, and the flat position of each.
+
+    One int64 sort of value * size + position orders both; the results are
+    int32 when every value, and every bound up to n + 1, fits.
+    """
+    size = xs.size
+    values = np.empty(size, dtype=np.int32 if n < _INT32_MAX else np.int64)
+    pos = np.arange(size, dtype=np.int32 if size <= _INT32_MAX else np.int64)
+    key = xs.ravel() * size
+    key += pos
+    key.sort()
+    np.floor_divide(key, size, out=values)
+    np.remainder(key, size, out=pos)
+    return values, pos
+
+
+def _band_keys(values: np.ndarray, pos: np.ndarray, m: int, n: int, lo: int,
+               hi: int) -> np.ndarray:
+    """Sorted keys (row (n+1) + d) m + col of every divisor d in [lo, hi) of
+    every value, given `_sorted_values` (or a subset of them).
+
+    x has the divisor d = x/u in [lo, hi) exactly when u divides x and x
+    lies in [u lo, u hi): a slice of the sorted values, for u = 1..n//lo.
+    One floor_divide by the scalar u finds the slice's multiples of u.
+    """
+    us = np.arange(1, n // lo + 1, dtype=np.int64)
+    starts = values.searchsorted(np.minimum(us * lo, n + 1).astype(values.dtype))
+    stops = values.searchsorted(np.minimum(us * hi, n + 1).astype(values.dtype))
+    hits, found = [], []
+    for u, a, b in zip(us.tolist(), starts.tolist(), stops.tolist()):
+        if a < b:
+            x = values[a:b]
+            hit = (x // u * u == x).nonzero()[0]
+            if hit.size:
+                hits.append(hit)
+                found.append((u, a, hit.size))
+    if not hits:
+        return np.empty(0, dtype=np.int64)
+    # a band has about ln(hi/lo) < 1 key a value: build them one array at
+    # a time, in the narrowest dtypes, to hold few bytes per block value
+    u, a, size = np.array(found, dtype=pos.dtype).T
+    idx = np.concatenate(hits, dtype=pos.dtype, casting="same_kind")
+    del hits
+    idx += np.repeat(a, size)
+    d = values[idx]
+    d //= np.repeat(u, size)
+    keys = pos[idx].astype(np.int64)
+    del idx
+    col = np.remainder(keys, m, out=np.empty(keys.size, dtype=pos.dtype))
+    keys //= m
+    keys *= n + 1
+    keys += d
+    keys *= m
+    keys += col
+    keys.sort()
+    return keys
+
+
+def _shared_pairs(keys: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Codes (row m + i) m + j, i < j, of the pairs whose keys share a (row, d)."""
+    group = keys // m
+    same = group[1:] == group[:-1]
+    both = np.zeros(keys.size, dtype=bool)
+    both[1:] = same
+    both[:-1] |= same
+    group, col = group[both], keys[both] % m
+    codes = []
+    # within a group the columns ascend; pair each key with the keys k after it
+    for k in range(1, group.size):
+        j = (group[k:] == group[:-k]).nonzero()[0]
+        if not j.size:
+            break
+        codes.append((group[j] // (n + 1) * m + col[j]) * m + col[j + k])
+    return np.concatenate(codes) if codes else np.empty(0, dtype=np.int64)
+
+
+def _cofactor_count(xs: np.ndarray, n: int, cut: int) -> np.ndarray:
+    """Per row, the number of pairs sharing a divisor above cut.
+
+    Bands [lo, hi) of d, from the top down to cut + 1, keep each band's
+    keys below the block's value count; a pair that shares divisors in
+    several bands is counted once.
+    """
+    rows, m = xs.shape
+    values, pos = _sorted_values(xs, n)
+    codes = []
+    hi = n + 1
+    while hi > cut + 1:
+        lo = _band_below(hi, cut + 1)
+        codes.append(_shared_pairs(_band_keys(values, pos, m, n, lo, hi), m, n))
+        hi = lo
+    codes = np.sort(np.concatenate(codes)) if codes else np.empty(0, dtype=np.int64)
+    first = np.ones(codes.size, dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    return np.bincount(codes[first] // (m * m), minlength=rows)
+
+
+def _cofactor_max(xs: np.ndarray, n: int) -> np.ndarray:
+    """Per row, the largest pair gcd: the largest d that divides two values.
+
+    Bands [lo, hi) of d run from the top down.  After a band every
+    divisor >= lo of every value is known, so the first band in which a
+    row has a shared d gives its largest one, and the row drops out.  The
+    rows left when a band would cost more than their pair gcds finish on
+    the pair route.
+    """
+    rows, m = xs.shape
+    values, pos = _sorted_values(xs, n)
+    out = np.zeros(rows, dtype=np.int64)
+    hi = n + 1
+    while values.size:
+        lo = _band_below(hi, 1)
+        if _band_cost(values.size, n, lo, hi) > _pair_cost(values.size // m, m, n):
+            left = (out == 0).nonzero()[0]
+            out[left] = _pair_route(xs[left])
+            break
+        group = _band_keys(values, pos, m, n, lo, hi) // m
+        shared = group[1:][group[1:] == group[:-1]]
+        # keys ascend, so a row's last shared group holds its largest d
+        row = shared // (n + 1)
+        last = np.ones(row.size, dtype=bool)
+        last[:-1] = row[1:] != row[:-1]
+        out[row[last]] = shared[last] % (n + 1)
+        keep = (out == 0)[pos // m]
+        values, pos = values[keep], pos[keep]
+        hi = lo
+    return out
+
+
+def _pair_gcd_reduce(xs: np.ndarray, cut: int | None = None) -> np.ndarray:
+    """Per row of xs, the largest pair gcd, or given `cut` the number of
+    pairs whose gcd exceeds it.
+
+    Two routes give the same integers.  The pair route runs np.gcd over
+    the C(m,2) pairs.  The cofactor route finds the large gcds only: a
+    pair gcd g > T means both values are g times a cofactor u <= n/T, so a
+    floor_divide by each small u lists every divisor above T of every
+    value (`_band_keys`), and a d met twice in a row is a shared divisor.
+    The cheaper route for the block's m, n, row count and cut runs.  Keys
+    (row (n+1) + d) m + col are int64, so blocks where they could overflow
+    take the pair route.
+    """
+    rows, m = xs.shape
+    if m < 2:
+        return np.zeros(rows, dtype=np.int64)
+    n = int(xs.max())
+    if xs.size * (n + 1) <= _INT64_MAX:
+        if cut is None:
+            if _cofactor_max_cost(rows, m, n) < _pair_cost(rows, m, n):
+                return _cofactor_max(xs, n)
+        elif _cofactor_count_cost(rows, m, n, cut) < _pair_cost(rows, m, n):
+            return _cofactor_count(xs, n, cut)
+    return _pair_route(xs, cut)
 
 
 def stat_M(sample) -> int:

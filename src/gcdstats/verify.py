@@ -462,13 +462,3 @@ SUITES = {
     "determinism": suite_determinism,
 }
 
-
-def run_suite(name: str) -> list[CheckResult]:
-    if name == "all":
-        results = []
-        for key in SUITES:
-            results.extend(SUITES[key]())
-        return results
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name]()

@@ -267,6 +267,10 @@ def test_simulate_frechet_window_beyond_table_cap(tmp_path, capsys):
      "--workers", "-1"),
     (["verify", "--suite", "stronglaw", "--workers", "0"], "--workers", "0"),
     (["verify", "--suite", "stronglaw", "--workers", "-1"], "--workers", "-1"),
+    (["simulate", "--statistic", "N", "--m", "5", "--n", "10", "--reps", "0"],
+     "--reps", "0"),
+    (["simulate", "--statistic", "C", "--m", "5", "--n", "10", "--reps", "-3"],
+     "--reps", "-3"),
 ])
 def test_usage_error_names_flag_and_value(argv, flag, value, capsys):
     text = _usage_error(argv, capsys)

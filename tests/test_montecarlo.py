@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -406,6 +407,135 @@ def test_pair_kernel_on_values_beyond_2_31():
     # int32 samples against cuts far beyond int32
     for thr in (2**40, 2**62, float("inf"), float("nan")):
         assert poisson_count([6, 12, 18], thr) == 0
+
+
+_PAIR_ROUTES = ("_cofactor_max", "_cofactor_count", "_pair_route")
+
+
+def _force_pair_route(monkeypatch, route):
+    """Send every M and N block whose keys fit int64 down `route`."""
+    cost = 0.0 if route == "cofactor" else math.inf
+    monkeypatch.setattr(montecarlo, "_cofactor_max_cost", lambda *args: cost)
+    monkeypatch.setattr(montecarlo, "_cofactor_count_cost", lambda *args: cost)
+
+
+def _cuts(rng, n):
+    """Cuts with at most a few thousand cofactors below n, so the cofactor
+    route stays quick: 0 on small n, others up to n and beyond, and the
+    cut of a NaN threshold."""
+    cuts = [n // rng.randint(1, 3000), n - 1, n, n + 5, montecarlo._pair_cut(math.nan)]
+    return cuts + [0] if n <= 1000 else cuts
+
+
+def test_pair_gcd_routes_match_naive_loops(monkeypatch):
+    # few values a block, so replicate ranges split across blocks
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 60)
+    taken = _route_spy(monkeypatch, _PAIR_ROUTES)
+    rng = random.Random(8642)
+    for route in ("cofactor", "pair"):
+        _force_pair_route(monkeypatch, route)
+        taken.clear()
+        for trial in range(24):
+            m = rng.randint(2, 16)
+            n = rng.choice((1, 2, 30, 1000, 2**31 - 1, 2**31, 2**40))
+            reps = rng.randint(1, 10)
+            cut = rng.choice(_cuts(rng, n))
+            t = math.nan if cut == montecarlo._INT64_MAX else (cut + 0.5) / comb(m, 2)
+            cfg = SampleConfig(m=m, n=n, replicates=reps, master_seed=700 + trial)
+            max_rows = montecarlo.replicate_rows(cfg, "M")
+            count_rows = montecarlo.replicate_rows(cfg, "N", t=t)
+            for i in range(reps):
+                x = draw_sample(cfg, i)
+                assert max_rows[i][1] == brute.naive_stat_M(x)
+                assert count_rows[i][1] == brute.naive_poisson_count(x, t * comb(m, 2))
+        if route == "pair":
+            assert set(taken) == {"_pair_route"}
+        else:
+            # M of a few values far below n walks too far: those rows fall back
+            assert set(taken) == set(_PAIR_ROUTES)
+
+
+def test_pair_gcd_routes_on_repeated_and_shared_values(monkeypatch):
+    rng = random.Random(97)
+    for n in (1, 2, 30, 2**31 - 1, 2**31, 2**40):
+        for trial in range(6):
+            rows, m = rng.randint(1, 8), rng.randint(2, 12)
+            xs = np.array([[rng.randint(1, n) for _ in range(m)] for _ in range(rows)])
+            # n itself twice: the block's bound is a shared divisor
+            xs[0][0] = xs[0][-1] = n
+            for row in xs[1:]:
+                # a repeated value, and two multiples of one large divisor
+                row[rng.randrange(m)] = row[rng.randrange(m)]
+                d = n // rng.randint(1, 40) or 1
+                row[rng.randrange(m)] = d * rng.randint(1, n // d)
+                row[rng.randrange(m)] = d * rng.randint(1, n // d)
+            cuts = _cuts(rng, n)
+            for route in ("cofactor", "pair"):
+                _force_pair_route(monkeypatch, route)
+                assert montecarlo._pair_gcd_reduce(xs).tolist() == [
+                    brute.naive_stat_M(x) for x in xs]
+                for cut in cuts:
+                    assert montecarlo._pair_gcd_reduce(xs, cut).tolist() == [
+                        brute.naive_poisson_count(x, cut) for x in xs]
+
+
+def test_pair_gcd_route_follows_block_cost(monkeypatch):
+    taken = []
+    for name in _PAIR_ROUTES:
+        # record the route and skip its work
+        monkeypatch.setattr(montecarlo, name,
+                            lambda xs, *args, _name=name: taken.append(_name) or np.zeros(len(xs)))
+
+    def route(m, n, rows, cut=None):
+        taken.clear()
+        xs = montecarlo._draw_block(SampleConfig(m=m, n=n, replicates=rows, master_seed=3),
+                                    0, rows)
+        montecarlo._pair_gcd_reduce(xs, cut)
+        return taken
+
+    full = montecarlo._BLOCK_ELEMENTS // 64
+    # the benchmark's shapes, one full block each
+    assert route(64, 32768, full) == ["_cofactor_max"]
+    assert route(64, 262144, full) == ["_cofactor_max"]
+    assert route(100, 10**6, montecarlo._BLOCK_ELEMENTS // 100,
+                 montecarlo._pair_cut(comb(100, 2))) == ["_cofactor_count"]
+    # far too many cofactors below n, or too few rows to repay the bands
+    assert route(64, 2**40, full) == ["_pair_route"]
+    assert route(64, 64**3, 32) == ["_pair_route"]
+    # two cofactors, but keys that would overflow int64
+    assert route(64, 2**62, 1, 2**61) == ["_pair_route"]
+
+
+def test_cofactor_walk_leaves_few_rows_to_the_pair_route(monkeypatch):
+    handed = []
+    real = montecarlo._pair_route
+    monkeypatch.setattr(montecarlo, "_pair_route",
+                        lambda xs, *args: handed.append(len(xs)) or real(xs, *args))
+    rows = montecarlo._BLOCK_ELEMENTS // 64
+    cfg = SampleConfig(m=64, n=64**3, replicates=rows, master_seed=5)
+    xs = montecarlo._draw_block(cfg, 0, rows)
+    expected = real(xs)
+    assert montecarlo._cofactor_max(xs, int(xs.max())).tolist() == expected.tolist()
+    # rows drop out as their band is found; the rest, if any, take np.gcd
+    assert sum(handed) < rows / 20
+
+
+def test_cofactor_route_memory_stays_near_the_pair_route():
+    m, n = 100, 10**6
+    cfg = SampleConfig(m=m, n=n, replicates=1000, master_seed=1)
+    xs = montecarlo._draw_block(cfg, 0, montecarlo._BLOCK_ELEMENTS // m)
+    cut = montecarlo._pair_cut(comb(m, 2))
+    peaks, counts = [], []
+    for route in (montecarlo._pair_route, lambda xs, cut: montecarlo._cofactor_count(xs, n, cut)):
+        route(xs, cut)  # numpy's first calls allocate caches of their own
+        tracemalloc.start()
+        try:
+            counts.append(route(xs, cut).tolist())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert counts[0] == counts[1] and sum(counts[0]) > 0
+    assert peaks[1] <= peaks[0] + 2**20
 
 
 def test_cli_simulate_draws_each_replicate_once(monkeypatch, tmp_path, capsys):
