@@ -205,16 +205,18 @@ class ArithTable:
         return out
 
 
-def build_table(n_max: int, orders=(1,), max_n: int = DEFAULT_MAX_N) -> ArithTable:
+def build_table(n_max: int, orders=(1,)) -> ArithTable:
     """Sieve all supported arithmetic functions up to n_max.
 
     `orders` lists the Jordan totient orders to precompute; more can be
-    added lazily later.  Raises CapacityError when n_max exceeds `max_n`.
+    added lazily later.  Raises CapacityError when n_max exceeds
+    DEFAULT_MAX_N.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if n_max > max_n:
-        raise CapacityError(f"a table up to n_max={n_max} exceeds the table cap of {max_n}")
+    if n_max > DEFAULT_MAX_N:
+        raise CapacityError(
+            f"a table up to n_max={n_max} exceeds the table cap of {DEFAULT_MAX_N}")
     primes = primes_up_to(n_max)
     table = ArithTable(
         n_max=n_max,

@@ -60,12 +60,12 @@ def parse_n_rule(text: str, m: int) -> int:
     raise ValueError(f"bad n rule {text!r}: use an integer, 'm^2.5' or 'exp(m^0.3)'")
 
 
-def _emit(payload: dict, out: str | None, fmt: str) -> None:
+def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    elif fmt != "csv":
+    else:
         sys.stdout.write(text)
 
 
@@ -114,8 +114,8 @@ _EXACT_QUANTITIES = ("mu", "nu", "c", "d", "pmf", "moment", "varC", "varZ",
 def cmd_exact(args) -> int:
     n, r, q, s, m = args.n, args.r, args.q, args.s, args.m
     quantity = args.quantity
-    if n is None or n < 1:
-        raise ValueError("--n is required and must be >= 1")
+    if n < 1:
+        raise ValueError(f"--n must be >= 1, got {n}")
     # mu and nu are expectations over r + 1 variables, so r = 0 is valid
     # and the library's own check would report r + 1
     if quantity in ("mu", "nu") and r < 0:
@@ -156,17 +156,15 @@ def cmd_exact(args) -> int:
             res = exact.shared_covariance(table, n, r, _require(s, "--s"), "moment", q)
         elif quantity == "pi":
             res = exact.mixed_moment_pi(table, n, r, q)
-        elif quantity == "tail":
+        else:  # tail
             res = exact.gcd_tail(table, n, int(args.t))
-        else:
-            raise ValueError(f"unknown quantity {quantity!r}")
         record = res.record(quantity, n=n, r=r, q=q, s=s, m=m)
         payload = {"manifest": _manifest("exact", {
             "quantity": quantity, "n": n, "r": r, "q": q, "s": s, "m": m,
             "t": args.t,
         })}
         payload.update(record)
-    _emit(payload, args.out, args.format)
+    _emit(payload, args.out)
     if args.out:
         print(args.out)
     print(f"elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
@@ -186,7 +184,7 @@ def cmd_constants(args) -> int:
         "manifest": _manifest("constants", {"cutoff": args.cutoff}),
         "constants": table,
     }
-    _emit(payload, args.out, args.format)
+    _emit(payload, args.out)
     print(f"elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return 0
 
@@ -307,13 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--t", type=float, default=0.0, help="tail threshold for quantity=tail")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("constants", help="emit limiting constants with error bars")
     p.add_argument("--cutoff", type=int, default=constants.DEFAULT_CUTOFF)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("simulate", help="run seeded replicates of one statistic")

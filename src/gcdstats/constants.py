@@ -312,28 +312,18 @@ def limit_var_c(r: int, cutoff: int = DEFAULT_CUTOFF) -> float:
     return schur_constant(r, 2, cutoff).value - schur_constant(r, 1, cutoff).value ** 2
 
 
-def limit_var_d(r: int, cutoff: int = DEFAULT_CUTOFF, check_sum_bound: int = 0,
-                agreement_tol: float = 1e-4) -> float:
+def limit_var_d(r: int, cutoff: int = DEFAULT_CUTOFF) -> float:
     """Limit of the variance of the marginal expectation profile W_r, r >= 2:
 
     M(r) - (zeta(r)/zeta(r+1))^2, equivalently the double series
-    sum phi(i)phi(j)(gcd(i,j)-1)/(ij)^(r+1).  With check_sum_bound > 0 the
-    truncated double series is evaluated as an independent cross-check and
-    the two routes must agree within agreement_tol.
+    sum phi(i)phi(j)(gcd(i,j)-1)/(ij)^(r+1), which
+    `_gcd_minus_one_double_sum` truncates as an independent reference.
 
     r = 1 is rejected: that variance diverges like ln(n)^3.
     """
     if r < 2:
         raise ValueError("r must be >= 2 (the r = 1 profile variance diverges)")
-    via_product = M_constant(float(r), 1, cutoff).value - (zeta(r) / zeta(r + 1)) ** 2
-    if check_sum_bound:
-        via_sum = _gcd_minus_one_double_sum(r, check_sum_bound)
-        if abs(via_product - via_sum) > agreement_tol:
-            raise AssertionError(
-                f"limit_var_d({r}) routes disagree: product {via_product!r} "
-                f"vs sum {via_sum!r}"
-            )
-    return via_product
+    return M_constant(float(r), 1, cutoff).value - (zeta(r) / zeta(r + 1)) ** 2
 
 
 def _gcd_minus_one_double_sum(r: int, bound: int) -> float:

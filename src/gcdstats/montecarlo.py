@@ -797,6 +797,10 @@ def exact_moments(config: SampleConfig, statistic: str, table: ArithTable):
         var = exact.var_Z(table, n, m, r, q).float_value
     else:
         raise ValueError(f"exact moments only exist for C and Z, got {statistic!r}")
+    if var == 0:
+        # n = 1: every gcd is 1, so the statistic is a constant
+        raise ValueError(f"{statistic} has zero variance at n={n}, m={m}, r={r}; "
+                         f"exact-moment normalization is undefined")
     return mean, math.sqrt(var)
 
 
@@ -854,12 +858,6 @@ def run_replicates(
     return EmpiricalDistribution("continuous", len(raws),
                                  values=np.sort(np.array(normalized)),
                                  meta=meta, rows=rows)
-
-
-def replicate_rows(config, statistic, normalization="none", table=None,
-                   t: float = 1.0, workers: int = 1):
-    """(index, raw, normalized) rows in replicate order, for CSV export."""
-    return run_replicates(config, statistic, normalization, table, t, workers).rows
 
 
 def strong_law_trajectory(n: int, r: int, m_grid, seed: int,

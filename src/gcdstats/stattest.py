@@ -85,11 +85,13 @@ def ks_distance(emp: EmpiricalDistribution, law: ReferenceLaw) -> float:
     return float(max(np.max(np.abs(steps - ref)), np.max(np.abs(steps - 1 / n - ref))))
 
 
-def tv_distance(emp: EmpiricalDistribution, law: ReferenceLaw,
-                support_cap: int = 64) -> float:
+_TV_SUPPORT_CAP = 64
+
+
+def tv_distance(emp: EmpiricalDistribution, law: ReferenceLaw) -> float:
     """Total variation between integer counts and a Poisson law.
 
-    Half the L1 gap of the pmfs up to support_cap, plus half of both tail
+    Half the L1 gap of the pmfs up to _TV_SUPPORT_CAP, plus half of both tail
     masses (empirical beyond the cap, and the Poisson remainder), so the
     truncation can only overstate the distance.
     """
@@ -100,13 +102,13 @@ def tv_distance(emp: EmpiricalDistribution, law: ReferenceLaw,
     if not emp.counts and emp.size == 0:
         raise ValueError("empty empirical distribution")
     r = emp.size
-    pk = poisson_pmf(law.lam, support_cap)
+    pk = poisson_pmf(law.lam, _TV_SUPPORT_CAP)
     gap = 0.0
     emp_tail = 0.0
     for value, count in emp.counts.items():
-        if value > support_cap:
+        if value > _TV_SUPPORT_CAP:
             emp_tail += count / r
-    for k in range(support_cap + 1):
+    for k in range(_TV_SUPPORT_CAP + 1):
         gap += abs(emp.counts.get(k, 0) / r - pk[k])
     poisson_tail = max(0.0, 1.0 - float(pk.sum()))
     return 0.5 * (gap + emp_tail + poisson_tail)

@@ -27,6 +27,32 @@ SEEDS = {
 }
 
 ORACLE_MAX_N = 30
+CONSTANTS_CUTOFF = 1_000_000
+DETERMINISM_WORKERS = (1, 4, 16)
+
+# The seeded Monte Carlo runs: name -> (config, statistic, normalization).
+# The statistical suites each run their own entries once, and the
+# determinism suite reruns every entry at each of DETERMINISM_WORKERS.
+EXPERIMENTS = {
+    "variance C": (montecarlo.SampleConfig(m=20, n=100, replicates=100_000,
+                                           master_seed=SEEDS["variance"]),
+                   "C", "none"),
+    "variance Z": (montecarlo.SampleConfig(m=20, n=100, replicates=100_000,
+                                           master_seed=SEEDS["variance"]),
+                   "Z", "none"),
+    "clt C": (montecarlo.SampleConfig(m=1000, n=1000, replicates=1000,
+                                      master_seed=SEEDS["clt_C"]),
+              "C", "exact-moments"),
+    "clt Z": (montecarlo.SampleConfig(m=2000, n=40, replicates=1000,
+                                      master_seed=SEEDS["clt_Z"]),
+              "Z", "exact-moments"),
+    "frechet": (montecarlo.SampleConfig(m=64, n=round(64**2.5), replicates=2000,
+                                        master_seed=SEEDS["frechet"]),
+                "M", "frechet-scale"),
+    "poisson": (montecarlo.SampleConfig(m=100, n=1_000_000, replicates=2000,
+                                        master_seed=SEEDS["poisson"]),
+                "N", "none"),
+}
 
 
 @dataclass
@@ -43,8 +69,16 @@ class CheckResult:
 
 
 @lru_cache(maxsize=32)
-def _shared_table(n: int, orders: tuple = (1, 2)):
-    return build_table(n, orders)
+def _shared_table(n: int):
+    return build_table(n, (1, 2))
+
+
+def _run_experiment(name: str, workers: int):
+    config, statistic, normalization = EXPERIMENTS[name]
+    # C and Z read a table up to n; M and N read only the sampled values
+    table = _shared_table(config.n) if statistic in ("C", "Z") else None
+    return montecarlo.run_replicates(config, statistic, normalization, table,
+                                     workers=workers)
 
 
 def format_rows_csv(rows) -> str:
@@ -57,22 +91,22 @@ def format_rows_csv(rows) -> str:
 
 # --- criterion 1: oracle equivalence ----------------------------------------
 
-def suite_oracle(max_n: int = ORACLE_MAX_N) -> list[CheckResult]:
+def suite_oracle() -> list[CheckResult]:
     out = []
     rs = (2, 3)
     qs = (1, 2)
     for r in rs:
         fails = []
-        for n in range(1, max_n + 1):
+        for n in range(1, ORACLE_MAX_N + 1):
             table = _shared_table(n)
             if not _oracle_one_n(table, n, r, qs, fails):
                 break
         out.append(
             CheckResult(
                 f"oracle r={r} (pmf, moments, marginals, c/d, gamma/omega, "
-                f"varC, varZ, pi; n<={max_n}, q in {qs})",
+                f"varC, varZ, pi; n<={ORACLE_MAX_N}, q in {qs})",
                 not fails,
-                fails[0] if fails else f"exact agreement for all n <= {max_n}",
+                fails[0] if fails else f"exact agreement for all n <= {ORACLE_MAX_N}",
             )
         )
     return out
@@ -174,16 +208,16 @@ def suite_limits() -> list[CheckResult]:
 
 # --- criterion 3: constants ---------------------------------------------------
 
-def suite_constants(cutoff: int = 1_000_000) -> list[CheckResult]:
+def suite_constants() -> list[CheckResult]:
     out = []
-    d = constants.delta(cutoff)
+    d = constants.delta(CONSTANTS_CUTOFF)
     out.append(CheckResult(
         "constants: delta = 0.01186 +- 5e-5 at cutoff 1e6",
         abs(d.value - 0.01186) < 5e-5,
         f"delta={d.value:.8f} (tail bound {d.tail_bound:.1e})",
     ))
 
-    dt = constants.delta_toth(cutoff)
+    dt = constants.delta_toth(CONSTANTS_CUTOFF)
     gap = abs(dt.value - 2 * d.value)
     out.append(CheckResult(
         "constants: |delta_toth - 2 delta| < 1e-9",
@@ -200,7 +234,7 @@ def suite_constants(cutoff: int = 1_000_000) -> list[CheckResult]:
     ))
 
     for t in (1.5, 2.0, 3.0):
-        a, b = constants.m_product_forms(t, cutoff)
+        a, b = constants.m_product_forms(t, CONSTANTS_CUTOFF)
         gap = abs(a - b)
         out.append(CheckResult(
             f"constants: M({t}) product forms agree to 1e-10",
@@ -214,7 +248,7 @@ def suite_constants(cutoff: int = 1_000_000) -> list[CheckResult]:
     # B = 1e5 puts that bound at 3.3e-5, under the 1e-4 tolerance.
     bound = 100_000
     tail = 2 * constants.zeta(2) / bound
-    m2 = constants.M_constant(2.0, 1, cutoff).value
+    m2 = constants.M_constant(2.0, 1, CONSTANTS_CUTOFF).value
     trunc = _m2_truncated_double_sum(bound)
     gap = m2 - trunc
     out.append(CheckResult(
@@ -234,17 +268,15 @@ def _m2_truncated_double_sum(bound: int) -> float:
 
 def suite_variance(workers: int = 1) -> list[CheckResult]:
     out = []
-    n, m, reps = 100, 20, 100_000
-    table = _shared_table(n)
-    cfg = montecarlo.SampleConfig(m=m, n=n, replicates=reps,
-                                  master_seed=SEEDS["variance"])
     for statistic in ("C", "Z"):
-        rows = montecarlo.replicate_rows(cfg, statistic, "none", table,
-                                         workers=workers)
+        name = f"variance {statistic}"
+        cfg = EXPERIMENTS[name][0]
+        rows = _run_experiment(name, workers).rows
         vals = np.array([float(raw) for _, raw, _ in rows])
-        mean_exact, sd_exact = montecarlo.exact_moments(cfg, statistic, table)
+        mean_exact, sd_exact = montecarlo.exact_moments(cfg, statistic,
+                                                        _shared_table(cfg.n))
         var_exact = sd_exact**2
-        se_mean = sd_exact / math.sqrt(reps)
+        se_mean = sd_exact / math.sqrt(cfg.replicates)
         mean_gap = abs(vals.mean() - mean_exact)
         out.append(CheckResult(
             f"variance: mean of {statistic} within 4 SE at (n=100, m=20, R=1e5)",
@@ -255,7 +287,7 @@ def suite_variance(workers: int = 1) -> list[CheckResult]:
         svar = vals.var()
         centered = vals - vals.mean()
         m4 = float(np.mean(centered**4))
-        se_var = math.sqrt(max(m4 - svar**2, 1e-12) / reps)
+        se_var = math.sqrt(max(m4 - svar**2, 1e-12) / cfg.replicates)
         var_gap = abs(svar - var_exact)
         out.append(CheckResult(
             f"variance: variance of {statistic} within 4 SE at (n=100, m=20, R=1e5)",
@@ -271,39 +303,21 @@ def suite_variance(workers: int = 1) -> list[CheckResult]:
 def suite_clt(workers: int = 1) -> list[CheckResult]:
     out = []
     normal = stattest.ReferenceLaw.normal()
-
-    cfg = montecarlo.SampleConfig(m=1000, n=1000, replicates=1000,
-                                  master_seed=SEEDS["clt_C"])
-    table = _shared_table(1000)
-    emp = montecarlo.run_replicates(cfg, "C", "exact-moments", table,
-                                    workers=workers)
-    ks = stattest.ks_distance(emp, normal)
-    out.append(CheckResult(
-        "clt: normalized C at (m=1000, n=1000, R=1000), KS vs normal < 0.06",
-        ks < 0.06, f"KS={ks:.4f}",
-    ))
-
-    cfg = montecarlo.SampleConfig(m=2000, n=40, replicates=1000,
-                                  master_seed=SEEDS["clt_Z"])
-    table = _shared_table(40)
-    emp = montecarlo.run_replicates(cfg, "Z", "exact-moments", table,
-                                    workers=workers)
-    ks = stattest.ks_distance(emp, normal)
-    out.append(CheckResult(
-        "clt: normalized Z at (m=2000, n=40, R=1000), KS vs normal < 0.06",
-        ks < 0.06, f"KS={ks:.4f}",
-    ))
+    for name in ("clt C", "clt Z"):
+        cfg, statistic, _ = EXPERIMENTS[name]
+        ks = stattest.ks_distance(_run_experiment(name, workers), normal)
+        out.append(CheckResult(
+            f"clt: normalized {statistic} at (m={cfg.m}, n={cfg.n}, "
+            f"R={cfg.replicates}), KS vs normal < 0.06",
+            ks < 0.06, f"KS={ks:.4f}",
+        ))
     return out
 
 
 # --- criterion 7: Frechet limit ------------------------------------------------
 
 def suite_frechet(workers: int = 1) -> list[CheckResult]:
-    m = 64
-    n = round(m**2.5)
-    cfg = montecarlo.SampleConfig(m=m, n=n, replicates=2000,
-                                  master_seed=SEEDS["frechet"])
-    emp = montecarlo.run_replicates(cfg, "M", "frechet-scale", workers=workers)
+    emp = _run_experiment("frechet", workers)
     law = stattest.ReferenceLaw.frechet(scale=1 / constants.zeta(2))
     ks = stattest.ks_distance(emp, law)
     return [CheckResult(
@@ -317,9 +331,7 @@ def suite_frechet(workers: int = 1) -> list[CheckResult]:
 
 def suite_poisson(workers: int = 1) -> list[CheckResult]:
     out = []
-    cfg = montecarlo.SampleConfig(m=100, n=1_000_000, replicates=2000,
-                                  master_seed=SEEDS["poisson"])
-    emp = montecarlo.run_replicates(cfg, "N", "none", t=1.0, workers=workers)
+    emp = _run_experiment("poisson", workers)
     lam = 1 / constants.zeta(2)
     tv = stattest.tv_distance(emp, stattest.ReferenceLaw.poisson(lam))
     out.append(CheckResult(
@@ -341,17 +353,17 @@ def suite_poisson(workers: int = 1) -> list[CheckResult]:
 TREND_GRID = (1_000, 100_000, 1_000_000)
 
 
-def suite_trends(grid=TREND_GRID) -> list[CheckResult]:
+def suite_trends() -> list[CheckResult]:
     out = []
-    table = _shared_table(grid[-1])
+    table = _shared_table(TREND_GRID[-1])
     ratios = {}
     for kind in ("corollary22", "toth", "pillai_sq"):
-        rs, target = constants.tauberian_trend(kind, grid, table)
+        rs, target = constants.tauberian_trend(kind, TREND_GRID, table)
         ratios[kind] = rs
         dists = [abs(v - target) for v in rs]
         decreasing = all(b < a for a, b in zip(dists, dists[1:]))
         out.append(CheckResult(
-            f"trends: {kind} ratio-to-ln^3(N) approaches its constant over {grid}",
+            f"trends: {kind} ratio-to-ln^3(N) approaches its constant over {TREND_GRID}",
             decreasing,
             "distances " + " > ".join(f"{dv:.6f}" for dv in dists),
         ))
@@ -392,38 +404,14 @@ def suite_stronglaw() -> list[CheckResult]:
 
 # --- criterion 11: determinism across worker counts -------------------------------
 
-def suite_determinism(worker_counts=(1, 4, 16)) -> list[CheckResult]:
+def suite_determinism() -> list[CheckResult]:
     out = []
-    experiments = [
-        ("variance C", montecarlo.SampleConfig(m=20, n=100, replicates=100_000,
-                                               master_seed=SEEDS["variance"]),
-         "C", "none", 100, 1.0),
-        ("variance Z", montecarlo.SampleConfig(m=20, n=100, replicates=100_000,
-                                               master_seed=SEEDS["variance"]),
-         "Z", "none", 100, 1.0),
-        ("clt C", montecarlo.SampleConfig(m=1000, n=1000, replicates=1000,
-                                          master_seed=SEEDS["clt_C"]),
-         "C", "exact-moments", 1000, 1.0),
-        ("clt Z", montecarlo.SampleConfig(m=2000, n=40, replicates=1000,
-                                          master_seed=SEEDS["clt_Z"]),
-         "Z", "exact-moments", 40, 1.0),
-        ("frechet", montecarlo.SampleConfig(m=64, n=32768, replicates=2000,
-                                            master_seed=SEEDS["frechet"]),
-         "M", "frechet-scale", None, 1.0),
-        ("poisson", montecarlo.SampleConfig(m=100, n=1_000_000, replicates=2000,
-                                            master_seed=SEEDS["poisson"]),
-         "N", "none", None, 1.0),
-    ]
-    for name, cfg, statistic, norm, table_n, t in experiments:
-        table = _shared_table(table_n) if table_n else None  # M, N need none
-        blobs = []
-        for w in worker_counts:
-            rows = montecarlo.replicate_rows(cfg, statistic, norm, table, t=t,
-                                             workers=w)
-            blobs.append(format_rows_csv(rows).encode())
+    for name in EXPERIMENTS:
+        blobs = [format_rows_csv(_run_experiment(name, w).rows).encode()
+                 for w in DETERMINISM_WORKERS]
         identical = all(b == blobs[0] for b in blobs)
         out.append(CheckResult(
-            f"determinism: {name} byte-identical across workers {worker_counts}",
+            f"determinism: {name} byte-identical across workers {DETERMINISM_WORKERS}",
             identical, f"{len(blobs[0])} bytes",
         ))
 

@@ -5,9 +5,12 @@ every PASS/FAIL line.  Statistical criteria use the frozen master seeds in
 gcdstats.verify.SEEDS.
 """
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
-from gcdstats import verify
+from gcdstats import montecarlo, verify
 
 
 def _assert_all(results):
@@ -75,3 +78,33 @@ def test_criterion_10_strong_law():
 
 def test_criterion_11_worker_determinism():
     _assert_all(verify.suite_determinism())
+
+
+def test_determinism_reruns_the_statistical_suites_experiments(monkeypatch):
+    calls = []
+
+    def fake_run_replicates(config, statistic, normalization="none", table=None,
+                            t=1.0, workers=1):
+        calls.append((config, statistic, normalization, workers))
+        rows = [(0, 1, 0.0), (1, 2, 1.0)]
+        if statistic == "N":
+            return montecarlo.EmpiricalDistribution("integer-counts", 2,
+                                                    counts={1: 1, 2: 1}, rows=rows)
+        return montecarlo.EmpiricalDistribution("continuous", 2,
+                                                values=np.array([0.0, 1.0]), rows=rows)
+
+    monkeypatch.setattr(montecarlo, "run_replicates", fake_run_replicates)
+    own = {verify.suite_variance: ("variance C", "variance Z"),
+           verify.suite_clt: ("clt C", "clt Z"),
+           verify.suite_frechet: ("frechet",),
+           verify.suite_poisson: ("poisson",)}
+    assert sorted(name for names in own.values() for name in names) == sorted(verify.EXPERIMENTS)
+    statistical = []
+    for suite, names in own.items():
+        calls.clear()
+        suite()
+        assert calls == [verify.EXPERIMENTS[name] + (1,) for name in names]
+        statistical += calls
+    calls.clear()
+    verify.suite_determinism()
+    assert Counter(calls) == Counter(run[:3] + (w,) for run in statistical for w in (1, 4, 16))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gcdstats.arith import (
+    DEFAULT_MAX_N,
     CapacityError,
     build_table,
     divisors,
@@ -196,8 +197,9 @@ def test_gcd_lcm():
 def test_build_table_validation():
     with pytest.raises(ValueError):
         build_table(0)
+    # the cap is checked before anything is sieved
     with pytest.raises(CapacityError):
-        build_table(100, max_n=50)
+        build_table(DEFAULT_MAX_N + 1)
 
 
 def test_high_order_totient_falls_back_to_big_ints():

@@ -277,6 +277,27 @@ def test_usage_error_names_flag_and_value(argv, flag, value, capsys):
     assert flag in text and value in text
 
 
+@pytest.mark.parametrize("statistic", ["C", "Z"])
+def test_exact_moments_of_a_constant_statistic_is_usage_error(statistic, capsys):
+    # at n = 1 every gcd is 1, so C and Z are constants with no sd to scale by
+    text = _usage_error(["simulate", "--statistic", statistic, "--m", "5", "--n", "1",
+                         "--reps", "2"], capsys)
+    assert "zero variance" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--quantity", "mu", "--n", "10"],
+    ["constants", "--cutoff", "100"],
+])
+def test_exact_and_constants_emit_json_only(argv, capsys):
+    for fmt in ("csv", "json"):
+        text = _usage_error(argv + ["--format", fmt], capsys)
+        assert "--format" in text
+    code, text = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(text)["manifest"]["subcommand"] == argv[0]
+
+
 def test_mu_of_one_variable_is_one_over_n(capsys):
     code, text = run_cli(["exact", "--quantity", "mu", "--n", "10", "--r", "0"], capsys)
     assert code == 0
@@ -293,3 +314,45 @@ def test_constants_cutoff_above_sieve_cap_is_refused_before_sieving(monkeypatch,
     monkeypatch.setattr(constants, "primes_up_to", no_sieve)
     text = _usage_error(["constants", "--cutoff", str(10**11)], capsys)
     assert str(10**11) in text and str(DEFAULT_MAX_N) in text
+
+
+# --- in-process sweep of the numeric flags ------------------------------------
+
+_SWEEP_VALUES = ("0", "-1", "1", "nan", "inf", "x")
+
+
+def _with_flag(argv, flag, value):
+    argv = list(argv)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    return argv
+
+
+def _sweep_cases():
+    bases = [(["simulate", "--statistic", s, "--m", "5", "--n", "10", "--reps", "2"],
+              ("--m", "--n", "--r", "--q", "--reps", "--seed", "--t", "--workers"))
+             for s in ("C", "Z", "M", "N")]
+    bases += [(["exact", "--quantity", q, "--n", "10", "--m", "6", "--s", "1", "--t", "3"],
+               ("--n", "--r", "--q", "--s", "--m", "--t"))
+              for q in _EXACT_QUANTITIES]
+    bases += [(["tables", "--n", "10", "--orders", "1"], ("--n", "--orders")),
+              (["constants", "--cutoff", "100"], ("--cutoff",)),
+              (["verify", "--suite", "stronglaw"], ("--workers",))]
+    return [_with_flag(argv, flag, value)
+            for argv, flags in bases for flag in flags for value in _SWEEP_VALUES]
+
+
+@pytest.mark.parametrize("argv", _sweep_cases(), ids=" ".join)
+def test_every_numeric_flag_runs_or_is_a_usage_error(argv, tmp_path, capsys):
+    if argv[0] == "tables":
+        argv = argv + ["--out", str(tmp_path / "t.tbl")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    assert len([ln for ln in err.splitlines() if not ln.startswith("elapsed")]) <= 1

@@ -253,9 +253,9 @@ def test_limit_var_c_positive():
 
 
 def test_limit_var_d_routes_agree():
-    value = constants.limit_var_d(2, CUTOFF, check_sum_bound=1_000_000,
-                                  agreement_tol=1e-6)
+    value = constants.limit_var_d(2, CUTOFF)
     assert 0 < value < 1
+    assert abs(value - constants._gcd_minus_one_double_sum(2, 1_000_000)) <= 1e-6
     with pytest.raises(ValueError):
         constants.limit_var_d(1)
 

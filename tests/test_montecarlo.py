@@ -136,12 +136,12 @@ def test_route_follows_row_width_against_divisor_count(monkeypatch):
     # n small next to the block's divisor count: the dense sweep is cheaper
     for m, n in ((20, 100), (2000, 40), (1000, 1000)):
         taken.clear()
-        montecarlo.replicate_rows(SampleConfig(m=m, n=n, replicates=3, master_seed=1), "C")
+        run_replicates(SampleConfig(m=m, n=n, replicates=3, master_seed=1), "C")
         assert set(taken) == {"_dense_route"}
     # n large next to it: the sparse route
     for m, n in ((5, 1000), (20, 10_000), (100, 100_000)):
         taken.clear()
-        montecarlo.replicate_rows(SampleConfig(m=m, n=n, replicates=3, master_seed=1), "Z")
+        run_replicates(SampleConfig(m=m, n=n, replicates=3, master_seed=1), "Z")
         assert set(taken) == {"_sparse_route"}
 
 
@@ -159,8 +159,8 @@ def test_block_statistics_match_naive_loops(monkeypatch):
         reps = rng.randint(1, 12)
         cfg = SampleConfig(m=m, n=n, r=r, q=q, replicates=reps, master_seed=900 + trial)
         table = build_table(n, (1,))
-        c_rows = montecarlo.replicate_rows(cfg, "C", table=table)
-        z_rows = montecarlo.replicate_rows(cfg, "Z", table=table)
+        c_rows = run_replicates(cfg, "C", table=table).rows
+        z_rows = run_replicates(cfg, "Z", table=table).rows
         for i in range(reps):
             x = draw_sample(cfg, i)
             assert c_rows[i][1] == brute.naive_stat_C(x, r)
@@ -231,8 +231,8 @@ def test_run_replicates_deterministic(table_50):
 
 def test_run_replicates_workers_identical(table_50):
     cfg = SampleConfig(m=10, n=40, replicates=48, master_seed=31)
-    rows1 = montecarlo.replicate_rows(cfg, "Z", "none", table_50, workers=1)
-    rows3 = montecarlo.replicate_rows(cfg, "Z", "none", table_50, workers=3)
+    rows1 = run_replicates(cfg, "Z", "none", table_50, workers=1).rows
+    rows3 = run_replicates(cfg, "Z", "none", table_50, workers=3).rows
     assert rows1 == rows3
 
 
@@ -390,8 +390,8 @@ def test_block_pair_kernel_matches_naive_loops(monkeypatch):
         reps = rng.randint(1, 12)
         t = rng.choice([0.0, 0.3, 1.0, 4.0])
         cfg = SampleConfig(m=m, n=n, replicates=reps, master_seed=500 + trial)
-        max_rows = montecarlo.replicate_rows(cfg, "M")
-        count_rows = montecarlo.replicate_rows(cfg, "N", t=t)
+        max_rows = run_replicates(cfg, "M").rows
+        count_rows = run_replicates(cfg, "N", t=t).rows
         for i in range(reps):
             x = draw_sample(cfg, i)
             assert max_rows[i][1] == brute.naive_stat_M(x)
@@ -442,8 +442,8 @@ def test_pair_gcd_routes_match_naive_loops(monkeypatch):
             cut = rng.choice(_cuts(rng, n))
             t = math.nan if cut == montecarlo._INT64_MAX else (cut + 0.5) / comb(m, 2)
             cfg = SampleConfig(m=m, n=n, replicates=reps, master_seed=700 + trial)
-            max_rows = montecarlo.replicate_rows(cfg, "M")
-            count_rows = montecarlo.replicate_rows(cfg, "N", t=t)
+            max_rows = run_replicates(cfg, "M").rows
+            count_rows = run_replicates(cfg, "N", t=t).rows
             for i in range(reps):
                 x = draw_sample(cfg, i)
                 assert max_rows[i][1] == brute.naive_stat_M(x)
@@ -579,11 +579,11 @@ def test_pool_has_no_more_processes_than_ranges_or_cpus(monkeypatch):
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
     cfg = SampleConfig(m=6, n=30, replicates=5, master_seed=8)
-    serial = montecarlo.replicate_rows(cfg, "C", workers=1)
+    serial = run_replicates(cfg, "C", workers=1).rows
     assert sizes == []
     for workers, expected in ((2, 2), (16, 3), (64, 3)):
-        assert montecarlo.replicate_rows(cfg, "C", workers=workers) == serial
+        assert run_replicates(cfg, "C", workers=workers).rows == serial
         assert sizes[-1] == expected
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
-    assert montecarlo.replicate_rows(cfg, "C", workers=64) == serial
+    assert run_replicates(cfg, "C", workers=64).rows == serial
     assert sizes[-1] == 5  # one process per replicate range
