@@ -10,7 +10,7 @@ P(gcd = k) -> 1/(zeta(2) k^2)).
 from gcdstats import build_table, constants, exact
 
 n = 50_000
-table = build_table(n, (1, 2))
+table = build_table(n)
 z2 = constants.zeta(2)
 
 print(f"sample space {{1..{n}}}, pairs (r = 2)")

@@ -16,7 +16,7 @@ for statistic, m, n, note in (
     ("C", 1000, 1000, "any n >= 2 works for C"),
     ("Z", 2000, 40, "Z needs n ~ m^beta with beta < 1/2"),
 ):
-    table = build_table(n, (1, 2))
+    table = build_table(n)
     cfg = montecarlo.SampleConfig(m=m, n=n, replicates=1000, master_seed=7)
     mean, sd = montecarlo.exact_moments(cfg, statistic, table)
     emp = montecarlo.run_replicates(cfg, statistic, "exact-moments", table)
@@ -32,7 +32,7 @@ for statistic, m, n, note in (
     print()
 
 print("the variance formula behind the normalization, at (n=100, m=20):")
-table = build_table(100, (1, 2))
+table = build_table(100)
 v = exact.var_C(table, 100, 20, 2)
 mu = exact.mean_mu(table, 100, 1).as_fraction()
 c1 = exact.var_c(table, 100, 1).as_fraction()

@@ -9,7 +9,7 @@ one realization, not an average over replicates.
 from gcdstats import build_table, montecarlo
 
 n, r = 100, 2
-table = build_table(n, (1, 2))
+table = build_table(n)
 grid = (10, 30, 100, 300, 1000, 3000, 10_000)
 
 for seed in (1, 2, 3):

@@ -1,9 +1,10 @@
 """Sieved arithmetic functions: Mobius mu, Euler/Jordan totients, divisor
 counts, Pillai sums, plus gcd/lcm helpers and divisor enumeration.
 
-Everything is exact integer arithmetic.  An `ArithTable` is built once up to
-a bound `n_max` and is immutable afterwards; all downstream formulas read
-from it.
+Everything is exact integer arithmetic.  An `ArithTable` up to a bound
+`n_max` holds the primes from the start and sieves each other function on
+its first read, so a job pays only for the functions it reads; a value once
+sieved never changes.  All downstream formulas read from it.
 
 Every multiplicative function comes from one `prime_power_sieve` over its
 prime-power values; those of mu, tau and phi_s are written once, here.  One
@@ -24,6 +25,7 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd as _gcd, isqrt
 
 import numpy as np
@@ -145,19 +147,31 @@ def totient_fits_int64(n: int, s: int) -> bool:
 
 @dataclass
 class ArithTable:
-    """Sieved values of mu, phi_s, tau and smallest prime factors on 1..n_max.
+    """Sieved values of mu, phi_s, tau and smallest prime factors on 0..n_max.
 
-    Immutable once built, except that totient orders not requested at build
-    time are filled in lazily on first access (single-threaded use only for
-    that first access).
+    Only `primes` is sieved when the table is built.  mu, tau and the
+    smallest prime factors are sieved on their first read and cached
+    (`cached_property`); each totient order is sieved on its first
+    `totient(s)` call and cached in `totient_s`.  A value once read never
+    changes.  First reads are single-threaded only; a process pool reads
+    what its workers need before it forks (`montecarlo._raw_replicates`).
     """
 
     n_max: int
-    mobius: np.ndarray
+    primes: np.ndarray
     totient_s: dict = field(default_factory=dict)
-    tau: np.ndarray = None
-    smallest_prime_factor: np.ndarray = None
-    primes: np.ndarray = None
+
+    @cached_property
+    def mobius(self) -> np.ndarray:
+        return prime_power_sieve(self.n_max, self.primes, mobius_local, np.int8)
+
+    @cached_property
+    def tau(self) -> np.ndarray:
+        return prime_power_sieve(self.n_max, self.primes, tau_local, np.int32)
+
+    @cached_property
+    def smallest_prime_factor(self) -> np.ndarray:
+        return _spf_sieve(self.n_max)
 
     def check_index(self, k: int) -> None:
         if not 1 <= k <= self.n_max:
@@ -205,30 +219,17 @@ class ArithTable:
         return out
 
 
-def build_table(n_max: int, orders=(1,)) -> ArithTable:
-    """Sieve all supported arithmetic functions up to n_max.
+def build_table(n_max: int) -> ArithTable:
+    """A table up to n_max; only the primes are sieved here, the rest on read.
 
-    `orders` lists the Jordan totient orders to precompute; more can be
-    added lazily later.  Raises CapacityError when n_max exceeds
-    DEFAULT_MAX_N.
+    Raises CapacityError when n_max exceeds DEFAULT_MAX_N.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > DEFAULT_MAX_N:
         raise CapacityError(
             f"a table up to n_max={n_max} exceeds the table cap of {DEFAULT_MAX_N}")
-    primes = primes_up_to(n_max)
-    table = ArithTable(
-        n_max=n_max,
-        mobius=prime_power_sieve(n_max, primes, mobius_local, np.int8),
-        totient_s={},
-        tau=prime_power_sieve(n_max, primes, tau_local, np.int32),
-        smallest_prime_factor=_spf_sieve(n_max),
-        primes=primes,
-    )
-    for s in sorted(set(orders)):
-        table.totient(s)
-    return table
+    return ArithTable(n_max=n_max, primes=primes_up_to(n_max))
 
 
 def divisors(table: ArithTable, k: int) -> list[int]:
@@ -271,8 +272,10 @@ def pillai(table: ArithTable, s: int, k: int) -> int:
 def save_table(table: ArithTable, path) -> None:
     """Dump a table with a versioned header (magic, n_max, orders).
 
-    Only int64-safe totient orders are serializable; deterministic bytes
-    for identical inputs, so cache files can be checksummed.
+    mu, tau and spf are sieved if not yet read; the orders written are the
+    totient orders sieved so far.  Only int64-safe totient orders are
+    serializable; deterministic bytes for identical inputs, so cache files
+    can be checksummed.
     """
     orders = sorted(table.totient_s)
     for s in orders:
@@ -289,24 +292,17 @@ def save_table(table: ArithTable, path) -> None:
 
 
 def load_table(path) -> ArithTable:
+    """The table a `save_table` file holds, every stored array already filled in."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"not a table cache file (magic {magic!r})")
         n_max, n_orders = struct.unpack("<QQ", fh.read(16))
         orders = list(struct.unpack(f"<{n_orders}Q", fh.read(8 * n_orders))) if n_orders else []
-        mobius = np.lib.format.read_array(fh, allow_pickle=False)
-        tau = np.lib.format.read_array(fh, allow_pickle=False)
-        spf = np.lib.format.read_array(fh, allow_pickle=False)
-        primes = np.lib.format.read_array(fh, allow_pickle=False)
-        totient_s = {}
-        for s in orders:
-            totient_s[s] = np.lib.format.read_array(fh, allow_pickle=False)
-    return ArithTable(
-        n_max=int(n_max),
-        mobius=mobius,
-        totient_s=totient_s,
-        tau=tau,
-        smallest_prime_factor=spf,
-        primes=primes,
-    )
+        mobius, tau, spf, primes = (np.lib.format.read_array(fh, allow_pickle=False)
+                                    for _ in range(4))
+        totient_s = {s: np.lib.format.read_array(fh, allow_pickle=False) for s in orders}
+    table = ArithTable(n_max=int(n_max), primes=primes, totient_s=totient_s)
+    # cached_property stores its value as a plain attribute, so these fill the cache
+    table.mobius, table.tau, table.smallest_prime_factor = mobius, tau, spf
+    return table

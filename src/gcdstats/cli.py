@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -60,8 +61,37 @@ def parse_n_rule(text: str, m: int) -> int:
     raise ValueError(f"bad n rule {text!r}: use an integer, 'm^2.5' or 'exp(m^0.3)'")
 
 
+class _Runs(list):
+    """A JSON list given as (item, count) runs of equal consecutive items."""
+
+
+def _json_text(payload: dict) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True) + "\n", byte for byte.
+
+    A top-level `_Runs` value is rendered one item per run and the text
+    repeated, so a long list of few distinct items costs few encodings.
+    The payload and its `_Runs` are non-empty.
+    """
+    def dump(value, depth):
+        # the text of a value nested `depth` levels (2 spaces each) deep
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+    fields = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, _Runs):
+            items = ",\n    ".join(itertools.chain.from_iterable(
+                itertools.repeat(dump(item, 2), count) for item, count in value))
+            text = f"[\n    {items}\n  ]"
+        else:
+            text = dump(value, 1)
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write payload as indented, key-sorted JSON to the file `out`, or stdout."""
+    text = _json_text(payload)
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -89,7 +119,9 @@ def cmd_tables(args) -> int:
         except ValueError:
             hit = False
     if not hit:
-        table = build_table(args.n, orders)
+        table = build_table(args.n)
+        for s in orders:
+            table.totient(s)
         save_table(table, path)
     digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
     summary = {
@@ -102,7 +134,7 @@ def cmd_tables(args) -> int:
             "tau_max": int(table.tau[1:].max()),
         },
     }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _emit(summary, None)
     print(f"elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return 0
 
@@ -122,16 +154,19 @@ def cmd_exact(args) -> int:
         raise ValueError(f"--r must be >= 0 for quantity {quantity}, got {r}")
     if quantity == "tail" and not 0 <= args.t <= n:
         raise ValueError(f"--t must lie in 0..{n} for quantity tail, got {args.t}")
-    orders = (1, q) if q != 1 else (1,)
-    table = build_table(n, orders)
+    table = build_table(n)
     t0 = time.perf_counter()
     if quantity == "pmf":
-        res = exact.gcd_pmf(table, n, r)
+        # gcd_pmf repeats one ExactResult over each block of equal floor(n/k)
+        runs = []
+        for _, group in itertools.groupby(exact.gcd_pmf(table, n, r), key=id):
+            block = list(group)
+            runs.append((block[0], len(block)))
         payload = {
             "manifest": _manifest("exact", {"quantity": quantity, "n": n, "r": r}),
             "quantity": quantity, "n": n, "r": r,
-            "values": [v.float_value for v in res],
-            "numerators": [str(v.numerator) for v in res],
+            "values": _Runs((v.float_value, k) for v, k in runs),
+            "numerators": _Runs((str(v.numerator), k) for v, k in runs),
             "denom_power": r,
             "exact": True,
         }
@@ -199,7 +234,7 @@ def cmd_simulate(args) -> int:
     )
     table = None  # M and N read only the sampled values
     if statistic in ("C", "Z"):
-        table = build_table(n, (1, args.q) if args.q != 1 else (1,))
+        table = build_table(n)
         normalization = "exact-moments"
         law = stattest.ReferenceLaw.normal()
     elif statistic == "M":
@@ -237,28 +272,29 @@ def cmd_simulate(args) -> int:
     if args.out:
         with open(args.out + ".csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(csv_text)
-        with open(args.out + ".json", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _emit(summary, args.out + ".json")
         print(args.out + ".csv")
         print(args.out + ".json")
     elif args.format == "csv":
         sys.stdout.write(csv_text)
     else:
-        sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _emit(summary, None)
     print(f"elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return 0
 
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
+    if args.suite not in ("all", *verify.SUITES):
+        raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(verify.SUITES)}")
+    if args.workers is not None and args.suite not in ("all", *verify.WORKER_SUITES):
+        raise ValueError(f"--workers applies only to the suites {', '.join(verify.WORKER_SUITES)} "
+                         f"and all; suite {args.suite!r} does not take it")
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    takes_workers = {"variance", "clt", "frechet", "poisson"}
     failures = 0
     for name in names:
-        if name not in verify.SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {sorted(verify.SUITES)}")
         fn = verify.SUITES[name]
-        results = fn(workers=args.workers) if name in takes_workers else fn()
+        results = fn(workers=args.workers or 1) if name in verify.WORKER_SUITES else fn()
         for res in results:
             print(res.line())
             failures += 0 if res.passed else 1
@@ -329,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run acceptance suites")
     p.add_argument("--suite", default="all",
                    help="one of %s or 'all'" % ", ".join(sorted(verify.SUITES)))
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=None,
+                   help="worker processes for %s (default 1)" % ", ".join(verify.WORKER_SUITES))
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -174,13 +174,18 @@ def cesaro_expectation(table: ArithTable, g, n: int, r: int) -> ExactResult:
 
 
 def gcd_pmf(table: ArithTable, n: int, r: int) -> list[ExactResult]:
-    """P(gcd(X_1..X_r) = k) for k = 1..n; entries sum to exactly 1."""
+    """P(gcd(X_1..X_r) = k) for k = 1..n; entries sum to exactly 1.
+
+    The entries of a block of equal floor(n/k) are one shared ExactResult
+    (frozen, so sharing is safe): O(sqrt n) objects for n entries.
+    """
     table.check_index(n)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    blocks = _exact_gcd_counts(table, n, r, n)
-    return [ExactResult.from_ratio(c, n, r)
-            for lo, hi, c in blocks for _ in range(lo, hi + 1)]
+    pmf = []
+    for lo, hi, c in _exact_gcd_counts(table, n, r, n):
+        pmf += [ExactResult.from_ratio(c, n, r)] * (hi - lo + 1)
+    return pmf
 
 
 def gcd_moment(table: ArithTable, n: int, r: int, q: int) -> ExactResult:

@@ -681,6 +681,12 @@ def _sparse_route(xs: np.ndarray, r: int, q: int | None, table: ArithTable) -> n
     return np.add.reduceat(terms, row_starts)
 
 
+def _kernel_fields(table: ArithTable, q: int | None) -> tuple:
+    """The table arrays `_subset_weighted_block` reads for C (q None) or Z."""
+    weights = table.mobius if q is None else table.totient(q)
+    return table.tau, table.smallest_prime_factor, weights
+
+
 def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, table: ArithTable,
                            n: int) -> list:
     """Exact C (q None) or Z with exponent q of every row of xs, values in 1..n.
@@ -776,6 +782,9 @@ def _raw_replicates(config, statistic, table, threshold, workers) -> list:
     total = config.replicates
     if workers <= 1:
         return _raws_in_range(config, statistic, table, threshold, 0, total)
+    if statistic in ("C", "Z"):
+        # sieve what the block kernel reads once, here, not in every worker
+        _kernel_fields(table, None if statistic == "C" else config.q)
     _SIM_CTX.update(config=config, statistic=statistic, table=table,
                     threshold=threshold)
     chunk = max(1, math.ceil(total / (workers * 4)))

@@ -70,7 +70,18 @@ class CheckResult:
 
 @lru_cache(maxsize=32)
 def _shared_table(n: int):
-    return build_table(n, (1, 2))
+    return build_table(n)
+
+
+def _at(cfg, names=("m", "n")) -> str:
+    """A check label's '(m=64, n=32768, R=2000)': the config's figures named
+    in `names`, then R; a power of ten past 1e4 reads '1eK'."""
+    def figure(x):
+        k = len(str(x)) - 1
+        return f"1e{k}" if k > 4 and x == 10**k else str(x)
+
+    pairs = [(name, getattr(cfg, name)) for name in names] + [("R", cfg.replicates)]
+    return "(" + ", ".join(f"{name}={figure(x)}" for name, x in pairs) + ")"
 
 
 def _run_experiment(name: str, workers: int):
@@ -271,6 +282,7 @@ def suite_variance(workers: int = 1) -> list[CheckResult]:
     for statistic in ("C", "Z"):
         name = f"variance {statistic}"
         cfg = EXPERIMENTS[name][0]
+        at = _at(cfg, ("n", "m"))
         rows = _run_experiment(name, workers).rows
         vals = np.array([float(raw) for _, raw, _ in rows])
         mean_exact, sd_exact = montecarlo.exact_moments(cfg, statistic,
@@ -279,7 +291,7 @@ def suite_variance(workers: int = 1) -> list[CheckResult]:
         se_mean = sd_exact / math.sqrt(cfg.replicates)
         mean_gap = abs(vals.mean() - mean_exact)
         out.append(CheckResult(
-            f"variance: mean of {statistic} within 4 SE at (n=100, m=20, R=1e5)",
+            f"variance: mean of {statistic} within 4 SE at {at}",
             mean_gap < 4 * se_mean,
             f"sample={vals.mean():.4f}, exact={mean_exact:.4f}, "
             f"gap={mean_gap:.4f} ({mean_gap / se_mean:.2f} SE)",
@@ -290,7 +302,7 @@ def suite_variance(workers: int = 1) -> list[CheckResult]:
         se_var = math.sqrt(max(m4 - svar**2, 1e-12) / cfg.replicates)
         var_gap = abs(svar - var_exact)
         out.append(CheckResult(
-            f"variance: variance of {statistic} within 4 SE at (n=100, m=20, R=1e5)",
+            f"variance: variance of {statistic} within 4 SE at {at}",
             var_gap < 4 * se_var,
             f"sample={svar:.4f}, exact={var_exact:.4f}, "
             f"gap={var_gap:.4f} ({var_gap / se_var:.2f} SE)",
@@ -307,8 +319,7 @@ def suite_clt(workers: int = 1) -> list[CheckResult]:
         cfg, statistic, _ = EXPERIMENTS[name]
         ks = stattest.ks_distance(_run_experiment(name, workers), normal)
         out.append(CheckResult(
-            f"clt: normalized {statistic} at (m={cfg.m}, n={cfg.n}, "
-            f"R={cfg.replicates}), KS vs normal < 0.06",
+            f"clt: normalized {statistic} at {_at(cfg)}, KS vs normal < 0.06",
             ks < 0.06, f"KS={ks:.4f}",
         ))
     return out
@@ -317,12 +328,12 @@ def suite_clt(workers: int = 1) -> list[CheckResult]:
 # --- criterion 7: Frechet limit ------------------------------------------------
 
 def suite_frechet(workers: int = 1) -> list[CheckResult]:
+    cfg = EXPERIMENTS["frechet"][0]
     emp = _run_experiment("frechet", workers)
     law = stattest.ReferenceLaw.frechet(scale=1 / constants.zeta(2))
     ks = stattest.ks_distance(emp, law)
     return [CheckResult(
-        "frechet: scaled max gcd at (m=64, n=32768, R=2000), "
-        "KS vs exp(-1/(t zeta(2))) < 0.07",
+        f"frechet: scaled max gcd at {_at(cfg)}, KS vs exp(-1/(t zeta(2))) < 0.07",
         ks < 0.07, f"KS={ks:.4f}",
     )]
 
@@ -331,11 +342,12 @@ def suite_frechet(workers: int = 1) -> list[CheckResult]:
 
 def suite_poisson(workers: int = 1) -> list[CheckResult]:
     out = []
+    cfg = EXPERIMENTS["poisson"][0]
     emp = _run_experiment("poisson", workers)
     lam = 1 / constants.zeta(2)
     tv = stattest.tv_distance(emp, stattest.ReferenceLaw.poisson(lam))
     out.append(CheckResult(
-        "poisson: N(1) at (m=100, n=1e6, R=2000), TV vs Poisson(1/zeta(2)) < 0.05",
+        f"poisson: N(1) at {_at(cfg)}, TV vs Poisson(1/zeta(2)) < 0.05",
         tv < 0.05, f"TV={tv:.4f}",
     ))
     mean = sum(k * c for k, c in emp.counts.items()) / emp.size
@@ -436,6 +448,9 @@ def suite_determinism() -> list[CheckResult]:
     ))
     return out
 
+
+# the suites that run EXPERIMENTS entries, whose worker count is an argument
+WORKER_SUITES = ("variance", "clt", "frechet", "poisson")
 
 SUITES = {
     "oracle": suite_oracle,

@@ -6,6 +6,7 @@ gcdstats.verify.SEEDS.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,8 +81,8 @@ def test_criterion_11_worker_determinism():
     _assert_all(verify.suite_determinism())
 
 
-def test_determinism_reruns_the_statistical_suites_experiments(monkeypatch):
-    calls = []
+def _recording_run_replicates(calls):
+    """A stand-in for run_replicates that records (config, statistic, normalization, workers)."""
 
     def fake_run_replicates(config, statistic, normalization="none", table=None,
                             t=1.0, workers=1):
@@ -93,7 +94,12 @@ def test_determinism_reruns_the_statistical_suites_experiments(monkeypatch):
         return montecarlo.EmpiricalDistribution("continuous", 2,
                                                 values=np.array([0.0, 1.0]), rows=rows)
 
-    monkeypatch.setattr(montecarlo, "run_replicates", fake_run_replicates)
+    return fake_run_replicates
+
+
+def test_determinism_reruns_the_statistical_suites_experiments(monkeypatch):
+    calls = []
+    monkeypatch.setattr(montecarlo, "run_replicates", _recording_run_replicates(calls))
     own = {verify.suite_variance: ("variance C", "variance Z"),
            verify.suite_clt: ("clt C", "clt Z"),
            verify.suite_frechet: ("frechet",),
@@ -108,3 +114,17 @@ def test_determinism_reruns_the_statistical_suites_experiments(monkeypatch):
     calls.clear()
     verify.suite_determinism()
     assert Counter(calls) == Counter(run[:3] + (w,) for run in statistical for w in (1, 4, 16))
+
+
+def test_statistical_check_labels_follow_the_experiment_configs(monkeypatch):
+    monkeypatch.setattr(montecarlo, "run_replicates", _recording_run_replicates([]))
+    monkeypatch.setattr(verify, "EXPERIMENTS", {
+        name: (replace(cfg, m=7, n=12_345, replicates=10**6), statistic, normalization)
+        for name, (cfg, statistic, normalization) in verify.EXPERIMENTS.items()})
+    names = [res.name for suite in (verify.suite_variance, verify.suite_clt,
+                                    verify.suite_frechet, verify.suite_poisson)
+             for res in suite()]
+    labelled = [name for name in names if "(m=7, n=12345, R=1e6)" in name
+                or "(n=12345, m=7, R=1e6)" in name]
+    # every check but the poisson mean's, which names no configuration
+    assert len(labelled) == len(names) - 1 == 8

@@ -108,7 +108,7 @@ def test_multiplicativity_spot_checks(table_1000):
 
 
 def test_dirichlet_convolution_identities_to_1e4():
-    table = build_table(10_000, (1, 2))
+    table = build_table(10_000)
     phi, mu = table.totient(1), table.mobius
     for s in (1, 2):
         phi_s = table.totient(s)
@@ -124,7 +124,7 @@ def test_dirichlet_convolution_identities_to_1e4():
 
 
 def test_pillai_bound_chain_to_1e4():
-    table = build_table(10_000, (1,))
+    table = build_table(10_000)
     for k in range(1, 10_001):
         p1 = pillai(table, 1, k)
         p2 = pillai(table, 2, k)
@@ -165,7 +165,7 @@ def test_factorize_inside_and_beyond_the_table():
     ks += [1009 * 1013, 2**40, 3**20 * 7, 2**31 - 1, 99_991**2]
     expected = [naive_factorize(k) for k in ks]
     for n_max in (1, 2, 3, 10, 97, 1000):
-        table = build_table(n_max, (1,))
+        table = build_table(n_max)
         assert [table.factorize(k) for k in ks] == expected
     with pytest.raises(ValueError):
         table.factorize(0)
@@ -203,7 +203,7 @@ def test_build_table_validation():
 
 
 def test_high_order_totient_falls_back_to_big_ints():
-    table = build_table(50, (12,))
+    table = build_table(50)
     vals = table.totient(12)
     assert isinstance(vals, list)  # 50^12 exceeds int64
     assert vals[2] == 2**12 - 1
@@ -217,20 +217,21 @@ def test_lazy_totient_order(table_100):
 
 def test_prime_power_sieve_is_the_plain_sieves():
     for n in list(range(1, 130)) + [255, 256, 257, 1000, 4096, 9973, 10_000]:
-        table = build_table(n, (1, 2))
+        table = build_table(n)
         for got, want in ((table.mobius, plain_mobius_sieve(n)),
                           (table.tau, plain_tau_sieve(n)),
                           (table.totient(1), plain_jordan_sieve(n, 1)),
                           (table.totient(2), plain_jordan_sieve(n, 2))):
             assert got.dtype == want.dtype and np.array_equal(got, want), n
     # 50^12 exceeds int64: the order stays a list of Python ints
-    got = build_table(50, (12,)).totient(12)
+    got = build_table(50).totient(12)
     want = plain_jordan_sieve(50, 12, dtype=object).tolist()
     assert isinstance(got, list) and all(type(v) is int for v in got) and got == want
 
 
 def test_table_save_load_roundtrip(tmp_path):
-    table = build_table(500, (1, 2))
+    table = build_table(500)
+    table.totient(1), table.totient(2)  # the orders the file holds
     path = tmp_path / "t.tbl"
     save_table(table, path)
     save_table(table, tmp_path / "t2.tbl")
@@ -250,3 +251,28 @@ def test_table_save_load_roundtrip(tmp_path):
     bad.write_bytes(b"NOTATBL!xxxx")
     with pytest.raises(ValueError):
         load_table(bad)
+
+
+def test_table_sieves_each_function_on_first_read_only(sieve_calls):
+    table = build_table(1000)
+    assert sieve_calls == []  # only the primes
+    mu = table.mobius
+    assert table.mobius is mu and sieve_calls == ["mu"]
+    table.tau, table.tau, table.smallest_prime_factor, table.smallest_prime_factor
+    table.totient(2), table.totient(2)
+    assert sieve_calls == ["mu", "tau", "spf", "phi_2"]
+    assert table.factorize(360) == [(2, 3), (3, 2), (5, 1)]
+    assert sieve_calls == ["mu", "tau", "spf", "phi_2"]
+
+
+def test_load_table_fills_every_stored_field(tmp_path, sieve_calls):
+    table = build_table(300)
+    table.totient(1), table.totient(3)
+    save_table(table, tmp_path / "t.tbl")
+    sieve_calls.clear()
+    loaded = load_table(tmp_path / "t.tbl")
+    for name in ("mobius", "tau", "smallest_prime_factor", "primes"):
+        assert np.array_equal(getattr(loaded, name), getattr(table, name))
+    assert sorted(loaded.totient_s) == [1, 3]
+    assert np.array_equal(loaded.totient(3), table.totient(3))
+    assert sieve_calls == []

@@ -118,6 +118,103 @@ def test_exact_unknown_quantity_is_usage_error():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 1000, 12345])
+def test_pmf_bytes_are_the_plain_json_dump(n, r, tmp_path, capsys):
+    from gcdstats import cli, exact
+    from gcdstats.arith import build_table
+
+    res = exact.gcd_pmf(build_table(n), n, r)
+    payload = {
+        "manifest": cli._manifest("exact", {"quantity": "pmf", "n": n, "r": r}),
+        "quantity": "pmf", "n": n, "r": r,
+        "values": [v.float_value for v in res],
+        "numerators": [str(v.numerator) for v in res],
+        "denom_power": r,
+        "exact": True,
+    }
+    want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    argv = ["exact", "--quantity", "pmf", "--n", str(n), "--r", str(r)]
+    code, text = run_cli(argv, capsys)
+    assert code == 0 and text == want
+    out = tmp_path / "pmf.json"
+    code, text = run_cli(argv + ["--out", str(out)], capsys)
+    assert code == 0 and text == f"{out}\n"
+    assert out.read_bytes() == want.encode()
+
+
+def test_json_text_is_the_plain_json_dump():
+    from gcdstats.cli import _json_text, _Runs
+
+    runs = [(0.25, 3), ("a\nb", 1), (None, 2), ({"k": [1, {}]}, 1), ([], 2), (1e-300, 1)]
+    payload = {"b": _Runs(runs), "a": {"z": [1.5, "x"], "y": {}}, "c": [],
+               "e": "\u00e9\n", "f": [[1, 2], {"q": None}]}
+    plain = dict(payload, b=[item for item, count in runs for _ in range(count)])
+    assert _json_text(payload) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--statistic", "C", "--m", "6", "--n", "30", "--reps", "5"],
+    ["simulate", "--statistic", "N", "--m", "6", "--n", "30", "--reps", "5", "--out", "run"],
+    ["tables", "--n", "50", "--orders", "1,2", "--out", "t.tbl"],
+    ["constants", "--cutoff", "1000"],
+    ["exact", "--quantity", "omega", "--n", "40", "--s", "1", "--q", "2"],
+])
+def test_every_json_output_is_the_plain_json_dump(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, text = run_cli(argv, capsys)
+    assert code == 0
+    if "run" in argv:
+        text = (tmp_path / "run.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_exact_mu_sieves_mu_only(sieve_calls, capsys):
+    code, _ = run_cli(["exact", "--quantity", "mu", "--n", "1000", "--r", "1"], capsys)
+    assert code == 0
+    assert sieve_calls == ["mu"]
+
+
+def test_verify_trends_sieves_phi_1_only(sieve_calls, monkeypatch, capsys):
+    from gcdstats import verify
+    from gcdstats.arith import build_table
+
+    monkeypatch.setattr(verify, "_shared_table", build_table)  # a fresh, unsieved table
+    code, _ = run_cli(["verify", "--suite", "trends"], capsys)
+    assert code == 0
+    assert sieve_calls == ["phi_1"]
+
+
+def test_verify_workers_reach_only_the_suites_that_take_them(monkeypatch, capsys):
+    from gcdstats import verify
+
+    calls = []
+
+    def suite(name):
+        def run(**kwargs):
+            calls.append((name, kwargs))
+            return [verify.CheckResult(name, True)]
+        return run
+
+    monkeypatch.setattr(verify, "SUITES", {name: suite(name) for name in verify.SUITES})
+    for name in verify.SUITES:
+        if name in verify.WORKER_SUITES:
+            continue
+        text = _usage_error(["verify", "--suite", name, "--workers", "4"], capsys)
+        assert "--workers" in text and name in text
+    assert calls == []
+    assert run_cli(["verify", "--suite", "all", "--workers", "4"], capsys)[0] == 0
+    assert calls == [(name, {"workers": 4} if name in verify.WORKER_SUITES else {})
+                     for name in verify.SUITES]
+    calls.clear()
+    assert run_cli(["verify", "--suite", "all"], capsys)[0] == 0
+    assert calls == [(name, {"workers": 1} if name in verify.WORKER_SUITES else {})
+                     for name in verify.SUITES]
+    calls.clear()
+    assert run_cli(["verify", "--suite", "clt", "--workers", "3"], capsys)[0] == 0
+    assert calls == [("clt", {"workers": 3})]
+
+
 def test_constants_table(capsys):
     code, text = run_cli(["constants", "--cutoff", "20000"], capsys)
     assert code == 0
@@ -316,7 +413,7 @@ def test_constants_cutoff_above_sieve_cap_is_refused_before_sieving(monkeypatch,
     assert str(10**11) in text and str(DEFAULT_MAX_N) in text
 
 
-# --- in-process sweep of the numeric flags ------------------------------------
+# --- in-process sweep of the numeric and string flags -------------------------
 
 _SWEEP_VALUES = ("0", "-1", "1", "nan", "inf", "x")
 
@@ -340,13 +437,38 @@ def _sweep_cases():
     bases += [(["tables", "--n", "10", "--orders", "1"], ("--n", "--orders")),
               (["constants", "--cutoff", "100"], ("--cutoff",)),
               (["verify", "--suite", "stronglaw"], ("--workers",))]
-    return [_with_flag(argv, flag, value)
-            for argv, flags in bases for flag in flags for value in _SWEEP_VALUES]
+    cases = [_with_flag(argv, flag, value)
+             for argv, flags in bases for flag in flags for value in _SWEEP_VALUES]
+    return cases + [_with_flag(argv, flag, value)
+                    for argv, flag, values in _STRING_SWEEP for value in values]
+
+
+# a path under a directory that does not exist, filled in per test
+_MISSING_DIR_OUT = "<missing-dir>/out"
+
+_SIM = ["simulate", "--statistic", "C", "--m", "5", "--n", "10", "--reps", "2"]
+_STRING_SWEEP = [
+    *((_with_flag(_SIM, "--statistic", s), "--n",
+       ("m^2.5", "exp(m^0.3)", "m^", "m^x", "exp(m^)", "m**2", "1e3", "", "-5",
+        "m^40", "exp(m^9)")) for s in ("C", "Z", "M", "N")),
+    (_SIM, "--statistic", ("C", "Z", "M", "N", "X", "c", "")),
+    (_SIM, "--format", ("csv", "json", "xml", "")),
+    (["exact", "--n", "10", "--m", "6", "--s", "1", "--t", "3"], "--quantity",
+     (*_EXACT_QUANTITIES, "bogus", "")),
+    (["verify"], "--suite", ("stronglaw", "constants", "frechet", "poisson", "nope", "",
+                             "ALL")),
+    (["verify", "--suite", "frechet"], "--workers", ("1", "0", "x")),
+    *((argv, "--out", (_MISSING_DIR_OUT,)) for argv in (
+        _SIM, _with_flag(_SIM, "--statistic", "M"),
+        ["exact", "--quantity", "pmf", "--n", "10"], ["constants", "--cutoff", "100"],
+        ["tables", "--n", "10"])),
+]
 
 
 @pytest.mark.parametrize("argv", _sweep_cases(), ids=" ".join)
 def test_every_numeric_flag_runs_or_is_a_usage_error(argv, tmp_path, capsys):
-    if argv[0] == "tables":
+    argv = [str(tmp_path / "missing" / "out") if a == _MISSING_DIR_OUT else a for a in argv]
+    if argv[0] == "tables" and "--out" not in argv:
         argv = argv + ["--out", str(tmp_path / "t.tbl")]
     try:
         code = main(argv)

@@ -57,7 +57,7 @@ def test_divisor_accumulate_is_the_plain_loop(n):
 def test_big_integer_profiles_at_r7():
     # 1000^7 exceeds int64, so the kernel runs on Python ints
     n, r = 1000, 7
-    table = build_table(n, (1,))
+    table = build_table(n)
     for kind, g in (("probability", table.mobius), ("expectation", table.totient(1))):
         prof = exact.marginal_profile(table, n, r, kind)
         assert prof.numerators.dtype == object
@@ -377,3 +377,11 @@ def test_gcd_tail_paper_bound():
     tail = exact.gcd_tail(table, n, k).float_value
     approx = sum(1.0 / j**2 for j in range(k + 1, n + 1)) / constants.zeta(2)
     assert abs(tail - approx) <= 4 * (1 + math.log(n)) ** 2 / n
+
+
+def test_gcd_pmf_shares_one_result_per_floor_block():
+    n = 10_000
+    pmf = exact.gcd_pmf(build_table(n), n, 2)
+    assert len(pmf) == n
+    assert len({id(v) for v in pmf}) == len({n // k for k in range(1, n + 1)})
+    assert all(pmf[k - 1] is pmf[k] for k in range(1, n) if n // k == n // (k + 1))

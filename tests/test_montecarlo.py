@@ -22,7 +22,7 @@ from gcdstats.montecarlo import (
 
 @pytest.fixture(scope="module")
 def table_50():
-    return build_table(50, (1, 2))
+    return build_table(50)
 
 
 def test_config_validation():
@@ -158,7 +158,7 @@ def test_block_statistics_match_naive_loops(monkeypatch):
         n = rng.choice([1, 2, 7, 30, 100, 400, 5000])
         reps = rng.randint(1, 12)
         cfg = SampleConfig(m=m, n=n, r=r, q=q, replicates=reps, master_seed=900 + trial)
-        table = build_table(n, (1,))
+        table = build_table(n)
         c_rows = run_replicates(cfg, "C", table=table).rows
         z_rows = run_replicates(cfg, "Z", table=table).rows
         for i in range(reps):
@@ -178,7 +178,7 @@ def test_python_int_fallback_matches_naive_loops(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_binom", spy)
     taken = _route_spy(monkeypatch)
-    table = build_table(1000, (1,))
+    table = build_table(1000)
     # m^r times the sum of the phi_q weights passes 2^62: through m^r at
     # r = 7, through the weights (Python ints in the table) at q = 14.
     # n = 1000 runs sparse, n <= 30 dense.
@@ -196,7 +196,7 @@ def test_python_int_fallback_matches_naive_loops(monkeypatch):
 def test_values_beyond_the_table_match_naive_loops():
     rng = random.Random(55)
     for table_n in (1, 2, 10, 97):
-        table = build_table(table_n, (1,))
+        table = build_table(table_n)
         for trial in range(6):
             n = rng.choice([200, 10**4, 10**6, 10**9])
             r = rng.choice([2, 3])
@@ -212,7 +212,7 @@ def test_values_beyond_the_table_match_naive_loops():
 
 def test_sparse_path_beyond_table_range():
     # elements exceed the table bound: trial-division divisor fallback
-    table = build_table(10, (1,))
+    table = build_table(10)
     x = [1009 * 2, 1009 * 3, 14]  # 1009 is prime, far above n_max=10
     assert stat_M(x) == 1009
     assert stat_C(x, 2, table) == brute.naive_stat_C(x, 2)
@@ -240,7 +240,7 @@ def test_run_replicates_matches_exact_moments(table_50):
     # reduced version of the simulation-vs-formula consistency check
     n, m, reps = 30, 12, 2000
     cfg = SampleConfig(m=m, n=n, replicates=reps, master_seed=424242)
-    table = build_table(n, (1, 2))
+    table = build_table(n)
     for statistic in ("C", "Z"):
         emp = run_replicates(cfg, statistic, "none", table)
         mean, sd = montecarlo.exact_moments(cfg, statistic, table)
@@ -251,14 +251,14 @@ def test_raw_variance_approaches_exact(table_50):
     # empirical variance of raw C at (n=2, m=3) approaches 15/16
     n, m, reps = 2, 3, 20_000
     cfg = SampleConfig(m=m, n=n, replicates=reps, master_seed=909)
-    table = build_table(n, (1, 2))
+    table = build_table(n)
     emp = run_replicates(cfg, "C", "none", table)
     assert abs(float(np.var(emp.values)) - 15 / 16) < 0.03
 
 
 def test_normalized_replicates(table_50):
     cfg = SampleConfig(m=6, n=20, replicates=32, master_seed=7)
-    table = build_table(20, (1, 2))
+    table = build_table(20)
     emp = run_replicates(cfg, "C", "exact-moments", table)
     raw = run_replicates(cfg, "C", "none", table)
     mean, sd = montecarlo.exact_moments(cfg, "C", table)
@@ -278,12 +278,12 @@ def test_poisson_replicates_integer_counts(table_50):
 
 def test_strong_law_trajectory(table_50):
     grid = (2, 10, 100)
-    ratios = strong_law_trajectory(30, 2, grid, seed=5, table=build_table(30, (1, 2)))
+    ratios = strong_law_trajectory(30, 2, grid, seed=5, table=build_table(30))
     assert len(ratios) == 3
-    again = strong_law_trajectory(30, 2, grid, seed=5, table=build_table(30, (1, 2)))
+    again = strong_law_trajectory(30, 2, grid, seed=5, table=build_table(30))
     assert np.array_equal(ratios, again)
     # m = r: the scaled single indicator takes one of two values
-    table = build_table(30, (1, 2))
+    table = build_table(30)
     first = strong_law_trajectory(30, 2, (2,), seed=9, table=table)[0]
     mu = exact.mean_mu(table, 30, 1).float_value
     assert min(abs(first - 0), abs(first - 1 / mu)) < 1e-12
@@ -291,7 +291,7 @@ def test_strong_law_trajectory(table_50):
 
 def test_strong_law_matches_direct_statistic():
     n, r, top = 30, 2, 200
-    table = build_table(n, (1, 2))
+    table = build_table(n)
     ratios = strong_law_trajectory(n, r, (top,), seed=77, table=table)
     cfg = SampleConfig(m=top, n=n, replicates=1, master_seed=77)
     x = draw_sample(cfg, 0)
@@ -306,7 +306,7 @@ def test_seed_outside_uint64_is_rejected():
             SampleConfig(m=5, n=10, master_seed=seed)
         with pytest.raises(ValueError):
             strong_law_trajectory(10, 2, (2, 5), seed=seed,
-                                  table=build_table(10, (1,)))
+                                  table=build_table(10))
     SampleConfig(m=5, n=10, master_seed=2**64 - 1)
 
 
@@ -314,7 +314,7 @@ def test_strong_law_needs_r_at_least_2():
     # checked before the grid, so the message is about r, not the grid
     for r in (1, 0):
         with pytest.raises(ValueError, match=f"r must be >= 2, got {r}"):
-            strong_law_trajectory(10, r, (1, 5), seed=1, table=build_table(10, (1,)))
+            strong_law_trajectory(10, r, (1, 5), seed=1, table=build_table(10))
 
 
 def test_seeds_above_2_63_keep_distinct_streams():
@@ -558,12 +558,15 @@ def test_cli_simulate_draws_each_replicate_once(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_pool_has_no_more_processes_than_ranges_or_cpus(monkeypatch):
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replaces the process pool by one that runs the ranges in-process.
+
+    Returns the list of pool sizes requested, one per pool.
+    """
     sizes = []
 
     class InlinePool:
-        """Records the requested pool size and runs the ranges in-process."""
-
         def __init__(self, max_workers, mp_context):
             sizes.append(max_workers)
 
@@ -577,6 +580,11 @@ def test_pool_has_no_more_processes_than_ranges_or_cpus(monkeypatch):
             return [fn(item) for item in items]
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def test_pool_has_no_more_processes_than_ranges_or_cpus(monkeypatch, inline_pool):
+    sizes = inline_pool
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
     cfg = SampleConfig(m=6, n=30, replicates=5, master_seed=8)
     serial = run_replicates(cfg, "C", workers=1).rows
@@ -587,3 +595,26 @@ def test_pool_has_no_more_processes_than_ranges_or_cpus(monkeypatch):
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
     assert run_replicates(cfg, "C", workers=64).rows == serial
     assert sizes[-1] == 5  # one process per replicate range
+
+
+@pytest.mark.parametrize("statistic, q, n", [("C", 1, 30), ("C", 1, 10_000),
+                                             ("Z", 2, 30), ("Z", 2, 10_000)])
+def test_pool_workers_sieve_nothing(statistic, q, n, monkeypatch, inline_pool, sieve_calls):
+    # n = 30 takes the dense route, n = 1e4 at m = 20 the sparse one
+    in_workers = []
+    real_chunk = montecarlo._sim_chunk
+
+    def chunk(bounds):
+        start = len(sieve_calls)
+        out = real_chunk(bounds)
+        in_workers.extend(sieve_calls[start:])
+        return out
+
+    monkeypatch.setattr(montecarlo, "_sim_chunk", chunk)
+    cfg = SampleConfig(m=20, n=n, q=q, replicates=6, master_seed=3)
+    serial = run_replicates(cfg, statistic, workers=1).rows
+    sieve_calls.clear()
+    assert run_replicates(cfg, statistic, workers=2).rows == serial
+    assert len(inline_pool) == 1 and in_workers == []
+    weights = "mu" if statistic == "C" else f"phi_{q}"
+    assert sorted(sieve_calls) == sorted(["tau", "spf", weights])

@@ -21,7 +21,7 @@ GATE_MAX_N = 20
 
 @pytest.fixture(scope="module")
 def tables():
-    return {n: build_table(n, (1, 2)) for n in range(1, GATE_MAX_N + 1)}
+    return {n: build_table(n) for n in range(1, GATE_MAX_N + 1)}
 
 
 def quadratic_shared_exy(table, n, r, s, kind, q=1):
@@ -62,7 +62,7 @@ def test_shared_covariance_gate(tables, r):
 @pytest.mark.parametrize("r", [2, 3])
 def test_quadratic_form_matches_lcm_enumeration(r):
     # the gcd-count grouping is the same sum as the literal O(n^2) form
-    table = build_table(150, (1, 2))
+    table = build_table(150)
     for n in (1, 2, 3, 5, 8, 12, 31, 64, 97, 150):
         for s in range(0, r + 1):
             for kind, q in (("indicator", 1), ("gcd", 1), ("moment", 1), ("moment", 2)):
@@ -131,7 +131,7 @@ def test_shared_exy_is_mean_for_indicator(tables):
 
 def test_big_integer_weight_path():
     # order-12 totients exceed int64 at n=30, forcing the list-backed paths
-    table = build_table(30, (12,))
+    table = build_table(30)
     q = 12
     assert exact.gcd_moment(table, 30, 2, q).as_fraction() == brute.moment(30, 2, q)
     assert exact.mixed_moment_pi(table, 30, 2, q).as_fraction() == \
