@@ -226,6 +226,11 @@ def cmd_constants(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
+    if args.out:
+        # fail before sampling, not after the last replicate
+        folder = os.path.dirname(args.out) or "."
+        if not os.path.isdir(folder):
+            raise ValueError(f"--out directory {folder!r} does not exist")
     statistic = args.statistic
     n = parse_n_rule(args.n, args.m)
     config = montecarlo.SampleConfig(

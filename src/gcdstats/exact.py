@@ -8,19 +8,24 @@ and its marginal variant over divisors of a pinned value k, together with
 the derived means, variances and U-statistic covariances.  All results are
 exact rationals: an integer numerator over a structural power of n.
 
-The floor sums are evaluated blockwise over the O(sqrt n) distinct values
-of floor(n/j) against exact prefix sums, so single quantities cost
-O(sqrt n) after an O(n) prefix pass.  Whole profiles over k = 1..n are
-divisor sums  h(k) = sum_{j|k} w(j), which one kernel
-(`_divisor_accumulate`) evaluates with Dirichlet's hyperbola split in
-O(sqrt n) array operations.  Shared-variable covariances reduce to
-sum_d G_s(d) h(d)^2, with G_s(d) the number of s-tuples whose gcd is
-exactly d.
+One numpy kernel (`_floor_power_sums`) evaluates such a floor sum against
+exact prefix sums for a whole array of upper limits v at once, each by
+Dirichlet's hyperbola split into O(sqrt v) blocks of constant floor(v/j).
+A single quantity is the one-v case and costs O(sqrt n) after an O(n)
+prefix pass.  Whole profiles over k = 1..n are divisor sums
+h(k) = sum_{j|k} w(j), which one kernel (`_divisor_accumulate`) evaluates
+with the same split in O(sqrt n) array operations.  Shared-variable
+covariances reduce to sum_d G_s(d) h(d)^2, with G_s(d) the number of
+s-tuples whose gcd is exactly d.  G_s(d) depends on d only through
+floor(n/d), so the batched kernel gives it for all O(sqrt n) quotient
+blocks (`_quotient_blocks`) in one call, and `_block_sums` gives each
+block's sum of h^2.  Sums are int64 where a bound proves they fit; the
+square sums otherwise cut int64 values into limbs, and values past int64
+are Python ints.  No n-entry array is turned into a Python list.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
@@ -70,48 +75,156 @@ class ExactResult:
 # --- exact floor-power sums ----------------------------------------------
 
 def _exact_prefix(g, n: int):
-    """Exact prefix sums of g[0..n]; int64 when provably safe, else ints."""
+    """(P, peak): exact prefix sums P[0..n] of g and peak = max |g(j)|, j <= n.
+
+    P is int64 when (n+1) peak < 2^62 proves every partial sum fits, else
+    Python ints in an object array (peak None when g is a list of ints).
+    """
     if isinstance(g, np.ndarray):
         head = g[: n + 1]
         peak = int(np.abs(head).max()) if head.size else 0
         if (n + 1) * peak < _INT64_SAFE:
-            return np.cumsum(head, dtype=np.int64)
-        return list(itertools.accumulate(head.tolist()))
-    return list(itertools.accumulate(list(g[: n + 1])))
+            return np.cumsum(head, dtype=np.int64), peak
+        return np.cumsum(head.astype(object)), peak
+    return np.cumsum(np.array(g[: n + 1], dtype=object)), None
 
 
-def _floor_power_sum(prefix, n: int, r: int, k: int = 1) -> int:
-    """sum_{j <= n//k} g(j) * floor(n/(k j))^r, exactly.
+def _isqrt_array(v: np.ndarray) -> np.ndarray:
+    """floor(sqrt(v)) elementwise for int64 v >= 0 below 2^52."""
+    root = np.sqrt(v).astype(np.int64)
+    root -= root * root > v
+    root += (root + 1) * (root + 1) <= v
+    return root
 
-    Iterates the O(sqrt(n/k)) blocks on which floor(n/(k j)) is constant.
+
+# breakpoints of `_floor_power_sums` laid out at once, about 2 MB an array
+_BREAKPOINT_BATCH = 1 << 18
+
+
+def _floor_power_sums(prefix, values, s: int) -> np.ndarray:
+    """F(v) = sum_{j <= v} g(j) floor(v/j)^s for every v >= 1 in `values`, exactly.
+
+    prefix = (P, peak) from `_exact_prefix`.  With K = isqrt(v), Dirichlet's
+    hyperbola split takes each j <= v // (K+1) on its own and the other j in
+    the K blocks on which floor(v/j) = t is constant, t = K, .., 1:
+
+        F(v) = sum_i (P[b_i] - P[b_(i-1)]) floor(v / b_i)^s
+
+    over the breakpoints b = 1, 2, .., v // (K+1), v // K, .., v // 1, with
+    b_0 = 0.  The breakpoints of many values are laid end to end (np.repeat
+    and cumsum) and each F(v) is one reduceat segment.  Every partial sum is
+    at most sum_j |g(j)| floor(v/j)^s <= peak v^s H_v, and the harmonic sum
+    H_v <= 1 + ln v is below 1 + bitlen(v); the sums are int64 when that
+    bound at the largest v is below 2^62, else Python ints.
     """
-    m = n // k
-    total = 0
-    j = 1
-    while j <= m:
-        v = n // (k * j)
-        j2 = n // (k * v)
-        if j2 > m:
-            j2 = m
-        total += (int(prefix[j2]) - int(prefix[j - 1])) * v**r
-        j = j2 + 1
-    return total
+    sums, peak = prefix
+    v = np.asarray(values, dtype=np.int64)
+    if v.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    top = int(v.max())
+    fits = sums.dtype != object and max(peak, 1) * top**s * (top.bit_length() + 1) < _INT64_SAFE
+    root = _isqrt_array(v)
+    single = v // (root + 1)
+    count = single + root
+    ends = np.cumsum(count)
+    out = []
+    a = 0
+    while a < v.size:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - count[a] + _BREAKPOINT_BATCH, "right")))
+        cnt = count[a:b]
+        starts = np.cumsum(cnt) - cnt
+        owner = np.repeat(np.arange(b - a), cnt)
+        i = np.arange(int(cnt.sum())) - starts[owner]
+        vo = v[a:b][owner]
+        # t = floor(v/b) on the block breakpoints; it exceeds K on the single j's
+        t = (root[a:b] + single[a:b])[owner] - i
+        point = np.where(i < single[a:b][owner], i + 1, vo // t)
+        prev = np.concatenate(([0], point[:-1]))
+        prev[starts] = 0
+        step = sums[point] - sums[prev]
+        quot = vo // point
+        if not fits:
+            step, quot = step.astype(object), quot.astype(object)
+        out.append(np.add.reduceat(step * quot**s, starts))
+        a = b
+    return np.concatenate(out)
 
 
-def _exact_gcd_counts(table: ArithTable, n: int, s: int, top: int):
-    """G_s(d) for d = 1..top, the number of s-tuples in [n]^s with gcd d.
+def _floor_power_sum(prefix, n: int, s: int) -> int:
+    """sum_{j <= n} g(j) floor(n/j)^s, exactly: one value of `_floor_power_sums`."""
+    return int(_floor_power_sums(prefix, [n], s)[0])
 
-    G_s(d) = sum_{j <= n/d} mu(j) floor(n/(d j))^s depends on d only
-    through floor(n/d), so it is evaluated once per block of equal
-    quotients; yields (lo, hi, G_s) for the blocks d = lo..hi in order.
+
+def _quotient_blocks(n: int, top: int):
+    """(lo, hi, v): the blocks d = lo..hi <= top on which v = n // d is constant.
+
+    With R = isqrt(n), each d <= R has a quotient of its own, and the d > R
+    take each quotient v <= n // (R+1) on the block that starts at
+    n // (v+1) + 1.
     """
-    mu_prefix = _exact_prefix(table.mobius, n)
-    d = 1
-    while d <= top:
-        v = n // d
-        hi = min(n // v, top)
-        yield d, hi, _floor_power_sum(mu_prefix, v, s)
-        d = hi + 1
+    root = isqrt(n)
+    small = np.arange(1, root + 1, dtype=np.int64)
+    large = n // np.arange(n // (root + 1) + 1, 1, -1, dtype=np.int64) + 1
+    lo = np.concatenate((small, large))
+    lo = lo[lo <= top]
+    v = n // lo
+    return lo, np.minimum(n // v, top), v
+
+
+def _exact_gcd_counts(mu_prefix, n: int, s: int, top: int):
+    """(lo, hi, G): G[b] = G_s(d) for the d = lo[b]..hi[b] <= top.
+
+    G_s(d), the number of s-tuples in [n]^s with gcd exactly d, is
+    sum_{j <= n/d} mu(j) floor(n/(d j))^s = F(n // d) of `_floor_power_sums`
+    with g = mu, so it is evaluated once per block of equal quotients.
+    mu_prefix is `_exact_prefix(table.mobius, n)`.
+    """
+    lo, hi, v = _quotient_blocks(n, top)
+    return lo, hi, _floor_power_sums(mu_prefix, v, s)
+
+
+# `_block_sums` reads an int64 array in chunks of 2^16 entries cut into
+# 23-bit limbs: a chunk's sum of limb products is at most 2^16 2^46 = 2^62
+_SUM_CHUNK = 1 << 16
+_LIMB_BITS = 23
+
+
+def _block_sums(h: np.ndarray, starts, power: int) -> np.ndarray:
+    """Exact sums of h[d]^power (power 1 or 2) over the blocks of d in h.
+
+    Block b runs from starts[b] to starts[b+1] - 1, the last block to the
+    end of h.  Returns Python ints in an object array.  An object h is
+    summed as it is.  An int64 h is read in chunks of _SUM_CHUNK entries,
+    each value written as sum_i c_i 2^(_LIMB_BITS i) over k limbs, k from
+    the largest |h|: the lower limbs lie in [0, 2^_LIMB_BITS) and the top
+    one, which keeps the sign, in [-2^_LIMB_BITS, 2^_LIMB_BITS).  So every
+    per-chunk sum of limbs or of limb products c_i c_j fits int64; the
+    chunk sums are shifted and added as Python ints.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    if h.dtype == object:
+        return np.add.reduceat(h * h if power == 2 else h, starts)
+    body = h[starts[0] :]
+    peak = max(int(body.max()), -int(body.min()))
+    k = max(1, -(-peak.bit_length() // _LIMB_BITS))
+    mask = (1 << _LIMB_BITS) - 1
+    out = np.zeros(starts.size, dtype=object)
+    for a in range(int(starts[0]), h.size, _SUM_CHUNK):
+        b = min(a + _SUM_CHUNK, h.size)
+        first = int(np.searchsorted(starts, a, "right")) - 1
+        last = int(np.searchsorted(starts, b))
+        local = np.maximum(starts[first:last], a) - a
+        x = h[a:b]
+        limbs = [(x >> (_LIMB_BITS * i)) & mask for i in range(k - 1)]
+        limbs.append(x >> (_LIMB_BITS * (k - 1)))
+        if power == 1:
+            parts = [(limbs[i], _LIMB_BITS * i) for i in range(k)]
+        else:  # the cross terms c_i c_j, i < j, count twice
+            parts = [(limbs[i] * limbs[j], _LIMB_BITS * (i + j) + (i != j))
+                     for i in range(k) for j in range(i, k)]
+        for part, shift in parts:
+            out[first:last] += np.add.reduceat(part, local).astype(object) << shift
+    return out
 
 
 def _divisor_accumulate(w: np.ndarray, n: int) -> np.ndarray:
@@ -138,16 +251,24 @@ def _divisor_accumulate(w: np.ndarray, n: int) -> np.ndarray:
     return acc
 
 
-def _divisor_profile(g, n: int, power: int) -> np.ndarray:
+def _abs_prefix(g, n: int):
+    """`_exact_prefix` of |g|, the weights of the profile bound."""
+    head = g[: n + 1]
+    return _exact_prefix(np.abs(head) if isinstance(head, np.ndarray) else [abs(v) for v in head], n)
+
+
+def _divisor_profile(g, n: int, power: int, abs_prefix=None) -> np.ndarray:
     """h(k) = sum_{j|k} g(j) floor(n/j)^power for k = 1..n, exactly.
 
     int64 when the bound sum_j |g(j)| floor(n/j)^power on every |h(k)|
     fits, else Python ints in an object array.  Every weight g here has
     g(1) = 1, so the bound also covers the powers floor(n/j)^power.
+    abs_prefix is `_abs_prefix(g, n)`, built here when not given.
     """
     head = g[: n + 1]
-    absg = np.abs(head) if isinstance(head, np.ndarray) else [abs(v) for v in head]
-    bound = _floor_power_sum(_exact_prefix(absg, n), n, power)
+    if abs_prefix is None:
+        abs_prefix = _abs_prefix(g, n)
+    bound = _floor_power_sum(abs_prefix, n, power)
     if isinstance(head, np.ndarray) and bound < _INT64_SAFE:
         w = np.arange(n + 1, dtype=np.int64)
         np.floor_divide(n, w[1:], out=w[1:])
@@ -169,8 +290,7 @@ def cesaro_expectation(table: ArithTable, g, n: int, r: int) -> ExactResult:
     table.check_index(n)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    prefix = _exact_prefix(g, n)
-    return ExactResult.from_ratio(_floor_power_sum(prefix, n, r), n, r)
+    return ExactResult.from_ratio(_floor_power_sum(_exact_prefix(g, n), n, r), n, r)
 
 
 def gcd_pmf(table: ArithTable, n: int, r: int) -> list[ExactResult]:
@@ -182,9 +302,10 @@ def gcd_pmf(table: ArithTable, n: int, r: int) -> list[ExactResult]:
     table.check_index(n)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
+    lo, hi, counts = _exact_gcd_counts(_exact_prefix(table.mobius, n), n, r, n)
     pmf = []
-    for lo, hi, c in _exact_gcd_counts(table, n, r, n):
-        pmf += [ExactResult.from_ratio(c, n, r)] * (hi - lo + 1)
+    for c, size in zip(counts.tolist(), (hi - lo + 1).tolist()):
+        pmf += [ExactResult.from_ratio(c, n, r)] * size
     return pmf
 
 
@@ -200,8 +321,8 @@ def gcd_tail(table: ArithTable, n: int, threshold: int) -> ExactResult:
     table.check_index(n)
     if not 0 <= threshold <= n:
         raise ValueError(f"threshold must be in 0..{n}, got {threshold}")
-    blocks = _exact_gcd_counts(table, n, 2, threshold)
-    head = sum((hi - lo + 1) * c for lo, hi, c in blocks)
+    lo, hi, counts = _exact_gcd_counts(_exact_prefix(table.mobius, n), n, 2, threshold)
+    head = sum(size * c for size, c in zip((hi - lo + 1).tolist(), counts.tolist()))
     return ExactResult.from_ratio(n**2 - head, n, 2)
 
 
@@ -227,13 +348,12 @@ class MarginalProfile:
         return ExactResult.from_ratio(int(self.numerators[k]), self.n, self.r)
 
     def mean(self) -> ExactResult:
-        total = int(np.sum(self.numerators, dtype=object))
+        total = _block_sums(self.numerators, [1], 1)[0]
         return ExactResult.from_ratio(total, self.n, self.r + 1)
 
     def variance(self) -> ExactResult:
-        nums = self.numerators[1:].tolist()
-        s1 = sum(nums)
-        s2 = sum(v * v for v in nums)
+        s1 = _block_sums(self.numerators, [1], 1)[0]
+        s2 = _block_sums(self.numerators, [1], 2)[0]
         return ExactResult.from_ratio(self.n * s2 - s1 * s1, self.n, 2 * self.r + 2)
 
 
@@ -342,9 +462,11 @@ def shared_covariance(
       E[XY] n^(2r-s) = sum_{d<=n} G_s(d) h(d)^2,
       h(d) = sum_{i|d} g(i) floor(n/i)^(r-s),
 
-    with G_s(d) the number of s-tuples in [n]^s with gcd exactly d.  The
-    result is exact; it is gated against exhaustive enumeration and the
-    literal double sum in the test suite.
+    with G_s(d) the number of s-tuples in [n]^s with gcd exactly d.  G_s
+    is constant on each block of equal floor(n/d), so the sum is a Python
+    int dot of the O(sqrt n) block counts with the blocks' sums of h^2.
+    The result is exact; it is gated against exhaustive enumeration and
+    the literal double sum in the test suite.
     """
     table.check_index(n)
     if not 0 <= s <= r:
@@ -352,15 +474,31 @@ def shared_covariance(
     if s == 0:
         # no shared variables: the kernels are independent
         return ExactResult.from_ratio(0, n, 2 * r)
+    return ExactResult.from_ratio(_covariance_numerators(table, n, r, (s,), kind, q)[0], n, 2 * r)
 
+
+def _covariance_numerators(table, n, r, shares, kind, q) -> list[int]:
+    """n^(2r) times the covariance of `shared_covariance` for each s >= 1 in shares.
+
+    The prefix sums of mu, g and |g| and the kernel mean are built once and
+    serve every s.
+    """
     g = _kernel_weights(table, kind, q)
-    h = _divisor_profile(g, n, r - s)
-    exy = 0
-    for lo, hi, c in _exact_gcd_counts(table, n, s, n):
-        exy += c * sum(v * v for v in h[lo : hi + 1].tolist())
+    mu_prefix = _exact_prefix(table.mobius, n)
+    abs_prefix = _abs_prefix(g, n)
     mean_num = _floor_power_sum(_exact_prefix(g, n), n, r)
-    cov_num = exy * n**s - mean_num * mean_num
-    return ExactResult.from_ratio(cov_num, n, 2 * r)
+    return [_shared_moment(g, n, r, s, mu_prefix, abs_prefix) * n**s - mean_num * mean_num
+            for s in shares]
+
+
+def _shared_moment(g, n, r, s, mu_prefix, abs_prefix) -> int:
+    """sum_{d<=n} G_s(d) h(d)^2 with h = `_divisor_profile(g, n, r - s)`.
+
+    One call per s, so each n-entry profile is freed before the next is built.
+    """
+    h = _divisor_profile(g, n, r - s, abs_prefix)
+    lo, _, counts = _exact_gcd_counts(mu_prefix, n, s, n)
+    return int(counts.astype(object) @ _block_sums(h, lo, 2))
 
 
 def var_C(table: ArithTable, n: int, m: int, r: int) -> ExactResult:
@@ -382,13 +520,12 @@ def _u_statistic_variance(table, n, m, r, kind, q) -> ExactResult:
         raise ValueError(f"r must be >= 2, got {r}")
     if m < r:
         raise ValueError(f"need m >= r, got m={m}, r={r}")
-    num = 0
-    for s in range(0, r + 1):
-        weight = comb(m, s) * comb(m - s, r - s) * comb(m - r, r - s)
-        if weight == 0:
-            continue
-        num += weight * shared_covariance(table, n, r, s, kind, q).numerator
-    return ExactResult.from_ratio(num, n, 2 * r)
+    table.check_index(n)
+    # s = 0 shares nothing and adds a zero covariance
+    weights = {s: comb(m, s) * comb(m - s, r - s) * comb(m - r, r - s) for s in range(1, r + 1)}
+    shares = [s for s, weight in weights.items() if weight]
+    covs = _covariance_numerators(table, n, r, shares, kind, q)
+    return ExactResult.from_ratio(sum(weights[s] * c for s, c in zip(shares, covs)), n, 2 * r)
 
 
 # --- mixed second moment (two kernels sharing one variable) ----------------
@@ -404,8 +541,8 @@ def mixed_moment_pi(table: ArithTable, n: int, r: int, q: int) -> ExactResult:
         raise ValueError(f"r must be >= 2, got {r}")
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    nums = _divisor_profile(table.totient(q), n, r - 1)[1:].tolist()
-    return ExactResult.from_ratio(sum(v * v for v in nums), n, 2 * r - 1)
+    h = _divisor_profile(table.totient(q), n, r - 1)
+    return ExactResult.from_ratio(_block_sums(h, [1], 2)[0], n, 2 * r - 1)
 
 
 def mixed_moment_omega(table: ArithTable, n: int, r: int, q: int) -> ExactResult:

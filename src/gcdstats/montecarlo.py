@@ -656,7 +656,8 @@ def _sparse_route(xs: np.ndarray, r: int, q: int | None, table: ArithTable) -> n
     Each distinct value of the block is factorised once (`factorize`: the
     table's spf inside it, trial division beyond) and expanded into its
     divisors of nonzero weight.  One key per (row, divisor) occurrence;
-    np.unique counts them into cnt, and reduceat sums each row's terms.
+    a sort and the starts of its runs of equal keys count them into cnt,
+    and reduceat sums each row's terms.
     """
     rows, m = xs.shape
     local = mobius_local if q is None else totient_local(q)
@@ -674,7 +675,9 @@ def _sparse_route(xs: np.ndarray, r: int, q: int | None, table: ArithTable) -> n
     shift = (np.cumsum(sizes) - sizes)[inv] - (np.cumsum(per_elem) - per_elem)
     pos = np.arange(per_elem.sum()) + np.repeat(shift, per_elem)
     row = np.repeat(np.arange(rows * m) // m, per_elem)
-    keys, cnt = np.unique(row * dvals.size + div_id[pos], return_counts=True)
+    keys = np.sort(row * dvals.size + div_id[pos])
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    keys, cnt = keys[first], np.diff(first, append=keys.size)
     terms = _binom(cnt.astype(w.dtype, copy=False), r) * w[keys % dvals.size]
     # every row holds divisor 1 (weight 1), so every row has a key
     row_starts = np.flatnonzero(np.diff(keys // dvals.size, prepend=-1))

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gcdstats
 from gcdstats.cli import _EXACT_QUANTITIES, main, parse_n_rule
 
 
@@ -478,3 +483,37 @@ def test_every_numeric_flag_runs_or_is_a_usage_error(argv, tmp_path, capsys):
     assert code in (0, 2)
     assert "Traceback" not in err
     assert len([ln for ln in err.splitlines() if not ln.startswith("elapsed")]) <= 1
+
+
+def test_missing_out_directory_fails_before_any_replicate(monkeypatch, tmp_path, capsys):
+    from gcdstats import montecarlo
+
+    calls = []
+    monkeypatch.setattr(montecarlo, "run_replicates", lambda *a, **k: calls.append(a))
+    for statistic in ("C", "Z", "M", "N"):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--statistic", statistic, "--m", "20", "--n", "100",
+                  "--reps", "20000", "--out", str(tmp_path / "missing" / "run")])
+        assert err.value.code == 2
+        text = capsys.readouterr().err
+        assert text.startswith("error: --out directory") and text.count("\n") == 1
+    assert calls == []
+
+
+def test_exact_and_sparse_simulate_do_not_import_numpy_ma():
+    # numpy.ma costs 15-20 ms of import; np.unique without return_* flags loads it
+    script = "\n".join([
+        "import sys",
+        "from gcdstats import cli, montecarlo",
+        "routes = []",
+        "sparse = montecarlo._sparse_route",
+        "montecarlo._sparse_route = lambda *a: routes.append(1) or sparse(*a)",
+        "cli.main(['exact', '--quantity', 'varC', '--n', '1000', '--m', '50'])",
+        "cli.main(['simulate', '--statistic', 'C', '--m', '20', '--n', '10000', '--reps', '50'])",
+        "print(len(routes) > 0, 'numpy.ma' in sys.modules)",
+    ])
+    src = str(Path(gcdstats.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "True False"

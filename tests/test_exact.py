@@ -1,4 +1,5 @@
 import math
+from math import isqrt
 from fractions import Fraction
 
 import numpy as np
@@ -33,9 +34,36 @@ def plain_divisor_sums(g, n, power):
 
 
 def per_k_gcd_counts(table, n, r):
-    """#{r-tuples in [n]^r with gcd k}, one floor sum per k (reference)."""
-    prefix = exact._exact_prefix(table.mobius, n)
-    return [exact._floor_power_sum(prefix, n, r, k) for k in range(1, n + 1)]
+    """#{r-tuples in [n]^r with gcd k} = sum_{j <= n/k} mu(j) floor(n/(k j))^r, term by term (reference)."""
+    mu = table.mobius
+    return [sum(int(mu[j]) * (n // (k * j)) ** r for j in range(1, n // k + 1))
+            for k in range(1, n + 1)]
+
+
+def plain_floor_power_sum(g, v, s):
+    """sum_{j <= v} g(j) floor(v/j)^s, term by term (reference)."""
+    return sum(int(g[j]) * (v // j) ** s for j in range(1, v + 1))
+
+
+def blockwise_floor_power_sum(prefix, v, s):
+    """The same sum one block of constant floor(v/j) at a time, from a list of prefix sums (reference)."""
+    total, j = 0, 1
+    while j <= v:
+        t = v // j
+        last = v // t
+        total += (prefix[last] - prefix[j - 1]) * t**s
+        j = last + 1
+    return total
+
+
+def distinct_quotients(n):
+    return sorted({n // d for d in range(1, n + 1)}, reverse=True)
+
+
+def plain_block_sums(h, starts, power):
+    """sum of h[d]^power over each block starts[b] .. starts[b+1] - 1 in Python ints (reference)."""
+    bounds = list(starts) + [len(h)]
+    return [sum(int(x) ** power for x in h[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 # --- divisor-sum kernel --------------------------------------------------------
@@ -64,6 +92,76 @@ def test_big_integer_profiles_at_r7():
         assert prof.numerators.tolist() == plain_divisor_sums(g, n, r)
     want = sum(v * v for v in plain_divisor_sums(table.totient(1), n, r - 1)[1:])
     assert exact.mixed_moment_pi(table, n, r, 1).numerator == want
+
+
+# --- quotient blocks and batched floor sums -----------------------------------
+
+def test_quotient_blocks_are_the_runs_of_equal_quotients():
+    for n in range(1, 2001):
+        want = []
+        for d in range(1, n + 1):
+            if want and n // d == want[-1][2]:
+                want[-1][1] = d
+            else:
+                want.append([d, d, n // d])
+        for top in {n, n // 2, isqrt(n), isqrt(n) + 1, 1}:
+            lo, hi, v = exact._quotient_blocks(n, top)
+            cut = [[a, min(b, top), q] for a, b, q in want if a <= top]
+            assert np.column_stack((lo, hi, v)).tolist() == cut, (n, top)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_floor_power_sums_are_the_plain_loop(table_1000, s):
+    for g in (table_1000.mobius, table_1000.totient(1)):
+        want = [0] + [plain_floor_power_sum(g, v, s) for v in range(1, 301)]
+        for n in range(1, 301):
+            values = distinct_quotients(n)
+            got = exact._floor_power_sums(exact._exact_prefix(g, n), values, s)
+            assert got.tolist() == [want[v] for v in values], (n, s)
+
+
+def test_floor_power_sums_at_random_n_take_both_dtypes(monkeypatch):
+    table = build_table(200_000)
+    rng = np.random.default_rng(2357)
+    dtypes = set()
+    for n in [200_000, *rng.integers(2, 200_000, 4).tolist()]:
+        values = distinct_quotients(n)
+        for g in (table.mobius, table.totient(1)):
+            prefix = [0]
+            for x in g[1 : n + 1].tolist():
+                prefix.append(prefix[-1] + x)
+            for s in range(1, 6):
+                got = exact._floor_power_sums(exact._exact_prefix(g, n), values, s)
+                dtypes.add(got.dtype)
+                assert got.tolist() == [blockwise_floor_power_sum(prefix, v, s) for v in values]
+        for v in (n, n // 3, 5):
+            assert exact._floor_power_sum(exact._exact_prefix(table.mobius, v), v, 5) == \
+                plain_floor_power_sum(table.mobius, v, 5)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+    # values split across many batches of breakpoints
+    monkeypatch.setattr(exact, "_BREAKPOINT_BATCH", 50)
+    n = 12_345
+    values = distinct_quotients(n)
+    got = exact._floor_power_sums(exact._exact_prefix(table.mobius, n), values, 2)
+    assert got.tolist() == [plain_floor_power_sum(table.mobius, v, 2) for v in values]
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_block_sums_are_exact_across_the_limb_boundaries(monkeypatch, chunk):
+    monkeypatch.setattr(exact, "_SUM_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    size = 1000 if chunk == 7 else 2 * chunk + 5
+    starts = np.unique(np.concatenate(([1], rng.integers(1, size, 40))))
+    for peak in (1, 2**23 - 1, 2**23, 2**31, 2**46 - 1, 2**46, 2**62, 2**63 - 1):
+        h = rng.integers(-peak, peak, size, dtype=np.int64, endpoint=True)
+        h[rng.integers(1, size)] = peak
+        h[rng.integers(1, size)] = -peak
+        for power in (1, 2):
+            got = exact._block_sums(h, starts, power)
+            assert got.tolist() == plain_block_sums(h.tolist(), starts.tolist(), power), (peak, power)
+            assert all(type(v) is int for v in got.tolist())
+    big = np.array([int(v) * 10**25 for v in h], dtype=object)
+    assert exact._block_sums(big, starts, 2).tolist() == plain_block_sums(big.tolist(), starts.tolist(), 2)
 
 
 # --- Cesaro formula and pmf --------------------------------------------------
@@ -333,6 +431,89 @@ def test_var_validation(table_100):
         exact.var_C(table_100, 10, 2, 1)
     with pytest.raises(ValueError):
         exact.var_C(table_100, 10, 2, 3)  # m < r
+
+
+# --- second-order numerators against plain Python --------------------------------
+
+class PlainSecondOrder:
+    """The second-order numerators by their defining sums in Python ints (reference).
+
+    Profiles are `plain_divisor_sums`, G_s(d) is sum_{j <= n/d} mu(j) floor(n/(d j))^s
+    term by term, and every sum of squares is a plain loop.
+    """
+
+    def __init__(self, table, n):
+        self.table, self.n = table, n
+        self.mu = [int(v) for v in table.mobius[: n + 1]]
+        self.profiles = {}
+        self.covariances = {}
+
+    def weights(self, kind, q):
+        return self.mu if kind == "indicator" else self.table.totient(1 if kind == "gcd" else q)
+
+    def profile(self, kind, q, power):
+        key = (kind, q, power)
+        if key not in self.profiles:
+            self.profiles[key] = plain_divisor_sums(self.weights(kind, q), self.n, power)
+        return self.profiles[key]
+
+    def profile_variance(self, kind, r):
+        h = self.profile(kind, 1, r)[1:]
+        return self.n * sum(v * v for v in h) - sum(h) ** 2
+
+    def pi(self, r, q):
+        return sum(v * v for v in self.profile("moment", q, r - 1)[1:])
+
+    def covariance(self, r, s, kind, q):
+        key = (r, s, kind, q)
+        if key not in self.covariances:
+            self.covariances[key] = self.plain_covariance(r, s, kind, q)
+        return self.covariances[key]
+
+    def plain_covariance(self, r, s, kind, q):
+        n = self.n
+        if s == 0:
+            return 0
+        g = self.weights(kind, q)
+        h = self.profile(kind, q, r - s)
+        counts = {}
+        exy = 0
+        for d in range(1, n + 1):
+            v = n // d
+            if v not in counts:
+                counts[v] = sum(self.mu[j] * (v // j) ** s for j in range(1, v + 1))
+            exy += counts[v] * h[d] ** 2
+        mean = sum(int(g[j]) * (n // j) ** r for j in range(1, n + 1))
+        return exy * n**s - mean * mean
+
+    def u_variance(self, m, r, kind, q):
+        return sum(math.comb(m, s) * math.comb(m - s, r - s) * math.comb(m - r, r - s)
+                   * self.covariance(r, s, kind, q) for s in range(r + 1))
+
+
+@pytest.fixture(scope="module")
+def table_30k():
+    return build_table(30_000)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 97, 1000, 30_000])
+def test_second_order_numerators_are_the_plain_sums(table_30k, n):
+    ref = PlainSecondOrder(table_30k, n)
+    for r in (2, 3):
+        assert exact.var_c(table_30k, n, r).numerator == ref.profile_variance("indicator", r)
+        assert exact.var_d(table_30k, n, r).numerator == ref.profile_variance("gcd", r)
+        for m in (r, 50):
+            assert exact.var_C(table_30k, n, m, r).numerator == ref.u_variance(m, r, "indicator", 1)
+        for s in range(r + 1):
+            got = exact.shared_covariance(table_30k, n, r, s, "indicator").numerator
+            assert got == ref.covariance(r, s, "indicator", 1), (r, s)
+        for q in (1, 2):
+            assert exact.mixed_moment_pi(table_30k, n, r, q).numerator == ref.pi(r, q)
+            for m in (r, 50):
+                assert exact.var_Z(table_30k, n, m, r, q).numerator == ref.u_variance(m, r, "moment", q)
+            for s in range(r + 1):
+                got = exact.shared_covariance(table_30k, n, r, s, "moment", q).numerator
+                assert got == ref.covariance(r, s, "moment", q), (r, s, q)
 
 
 # --- mixed moment -----------------------------------------------------------------
