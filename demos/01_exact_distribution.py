@@ -16,12 +16,14 @@ z2 = constants.zeta(2)
 print(f"sample space {{1..{n}}}, pairs (r = 2)")
 print()
 
-pmf = exact.gcd_pmf(table, n, 2)
+# the pmf comes as (value, count) runs over the blocks of equal floor(n/k)
+runs = exact.gcd_pmf(table, n, 2)
+pmf = [v for v, count in runs for _ in range(count)]
 print("  k   P(gcd = k)        1/(zeta(2) k^2)")
 for k in range(1, 9):
     limit = 1 / (z2 * k * k)
     print(f"  {k}   {pmf[k - 1].float_value:.10f}    {limit:.10f}")
-print(f"  pmf sums to {sum(v.as_fraction() for v in pmf)} exactly")
+print(f"  pmf sums to {sum(v.as_fraction() * count for v, count in runs)} exactly")
 print()
 
 coprime = exact.mean_mu(table, n, 1)

@@ -38,7 +38,7 @@ from .exact import (
     var_d,
 )
 from .montecarlo import (
-    EmpiricalDistribution,
+    Replicates,
     SampleConfig,
     draw_sample,
     poisson_count,

@@ -177,17 +177,15 @@ class ArithTable:
         if not 1 <= k <= self.n_max:
             raise ValueError(f"index {k} outside table range 1..{self.n_max}")
 
-    def totient(self, s: int = 1):
-        """phi_s(0..n_max), sieved on demand (a list of ints past int64)."""
+    def totient(self, s: int = 1) -> np.ndarray:
+        """phi_s(0..n_max), sieved on demand: int64, or Python ints past int64."""
         vals = self.totient_s.get(s)
         if vals is None:
             if s < 1:
                 raise ValueError(f"totient order must be >= 1, got {s}")
-            if totient_fits_int64(self.n_max, s):
-                vals = prime_power_sieve(self.n_max, self.primes, totient_local(s), np.int64)
-            else:
-                vals = prime_power_sieve(self.n_max, self.primes, totient_local(s), object).tolist()
-            self.totient_s[s] = vals
+            dtype = np.int64 if totient_fits_int64(self.n_max, s) else object
+            vals = self.totient_s[s] = prime_power_sieve(self.n_max, self.primes,
+                                                         totient_local(s), dtype)
         return vals
 
     def factorize(self, k: int) -> list[tuple[int, int]]:
@@ -279,7 +277,7 @@ def save_table(table: ArithTable, path) -> None:
     """
     orders = sorted(table.totient_s)
     for s in orders:
-        if not isinstance(table.totient_s[s], np.ndarray):
+        if table.totient_s[s].dtype == object:
             raise ValueError(f"totient order {s} exceeds int64, not serializable")
     with open(path, "wb") as fh:
         fh.write(MAGIC)

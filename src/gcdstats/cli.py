@@ -157,11 +157,7 @@ def cmd_exact(args) -> int:
     table = build_table(n)
     t0 = time.perf_counter()
     if quantity == "pmf":
-        # gcd_pmf repeats one ExactResult over each block of equal floor(n/k)
-        runs = []
-        for _, group in itertools.groupby(exact.gcd_pmf(table, n, r), key=id):
-            block = list(group)
-            runs.append((block[0], len(block)))
+        runs = exact.gcd_pmf(table, n, r)
         payload = {
             "manifest": _manifest("exact", {"quantity": quantity, "n": n, "r": r}),
             "quantity": quantity, "n": n, "r": r,
@@ -240,40 +236,36 @@ def cmd_simulate(args) -> int:
     table = None  # M and N read only the sampled values
     if statistic in ("C", "Z"):
         table = build_table(n)
-        normalization = "exact-moments"
         law = stattest.ReferenceLaw.normal()
     elif statistic == "M":
-        normalization = "frechet-scale"
         law = stattest.ReferenceLaw.frechet(1 / constants.zeta(2))
     else:
         if not 0 < args.t < math.inf:
             raise ValueError(f"--t must be positive and finite for N, got {args.t}")
-        normalization = "none"
         law = stattest.ReferenceLaw.poisson(1 / (args.t * constants.zeta(2)))
 
-    emp = montecarlo.run_replicates(config, statistic, normalization, table,
-                                    t=args.t, workers=args.workers)
-    if emp.kind == "continuous":
-        distance = {"ks": stattest.ks_distance(emp, law)}
-        mean = float(np.mean(emp.values))
-        sd = float(np.std(emp.values))
+    rec = montecarlo.run_replicates(config, statistic, table, t=args.t, workers=args.workers)
+    if statistic == "N":
+        distance = {"tv": stattest.tv_distance(rec.raw, law)}
+        mean = sum(rec.raw) / len(rec.raw)
+        sd = math.sqrt(sum(v * v for v in rec.raw) / len(rec.raw) - mean**2)
     else:
-        distance = {"tv": stattest.tv_distance(emp, law)}
-        mean = sum(k * c for k, c in emp.counts.items()) / emp.size
-        sd = math.sqrt(
-            sum(k * k * c for k, c in emp.counts.items()) / emp.size - mean**2
-        )
+        distance = {"ks": stattest.ks_distance(rec.normalized, law)}
+        # np.mean sums pairwise, so the order of the values shows in its last bits
+        values = np.sort(rec.normalized)
+        mean = float(np.mean(values))
+        sd = float(np.std(values))
     summary = {
         "manifest": _manifest("simulate", {
             "statistic": statistic, "m": args.m, "n": n, "n_rule": args.n,
             "r": args.r, "q": args.q, "reps": args.reps, "seed": args.seed,
-            "t": args.t, "normalization": normalization,
+            "t": args.t, "normalization": montecarlo.NORMALIZATION_NAMES[statistic],
         }),
         "law": {"kind": law.kind, "scale": law.scale, "lam": law.lam},
         "mean": mean, "sd": sd, "distance": distance,
         "regime_warnings": config.regime_warnings(statistic),
     }
-    csv_text = verify.format_rows_csv(emp.rows)
+    csv_text = rec.csv()
     if args.out:
         with open(args.out + ".csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(csv_text)

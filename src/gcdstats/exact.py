@@ -74,19 +74,17 @@ class ExactResult:
 
 # --- exact floor-power sums ----------------------------------------------
 
-def _exact_prefix(g, n: int):
+def _exact_prefix(g: np.ndarray, n: int):
     """(P, peak): exact prefix sums P[0..n] of g and peak = max |g(j)|, j <= n.
 
     P is int64 when (n+1) peak < 2^62 proves every partial sum fits, else
-    Python ints in an object array (peak None when g is a list of ints).
+    Python ints in an object array.
     """
-    if isinstance(g, np.ndarray):
-        head = g[: n + 1]
-        peak = int(np.abs(head).max()) if head.size else 0
-        if (n + 1) * peak < _INT64_SAFE:
-            return np.cumsum(head, dtype=np.int64), peak
-        return np.cumsum(head.astype(object)), peak
-    return np.cumsum(np.array(g[: n + 1], dtype=object)), None
+    head = g[: n + 1]
+    peak = int(np.abs(head).max()) if head.size else 0
+    if (n + 1) * peak < _INT64_SAFE:
+        return np.cumsum(head, dtype=np.int64), peak
+    return np.cumsum(head.astype(object)), peak
 
 
 def _isqrt_array(v: np.ndarray) -> np.ndarray:
@@ -251,13 +249,12 @@ def _divisor_accumulate(w: np.ndarray, n: int) -> np.ndarray:
     return acc
 
 
-def _abs_prefix(g, n: int):
+def _abs_prefix(g: np.ndarray, n: int):
     """`_exact_prefix` of |g|, the weights of the profile bound."""
-    head = g[: n + 1]
-    return _exact_prefix(np.abs(head) if isinstance(head, np.ndarray) else [abs(v) for v in head], n)
+    return _exact_prefix(np.abs(g[: n + 1]), n)
 
 
-def _divisor_profile(g, n: int, power: int, abs_prefix=None) -> np.ndarray:
+def _divisor_profile(g: np.ndarray, n: int, power: int, abs_prefix=None) -> np.ndarray:
     """h(k) = sum_{j|k} g(j) floor(n/j)^power for k = 1..n, exactly.
 
     int64 when the bound sum_j |g(j)| floor(n/j)^power on every |h(k)|
@@ -269,20 +266,20 @@ def _divisor_profile(g, n: int, power: int, abs_prefix=None) -> np.ndarray:
     if abs_prefix is None:
         abs_prefix = _abs_prefix(g, n)
     bound = _floor_power_sum(abs_prefix, n, power)
-    if isinstance(head, np.ndarray) and bound < _INT64_SAFE:
-        w = np.arange(n + 1, dtype=np.int64)
-        np.floor_divide(n, w[1:], out=w[1:])
+    w = np.arange(n + 1, dtype=np.int64)
+    np.floor_divide(n, w[1:], out=w[1:])
+    if bound < _INT64_SAFE:
+        # every |g(j)| is at most the bound, so an object g fits int64 too
         w **= power
-        w *= head
+        w *= head if head.dtype != object else head.astype(np.int64)
     else:
-        w = np.empty(n + 1, dtype=object)
-        w[0] = 0
-        w[1:] = [int(head[j]) * (n // j) ** power for j in range(1, n + 1)]
+        w = w.astype(object) ** power * head
     return _divisor_accumulate(w, n)
 
 
-def cesaro_expectation(table: ArithTable, g, n: int, r: int) -> ExactResult:
-    """E F(gcd of r uniform variables) for g = mu*F supplied directly.
+def cesaro_expectation(table: ArithTable, g: np.ndarray, n: int, r: int) -> ExactResult:
+    """E F(gcd of r uniform variables) for g = mu*F supplied directly, as an
+    integer array (int64 or Python ints) over 0..n.
 
     For r = 1 the convention gcd(j) = j applies, so the same formula
     returns E F(X_1).
@@ -293,20 +290,19 @@ def cesaro_expectation(table: ArithTable, g, n: int, r: int) -> ExactResult:
     return ExactResult.from_ratio(_floor_power_sum(_exact_prefix(g, n), n, r), n, r)
 
 
-def gcd_pmf(table: ArithTable, n: int, r: int) -> list[ExactResult]:
-    """P(gcd(X_1..X_r) = k) for k = 1..n; entries sum to exactly 1.
+def gcd_pmf(table: ArithTable, n: int, r: int) -> list[tuple[ExactResult, int]]:
+    """P(gcd(X_1..X_r) = k) for k = 1..n, as (value, count) runs in ascending k.
 
-    The entries of a block of equal floor(n/k) are one shared ExactResult
-    (frozen, so sharing is safe): O(sqrt n) objects for n entries.
+    The pmf is constant on each block of equal floor(n/k), and a run is one
+    such block: O(sqrt n) runs whose counts add up to n.  The values,
+    each taken count times, sum to exactly 1.
     """
     table.check_index(n)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     lo, hi, counts = _exact_gcd_counts(_exact_prefix(table.mobius, n), n, r, n)
-    pmf = []
-    for c, size in zip(counts.tolist(), (hi - lo + 1).tolist()):
-        pmf += [ExactResult.from_ratio(c, n, r)] * size
-    return pmf
+    return [(ExactResult.from_ratio(c, n, r), size)
+            for c, size in zip(counts.tolist(), (hi - lo + 1).tolist())]
 
 
 def gcd_moment(table: ArithTable, n: int, r: int, q: int) -> ExactResult:

@@ -39,10 +39,12 @@ make one numpy Generator call a row.  The bytes are the same either way.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from multiprocessing import get_context
 
@@ -727,26 +729,38 @@ def stat_Z(sample, r: int, q: int, table: ArithTable, n: int | None = None) -> i
 
 # --- replicate running -------------------------------------------------------
 
-@dataclass
-class EmpiricalDistribution:
-    """Replicate values ready for goodness-of-fit distances.
+@dataclass(frozen=True)
+class Replicates:
+    """The raw statistic of replicates 0..R-1, in replicate order, and the
+    normalisation (raw - shift) / scale that its statistic fixes.
 
-    kind "continuous": `values` holds the sorted replicate values.
-    kind "integer-counts": `counts` maps value -> count.
-    `meta` echoes the config and any normalization constants used.
-    `rows` keeps the (index, raw, normalized) rows in replicate order.
+    C and Z shift and scale by their exact mean and standard deviation, M
+    scales by C(m,2), and N is left as it is.  The CSV rows, the KS/TV
+    distances and the summary moments are all read from this one record.
     """
 
-    kind: str
-    size: int
-    values: np.ndarray = None
-    counts: dict = None
-    meta: dict = field(default_factory=dict)
-    rows: list = None
+    raw: tuple  # Python ints
+    shift: float = 0
+    scale: float = 1
+
+    @cached_property
+    def normalized(self) -> np.ndarray:
+        """(raw - shift) / scale as a read-only float64 array, in replicate order."""
+        out = (np.array(self.raw, dtype=np.float64) - self.shift) / self.scale
+        out.flags.writeable = False
+        return out
+
+    def csv(self) -> str:
+        """Stable CSV of the replicates: header, LF endings, repr floats."""
+        rows = zip(itertools.count(), self.raw, self.normalized.tolist())
+        return "index,raw,normalized\n" + "".join(f"{i},{v},{x!r}\n" for i, v, x in rows)
 
 
 _STATISTICS = ("C", "Z", "M", "N")
-_NORMALIZATIONS = ("none", "exact-moments", "frechet-scale")
+
+# the name a run manifest gives the normalisation `run_replicates` applies
+NORMALIZATION_NAMES = {"C": "exact-moments", "Z": "exact-moments",
+                       "M": "frechet-scale", "N": "none"}
 
 # worker context inherited over fork; set immediately before pool creation
 _SIM_CTX = {}
@@ -819,57 +833,26 @@ def exact_moments(config: SampleConfig, statistic: str, table: ArithTable):
 def run_replicates(
     config: SampleConfig,
     statistic: str,
-    normalization: str = "none",
     table: ArithTable | None = None,
     t: float = 1.0,
     workers: int = 1,
-) -> EmpiricalDistribution:
-    """Compute R replicate values of one statistic, optionally normalized.
+) -> Replicates:
+    """R replicate values of one statistic, with the normalisation it fixes.
 
-    normalization "exact-moments" centers and scales by the exact mean and
-    standard deviation; "frechet-scale" divides the pair max by C(m,2);
-    "none" returns raw values (integer counts for N).  Only C and Z read
-    `table` (built to n when not given); M and N need none.  Each
-    replicate is drawn and evaluated once, and the result also carries the
-    replicate-order rows.
+    Only C and Z read `table` (built to n when not given); M and N need
+    none.  Each replicate is drawn and evaluated once.
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"statistic must be one of {_STATISTICS}, got {statistic!r}")
-    if normalization not in _NORMALIZATIONS:
-        raise ValueError(f"unknown normalization {normalization!r}")
     if table is None and statistic in ("C", "Z"):
         table = build_table(config.n)
-    threshold = t * comb(config.m, 2)
-    meta = {
-        "config": {
-            "m": config.m, "n": config.n, "r": config.r, "q": config.q,
-            "replicates": config.replicates, "master_seed": config.master_seed,
-        },
-        "statistic": statistic,
-        "normalization": normalization,
-        "regime_warnings": config.regime_warnings(statistic),
-    }
     shift, scale = 0, 1
-    if normalization == "exact-moments":
+    if statistic in ("C", "Z"):
         shift, scale = exact_moments(config, statistic, table)
-        meta["exact_mean"], meta["exact_sd"] = shift, scale
-    elif normalization == "frechet-scale":
-        scale = meta["scale"] = comb(config.m, 2)
-
-    raws = _raw_replicates(config, statistic, table, threshold, workers)
-    normalized = [(float(v) - shift) / scale for v in raws]
-    rows = list(zip(range(len(raws)), raws, normalized))
-
-    if statistic == "N":
-        meta["threshold"] = threshold
-        counts: dict[int, int] = {}
-        for v in raws:
-            counts[v] = counts.get(v, 0) + 1
-        return EmpiricalDistribution("integer-counts", len(raws), counts=counts,
-                                     meta=meta, rows=rows)
-    return EmpiricalDistribution("continuous", len(raws),
-                                 values=np.sort(np.array(normalized)),
-                                 meta=meta, rows=rows)
+    elif statistic == "M":
+        scale = comb(config.m, 2)
+    raws = _raw_replicates(config, statistic, table, t * comb(config.m, 2), workers)
+    return Replicates(tuple(raws), shift, scale)
 
 
 def strong_law_trajectory(n: int, r: int, m_grid, seed: int,

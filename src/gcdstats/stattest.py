@@ -2,7 +2,7 @@
 
 Three reference laws cover the limit theorems being verified: the standard
 normal, the shape-1 Frechet with cdf exp(-scale/t), and the Poisson.
-Distances: Kolmogorov-Smirnov sup-gap for continuous empiricals, total
+Distances: Kolmogorov-Smirnov sup-gap for continuous values, total
 variation (half-L1 over pmfs, with the reference tail mass included) for
 integer counts.
 """
@@ -10,11 +10,10 @@ integer counts.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-
-from .montecarlo import EmpiricalDistribution
 
 
 @dataclass(frozen=True)
@@ -72,12 +71,10 @@ def _poisson_cdf(lam: float, k: float) -> float:
     return float(poisson_pmf(lam, int(k)).sum())
 
 
-def ks_distance(emp: EmpiricalDistribution, law: ReferenceLaw) -> float:
-    """sup_t |F_emp(t) - F_law(t)| over sorted continuous replicate values."""
-    if emp.kind != "continuous":
-        raise ValueError("KS distance needs a continuous empirical distribution")
-    v = emp.values
-    if v is None or len(v) == 0:
+def ks_distance(values, law: ReferenceLaw) -> float:
+    """sup_t |F_emp(t) - F_law(t)| of continuous values, given in any order."""
+    v = np.sort(np.asarray(values, dtype=np.float64))
+    if v.size == 0:
         raise ValueError("empty empirical distribution")
     n = len(v)
     ref = np.asarray(cdf(law, v))
@@ -88,27 +85,26 @@ def ks_distance(emp: EmpiricalDistribution, law: ReferenceLaw) -> float:
 _TV_SUPPORT_CAP = 64
 
 
-def tv_distance(emp: EmpiricalDistribution, law: ReferenceLaw) -> float:
-    """Total variation between integer counts and a Poisson law.
+def tv_distance(raw, law: ReferenceLaw) -> float:
+    """Total variation between the integer counts `raw` and a Poisson law.
 
     Half the L1 gap of the pmfs up to _TV_SUPPORT_CAP, plus half of both tail
     masses (empirical beyond the cap, and the Poisson remainder), so the
     truncation can only overstate the distance.
     """
-    if emp.kind != "integer-counts":
-        raise ValueError("TV distance needs an integer-counts distribution")
     if law.kind != "poisson":
         raise ValueError("TV distance compares against a Poisson law")
-    if not emp.counts and emp.size == 0:
+    r = len(raw)
+    if r == 0:
         raise ValueError("empty empirical distribution")
-    r = emp.size
+    counts = Counter(raw)
     pk = poisson_pmf(law.lam, _TV_SUPPORT_CAP)
     gap = 0.0
     emp_tail = 0.0
-    for value, count in emp.counts.items():
+    for value, count in counts.items():
         if value > _TV_SUPPORT_CAP:
             emp_tail += count / r
     for k in range(_TV_SUPPORT_CAP + 1):
-        gap += abs(emp.counts.get(k, 0) / r - pk[k])
+        gap += abs(counts[k] / r - pk[k])
     poisson_tail = max(0.0, 1.0 - float(pk.sum()))
     return 0.5 * (gap + emp_tail + poisson_tail)

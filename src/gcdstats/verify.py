@@ -30,28 +30,28 @@ ORACLE_MAX_N = 30
 CONSTANTS_CUTOFF = 1_000_000
 DETERMINISM_WORKERS = (1, 4, 16)
 
-# The seeded Monte Carlo runs: name -> (config, statistic, normalization).
+# The seeded Monte Carlo runs: name -> (config, statistic).
 # The statistical suites each run their own entries once, and the
 # determinism suite reruns every entry at each of DETERMINISM_WORKERS.
 EXPERIMENTS = {
     "variance C": (montecarlo.SampleConfig(m=20, n=100, replicates=100_000,
                                            master_seed=SEEDS["variance"]),
-                   "C", "none"),
+                   "C"),
     "variance Z": (montecarlo.SampleConfig(m=20, n=100, replicates=100_000,
                                            master_seed=SEEDS["variance"]),
-                   "Z", "none"),
+                   "Z"),
     "clt C": (montecarlo.SampleConfig(m=1000, n=1000, replicates=1000,
                                       master_seed=SEEDS["clt_C"]),
-              "C", "exact-moments"),
+              "C"),
     "clt Z": (montecarlo.SampleConfig(m=2000, n=40, replicates=1000,
                                       master_seed=SEEDS["clt_Z"]),
-              "Z", "exact-moments"),
+              "Z"),
     "frechet": (montecarlo.SampleConfig(m=64, n=round(64**2.5), replicates=2000,
                                         master_seed=SEEDS["frechet"]),
-                "M", "frechet-scale"),
+                "M"),
     "poisson": (montecarlo.SampleConfig(m=100, n=1_000_000, replicates=2000,
                                         master_seed=SEEDS["poisson"]),
-                "N", "none"),
+                "N"),
 }
 
 
@@ -85,19 +85,10 @@ def _at(cfg, names=("m", "n")) -> str:
 
 
 def _run_experiment(name: str, workers: int):
-    config, statistic, normalization = EXPERIMENTS[name]
+    config, statistic = EXPERIMENTS[name]
     # C and Z read a table up to n; M and N read only the sampled values
     table = _shared_table(config.n) if statistic in ("C", "Z") else None
-    return montecarlo.run_replicates(config, statistic, normalization, table,
-                                     workers=workers)
-
-
-def format_rows_csv(rows) -> str:
-    """Stable CSV for replicate rows: header, LF endings, repr floats."""
-    lines = ["index,raw,normalized"]
-    for idx, raw, normalized in rows:
-        lines.append(f"{idx},{raw},{normalized!r}")
-    return "\n".join(lines) + "\n"
+    return montecarlo.run_replicates(config, statistic, table, workers=workers)
 
 
 # --- criterion 1: oracle equivalence ----------------------------------------
@@ -129,11 +120,10 @@ def _oracle_one_n(table, n, r, qs, fails) -> bool:
         return False
 
     # pmf
-    mine = exact.gcd_pmf(table, n, r)
-    ref = brute.pmf(n, r)
-    if [v.as_fraction() for v in mine] != ref:
+    pmf = [v.as_fraction() for v, count in exact.gcd_pmf(table, n, r) for _ in range(count)]
+    if pmf != brute.pmf(n, r):
         return bad("pmf mismatch")
-    if sum(v.as_fraction() for v in mine) != 1:
+    if sum(pmf) != 1:
         return bad("pmf does not sum to 1")
     # moments
     for q in qs:
@@ -283,10 +273,9 @@ def suite_variance(workers: int = 1) -> list[CheckResult]:
         name = f"variance {statistic}"
         cfg = EXPERIMENTS[name][0]
         at = _at(cfg, ("n", "m"))
-        rows = _run_experiment(name, workers).rows
-        vals = np.array([float(raw) for _, raw, _ in rows])
-        mean_exact, sd_exact = montecarlo.exact_moments(cfg, statistic,
-                                                        _shared_table(cfg.n))
+        rec = _run_experiment(name, workers)
+        vals = np.array(rec.raw, dtype=np.float64)
+        mean_exact, sd_exact = rec.shift, rec.scale
         var_exact = sd_exact**2
         se_mean = sd_exact / math.sqrt(cfg.replicates)
         mean_gap = abs(vals.mean() - mean_exact)
@@ -316,8 +305,8 @@ def suite_clt(workers: int = 1) -> list[CheckResult]:
     out = []
     normal = stattest.ReferenceLaw.normal()
     for name in ("clt C", "clt Z"):
-        cfg, statistic, _ = EXPERIMENTS[name]
-        ks = stattest.ks_distance(_run_experiment(name, workers), normal)
+        cfg, statistic = EXPERIMENTS[name]
+        ks = stattest.ks_distance(_run_experiment(name, workers).normalized, normal)
         out.append(CheckResult(
             f"clt: normalized {statistic} at {_at(cfg)}, KS vs normal < 0.06",
             ks < 0.06, f"KS={ks:.4f}",
@@ -329,9 +318,9 @@ def suite_clt(workers: int = 1) -> list[CheckResult]:
 
 def suite_frechet(workers: int = 1) -> list[CheckResult]:
     cfg = EXPERIMENTS["frechet"][0]
-    emp = _run_experiment("frechet", workers)
+    rec = _run_experiment("frechet", workers)
     law = stattest.ReferenceLaw.frechet(scale=1 / constants.zeta(2))
-    ks = stattest.ks_distance(emp, law)
+    ks = stattest.ks_distance(rec.normalized, law)
     return [CheckResult(
         f"frechet: scaled max gcd at {_at(cfg)}, KS vs exp(-1/(t zeta(2))) < 0.07",
         ks < 0.07, f"KS={ks:.4f}",
@@ -343,15 +332,15 @@ def suite_frechet(workers: int = 1) -> list[CheckResult]:
 def suite_poisson(workers: int = 1) -> list[CheckResult]:
     out = []
     cfg = EXPERIMENTS["poisson"][0]
-    emp = _run_experiment("poisson", workers)
+    raw = _run_experiment("poisson", workers).raw
     lam = 1 / constants.zeta(2)
-    tv = stattest.tv_distance(emp, stattest.ReferenceLaw.poisson(lam))
+    tv = stattest.tv_distance(raw, stattest.ReferenceLaw.poisson(lam))
     out.append(CheckResult(
         f"poisson: N(1) at {_at(cfg)}, TV vs Poisson(1/zeta(2)) < 0.05",
         tv < 0.05, f"TV={tv:.4f}",
     ))
-    mean = sum(k * c for k, c in emp.counts.items()) / emp.size
-    se = math.sqrt(lam / emp.size)
+    mean = sum(raw) / len(raw)
+    se = math.sqrt(lam / len(raw))
     gap = abs(mean - lam)
     out.append(CheckResult(
         "poisson: empirical mean within 3 SE of 0.6079",
@@ -419,7 +408,7 @@ def suite_stronglaw() -> list[CheckResult]:
 def suite_determinism() -> list[CheckResult]:
     out = []
     for name in EXPERIMENTS:
-        blobs = [format_rows_csv(_run_experiment(name, w).rows).encode()
+        blobs = [_run_experiment(name, w).csv().encode()
                  for w in DETERMINISM_WORKERS]
         identical = all(b == blobs[0] for b in blobs)
         out.append(CheckResult(

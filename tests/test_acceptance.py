@@ -8,7 +8,6 @@ gcdstats.verify.SEEDS.
 from collections import Counter
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from gcdstats import montecarlo, verify
@@ -82,17 +81,11 @@ def test_criterion_11_worker_determinism():
 
 
 def _recording_run_replicates(calls):
-    """A stand-in for run_replicates that records (config, statistic, normalization, workers)."""
+    """A stand-in for run_replicates that records (config, statistic, workers)."""
 
-    def fake_run_replicates(config, statistic, normalization="none", table=None,
-                            t=1.0, workers=1):
-        calls.append((config, statistic, normalization, workers))
-        rows = [(0, 1, 0.0), (1, 2, 1.0)]
-        if statistic == "N":
-            return montecarlo.EmpiricalDistribution("integer-counts", 2,
-                                                    counts={1: 1, 2: 1}, rows=rows)
-        return montecarlo.EmpiricalDistribution("continuous", 2,
-                                                values=np.array([0.0, 1.0]), rows=rows)
+    def fake_run_replicates(config, statistic, table=None, t=1.0, workers=1):
+        calls.append((config, statistic, workers))
+        return montecarlo.Replicates((1, 2), shift=1.0, scale=1.0)
 
     return fake_run_replicates
 
@@ -113,14 +106,14 @@ def test_determinism_reruns_the_statistical_suites_experiments(monkeypatch):
         statistical += calls
     calls.clear()
     verify.suite_determinism()
-    assert Counter(calls) == Counter(run[:3] + (w,) for run in statistical for w in (1, 4, 16))
+    assert Counter(calls) == Counter(run[:2] + (w,) for run in statistical for w in (1, 4, 16))
 
 
 def test_statistical_check_labels_follow_the_experiment_configs(monkeypatch):
     monkeypatch.setattr(montecarlo, "run_replicates", _recording_run_replicates([]))
     monkeypatch.setattr(verify, "EXPERIMENTS", {
-        name: (replace(cfg, m=7, n=12_345, replicates=10**6), statistic, normalization)
-        for name, (cfg, statistic, normalization) in verify.EXPERIMENTS.items()})
+        name: (replace(cfg, m=7, n=12_345, replicates=10**6), statistic)
+        for name, (cfg, statistic) in verify.EXPERIMENTS.items()})
     names = [res.name for suite in (verify.suite_variance, verify.suite_clt,
                                     verify.suite_frechet, verify.suite_poisson)
              for res in suite()]

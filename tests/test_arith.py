@@ -202,12 +202,14 @@ def test_build_table_validation():
         build_table(DEFAULT_MAX_N + 1)
 
 
-def test_high_order_totient_falls_back_to_big_ints():
+def test_high_order_totient_falls_back_to_big_ints(tmp_path):
     table = build_table(50)
     vals = table.totient(12)
-    assert isinstance(vals, list)  # 50^12 exceeds int64
+    assert vals.dtype == object  # 50^12 exceeds int64
     assert vals[2] == 2**12 - 1
     assert vals[6] == 6**12 * (2**12 - 1) * (3**12 - 1) // (2**12 * 3**12)
+    with pytest.raises(ValueError, match="totient order 12 exceeds int64, not serializable"):
+        save_table(table, tmp_path / "t.tbl")
 
 
 def test_lazy_totient_order(table_100):
@@ -223,10 +225,11 @@ def test_prime_power_sieve_is_the_plain_sieves():
                           (table.totient(1), plain_jordan_sieve(n, 1)),
                           (table.totient(2), plain_jordan_sieve(n, 2))):
             assert got.dtype == want.dtype and np.array_equal(got, want), n
-    # 50^12 exceeds int64: the order stays a list of Python ints
+    # 50^12 exceeds int64: the order is an array of Python ints
     got = build_table(50).totient(12)
     want = plain_jordan_sieve(50, 12, dtype=object).tolist()
-    assert isinstance(got, list) and all(type(v) is int for v in got) and got == want
+    assert got.dtype == object and all(type(v) is int for v in got.tolist())
+    assert got.tolist() == want
 
 
 def test_table_save_load_roundtrip(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -129,7 +130,7 @@ def test_pmf_bytes_are_the_plain_json_dump(n, r, tmp_path, capsys):
     from gcdstats import cli, exact
     from gcdstats.arith import build_table
 
-    res = exact.gcd_pmf(build_table(n), n, r)
+    res = [v for v, count in exact.gcd_pmf(build_table(n), n, r) for _ in range(count)]
     payload = {
         "manifest": cli._manifest("exact", {"quantity": "pmf", "n": n, "r": r}),
         "quantity": "pmf", "n": n, "r": r,
@@ -254,6 +255,38 @@ def test_simulate_writes_csv_and_json(tmp_path, capsys):
     run_cli(argv[:-1] + [prefix2], capsys)
     assert (tmp_path / "again.csv").read_bytes() == csv_bytes
     assert json.loads((tmp_path / "again.json").read_text())["mean"] == summary["mean"]
+
+
+# sha256 of <out>.csv and of <out>.json without manifest.versions, one
+# small run of each statistic; the bytes of every replicate file and summary
+_SIMULATE_GOLDEN = {
+    ("C", "--m", "20", "--n", "100", "--reps", "300", "--seed", "11"): (
+        "50e27283369daf52d5c296e2848cb54e5f409f1de6569753e1ffbbb227db0b99",
+        "71e164266acdc2a55a22af4ed408013339351cffc42e9cdda83470ffd47b6c02"),
+    ("Z", "--m", "20", "--n", "100", "--q", "2", "--reps", "300", "--seed", "12"): (
+        "b3ffce3e5d53e9b9debc4077e1894164f004bad7b6a763feb5b377db4d2bf458",
+        "65f4cf2456cc26cdb1f2bb6d4dbb8eca0ae3af347dff40264afa555533fb2e3c"),
+    ("M", "--m", "64", "--n", "m^2.5", "--reps", "300", "--seed", "13"): (
+        "f5be292eab73e4180b4c4fec0da7751663873d507b7c50403a6b10151c5f92a7",
+        "2499d0a5b10f8089d8ce96462f0055decf6c15df94ab91f259c7a847596b225b"),
+    ("N", "--m", "100", "--n", "1000000", "--reps", "300", "--seed", "14"): (
+        "d3ae6d7981caf15f4f33f2ae91a8cfc0a6f009f6a87ad80404780769b3a41976",
+        "d8679ce099540585428e560e8a0f6e94f6b44d6ddeffcb693c72e33c0c4fff4b"),
+}
+
+
+@pytest.mark.parametrize("args", list(_SIMULATE_GOLDEN), ids=lambda args: args[0])
+def test_simulate_bytes_are_golden(args, tmp_path, capsys):
+    prefix = str(tmp_path / "run")
+    code, _ = run_cli(["simulate", "--statistic", *args, "--workers", "1", "--out", prefix],
+                      capsys)
+    assert code == 0
+    summary = json.loads((tmp_path / "run.json").read_text())
+    del summary["manifest"]["versions"]
+    summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    digests = (hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest(),
+               hashlib.sha256(summary_text.encode()).hexdigest())
+    assert digests == _SIMULATE_GOLDEN[args]
 
 
 def test_simulate_n_rule_and_poisson(tmp_path, capsys):

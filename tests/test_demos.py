@@ -1,0 +1,20 @@
+"""The demos that call the library's pmf, replicate and distance functions
+run to the end."""
+
+import contextlib
+import io
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("name", ["01_exact_distribution", "03_normal_fluctuations",
+                                  "04_extremes"])
+def test_demo_runs(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
+    assert out.getvalue()

@@ -1,3 +1,4 @@
+import itertools
 import math
 from math import isqrt
 from fractions import Fraction
@@ -190,25 +191,30 @@ def test_cesaro_dirichlet_limit():
     assert abs(r.float_value - 1 / constants.zeta(2)) < 1e-3
 
 
+def pmf_entries(table, n, r):
+    """gcd_pmf as one ExactResult per k = 1..n."""
+    return [v for v, count in exact.gcd_pmf(table, n, r) for _ in range(count)]
+
+
 def test_gcd_pmf_small(table_100):
-    pmf = exact.gcd_pmf(table_100, 2, 2)
+    pmf = pmf_entries(table_100, 2, 2)
     assert [frac(v) for v in pmf] == [Fraction(3, 4), Fraction(1, 4)]
-    pmf = exact.gcd_pmf(table_100, 4, 2)
+    pmf = pmf_entries(table_100, 4, 2)
     assert sum(frac(v) for v in pmf) == 1
     assert all(frac(v) >= 0 for v in pmf)
 
 
 def test_gcd_pmf_r1_is_uniform(table_100):
     # with one variable the value itself is the "gcd", so the pmf is uniform
-    pmf = exact.gcd_pmf(table_100, 10, 1)
-    assert all(frac(v) == Fraction(1, 10) for v in pmf)
+    pmf = pmf_entries(table_100, 10, 1)
+    assert len(pmf) == 10 and all(frac(v) == Fraction(1, 10) for v in pmf)
 
 
 def test_gcd_pmf_and_tail_are_the_per_k_floor_sums(table_1000):
     for n in (1, 2, 17, 100, 1000):
         for r in (1, 2, 3):
             want = per_k_gcd_counts(table_1000, n, r)
-            assert [v.numerator for v in exact.gcd_pmf(table_1000, n, r)] == want
+            assert [v.numerator for v in pmf_entries(table_1000, n, r)] == want
             if r == 2:
                 for t in {0, 1, n // 3, n - 1, n}:
                     got = exact.gcd_tail(table_1000, n, t).numerator
@@ -217,7 +223,7 @@ def test_gcd_pmf_and_tail_are_the_per_k_floor_sums(table_1000):
 
 def test_gcd_pmf_limit_at_k1():
     table = _shared_table(1_000_000)
-    first = exact.gcd_pmf(table, 100_000, 2)[0]
+    first, _ = exact.gcd_pmf(table, 100_000, 2)[0]
     assert abs(first.float_value - 1 / constants.zeta(2)) < 1e-3
 
 
@@ -560,9 +566,11 @@ def test_gcd_tail_paper_bound():
     assert abs(tail - approx) <= 4 * (1 + math.log(n)) ** 2 / n
 
 
-def test_gcd_pmf_shares_one_result_per_floor_block():
-    n = 10_000
-    pmf = exact.gcd_pmf(build_table(n), n, 2)
-    assert len(pmf) == n
-    assert len({id(v) for v in pmf}) == len({n // k for k in range(1, n + 1)})
-    assert all(pmf[k - 1] is pmf[k] for k in range(1, n) if n // k == n // (k + 1))
+def test_gcd_pmf_runs_are_the_floor_blocks():
+    for n in (1, 2, 3, 10, 99, 10_000):
+        runs = exact.gcd_pmf(build_table(n), n, 2)
+        # the lengths of the blocks of equal floor(n/k), in ascending k
+        blocks = [len(list(group)) for _, group in
+                  itertools.groupby(range(1, n + 1), key=lambda k: n // k)]
+        assert [count for _, count in runs] == blocks
+        assert sum(count for _, count in runs) == n

@@ -159,12 +159,13 @@ def test_block_statistics_match_naive_loops(monkeypatch):
         reps = rng.randint(1, 12)
         cfg = SampleConfig(m=m, n=n, r=r, q=q, replicates=reps, master_seed=900 + trial)
         table = build_table(n)
-        c_rows = run_replicates(cfg, "C", table=table).rows
-        z_rows = run_replicates(cfg, "Z", table=table).rows
+        # the raw values: run_replicates would also normalise, and n = 1 has no sd
+        c_raw = montecarlo._raws_in_range(cfg, "C", table, 0.0, 0, reps)
+        z_raw = montecarlo._raws_in_range(cfg, "Z", table, 0.0, 0, reps)
         for i in range(reps):
             x = draw_sample(cfg, i)
-            assert c_rows[i][1] == brute.naive_stat_C(x, r)
-            assert z_rows[i][1] == brute.naive_stat_Z(x, r, q)
+            assert c_raw[i] == brute.naive_stat_C(x, r)
+            assert z_raw[i] == brute.naive_stat_Z(x, r, q)
     assert set(taken) == {"_dense_route", "_sparse_route"}
 
 
@@ -222,18 +223,17 @@ def test_sparse_path_beyond_table_range():
 
 def test_run_replicates_deterministic(table_50):
     cfg = SampleConfig(m=8, n=30, replicates=64, master_seed=2024)
-    a = run_replicates(cfg, "C", "none", table_50)
-    b = run_replicates(cfg, "C", "none", table_50)
-    assert np.array_equal(a.values, b.values)
-    assert a.size == 64 and a.kind == "continuous"
-    assert a.meta["config"]["master_seed"] == 2024
+    a = run_replicates(cfg, "C", table_50)
+    b = run_replicates(cfg, "C", table_50)
+    assert a == b and a.csv() == b.csv()
+    assert len(a.raw) == 64 and all(type(v) is int for v in a.raw)
 
 
 def test_run_replicates_workers_identical(table_50):
     cfg = SampleConfig(m=10, n=40, replicates=48, master_seed=31)
-    rows1 = run_replicates(cfg, "Z", "none", table_50, workers=1).rows
-    rows3 = run_replicates(cfg, "Z", "none", table_50, workers=3).rows
-    assert rows1 == rows3
+    one = run_replicates(cfg, "Z", table_50, workers=1)
+    three = run_replicates(cfg, "Z", table_50, workers=3)
+    assert one == three and one.csv() == three.csv()
 
 
 def test_run_replicates_matches_exact_moments(table_50):
@@ -242,9 +242,10 @@ def test_run_replicates_matches_exact_moments(table_50):
     cfg = SampleConfig(m=m, n=n, replicates=reps, master_seed=424242)
     table = build_table(n)
     for statistic in ("C", "Z"):
-        emp = run_replicates(cfg, statistic, "none", table)
+        rec = run_replicates(cfg, statistic, table)
         mean, sd = montecarlo.exact_moments(cfg, statistic, table)
-        assert abs(float(np.mean(emp.values)) - mean) < 4 * sd / math.sqrt(reps)
+        assert (rec.shift, rec.scale) == (mean, sd)
+        assert abs(float(np.mean(rec.raw)) - mean) < 4 * sd / math.sqrt(reps)
 
 
 def test_raw_variance_approaches_exact(table_50):
@@ -252,28 +253,46 @@ def test_raw_variance_approaches_exact(table_50):
     n, m, reps = 2, 3, 20_000
     cfg = SampleConfig(m=m, n=n, replicates=reps, master_seed=909)
     table = build_table(n)
-    emp = run_replicates(cfg, "C", "none", table)
-    assert abs(float(np.var(emp.values)) - 15 / 16) < 0.03
+    rec = run_replicates(cfg, "C", table)
+    assert abs(float(np.var(rec.raw)) - 15 / 16) < 0.03
 
 
 def test_normalized_replicates(table_50):
     cfg = SampleConfig(m=6, n=20, replicates=32, master_seed=7)
     table = build_table(20)
-    emp = run_replicates(cfg, "C", "exact-moments", table)
-    raw = run_replicates(cfg, "C", "none", table)
+    rec = run_replicates(cfg, "C", table)
     mean, sd = montecarlo.exact_moments(cfg, "C", table)
-    assert np.allclose(np.sort((raw.values - mean) / sd), emp.values)
-    emp = run_replicates(cfg, "M", "frechet-scale", table)
-    assert np.all(emp.values > 0)
-    assert emp.meta["scale"] == comb(6, 2)
+    # bit for bit the float arithmetic of one replicate at a time
+    assert rec.normalized.tolist() == [(float(v) - mean) / sd for v in rec.raw]
+    rec = run_replicates(cfg, "M")
+    assert (rec.shift, rec.scale) == (0, comb(6, 2))
+    assert rec.normalized.tolist() == [v / comb(6, 2) for v in rec.raw]
+    assert np.all(rec.normalized > 0)
+    with pytest.raises(ValueError):
+        rec.normalized[0] = 1.0
 
 
 def test_poisson_replicates_integer_counts(table_50):
     cfg = SampleConfig(m=8, n=50, replicates=100, master_seed=13)
-    emp = run_replicates(cfg, "N", "none", table_50, t=0.5)
-    assert emp.kind == "integer-counts"
-    assert sum(emp.counts.values()) == 100
-    assert all(k >= 0 for k in emp.counts)
+    rec = run_replicates(cfg, "N", table_50, t=0.5)
+    assert (rec.shift, rec.scale) == (0, 1)
+    assert len(rec.raw) == 100
+    assert all(type(k) is int and k >= 0 for k in rec.raw)
+    assert rec.normalized.tolist() == [float(k) for k in rec.raw]
+
+
+def test_replicate_csv_rows():
+    rec = montecarlo.Replicates((3, 10**20, 0), shift=1.5, scale=2)
+    assert rec.csv() == ("index,raw,normalized\n0,3,0.75\n"
+                         "1,100000000000000000000,5e+19\n2,0,-0.75\n")
+
+
+def test_zero_variance_has_no_normalisation():
+    # n = 1: every gcd is 1, so C and Z are constants
+    cfg = SampleConfig(m=4, n=1, replicates=2, master_seed=1)
+    for statistic in ("C", "Z"):
+        with pytest.raises(ValueError, match="zero variance"):
+            run_replicates(cfg, statistic)
 
 
 def test_strong_law_trajectory(table_50):
@@ -390,12 +409,12 @@ def test_block_pair_kernel_matches_naive_loops(monkeypatch):
         reps = rng.randint(1, 12)
         t = rng.choice([0.0, 0.3, 1.0, 4.0])
         cfg = SampleConfig(m=m, n=n, replicates=reps, master_seed=500 + trial)
-        max_rows = run_replicates(cfg, "M").rows
-        count_rows = run_replicates(cfg, "N", t=t).rows
+        maxima = run_replicates(cfg, "M").raw
+        counts = run_replicates(cfg, "N", t=t).raw
         for i in range(reps):
             x = draw_sample(cfg, i)
-            assert max_rows[i][1] == brute.naive_stat_M(x)
-            assert count_rows[i][1] == brute.naive_poisson_count(x, t * comb(m, 2))
+            assert maxima[i] == brute.naive_stat_M(x)
+            assert counts[i] == brute.naive_poisson_count(x, t * comb(m, 2))
 
 
 def test_pair_kernel_on_values_beyond_2_31():
@@ -442,12 +461,12 @@ def test_pair_gcd_routes_match_naive_loops(monkeypatch):
             cut = rng.choice(_cuts(rng, n))
             t = math.nan if cut == montecarlo._INT64_MAX else (cut + 0.5) / comb(m, 2)
             cfg = SampleConfig(m=m, n=n, replicates=reps, master_seed=700 + trial)
-            max_rows = run_replicates(cfg, "M").rows
-            count_rows = run_replicates(cfg, "N", t=t).rows
+            maxima = run_replicates(cfg, "M").raw
+            counts = run_replicates(cfg, "N", t=t).raw
             for i in range(reps):
                 x = draw_sample(cfg, i)
-                assert max_rows[i][1] == brute.naive_stat_M(x)
-                assert count_rows[i][1] == brute.naive_poisson_count(x, t * comb(m, 2))
+                assert maxima[i] == brute.naive_stat_M(x)
+                assert counts[i] == brute.naive_poisson_count(x, t * comb(m, 2))
         if route == "pair":
             assert set(taken) == {"_pair_route"}
         else:
@@ -587,13 +606,13 @@ def test_pool_has_no_more_processes_than_ranges_or_cpus(monkeypatch, inline_pool
     sizes = inline_pool
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
     cfg = SampleConfig(m=6, n=30, replicates=5, master_seed=8)
-    serial = run_replicates(cfg, "C", workers=1).rows
+    serial = run_replicates(cfg, "C", workers=1)
     assert sizes == []
     for workers, expected in ((2, 2), (16, 3), (64, 3)):
-        assert run_replicates(cfg, "C", workers=workers).rows == serial
+        assert run_replicates(cfg, "C", workers=workers) == serial
         assert sizes[-1] == expected
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
-    assert run_replicates(cfg, "C", workers=64).rows == serial
+    assert run_replicates(cfg, "C", workers=64) == serial
     assert sizes[-1] == 5  # one process per replicate range
 
 
@@ -612,9 +631,10 @@ def test_pool_workers_sieve_nothing(statistic, q, n, monkeypatch, inline_pool, s
 
     monkeypatch.setattr(montecarlo, "_sim_chunk", chunk)
     cfg = SampleConfig(m=20, n=n, q=q, replicates=6, master_seed=3)
-    serial = run_replicates(cfg, statistic, workers=1).rows
+    serial = run_replicates(cfg, statistic, workers=1)
     sieve_calls.clear()
-    assert run_replicates(cfg, statistic, workers=2).rows == serial
+    assert run_replicates(cfg, statistic, workers=2) == serial
     assert len(inline_pool) == 1 and in_workers == []
-    weights = "mu" if statistic == "C" else f"phi_{q}"
-    assert sorted(sieve_calls) == sorted(["tau", "spf", weights])
+    # the kernel's arrays, and mu for the exact moments of Z
+    weights = ["mu"] if statistic == "C" else ["mu", f"phi_{q}"]
+    assert sorted(sieve_calls) == sorted(["tau", "spf", *weights])

@@ -105,7 +105,9 @@ def test_pmf_and_moment_gate(tables):
     for n in range(1, GATE_MAX_N + 1):
         table = tables[n]
         for r in (2, 3):
-            assert [v.as_fraction() for v in exact.gcd_pmf(table, n, r)] == brute.pmf(n, r)
+            pmf = [v.as_fraction() for v, count in exact.gcd_pmf(table, n, r)
+                   for _ in range(count)]
+            assert pmf == brute.pmf(n, r)
             for q in (1, 2):
                 assert exact.gcd_moment(table, n, r, q).as_fraction() == brute.moment(n, r, q)
 
@@ -130,11 +132,15 @@ def test_shared_exy_is_mean_for_indicator(tables):
 
 
 def test_big_integer_weight_path():
-    # order-12 totients exceed int64 at n=30, forcing the list-backed paths
-    table = build_table(30)
+    # 50^12 exceeds int64, so the order-12 totients of a table to 50 are
+    # Python ints.  At n = 10 their prefix sums and profiles still fit int64,
+    # at n = 30 only the profiles do, and at n = 50 neither does.
+    table = build_table(50)
     q = 12
-    assert exact.gcd_moment(table, 30, 2, q).as_fraction() == brute.moment(30, 2, q)
-    assert exact.mixed_moment_pi(table, 30, 2, q).as_fraction() == \
-        brute.mixed_moment_pi(30, 2, q)
-    got = exact.shared_covariance(table, 30, 2, 1, "moment", q).as_fraction()
-    assert got == brute.shared_covariance(30, 2, 1, "moment", q)
+    assert table.totient(q).dtype == object
+    for n in (10, 30, 50):
+        assert exact.gcd_moment(table, n, 2, q).as_fraction() == brute.moment(n, 2, q)
+        assert exact.mixed_moment_pi(table, n, 2, q).as_fraction() == \
+            brute.mixed_moment_pi(n, 2, q)
+        got = exact.shared_covariance(table, n, 2, 1, "moment", q).as_fraction()
+        assert got == brute.shared_covariance(n, 2, 1, "moment", q)

@@ -4,20 +4,7 @@ import numpy as np
 import pytest
 
 from gcdstats.constants import zeta
-from gcdstats.montecarlo import EmpiricalDistribution
 from gcdstats.stattest import ReferenceLaw, cdf, ks_distance, poisson_pmf, tv_distance
-
-
-def continuous(values):
-    v = np.sort(np.asarray(values, dtype=np.float64))
-    return EmpiricalDistribution("continuous", len(v), values=v)
-
-
-def integer_counts(draws):
-    counts = {}
-    for v in draws:
-        counts[int(v)] = counts.get(int(v), 0) + 1
-    return EmpiricalDistribution("integer-counts", len(draws), counts=counts)
 
 
 def test_law_validation():
@@ -56,13 +43,20 @@ def test_normal_cdf_precision():
 def test_ks_self_consistency():
     # draws from the reference itself: 99% asymptotic Kolmogorov quantile
     rng = np.random.Generator(np.random.Philox(key=[1, 0]))
-    emp = continuous(rng.standard_normal(2000))
-    assert ks_distance(emp, ReferenceLaw.normal()) < 1.63 / math.sqrt(2000)
+    draws = rng.standard_normal(2000)
+    assert ks_distance(draws, ReferenceLaw.normal()) < 1.63 / math.sqrt(2000)
 
 
 def test_ks_point_mass_at_median():
-    emp = continuous(np.zeros(500))
-    assert abs(ks_distance(emp, ReferenceLaw.normal()) - 0.5) < 1e-12
+    assert abs(ks_distance(np.zeros(500), ReferenceLaw.normal()) - 0.5) < 1e-12
+
+
+def test_ks_sorts_the_values_itself():
+    rng = np.random.Generator(np.random.Philox(key=[3, 0]))
+    draws = rng.standard_normal(300)
+    law = ReferenceLaw.normal()
+    assert ks_distance(draws, law) == ks_distance(np.sort(draws), law)
+    assert ks_distance(draws.tolist(), law) == ks_distance(draws, law)
 
 
 def test_ks_scale_invariance_frechet():
@@ -70,18 +64,14 @@ def test_ks_scale_invariance_frechet():
     rng = np.random.Generator(np.random.Philox(key=[9, 0]))
     scale = 1 / zeta(2)
     vals = scale / -np.log(rng.random(500))
-    a = ks_distance(continuous(vals), ReferenceLaw.frechet(scale))
-    b = ks_distance(continuous(vals * 2.0), ReferenceLaw.frechet(scale * 2.0))
+    a = ks_distance(vals, ReferenceLaw.frechet(scale))
+    b = ks_distance(vals * 2.0, ReferenceLaw.frechet(scale * 2.0))
     assert a == b
 
 
-def test_ks_requires_continuous():
-    emp = integer_counts([0, 1, 1])
+def test_ks_rejects_no_values():
     with pytest.raises(ValueError):
-        ks_distance(emp, ReferenceLaw.normal())
-    with pytest.raises(ValueError):
-        ks_distance(EmpiricalDistribution("continuous", 0, values=np.array([])),
-                    ReferenceLaw.normal())
+        ks_distance(np.array([]), ReferenceLaw.normal())
 
 
 def test_poisson_pmf_recursion():
@@ -93,20 +83,25 @@ def test_poisson_pmf_recursion():
 
 def test_tv_self_consistency():
     rng = np.random.Generator(np.random.Philox(key=[1, 1]))
-    emp = integer_counts(rng.poisson(1.0, 5000).tolist())
-    assert tv_distance(emp, ReferenceLaw.poisson(1.0)) < 0.03
+    raw = rng.poisson(1.0, 5000).tolist()
+    assert tv_distance(raw, ReferenceLaw.poisson(1.0)) < 0.03
 
 
 def test_tv_point_mass():
-    emp = integer_counts([0] * 1000)
-    tv = tv_distance(emp, ReferenceLaw.poisson(1.0))
+    tv = tv_distance([0] * 1000, ReferenceLaw.poisson(1.0))
     assert abs(tv - (1 - math.exp(-1))) < 1e-9
 
 
+def test_tv_counts_values_beyond_the_support_cap():
+    # half the raw values sit past the cap: their mass is all tail
+    tv = tv_distance([0, 100] * 500, ReferenceLaw.poisson(1.0))
+    pk = poisson_pmf(1.0, 64)
+    gap = abs(0.5 - pk[0]) + float(pk[1:].sum())
+    assert abs(tv - 0.5 * (gap + 0.5 + max(0.0, 1 - float(pk.sum())))) < 1e-12
+
+
 def test_tv_validation():
-    emp = continuous([1.0, 2.0])
     with pytest.raises(ValueError):
-        tv_distance(emp, ReferenceLaw.poisson(1.0))
-    emp = integer_counts([1])
+        tv_distance([], ReferenceLaw.poisson(1.0))
     with pytest.raises(ValueError):
-        tv_distance(emp, ReferenceLaw.normal())
+        tv_distance([1], ReferenceLaw.normal())
