@@ -10,14 +10,13 @@ P(gcd = k) -> 1/(zeta(2) k^2)).
 from gcdstats import build_table, constants, exact
 
 n = 50_000
-table = build_table(n)
 z2 = constants.zeta(2)
 
 print(f"sample space {{1..{n}}}, pairs (r = 2)")
 print()
 
 # the pmf comes as (value, count) runs over the blocks of equal floor(n/k)
-runs = exact.gcd_pmf(table, n, 2)
+runs = exact.gcd_pmf(n, 2)
 pmf = [v for v, count in runs for _ in range(count)]
 print("  k   P(gcd = k)        1/(zeta(2) k^2)")
 for k in range(1, 9):
@@ -26,26 +25,27 @@ for k in range(1, 9):
 print(f"  pmf sums to {sum(v.as_fraction() * count for v, count in runs)} exactly")
 print()
 
-coprime = exact.mean_mu(table, n, 1)
+coprime = exact.mean_mu(n, 1)
 print(f"P(coprime pair)        = {coprime.float_value:.10f}")
 print(f"  numerator             {coprime.numerator}")
 print(f"  denominator           {n}^{coprime.denom_power}")
 print(f"  1/zeta(2)            = {1 / z2:.10f}")
 print()
 
-mean = exact.mean_nu(table, n, 1)
+mean = exact.mean_nu(n, 1)
 import math
 print(f"E gcd(pair)            = {mean.float_value:.6f}")
 print(f"  (1/zeta(2)) ln(n)    = {math.log(n) / z2:.6f}   (same order)")
 print()
 
-second = exact.gcd_moment(table, n, 2, 2)
+second = exact.gcd_moment(n, 2, 2)
 target = (2 * z2 / constants.zeta(3) - 1) / 3
 print(f"E gcd(pair)^2 / n      = {second.float_value / n:.6f}")
 print(f"  limit (1/3)(2 zeta(2)/zeta(3) - 1) = {target:.6f}")
 print()
 
 print("marginal profile U_1(k) = P(gcd(X, k) = 1), small k:")
+table = build_table(1000)  # the profiles read a table; the moments above need none
 prof = exact.marginal_profile(table, 1000, 1, "probability")
 phi = table.totient(1)
 for k in (2, 6, 12, 30):

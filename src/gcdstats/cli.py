@@ -28,7 +28,8 @@ import time
 import numpy as np
 
 from . import __version__, constants, exact, montecarlo, stattest, verify
-from .arith import CapacityError, build_table, load_table, save_table, totient_fits_int64
+from .arith import (DEFAULT_MAX_N, CapacityError, build_table, load_table, save_table,
+                    totient_fits_int64)
 
 
 def _manifest(subcommand: str, params: dict) -> dict:
@@ -141,6 +142,8 @@ def cmd_tables(args) -> int:
 
 _EXACT_QUANTITIES = ("mu", "nu", "c", "d", "pmf", "moment", "varC", "varZ",
                      "gamma", "omega", "pi", "tail")
+# first moments, from sums of mu and phi_q at the floor points of n: no table to n
+_TABLE_FREE = ("mu", "nu", "pmf", "moment", "tail")
 
 
 def cmd_exact(args) -> int:
@@ -154,10 +157,14 @@ def cmd_exact(args) -> int:
         raise ValueError(f"--r must be >= 0 for quantity {quantity}, got {r}")
     if quantity == "tail" and not 0 <= args.t <= n:
         raise ValueError(f"--t must lie in 0..{n} for quantity tail, got {args.t}")
-    table = build_table(n)
+    if quantity not in _TABLE_FREE:
+        table = build_table(n)
+    elif n > exact.TABLE_FREE_MAX_N:
+        raise ValueError(f"--n must be at most {exact.TABLE_FREE_MAX_N} for quantity {quantity} "
+                         f"(a sieve to n^(2/3) within the table cap of {DEFAULT_MAX_N}), got {n}")
     t0 = time.perf_counter()
     if quantity == "pmf":
-        runs = exact.gcd_pmf(table, n, r)
+        runs = exact.gcd_pmf(n, r)
         payload = {
             "manifest": _manifest("exact", {"quantity": quantity, "n": n, "r": r}),
             "quantity": quantity, "n": n, "r": r,
@@ -168,15 +175,15 @@ def cmd_exact(args) -> int:
         }
     else:
         if quantity == "mu":
-            res = exact.mean_mu(table, n, r)
+            res = exact.mean_mu(n, r)
         elif quantity == "nu":
-            res = exact.mean_nu(table, n, r)
+            res = exact.mean_nu(n, r)
         elif quantity == "c":
             res = exact.var_c(table, n, r)
         elif quantity == "d":
             res = exact.var_d(table, n, r)
         elif quantity == "moment":
-            res = exact.gcd_moment(table, n, r, q)
+            res = exact.gcd_moment(n, r, q)
         elif quantity == "varC":
             res = exact.var_C(table, n, _require(m, "--m"), r)
         elif quantity == "varZ":
@@ -188,7 +195,7 @@ def cmd_exact(args) -> int:
         elif quantity == "pi":
             res = exact.mixed_moment_pi(table, n, r, q)
         else:  # tail
-            res = exact.gcd_tail(table, n, int(args.t))
+            res = exact.gcd_tail(n, int(args.t))
         record = res.record(quantity, n=n, r=r, q=q, s=s, m=m)
         payload = {"manifest": _manifest("exact", {
             "quantity": quantity, "n": n, "r": r, "q": q, "s": s, "m": m,

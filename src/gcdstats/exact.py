@@ -11,17 +11,26 @@ exact rationals: an integer numerator over a structural power of n.
 One numpy kernel (`_floor_power_sums`) evaluates such a floor sum against
 exact prefix sums for a whole array of upper limits v at once, each by
 Dirichlet's hyperbola split into O(sqrt v) blocks of constant floor(v/j).
-A single quantity is the one-v case and costs O(sqrt n) after an O(n)
-prefix pass.  Whole profiles over k = 1..n are divisor sums
-h(k) = sum_{j|k} w(j), which one kernel (`_divisor_accumulate`) evaluates
-with the same split in O(sqrt n) array operations.  Shared-variable
-covariances reduce to sum_d G_s(d) h(d)^2, with G_s(d) the number of
-s-tuples whose gcd is exactly d.  G_s(d) depends on d only through
-floor(n/d), so the batched kernel gives it for all O(sqrt n) quotient
-blocks (`_quotient_blocks`) in one call, and `_block_sums` gives each
-block's sum of h^2.  Sums are int64 where a bound proves they fit; the
-square sums otherwise cut int64 values into limbs, and values past int64
-are Python ints.  No n-entry array is turned into a Python list.
+It reads the prefix sums only at the floor points of n, from one
+floor-indexed form (`_FloorPrefix`).  For g = mu or phi_q, `_summatory`
+fills that form without an n-entry table: a sieve to about n^(2/3) and
+the recursion sum_{d<=x} G(x // d) = sum_{j<=x} (g * 1)(j) at the
+O(n^(1/3)) points above it.  So the first moments (mean_mu, mean_nu,
+gcd_moment) and the gcd pmf and tail take no table and cost about
+O(n^(2/3)), up to n = TABLE_FREE_MAX_N (about 1.6e11).  An arbitrary g
+(`cesaro_expectation`) costs one O(n) prefix pass.
+
+Whole profiles over k = 1..n are divisor sums h(k) = sum_{j|k} w(j),
+which one kernel (`_divisor_accumulate`) evaluates with the same split in
+O(sqrt n) array operations.  Shared-variable covariances reduce to
+sum_d G_s(d) h(d)^2, with G_s(d) the number of s-tuples whose gcd is
+exactly d.  G_s(d) depends on d only through floor(n/d), so the batched
+kernel gives it for all O(sqrt n) quotient blocks (`_quotient_blocks`) in
+one call, and `_block_sums` gives each block's sum of h^2; at s = r,
+h = g * 1 is known in closed form and needs no profile.  Sums are int64
+where a bound proves they fit; the square sums otherwise cut int64 values
+into limbs, and values past int64 are Python ints.  No n-entry array is
+turned into a Python list.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .arith import ArithTable, divisors
+from .arith import DEFAULT_MAX_N, ArithTable, build_table, divisors
 
 _INT64_SAFE = 2**62
 
@@ -72,20 +81,142 @@ class ExactResult:
         return rec
 
 
-# --- exact floor-power sums ----------------------------------------------
+# --- prefix sums at the floor points ---------------------------------------
 
-def _exact_prefix(g: np.ndarray, n: int):
-    """(P, peak): exact prefix sums P[0..n] of g and peak = max |g(j)|, j <= n.
+def _cumsum(head: np.ndarray, bound: int) -> np.ndarray:
+    """Exact prefix sums of head: int64 when bound >= every |partial sum|
+    is below 2^62, else Python ints in an object array.
 
-    P is int64 when (n+1) peak < 2^62 proves every partial sum fits, else
-    Python ints in an object array.
+    The int64 sums are taken in place: np.cumsum(head, dtype=np.int64)
+    would hold a cast copy of head beside them.
+    """
+    if head.dtype != object and bound < _INT64_SAFE:
+        sums = head.astype(np.int64)
+        return np.cumsum(sums, out=sums)
+    return np.cumsum(head.astype(object))
+
+
+@dataclass(frozen=True)
+class _FloorPrefix:
+    """G(x) = sum_{j <= x} g(j) at every point a floor sum for n reads.
+
+    dense[x] = G(x) for x = 0..L, and high[k] = G(n // k) for the points
+    above L, k = 1..n // (L+1) (high[0] is unused).  A floor sum for n reads
+    G only at x <= sqrt(n) <= L and at x = n // k, and n // x is then the
+    slot of x in high.  peak bounds |g(j)| for j <= n.
+    """
+
+    n: int
+    dense: np.ndarray
+    high: np.ndarray
+    peak: int
+
+    def at(self, x: np.ndarray) -> np.ndarray:
+        """G at the int64 points x, each at most L or of the form n // k."""
+        above = x >= self.dense.size
+        out = self.dense[np.where(above, 0, x)]
+        if self.high.dtype == object:
+            out = out.astype(object)
+        out[above] = self.high[self.n // x[above]]
+        return out
+
+
+def _exact_prefix(g: np.ndarray, n: int) -> _FloorPrefix:
+    """The floor-indexed prefix of an integer array g over 0..n, with L = isqrt(n).
+
+    The n-entry prefix sums are int64 when (n+1) peak < 2^62 proves they
+    fit, peak = max |g(j)|, j <= n; only their O(sqrt n) floor points are kept.
     """
     head = g[: n + 1]
     peak = int(np.abs(head).max()) if head.size else 0
-    if (n + 1) * peak < _INT64_SAFE:
-        return np.cumsum(head, dtype=np.int64), peak
-    return np.cumsum(head.astype(object)), peak
+    sums = _cumsum(head, (n + 1) * peak)
+    root = isqrt(n)
+    slots = np.arange(n // (root + 1) + 1)
+    slots[0] = 1
+    return _FloorPrefix(n, sums[: root + 1].copy(), sums[n // slots], peak)
 
+
+def _sieve_limit(n: int) -> int:
+    """L of `_summatory`: c^2 for c = floor(n^(1/3)), and never below isqrt(n)."""
+    c = round(n ** (1 / 3))  # within 1 of the cube root, so one step corrects it
+    c -= c**3 > n
+    c += (c + 1) ** 3 <= n
+    return max(isqrt(n), c * c)
+
+
+# the largest n whose `_summatory` sieve stays within the table cap
+TABLE_FREE_MAX_N = (isqrt(DEFAULT_MAX_N) + 1) ** 3 - 1
+
+
+def _power_sums(x, q: int):
+    """sum_{j <= x} j^q exactly for q >= 1; x an int or an object array of ints.
+
+    Faulhaber's sum through the Stirling numbers S(q, i) of the second kind:
+    sum_i S(q, i) (x+1) x .. (x+1-i) / (i+1), each quotient exact.
+    """
+    row = [1]  # S(0, 0)
+    for _ in range(q):
+        row = [i * a + b for i, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    total, falling = 0, x + 1
+    for i, c in enumerate(row):
+        if i:
+            falling = falling * (x + 1 - i)
+        if c:
+            total = total + c * (falling // (i + 1))
+    return total
+
+
+def _summatory(n: int, q: int | None) -> _FloorPrefix:
+    """The floor-indexed prefix of g = mu (q None) or phi_q for n, with no n-entry table.
+
+    A table to L = `_sieve_limit(n)` gives G(0..L) by a cumsum.  Above L,
+    g * 1 = t (the delta at 1 for mu, j^q for phi_q) gives the recursion of
+    Deleglise and Rivat,
+
+        G(x) = T(x) - sum_{2 <= d <= x} G(x // d),   T(x) = sum_{j <= x} t(j),
+
+    with T = 1 for mu and Faulhaber's sum for phi_q.  With K = isqrt(x), the
+    d <= x // (K+1) are taken one by one and the others through the count
+    x // t - x // (t+1) of d with x // d = t, t = 1..K.  The points x = n // k
+    go in ascending x (descending k), so x // d = n // (k d) is below L or
+    is high[k d], already filled: one numpy pass over O(sqrt x) entries for
+    each of the O(n^(1/3)) points.  |G(y)| <= peak y for peak = max |g(j)|,
+    j <= x (1 for mu, x^q for phi_q), so every sum at x is below
+    peak x (1 + bitlen(x)); a point is summed in int64 where that fits, else
+    in Python ints.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    top = _sieve_limit(n)
+    table = build_table(top)
+    g = table.mobius if q is None else table.totient(q)
+    dense = _cumsum(g, (top + 1) * (1 if q is None else top**q))
+
+    def peak(x):
+        return 1 if q is None else x**q
+
+    def fits(x):
+        return peak(x) * x * (x.bit_length() + 1) < _INT64_SAFE
+
+    last = n // (top + 1)
+    high = np.zeros(last + 1, dtype=np.int64 if fits(n) else object)
+    for k in range(last, 0, -1):
+        x = n // k
+        root = isqrt(x)
+        single = x // (root + 1)
+        inner = min(single, last // k)
+        below = dense[x // np.arange(inner + 1, single + 1)]
+        quot = x // np.arange(1, root + 2)
+        runs = quot[:-1] - quot[1:]
+        head = dense[1 : root + 1]
+        if not fits(x):
+            below, runs, head = below.astype(object), runs.astype(object), head.astype(object)
+        rest = int(high[2 * k : inner * k + 1 : k].sum()) + int(below.sum()) + int(head @ runs)
+        high[k] = (1 if q is None else _power_sums(x, q)) - rest
+    return _FloorPrefix(n, dense, high, peak(n))
+
+
+# --- exact floor-power sums ----------------------------------------------
 
 def _isqrt_array(v: np.ndarray) -> np.ndarray:
     """floor(sqrt(v)) elementwise for int64 v >= 0 below 2^52."""
@@ -99,10 +230,11 @@ def _isqrt_array(v: np.ndarray) -> np.ndarray:
 _BREAKPOINT_BATCH = 1 << 18
 
 
-def _floor_power_sums(prefix, values, s: int) -> np.ndarray:
-    """F(v) = sum_{j <= v} g(j) floor(v/j)^s for every v >= 1 in `values`, exactly.
+def _floor_power_sums(prefix: _FloorPrefix, values, s: int) -> np.ndarray:
+    """F(v) = sum_{j <= v} g(j) floor(v/j)^s for every v in `values`, exactly.
 
-    prefix = (P, peak) from `_exact_prefix`.  With K = isqrt(v), Dirichlet's
+    Each v is a floor point n // k of prefix.n (`_FloorPrefix`), and so is
+    every breakpoint below.  With K = isqrt(v), Dirichlet's
     hyperbola split takes each j <= v // (K+1) on its own and the other j in
     the K blocks on which floor(v/j) = t is constant, t = K, .., 1:
 
@@ -110,17 +242,18 @@ def _floor_power_sums(prefix, values, s: int) -> np.ndarray:
 
     over the breakpoints b = 1, 2, .., v // (K+1), v // K, .., v // 1, with
     b_0 = 0.  The breakpoints of many values are laid end to end (np.repeat
-    and cumsum) and each F(v) is one reduceat segment.  Every partial sum is
+    and cumsum) and each F(v) is one reduceat segment; P is read once per
+    breakpoint, and P[b_(i-1)] is the entry before.  Every partial sum is
     at most sum_j |g(j)| floor(v/j)^s <= peak v^s H_v, and the harmonic sum
     H_v <= 1 + ln v is below 1 + bitlen(v); the sums are int64 when that
     bound at the largest v is below 2^62, else Python ints.
     """
-    sums, peak = prefix
     v = np.asarray(values, dtype=np.int64)
     if v.size == 0:
         return np.zeros(0, dtype=np.int64)
     top = int(v.max())
-    fits = sums.dtype != object and max(peak, 1) * top**s * (top.bit_length() + 1) < _INT64_SAFE
+    fits = (object not in (prefix.dense.dtype, prefix.high.dtype)
+            and max(prefix.peak, 1) * top**s * (top.bit_length() + 1) < _INT64_SAFE)
     root = _isqrt_array(v)
     single = v // (root + 1)
     count = single + root
@@ -137,9 +270,10 @@ def _floor_power_sums(prefix, values, s: int) -> np.ndarray:
         # t = floor(v/b) on the block breakpoints; it exceeds K on the single j's
         t = (root[a:b] + single[a:b])[owner] - i
         point = np.where(i < single[a:b][owner], i + 1, vo // t)
-        prev = np.concatenate(([0], point[:-1]))
-        prev[starts] = 0
-        step = sums[point] - sums[prev]
+        at = prefix.at(point)
+        step = at.copy()
+        step[1:] -= at[:-1]
+        step[starts] = at[starts]
         quot = vo // point
         if not fits:
             step, quot = step.astype(object), quot.astype(object)
@@ -175,7 +309,7 @@ def _exact_gcd_counts(mu_prefix, n: int, s: int, top: int):
     G_s(d), the number of s-tuples in [n]^s with gcd exactly d, is
     sum_{j <= n/d} mu(j) floor(n/(d j))^s = F(n // d) of `_floor_power_sums`
     with g = mu, so it is evaluated once per block of equal quotients.
-    mu_prefix is `_exact_prefix(table.mobius, n)`.
+    mu_prefix is `_summatory(n, None)`.
     """
     lo, hi, v = _quotient_blocks(n, top)
     return lo, hi, _floor_power_sums(mu_prefix, v, s)
@@ -290,34 +424,39 @@ def cesaro_expectation(table: ArithTable, g: np.ndarray, n: int, r: int) -> Exac
     return ExactResult.from_ratio(_floor_power_sum(_exact_prefix(g, n), n, r), n, r)
 
 
-def gcd_pmf(table: ArithTable, n: int, r: int) -> list[tuple[ExactResult, int]]:
+def _first_moment(n: int, q: int | None, s: int) -> ExactResult:
+    """(1/n^s) sum_{j <= n} g(j) floor(n/j)^s for g = mu (q None) or phi_q."""
+    if s < 1:
+        raise ValueError(f"r must be >= 1, got {s}")
+    return ExactResult.from_ratio(_floor_power_sum(_summatory(n, q), n, s), n, s)
+
+
+def gcd_pmf(n: int, r: int) -> list[tuple[ExactResult, int]]:
     """P(gcd(X_1..X_r) = k) for k = 1..n, as (value, count) runs in ascending k.
 
     The pmf is constant on each block of equal floor(n/k), and a run is one
     such block: O(sqrt n) runs whose counts add up to n.  The values,
     each taken count times, sum to exactly 1.
     """
-    table.check_index(n)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    lo, hi, counts = _exact_gcd_counts(_exact_prefix(table.mobius, n), n, r, n)
+    lo, hi, counts = _exact_gcd_counts(_summatory(n, None), n, r, n)
     return [(ExactResult.from_ratio(c, n, r), size)
             for c, size in zip(counts.tolist(), (hi - lo + 1).tolist())]
 
 
-def gcd_moment(table: ArithTable, n: int, r: int, q: int) -> ExactResult:
+def gcd_moment(n: int, r: int, q: int) -> ExactResult:
     """E gcd(X_1..X_r)^q = (1/n^r) sum phi_q(j) floor(n/j)^r."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    return cesaro_expectation(table, table.totient(q), n, r)
+    return _first_moment(n, q, r)
 
 
-def gcd_tail(table: ArithTable, n: int, threshold: int) -> ExactResult:
+def gcd_tail(n: int, threshold: int) -> ExactResult:
     """P(gcd(X_1, X_2) > threshold), an exact pmf tail sum."""
-    table.check_index(n)
     if not 0 <= threshold <= n:
         raise ValueError(f"threshold must be in 0..{n}, got {threshold}")
-    lo, hi, counts = _exact_gcd_counts(_exact_prefix(table.mobius, n), n, 2, threshold)
+    lo, hi, counts = _exact_gcd_counts(_summatory(n, None), n, 2, threshold)
     head = sum(size * c for size, c in zip((hi - lo + 1).tolist(), counts.tolist()))
     return ExactResult.from_ratio(n**2 - head, n, 2)
 
@@ -404,14 +543,14 @@ def marginal_error_bound_check(profile: MarginalProfile, table: ArithTable):
     return float(worst), worst_k
 
 
-def mean_mu(table: ArithTable, n: int, r: int) -> ExactResult:
+def mean_mu(n: int, r: int) -> ExactResult:
     """Average of the U_r profile; identically P(gcd of r+1 variables = 1)."""
-    return cesaro_expectation(table, table.mobius, n, r + 1)
+    return _first_moment(n, None, r + 1)
 
 
-def mean_nu(table: ArithTable, n: int, r: int) -> ExactResult:
+def mean_nu(n: int, r: int) -> ExactResult:
     """Average of the W_r profile; identically E gcd of r+1 variables."""
-    return cesaro_expectation(table, table.totient(1), n, r + 1)
+    return _first_moment(n, 1, r + 1)
 
 
 def var_c(table: ArithTable, n: int, r: int) -> ExactResult:
@@ -426,14 +565,20 @@ def var_d(table: ArithTable, n: int, r: int) -> ExactResult:
 
 # --- shared-variable covariances ------------------------------------------
 
-def _kernel_weights(table: ArithTable, kind: str, q: int):
+def _kernel_order(kind: str, q: int) -> int | None:
+    """The kernel's weights: mu (None) or the order of phi_q."""
     if kind == "indicator":
-        return table.mobius
+        return None
     if kind == "gcd":
-        return table.totient(1)
+        return 1
     if kind == "moment":
-        return table.totient(q)
+        return q
     raise ValueError(f"kind must be one of ['gcd', 'indicator', 'moment'], got {kind!r}")
+
+
+def _kernel_weights(table: ArithTable, kind: str, q: int) -> np.ndarray:
+    order = _kernel_order(kind, q)
+    return table.mobius if order is None else table.totient(order)
 
 
 def shared_covariance(
@@ -476,25 +621,35 @@ def shared_covariance(
 def _covariance_numerators(table, n, r, shares, kind, q) -> list[int]:
     """n^(2r) times the covariance of `shared_covariance` for each s >= 1 in shares.
 
-    The prefix sums of mu, g and |g| and the kernel mean are built once and
-    serve every s.
+    The prefix sums of mu and |g| and the kernel mean are built once and
+    serve every s; |g| only when some s < r needs a profile.
     """
+    order = _kernel_order(kind, q)
     g = _kernel_weights(table, kind, q)
-    mu_prefix = _exact_prefix(table.mobius, n)
-    abs_prefix = _abs_prefix(g, n)
-    mean_num = _floor_power_sum(_exact_prefix(g, n), n, r)
-    return [_shared_moment(g, n, r, s, mu_prefix, abs_prefix) * n**s - mean_num * mean_num
+    mu_prefix = _summatory(n, None)
+    abs_prefix = _abs_prefix(g, n) if min(shares) < r else None
+    mean_num = _floor_power_sum(mu_prefix if order is None else _summatory(n, order), n, r)
+    return [_shared_moment(g, order, n, r, s, mu_prefix, abs_prefix) * n**s - mean_num**2
             for s in shares]
 
 
-def _shared_moment(g, n, r, s, mu_prefix, abs_prefix) -> int:
+def _shared_moment(g, order, n, r, s, mu_prefix, abs_prefix) -> int:
     """sum_{d<=n} G_s(d) h(d)^2 with h = `_divisor_profile(g, n, r - s)`.
 
     One call per s, so each n-entry profile is freed before the next is built.
+    At s = r, h = g * 1 is the delta at 1 for mu, so the sum is G_r(1), and
+    d^q for phi_q, so each block of equal G_r adds G_r times its sum of
+    d^(2q), a difference of Faulhaber sums.
     """
-    h = _divisor_profile(g, n, r - s, abs_prefix)
-    lo, _, counts = _exact_gcd_counts(mu_prefix, n, s, n)
-    return int(counts.astype(object) @ _block_sums(h, lo, 2))
+    if s == r and order is None:
+        return _floor_power_sum(mu_prefix, n, r)
+    lo, hi, counts = _exact_gcd_counts(mu_prefix, n, s, n)
+    if s == r:
+        ends = _power_sums(hi.astype(object), 2 * order)
+        squares = ends - np.concatenate(([0], ends[:-1]))
+    else:
+        squares = _block_sums(_divisor_profile(g, n, r - s, abs_prefix), lo, 2)
+    return int(counts.astype(object) @ squares)
 
 
 def var_C(table: ArithTable, n: int, m: int, r: int) -> ExactResult:
@@ -544,5 +699,5 @@ def mixed_moment_pi(table: ArithTable, n: int, r: int, q: int) -> ExactResult:
 def mixed_moment_omega(table: ArithTable, n: int, r: int, q: int) -> ExactResult:
     """Covariance form of the mixed moment: omega = pi - (E gcd^q)^2."""
     pi = mixed_moment_pi(table, n, r, q)
-    mean = gcd_moment(table, n, r, q)
+    mean = gcd_moment(n, r, q)
     return ExactResult.from_ratio(pi.numerator * n - mean.numerator**2, n, 2 * r)

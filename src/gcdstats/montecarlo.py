@@ -816,10 +816,10 @@ def exact_moments(config: SampleConfig, statistic: str, table: ArithTable):
     """(mean, sd) of the statistic from the exact closed formulas."""
     m, n, r, q = config.m, config.n, config.r, config.q
     if statistic == "C":
-        mean = comb(m, r) * exact.mean_mu(table, n, r - 1).float_value
+        mean = comb(m, r) * exact.mean_mu(n, r - 1).float_value
         var = exact.var_C(table, n, m, r).float_value
     elif statistic == "Z":
-        mean = comb(m, r) * exact.gcd_moment(table, n, r, q).float_value
+        mean = comb(m, r) * exact.gcd_moment(n, r, q).float_value
         var = exact.var_Z(table, n, m, r, q).float_value
     else:
         raise ValueError(f"exact moments only exist for C and Z, got {statistic!r}")
@@ -876,6 +876,6 @@ def strong_law_trajectory(n: int, r: int, m_grid, seed: int,
         table = build_table(n)
     xs = _draw_block(config, 0, 1)[0]
 
-    mean_single = exact.mean_mu(table, n, r - 1).float_value
+    mean_single = exact.mean_mu(n, r - 1).float_value
     return np.array([_subset_weighted_block(xs[None, :m], r, None, table, n)[0]
                      / (comb(m, r) * mean_single) for m in grid])

@@ -120,14 +120,14 @@ def _oracle_one_n(table, n, r, qs, fails) -> bool:
         return False
 
     # pmf
-    pmf = [v.as_fraction() for v, count in exact.gcd_pmf(table, n, r) for _ in range(count)]
+    pmf = [v.as_fraction() for v, count in exact.gcd_pmf(n, r) for _ in range(count)]
     if pmf != brute.pmf(n, r):
         return bad("pmf mismatch")
     if sum(pmf) != 1:
         return bad("pmf does not sum to 1")
     # moments
     for q in qs:
-        if exact.gcd_moment(table, n, r, q).as_fraction() != brute.moment(n, r, q):
+        if exact.gcd_moment(n, r, q).as_fraction() != brute.moment(n, r, q):
             return bad(f"moment q={q} mismatch")
     # marginals and their mean/variance
     hist = brute.gcd_histogram(n, r)
@@ -144,7 +144,7 @@ def _oracle_one_n(table, n, r, qs, fails) -> bool:
         )
         if mine_var.as_fraction() != bvar:
             return bad(f"profile variance {kind} mismatch")
-    if exact.mean_mu(table, n, r).as_fraction() != brute.profile_mean_and_var(n, r, "probability")[0]:
+    if exact.mean_mu(n, r).as_fraction() != brute.profile_mean_and_var(n, r, "probability")[0]:
         return bad("mean_mu mismatch")
     # shared covariances
     for s in range(0, r + 1):
@@ -180,16 +180,15 @@ def _oracle_one_n(table, n, r, qs, fails) -> bool:
 def suite_limits() -> list[CheckResult]:
     out = []
     z2 = constants.zeta(2)
-    table6 = _shared_table(1_000_000)
 
-    mu1 = exact.mean_mu(table6, 1_000_000, 1).float_value
+    mu1 = exact.mean_mu(1_000_000, 1).float_value
     gap = abs(mu1 - 1 / z2)
     out.append(CheckResult(
         "limits: |mu_1(1e6) - 1/zeta(2)| < 1e-3",
         gap < 1e-3, f"mu_1={mu1:.9f}, gap={gap:.2e}",
     ))
 
-    nu2 = exact.mean_nu(table6, 100_000, 2).float_value
+    nu2 = exact.mean_nu(100_000, 2).float_value
     target = constants.zeta(2) / constants.zeta(3)
     gap = abs(nu2 - target)
     out.append(CheckResult(
@@ -197,7 +196,7 @@ def suite_limits() -> list[CheckResult]:
         gap < 1e-2, f"nu_2={nu2:.6f}, target={target:.6f}, gap={gap:.2e}",
     ))
 
-    m2 = exact.gcd_moment(table6, 1_000_000, 2, 2).float_value / 1_000_000
+    m2 = exact.gcd_moment(1_000_000, 2, 2).float_value / 1_000_000
     target = (2 * constants.zeta(2) / constants.zeta(3) - 1) / 3
     rel = abs(m2 - target) / target
     out.append(CheckResult(

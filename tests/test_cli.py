@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 import gcdstats
+from gcdstats import cli
+from gcdstats.arith import DEFAULT_MAX_N
 from gcdstats.cli import _EXACT_QUANTITIES, main, parse_n_rule
+from gcdstats.exact import TABLE_FREE_MAX_N
 
 
 def run_cli(argv, capsys):
@@ -128,9 +131,8 @@ def test_exact_unknown_quantity_is_usage_error():
 @pytest.mark.parametrize("n", [1, 2, 64, 65, 1000, 12345])
 def test_pmf_bytes_are_the_plain_json_dump(n, r, tmp_path, capsys):
     from gcdstats import cli, exact
-    from gcdstats.arith import build_table
 
-    res = [v for v, count in exact.gcd_pmf(build_table(n), n, r) for _ in range(count)]
+    res = [v for v, count in exact.gcd_pmf(n, r) for _ in range(count)]
     payload = {
         "manifest": cli._manifest("exact", {"quantity": "pmf", "n": n, "r": r}),
         "quantity": "pmf", "n": n, "r": r,
@@ -451,6 +453,38 @@ def test_constants_cutoff_above_sieve_cap_is_refused_before_sieving(monkeypatch,
     assert str(10**11) in text and str(DEFAULT_MAX_N) in text
 
 
+@pytest.mark.parametrize("quantity", ["mu", "nu", "pmf", "moment", "tail", "varC", "pi"])
+def test_exact_n_above_its_range_is_refused_before_sieving(quantity, monkeypatch, capsys):
+    from gcdstats import arith
+    from gcdstats.exact import TABLE_FREE_MAX_N
+
+    def no_sieve(n, *args):
+        raise AssertionError(f"sieved up to {n}")
+
+    for name in ("primes_up_to", "prime_power_sieve", "_spf_sieve"):
+        monkeypatch.setattr(arith, name, no_sieve)
+    argv = ["exact", "--quantity", quantity, "--m", "50", "--t", "3"]
+    if quantity in cli._TABLE_FREE:
+        # a sieve to n^(2/3) is the only bound: n up to about 1.6e11
+        text = _usage_error(argv + ["--n", str(TABLE_FREE_MAX_N + 1)], capsys)
+        assert "--n" in text and str(TABLE_FREE_MAX_N) in text
+    else:
+        text = _usage_error(argv + ["--n", str(arith.DEFAULT_MAX_N + 1)], capsys)
+        assert "table cap" in text and str(arith.DEFAULT_MAX_N) in text
+
+
+def test_table_free_quantities_run_above_the_table_cap(capsys):
+    from gcdstats.arith import DEFAULT_MAX_N
+
+    n = DEFAULT_MAX_N + 1
+    code, text = run_cli(["exact", "--quantity", "mu", "--n", str(n), "--r", "1"], capsys)
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["n"] == n and payload["denom_power"] == 2
+    # |sum_d mu(d) (floor(n/d)^2 - (n/d)^2)| + n^2 sum_{d>n} 1/d^2 <= 2n (2 + ln n)
+    assert abs(payload["value"] - 6 / math.pi**2) < 2 * (2 + math.log(n)) / n
+
+
 # --- in-process sweep of the numeric and string flags -------------------------
 
 _SWEEP_VALUES = ("0", "-1", "1", "nan", "inf", "x")
@@ -496,6 +530,12 @@ _STRING_SWEEP = [
     (["verify"], "--suite", ("stronglaw", "constants", "frechet", "poisson", "nope", "",
                              "ALL")),
     (["verify", "--suite", "frechet"], "--workers", ("1", "0", "x")),
+    # past the table cap the table quantities are refused and the first moments
+    # run; past its own bound each of those is refused too (pmf writes n
+    # entries, so it takes only that one)
+    *((["exact", "--quantity", q, "--n", "10", "--m", "6", "--s", "1", "--t", "3"], "--n",
+       (str(TABLE_FREE_MAX_N + 1),) if q == "pmf" else
+       (str(DEFAULT_MAX_N + 1), str(TABLE_FREE_MAX_N + 1))) for q in _EXACT_QUANTITIES),
     *((argv, "--out", (_MISSING_DIR_OUT,)) for argv in (
         _SIM, _with_flag(_SIM, "--statistic", "M"),
         ["exact", "--quantity", "pmf", "--n", "10"], ["constants", "--cutoff", "100"],

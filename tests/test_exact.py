@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from math import isqrt
@@ -147,6 +148,105 @@ def test_floor_power_sums_at_random_n_take_both_dtypes(monkeypatch):
     assert got.tolist() == [plain_floor_power_sum(table.mobius, v, 2) for v in values]
 
 
+# --- table-free summatory functions ---------------------------------------------
+
+def floor_points(n):
+    """Every x at which the floor sums for n read a prefix sum: 0..isqrt(n) and each n // k."""
+    return np.concatenate((np.arange(isqrt(n) + 1), exact._quotient_blocks(n, n)[2]))
+
+
+@pytest.mark.parametrize("q", [None, 1, 2, 3])
+def test_summatory_is_the_plain_prefix_for_every_n_to_2000(table_10k, q, monkeypatch):
+    # the n share few sieve limits; a table is built once per limit
+    monkeypatch.setattr(exact, "build_table", functools.lru_cache(exact.build_table))
+    g = table_10k.mobius if q is None else table_10k.totient(q)
+    plain = np.cumsum(g[:2001].astype(object))
+    for n in range(1, 2001):
+        fast = exact._summatory(n, q)
+        points = floor_points(n)
+        assert fast.at(points).tolist() == plain[points].tolist(), n
+        prefix = plain[: n + 1].tolist()
+        for r in range(1, 6):
+            assert exact._floor_power_sum(fast, n, r) == blockwise_floor_power_sum(prefix, n, r)
+
+
+def test_summatory_numerators_at_seeded_n_take_both_dtypes():
+    # q up to 3 at n <= 1e6 and r up to 5 flip every int64/object choice:
+    # the dense prefix, the points above L one by one, and the floor sums
+    table = _shared_table(1_000_000)
+    rng = np.random.default_rng(1013)
+    cases = [(n, q) for n in [10**6, *rng.integers(10**5, 10**6, 2).tolist()]
+             for q in (None, 1, 2, 3)]
+    # mu to 1e7, and phi_7, whose dense prefix is Python ints, from tables of their own
+    cases += [(n, None) for n in [10**7, *rng.integers(10**6, 10**7, 1).tolist()]]
+    cases += [(n, 7) for n in rng.integers(2000, 20_000, 2).tolist()]
+    tables = {None: build_table(10**7), 7: build_table(20_000)}
+    dtypes = set()
+    for n, q in cases:
+        source = table if n <= 10**6 and q != 7 else tables[q]
+        g = source.mobius if q is None else source.totient(q)
+        fast, slow = exact._summatory(n, q), exact._exact_prefix(g, n)
+        dtypes.update((fast.dense.dtype, fast.high.dtype))
+        points = floor_points(n)
+        assert fast.at(points).tolist() == slow.at(points).tolist(), (n, q)
+        # n, a spread of its quotients and the smallest ones
+        values = exact._quotient_blocks(n, n)[2]
+        values = np.unique(np.concatenate((values[-8:], values[:: len(values) // 8])))
+        for r in range(1, 6):
+            got = exact._floor_power_sums(fast, values, r)
+            dtypes.add(got.dtype)
+            assert got.tolist() == exact._floor_power_sums(slow, values, r).tolist(), (n, q, r)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_mertens_at_powers_of_ten_and_phi_1_at_1e10():
+    # M(10^k), k = 0..10 (OEIS A084237)
+    want = [1, -1, 1, 2, -23, -48, 212, 1037, 1928, -222, -33722]
+    got = [int(exact._summatory(10**k, None).at(np.array([10**k]))[0]) for k in range(10)]
+    n = 10**10
+    mertens = exact._summatory(n, None)
+    assert got + [int(mertens.at(np.array([n]))[0])] == want
+    # coprime pairs: 2 Phi_1(n) - 1 = sum_d mu(d) floor(n/d)^2
+    phi = exact._summatory(n, 1)
+    assert phi.high.dtype == object
+    assert 2 * int(phi.at(np.array([n]))[0]) - 1 == exact._floor_power_sum(mertens, n, 2)
+
+
+def test_power_sums_are_the_plain_sums():
+    for q in range(1, 9):
+        want = list(itertools.accumulate(j**q for j in range(0, 60)))
+        assert [exact._power_sums(x, q) for x in range(60)] == want
+        x = np.array([0, 7, 10**12], dtype=object)
+        assert exact._power_sums(x, q).tolist() == [0, want[7], exact._power_sums(10**12, q)]
+    assert exact._power_sums(10**12, 1) == 10**12 * (10**12 + 1) // 2
+
+
+def test_sieve_limit_and_the_table_free_bound():
+    for n in (*range(1, 130), 10**6 - 1, 10**6, 10**18 - 1, 10**18):
+        c = next(c for c in itertools.count(round(n ** (1 / 3)) - 2) if (c + 1) ** 3 > n)
+        assert exact._sieve_limit(n) == max(isqrt(n), c * c)
+    assert exact._sieve_limit(exact.TABLE_FREE_MAX_N) <= DEFAULT_MAX_N
+    assert exact._sieve_limit(exact.TABLE_FREE_MAX_N + 1) > DEFAULT_MAX_N
+    assert 1.6e11 < exact.TABLE_FREE_MAX_N < 1.7e11
+
+
+def test_table_free_quantities_sieve_nothing_above_l(monkeypatch):
+    from gcdstats import arith
+
+    sieved = []
+    real_primes, real_sieve = arith.primes_up_to, arith.prime_power_sieve
+    monkeypatch.setattr(arith, "primes_up_to", lambda n: sieved.append(n) or real_primes(n))
+    monkeypatch.setattr(arith, "prime_power_sieve",
+                        lambda n, *a: sieved.append(n) or real_sieve(n, *a))
+    n = 10**6
+    exact.mean_mu(n, 1)
+    exact.mean_nu(n, 2)
+    exact.gcd_moment(n, 2, 3)
+    exact.gcd_pmf(n, 2)
+    exact.gcd_tail(n, 100)
+    assert sieved and max(sieved) == exact._sieve_limit(n) == 10**4
+
+
 @pytest.mark.parametrize("chunk", [7, 1 << 16])
 def test_block_sums_are_exact_across_the_limb_boundaries(monkeypatch, chunk):
     monkeypatch.setattr(exact, "_SUM_CHUNK", chunk)
@@ -191,22 +291,22 @@ def test_cesaro_dirichlet_limit():
     assert abs(r.float_value - 1 / constants.zeta(2)) < 1e-3
 
 
-def pmf_entries(table, n, r):
+def pmf_entries(n, r):
     """gcd_pmf as one ExactResult per k = 1..n."""
-    return [v for v, count in exact.gcd_pmf(table, n, r) for _ in range(count)]
+    return [v for v, count in exact.gcd_pmf(n, r) for _ in range(count)]
 
 
-def test_gcd_pmf_small(table_100):
-    pmf = pmf_entries(table_100, 2, 2)
+def test_gcd_pmf_small():
+    pmf = pmf_entries(2, 2)
     assert [frac(v) for v in pmf] == [Fraction(3, 4), Fraction(1, 4)]
-    pmf = pmf_entries(table_100, 4, 2)
+    pmf = pmf_entries(4, 2)
     assert sum(frac(v) for v in pmf) == 1
     assert all(frac(v) >= 0 for v in pmf)
 
 
-def test_gcd_pmf_r1_is_uniform(table_100):
+def test_gcd_pmf_r1_is_uniform():
     # with one variable the value itself is the "gcd", so the pmf is uniform
-    pmf = pmf_entries(table_100, 10, 1)
+    pmf = pmf_entries(10, 1)
     assert len(pmf) == 10 and all(frac(v) == Fraction(1, 10) for v in pmf)
 
 
@@ -214,16 +314,15 @@ def test_gcd_pmf_and_tail_are_the_per_k_floor_sums(table_1000):
     for n in (1, 2, 17, 100, 1000):
         for r in (1, 2, 3):
             want = per_k_gcd_counts(table_1000, n, r)
-            assert [v.numerator for v in pmf_entries(table_1000, n, r)] == want
+            assert [v.numerator for v in pmf_entries(n, r)] == want
             if r == 2:
                 for t in {0, 1, n // 3, n - 1, n}:
-                    got = exact.gcd_tail(table_1000, n, t).numerator
+                    got = exact.gcd_tail(n, t).numerator
                     assert got == n**2 - sum(want[:t]), (n, t)
 
 
 def test_gcd_pmf_limit_at_k1():
-    table = _shared_table(1_000_000)
-    first, _ = exact.gcd_pmf(table, 100_000, 2)[0]
+    first, _ = exact.gcd_pmf(100_000, 2)[0]
     assert abs(first.float_value - 1 / constants.zeta(2)) < 1e-3
 
 
@@ -283,24 +382,22 @@ def test_mean_identity_profile_vs_cesaro(table_100):
     for n in (2, 7, 30):
         for r in (1, 2, 3):
             prof = exact.marginal_profile(table_100, n, r, "probability")
-            assert frac(prof.mean()) == frac(exact.mean_mu(table_100, n, r))
+            assert frac(prof.mean()) == frac(exact.mean_mu(n, r))
             prof = exact.marginal_profile(table_100, n, r, "expectation")
-            assert frac(prof.mean()) == frac(exact.mean_nu(table_100, n, r))
+            assert frac(prof.mean()) == frac(exact.mean_nu(n, r))
 
 
-def test_mean_examples(table_100):
-    assert frac(exact.mean_mu(table_100, 2, 1)) == Fraction(3, 4)
+def test_mean_examples():
+    assert frac(exact.mean_mu(2, 1)) == Fraction(3, 4)
 
 
 def test_mean_nu_log_growth():
-    table = _shared_table(1_000_000)
-    nu1 = exact.mean_nu(table, 1_000_000, 1).float_value
+    nu1 = exact.mean_nu(1_000_000, 1).float_value
     assert abs(nu1 / math.log(1_000_000) - 1 / constants.zeta(2)) < 0.05
 
 
 def test_mean_nu_limit_r2():
-    table = _shared_table(1_000_000)
-    nu2 = exact.mean_nu(table, 100_000, 2).float_value
+    nu2 = exact.mean_nu(100_000, 2).float_value
     assert abs(nu2 - constants.zeta(2) / constants.zeta(3)) < 1e-2
 
 
@@ -322,16 +419,15 @@ def test_var_d_limit():
 
 # --- moments ---------------------------------------------------------------------
 
-def test_gcd_moment_examples(table_100):
-    assert frac(exact.gcd_moment(table_100, 2, 2, 2)) == Fraction(7, 4)
+def test_gcd_moment_examples():
+    assert frac(exact.gcd_moment(2, 2, 2)) == Fraction(7, 4)
 
 
 def test_gcd_moment_limits():
-    table = _shared_table(1_000_000)
-    second = exact.gcd_moment(table, 1_000_000, 2, 2).float_value / 1_000_000
+    second = exact.gcd_moment(1_000_000, 2, 2).float_value / 1_000_000
     target = (2 * constants.zeta(2) / constants.zeta(3) - 1) / 3
     assert abs(second - target) / target < 0.02
-    first_r3 = exact.gcd_moment(table, 100_000, 3, 1).float_value
+    first_r3 = exact.gcd_moment(100_000, 3, 1).float_value
     assert abs(first_r3 - constants.zeta(2) / constants.zeta(3)) < 1e-2
 
 
@@ -387,8 +483,8 @@ def test_omega_rr_is_kernel_variance(table_100):
     # full overlap: variance of gcd^q itself, via the 2q-th moment
     for n in (3, 12):
         for r, q in ((2, 1), (2, 2), (3, 1)):
-            first = frac(exact.gcd_moment(table_100, n, r, q))
-            second = frac(exact.gcd_moment(table_100, n, r, 2 * q))
+            first = frac(exact.gcd_moment(n, r, q))
+            second = frac(exact.gcd_moment(n, r, 2 * q))
             got = frac(exact.shared_covariance(table_100, n, r, r, "moment", q))
             assert got == second - first * first
 
@@ -408,7 +504,7 @@ def test_covariance_refused_above_table_cap(capsys):
 def test_var_C_example_and_shape(table_100):
     assert frac(exact.var_C(table_100, 2, 3, 2)) == Fraction(15, 16)
     # single-pair case reduces to the Bernoulli variance
-    mu = frac(exact.mean_mu(table_100, 2, 1))
+    mu = frac(exact.mean_mu(2, 1))
     assert frac(exact.var_C(table_100, 2, 2, 2)) == mu * (1 - mu)
 
 
@@ -416,7 +512,7 @@ def test_var_C_pairs_closed_shape(table_100):
     # C(m,2) mu(1-mu) + m(m-1)(m-2) c_1
     for n in (2, 10, 40):
         for m in (2, 3, 5, 12):
-            mu = frac(exact.mean_mu(table_100, n, 1))
+            mu = frac(exact.mean_mu(n, 1))
             c1 = frac(exact.var_c(table_100, n, 1))
             want = math.comb(m, 2) * mu * (1 - mu) + m * (m - 1) * (m - 2) * c1
             assert frac(exact.var_C(table_100, n, m, 2)) == want
@@ -425,8 +521,8 @@ def test_var_C_pairs_closed_shape(table_100):
 def test_var_Z_pairs_closed_shape(table_100):
     for n in (2, 10, 40):
         for m in (2, 4, 9):
-            e1 = frac(exact.gcd_moment(table_100, n, 2, 1))
-            e2 = frac(exact.gcd_moment(table_100, n, 2, 2))
+            e1 = frac(exact.gcd_moment(n, 2, 1))
+            e2 = frac(exact.gcd_moment(n, 2, 2))
             d1 = frac(exact.var_d(table_100, n, 1))
             want = math.comb(m, 2) * (e2 - e1 * e1) + m * (m - 1) * (m - 2) * d1
             assert frac(exact.var_Z(table_100, n, m, 2, 1)) == want
@@ -552,23 +648,22 @@ def test_omega_r3_near_limit():
 
 # --- tail -----------------------------------------------------------------------------
 
-def test_gcd_tail_small(table_100):
-    assert frac(exact.gcd_tail(table_100, 2, 1)) == Fraction(1, 4)
-    assert frac(exact.gcd_tail(table_100, 50, 50)) == 0
-    assert frac(exact.gcd_tail(table_100, 17, 0)) == 1
+def test_gcd_tail_small():
+    assert frac(exact.gcd_tail(2, 1)) == Fraction(1, 4)
+    assert frac(exact.gcd_tail(50, 50)) == 0
+    assert frac(exact.gcd_tail(17, 0)) == 1
 
 
 def test_gcd_tail_paper_bound():
-    table = _shared_table(1_000_000)
     n, k = 100_000, 100
-    tail = exact.gcd_tail(table, n, k).float_value
+    tail = exact.gcd_tail(n, k).float_value
     approx = sum(1.0 / j**2 for j in range(k + 1, n + 1)) / constants.zeta(2)
     assert abs(tail - approx) <= 4 * (1 + math.log(n)) ** 2 / n
 
 
 def test_gcd_pmf_runs_are_the_floor_blocks():
     for n in (1, 2, 3, 10, 99, 10_000):
-        runs = exact.gcd_pmf(build_table(n), n, 2)
+        runs = exact.gcd_pmf(n, 2)
         # the lengths of the blocks of equal floor(n/k), in ascending k
         blocks = [len(list(group)) for _, group in
                   itertools.groupby(range(1, n + 1), key=lambda k: n // k)]

@@ -304,7 +304,7 @@ def test_strong_law_trajectory(table_50):
     # m = r: the scaled single indicator takes one of two values
     table = build_table(30)
     first = strong_law_trajectory(30, 2, (2,), seed=9, table=table)[0]
-    mu = exact.mean_mu(table, 30, 1).float_value
+    mu = exact.mean_mu(30, 1).float_value
     assert min(abs(first - 0), abs(first - 1 / mu)) < 1e-12
 
 
@@ -315,7 +315,7 @@ def test_strong_law_matches_direct_statistic():
     cfg = SampleConfig(m=top, n=n, replicates=1, master_seed=77)
     x = draw_sample(cfg, 0)
     direct = stat_C(x, r, table, n)
-    expected = comb(top, r) * exact.mean_mu(table, n, r - 1).float_value
+    expected = comb(top, r) * exact.mean_mu(n, r - 1).float_value
     assert abs(ratios[0] - direct / expected) < 1e-12
 
 
@@ -635,6 +635,8 @@ def test_pool_workers_sieve_nothing(statistic, q, n, monkeypatch, inline_pool, s
     sieve_calls.clear()
     assert run_replicates(cfg, statistic, workers=2) == serial
     assert len(inline_pool) == 1 and in_workers == []
-    # the kernel's arrays, and mu for the exact moments of Z
-    weights = ["mu"] if statistic == "C" else ["mu", f"phi_{q}"]
+    # the kernel's weights to n; the exact moments sieve their own tables to
+    # n^(2/3): the weights for the mean and for the variance, and mu for its
+    # gcd counts (one table serves both for C)
+    weights = ["mu"] * 3 if statistic == "C" else [f"phi_{q}"] * 3 + ["mu"]
     assert sorted(sieve_calls) == sorted(["tau", "spf", *weights])

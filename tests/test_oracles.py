@@ -105,11 +105,11 @@ def test_pmf_and_moment_gate(tables):
     for n in range(1, GATE_MAX_N + 1):
         table = tables[n]
         for r in (2, 3):
-            pmf = [v.as_fraction() for v, count in exact.gcd_pmf(table, n, r)
+            pmf = [v.as_fraction() for v, count in exact.gcd_pmf(n, r)
                    for _ in range(count)]
             assert pmf == brute.pmf(n, r)
             for q in (1, 2):
-                assert exact.gcd_moment(table, n, r, q).as_fraction() == brute.moment(n, r, q)
+                assert exact.gcd_moment(n, r, q).as_fraction() == brute.moment(n, r, q)
 
 
 def test_tail_gate(tables):
@@ -118,7 +118,7 @@ def test_tail_gate(tables):
         hist = brute.gcd_histogram(n, 2)
         for k in range(0, n + 1):
             want = Fraction(int(hist[k + 1 :].sum()), n**2)
-            assert exact.gcd_tail(table, n, k).as_fraction() == want
+            assert exact.gcd_tail(n, k).as_fraction() == want
 
 
 def test_shared_exy_is_mean_for_indicator(tables):
@@ -139,7 +139,7 @@ def test_big_integer_weight_path():
     q = 12
     assert table.totient(q).dtype == object
     for n in (10, 30, 50):
-        assert exact.gcd_moment(table, n, 2, q).as_fraction() == brute.moment(n, 2, q)
+        assert exact.gcd_moment(n, 2, q).as_fraction() == brute.moment(n, 2, q)
         assert exact.mixed_moment_pi(table, n, 2, q).as_fraction() == \
             brute.mixed_moment_pi(n, 2, q)
         got = exact.shared_covariance(table, n, 2, 1, "moment", q).as_fraction()
