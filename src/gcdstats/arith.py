@@ -8,8 +8,8 @@ sieved never changes.  All downstream formulas read from it.
 
 Every multiplicative function comes from one `prime_power_sieve` over its
 prime-power values; those of mu, tau and phi_s are written once, here.  One
-sweep, `sum_over_multiples`, serves the dense C/Z route and the totient-gcd
-series.
+sweep along axis 0, `sum_over_multiples`, serves the dense C/Z route (an
+(n+1, B) count matrix) and the totient-gcd series (a 1-D array).
 
 Function conventions (k >= 1):
 
@@ -123,20 +123,21 @@ def prime_power_sieve(n: int, primes: np.ndarray, local, dtype) -> np.ndarray:
 
 
 def sum_over_multiples(a: np.ndarray, primes) -> None:
-    """In place, a[..., d] becomes sum_{d | k <= n} a[..., k], n = a.shape[-1] - 1.
+    """In place, a[d] becomes sum_{d | k <= n} a[k], n = a.shape[0] - 1.
 
-    `primes` are the ascending primes up to n, as Python ints; entry 0 is
-    left alone.  For each prime p, a[i] += a[i p]
-    runs for i = n/p down to 1, one slice per power of p: the i in
-    (n/p^(k+1), n/p^k] read the i p in (n/p^k, n/p^(k-1)], which the slice
-    before has finished.  On integers it is exact.
+    The sweep runs along axis 0; a 2-D a sums each column, and each slice
+    add then runs over whole contiguous rows.  `primes` are the ascending
+    primes up to n, as Python ints; entry 0 is left alone.  For each prime
+    p, a[i] += a[i p] runs for i = n/p down to 1, one slice per power of p:
+    the i in (n/p^(k+1), n/p^k] read the i p in (n/p^k, n/p^(k-1)], which
+    the slice before has finished.  On integers it is exact.
     """
-    n = a.shape[-1] - 1
+    n = a.shape[0] - 1
     for p in primes:
         hi = n // p
         while hi:
             lo = hi // p
-            a[..., lo + 1 : hi + 1] += a[..., (lo + 1) * p : hi * p + 1 : p]
+            a[lo + 1 : hi + 1] += a[(lo + 1) * p : hi * p + 1 : p]
             hi = lo
 
 

@@ -615,11 +615,13 @@ def shared_covariance(
     if s == 0:
         # no shared variables: the kernels are independent
         return ExactResult.from_ratio(0, n, 2 * r)
-    return ExactResult.from_ratio(_covariance_numerators(table, n, r, (s,), kind, q)[0], n, 2 * r)
+    _, (cov,) = _covariance_numerators(table, n, r, (s,), kind, q)
+    return ExactResult.from_ratio(cov, n, 2 * r)
 
 
-def _covariance_numerators(table, n, r, shares, kind, q) -> list[int]:
-    """n^(2r) times the covariance of `shared_covariance` for each s >= 1 in shares.
+def _covariance_numerators(table, n, r, shares, kind, q) -> tuple[int, list[int]]:
+    """n^r times the kernel mean, and n^(2r) times the covariance of
+    `shared_covariance` for each s >= 1 in shares.
 
     The prefix sums of mu and |g| and the kernel mean are built once and
     serve every s; |g| only when some s < r needs a profile.
@@ -629,8 +631,8 @@ def _covariance_numerators(table, n, r, shares, kind, q) -> list[int]:
     mu_prefix = _summatory(n, None)
     abs_prefix = _abs_prefix(g, n) if min(shares) < r else None
     mean_num = _floor_power_sum(mu_prefix if order is None else _summatory(n, order), n, r)
-    return [_shared_moment(g, order, n, r, s, mu_prefix, abs_prefix) * n**s - mean_num**2
-            for s in shares]
+    return mean_num, [_shared_moment(g, order, n, r, s, mu_prefix, abs_prefix) * n**s
+                      - mean_num**2 for s in shares]
 
 
 def _shared_moment(g, order, n, r, s, mu_prefix, abs_prefix) -> int:
@@ -653,20 +655,27 @@ def _shared_moment(g, order, n, r, s, mu_prefix, abs_prefix) -> int:
 
 
 def var_C(table: ArithTable, n: int, m: int, r: int) -> ExactResult:
-    """Variance of the count of coprime r-subsets in a sample of length m.
-
-    V = sum_{s=0..r} C(m,s) C(m-s,r-s) C(m-r,r-s) gamma_{r,s}; the binomial
-    product counts pairs of r-subsets of {1..m} with intersection size s.
-    """
-    return _u_statistic_variance(table, n, m, r, "indicator", 1)
+    """Variance of the count of coprime r-subsets in a sample of length m."""
+    return u_statistic_moments(table, n, m, r, "indicator")[1]
 
 
 def var_Z(table: ArithTable, n: int, m: int, r: int, q: int = 1) -> ExactResult:
     """Variance of the sum of gcd^q over r-subsets of a sample of length m."""
-    return _u_statistic_variance(table, n, m, r, "moment", q)
+    return u_statistic_moments(table, n, m, r, "moment", q)[1]
 
 
-def _u_statistic_variance(table, n, m, r, kind, q) -> ExactResult:
+def u_statistic_moments(table: ArithTable, n: int, m: int, r: int, kind: str,
+                        q: int = 1) -> tuple[ExactResult, ExactResult]:
+    """(E k, Var S), S the sum of a kernel k over the r-subsets of a sample of length m.
+
+    k is the coprimality indicator of r values (kind "indicator", S = C)
+    or their gcd^q (kind "moment", S = Z).  E k, which is mean_mu(n, r - 1)
+    or gcd_moment(n, r, q), is read off the prefix sums the variance
+    builds, so each weight is sieved once for both.
+    Var S = sum_{s=0..r} C(m,s) C(m-s,r-s) C(m-r,r-s) gamma_{r,s}; the
+    binomial product counts pairs of r-subsets of {1..m} with intersection
+    size s.
+    """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
     if m < r:
@@ -675,8 +684,9 @@ def _u_statistic_variance(table, n, m, r, kind, q) -> ExactResult:
     # s = 0 shares nothing and adds a zero covariance
     weights = {s: comb(m, s) * comb(m - s, r - s) * comb(m - r, r - s) for s in range(1, r + 1)}
     shares = [s for s, weight in weights.items() if weight]
-    covs = _covariance_numerators(table, n, r, shares, kind, q)
-    return ExactResult.from_ratio(sum(weights[s] * c for s, c in zip(shares, covs)), n, 2 * r)
+    mean_num, covs = _covariance_numerators(table, n, r, shares, kind, q)
+    return (ExactResult.from_ratio(mean_num, n, r),
+            ExactResult.from_ratio(sum(weights[s] * c for s, c in zip(shares, covs)), n, 2 * r))
 
 
 # --- mixed second moment (two kernels sharing one variable) ----------------

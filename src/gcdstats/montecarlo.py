@@ -14,18 +14,20 @@ multiplicities cnt(d) = #{i : d | x_i}:
     Z = sum_d phi_q(d) * C(cnt(d), r)
 
 since sum_{d | g} mu(d) = [g = 1] and sum_{d | g} phi_q(d) = g^q.  One
-kernel evaluates them for a whole block of replicates, exactly: over a
-(B, n+1) count matrix when n is small next to the block's divisor count,
-else over one key per (replicate, divisor).  M and N(t) are functions of
-the C(m,2) pair gcds alone and read no table; n may then be as large as
-int64 allows.  They need only the large gcds: a pair gcd g > T makes both
-values g times a cofactor below n/T, so a floor_divide by each small
-cofactor lists every divisor above T of every value, and a divisor met
-twice in a row is a shared one.  M walks bands of divisors from the top
-down until each row has one; N(t) takes those above t C(m,2).  Blocks
-where np.gcd over the pairs costs less (few rows, or n so far above
-C(m,2) that the cofactors run into the millions) take that route
-instead.  The naive loops live in `brute` and gate these in the tests.
+kernel evaluates them for a whole block of replicates, exactly: over an
+(n+1, B) count matrix, one column per replicate, when n is small next to
+the block's divisor count, else over one key per (replicate, divisor).
+C(cnt, r) is read from a table of C(k, r) for k up to the largest count.
+M and N(t) are functions of the C(m,2) pair gcds alone and read no table;
+n may then be as large as int64 allows.  They need only the large gcds: a
+pair gcd g > T makes both values g times a cofactor below n/T, so a
+floor_divide by each small cofactor lists every divisor above T of every
+value, and a divisor met twice in a row is a shared one.  M walks bands
+of divisors from the top down until each row has one; N(t) takes those
+above t C(m,2).  Blocks where np.gcd over the pairs costs less (few rows,
+or n so far above C(m,2) that the cofactors run into the millions) take
+that route instead.  The naive loops live in `brute` and gate these in
+the tests.
 
 Replicate i draws from a counter-based Philox stream keyed by
 (master_seed, i), so results are independent of worker count and
@@ -63,6 +65,10 @@ _INT32_MAX = 2**31 - 1
 # 0.5 MB per 64-bit array, whatever the replicate count, m and n.  Larger blocks gain no speed; at 1 << 20 the (m=2000, n=40) Z run
 # peaked 14 MB above the per-replicate loop.
 _BLOCK_ELEMENTS = 1 << 16
+
+# CSV rows formatted and joined at a time: bounds the row strings and
+# normalized floats `Replicates.csv` holds besides the text itself.
+_CSV_ROWS = 4096
 
 
 def _philox_key(seed: int, index: int) -> np.ndarray:
@@ -604,17 +610,19 @@ def poisson_count(sample, threshold: float) -> int:
 # --- divisor multiplicities: C and Z -----------------------------------------
 
 def _binom(cnt: np.ndarray, r: int) -> np.ndarray:
-    """C(cnt, r) elementwise, in cnt's dtype; counts cnt down in place.
+    """C(cnt, r) elementwise, in cnt's dtype, read from a table of C(k, r).
 
-    Step i turns C(cnt, i-1) into C(cnt, i) = C(cnt, i-1) (cnt-i+1) / i,
-    an exact division whose dividend is at most cnt^i.
+    The table runs over k = 0..max cnt.  Step i turns C(k, i-1) into
+    C(k, i) = C(k, i-1) (k-i+1) / i, an exact division whose dividend is
+    at most k^i.
     """
-    out = cnt.copy()
+    k = np.arange(int(cnt.max()) + 1).astype(cnt.dtype)
+    table = k.copy()
     for i in range(2, r + 1):
-        cnt -= 1
-        out *= cnt
-        out //= i
-    return out
+        k -= 1
+        table *= k
+        table //= i
+    return table[cnt.astype(np.intp, copy=False)]
 
 
 def _exact_dtype(weight_sum: int, m: int, r: int):
@@ -627,17 +635,20 @@ def _exact_dtype(weight_sum: int, m: int, r: int):
 
 
 def _dense_route(xs: np.ndarray, r: int, g, primes) -> np.ndarray:
-    """Per row, sum_{d <= n} g(d) C(cnt(d), r) from a (B, n+1) count matrix.
+    """Per row, sum_{d <= n} g(d) C(cnt(d), r) from an (n+1, B) count matrix.
 
     g holds the weights g(0..n) in the result dtype and `primes` the primes
-    up to n.  One bincount gives each row's value frequencies, and
-    `sum_over_multiples` along each row turns them into cnt(d).
+    up to n.  Column b of the matrix is row b of xs: one bincount over the
+    keys x B + b gives each row's value frequencies, and
+    `sum_over_multiples` down each column turns them into cnt(d).
     """
     rows, n = xs.shape[0], g.size - 1
-    keys = (np.arange(rows)[:, None] * (n + 1) + xs).ravel()
-    cnt = np.bincount(keys, minlength=rows * (n + 1)).reshape(rows, n + 1)
+    keys = xs * rows
+    keys += np.arange(rows)[:, None]
+    cnt = np.bincount(keys.ravel(), minlength=(n + 1) * rows).reshape(n + 1, rows)
+    del keys  # freed before `_binom` allocates, which lowers the peak
     sum_over_multiples(cnt, primes)
-    return _binom(cnt.astype(g.dtype, copy=False), r) @ g
+    return g @ _binom(cnt.astype(g.dtype, copy=False), r)
 
 
 def _weighted_divisors(factors, local) -> list:
@@ -751,9 +762,20 @@ class Replicates:
         return out
 
     def csv(self) -> str:
-        """Stable CSV of the replicates: header, LF endings, repr floats."""
-        rows = zip(itertools.count(), self.raw, self.normalized.tolist())
-        return "index,raw,normalized\n" + "".join(f"{i},{v},{x!r}\n" for i, v, x in rows)
+        """Stable CSV of the replicates: header, LF endings, repr floats.
+
+        normalized is a function of raw alone, so the `,raw,normalized` tail
+        of a row is formatted once per distinct raw value and then reused.
+        Rows are joined _CSV_ROWS at a time, so no list of every row is held.
+        """
+        tails = {}
+        parts = ["index,raw,normalized\n"]
+        for lo in range(0, len(self.raw), _CSV_ROWS):
+            rows = zip(itertools.count(lo), self.raw[lo : lo + _CSV_ROWS],
+                       self.normalized[lo : lo + _CSV_ROWS].tolist())
+            parts.append("".join(str(i) + (tails.get(v) or tails.setdefault(v, f",{v},{x!r}\n"))
+                                 for i, v, x in rows))
+        return "".join(parts)
 
 
 _STATISTICS = ("C", "Z", "M", "N")
@@ -814,15 +836,12 @@ def _raw_replicates(config, statistic, table, threshold, workers) -> list:
 
 def exact_moments(config: SampleConfig, statistic: str, table: ArithTable):
     """(mean, sd) of the statistic from the exact closed formulas."""
-    m, n, r, q = config.m, config.n, config.r, config.q
-    if statistic == "C":
-        mean = comb(m, r) * exact.mean_mu(n, r - 1).float_value
-        var = exact.var_C(table, n, m, r).float_value
-    elif statistic == "Z":
-        mean = comb(m, r) * exact.gcd_moment(n, r, q).float_value
-        var = exact.var_Z(table, n, m, r, q).float_value
-    else:
+    m, n, r = config.m, config.n, config.r
+    kinds = {"C": "indicator", "Z": "moment"}
+    if statistic not in kinds:
         raise ValueError(f"exact moments only exist for C and Z, got {statistic!r}")
+    kernel_mean, var = exact.u_statistic_moments(table, n, m, r, kinds[statistic], config.q)
+    mean, var = comb(m, r) * kernel_mean.float_value, var.float_value
     if var == 0:
         # n = 1: every gcd is 1, so the statistic is a constant
         raise ValueError(f"{statistic} has zero variance at n={n}, m={m}, r={r}; "

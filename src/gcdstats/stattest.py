@@ -72,12 +72,17 @@ def _poisson_cdf(lam: float, k: float) -> float:
 
 
 def ks_distance(values, law: ReferenceLaw) -> float:
-    """sup_t |F_emp(t) - F_law(t)| of continuous values, given in any order."""
+    """sup_t |F_emp(t) - F_law(t)| of continuous values, given in any order.
+
+    The law's cdf is evaluated once per run of equal values in the sorted
+    values and repeated along the run.
+    """
     v = np.sort(np.asarray(values, dtype=np.float64))
     if v.size == 0:
         raise ValueError("empty empirical distribution")
     n = len(v)
-    ref = np.asarray(cdf(law, v))
+    starts = np.flatnonzero(np.diff(v, prepend=np.nan) != 0)
+    ref = np.repeat(cdf(law, v[starts]), np.diff(starts, append=n))
     steps = np.arange(1, n + 1) / n
     return float(max(np.max(np.abs(steps - ref)), np.max(np.abs(steps - 1 / n - ref))))
 

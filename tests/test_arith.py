@@ -15,6 +15,7 @@ from gcdstats.arith import (
     pillai,
     primes_up_to,
     save_table,
+    sum_over_multiples,
 )
 
 
@@ -230,6 +231,22 @@ def test_prime_power_sieve_is_the_plain_sieves():
     want = plain_jordan_sieve(50, 12, dtype=object).tolist()
     assert got.dtype == object and all(type(v) is int for v in got.tolist())
     assert got.tolist() == want
+
+
+def test_sum_over_multiples_is_the_plain_divisor_sum():
+    rng = np.random.default_rng(31)
+    for n in range(0, 301):
+        primes = primes_up_to(n).tolist()
+        for shape in ((n + 1,), (n + 1, 3)):
+            ints = rng.integers(-1000, 1000, size=shape)
+            big = ints.astype(object) * 10**20  # past int64: Python ints
+            for a in (ints, big):
+                want = a.copy()
+                for d in range(1, n + 1):
+                    want[d] = a[d::d].sum(axis=0)
+                got = a.copy()
+                sum_over_multiples(got, primes)
+                assert got.dtype == a.dtype and np.array_equal(got, want), (n, shape)
 
 
 def test_table_save_load_roundtrip(tmp_path):

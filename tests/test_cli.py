@@ -274,6 +274,14 @@ _SIMULATE_GOLDEN = {
     ("N", "--m", "100", "--n", "1000000", "--reps", "300", "--seed", "14"): (
         "d3ae6d7981caf15f4f33f2ae91a8cfc0a6f009f6a87ad80404780769b3a41976",
         "d8679ce099540585428e560e8a0f6e94f6b44d6ddeffcb693c72e33c0c4fff4b"),
+    # several sample blocks, each split into several dense row steps
+    ("C", "--m", "20", "--n", "100", "--reps", "5000", "--seed", "15"): (
+        "deb3688b8b91982522db618b1a2a31b6e2533b8e09c6be6965175c4c1690dff3",
+        "2bfdd0df53193871efe58349ee20399747d2098fbe87600f6e4df099e620d782"),
+    # long rows: a dense block of few rows over a short count row
+    ("Z", "--m", "2000", "--n", "40", "--reps", "50", "--seed", "16"): (
+        "6929a7235e488f034e70ad59739355888dd2280fd153f48784774df143648d98",
+        "bf3dfe70be0af387d77b0c49ac85443504cd901bef52d827a547d1ae17e75e52"),
 }
 
 

@@ -117,6 +117,20 @@ def test_dense_and_sparse_routes_agree(table_50):
             assert dense.tolist() == sparse.tolist()
 
 
+@pytest.mark.parametrize("rows, n", [(6, 40), (41, 40), (90, 40)])
+def test_dense_route_on_blocks_narrower_square_and_wider(rows, n, table_50):
+    # the count matrix is (n+1, rows): a square one would hide a transposition
+    cfg = SampleConfig(m=9, n=n, replicates=rows, master_seed=rows)
+    xs = montecarlo._draw_block(cfg, 0, rows)
+    primes = [p for p in table_50.primes.tolist() if p <= n]
+    for r, q in ((2, None), (3, None), (2, 1), (3, 2)):
+        g = (table_50.mobius if q is None else table_50.totient(q))[: n + 1].astype(np.int64)
+        dense = montecarlo._dense_route(xs, r, g, primes).tolist()
+        assert dense == montecarlo._sparse_route(xs, r, q, table_50).tolist()
+        assert dense == [brute.naive_stat_C(x, r) if q is None else brute.naive_stat_Z(x, r, q)
+                         for x in xs.tolist()]
+
+
 def _route_spy(monkeypatch, routes=("_dense_route", "_sparse_route")):
     """Record which route each block takes."""
     taken = []
@@ -285,6 +299,30 @@ def test_replicate_csv_rows():
     rec = montecarlo.Replicates((3, 10**20, 0), shift=1.5, scale=2)
     assert rec.csv() == ("index,raw,normalized\n0,3,0.75\n"
                          "1,100000000000000000000,5e+19\n2,0,-0.75\n")
+
+
+def _plain_csv(rec):
+    rows = zip(rec.raw, rec.normalized.tolist())
+    return "index,raw,normalized\n" + "".join(f"{i},{v},{x!r}\n" for i, (v, x) in enumerate(rows))
+
+
+_rng = random.Random(404)
+
+
+@pytest.mark.parametrize("raw, shift, scale", [
+    # row counts past the CSV join chunk, so repeats reach across chunks
+    ([_rng.randint(0, 6) for _ in range(9000)], 2.5, 1.3),  # many repeats
+    (_rng.sample(range(10**6), 5000), 0, 2016),  # every value distinct
+    ([2**63 + _rng.randint(0, 4) for _ in range(200)] + [10**30, 2**64], 2.0**63, 3.0),
+    ([_rng.randint(0, 50) for _ in range(500)], 1000.25, 7.0),  # all normalized < 0
+    ([42], 40.0, 3.0),  # a single row
+], ids=["repeats", "distinct", "past-int64", "negative", "one-row"])
+def test_csv_is_the_plain_per_row_rendering(raw, shift, scale):
+    rec = montecarlo.Replicates(tuple(raw), shift, scale)
+    got, want = rec.csv().split("\n"), _plain_csv(rec).split("\n")
+    assert len(got) == len(want)
+    for line, expected in zip(got, want):  # line by line: a failure shows one short diff
+        assert line == expected
 
 
 def test_zero_variance_has_no_normalisation():
@@ -636,7 +674,7 @@ def test_pool_workers_sieve_nothing(statistic, q, n, monkeypatch, inline_pool, s
     assert run_replicates(cfg, statistic, workers=2) == serial
     assert len(inline_pool) == 1 and in_workers == []
     # the kernel's weights to n; the exact moments sieve their own tables to
-    # n^(2/3): the weights for the mean and for the variance, and mu for its
+    # n^(2/3): the weights once for the mean and the variance, and mu for the
     # gcd counts (one table serves both for C)
-    weights = ["mu"] * 3 if statistic == "C" else [f"phi_{q}"] * 3 + ["mu"]
+    weights = ["mu"] * 2 if statistic == "C" else [f"phi_{q}"] * 2 + ["mu"]
     assert sorted(sieve_calls) == sorted(["tau", "spf", *weights])

@@ -69,6 +69,26 @@ def test_ks_scale_invariance_frechet():
     assert a == b
 
 
+def _plain_ks(values, law):
+    """The KS distance with the cdf taken at every sorted value."""
+    v = np.sort(np.asarray(values, dtype=np.float64))
+    n = len(v)
+    ref = np.array([cdf(law, t) for t in v.tolist()])
+    steps = np.arange(1, n + 1) / n
+    return float(max(np.max(np.abs(steps - ref)), np.max(np.abs(steps - 1 / n - ref))))
+
+
+@pytest.mark.parametrize("law", [ReferenceLaw.normal(), ReferenceLaw.frechet(1 / zeta(2))],
+                         ids=["normal", "frechet"])
+def test_ks_is_the_per_value_formula(law):
+    rng = np.random.Generator(np.random.Philox(key=[21, 0]))
+    heavy_ties = rng.integers(-8, 40, size=4000) / 8.0
+    no_ties = rng.standard_normal(3001) * 2 + 1
+    few = np.array([0.5, 0.5, 0.5])
+    for values in (heavy_ties, no_ties, few, no_ties[:1]):
+        assert ks_distance(values, law) == _plain_ks(values, law)
+
+
 def test_ks_rejects_no_values():
     with pytest.raises(ValueError):
         ks_distance(np.array([]), ReferenceLaw.normal())
