@@ -23,6 +23,7 @@ Function conventions (k >= 1):
 from __future__ import annotations
 
 import itertools
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,15 +33,15 @@ import numpy as np
 
 _INT64_MAX = 2**63 - 1
 
-# Hard ceiling on table size unless the caller raises it explicitly; a table
-# of this size costs roughly 1 GB across all arrays.
+# Fixed ceiling on table size, which no parameter raises; a table of this
+# size costs roughly 1 GB across all arrays.
 DEFAULT_MAX_N = 30_000_000
 
 MAGIC = b"GCDTBL01"
 
 
 class CapacityError(Exception):
-    """Requested table exceeds the configured memory budget."""
+    """Requested table exceeds the fixed table cap DEFAULT_MAX_N."""
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -55,18 +56,14 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def _spf_sieve(n: int) -> np.ndarray:
-    """Smallest-prime-factor array; spf[1] = 1, spf[p] = p for primes."""
-    spf = np.zeros(n + 1, dtype=np.int32)
-    for p in range(2, isqrt(n) + 1):
-        if spf[p] == 0:
-            seg = spf[p * p :: p]
-            seg[seg == 0] = p
-    untouched = spf == 0
-    spf[untouched] = np.arange(n + 1, dtype=np.int32)[untouched]
-    if n >= 1:
-        spf[1] = 1
-    spf[0] = 0
+def _spf_sieve(n: int, primes: np.ndarray) -> np.ndarray:
+    """Smallest-prime-factor array; spf[1] = 1, spf[p] = p for primes.
+
+    Each p <= sqrt n of the ascending `primes`, largest first, writes p from p^2 on.
+    """
+    spf = np.arange(n + 1, dtype=np.int32)
+    for p in primes[: np.searchsorted(primes, isqrt(n), "right")][::-1].tolist():
+        spf[p * p :: p] = p
     return spf
 
 
@@ -172,7 +169,7 @@ class ArithTable:
 
     @cached_property
     def smallest_prime_factor(self) -> np.ndarray:
-        return _spf_sieve(self.n_max)
+        return _spf_sieve(self.n_max, self.primes)
 
     def check_index(self, k: int) -> None:
         if not 1 <= k <= self.n_max:
@@ -231,13 +228,21 @@ def build_table(n_max: int) -> ArithTable:
     return ArithTable(n_max=n_max, primes=primes_up_to(n_max))
 
 
-def divisors(table: ArithTable, k: int) -> list[int]:
-    """Ascending divisor list of k; its length equals tau(k)."""
-    ds = [1]
+def weighted_divisors(table: ArithTable, k: int, local) -> list[tuple[int, int]]:
+    """(d, w(d)) for the divisors d of k with w(d) != 0, from `factorize`.
+
+    w is the multiplicative function with w(p^i) = local(p, i).
+    """
+    pairs = [(1, 1)]
     for p, e in table.factorize(k):
-        ds = [d * p**i for d in ds for i in range(e + 1)]
-    ds.sort()
-    return ds
+        powers = [(p**i, local(p, i)) for i in range(1, e + 1)]
+        pairs += [(d * pd, w * pw) for d, w in pairs for pd, pw in powers if pw]
+    return pairs
+
+
+def divisors(table: ArithTable, k: int) -> list[int]:
+    """Ascending divisor list of k, all tau(k) of them: tau is never 0 on a prime power."""
+    return sorted(d for d, _ in weighted_divisors(table, k, tau_local))
 
 
 def gcd(a: int, b: int) -> int:
@@ -262,8 +267,7 @@ def pillai(table: ArithTable, s: int, k: int) -> int:
     table.check_index(k)
     if s < 1:
         raise ValueError(f"Pillai order must be >= 1, got {s}")
-    phi = table.totient(1)
-    return sum(int(phi[d]) * (k // d) ** s for d in divisors(table, k))
+    return sum(w * (k // d) ** s for d, w in weighted_divisors(table, k, totient_local(1)))
 
 
 # --- binary table cache -------------------------------------------------
@@ -296,8 +300,14 @@ def load_table(path) -> ArithTable:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"not a table cache file (magic {magic!r})")
-        n_max, n_orders = struct.unpack("<QQ", fh.read(16))
-        orders = list(struct.unpack(f"<{n_orders}Q", fh.read(8 * n_orders))) if n_orders else []
+        header = fh.read(16)
+        if len(header) < 16:
+            raise ValueError(f"truncated table cache header ({len(header)} of 16 bytes)")
+        n_max, n_orders = struct.unpack("<QQ", header)
+        # checked before the read, so a corrupt count allocates nothing
+        if 8 * n_orders > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ValueError(f"table cache header claims {n_orders} orders past the file's end")
+        orders = list(struct.unpack(f"<{n_orders}Q", fh.read(8 * n_orders)))
         mobius, tau, spf, primes = (np.lib.format.read_array(fh, allow_pickle=False)
                                     for _ in range(4))
         totient_s = {s: np.lib.format.read_array(fh, allow_pickle=False) for s in orders}

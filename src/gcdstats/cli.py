@@ -124,7 +124,8 @@ def cmd_tables(args) -> int:
         for s in orders:
             table.totient(s)
         save_table(table, path)
-    digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     summary = {
         "manifest": _manifest("tables", {"n_max": args.n, "orders": list(orders)}),
         "cache": {"path": path, "hit": hit, "sha256": digest,

@@ -41,7 +41,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .arith import DEFAULT_MAX_N, ArithTable, build_table, divisors
+from .arith import DEFAULT_MAX_N, ArithTable, build_table, pillai
 
 _INT64_SAFE = 2**62
 
@@ -516,7 +516,6 @@ def marginal_error_bound_check(profile: MarginalProfile, table: ArithTable):
     deviation-to-bound ratio; raises if any k violates its bound.
     """
     n, r = profile.n, profile.r
-    phi = table.totient(1)
     phi_r = table.totient(r)
     worst = Fraction(0)
     worst_k = 1
@@ -528,9 +527,7 @@ def marginal_error_bound_check(profile: MarginalProfile, table: ArithTable):
             dev = abs(val - target)
             bnd = Fraction(r * tau_k, n)
         else:
-            target = Fraction(
-                sum(int(phi[d]) * (k // d) ** r for d in divisors(table, k)), k**r
-            )
+            target = Fraction(pillai(table, r, k), k**r)
             dev = target - val
             if dev < 0:
                 raise AssertionError(f"one-sided bound violated at k={k}: W exceeds P_r/k^r")

@@ -53,7 +53,8 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import exact
-from .arith import ArithTable, build_table, mobius_local, sum_over_multiples, totient_local
+from .arith import (ArithTable, build_table, mobius_local, sum_over_multiples, totient_local,
+                    weighted_divisors)
 
 _INT64_SAFE = 2**62
 _INT64_MAX = 2**63 - 1
@@ -651,31 +652,19 @@ def _dense_route(xs: np.ndarray, r: int, g, primes) -> np.ndarray:
     return g @ _binom(cnt.astype(g.dtype, copy=False), r)
 
 
-def _weighted_divisors(factors, local) -> list:
-    """(d, w(d)) for the divisors d of prod p^e with w(d) != 0.
-
-    w is the multiplicative function with w(p^i) = local(p, i).
-    """
-    pairs = [(1, 1)]
-    for p, e in factors:
-        powers = [(p**i, local(p, i)) for i in range(1, e + 1)]
-        pairs += [(d * pd, w * pw) for d, w in pairs for pd, pw in powers if pw]
-    return pairs
-
-
 def _sparse_route(xs: np.ndarray, r: int, q: int | None, table: ArithTable) -> np.ndarray:
     """Per row, sum_d w(d) C(cnt(d), r) over the divisors its values have.
 
-    Each distinct value of the block is factorised once (`factorize`: the
-    table's spf inside it, trial division beyond) and expanded into its
-    divisors of nonzero weight.  One key per (row, divisor) occurrence;
+    Each distinct value of the block is expanded once into its divisors of
+    nonzero weight (`weighted_divisors`: the table's spf inside it, trial
+    division beyond).  One key per (row, divisor) occurrence;
     a sort and the starts of its runs of equal keys count them into cnt,
     and reduceat sums each row's terms.
     """
     rows, m = xs.shape
     local = mobius_local if q is None else totient_local(q)
     vals, inv = np.unique(xs.ravel(), return_inverse=True)
-    per_value = [_weighted_divisors(table.factorize(v), local) for v in vals.tolist()]
+    per_value = [weighted_divisors(table, v, local) for v in vals.tolist()]
     sizes = np.array([len(pairs) for pairs in per_value], dtype=np.int64)
     divs, weights = zip(*[pair for pairs in per_value for pair in pairs])
     dvals, div_id = np.unique(np.array(divs, dtype=np.int64), return_inverse=True)
@@ -700,7 +689,7 @@ def _sparse_route(xs: np.ndarray, r: int, q: int | None, table: ArithTable) -> n
 def _kernel_fields(table: ArithTable, q: int | None) -> tuple:
     """The table arrays `_subset_weighted_block` reads for C (q None) or Z."""
     weights = table.mobius if q is None else table.totient(q)
-    return table.tau, table.smallest_prime_factor, weights
+    return table.smallest_prime_factor, weights
 
 
 def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, table: ArithTable,
@@ -710,13 +699,14 @@ def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, table: ArithTa
     Both are sum_d w(d) C(cnt(d), r), with w = mu or phi_q and
     cnt(d) = #{i : d | x_i} in the row.  The cheaper route runs: the dense
     sweep touches n + 1 + sum_{p <= n} floor(n/p) cells a row, the sparse
-    route sorts about D keys, D the block's divisor count, in D log2 D
-    comparisons.  Dense blocks hold at most _BLOCK_ELEMENTS cells.
+    route sorts D keys in D log2 D comparisons, D = xs.size D(n) / n the
+    block's expected divisor count.  Dense blocks hold at most _BLOCK_ELEMENTS cells.
     """
     rows, m = xs.shape
     if n <= table.n_max:
         primes = table.primes[: np.searchsorted(table.primes, n, "right")]
-        divisor_count = int(table.tau[xs].sum(dtype=np.int64))
+        s = math.isqrt(n)  # D(n) = sum_{k<=n} tau(k) = 2 sum_{j<=s} floor(n/j) - s^2
+        divisor_count = xs.size * (2 * int((n // np.arange(1, s + 1)).sum()) - s * s) / n
         if rows * (n + 1 + int((n // primes).sum())) <= divisor_count * math.log2(divisor_count):
             g = np.array((table.mobius if q is None else table.totient(q))[: n + 1], dtype=object)
             g = g.astype(_exact_dtype(int(np.abs(g).sum()), m, r))
@@ -726,16 +716,16 @@ def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, table: ArithTa
     return _sparse_route(xs, r, q, table).tolist()
 
 
-def stat_C(sample, r: int, table: ArithTable, n: int | None = None) -> int:
+def stat_C(sample, r: int, table: ArithTable) -> int:
     """Number of r-subsets of the sample whose gcd is exactly 1."""
     x = np.asarray(sample, dtype=np.int64)[None, :]
-    return _subset_weighted_block(x, r, None, table, int(x.max()) if n is None else n)[0]
+    return _subset_weighted_block(x, r, None, table, int(x.max()))[0]
 
 
-def stat_Z(sample, r: int, q: int, table: ArithTable, n: int | None = None) -> int:
+def stat_Z(sample, r: int, q: int, table: ArithTable) -> int:
     """Sum of gcd^q over all r-subsets of the sample."""
     x = np.asarray(sample, dtype=np.int64)[None, :]
-    return _subset_weighted_block(x, r, q, table, int(x.max()) if n is None else n)[0]
+    return _subset_weighted_block(x, r, q, table, int(x.max()))[0]
 
 
 # --- replicate running -------------------------------------------------------

@@ -35,9 +35,9 @@ def sieve_calls(monkeypatch):
             calls.append(f"phi_{(local(2, 1) + 1).bit_length() - 1}")
         return real_sieve(n, primes, local, dtype)
 
-    def spf(n):
+    def spf(n, primes):
         calls.append("spf")
-        return real_spf(n)
+        return real_spf(n, primes)
 
     monkeypatch.setattr(arith, "prime_power_sieve", sieve)
     monkeypatch.setattr(arith, "_spf_sieve", spf)

@@ -1,4 +1,5 @@
 import random
+import struct
 from math import gcd as math_gcd
 
 import numpy as np
@@ -6,16 +7,21 @@ import pytest
 
 from gcdstats.arith import (
     DEFAULT_MAX_N,
+    MAGIC,
     CapacityError,
     build_table,
     divisors,
     gcd,
     lcm,
     load_table,
+    mobius_local,
     pillai,
     primes_up_to,
     save_table,
     sum_over_multiples,
+    tau_local,
+    totient_local,
+    weighted_divisors,
 )
 
 
@@ -172,6 +178,42 @@ def test_factorize_inside_and_beyond_the_table():
         table.factorize(0)
 
 
+def naive_spf(k):
+    """Smallest prime factor by trial division over every d >= 2 (reference)."""
+    d = 2
+    while d * d <= k:
+        if k % d == 0:
+            return d
+        d += 1
+    return k
+
+
+def test_smallest_prime_factor_is_trial_division():
+    want = np.array([naive_spf(k) for k in range(99_992)], dtype=np.int32)
+    for n in [*range(1, 301), 2**16 + 1, 99_991]:
+        got = build_table(n).smallest_prime_factor
+        assert got.dtype == np.int32 and np.array_equal(got, want[: n + 1]), n
+
+
+def test_weighted_divisors_is_plain_enumeration():
+    # a table to 97: every k above it factorises by trial division
+    table, top = build_table(97), 2000
+    for local, w in ((mobius_local, plain_mobius_sieve(top)),
+                     (totient_local(1), plain_jordan_sieve(top, 1)),
+                     (totient_local(3), plain_jordan_sieve(top, 3)),
+                     (tau_local, plain_tau_sieve(top))):
+        for k in range(1, top + 1):
+            want = [(d, int(w[d])) for d in range(1, k + 1) if k % d == 0 and w[d]]
+            assert sorted(weighted_divisors(table, k, local)) == want, k
+
+
+def test_pillai_and_divisors_sieve_only_spf(sieve_calls):
+    table = build_table(1000)
+    assert pillai(table, 2, 360) == naive_pillai(360, 2)
+    assert divisors(table, 840) == [d for d in range(1, 841) if 840 % d == 0]
+    assert sieve_calls == ["spf"]
+
+
 def test_divisors(table_100):
     assert divisors(table_100, 1) == [1]
     assert divisors(table_100, 12) == [1, 2, 3, 4, 6, 12]
@@ -296,3 +338,20 @@ def test_load_table_fills_every_stored_field(tmp_path, sieve_calls):
     assert sorted(loaded.totient_s) == [1, 3]
     assert np.array_equal(loaded.totient(3), table.totient(3))
     assert sieve_calls == []
+
+
+def test_load_table_refuses_a_truncated_or_overclaiming_file(tmp_path):
+    table = build_table(100)
+    table.totient(1), table.totient(2)
+    path, bad = tmp_path / "t.tbl", tmp_path / "bad.tbl"
+    save_table(table, path)
+    data = path.read_bytes()
+    header = len(MAGIC) + 16 + 8 * 2  # magic, n_max and the order count, two orders
+    for cut in [*range(header + 1), header + 1, header + 100, len(data) // 2, len(data) - 1]:
+        bad.write_bytes(data[:cut])
+        with pytest.raises(ValueError):
+            load_table(bad)
+    # 2^62 orders: refused on the count, before any read could allocate for it
+    bad.write_bytes(MAGIC + struct.pack("<QQ", 100, 2**62) + data[header:])
+    with pytest.raises(ValueError, match="orders"):
+        load_table(bad)

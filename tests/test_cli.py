@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import gcdstats
 from gcdstats import cli
-from gcdstats.arith import DEFAULT_MAX_N
+from gcdstats.arith import DEFAULT_MAX_N, MAGIC
 from gcdstats.cli import _EXACT_QUANTITIES, main, parse_n_rule
 from gcdstats.exact import TABLE_FREE_MAX_N
 
@@ -41,6 +42,19 @@ def test_tables_cache_roundtrip(tmp_path, capsys):
     second = json.loads(text)
     assert second["cache"]["hit"] is True
     assert second["cache"]["sha256"] == first["cache"]["sha256"]
+
+
+@pytest.mark.parametrize("keep", [len(MAGIC) + 5, None], ids=["truncated", "overclaiming"])
+def test_tables_rebuilds_a_corrupt_cache(keep, tmp_path, capsys):
+    # a truncated header, or one that claims 2^62 orders: a cache miss
+    path = tmp_path / "t.tbl"
+    argv = ["tables", "--n", "50", "--orders", "1,2", "--out", str(path)]
+    assert run_cli(argv, capsys)[0] == 0
+    good = path.read_bytes()
+    path.write_bytes(good[:keep] if keep else MAGIC + struct.pack("<QQ", 50, 2**62))
+    code, text = run_cli(argv, capsys)
+    assert code == 0 and json.loads(text)["cache"]["hit"] is False
+    assert path.read_bytes() == good
 
 
 def test_tables_usage_error(capsys):

@@ -92,14 +92,14 @@ def test_fast_statistics_match_naive_loops(table_50):
         n = rng.randint(2, 50)
         cfg = SampleConfig(m=m, n=n, replicates=1, master_seed=trial)
         x = draw_sample(cfg, 0)
-        assert stat_C(x, 2, table_50, n) == brute.naive_stat_C(x, 2)
-        assert stat_Z(x, 2, 2, table_50, n) == brute.naive_stat_Z(x, 2, 2)
+        assert stat_C(x, 2, table_50) == brute.naive_stat_C(x, 2)
+        assert stat_Z(x, 2, 2, table_50) == brute.naive_stat_Z(x, 2, 2)
         assert stat_M(x) == brute.naive_stat_M(x)
         thr = rng.choice([0.5, 1, 2, 5, n])
         assert poisson_count(x, thr) == brute.naive_poisson_count(x, thr)
         if m <= 15:
-            assert stat_C(x, 3, table_50, n) == brute.naive_stat_C(x, 3)
-            assert stat_Z(x, 3, 1, table_50, n) == brute.naive_stat_Z(x, 3, 1)
+            assert stat_C(x, 3, table_50) == brute.naive_stat_C(x, 3)
+            assert stat_Z(x, 3, 1, table_50) == brute.naive_stat_Z(x, 3, 1)
 
 
 def test_dense_and_sparse_routes_agree(table_50):
@@ -157,6 +157,16 @@ def test_route_follows_row_width_against_divisor_count(monkeypatch):
         taken.clear()
         run_replicates(SampleConfig(m=m, n=n, replicates=3, master_seed=1), "Z")
         assert set(taken) == {"_sparse_route"}
+
+
+@pytest.mark.parametrize("statistic", ["C", "Z"])
+def test_replicates_sieve_no_tau(statistic, monkeypatch, sieve_calls):
+    # the route choice reads n alone, on both sides of it
+    taken = _route_spy(monkeypatch)
+    for n in (30, 10_000):
+        run_replicates(SampleConfig(m=20, n=n, replicates=3, master_seed=1), statistic)
+    assert taken == ["_dense_route", "_sparse_route"]
+    assert "tau" not in sieve_calls
 
 
 def test_block_statistics_match_naive_loops(monkeypatch):
@@ -352,7 +362,7 @@ def test_strong_law_matches_direct_statistic():
     ratios = strong_law_trajectory(n, r, (top,), seed=77, table=table)
     cfg = SampleConfig(m=top, n=n, replicates=1, master_seed=77)
     x = draw_sample(cfg, 0)
-    direct = stat_C(x, r, table, n)
+    direct = stat_C(x, r, table)
     expected = comb(top, r) * exact.mean_mu(n, r - 1).float_value
     assert abs(ratios[0] - direct / expected) < 1e-12
 
@@ -677,4 +687,4 @@ def test_pool_workers_sieve_nothing(statistic, q, n, monkeypatch, inline_pool, s
     # n^(2/3): the weights once for the mean and the variance, and mu for the
     # gcd counts (one table serves both for C)
     weights = ["mu"] * 2 if statistic == "C" else [f"phi_{q}"] * 2 + ["mu"]
-    assert sorted(sieve_calls) == sorted(["tau", "spf", *weights])
+    assert sorted(sieve_calls) == sorted(["spf", *weights])
