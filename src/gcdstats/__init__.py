@@ -21,7 +21,6 @@ from .constants import (
 from .exact import (
     ExactResult,
     MarginalProfile,
-    cesaro_expectation,
     gcd_moment,
     gcd_pmf,
     gcd_tail,

@@ -23,8 +23,6 @@ Function conventions (k >= 1):
 from __future__ import annotations
 
 import itertools
-import os
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd as _gcd, isqrt
@@ -36,8 +34,6 @@ _INT64_MAX = 2**63 - 1
 # Fixed ceiling on table size, which no parameter raises; a table of this
 # size costs roughly 1 GB across all arrays.
 DEFAULT_MAX_N = 30_000_000
-
-MAGIC = b"GCDTBL01"
 
 
 class CapacityError(Exception):
@@ -268,50 +264,3 @@ def pillai(table: ArithTable, s: int, k: int) -> int:
     if s < 1:
         raise ValueError(f"Pillai order must be >= 1, got {s}")
     return sum(w * (k // d) ** s for d, w in weighted_divisors(table, k, totient_local(1)))
-
-
-# --- binary table cache -------------------------------------------------
-
-def save_table(table: ArithTable, path) -> None:
-    """Dump a table with a versioned header (magic, n_max, orders).
-
-    mu, tau and spf are sieved if not yet read; the orders written are the
-    totient orders sieved so far.  Only int64-safe totient orders are
-    serializable; deterministic bytes for identical inputs, so cache files
-    can be checksummed.
-    """
-    orders = sorted(table.totient_s)
-    for s in orders:
-        if table.totient_s[s].dtype == object:
-            raise ValueError(f"totient order {s} exceeds int64, not serializable")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<QQ", table.n_max, len(orders)))
-        fh.write(struct.pack(f"<{len(orders)}Q", *orders) if orders else b"")
-        for arr in (table.mobius, table.tau, table.smallest_prime_factor, table.primes):
-            np.lib.format.write_array(fh, arr, allow_pickle=False)
-        for s in orders:
-            np.lib.format.write_array(fh, table.totient_s[s], allow_pickle=False)
-
-
-def load_table(path) -> ArithTable:
-    """The table a `save_table` file holds, every stored array already filled in."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"not a table cache file (magic {magic!r})")
-        header = fh.read(16)
-        if len(header) < 16:
-            raise ValueError(f"truncated table cache header ({len(header)} of 16 bytes)")
-        n_max, n_orders = struct.unpack("<QQ", header)
-        # checked before the read, so a corrupt count allocates nothing
-        if 8 * n_orders > os.fstat(fh.fileno()).st_size - fh.tell():
-            raise ValueError(f"table cache header claims {n_orders} orders past the file's end")
-        orders = list(struct.unpack(f"<{n_orders}Q", fh.read(8 * n_orders)))
-        mobius, tau, spf, primes = (np.lib.format.read_array(fh, allow_pickle=False)
-                                    for _ in range(4))
-        totient_s = {s: np.lib.format.read_array(fh, allow_pickle=False) for s in orders}
-    table = ArithTable(n_max=int(n_max), primes=primes, totient_s=totient_s)
-    # cached_property stores its value as a plain attribute, so these fill the cache
-    table.mobius, table.tau, table.smallest_prime_factor = mobius, tau, spf
-    return table

@@ -1,7 +1,6 @@
 """Command-line surface: reproducible experiments, machine-readable output.
 
 Subcommands
-    tables     build and cache an arithmetic-function table
     exact      evaluate one exact finite-n quantity as JSON
     constants  emit the limiting constants with error bars
     simulate   run seeded replicates, write CSV rows + JSON summary
@@ -16,7 +15,6 @@ Timing goes to stderr only.  Exit codes: 0 ok, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import math
@@ -28,8 +26,7 @@ import time
 import numpy as np
 
 from . import __version__, constants, exact, montecarlo, stattest, verify
-from .arith import (DEFAULT_MAX_N, CapacityError, build_table, load_table, save_table,
-                    totient_fits_int64)
+from .arith import DEFAULT_MAX_N, CapacityError, build_table
 
 
 def _manifest(subcommand: str, params: dict) -> dict:
@@ -98,47 +95,6 @@ def _emit(payload: dict, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def cmd_tables(args) -> int:
-    if args.n < 1:
-        raise ValueError("--n must be a positive table bound")
-    try:
-        orders = tuple(sorted({int(s) for s in args.orders.split(",")})) if args.orders else (1,)
-    except ValueError:
-        raise ValueError(f"--orders must be comma-separated integers, got {args.orders!r}") from None
-    for s in orders:
-        if not totient_fits_int64(args.n, s):
-            raise ValueError(f"totient order {s} exceeds int64, not serializable")
-    t0 = time.perf_counter()
-    path = args.out or f"arith-{args.n}.tbl"
-    hit = False
-    if os.path.exists(path):
-        try:
-            table = load_table(path)
-            hit = table.n_max == args.n and all(s in table.totient_s for s in orders)
-        except ValueError:
-            hit = False
-    if not hit:
-        table = build_table(args.n)
-        for s in orders:
-            table.totient(s)
-        save_table(table, path)
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    summary = {
-        "manifest": _manifest("tables", {"n_max": args.n, "orders": list(orders)}),
-        "cache": {"path": path, "hit": hit, "sha256": digest,
-                  "bytes": os.path.getsize(path)},
-        "spot": {
-            "mertens(n_max)": int(np.sum(table.mobius[1:], dtype=np.int64)),
-            "squarefree_count": int(np.count_nonzero(table.mobius[1:])),
-            "tau_max": int(table.tau[1:].max()),
-        },
-    }
-    _emit(summary, None)
-    print(f"elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-    return 0
 
 
 _EXACT_QUANTITIES = ("mu", "nu", "c", "d", "pmf", "moment", "varC", "varZ",
@@ -331,17 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tables", help="build and cache an arithmetic table")
-    p.add_argument("--n", type=int, required=True, help="table bound n_max")
-    p.add_argument("--orders", default="1", help="comma-separated totient orders")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_tables)
-
     p = sub.add_parser("exact", help="evaluate one exact quantity")
     p.add_argument("--quantity", required=True, choices=_EXACT_QUANTITIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, default=2)
-    p.add_argument("--q", type=int, default=1)
+    p.add_argument("--q", type=_positive_int, default=1)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--t", type=float, default=0.0, help="tail threshold for quantity=tail")
@@ -358,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", required=True, help="integer, 'm^2.5', or 'exp(m^0.3)'")
     p.add_argument("--r", type=int, default=2)
-    p.add_argument("--q", type=int, default=1)
+    p.add_argument("--q", type=_positive_int, default=1)
     p.add_argument("--reps", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t", type=float, default=1.0)

@@ -17,8 +17,7 @@ fills that form without an n-entry table: a sieve to about n^(2/3) and
 the recursion sum_{d<=x} G(x // d) = sum_{j<=x} (g * 1)(j) at the
 O(n^(1/3)) points above it.  So the first moments (mean_mu, mean_nu,
 gcd_moment) and the gcd pmf and tail take no table and cost about
-O(n^(2/3)), up to n = TABLE_FREE_MAX_N (about 1.6e11).  An arbitrary g
-(`cesaro_expectation`) costs one O(n) prefix pass.
+O(n^(2/3)), up to n = TABLE_FREE_MAX_N (about 1.6e11).
 
 Whole profiles over k = 1..n are divisor sums h(k) = sum_{j|k} w(j),
 which one kernel (`_divisor_accumulate`) evaluates with the same split in
@@ -409,19 +408,6 @@ def _divisor_profile(g: np.ndarray, n: int, power: int, abs_prefix=None) -> np.n
     else:
         w = w.astype(object) ** power * head
     return _divisor_accumulate(w, n)
-
-
-def cesaro_expectation(table: ArithTable, g: np.ndarray, n: int, r: int) -> ExactResult:
-    """E F(gcd of r uniform variables) for g = mu*F supplied directly, as an
-    integer array (int64 or Python ints) over 0..n.
-
-    For r = 1 the convention gcd(j) = j applies, so the same formula
-    returns E F(X_1).
-    """
-    table.check_index(n)
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    return ExactResult.from_ratio(_floor_power_sum(_exact_prefix(g, n), n, r), n, r)
 
 
 def _first_moment(n: int, q: int | None, s: int) -> ExactResult:

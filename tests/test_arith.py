@@ -1,5 +1,4 @@
 import random
-import struct
 from math import gcd as math_gcd
 
 import numpy as np
@@ -7,17 +6,14 @@ import pytest
 
 from gcdstats.arith import (
     DEFAULT_MAX_N,
-    MAGIC,
     CapacityError,
     build_table,
     divisors,
     gcd,
     lcm,
-    load_table,
     mobius_local,
     pillai,
     primes_up_to,
-    save_table,
     sum_over_multiples,
     tau_local,
     totient_local,
@@ -245,14 +241,12 @@ def test_build_table_validation():
         build_table(DEFAULT_MAX_N + 1)
 
 
-def test_high_order_totient_falls_back_to_big_ints(tmp_path):
+def test_high_order_totient_falls_back_to_big_ints():
     table = build_table(50)
     vals = table.totient(12)
     assert vals.dtype == object  # 50^12 exceeds int64
     assert vals[2] == 2**12 - 1
     assert vals[6] == 6**12 * (2**12 - 1) * (3**12 - 1) // (2**12 * 3**12)
-    with pytest.raises(ValueError, match="totient order 12 exceeds int64, not serializable"):
-        save_table(table, tmp_path / "t.tbl")
 
 
 def test_lazy_totient_order(table_100):
@@ -291,30 +285,6 @@ def test_sum_over_multiples_is_the_plain_divisor_sum():
                 assert got.dtype == a.dtype and np.array_equal(got, want), (n, shape)
 
 
-def test_table_save_load_roundtrip(tmp_path):
-    table = build_table(500)
-    table.totient(1), table.totient(2)  # the orders the file holds
-    path = tmp_path / "t.tbl"
-    save_table(table, path)
-    save_table(table, tmp_path / "t2.tbl")
-    assert (tmp_path / "t.tbl").read_bytes() == (tmp_path / "t2.tbl").read_bytes()
-    # the file holds the same bytes as with the plain sieves
-    table.mobius = plain_mobius_sieve(500)
-    table.tau = plain_tau_sieve(500)
-    table.totient_s = {1: plain_jordan_sieve(500, 1), 2: plain_jordan_sieve(500, 2)}
-    save_table(table, tmp_path / "t3.tbl")
-    assert (tmp_path / "t3.tbl").read_bytes() == path.read_bytes()
-    loaded = load_table(path)
-    assert loaded.n_max == 500
-    assert np.array_equal(loaded.mobius, table.mobius)
-    assert np.array_equal(loaded.tau, table.tau)
-    assert np.array_equal(loaded.totient_s[2], table.totient_s[2])
-    bad = tmp_path / "bad.tbl"
-    bad.write_bytes(b"NOTATBL!xxxx")
-    with pytest.raises(ValueError):
-        load_table(bad)
-
-
 def test_table_sieves_each_function_on_first_read_only(sieve_calls):
     table = build_table(1000)
     assert sieve_calls == []  # only the primes
@@ -325,33 +295,3 @@ def test_table_sieves_each_function_on_first_read_only(sieve_calls):
     assert sieve_calls == ["mu", "tau", "spf", "phi_2"]
     assert table.factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert sieve_calls == ["mu", "tau", "spf", "phi_2"]
-
-
-def test_load_table_fills_every_stored_field(tmp_path, sieve_calls):
-    table = build_table(300)
-    table.totient(1), table.totient(3)
-    save_table(table, tmp_path / "t.tbl")
-    sieve_calls.clear()
-    loaded = load_table(tmp_path / "t.tbl")
-    for name in ("mobius", "tau", "smallest_prime_factor", "primes"):
-        assert np.array_equal(getattr(loaded, name), getattr(table, name))
-    assert sorted(loaded.totient_s) == [1, 3]
-    assert np.array_equal(loaded.totient(3), table.totient(3))
-    assert sieve_calls == []
-
-
-def test_load_table_refuses_a_truncated_or_overclaiming_file(tmp_path):
-    table = build_table(100)
-    table.totient(1), table.totient(2)
-    path, bad = tmp_path / "t.tbl", tmp_path / "bad.tbl"
-    save_table(table, path)
-    data = path.read_bytes()
-    header = len(MAGIC) + 16 + 8 * 2  # magic, n_max and the order count, two orders
-    for cut in [*range(header + 1), header + 1, header + 100, len(data) // 2, len(data) - 1]:
-        bad.write_bytes(data[:cut])
-        with pytest.raises(ValueError):
-            load_table(bad)
-    # 2^62 orders: refused on the count, before any read could allocate for it
-    bad.write_bytes(MAGIC + struct.pack("<QQ", 100, 2**62) + data[header:])
-    with pytest.raises(ValueError, match="orders"):
-        load_table(bad)

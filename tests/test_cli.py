@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import os
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +11,7 @@ import pytest
 
 import gcdstats
 from gcdstats import cli
-from gcdstats.arith import DEFAULT_MAX_N, MAGIC
+from gcdstats.arith import DEFAULT_MAX_N
 from gcdstats.cli import _EXACT_QUANTITIES, main, parse_n_rule
 from gcdstats.exact import TABLE_FREE_MAX_N
 
@@ -31,49 +30,11 @@ def test_parse_n_rule():
         parse_n_rule("m**2", 10)
 
 
-def test_tables_cache_roundtrip(tmp_path, capsys):
-    out = str(tmp_path / "t.tbl")
-    code, text = run_cli(["tables", "--n", "5000", "--orders", "1,2", "--out", out], capsys)
-    assert code == 0
-    first = json.loads(text)
-    assert first["cache"]["hit"] is False
-    code, text = run_cli(["tables", "--n", "5000", "--orders", "1,2", "--out", out], capsys)
-    assert code == 0
-    second = json.loads(text)
-    assert second["cache"]["hit"] is True
-    assert second["cache"]["sha256"] == first["cache"]["sha256"]
-
-
-@pytest.mark.parametrize("keep", [len(MAGIC) + 5, None], ids=["truncated", "overclaiming"])
-def test_tables_rebuilds_a_corrupt_cache(keep, tmp_path, capsys):
-    # a truncated header, or one that claims 2^62 orders: a cache miss
-    path = tmp_path / "t.tbl"
-    argv = ["tables", "--n", "50", "--orders", "1,2", "--out", str(path)]
-    assert run_cli(argv, capsys)[0] == 0
-    good = path.read_bytes()
-    path.write_bytes(good[:keep] if keep else MAGIC + struct.pack("<QQ", 50, 2**62))
-    code, text = run_cli(argv, capsys)
-    assert code == 0 and json.loads(text)["cache"]["hit"] is False
-    assert path.read_bytes() == good
-
-
-def test_tables_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["tables", "--n", "0"])
-    assert err.value.code == 2
-
-
-def test_tables_refuses_a_big_int_order_before_building(monkeypatch, capsys, tmp_path):
-    from gcdstats import cli
-
-    def no_build(*args, **kwargs):
-        raise AssertionError("built a table")
-
-    monkeypatch.setattr(cli, "build_table", no_build)
-    text = _usage_error(["tables", "--n", "1000000", "--orders", "1,4",
-                         "--out", str(tmp_path / "t.tbl")], capsys)
-    assert "totient order 4 exceeds int64, not serializable" in text
-    assert not (tmp_path / "t.tbl").exists()
+def test_tables_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    text = _usage_error(["tables", "--n", "10"], capsys)
+    assert "tables" in text
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exact_mu(capsys):
@@ -178,7 +139,6 @@ def test_json_text_is_the_plain_json_dump():
 @pytest.mark.parametrize("argv", [
     ["simulate", "--statistic", "C", "--m", "6", "--n", "30", "--reps", "5"],
     ["simulate", "--statistic", "N", "--m", "6", "--n", "30", "--reps", "5", "--out", "run"],
-    ["tables", "--n", "50", "--orders", "1,2", "--out", "t.tbl"],
     ["constants", "--cutoff", "1000"],
     ["exact", "--quantity", "omega", "--n", "40", "--s", "1", "--q", "2"],
 ])
@@ -419,7 +379,7 @@ def test_simulate_frechet_window_beyond_table_cap(tmp_path, capsys):
     (["exact", "--quantity", "tail", "--n", "10", "--t", "nan"], "--t", "nan"),
     (["exact", "--quantity", "tail", "--n", "10", "--t", "inf"], "--t", "inf"),
     (["exact", "--quantity", "mu", "--n", "10", "--r", "-1"], "--r", "-1"),
-    (["tables", "--n", "10", "--orders", "x"], "--orders", "x"),
+    (["exact", "--quantity", "omega", "--n", "10", "--s", "1", "--q", "0"], "--q", "0"),
     (["simulate", "--statistic", "C", "--m", "5", "--n", "10", "--workers", "0"],
      "--workers", "0"),
     (["simulate", "--statistic", "M", "--m", "5", "--n", "10", "--workers", "-1"],
@@ -430,6 +390,7 @@ def test_simulate_frechet_window_beyond_table_cap(tmp_path, capsys):
      "--reps", "0"),
     (["simulate", "--statistic", "C", "--m", "5", "--n", "10", "--reps", "-3"],
      "--reps", "-3"),
+    (["simulate", "--statistic", "Z", "--m", "5", "--n", "10", "--q", "0"], "--q", "0"),
 ])
 def test_usage_error_names_flag_and_value(argv, flag, value, capsys):
     text = _usage_error(argv, capsys)
@@ -528,8 +489,7 @@ def _sweep_cases():
     bases += [(["exact", "--quantity", q, "--n", "10", "--m", "6", "--s", "1", "--t", "3"],
                ("--n", "--r", "--q", "--s", "--m", "--t"))
               for q in _EXACT_QUANTITIES]
-    bases += [(["tables", "--n", "10", "--orders", "1"], ("--n", "--orders")),
-              (["constants", "--cutoff", "100"], ("--cutoff",)),
+    bases += [(["constants", "--cutoff", "100"], ("--cutoff",)),
               (["verify", "--suite", "stronglaw"], ("--workers",))]
     cases = [_with_flag(argv, flag, value)
              for argv, flags in bases for flag in flags for value in _SWEEP_VALUES]
@@ -560,16 +520,13 @@ _STRING_SWEEP = [
        (str(DEFAULT_MAX_N + 1), str(TABLE_FREE_MAX_N + 1))) for q in _EXACT_QUANTITIES),
     *((argv, "--out", (_MISSING_DIR_OUT,)) for argv in (
         _SIM, _with_flag(_SIM, "--statistic", "M"),
-        ["exact", "--quantity", "pmf", "--n", "10"], ["constants", "--cutoff", "100"],
-        ["tables", "--n", "10"])),
+        ["exact", "--quantity", "pmf", "--n", "10"], ["constants", "--cutoff", "100"])),
 ]
 
 
 @pytest.mark.parametrize("argv", _sweep_cases(), ids=" ".join)
 def test_every_numeric_flag_runs_or_is_a_usage_error(argv, tmp_path, capsys):
     argv = [str(tmp_path / "missing" / "out") if a == _MISSING_DIR_OUT else a for a in argv]
-    if argv[0] == "tables" and "--out" not in argv:
-        argv = argv + ["--out", str(tmp_path / "t.tbl")]
     try:
         code = main(argv)
     except SystemExit as exc:

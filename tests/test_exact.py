@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gcdstats import constants, exact
+from gcdstats import brute, constants, exact
 from gcdstats.arith import DEFAULT_MAX_N, build_table
 from gcdstats.cli import main
 from gcdstats.verify import _shared_table
@@ -277,17 +277,14 @@ def test_from_ratio_float_is_the_float_of_the_fraction():
         assert res.float_value == float(Fraction(numerator, base**power))
 
 
-def test_cesaro_expectation_pairs_n2(table_100):
+def test_cesaro_expectation_pairs_n2():
     # all four pairs from {1,2}: gcds 1,1,1,2
-    r = exact.cesaro_expectation(table_100, table_100.totient(1), 2, 2)
-    assert frac(r) == Fraction(5, 4)
-    r = exact.cesaro_expectation(table_100, table_100.mobius, 2, 2)
-    assert frac(r) == Fraction(3, 4)
+    assert frac(exact.gcd_moment(2, 2, 1)) == Fraction(5, 4)
+    assert frac(exact.mean_mu(2, 1)) == Fraction(3, 4)
 
 
 def test_cesaro_dirichlet_limit():
-    table = _shared_table(1_000_000)
-    r = exact.cesaro_expectation(table, table.mobius, 1_000_000, 2)
+    r = exact.mean_mu(1_000_000, 1)
     assert abs(r.float_value - 1 / constants.zeta(2)) < 1e-3
 
 
@@ -474,7 +471,7 @@ def test_covariances_monotone_in_s(table_100):
 def test_gamma_rr_is_bernoulli_variance(table_100):
     for n in (2, 10, 24):
         for r in (2, 3):
-            mu = frac(exact.cesaro_expectation(table_100, table_100.mobius, n, r))
+            mu = brute.pmf(n, r)[0]
             got = frac(exact.shared_covariance(table_100, n, r, r, "indicator"))
             assert got == mu * (1 - mu)
 
