@@ -141,6 +141,10 @@ def test_json_text_is_the_plain_json_dump():
     ["simulate", "--statistic", "N", "--m", "6", "--n", "30", "--reps", "5", "--out", "run"],
     ["constants", "--cutoff", "1000"],
     ["exact", "--quantity", "omega", "--n", "40", "--s", "1", "--q", "2"],
+    ["simulate", "--statistic", "Z", "--m", "6", "--n", "30", "--reps", "5", "--q", "2"],
+    ["simulate", "--statistic", "M", "--m", "6", "--n", "30", "--reps", "5", "--out", "run"],
+    *(["exact", "--quantity", q, "--n", "40", "--m", "6", "--s", "1", "--t", "3"]
+      for q in _EXACT_QUANTITIES if q != "omega"),
 ])
 def test_every_json_output_is_the_plain_json_dump(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -521,6 +525,10 @@ _STRING_SWEEP = [
     *((argv, "--out", (_MISSING_DIR_OUT,)) for argv in (
         _SIM, _with_flag(_SIM, "--statistic", "M"),
         ["exact", "--quantity", "pmf", "--n", "10"], ["constants", "--cutoff", "100"])),
+    *((argv, "--out", (_MISSING_DIR_OUT,)) for argv in (
+        *(_with_flag(_SIM, "--statistic", s) for s in ("Z", "N")),
+        *(["exact", "--quantity", q, "--n", "10", "--m", "6", "--s", "1", "--t", "3"]
+          for q in _EXACT_QUANTITIES if q != "pmf"))),
 ]
 
 
