@@ -7,9 +7,10 @@ its first read, so a job pays only for the functions it reads; a value once
 sieved never changes.  All downstream formulas read from it.
 
 Every multiplicative function comes from one `prime_power_sieve` over its
-prime-power values; those of mu, tau and phi_s are written once, here.  One
-sweep along axis 0, `sum_over_multiples`, serves the dense C/Z route (an
-(n+1, B) count matrix) and the totient-gcd series (a 1-D array).
+prime-power values; those of mu, tau, phi_s and P_s are written once, here.
+Two dual sweeps run prime by prime: `sum_over_multiples` serves the dense
+C/Z route (an (n+1, B) count matrix) and the totient-gcd series (a 1-D
+array), and `sum_over_divisors` the divisor-sum profiles of the exact layer.
 
 Function conventions (k >= 1):
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd as _gcd, isqrt
+from math import gcd as _gcd, isqrt, prod
 
 import numpy as np
 
@@ -77,6 +78,15 @@ def totient_local(s: int):
     """phi_s(p^e) = p^(s(e-1)) (p^s - 1), as a function of (p, e)."""
     def local(p, e):
         return p ** (s * (e - 1)) * (p**s - 1)
+    return local
+
+
+def pillai_local(s: int):
+    """P_s(p^e) = sum_{i<=e} phi(p^i) p^(s(e-i)), as a function of (p, e)."""
+    phi = totient_local(1)
+
+    def local(p, e):
+        return p ** (s * e) + sum(phi(p, i) * p ** (s * (e - i)) for i in range(1, e + 1))
     return local
 
 
@@ -132,6 +142,35 @@ def sum_over_multiples(a: np.ndarray, primes) -> None:
             lo = hi // p
             a[lo + 1 : hi + 1] += a[(lo + 1) * p : hi * p + 1 : p]
             hi = lo
+
+
+def sum_over_divisors(a: np.ndarray, primes: np.ndarray) -> None:
+    """In place, a[k] becomes sum_{d | k} a[d] for k = 1..n, n = a.size - 1.
+
+    The dual of `sum_over_multiples`, on a 1-D a; `primes` holds (at least)
+    the ascending primes up to n, and entry 0 is left alone.  For each prime
+    p <= sqrt n, a[i p] += a[i] runs for i ascending, one slice per power of
+    p: the i in [p^k, p^(k+1)) write the i p in [p^(k+1), p^(k+2)), so no
+    slice reads what it writes, and each reads entries the slices before
+    have finished.  A prime q > sqrt n divides k at most once, and the
+    cofactor i = k / q is below sqrt n, where no such q writes: a[i q] += a[i]
+    runs over all such q at once for each i, as in `prime_power_sieve`.  On
+    integers it is exact.
+    """
+    n = a.shape[0] - 1
+    primes = primes[: np.searchsorted(primes, n, "right")]
+    split = np.searchsorted(primes, isqrt(n), "right")
+    for p in primes[:split].tolist():
+        lo, top = 1, n // p
+        while lo <= top:
+            hi = min(lo * p, top + 1)
+            a[lo * p : hi * p : p] += a[lo:hi]
+            lo = hi
+    large = primes[split:]
+    i = 1
+    while (count := np.searchsorted(large, n // i, "right")):
+        a[i * large[:count]] += a[i]
+        i += 1
 
 
 def totient_fits_int64(n: int, s: int) -> bool:
@@ -255,12 +294,13 @@ def lcm(a: int, b: int) -> int:
 
 
 def pillai(table: ArithTable, s: int, k: int) -> int:
-    """P_s(k) = sum_{i<=k} gcd(i,k)^s, via the divisor form.
+    """P_s(k) = sum_{i<=k} gcd(i,k)^s, the product of `pillai_local(s)` over
+    the prime powers of k.
 
-    Evaluates sum_{d|k} phi(d) * (k/d)^s, never the defining O(k) sum
-    (that one is kept as a test oracle).
+    Never the defining O(k) sum (that one is kept as a test oracle).
     """
     table.check_index(k)
     if s < 1:
         raise ValueError(f"Pillai order must be >= 1, got {s}")
-    return sum(w * (k // d) ** s for d, w in weighted_divisors(table, k, totient_local(1)))
+    local = pillai_local(s)
+    return prod(local(p, e) for p, e in table.factorize(k))

@@ -24,13 +24,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .arith import (DEFAULT_MAX_N, CapacityError, build_table, prime_power_sieve, primes_up_to,
-                    sum_over_multiples, totient_local)
-from .exact import _divisor_accumulate
+from .arith import (DEFAULT_MAX_N, CapacityError, build_table, pillai_local, prime_power_sieve,
+                    primes_up_to, sum_over_multiples, totient_local)
 
 DEFAULT_CUTOFF = 1_000_000
 
-# slice length of `_totient_ratio`'s in-place division
+# slice length of `_over_powers`'s in-place division
 _CHUNK = 1 << 16
 
 # Bernoulli numbers B_2, B_4, ... for the Euler-Maclaurin zeta tail.
@@ -387,15 +386,14 @@ def tauberian_trend(kind: str, n_grid, table=None):
     return ratios, target
 
 
-def _totient_ratio(table, top: int, power: int) -> np.ndarray:
-    """phi(k)/k^power in float64 for k = 0..top (entry 0 is 0).
+def _over_powers(out: np.ndarray, power: int) -> np.ndarray:
+    """out[k] /= k^power for k >= 1 of a float64 array, which is returned.
 
-    Divides in place a slice at a time, so no second length-top array is
-    made next to the result.
+    Divides in place a slice at a time, so no second array of out's length
+    is made next to it.
     """
-    out = table.totient(1)[: top + 1].astype(np.float64)
-    for lo in range(1, top + 1, _CHUNK):
-        k = np.arange(lo, min(lo + _CHUNK, top + 1), dtype=np.float64)
+    for lo in range(1, out.size, _CHUNK):
+        k = np.arange(lo, min(lo + _CHUNK, out.size), dtype=np.float64)
         out[lo : lo + k.size] /= k**power
     return out
 
@@ -411,7 +409,7 @@ def _product_restricted_sums(table, grid):
     """
     top = grid[-1]
     phi = table.totient(1)
-    w = _totient_ratio(table, top, 2)
+    w = _over_powers(phi[: top + 1].astype(np.float64), 2)
     prefix = np.empty(top)
     out = []
     for n in grid:
@@ -448,9 +446,14 @@ def _lcm_restricted_sums(table, grid):
 
 
 def _pillai_mean_square(table, grid):
-    """(1/N) sum_{k <= N} (P(k)/k)^2 with P(k)/k = sum_{d|k} phi(d)/d."""
+    """(1/N) sum_{k <= N} (P(k)/k)^2 for Pillai's P(k) = sum_{i<=k} gcd(i,k).
+
+    P is sieved in float64 from P(p^e) = p^(e-1) ((e+1) p - e).  Every
+    partial product is an integer below P(k) <= k tau(k) < 2^53, so P is
+    exact, and each P(k)/k is the correctly rounded quotient.
+    """
     top = grid[-1]
-    val = _divisor_accumulate(_totient_ratio(table, top, 1), top)
+    val = _over_powers(prime_power_sieve(top, table.primes, pillai_local(1), np.float64), 1)
     val *= val
     prefix = np.cumsum(val, out=val)
     return [float(prefix[n]) / n for n in grid]

@@ -20,8 +20,8 @@ gcd_moment) and the gcd pmf and tail take no table and cost about
 O(n^(2/3)), up to n = TABLE_FREE_MAX_N (about 1.6e11).
 
 Whole profiles over k = 1..n are divisor sums h(k) = sum_{j|k} w(j),
-which one kernel (`_divisor_accumulate`) evaluates with the same split in
-O(sqrt n) array operations.  Shared-variable covariances reduce to
+which `arith.sum_over_divisors` takes in place, prime by prime, in about
+n ln ln n adds.  Shared-variable covariances reduce to
 sum_d G_s(d) h(d)^2, with G_s(d) the number of s-tuples whose gcd is
 exactly d.  G_s(d) depends on d only through floor(n/d), so the batched
 kernel gives it for all O(sqrt n) quotient blocks (`_quotient_blocks`) in
@@ -40,7 +40,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .arith import DEFAULT_MAX_N, ArithTable, build_table, pillai
+from .arith import DEFAULT_MAX_N, ArithTable, build_table, pillai, sum_over_divisors
 
 _INT64_SAFE = 2**62
 
@@ -358,47 +358,23 @@ def _block_sums(h: np.ndarray, starts, power: int) -> np.ndarray:
     return out
 
 
-def _divisor_accumulate(w: np.ndarray, n: int) -> np.ndarray:
-    """acc[k] = sum_{j|k} w[j] for k = 1..n (acc[0] = 0), same dtype as w.
-
-    Dirichlet's hyperbola split: every pair j e = k <= n has j <= sqrt(n)
-    or, when j > sqrt(n), e <= sqrt(n).  The first kind adds w[j] to every
-    multiple of j; the second adds the slice w[sqrt(n)+1 : n/e] to the
-    e-strided positions it lands on.  That is 2 sqrt(n) slice operations,
-    not n.  Taking e in descending order adds the terms of each acc[k] in
-    ascending j, as the plain loop over j does, so float sums round
-    identically.  Exact for int64 (when the caller has bounded the sums)
-    and for object arrays of Python ints.
-    """
-    acc = np.zeros(n + 1, dtype=w.dtype)
-    root = isqrt(n)
-    for j in range(1, root + 1):
-        if w[j]:
-            acc[j::j] += w[j]
-    for e in range(root, 0, -1):
-        hi = n // e
-        if hi > root:
-            acc[e * (root + 1) : e * hi + 1 : e] += w[root + 1 : hi + 1]
-    return acc
-
-
 def _abs_prefix(g: np.ndarray, n: int):
     """`_exact_prefix` of |g|, the weights of the profile bound."""
     return _exact_prefix(np.abs(g[: n + 1]), n)
 
 
-def _divisor_profile(g: np.ndarray, n: int, power: int, abs_prefix=None) -> np.ndarray:
-    """h(k) = sum_{j|k} g(j) floor(n/j)^power for k = 1..n, exactly.
+def _divisor_profile(g: np.ndarray, n: int, power: int, primes: np.ndarray,
+                     bound_prefix: _FloorPrefix) -> np.ndarray:
+    """h(k) = sum_{j|k} g(j) floor(n/j)^power for k = 1..n, exactly (h(0) = 0).
 
     int64 when the bound sum_j |g(j)| floor(n/j)^power on every |h(k)|
     fits, else Python ints in an object array.  Every weight g here has
     g(1) = 1, so the bound also covers the powers floor(n/j)^power.
-    abs_prefix is `_abs_prefix(g, n)`, built here when not given.
+    bound_prefix is the floor-indexed prefix of |g|: `_abs_prefix(g, n)`,
+    or `_summatory(n, q)` for g = phi_q >= 0.  primes are the table's.
     """
     head = g[: n + 1]
-    if abs_prefix is None:
-        abs_prefix = _abs_prefix(g, n)
-    bound = _floor_power_sum(abs_prefix, n, power)
+    bound = _floor_power_sum(bound_prefix, n, power)
     w = np.arange(n + 1, dtype=np.int64)
     np.floor_divide(n, w[1:], out=w[1:])
     if bound < _INT64_SAFE:
@@ -407,7 +383,8 @@ def _divisor_profile(g: np.ndarray, n: int, power: int, abs_prefix=None) -> np.n
         w *= head if head.dtype != object else head.astype(np.int64)
     else:
         w = w.astype(object) ** power * head
-    return _divisor_accumulate(w, n)
+    sum_over_divisors(w, primes)
+    return w
 
 
 def _first_moment(n: int, q: int | None, s: int) -> ExactResult:
@@ -484,12 +461,12 @@ def marginal_profile(table: ArithTable, n: int, r: int, kind: str) -> MarginalPr
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if kind == "probability":
-        g = table.mobius
+        g, bound_prefix = table.mobius, _abs_prefix(table.mobius, n)
     elif kind == "expectation":
-        g = table.totient(1)
+        g, bound_prefix = table.totient(1), _summatory(n, 1)
     else:
         raise ValueError(f"unknown profile kind {kind!r}")
-    return MarginalProfile(n, r, kind, _divisor_profile(g, n, r))
+    return MarginalProfile(n, r, kind, _divisor_profile(g, n, r, table.primes, bound_prefix))
 
 
 def marginal_error_bound_check(profile: MarginalProfile, table: ArithTable):
@@ -593,6 +570,8 @@ def shared_covariance(
     the literal double sum in the test suite.
     """
     table.check_index(n)
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     if not 0 <= s <= r:
         raise ValueError(f"need 0 <= s <= r, got s={s}, r={r}")
     if s == 0:
@@ -606,20 +585,24 @@ def _covariance_numerators(table, n, r, shares, kind, q) -> tuple[int, list[int]
     """n^r times the kernel mean, and n^(2r) times the covariance of
     `shared_covariance` for each s >= 1 in shares.
 
-    The prefix sums of mu and |g| and the kernel mean are built once and
-    serve every s; |g| only when some s < r needs a profile.
+    The prefix sums of mu, g and |g| and the kernel mean are built once and
+    serve every s; |g| only when some s < r needs a profile.  For g = phi_q
+    >= 0, the prefix of g is that of |g|.
     """
     order = _kernel_order(kind, q)
     g = _kernel_weights(table, kind, q)
     mu_prefix = _summatory(n, None)
-    abs_prefix = _abs_prefix(g, n) if min(shares) < r else None
-    mean_num = _floor_power_sum(mu_prefix if order is None else _summatory(n, order), n, r)
-    return mean_num, [_shared_moment(g, order, n, r, s, mu_prefix, abs_prefix) * n**s
-                      - mean_num**2 for s in shares]
+    g_prefix = mu_prefix if order is None else _summatory(n, order)
+    bound_prefix = None
+    if min(shares) < r:
+        bound_prefix = g_prefix if order is not None else _abs_prefix(g, n)
+    mean_num = _floor_power_sum(g_prefix, n, r)
+    return mean_num, [_shared_moment(g, order, n, r, s, table.primes, mu_prefix, bound_prefix)
+                      * n**s - mean_num**2 for s in shares]
 
 
-def _shared_moment(g, order, n, r, s, mu_prefix, abs_prefix) -> int:
-    """sum_{d<=n} G_s(d) h(d)^2 with h = `_divisor_profile(g, n, r - s)`.
+def _shared_moment(g, order, n, r, s, primes, mu_prefix, bound_prefix) -> int:
+    """sum_{d<=n} G_s(d) h(d)^2 with h = `_divisor_profile` of g at power r - s.
 
     One call per s, so each n-entry profile is freed before the next is built.
     At s = r, h = g * 1 is the delta at 1 for mu, so the sum is G_r(1), and
@@ -633,7 +616,8 @@ def _shared_moment(g, order, n, r, s, mu_prefix, abs_prefix) -> int:
         ends = _power_sums(hi.astype(object), 2 * order)
         squares = ends - np.concatenate(([0], ends[:-1]))
     else:
-        squares = _block_sums(_divisor_profile(g, n, r - s, abs_prefix), lo, 2)
+        h = _divisor_profile(g, n, r - s, primes, bound_prefix)
+        squares = _block_sums(h, lo, 2)
     return int(counts.astype(object) @ squares)
 
 
@@ -685,7 +669,7 @@ def mixed_moment_pi(table: ArithTable, n: int, r: int, q: int) -> ExactResult:
         raise ValueError(f"r must be >= 2, got {r}")
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    h = _divisor_profile(table.totient(q), n, r - 1)
+    h = _divisor_profile(table.totient(q), n, r - 1, table.primes, _summatory(n, q))
     return ExactResult.from_ratio(_block_sums(h, [1], 2)[0], n, 2 * r - 1)
 
 

@@ -13,7 +13,10 @@ from gcdstats.arith import (
     lcm,
     mobius_local,
     pillai,
+    pillai_local,
+    prime_power_sieve,
     primes_up_to,
+    sum_over_divisors,
     sum_over_multiples,
     tau_local,
     totient_local,
@@ -203,6 +206,13 @@ def test_weighted_divisors_is_plain_enumeration():
             assert sorted(weighted_divisors(table, k, local)) == want, k
 
 
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_pillai_local_sieves_the_defining_sum(s):
+    n = 2000
+    got = prime_power_sieve(n, primes_up_to(n), pillai_local(s), np.int64)
+    assert got.tolist() == [0] + [naive_pillai(k, s) for k in range(1, n + 1)]
+
+
 def test_pillai_and_divisors_sieve_only_spf(sieve_calls):
     table = build_table(1000)
     assert pillai(table, 2, 360) == naive_pillai(360, 2)
@@ -283,6 +293,22 @@ def test_sum_over_multiples_is_the_plain_divisor_sum():
                 got = a.copy()
                 sum_over_multiples(got, primes)
                 assert got.dtype == a.dtype and np.array_equal(got, want), (n, shape)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_sum_over_divisors_is_the_plain_loop(dtype):
+    rng = np.random.default_rng(37)
+    for n in list(range(0, 301)) + [1000, 99991]:
+        primes = primes_up_to(n)
+        a = rng.integers(-10**6, 10**6, size=n + 1)
+        if dtype is object:
+            a = a.astype(object) * 10**20  # past int64: Python ints
+        want = a.copy()  # entry 0 stays a[0]
+        for d in range(1, n // 2 + 1):
+            want[2 * d :: d] += a[d]
+        got = a.copy()
+        assert sum_over_divisors(got, primes) is None
+        assert got.dtype == a.dtype and np.array_equal(got, want), n
 
 
 def test_table_sieves_each_function_on_first_read_only(sieve_calls):

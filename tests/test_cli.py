@@ -384,6 +384,11 @@ def test_simulate_frechet_window_beyond_table_cap(tmp_path, capsys):
     (["exact", "--quantity", "tail", "--n", "10", "--t", "inf"], "--t", "inf"),
     (["exact", "--quantity", "mu", "--n", "10", "--r", "-1"], "--r", "-1"),
     (["exact", "--quantity", "omega", "--n", "10", "--s", "1", "--q", "0"], "--q", "0"),
+    # the library's own message, which names r but not the flag
+    (["exact", "--quantity", "gamma", "--n", "5", "--r", "0", "--s", "0"],
+     "r must be >= 1", "got 0"),
+    (["exact", "--quantity", "omega", "--n", "5", "--r", "0", "--s", "0"],
+     "r must be >= 1", "got 0"),
     (["simulate", "--statistic", "C", "--m", "5", "--n", "10", "--workers", "0"],
      "--workers", "0"),
     (["simulate", "--statistic", "M", "--m", "5", "--n", "10", "--workers", "-1"],

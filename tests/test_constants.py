@@ -72,12 +72,15 @@ def _plain_lcm_restricted_sums(table, grid):
 
 
 def _plain_pillai_mean_square(table, grid):
-    """(1/N) sum_{k <= N} (P(k)/k)^2, adding phi(d)/d at every multiple of each d."""
+    """(1/N) sum_{k <= N} (P(k)/k)^2, with P(k) = sum_{d|k} phi(d) k/d added
+    in exact integers at every multiple k of each d."""
     top = grid[-1]
-    phi = table.totient(1)[: top + 1].astype(np.float64)
-    val = np.zeros(top + 1)
+    phi = table.totient(1)
+    pillai = np.zeros(top + 1, dtype=np.int64)
     for d in range(1, top + 1):
-        val[d::d] += phi[d] / d
+        pillai[d::d] += int(phi[d]) * np.arange(1, top // d + 1)
+    val = pillai.astype(np.float64)
+    val[1:] /= np.arange(1, top + 1, dtype=np.float64)
     prefix = np.cumsum(val * val)
     return [float(prefix[n]) / n for n in grid]
 
@@ -282,7 +285,7 @@ def test_trend_sums_are_the_plain_loops(grid, table_10k):
     got = constants._lcm_restricted_sums(table, list(grid))
     want = _plain_lcm_restricted_sums(table, list(grid))
     assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
-    # same float additions in the same order: bit-identical
+    # the same exact P(k), then the same float steps: bit-identical
     got = constants._pillai_mean_square(table, list(grid))
     assert repr(got) == repr(_plain_pillai_mean_square(table, list(grid)))
 

@@ -17,14 +17,6 @@ def frac(res):
     return res.as_fraction()
 
 
-def plain_divisor_accumulate(w, n):
-    """acc[k] = sum_{j|k} w[j]: one slice add per j (reference)."""
-    acc = np.zeros(n + 1, dtype=w.dtype)
-    for j in range(1, n + 1):
-        acc[j::j] += w[j]
-    return acc
-
-
 def plain_divisor_sums(g, n, power):
     """sum_{j|k} g(j) floor(n/j)^power for k = 0..n in Python ints (reference)."""
     acc = [0] * (n + 1)
@@ -68,21 +60,7 @@ def plain_block_sums(h, starts, power):
     return [sum(int(x) ** power for x in h[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-# --- divisor-sum kernel --------------------------------------------------------
-
-@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 1000])
-def test_divisor_accumulate_is_the_plain_loop(n):
-    rng = np.random.default_rng(n)
-    w = rng.integers(-10**6, 10**6, n + 1, dtype=np.int64)
-    got = exact._divisor_accumulate(w, n)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, plain_divisor_accumulate(w, n))
-    big = np.array([int(v) * 10**30 + 7 for v in w], dtype=object)
-    got = exact._divisor_accumulate(big, n)
-    assert got.dtype == object
-    assert got.tolist() == plain_divisor_accumulate(big, n).tolist()
-    assert all(type(v) is int for v in got.tolist())
-
+# --- divisor-sum profiles ------------------------------------------------------
 
 def test_big_integer_profiles_at_r7():
     # 1000^7 exceeds int64, so the kernel runs on Python ints
