@@ -34,11 +34,11 @@ cfg = montecarlo.SampleConfig(m=m, n=n, replicates=2000, master_seed=11)
 counts = montecarlo.run_replicates(cfg, "N", t=1.0).raw
 lam = 1 / z2
 law = stattest.ReferenceLaw.poisson(lam)
-mean = sum(counts) / len(counts)
+mean = float(np.mean(counts))
 print(f"pairs with gcd > C(m,2) at m={m}, n={n}, 2000 replicates")
 print(f"  TV distance to Poisson(1/zeta(2)): {stattest.tv_distance(counts, law):.4f}")
 print(f"  empirical mean {mean:.4f} vs lambda {lam:.4f}")
 pk = stattest.poisson_pmf(lam, 5)
 print("  count   empirical   Poisson")
 for k in range(6):
-    print(f"  {k:5d}   {counts.count(k) / len(counts):9.4f}   {pk[k]:7.4f}")
+    print(f"  {k:5d}   {np.mean(counts == k):9.4f}   {pk[k]:7.4f}")

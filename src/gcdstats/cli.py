@@ -209,19 +209,40 @@ def cmd_simulate(args) -> int:
         law = stattest.ReferenceLaw.poisson(1 / (args.t * constants.zeta(2)))
 
     rec = montecarlo.run_replicates(config, statistic, table, t=args.t, workers=args.workers)
+    if args.format == "csv" and not args.out:
+        rec.write_csv(sys.stdout)
+    else:
+        summary = _simulate_summary(args, config, law, rec)
+        if args.out:
+            with open(args.out + ".csv", "w", encoding="utf-8", newline="\n") as fh:
+                rec.write_csv(fh)
+            _emit(summary, args.out + ".json")
+            print(args.out + ".csv")
+            print(args.out + ".json")
+        else:
+            _emit(summary, None)
+    print(f"elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+    return 0
+
+
+def _simulate_summary(args, config, law, rec) -> dict:
+    """The JSON summary of a simulate run: manifest, law, mean, sd and distance."""
+    statistic = args.statistic
     if statistic == "N":
         distance = {"tv": stattest.tv_distance(rec.raw, law)}
-        mean = sum(rec.raw) / len(rec.raw)
-        sd = math.sqrt(sum(v * v for v in rec.raw) / len(rec.raw) - mean**2)
+        # exact integer sums, over the distinct counts
+        values, counts = (a.tolist() for a in np.unique(rec.raw, return_counts=True))
+        mean = sum(v * c for v, c in zip(values, counts)) / rec.raw.size
+        sd = math.sqrt(sum(v * v * c for v, c in zip(values, counts)) / rec.raw.size - mean**2)
     else:
         distance = {"ks": stattest.ks_distance(rec.normalized, law)}
         # np.mean sums pairwise, so the order of the values shows in its last bits
         values = np.sort(rec.normalized)
         mean = float(np.mean(values))
         sd = float(np.std(values))
-    summary = {
+    return {
         "manifest": _manifest("simulate", {
-            "statistic": statistic, "m": args.m, "n": n, "n_rule": args.n,
+            "statistic": statistic, "m": args.m, "n": config.n, "n_rule": args.n,
             "r": args.r, "q": args.q, "reps": args.reps, "seed": args.seed,
             "t": args.t, "normalization": montecarlo.NORMALIZATION_NAMES[statistic],
         }),
@@ -229,19 +250,6 @@ def cmd_simulate(args) -> int:
         "mean": mean, "sd": sd, "distance": distance,
         "regime_warnings": config.regime_warnings(statistic),
     }
-    csv_text = rec.csv()
-    if args.out:
-        with open(args.out + ".csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
-        _emit(summary, args.out + ".json")
-        print(args.out + ".csv")
-        print(args.out + ".json")
-    elif args.format == "csv":
-        sys.stdout.write(csv_text)
-    else:
-        _emit(summary, None)
-    print(f"elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-    return 0
 
 
 def cmd_verify(args) -> int:
@@ -333,6 +341,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, CapacityError) as err:
         parser.exit(2, f"error: {err}\n")
+    except OverflowError as err:
+        # an exact value, a moment or a replicate past the float range
+        parser.exit(2, f"error: {err}: lower --q, --r or --m\n")
 
 
 if __name__ == "__main__":

@@ -129,10 +129,16 @@ def _exact_prefix(g: np.ndarray, n: int) -> _FloorPrefix:
     head = g[: n + 1]
     peak = int(np.abs(head).max()) if head.size else 0
     sums = _cumsum(head, (n + 1) * peak)
+    return _at_floor_points(sums.__getitem__, n, peak)
+
+
+def _at_floor_points(prefix, n: int, peak: int) -> _FloorPrefix:
+    """The `_FloorPrefix` with L = isqrt(n) of G = prefix, a function of an
+    int64 array of points."""
     root = isqrt(n)
     slots = np.arange(n // (root + 1) + 1)
     slots[0] = 1
-    return _FloorPrefix(n, sums[: root + 1].copy(), sums[n // slots], peak)
+    return _FloorPrefix(n, prefix(np.arange(root + 1)), prefix(n // slots), peak)
 
 
 def _sieve_limit(n: int) -> int:
@@ -358,23 +364,35 @@ def _block_sums(h: np.ndarray, starts, power: int) -> np.ndarray:
     return out
 
 
-def _abs_prefix(g: np.ndarray, n: int):
-    """`_exact_prefix` of |g|, the weights of the profile bound."""
-    return _exact_prefix(np.abs(g[: n + 1]), n)
+def _squarefree_floor_power_sum(mu: np.ndarray, n: int, power: int) -> int:
+    """sum_{j <= n} |mu(j)| floor(n/j)^power, exactly, with no n-entry array.
+
+    |mu(j)| = sum_{d^2 | j} mu(d), so the sum is
+    sum_{d <= sqrt n} mu(d) S(n // d^2), S(v) = sum_{i <= v} floor(v/i)^power:
+    each S(v) is the floor sum of g = 1 (G(x) = x) at a floor point of n.
+    mu is read only up to isqrt(n).
+    """
+    d = np.flatnonzero(mu[: isqrt(n) + 1])
+    sums = _floor_power_sums(_at_floor_points(lambda x: x, n, 1), n // (d * d), power)
+    return int(mu[d].astype(object) @ sums.astype(object))
 
 
 def _divisor_profile(g: np.ndarray, n: int, power: int, primes: np.ndarray,
-                     bound_prefix: _FloorPrefix) -> np.ndarray:
+                     g_prefix: _FloorPrefix | None) -> np.ndarray:
     """h(k) = sum_{j|k} g(j) floor(n/j)^power for k = 1..n, exactly (h(0) = 0).
 
     int64 when the bound sum_j |g(j)| floor(n/j)^power on every |h(k)|
     fits, else Python ints in an object array.  Every weight g here has
     g(1) = 1, so the bound also covers the powers floor(n/j)^power.
-    bound_prefix is the floor-indexed prefix of |g|: `_abs_prefix(g, n)`,
-    or `_summatory(n, q)` for g = phi_q >= 0.  primes are the table's.
+    g_prefix is `_summatory(n, q)` for g = phi_q >= 0, whose floor sum is
+    the bound, or None for g = mu (`_squarefree_floor_power_sum`).  primes
+    are the table's.
     """
     head = g[: n + 1]
-    bound = _floor_power_sum(bound_prefix, n, power)
+    if g_prefix is None:
+        bound = _squarefree_floor_power_sum(g, n, power)
+    else:
+        bound = _floor_power_sum(g_prefix, n, power)
     w = np.arange(n + 1, dtype=np.int64)
     np.floor_divide(n, w[1:], out=w[1:])
     if bound < _INT64_SAFE:
@@ -461,12 +479,12 @@ def marginal_profile(table: ArithTable, n: int, r: int, kind: str) -> MarginalPr
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if kind == "probability":
-        g, bound_prefix = table.mobius, _abs_prefix(table.mobius, n)
+        g, g_prefix = table.mobius, None
     elif kind == "expectation":
-        g, bound_prefix = table.totient(1), _summatory(n, 1)
+        g, g_prefix = table.totient(1), _summatory(n, 1)
     else:
         raise ValueError(f"unknown profile kind {kind!r}")
-    return MarginalProfile(n, r, kind, _divisor_profile(g, n, r, table.primes, bound_prefix))
+    return MarginalProfile(n, r, kind, _divisor_profile(g, n, r, table.primes, g_prefix))
 
 
 def marginal_error_bound_check(profile: MarginalProfile, table: ArithTable):
@@ -585,23 +603,19 @@ def _covariance_numerators(table, n, r, shares, kind, q) -> tuple[int, list[int]
     """n^r times the kernel mean, and n^(2r) times the covariance of
     `shared_covariance` for each s >= 1 in shares.
 
-    The prefix sums of mu, g and |g| and the kernel mean are built once and
-    serve every s; |g| only when some s < r needs a profile.  For g = phi_q
-    >= 0, the prefix of g is that of |g|.
+    The prefix sums of mu and g and the kernel mean are built once and
+    serve every s.
     """
     order = _kernel_order(kind, q)
     g = _kernel_weights(table, kind, q)
     mu_prefix = _summatory(n, None)
     g_prefix = mu_prefix if order is None else _summatory(n, order)
-    bound_prefix = None
-    if min(shares) < r:
-        bound_prefix = g_prefix if order is not None else _abs_prefix(g, n)
     mean_num = _floor_power_sum(g_prefix, n, r)
-    return mean_num, [_shared_moment(g, order, n, r, s, table.primes, mu_prefix, bound_prefix)
+    return mean_num, [_shared_moment(g, order, n, r, s, table.primes, mu_prefix, g_prefix)
                       * n**s - mean_num**2 for s in shares]
 
 
-def _shared_moment(g, order, n, r, s, primes, mu_prefix, bound_prefix) -> int:
+def _shared_moment(g, order, n, r, s, primes, mu_prefix, g_prefix) -> int:
     """sum_{d<=n} G_s(d) h(d)^2 with h = `_divisor_profile` of g at power r - s.
 
     One call per s, so each n-entry profile is freed before the next is built.
@@ -616,7 +630,7 @@ def _shared_moment(g, order, n, r, s, primes, mu_prefix, bound_prefix) -> int:
         ends = _power_sums(hi.astype(object), 2 * order)
         squares = ends - np.concatenate(([0], ends[:-1]))
     else:
-        h = _divisor_profile(g, n, r - s, primes, bound_prefix)
+        h = _divisor_profile(g, n, r - s, primes, None if order is None else g_prefix)
         squares = _block_sums(h, lo, 2)
     return int(counts.astype(object) @ squares)
 

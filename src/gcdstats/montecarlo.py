@@ -67,8 +67,8 @@ _INT32_MAX = 2**31 - 1
 # peaked 14 MB above the per-replicate loop.
 _BLOCK_ELEMENTS = 1 << 16
 
-# CSV rows formatted and joined at a time: bounds the row strings and
-# normalized floats `Replicates.csv` holds besides the text itself.
+# CSV rows formatted and written at a time: bounds the row strings and
+# normalized floats `Replicates.write_csv` holds at once.
 _CSV_ROWS = 4096
 
 
@@ -693,7 +693,7 @@ def _kernel_fields(table: ArithTable, q: int | None) -> tuple:
 
 
 def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, table: ArithTable,
-                           n: int) -> list:
+                           n: int) -> np.ndarray:
     """Exact C (q None) or Z with exponent q of every row of xs, values in 1..n.
 
     Both are sum_d w(d) C(cnt(d), r), with w = mu or phi_q and
@@ -701,6 +701,8 @@ def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, table: ArithTa
     sweep touches n + 1 + sum_{p <= n} floor(n/p) cells a row, the sparse
     route sorts D keys in D log2 D comparisons, D = xs.size D(n) / n the
     block's expected divisor count.  Dense blocks hold at most _BLOCK_ELEMENTS cells.
+    The result is int64, or object (Python ints) where `_exact_dtype` says
+    the sums could pass int64.
     """
     rows, m = xs.shape
     if n <= table.n_max:
@@ -712,25 +714,25 @@ def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, table: ArithTa
             g = g.astype(_exact_dtype(int(np.abs(g).sum()), m, r))
             step = max(1, _BLOCK_ELEMENTS // (n + 1))
             return np.concatenate([_dense_route(xs[lo : lo + step], r, g, primes.tolist())
-                                   for lo in range(0, rows, step)]).tolist()
-    return _sparse_route(xs, r, q, table).tolist()
+                                   for lo in range(0, rows, step)])
+    return _sparse_route(xs, r, q, table)
 
 
 def stat_C(sample, r: int, table: ArithTable) -> int:
     """Number of r-subsets of the sample whose gcd is exactly 1."""
     x = np.asarray(sample, dtype=np.int64)[None, :]
-    return _subset_weighted_block(x, r, None, table, int(x.max()))[0]
+    return int(_subset_weighted_block(x, r, None, table, int(x.max()))[0])
 
 
 def stat_Z(sample, r: int, q: int, table: ArithTable) -> int:
     """Sum of gcd^q over all r-subsets of the sample."""
     x = np.asarray(sample, dtype=np.int64)[None, :]
-    return _subset_weighted_block(x, r, q, table, int(x.max()))[0]
+    return int(_subset_weighted_block(x, r, q, table, int(x.max()))[0])
 
 
 # --- replicate running -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Replicates:
     """The raw statistic of replicates 0..R-1, in replicate order, and the
     normalisation (raw - shift) / scale that its statistic fixes.
@@ -738,34 +740,40 @@ class Replicates:
     C and Z shift and scale by their exact mean and standard deviation, M
     scales by C(m,2), and N is left as it is.  The CSV rows, the KS/TV
     distances and the summary moments are all read from this one record.
+    raw is a read-only array: int64, or object (Python ints) for a statistic
+    whose bound passes int64 (`_raw_dtype`).  Records hold arrays, so they
+    have no value equality; compare their fields.
     """
 
-    raw: tuple  # Python ints
+    raw: np.ndarray
     shift: float = 0
     scale: float = 1
 
     @cached_property
     def normalized(self) -> np.ndarray:
         """(raw - shift) / scale as a read-only float64 array, in replicate order."""
-        out = (np.array(self.raw, dtype=np.float64) - self.shift) / self.scale
+        out = self.raw.astype(np.float64)
+        out -= self.shift
+        out /= self.scale
         out.flags.writeable = False
         return out
 
-    def csv(self) -> str:
-        """Stable CSV of the replicates: header, LF endings, repr floats.
+    def write_csv(self, fh) -> None:
+        """Write the stable CSV of the replicates to the text stream fh:
+        header, LF endings, repr floats.
 
         normalized is a function of raw alone, so the `,raw,normalized` tail
         of a row is formatted once per distinct raw value and then reused.
-        Rows are joined _CSV_ROWS at a time, so no list of every row is held.
+        Rows are formatted and written _CSV_ROWS at a time, so the text of
+        only one chunk is held.
         """
-        tails = {}
-        parts = ["index,raw,normalized\n"]
-        for lo in range(0, len(self.raw), _CSV_ROWS):
-            rows = zip(itertools.count(lo), self.raw[lo : lo + _CSV_ROWS],
-                       self.normalized[lo : lo + _CSV_ROWS].tolist())
-            parts.append("".join(str(i) + (tails.get(v) or tails.setdefault(v, f",{v},{x!r}\n"))
-                                 for i, v, x in rows))
-        return "".join(parts)
+        normalized, tails = self.normalized, {}  # any error surfaces before a byte is written
+        fh.write("index,raw,normalized\n")
+        for lo in range(0, self.raw.size, _CSV_ROWS):
+            rows = zip(itertools.count(lo), self.raw[lo : lo + _CSV_ROWS].tolist(),
+                       normalized[lo : lo + _CSV_ROWS].tolist())
+            fh.write("".join(str(i) + (tails.get(v) or tails.setdefault(v, f",{v},{x!r}\n"))
+                             for i, v, x in rows))
 
 
 _STATISTICS = ("C", "Z", "M", "N")
@@ -778,21 +786,39 @@ NORMALIZATION_NAMES = {"C": "exact-moments", "Z": "exact-moments",
 _SIM_CTX = {}
 
 
+def _raw_dtype(config: SampleConfig, statistic: str):
+    """int64 when the statistic's closed-form bound fits, else object.
+
+    C counts r-subsets, Z adds at most n^q for each, M is a gcd of values
+    up to n, and N counts pairs.
+    """
+    if statistic == "M":
+        bound = config.n
+    elif statistic == "N":
+        bound = comb(config.m, 2)
+    else:
+        bound = comb(config.m, config.r) * (config.n**config.q if statistic == "Z" else 1)
+    return np.int64 if bound <= _INT64_MAX else object
+
+
 def _raws_in_range(config: SampleConfig, statistic: str, table, threshold: float,
-                   start: int, stop: int) -> list:
-    """Raw statistic of replicates start..stop-1, a block of samples at a time."""
+                   start: int, stop: int) -> np.ndarray:
+    """Raw statistic of replicates start..stop-1, a block of samples at a time.
+
+    Each block's kernel output is written into one array of `_raw_dtype`.
+    """
     per_block = max(1, _BLOCK_ELEMENTS // config.m)
     cut = _pair_cut(threshold)
-    raws = []
+    raws = np.empty(stop - start, dtype=_raw_dtype(config, statistic))
     for lo in range(start, stop, per_block):
-        xs = _draw_block(config, lo, min(lo + per_block, stop))
-        if statistic == "M":
-            raws.extend(_pair_gcd_reduce(xs).tolist())
-        elif statistic == "N":
-            raws.extend(_pair_gcd_reduce(xs, cut).tolist())
+        hi = min(lo + per_block, stop)
+        xs = _draw_block(config, lo, hi)
+        if statistic in ("M", "N"):
+            block = _pair_gcd_reduce(xs, None if statistic == "M" else cut)
         else:
             q = None if statistic == "C" else config.q
-            raws.extend(_subset_weighted_block(xs, config.r, q, table, config.n))
+            block = _subset_weighted_block(xs, config.r, q, table, config.n)
+        raws[lo - start : hi - start] = block
     return raws
 
 
@@ -801,7 +827,7 @@ def _sim_chunk(bounds):
                           _SIM_CTX["table"], _SIM_CTX["threshold"], *bounds)
 
 
-def _raw_replicates(config, statistic, table, threshold, workers) -> list:
+def _raw_replicates(config, statistic, table, threshold, workers) -> np.ndarray:
     """Raw values of all replicates in replicate order, each computed once.
 
     Workers take contiguous index ranges, so the values do not depend on
@@ -820,8 +846,7 @@ def _raw_replicates(config, statistic, table, threshold, workers) -> list:
     bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     processes = min(workers, len(bounds), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=processes, mp_context=get_context("fork")) as ex:
-        parts = list(ex.map(_sim_chunk, bounds))
-    return [v for part in parts for v in part]
+        return np.concatenate(list(ex.map(_sim_chunk, bounds)))
 
 
 def exact_moments(config: SampleConfig, statistic: str, table: ArithTable):
@@ -861,7 +886,8 @@ def run_replicates(
     elif statistic == "M":
         scale = comb(config.m, 2)
     raws = _raw_replicates(config, statistic, table, t * comb(config.m, 2), workers)
-    return Replicates(tuple(raws), shift, scale)
+    raws.flags.writeable = False
+    return Replicates(raws, shift, scale)
 
 
 def strong_law_trajectory(n: int, r: int, m_grid, seed: int,

@@ -74,16 +74,23 @@ def _poisson_cdf(lam: float, k: float) -> float:
 def ks_distance(values, law: ReferenceLaw) -> float:
     """sup_t |F_emp(t) - F_law(t)| of continuous values, given in any order.
 
-    The law's cdf is evaluated once per run of equal values in the sorted
-    values and repeated along the run.
+    With v sorted, the sup is the largest |(i+1)/n - F(v_i)| or
+    |(i+1)/n - 1/n - F(v_i)|.  Along a run of equal values F is constant
+    and both steps ascend, so each gap is largest at one end of the run:
+    the law's cdf is taken once a run and the gaps only at the runs' ends,
+    with the same float expressions, so no other n-length float array is made.
     """
     v = np.sort(np.asarray(values, dtype=np.float64))
     if v.size == 0:
         raise ValueError("empty empirical distribution")
-    n = len(v)
-    starts = np.flatnonzero(np.diff(v, prepend=np.nan) != 0)
-    ref = np.repeat(cdf(law, v[starts]), np.diff(starts, append=n))
-    steps = np.arange(1, n + 1) / n
+    n = v.size
+    run_start = np.empty(n, dtype=bool)
+    run_start[0] = True
+    np.not_equal(v[1:], v[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    ends = np.append(starts[1:], n) - 1
+    ref = np.tile(cdf(law, v[starts]), 2)
+    steps = (np.concatenate((starts, ends)) + 1) / n
     return float(max(np.max(np.abs(steps - ref)), np.max(np.abs(steps - 1 / n - ref))))
 
 

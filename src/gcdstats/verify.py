@@ -7,6 +7,7 @@ measured detail, so failures carry the observed numbers.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -273,7 +274,7 @@ def suite_variance(workers: int = 1) -> list[CheckResult]:
         cfg = EXPERIMENTS[name][0]
         at = _at(cfg, ("n", "m"))
         rec = _run_experiment(name, workers)
-        vals = np.array(rec.raw, dtype=np.float64)
+        vals = rec.raw.astype(np.float64)
         mean_exact, sd_exact = rec.shift, rec.scale
         var_exact = sd_exact**2
         se_mean = sd_exact / math.sqrt(cfg.replicates)
@@ -338,8 +339,8 @@ def suite_poisson(workers: int = 1) -> list[CheckResult]:
         f"poisson: N(1) at {_at(cfg)}, TV vs Poisson(1/zeta(2)) < 0.05",
         tv < 0.05, f"TV={tv:.4f}",
     ))
-    mean = sum(raw) / len(raw)
-    se = math.sqrt(lam / len(raw))
+    mean = int(raw.sum()) / raw.size
+    se = math.sqrt(lam / raw.size)
     gap = abs(mean - lam)
     out.append(CheckResult(
         "poisson: empirical mean within 3 SE of 0.6079",
@@ -404,11 +405,17 @@ def suite_stronglaw() -> list[CheckResult]:
 
 # --- criterion 11: determinism across worker counts -------------------------------
 
+def _csv_bytes(rec) -> bytes:
+    """The bytes `simulate` writes to its CSV file for the record."""
+    text = io.StringIO()
+    rec.write_csv(text)
+    return text.getvalue().encode()
+
+
 def suite_determinism() -> list[CheckResult]:
     out = []
     for name in EXPERIMENTS:
-        blobs = [_run_experiment(name, w).csv().encode()
-                 for w in DETERMINISM_WORKERS]
+        blobs = [_csv_bytes(_run_experiment(name, w)) for w in DETERMINISM_WORKERS]
         identical = all(b == blobs[0] for b in blobs)
         out.append(CheckResult(
             f"determinism: {name} byte-identical across workers {DETERMINISM_WORKERS}",

@@ -8,6 +8,7 @@ gcdstats.verify.SEEDS.
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gcdstats import montecarlo, verify
@@ -85,7 +86,7 @@ def _recording_run_replicates(calls):
 
     def fake_run_replicates(config, statistic, table=None, t=1.0, workers=1):
         calls.append((config, statistic, workers))
-        return montecarlo.Replicates((1, 2), shift=1.0, scale=1.0)
+        return montecarlo.Replicates(np.array([1, 2]), shift=1.0, scale=1.0)
 
     return fake_run_replicates
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,10 @@ _SIMULATE_GOLDEN = {
     ("Z", "--m", "2000", "--n", "40", "--reps", "50", "--seed", "16"): (
         "6929a7235e488f034e70ad59739355888dd2280fd153f48784774df143648d98",
         "bf3dfe70be0af387d77b0c49ac85443504cd901bef52d827a547d1ae17e75e52"),
+    # values past int64: the replicates are Python ints in an object array
+    ("Z", "--m", "20", "--n", "100", "--q", "12", "--reps", "300", "--seed", "17"): (
+        "bc01722bbc45672b2cf5d42ef5b2b9c31ad3b74548c6fb059d1b24feac2c6143",
+        "d6ef6818201a6f72f3b58026b0b6c8d60db7c956543f211bc25627ce1d839691"),
 }
 
 
@@ -272,9 +277,49 @@ def test_simulate_bytes_are_golden(args, tmp_path, capsys):
     summary = json.loads((tmp_path / "run.json").read_text())
     del summary["manifest"]["versions"]
     summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    digests = (hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest(),
+    csv_bytes = (tmp_path / "run.csv").read_bytes()
+    digests = (hashlib.sha256(csv_bytes).hexdigest(),
                hashlib.sha256(summary_text.encode()).hexdigest())
     assert digests == _SIMULATE_GOLDEN[args]
+    # the same writer serves stdout
+    code, text = run_cli(["simulate", "--statistic", *args, "--format", "csv"], capsys)
+    assert code == 0 and text.encode() == csv_bytes
+
+
+def test_only_runs_that_output_the_csv_format_it(monkeypatch, tmp_path, capsys):
+    from gcdstats import montecarlo
+
+    calls = []
+    write_csv = montecarlo.Replicates.write_csv
+    monkeypatch.setattr(montecarlo.Replicates, "write_csv",
+                        lambda rec, fh: calls.append(fh) or write_csv(rec, fh))
+    argv = ["simulate", "--statistic", "M", "--m", "8", "--n", "1000", "--reps", "50"]
+    for statistic in ("C", "Z", "M", "N"):
+        code, text = run_cli(_with_flag(argv, "--statistic", statistic), capsys)
+        assert code == 0 and json.loads(text)["distance"]
+    assert calls == []
+    run_cli(argv + ["--format", "csv"], capsys)
+    run_cli(argv + ["--out", str(tmp_path / "run")], capsys)
+    assert len(calls) == 2
+
+
+def test_simulate_memory_per_replicate(tmp_path, capsys):
+    # 2^17 replicates of M at m = 8, run, written to --out and KS-tested, in
+    # traced bytes a replicate: 87.5 when raw was a tuple of Python ints and
+    # the CSV one joined string, 38.0 with one int64 array and the streaming
+    # writer (raw, normalized, and the sorted copy and np.std's temporary of
+    # the summary, 8 B each)
+    reps = 2**17
+    argv = ["simulate", "--statistic", "M", "--m", "8", "--n", "1000000", "--seed", "1"]
+    run_cli(argv + ["--reps", "64", "--out", str(tmp_path / "warm")], capsys)
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(argv + ["--reps", str(reps), "--out", str(tmp_path / "run")], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak / reps < 48
 
 
 def test_simulate_n_rule_and_poisson(tmp_path, capsys):
@@ -406,6 +451,18 @@ def test_usage_error_names_flag_and_value(argv, flag, value, capsys):
     assert flag in text and value in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["exact", "--quantity", "moment", "--n", "100", "--q", "200"],
+    ["exact", "--quantity", "varZ", "--n", "100", "--m", "5", "--q", "200"],
+    ["exact", "--quantity", "pi", "--n", "100", "--q", "300"],
+    ["simulate", "--statistic", "Z", "--m", "5", "--n", "100", "--q", "200", "--reps", "2"],
+], ids=lambda argv: argv[2])
+def test_values_past_the_float_range_are_a_usage_error(argv, capsys):
+    text = _usage_error(argv, capsys)
+    assert "overflows" in text or "too large" in text
+    assert "--q" in text
+
+
 @pytest.mark.parametrize("statistic", ["C", "Z"])
 def test_exact_moments_of_a_constant_statistic_is_usage_error(statistic, capsys):
     # at n = 1 every gcd is 1, so C and Z are constants with no sd to scale by
@@ -501,7 +558,8 @@ def _sweep_cases():
     bases += [(["constants", "--cutoff", "100"], ("--cutoff",)),
               (["verify", "--suite", "stronglaw"], ("--workers",))]
     cases = [_with_flag(argv, flag, value)
-             for argv, flags in bases for flag in flags for value in _SWEEP_VALUES]
+             for argv, flags in bases for flag in flags
+             for value in _SWEEP_VALUES + (("400",) if flag == "--q" else ())]
     return cases + [_with_flag(argv, flag, value)
                     for argv, flag, values in _STRING_SWEEP for value in values]
 

@@ -190,6 +190,16 @@ def test_mertens_at_powers_of_ten_and_phi_1_at_1e10():
     assert 2 * int(phi.at(np.array([n]))[0]) - 1 == exact._floor_power_sum(mertens, n, 2)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 7])
+def test_squarefree_floor_power_sum_is_the_abs_mu_floor_sum(table_10k, p):
+    # the profile bound for g = mu, and so its int64/object choice
+    mu = table_10k.mobius
+    abs_mu = np.abs(mu[:3001])
+    for n in range(1, 3001):
+        assert exact._squarefree_floor_power_sum(mu, n, p) == \
+            exact._floor_power_sum(exact._exact_prefix(abs_mu, n), n, p), n
+
+
 def test_power_sums_are_the_plain_sums():
     for q in range(1, 9):
         want = list(itertools.accumulate(j**q for j in range(0, 60)))

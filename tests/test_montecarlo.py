@@ -1,3 +1,4 @@
+import io
 import math
 import random
 import tracemalloc
@@ -213,8 +214,7 @@ def test_python_int_fallback_matches_naive_loops(monkeypatch):
         dtypes.clear()
         got = montecarlo._subset_weighted_block(xs, r, q, table, n)
         assert dtypes and all(dt == object for dt in dtypes)
-        assert got == [brute.naive_stat_Z(x, r, q) for x in xs]
-        assert all(type(v) is int for v in got)
+        assert got.dtype == object and got.tolist() == [brute.naive_stat_Z(x, r, q) for x in xs]
     assert taken == ["_sparse_route", "_dense_route"] * 2
 
 
@@ -229,9 +229,9 @@ def test_values_beyond_the_table_match_naive_loops():
             cfg = SampleConfig(m=rng.randint(r, 10), n=n, r=r, q=q, replicates=3,
                                master_seed=trial + 40 * table_n)
             xs = montecarlo._draw_block(cfg, 0, 3)
-            assert montecarlo._subset_weighted_block(xs, r, None, table, n) == \
+            assert montecarlo._subset_weighted_block(xs, r, None, table, n).tolist() == \
                 [brute.naive_stat_C(x, r) for x in xs]
-            assert montecarlo._subset_weighted_block(xs, r, q, table, n) == \
+            assert montecarlo._subset_weighted_block(xs, r, q, table, n).tolist() == \
                 [brute.naive_stat_Z(x, r, q) for x in xs]
 
 
@@ -245,19 +245,32 @@ def test_sparse_path_beyond_table_range():
     assert poisson_count(x, 100) == brute.naive_poisson_count(x, 100)
 
 
+def _csv_text(rec):
+    text = io.StringIO()
+    rec.write_csv(text)
+    return text.getvalue()
+
+
+def _same_record(a, b):
+    return (a.raw.dtype == b.raw.dtype and np.array_equal(a.raw, b.raw)
+            and (a.shift, a.scale) == (b.shift, b.scale) and _csv_text(a) == _csv_text(b))
+
+
 def test_run_replicates_deterministic(table_50):
     cfg = SampleConfig(m=8, n=30, replicates=64, master_seed=2024)
     a = run_replicates(cfg, "C", table_50)
     b = run_replicates(cfg, "C", table_50)
-    assert a == b and a.csv() == b.csv()
-    assert len(a.raw) == 64 and all(type(v) is int for v in a.raw)
+    assert _same_record(a, b)
+    assert a.raw.shape == (64,) and a.raw.dtype == np.int64 and not a.raw.flags.writeable
 
 
-def test_run_replicates_workers_identical(table_50):
-    cfg = SampleConfig(m=10, n=40, replicates=48, master_seed=31)
+@pytest.mark.parametrize("q, dtype", [(1, np.int64), (12, object)], ids=["int64", "object"])
+def test_run_replicates_workers_identical(table_50, q, dtype):
+    # at q = 12 the bound C(10,2) 40^12 passes int64: the workers return object arrays
+    cfg = SampleConfig(m=10, n=40, q=q, replicates=48, master_seed=31)
     one = run_replicates(cfg, "Z", table_50, workers=1)
     three = run_replicates(cfg, "Z", table_50, workers=3)
-    assert one == three and one.csv() == three.csv()
+    assert one.raw.dtype == dtype and _same_record(one, three)
 
 
 def test_run_replicates_matches_exact_moments(table_50):
@@ -300,19 +313,19 @@ def test_poisson_replicates_integer_counts(table_50):
     cfg = SampleConfig(m=8, n=50, replicates=100, master_seed=13)
     rec = run_replicates(cfg, "N", table_50, t=0.5)
     assert (rec.shift, rec.scale) == (0, 1)
-    assert len(rec.raw) == 100
-    assert all(type(k) is int and k >= 0 for k in rec.raw)
-    assert rec.normalized.tolist() == [float(k) for k in rec.raw]
+    assert rec.raw.shape == (100,) and rec.raw.dtype == np.int64
+    assert (rec.raw >= 0).all()
+    assert rec.normalized.tolist() == [float(k) for k in rec.raw.tolist()]
 
 
 def test_replicate_csv_rows():
-    rec = montecarlo.Replicates((3, 10**20, 0), shift=1.5, scale=2)
-    assert rec.csv() == ("index,raw,normalized\n0,3,0.75\n"
-                         "1,100000000000000000000,5e+19\n2,0,-0.75\n")
+    rec = montecarlo.Replicates(np.array([3, 10**20, 0], dtype=object), shift=1.5, scale=2)
+    assert _csv_text(rec) == ("index,raw,normalized\n0,3,0.75\n"
+                              "1,100000000000000000000,5e+19\n2,0,-0.75\n")
 
 
 def _plain_csv(rec):
-    rows = zip(rec.raw, rec.normalized.tolist())
+    rows = zip(rec.raw.tolist(), rec.normalized.tolist())
     return "index,raw,normalized\n" + "".join(f"{i},{v},{x!r}\n" for i, (v, x) in enumerate(rows))
 
 
@@ -328,8 +341,9 @@ _rng = random.Random(404)
     ([42], 40.0, 3.0),  # a single row
 ], ids=["repeats", "distinct", "past-int64", "negative", "one-row"])
 def test_csv_is_the_plain_per_row_rendering(raw, shift, scale):
-    rec = montecarlo.Replicates(tuple(raw), shift, scale)
-    got, want = rec.csv().split("\n"), _plain_csv(rec).split("\n")
+    raw = np.array(raw, dtype=np.int64 if max(raw) <= 2**63 - 1 else object)
+    rec = montecarlo.Replicates(raw, shift, scale)
+    got, want = _csv_text(rec).split("\n"), _plain_csv(rec).split("\n")
     assert len(got) == len(want)
     for line, expected in zip(got, want):  # line by line: a failure shows one short diff
         assert line == expected
@@ -657,10 +671,10 @@ def test_pool_has_no_more_processes_than_ranges_or_cpus(monkeypatch, inline_pool
     serial = run_replicates(cfg, "C", workers=1)
     assert sizes == []
     for workers, expected in ((2, 2), (16, 3), (64, 3)):
-        assert run_replicates(cfg, "C", workers=workers) == serial
+        assert _same_record(run_replicates(cfg, "C", workers=workers), serial)
         assert sizes[-1] == expected
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
-    assert run_replicates(cfg, "C", workers=64) == serial
+    assert _same_record(run_replicates(cfg, "C", workers=64), serial)
     assert sizes[-1] == 5  # one process per replicate range
 
 
@@ -681,7 +695,7 @@ def test_pool_workers_sieve_nothing(statistic, q, n, monkeypatch, inline_pool, s
     cfg = SampleConfig(m=20, n=n, q=q, replicates=6, master_seed=3)
     serial = run_replicates(cfg, statistic, workers=1)
     sieve_calls.clear()
-    assert run_replicates(cfg, statistic, workers=2) == serial
+    assert _same_record(run_replicates(cfg, statistic, workers=2), serial)
     assert len(inline_pool) == 1 and in_workers == []
     # the kernel's weights to n; the exact moments sieve their own tables to
     # n^(2/3): the weights once for the mean and the variance, and mu for the
