@@ -22,6 +22,7 @@ import os
 import re
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -57,6 +58,24 @@ def parse_n_rule(text: str, m: int) -> int:
     except OverflowError:
         raise ValueError(f"n rule {text!r} overflows a float at m={m}") from None
     raise ValueError(f"bad n rule {text!r}: use an integer, 'm^2.5' or 'exp(m^0.3)'")
+
+
+# The flags whose growth can carry an exact quantity, or a statistic's
+# exact moments and values, past the float range.
+_GROWS_WITH = {"moment": "--q", "omega": "--q", "pi": "--q", "varC": "--m or --r",
+               "varZ": "--q, --m or --r", "C": "--m or --r", "Z": "--q, --m or --r"}
+
+
+@contextmanager
+def _float_range(key: str):
+    """Turn a value past the float range into a usage error that names the
+    flags to lower, for the quantity or statistic `key`."""
+    try:
+        yield
+    except exact.FloatRangeError as err:
+        if key not in _GROWS_WITH:
+            raise
+        raise ValueError(f"{err}: lower {_GROWS_WITH[key]}") from None
 
 
 class _Runs(list):
@@ -131,28 +150,29 @@ def cmd_exact(args) -> int:
             "exact": True,
         }
     else:
-        if quantity == "mu":
-            res = exact.mean_mu(n, r)
-        elif quantity == "nu":
-            res = exact.mean_nu(n, r)
-        elif quantity == "c":
-            res = exact.var_c(table, n, r)
-        elif quantity == "d":
-            res = exact.var_d(table, n, r)
-        elif quantity == "moment":
-            res = exact.gcd_moment(n, r, q)
-        elif quantity == "varC":
-            res = exact.var_C(table, n, _require(m, "--m"), r)
-        elif quantity == "varZ":
-            res = exact.var_Z(table, n, _require(m, "--m"), r, q)
-        elif quantity == "gamma":
-            res = exact.shared_covariance(table, n, r, _require(s, "--s"), "indicator")
-        elif quantity == "omega":
-            res = exact.shared_covariance(table, n, r, _require(s, "--s"), "moment", q)
-        elif quantity == "pi":
-            res = exact.mixed_moment_pi(table, n, r, q)
-        else:  # tail
-            res = exact.gcd_tail(n, int(args.t))
+        with _float_range(quantity):
+            if quantity == "mu":
+                res = exact.mean_mu(n, r)
+            elif quantity == "nu":
+                res = exact.mean_nu(n, r)
+            elif quantity == "c":
+                res = exact.var_c(table, n, r)
+            elif quantity == "d":
+                res = exact.var_d(table, n, r)
+            elif quantity == "moment":
+                res = exact.gcd_moment(n, r, q)
+            elif quantity == "varC":
+                res = exact.var_C(table, n, _require(m, "--m"), r)
+            elif quantity == "varZ":
+                res = exact.var_Z(table, n, _require(m, "--m"), r, q)
+            elif quantity == "gamma":
+                res = exact.shared_covariance(table, n, r, _require(s, "--s"), "indicator")
+            elif quantity == "omega":
+                res = exact.shared_covariance(table, n, r, _require(s, "--s"), "moment", q)
+            elif quantity == "pi":
+                res = exact.mixed_moment_pi(table, n, r, q)
+            else:  # tail
+                res = exact.gcd_tail(n, int(args.t))
         record = res.record(quantity, n=n, r=r, q=q, s=s, m=m)
         payload = {"manifest": _manifest("exact", {
             "quantity": quantity, "n": n, "r": r, "q": q, "s": s, "m": m,
@@ -208,19 +228,21 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"--t must be positive and finite for N, got {args.t}")
         law = stattest.ReferenceLaw.poisson(1 / (args.t * constants.zeta(2)))
 
-    rec = montecarlo.run_replicates(config, statistic, table, t=args.t, workers=args.workers)
-    if args.format == "csv" and not args.out:
-        rec.write_csv(sys.stdout)
-    else:
-        summary = _simulate_summary(args, config, law, rec)
-        if args.out:
-            with open(args.out + ".csv", "w", encoding="utf-8", newline="\n") as fh:
-                rec.write_csv(fh)
-            _emit(summary, args.out + ".json")
-            print(args.out + ".csv")
-            print(args.out + ".json")
+    with _float_range(statistic):
+        rec = montecarlo.run_replicates(config, statistic, table, t=args.t,
+                                        workers=args.workers)
+        if args.format == "csv" and not args.out:
+            rec.write_csv(sys.stdout)
         else:
-            _emit(summary, None)
+            summary = _simulate_summary(args, config, law, rec)
+            if args.out:
+                with open(args.out + ".csv", "w", encoding="utf-8", newline="\n") as fh:
+                    rec.write_csv(fh)
+                _emit(summary, args.out + ".json")
+                print(args.out + ".csv")
+                print(args.out + ".json")
+            else:
+                _emit(summary, None)
     print(f"elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return 0
 
@@ -230,10 +252,7 @@ def _simulate_summary(args, config, law, rec) -> dict:
     statistic = args.statistic
     if statistic == "N":
         distance = {"tv": stattest.tv_distance(rec.raw, law)}
-        # exact integer sums, over the distinct counts
-        values, counts = (a.tolist() for a in np.unique(rec.raw, return_counts=True))
-        mean = sum(v * c for v, c in zip(values, counts)) / rec.raw.size
-        sd = math.sqrt(sum(v * v * c for v, c in zip(values, counts)) / rec.raw.size - mean**2)
+        mean, sd = stattest.integer_moments(rec.raw)
     else:
         distance = {"ks": stattest.ks_distance(rec.normalized, law)}
         # np.mean sums pairwise, so the order of the values shows in its last bits
@@ -341,9 +360,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, CapacityError) as err:
         parser.exit(2, f"error: {err}\n")
-    except OverflowError as err:
-        # an exact value, a moment or a replicate past the float range
-        parser.exit(2, f"error: {err}: lower --q, --r or --m\n")
 
 
 if __name__ == "__main__":

@@ -36,13 +36,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, log10
 
 import numpy as np
 
 from .arith import DEFAULT_MAX_N, ArithTable, build_table, pillai, sum_over_divisors
 
 _INT64_SAFE = 2**62
+
+
+class FloatRangeError(ValueError):
+    """An exact value, or a replicate, too large in magnitude for a float."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,12 @@ class ExactResult:
     def from_ratio(cls, numerator: int, base: int, power: int) -> "ExactResult":
         # int / int is correctly rounded, the float of the exact fraction
         numerator = int(numerator)
-        return cls(numerator, base, power, numerator / base**power)
+        try:
+            return cls(numerator, base, power, numerator / base**power)
+        except OverflowError:
+            bits = abs(numerator).bit_length() - (base**power).bit_length()
+            raise FloatRangeError(f"an exact value of about 10^{round(bits * log10(2))} "
+                                  f"overflows a float") from None
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denom_base**self.denom_power)

@@ -67,8 +67,8 @@ _INT32_MAX = 2**31 - 1
 # peaked 14 MB above the per-replicate loop.
 _BLOCK_ELEMENTS = 1 << 16
 
-# CSV rows formatted and written at a time: bounds the row strings and
-# normalized floats `Replicates.write_csv` holds at once.
+# CSV rows formatted and written at a time: bounds the row strings, the
+# cached row tails and the normalized floats `Replicates.write_csv` holds.
 _CSV_ROWS = 4096
 
 
@@ -752,7 +752,10 @@ class Replicates:
     @cached_property
     def normalized(self) -> np.ndarray:
         """(raw - shift) / scale as a read-only float64 array, in replicate order."""
-        out = self.raw.astype(np.float64)
+        try:
+            out = self.raw.astype(np.float64)
+        except OverflowError:
+            raise exact.FloatRangeError("a raw replicate value overflows a float") from None
         out -= self.shift
         out /= self.scale
         out.flags.writeable = False
@@ -764,12 +767,15 @@ class Replicates:
 
         normalized is a function of raw alone, so the `,raw,normalized` tail
         of a row is formatted once per distinct raw value and then reused.
-        Rows are formatted and written _CSV_ROWS at a time, so the text of
-        only one chunk is held.
+        Rows are formatted and written _CSV_ROWS at a time, and the tail
+        cache is emptied once it passes _CSV_ROWS entries, so at most the
+        text of two chunks is held, however many values are distinct.
         """
         normalized, tails = self.normalized, {}  # any error surfaces before a byte is written
         fh.write("index,raw,normalized\n")
         for lo in range(0, self.raw.size, _CSV_ROWS):
+            if len(tails) > _CSV_ROWS:
+                tails.clear()
             rows = zip(itertools.count(lo), self.raw[lo : lo + _CSV_ROWS].tolist(),
                        normalized[lo : lo + _CSV_ROWS].tolist())
             fh.write("".join(str(i) + (tails.get(v) or tails.setdefault(v, f",{v},{x!r}\n"))

@@ -71,14 +71,20 @@ def _poisson_cdf(lam: float, k: float) -> float:
     return float(poisson_pmf(lam, int(k)).sum())
 
 
+# runs of equal values whose cdf and gaps `ks_distance` takes at a time
+_KS_RUNS = 1 << 13
+
+
 def ks_distance(values, law: ReferenceLaw) -> float:
     """sup_t |F_emp(t) - F_law(t)| of continuous values, given in any order.
 
     With v sorted, the sup is the largest |(i+1)/n - F(v_i)| or
     |(i+1)/n - 1/n - F(v_i)|.  Along a run of equal values F is constant
-    and both steps ascend, so each gap is largest at one end of the run:
-    the law's cdf is taken once a run and the gaps only at the runs' ends,
-    with the same float expressions, so no other n-length float array is made.
+    and both steps ascend, so each gap is largest at one end of the run.
+    The law's cdf is taken once a run and the gaps only at the runs' first
+    and last index, with the same float expressions, _KS_RUNS runs at a
+    time: besides the sorted copy, only a bool mask and the runs' start
+    indices are as long as the values.
     """
     v = np.sort(np.asarray(values, dtype=np.float64))
     if v.size == 0:
@@ -88,10 +94,29 @@ def ks_distance(values, law: ReferenceLaw) -> float:
     run_start[0] = True
     np.not_equal(v[1:], v[:-1], out=run_start[1:])
     starts = np.flatnonzero(run_start)
-    ends = np.append(starts[1:], n) - 1
-    ref = np.tile(cdf(law, v[starts]), 2)
-    steps = (np.concatenate((starts, ends)) + 1) / n
-    return float(max(np.max(np.abs(steps - ref)), np.max(np.abs(steps - 1 / n - ref))))
+    del run_start
+    gap = 0.0
+    for lo in range(0, starts.size, _KS_RUNS):
+        first = starts[lo : lo + _KS_RUNS]
+        last = starts[lo + 1 : lo + 1 + _KS_RUNS] - 1
+        if last.size < first.size:
+            last = np.append(last, n - 1)
+        ref = cdf(law, v[first])
+        for i in (first, last):
+            steps = (i + 1) / n
+            gap = np.max([gap, np.max(np.abs(steps - ref)), np.max(np.abs(steps - 1 / n - ref))])
+    return float(gap)
+
+
+def integer_moments(raw) -> tuple[float, float]:
+    """Mean and population sd of the integers `raw`, from exact integer sums
+    over the distinct values, so neither depends on their order."""
+    values, counts = (a.tolist() for a in np.unique(np.asarray(raw), return_counts=True))
+    r = sum(counts)
+    if r == 0:
+        raise ValueError("empty empirical distribution")
+    mean = sum(v * c for v, c in zip(values, counts)) / r
+    return mean, math.sqrt(sum(v * v * c for v, c in zip(values, counts)) / r - mean**2)
 
 
 _TV_SUPPORT_CAP = 64

@@ -303,14 +303,21 @@ def test_only_runs_that_output_the_csv_format_it(monkeypatch, tmp_path, capsys):
     assert len(calls) == 2
 
 
-def test_simulate_memory_per_replicate(tmp_path, capsys):
-    # 2^17 replicates of M at m = 8, run, written to --out and KS-tested, in
-    # traced bytes a replicate: 87.5 when raw was a tuple of Python ints and
-    # the CSV one joined string, 38.0 with one int64 array and the streaming
-    # writer (raw, normalized, and the sorted copy and np.std's temporary of
-    # the summary, 8 B each)
+@pytest.mark.parametrize("statistic", [
+    ("M", "--m", "8", "--n", "1000000"),
+    ("Z", "--m", "20", "--n", "300", "--q", "5"),
+], ids=lambda statistic: statistic[0])
+def test_simulate_memory_per_replicate(statistic, tmp_path, capsys):
+    # 2^17 replicates, run, written to --out and KS-tested, in traced bytes a
+    # replicate.  M at m = 8 has few distinct values, Z at q = 5 almost none
+    # equal.  When raw was a tuple of Python ints and the CSV one joined
+    # string: 87.5 (M) and 254.6 (Z).  With one int64 array, a streaming
+    # writer whose tail cache grew with the distinct values and a KS that
+    # took the cdf of every run at once: 37.9 and 175.2.  Now 38.0 and 39.8:
+    # raw, normalized, and the sorted copy and np.std's temporary of the
+    # summary, 8 B each.
     reps = 2**17
-    argv = ["simulate", "--statistic", "M", "--m", "8", "--n", "1000000", "--seed", "1"]
+    argv = ["simulate", "--statistic", *statistic, "--seed", "1"]
     run_cli(argv + ["--reps", "64", "--out", str(tmp_path / "warm")], capsys)
     tracemalloc.start()
     try:
@@ -451,16 +458,19 @@ def test_usage_error_names_flag_and_value(argv, flag, value, capsys):
     assert flag in text and value in text
 
 
-@pytest.mark.parametrize("argv", [
-    ["exact", "--quantity", "moment", "--n", "100", "--q", "200"],
-    ["exact", "--quantity", "varZ", "--n", "100", "--m", "5", "--q", "200"],
-    ["exact", "--quantity", "pi", "--n", "100", "--q", "300"],
-    ["simulate", "--statistic", "Z", "--m", "5", "--n", "100", "--q", "200", "--reps", "2"],
-], ids=lambda argv: argv[2])
-def test_values_past_the_float_range_are_a_usage_error(argv, capsys):
+@pytest.mark.parametrize("argv, flags", [
+    (["exact", "--quantity", "moment", "--n", "100", "--q", "200"], "--q"),
+    (["exact", "--quantity", "varZ", "--n", "100", "--m", "5", "--q", "200"], "--q, --m or --r"),
+    (["exact", "--quantity", "pi", "--n", "100", "--q", "300"], "--q"),
+    (["simulate", "--statistic", "Z", "--m", "5", "--n", "100", "--q", "200", "--reps", "2"],
+     "--q, --m or --r"),
+    (["exact", "--quantity", "varC", "--n", "100", "--m", "100000", "--r", "100"], "--m or --r"),
+    (["simulate", "--statistic", "C", "--m", "1100", "--n", "100", "--r", "550", "--reps", "2"],
+     "--m or --r"),
+], ids=["moment", "varZ", "pi", "Z", "varC", "C"])
+def test_values_past_the_float_range_are_a_usage_error(argv, flags, capsys):
     text = _usage_error(argv, capsys)
-    assert "overflows" in text or "too large" in text
-    assert "--q" in text
+    assert f"overflows a float: lower {flags}" in text
 
 
 @pytest.mark.parametrize("statistic", ["C", "Z"])

@@ -324,6 +324,12 @@ def test_replicate_csv_rows():
                               "1,100000000000000000000,5e+19\n2,0,-0.75\n")
 
 
+def test_a_raw_value_past_the_float_range_is_a_float_range_error():
+    rec = montecarlo.Replicates(np.array([3, 10**400], dtype=object), shift=1.5, scale=2)
+    with pytest.raises(exact.FloatRangeError, match="overflows a float"):
+        rec.normalized
+
+
 def _plain_csv(rec):
     rows = zip(rec.raw.tolist(), rec.normalized.tolist())
     return "index,raw,normalized\n" + "".join(f"{i},{v},{x!r}\n" for i, (v, x) in enumerate(rows))
@@ -336,10 +342,12 @@ _rng = random.Random(404)
     # row counts past the CSV join chunk, so repeats reach across chunks
     ([_rng.randint(0, 6) for _ in range(9000)], 2.5, 1.3),  # many repeats
     (_rng.sample(range(10**6), 5000), 0, 2016),  # every value distinct
+    # the tail cache is emptied past one chunk of distinct values, then refilled
+    ((lambda v: v + v[:300] + v[-300:])(_rng.sample(range(10**6), 9000)), 0.5, 3.0),
     ([2**63 + _rng.randint(0, 4) for _ in range(200)] + [10**30, 2**64], 2.0**63, 3.0),
     ([_rng.randint(0, 50) for _ in range(500)], 1000.25, 7.0),  # all normalized < 0
     ([42], 40.0, 3.0),  # a single row
-], ids=["repeats", "distinct", "past-int64", "negative", "one-row"])
+], ids=["repeats", "distinct", "distinct-past-the-cache", "past-int64", "negative", "one-row"])
 def test_csv_is_the_plain_per_row_rendering(raw, shift, scale):
     raw = np.array(raw, dtype=np.int64 if max(raw) <= 2**63 - 1 else object)
     rec = montecarlo.Replicates(raw, shift, scale)

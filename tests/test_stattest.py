@@ -1,10 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gcdstats import stattest
 from gcdstats.constants import zeta
-from gcdstats.stattest import ReferenceLaw, cdf, ks_distance, poisson_pmf, tv_distance
+from gcdstats.stattest import (ReferenceLaw, cdf, integer_moments, ks_distance, poisson_pmf,
+                               tv_distance)
 
 
 def test_law_validation():
@@ -87,6 +90,30 @@ def test_ks_is_the_per_value_formula(law):
     few = np.array([0.5, 0.5, 0.5])
     for values in (heavy_ties, no_ties, few, no_ties[:1]):
         assert ks_distance(values, law) == _plain_ks(values, law)
+
+
+@pytest.mark.parametrize("runs", [1, 2, 7])
+def test_ks_taken_a_few_runs_at_a_time_is_the_per_value_formula(runs, monkeypatch):
+    monkeypatch.setattr(stattest, "_KS_RUNS", runs)
+    rng = np.random.Generator(np.random.Philox(key=[22, 0]))
+    heavy_ties = rng.integers(-8, 40, size=400) / 8.0
+    no_ties = rng.standard_normal(301) * 2 + 1
+    for law in (ReferenceLaw.normal(), ReferenceLaw.frechet(1 / zeta(2))):
+        for values in (heavy_ties, no_ties, no_ties[:1], np.append(heavy_ties[:49], 9.0)):
+            assert ks_distance(values, law) == _plain_ks(values, law)
+
+
+def test_integer_moments_are_the_exact_fractions():
+    rng = np.random.Generator(np.random.Philox(key=[23, 0]))
+    raw = rng.integers(0, 9, size=1001)
+    mean, sd = integer_moments(raw)
+    values = raw.tolist()
+    exact_mean = Fraction(sum(values), len(values))
+    assert mean == float(exact_mean)
+    assert sd == math.sqrt(sum(v * v for v in values) / len(values) - mean**2)
+    assert integer_moments([2**62, 2**62]) == (2.0**62, 0.0)
+    with pytest.raises(ValueError):
+        integer_moments(np.array([], dtype=np.int64))
 
 
 def test_ks_rejects_no_values():
