@@ -8,26 +8,23 @@ come from the closed formulas, not from the sample.
 
 import numpy as np
 
-from gcdstats import build_table, exact, montecarlo, stattest
-
-normal = stattest.ReferenceLaw.normal()
+from gcdstats import build_table, exact, montecarlo
 
 for statistic, m, n, note in (
     ("C", 1000, 1000, "any n >= 2 works for C"),
     ("Z", 2000, 40, "Z needs n ~ m^beta with beta < 1/2"),
 ):
-    table = build_table(n)
     cfg = montecarlo.SampleConfig(m=m, n=n, replicates=1000, master_seed=7)
-    # C and Z are normalised by their exact mean (shift) and sd (scale)
-    rec = montecarlo.run_replicates(cfg, statistic, table)
-    ks = stattest.ks_distance(rec.normalized, normal)
+    # C and Z are normalised by their exact mean (shift) and sd (scale);
+    # the record knows its limit law, the standard normal
+    rec = montecarlo.run_replicates(cfg, statistic)
+    summary = rec.summary()
     print(f"{statistic} at m={m}, n={n}   ({note})")
     print(f"  exact mean {rec.shift:.3f}, exact sd {rec.scale:.3f}")
-    values = np.sort(rec.normalized)
-    print(f"  normalized replicate mean {np.mean(values):+.4f}, "
-          f"sd {np.std(values):.4f}")
-    print(f"  KS distance to the standard normal: {ks:.4f}")
-    hist, edges = np.histogram(values, bins=np.arange(-3.0, 3.5, 0.5))
+    print(f"  normalized replicate mean {summary['mean']:+.4f}, "
+          f"sd {summary['sd']:.4f}")
+    print(f"  KS distance to the standard normal: {summary['distance']['ks']:.4f}")
+    hist, edges = np.histogram(rec.normalized, bins=np.arange(-3.0, 3.5, 0.5))
     bars = " ".join(f"{c:3d}" for c in hist)
     print(f"  counts in half-unit bins from -3 to 3:  {bars}")
     print()

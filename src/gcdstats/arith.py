@@ -1,5 +1,5 @@
 """Sieved arithmetic functions: Mobius mu, Euler/Jordan totients, divisor
-counts, Pillai sums, plus gcd/lcm helpers and divisor enumeration.
+counts, Pillai sums and divisor enumeration.
 
 Everything is exact integer arithmetic.  An `ArithTable` up to a bound
 `n_max` holds the primes from the start and sieves each other function on
@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd as _gcd, isqrt, prod
+from math import isqrt, prod
 
 import numpy as np
 
@@ -278,19 +278,6 @@ def weighted_divisors(table: ArithTable, k: int, local) -> list[tuple[int, int]]
 def divisors(table: ArithTable, k: int) -> list[int]:
     """Ascending divisor list of k, all tau(k) of them: tau is never 0 on a prime power."""
     return sorted(d for d, _ in weighted_divisors(table, k, tau_local))
-
-
-def gcd(a: int, b: int) -> int:
-    if a < 1 or b < 1:
-        raise ValueError("gcd arguments must be >= 1")
-    return _gcd(a, b)
-
-
-def lcm(a: int, b: int) -> int:
-    # Python integers are unbounded, so a*b cannot silently wrap.
-    if a < 1 or b < 1:
-        raise ValueError("lcm arguments must be >= 1")
-    return a * b // _gcd(a, b)
 
 
 def pillai(table: ArithTable, s: int, k: int) -> int:

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import __version__, constants, exact, montecarlo, stattest, verify
+from . import __version__, constants, exact, montecarlo, verify
 from .arith import DEFAULT_MAX_N, CapacityError, build_table
 
 
@@ -82,38 +82,50 @@ class _Runs(list):
     """A JSON list given as (item, count) runs of equal consecutive items."""
 
 
-def _json_text(payload: dict) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True) + "\n", byte for byte.
+# list items joined into one piece of JSON text: bounds the text held at once
+_JSON_ITEMS = 1 << 14
 
-    A top-level `_Runs` value is rendered one item per run and the text
-    repeated, so a long list of few distinct items costs few encodings.
-    The payload and its `_Runs` are non-empty.
+
+def _json_pieces(payload: dict):
+    """json.dumps(payload, indent=2, sort_keys=True) + "\n", byte for byte,
+    as consecutive pieces of text.
+
+    A top-level `_Runs` value is rendered one item per run, and the text
+    repeated in pieces of at most _JSON_ITEMS items, so a long list of few
+    distinct items costs few encodings and is never held whole.  The
+    payload and its `_Runs` are non-empty.
     """
     def dump(value, depth):
         # the text of a value nested `depth` levels (2 spaces each) deep
         return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
 
-    fields = []
+    sep = "{\n"
     for key in sorted(payload):
         value = payload[key]
-        if isinstance(value, _Runs):
-            items = ",\n    ".join(itertools.chain.from_iterable(
-                itertools.repeat(dump(item, 2), count) for item, count in value))
-            text = f"[\n    {items}\n  ]"
-        else:
-            text = dump(value, 1)
-        fields.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n}\n"
+        yield f"{sep}  {json.dumps(key)}: "
+        sep = ",\n"
+        if not isinstance(value, _Runs):
+            yield dump(value, 1)
+            continue
+        lead = "[\n    "
+        for item, count in value:
+            text = dump(item, 2)
+            while count:
+                k = min(count, _JSON_ITEMS)
+                yield lead
+                yield ",\n    ".join(itertools.repeat(text, k))
+                lead, count = ",\n    ", count - k
+        yield "\n  ]"
+    yield "\n}\n"
 
 
 def _emit(payload: dict, out: str | None) -> None:
     """Write payload as indented, key-sorted JSON to the file `out`, or stdout."""
-    text = _json_text(payload)
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(_json_pieces(payload))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_json_pieces(payload))
 
 
 _EXACT_QUANTITIES = ("mu", "nu", "c", "d", "pmf", "moment", "varC", "varZ",
@@ -217,24 +229,15 @@ def cmd_simulate(args) -> int:
         m=args.m, n=n, r=args.r, q=args.q,
         replicates=args.reps, master_seed=args.seed,
     )
-    table = None  # M and N read only the sampled values
-    if statistic in ("C", "Z"):
-        table = build_table(n)
-        law = stattest.ReferenceLaw.normal()
-    elif statistic == "M":
-        law = stattest.ReferenceLaw.frechet(1 / constants.zeta(2))
-    else:
-        if not 0 < args.t < math.inf:
-            raise ValueError(f"--t must be positive and finite for N, got {args.t}")
-        law = stattest.ReferenceLaw.poisson(1 / (args.t * constants.zeta(2)))
+    if statistic == "N" and not 0 < args.t < math.inf:
+        raise ValueError(f"--t must be positive and finite for N, got {args.t}")
 
     with _float_range(statistic):
-        rec = montecarlo.run_replicates(config, statistic, table, t=args.t,
-                                        workers=args.workers)
+        rec = montecarlo.run_replicates(config, statistic, t=args.t, workers=args.workers)
         if args.format == "csv" and not args.out:
             rec.write_csv(sys.stdout)
         else:
-            summary = _simulate_summary(args, config, law, rec)
+            summary = _simulate_summary(args, config, rec)
             if args.out:
                 with open(args.out + ".csv", "w", encoding="utf-8", newline="\n") as fh:
                     rec.write_csv(fh)
@@ -247,27 +250,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _simulate_summary(args, config, law, rec) -> dict:
-    """The JSON summary of a simulate run: manifest, law, mean, sd and distance."""
-    statistic = args.statistic
-    if statistic == "N":
-        distance = {"tv": stattest.tv_distance(rec.raw, law)}
-        mean, sd = stattest.integer_moments(rec.raw)
-    else:
-        distance = {"ks": stattest.ks_distance(rec.normalized, law)}
-        # np.mean sums pairwise, so the order of the values shows in its last bits
-        values = np.sort(rec.normalized)
-        mean = float(np.mean(values))
-        sd = float(np.std(values))
+def _simulate_summary(args, config, rec) -> dict:
+    """The JSON summary of a simulate run: manifest, the record's law, mean,
+    sd and distance, and regime labels."""
     return {
         "manifest": _manifest("simulate", {
-            "statistic": statistic, "m": args.m, "n": config.n, "n_rule": args.n,
+            "statistic": args.statistic, "m": args.m, "n": config.n, "n_rule": args.n,
             "r": args.r, "q": args.q, "reps": args.reps, "seed": args.seed,
-            "t": args.t, "normalization": montecarlo.NORMALIZATION_NAMES[statistic],
+            "t": args.t, "normalization": montecarlo.NORMALIZATION_NAMES[args.statistic],
         }),
-        "law": {"kind": law.kind, "scale": law.scale, "lam": law.lam},
-        "mean": mean, "sd": sd, "distance": distance,
-        "regime_warnings": config.regime_warnings(statistic),
+        **rec.summary(),
+        "regime_warnings": config.regime_warnings(args.statistic),
     }
 
 

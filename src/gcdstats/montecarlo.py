@@ -45,14 +45,14 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from math import comb
 from multiprocessing import get_context
 
 import numpy as np
 
-from . import exact
+from . import constants, exact, stattest
 from .arith import (ArithTable, build_table, mobius_local, sum_over_multiples, totient_local,
                     weighted_divisors)
 
@@ -63,8 +63,11 @@ _INT32_MAX = 2**31 - 1
 # Sample values held by one block of replicates, and so the most pair gcds
 # one numpy call of the pair kernel holds, the most cells of a dense C/Z
 # count matrix and the most words a vectorised Philox pass holds at once:
-# 0.5 MB per 64-bit array, whatever the replicate count, m and n.  Larger blocks gain no speed; at 1 << 20 the (m=2000, n=40) Z run
-# peaked 14 MB above the per-replicate loop.
+# 0.5 MB per 64-bit array there, whatever the replicate count, m and n.
+# The sparse C/Z route is not bounded by it: its divisor lists and keys
+# grow with the block's divisor count, about 46 MB traced for one full
+# block of Z --m 20 --n 10000 --q 3.  Larger blocks gain no speed; at
+# 1 << 20 the (m=2000, n=40) Z run peaked 14 MB above the per-replicate loop.
 _BLOCK_ELEMENTS = 1 << 16
 
 # CSV rows formatted and written at a time: bounds the row strings, the
@@ -734,18 +737,21 @@ def stat_Z(sample, r: int, q: int, table: ArithTable) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Replicates:
-    """The raw statistic of replicates 0..R-1, in replicate order, and the
-    normalisation (raw - shift) / scale that its statistic fixes.
+    """The raw statistic of replicates 0..R-1, in replicate order, its limit
+    law, and the normalisation (raw - shift) / scale that its statistic fixes.
 
-    C and Z shift and scale by their exact mean and standard deviation, M
-    scales by C(m,2), and N is left as it is.  The CSV rows, the KS/TV
-    distances and the summary moments are all read from this one record.
-    raw is a read-only array: int64, or object (Python ints) for a statistic
-    whose bound passes int64 (`_raw_dtype`).  Records hold arrays, so they
-    have no value equality; compare their fields.
+    C and Z shift and scale by their exact mean and standard deviation and
+    tend to the standard normal.  M scales by C(m,2) and tends to the
+    Frechet law of scale 1/zeta(2).  N(t) is left as it is and tends to the
+    Poisson law of rate 1/(t zeta(2)), which exists only for 0 < t < inf;
+    at any other t law is None.  The CSV rows and `summary` are all read
+    from this one record.  raw is a read-only array: int64, or object
+    (Python ints) for a statistic whose bound passes int64 (`_raw_dtype`).
+    Records hold arrays, so they have no value equality; compare their fields.
     """
 
     raw: np.ndarray
+    law: stattest.ReferenceLaw | None
     shift: float = 0
     scale: float = 1
 
@@ -760,6 +766,27 @@ class Replicates:
         out /= self.scale
         out.flags.writeable = False
         return out
+
+    def summary(self) -> dict:
+        """The law, the replicates' mean and sd, and their distance to the law.
+
+        A Poisson law is compared with the raw counts by TV distance, with
+        exact integer moments.  A continuous law is compared with the
+        normalized values by KS distance, with np.mean and np.std of one
+        sorted copy: np.mean sums pairwise, so the order of the values
+        would show in its last bits.
+        """
+        law = self.law
+        if law is None:
+            raise ValueError("N(t) has a Poisson limit law only for 0 < t < inf")
+        if law.kind == "poisson":
+            distance = {"tv": stattest.tv_distance(self.raw, law)}
+            mean, sd = stattest.integer_moments(self.raw)
+        else:
+            distance = {"ks": stattest.ks_distance(self.normalized, law)}
+            values = np.sort(self.normalized)
+            mean, sd = float(np.mean(values)), float(np.std(values))
+        return {"law": asdict(law), "mean": mean, "sd": sd, "distance": distance}
 
     def write_csv(self, fh) -> None:
         """Write the stable CSV of the replicates to the text stream fh:
@@ -870,34 +897,33 @@ def exact_moments(config: SampleConfig, statistic: str, table: ArithTable):
     return mean, math.sqrt(var)
 
 
-def run_replicates(
-    config: SampleConfig,
-    statistic: str,
-    table: ArithTable | None = None,
-    t: float = 1.0,
-    workers: int = 1,
-) -> Replicates:
-    """R replicate values of one statistic, with the normalisation it fixes.
+def run_replicates(config: SampleConfig, statistic: str, t: float = 1.0,
+                   workers: int = 1) -> Replicates:
+    """R replicate values of one statistic, with the normalisation and the
+    limit law it fixes.
 
-    Only C and Z read `table` (built to n when not given); M and N need
-    none.  Each replicate is drawn and evaluated once.
+    C and Z build a table to n; M and N need none.  N(t) has a limit law
+    only for 0 < t < inf; at any other t its counts still run, with none.
+    Each replicate is drawn and evaluated once.
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"statistic must be one of {_STATISTICS}, got {statistic!r}")
-    if table is None and statistic in ("C", "Z"):
-        table = build_table(config.n)
-    shift, scale = 0, 1
+    table, shift, scale, law = None, 0, 1, None
     if statistic in ("C", "Z"):
+        table = build_table(config.n)
         shift, scale = exact_moments(config, statistic, table)
+        law = stattest.ReferenceLaw.normal()
     elif statistic == "M":
         scale = comb(config.m, 2)
+        law = stattest.ReferenceLaw.frechet(1 / constants.zeta(2))
+    elif 0 < t < math.inf:
+        law = stattest.ReferenceLaw.poisson(1 / (t * constants.zeta(2)))
     raws = _raw_replicates(config, statistic, table, t * comb(config.m, 2), workers)
     raws.flags.writeable = False
-    return Replicates(raws, shift, scale)
+    return Replicates(raws, law, shift, scale)
 
 
-def strong_law_trajectory(n: int, r: int, m_grid, seed: int,
-                          table: ArithTable | None = None) -> np.ndarray:
+def strong_law_trajectory(n: int, r: int, m_grid, seed: int) -> np.ndarray:
     """C_{m,r} / E C_{m,r} along one growing realization, at the grid points.
 
     The same stream is extended as m grows (values are reused), so the
@@ -913,8 +939,7 @@ def strong_law_trajectory(n: int, r: int, m_grid, seed: int,
         raise ValueError(f"grid starts below r={r}")
     # replicate 0 of a one-replicate config: the stream keyed by (seed, 0)
     config = SampleConfig(m=grid[-1], n=n, r=r, master_seed=seed)
-    if table is None:
-        table = build_table(n)
+    table = build_table(n)
     xs = _draw_block(config, 0, 1)[0]
 
     mean_single = exact.mean_mu(n, r - 1).float_value

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import brute, constants, exact, montecarlo, stattest
+from . import brute, constants, exact, montecarlo
 from .arith import build_table
 
 # frozen master seeds for the statistical criteria
@@ -87,9 +87,7 @@ def _at(cfg, names=("m", "n")) -> str:
 
 def _run_experiment(name: str, workers: int):
     config, statistic = EXPERIMENTS[name]
-    # C and Z read a table up to n; M and N read only the sampled values
-    table = _shared_table(config.n) if statistic in ("C", "Z") else None
-    return montecarlo.run_replicates(config, statistic, table, workers=workers)
+    return montecarlo.run_replicates(config, statistic, workers=workers)
 
 
 # --- criterion 1: oracle equivalence ----------------------------------------
@@ -303,10 +301,9 @@ def suite_variance(workers: int = 1) -> list[CheckResult]:
 
 def suite_clt(workers: int = 1) -> list[CheckResult]:
     out = []
-    normal = stattest.ReferenceLaw.normal()
     for name in ("clt C", "clt Z"):
         cfg, statistic = EXPERIMENTS[name]
-        ks = stattest.ks_distance(_run_experiment(name, workers).normalized, normal)
+        ks = _run_experiment(name, workers).summary()["distance"]["ks"]
         out.append(CheckResult(
             f"clt: normalized {statistic} at {_at(cfg)}, KS vs normal < 0.06",
             ks < 0.06, f"KS={ks:.4f}",
@@ -318,9 +315,7 @@ def suite_clt(workers: int = 1) -> list[CheckResult]:
 
 def suite_frechet(workers: int = 1) -> list[CheckResult]:
     cfg = EXPERIMENTS["frechet"][0]
-    rec = _run_experiment("frechet", workers)
-    law = stattest.ReferenceLaw.frechet(scale=1 / constants.zeta(2))
-    ks = stattest.ks_distance(rec.normalized, law)
+    ks = _run_experiment("frechet", workers).summary()["distance"]["ks"]
     return [CheckResult(
         f"frechet: scaled max gcd at {_at(cfg)}, KS vs exp(-1/(t zeta(2))) < 0.07",
         ks < 0.07, f"KS={ks:.4f}",
@@ -332,15 +327,14 @@ def suite_frechet(workers: int = 1) -> list[CheckResult]:
 def suite_poisson(workers: int = 1) -> list[CheckResult]:
     out = []
     cfg = EXPERIMENTS["poisson"][0]
-    raw = _run_experiment("poisson", workers).raw
-    lam = 1 / constants.zeta(2)
-    tv = stattest.tv_distance(raw, stattest.ReferenceLaw.poisson(lam))
+    rec = _run_experiment("poisson", workers)
+    summary, lam = rec.summary(), rec.law.lam
+    tv, mean = summary["distance"]["tv"], summary["mean"]
     out.append(CheckResult(
         f"poisson: N(1) at {_at(cfg)}, TV vs Poisson(1/zeta(2)) < 0.05",
         tv < 0.05, f"TV={tv:.4f}",
     ))
-    mean, _ = stattest.integer_moments(raw)
-    se = math.sqrt(lam / raw.size)
+    se = math.sqrt(lam / rec.raw.size)
     gap = abs(mean - lam)
     out.append(CheckResult(
         "poisson: empirical mean within 3 SE of 0.6079",
@@ -385,16 +379,13 @@ STRONGLAW_GRID = (10, 100, 1000, 10_000)
 
 def suite_stronglaw() -> list[CheckResult]:
     out = []
-    table = _shared_table(100)
-    ratios = montecarlo.strong_law_trajectory(100, 2, STRONGLAW_GRID,
-                                              SEEDS["stronglaw"], table)
+    ratios = montecarlo.strong_law_trajectory(100, 2, STRONGLAW_GRID, SEEDS["stronglaw"])
     gap = abs(ratios[-1] - 1)
     out.append(CheckResult(
         "stronglaw: trajectory at (n=100, r=2) ends within 0.02 of 1 at m=1e4",
         gap < 0.02, f"final ratio={ratios[-1]:.5f}",
     ))
-    again = montecarlo.strong_law_trajectory(100, 2, STRONGLAW_GRID,
-                                             SEEDS["stronglaw"], table)
+    again = montecarlo.strong_law_trajectory(100, 2, STRONGLAW_GRID, SEEDS["stronglaw"])
     out.append(CheckResult(
         "stronglaw: trajectory identical under rerun with the same seed",
         bool(np.array_equal(ratios, again)),
@@ -431,12 +422,8 @@ def suite_determinism() -> list[CheckResult]:
         "determinism: trend ratios byte-identical across reruns",
         repr(r1) == repr(r2), repr(r1),
     ))
-    t1 = montecarlo.strong_law_trajectory(100, 2, STRONGLAW_GRID,
-                                          SEEDS["stronglaw"],
-                                          _shared_table(100))
-    t2 = montecarlo.strong_law_trajectory(100, 2, STRONGLAW_GRID,
-                                          SEEDS["stronglaw"],
-                                          _shared_table(100))
+    t1 = montecarlo.strong_law_trajectory(100, 2, STRONGLAW_GRID, SEEDS["stronglaw"])
+    t2 = montecarlo.strong_law_trajectory(100, 2, STRONGLAW_GRID, SEEDS["stronglaw"])
     out.append(CheckResult(
         "determinism: strong-law trajectory byte-identical across reruns",
         bool(np.array_equal(t1, t2)), "",

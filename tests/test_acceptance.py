@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gcdstats import montecarlo, verify
+from gcdstats.stattest import ReferenceLaw
 
 
 def _assert_all(results):
@@ -84,9 +85,10 @@ def test_criterion_11_worker_determinism():
 def _recording_run_replicates(calls):
     """A stand-in for run_replicates that records (config, statistic, workers)."""
 
-    def fake_run_replicates(config, statistic, table=None, t=1.0, workers=1):
+    def fake_run_replicates(config, statistic, t=1.0, workers=1):
         calls.append((config, statistic, workers))
-        return montecarlo.Replicates(np.array([1, 2]), shift=1.0, scale=1.0)
+        law = ReferenceLaw.poisson(1.0) if statistic == "N" else ReferenceLaw.normal()
+        return montecarlo.Replicates(np.array([1, 2]), law, shift=1.0, scale=1.0)
 
     return fake_run_replicates
 

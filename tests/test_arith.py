@@ -9,8 +9,6 @@ from gcdstats.arith import (
     CapacityError,
     build_table,
     divisors,
-    gcd,
-    lcm,
     mobius_local,
     pillai,
     pillai_local,
@@ -229,18 +227,6 @@ def test_divisors(table_100):
         assert len(ds) == int(table_100.tau[k])
         assert ds == sorted(ds)
         assert all(k % d == 0 for d in ds)
-
-
-def test_gcd_lcm():
-    assert gcd(12, 18) == 6
-    assert lcm(4, 6) == 12
-    assert gcd(1, 97) == 1
-    with pytest.raises(ValueError):
-        gcd(0, 5)
-    with pytest.raises(ValueError):
-        lcm(3, 0)
-    # no wraparound ever: results exact at any magnitude
-    assert lcm(2**40, 3**30) == 2**40 * 3**30
 
 
 def test_build_table_validation():

@@ -128,13 +128,42 @@ def test_pmf_bytes_are_the_plain_json_dump(n, r, tmp_path, capsys):
 
 
 def test_json_text_is_the_plain_json_dump():
-    from gcdstats.cli import _json_text, _Runs
+    from gcdstats.cli import _JSON_ITEMS, _json_pieces, _Runs
 
     runs = [(0.25, 3), ("a\nb", 1), (None, 2), ({"k": [1, {}]}, 1), ([], 2), (1e-300, 1)]
+    # runs of one chunk, of more than one and of several, in both _Runs
+    long = [(7, _JSON_ITEMS), ("x", 2 * _JSON_ITEMS + 1), (0.5, 1), (None, _JSON_ITEMS - 1)]
     payload = {"b": _Runs(runs), "a": {"z": [1.5, "x"], "y": {}}, "c": [],
-               "e": "\u00e9\n", "f": [[1, 2], {"q": None}]}
-    plain = dict(payload, b=[item for item, count in runs for _ in range(count)])
-    assert _json_text(payload) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+               "e": "\u00e9\n", "f": [[1, 2], {"q": None}], "g": _Runs(long + runs)}
+    plain = dict(payload, b=[item for item, count in runs for _ in range(count)],
+                 g=[item for item, count in long + runs for _ in range(count)])
+    pieces = list(_json_pieces(payload))
+    assert "".join(pieces) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+    # no piece holds more than one chunk of items
+    assert max(piece.count("\n") for piece in pieces) < _JSON_ITEMS
+
+
+def test_pmf_output_is_written_in_bounded_pieces(monkeypatch, tmp_path, capsys):
+    # the JSON text of n = 3e5 is 11 MB, and its longest run of equal
+    # entries 150000 items (5 MB); joined at once, writing it took 45 MB
+    n, out, grown = 300_000, tmp_path / "pmf.json", []
+    emit = cli._emit
+
+    def traced_emit(payload, path):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        emit(payload, path)
+        grown.append(tracemalloc.get_traced_memory()[1] - held)
+
+    monkeypatch.setattr(cli, "_emit", traced_emit)
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(["exact", "--quantity", "pmf", "--n", str(n), "--out", str(out)],
+                          capsys)
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.stat().st_size > 10_000_000
+    assert grown[0] < 2_000_000, grown
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from gcdstats import brute, exact, montecarlo
+from gcdstats import brute, constants, exact, montecarlo, stattest
 from gcdstats.arith import build_table
 from gcdstats.montecarlo import (
     SampleConfig,
@@ -19,6 +19,9 @@ from gcdstats.montecarlo import (
     stat_Z,
     strong_law_trajectory,
 )
+from gcdstats.stattest import ReferenceLaw
+
+NORMAL = ReferenceLaw.normal()
 
 
 @pytest.fixture(scope="module")
@@ -256,49 +259,47 @@ def _same_record(a, b):
             and (a.shift, a.scale) == (b.shift, b.scale) and _csv_text(a) == _csv_text(b))
 
 
-def test_run_replicates_deterministic(table_50):
+def test_run_replicates_deterministic():
     cfg = SampleConfig(m=8, n=30, replicates=64, master_seed=2024)
-    a = run_replicates(cfg, "C", table_50)
-    b = run_replicates(cfg, "C", table_50)
+    a = run_replicates(cfg, "C")
+    b = run_replicates(cfg, "C")
     assert _same_record(a, b)
     assert a.raw.shape == (64,) and a.raw.dtype == np.int64 and not a.raw.flags.writeable
 
 
 @pytest.mark.parametrize("q, dtype", [(1, np.int64), (12, object)], ids=["int64", "object"])
-def test_run_replicates_workers_identical(table_50, q, dtype):
+def test_run_replicates_workers_identical(q, dtype):
     # at q = 12 the bound C(10,2) 40^12 passes int64: the workers return object arrays
     cfg = SampleConfig(m=10, n=40, q=q, replicates=48, master_seed=31)
-    one = run_replicates(cfg, "Z", table_50, workers=1)
-    three = run_replicates(cfg, "Z", table_50, workers=3)
+    one = run_replicates(cfg, "Z", workers=1)
+    three = run_replicates(cfg, "Z", workers=3)
     assert one.raw.dtype == dtype and _same_record(one, three)
 
 
-def test_run_replicates_matches_exact_moments(table_50):
+def test_run_replicates_matches_exact_moments():
     # reduced version of the simulation-vs-formula consistency check
     n, m, reps = 30, 12, 2000
     cfg = SampleConfig(m=m, n=n, replicates=reps, master_seed=424242)
     table = build_table(n)
     for statistic in ("C", "Z"):
-        rec = run_replicates(cfg, statistic, table)
+        rec = run_replicates(cfg, statistic)
         mean, sd = montecarlo.exact_moments(cfg, statistic, table)
         assert (rec.shift, rec.scale) == (mean, sd)
         assert abs(float(np.mean(rec.raw)) - mean) < 4 * sd / math.sqrt(reps)
 
 
-def test_raw_variance_approaches_exact(table_50):
+def test_raw_variance_approaches_exact():
     # empirical variance of raw C at (n=2, m=3) approaches 15/16
     n, m, reps = 2, 3, 20_000
     cfg = SampleConfig(m=m, n=n, replicates=reps, master_seed=909)
-    table = build_table(n)
-    rec = run_replicates(cfg, "C", table)
+    rec = run_replicates(cfg, "C")
     assert abs(float(np.var(rec.raw)) - 15 / 16) < 0.03
 
 
-def test_normalized_replicates(table_50):
+def test_normalized_replicates():
     cfg = SampleConfig(m=6, n=20, replicates=32, master_seed=7)
-    table = build_table(20)
-    rec = run_replicates(cfg, "C", table)
-    mean, sd = montecarlo.exact_moments(cfg, "C", table)
+    rec = run_replicates(cfg, "C")
+    mean, sd = montecarlo.exact_moments(cfg, "C", build_table(20))
     # bit for bit the float arithmetic of one replicate at a time
     assert rec.normalized.tolist() == [(float(v) - mean) / sd for v in rec.raw]
     rec = run_replicates(cfg, "M")
@@ -309,23 +310,62 @@ def test_normalized_replicates(table_50):
         rec.normalized[0] = 1.0
 
 
-def test_poisson_replicates_integer_counts(table_50):
+def test_poisson_replicates_integer_counts():
     cfg = SampleConfig(m=8, n=50, replicates=100, master_seed=13)
-    rec = run_replicates(cfg, "N", table_50, t=0.5)
+    rec = run_replicates(cfg, "N", t=0.5)
     assert (rec.shift, rec.scale) == (0, 1)
     assert rec.raw.shape == (100,) and rec.raw.dtype == np.int64
     assert (rec.raw >= 0).all()
     assert rec.normalized.tolist() == [float(k) for k in rec.raw.tolist()]
 
 
+def test_each_statistic_carries_its_limit_law():
+    z2 = constants.zeta(2)
+    cfg = SampleConfig(m=8, n=30, replicates=20, master_seed=21)
+    for statistic in ("C", "Z"):
+        assert run_replicates(cfg, statistic).law == ReferenceLaw.normal()
+    assert run_replicates(cfg, "M").law == ReferenceLaw.frechet(1 / z2)
+    for t in (0.25, 1.0, 3.0):
+        assert run_replicates(cfg, "N", t=t).law == ReferenceLaw.poisson(1 / (t * z2))
+
+
+def test_summary_takes_the_distance_and_moments_of_its_law():
+    cfg = SampleConfig(m=8, n=30, replicates=50, master_seed=22)
+    for statistic in ("C", "Z", "M"):
+        rec = run_replicates(cfg, statistic)
+        law, values = rec.law, np.sort(rec.normalized)
+        assert rec.summary() == {
+            "law": {"kind": law.kind, "scale": law.scale, "lam": law.lam},
+            "mean": float(np.mean(values)), "sd": float(np.std(values)),
+            "distance": {"ks": stattest.ks_distance(rec.normalized, law)}}
+    rec = run_replicates(cfg, "N", t=0.5)
+    mean, sd = stattest.integer_moments(rec.raw)
+    assert rec.summary() == {
+        "law": {"kind": "poisson", "scale": 1.0, "lam": rec.law.lam},
+        "mean": mean, "sd": sd, "distance": {"tv": stattest.tv_distance(rec.raw, rec.law)}}
+
+
+@pytest.mark.parametrize("t, count", [(0.0, comb(8, 2)), (-1.0, comb(8, 2)), (math.nan, 0),
+                                      (math.inf, 0)])
+def test_n_outside_its_limit_regime_runs_but_has_no_summary(t, count):
+    # the Poisson law of rate 1/(t zeta(2)) exists only for 0 < t < inf
+    rec = run_replicates(SampleConfig(m=8, n=30, replicates=20, master_seed=23), "N", t=t)
+    assert rec.law is None
+    assert rec.raw.dtype == np.int64 and rec.raw.tolist() == [count] * 20
+    with pytest.raises(ValueError, match="only for 0 < t < inf"):
+        rec.summary()
+
+
 def test_replicate_csv_rows():
-    rec = montecarlo.Replicates(np.array([3, 10**20, 0], dtype=object), shift=1.5, scale=2)
+    rec = montecarlo.Replicates(np.array([3, 10**20, 0], dtype=object), NORMAL, shift=1.5,
+                                scale=2)
     assert _csv_text(rec) == ("index,raw,normalized\n0,3,0.75\n"
                               "1,100000000000000000000,5e+19\n2,0,-0.75\n")
 
 
 def test_a_raw_value_past_the_float_range_is_a_float_range_error():
-    rec = montecarlo.Replicates(np.array([3, 10**400], dtype=object), shift=1.5, scale=2)
+    rec = montecarlo.Replicates(np.array([3, 10**400], dtype=object), NORMAL, shift=1.5,
+                                scale=2)
     with pytest.raises(exact.FloatRangeError, match="overflows a float"):
         rec.normalized
 
@@ -350,7 +390,7 @@ _rng = random.Random(404)
 ], ids=["repeats", "distinct", "distinct-past-the-cache", "past-int64", "negative", "one-row"])
 def test_csv_is_the_plain_per_row_rendering(raw, shift, scale):
     raw = np.array(raw, dtype=np.int64 if max(raw) <= 2**63 - 1 else object)
-    rec = montecarlo.Replicates(raw, shift, scale)
+    rec = montecarlo.Replicates(raw, NORMAL, shift, scale)
     got, want = _csv_text(rec).split("\n"), _plain_csv(rec).split("\n")
     assert len(got) == len(want)
     for line, expected in zip(got, want):  # line by line: a failure shows one short diff
@@ -365,15 +405,14 @@ def test_zero_variance_has_no_normalisation():
             run_replicates(cfg, statistic)
 
 
-def test_strong_law_trajectory(table_50):
+def test_strong_law_trajectory():
     grid = (2, 10, 100)
-    ratios = strong_law_trajectory(30, 2, grid, seed=5, table=build_table(30))
+    ratios = strong_law_trajectory(30, 2, grid, seed=5)
     assert len(ratios) == 3
-    again = strong_law_trajectory(30, 2, grid, seed=5, table=build_table(30))
+    again = strong_law_trajectory(30, 2, grid, seed=5)
     assert np.array_equal(ratios, again)
     # m = r: the scaled single indicator takes one of two values
-    table = build_table(30)
-    first = strong_law_trajectory(30, 2, (2,), seed=9, table=table)[0]
+    first = strong_law_trajectory(30, 2, (2,), seed=9)[0]
     mu = exact.mean_mu(30, 1).float_value
     assert min(abs(first - 0), abs(first - 1 / mu)) < 1e-12
 
@@ -381,7 +420,7 @@ def test_strong_law_trajectory(table_50):
 def test_strong_law_matches_direct_statistic():
     n, r, top = 30, 2, 200
     table = build_table(n)
-    ratios = strong_law_trajectory(n, r, (top,), seed=77, table=table)
+    ratios = strong_law_trajectory(n, r, (top,), seed=77)
     cfg = SampleConfig(m=top, n=n, replicates=1, master_seed=77)
     x = draw_sample(cfg, 0)
     direct = stat_C(x, r, table)
@@ -394,8 +433,7 @@ def test_seed_outside_uint64_is_rejected():
         with pytest.raises(ValueError):
             SampleConfig(m=5, n=10, master_seed=seed)
         with pytest.raises(ValueError):
-            strong_law_trajectory(10, 2, (2, 5), seed=seed,
-                                  table=build_table(10))
+            strong_law_trajectory(10, 2, (2, 5), seed=seed)
     SampleConfig(m=5, n=10, master_seed=2**64 - 1)
 
 
@@ -403,7 +441,7 @@ def test_strong_law_needs_r_at_least_2():
     # checked before the grid, so the message is about r, not the grid
     for r in (1, 0):
         with pytest.raises(ValueError, match=f"r must be >= 2, got {r}"):
-            strong_law_trajectory(10, r, (1, 5), seed=1, table=build_table(10))
+            strong_law_trajectory(10, r, (1, 5), seed=1)
 
 
 def test_seeds_above_2_63_keep_distinct_streams():
