@@ -36,6 +36,9 @@ _INT64_MAX = 2**63 - 1
 # size costs roughly 1 GB across all arrays.
 DEFAULT_MAX_N = 30_000_000
 
+# entries a chunked pass over an n-entry array handles at a time
+CHUNK = 1 << 16
+
 
 class CapacityError(Exception):
     """Requested table exceeds the fixed table cap DEFAULT_MAX_N."""
@@ -95,25 +98,29 @@ def prime_power_sieve(n: int, primes: np.ndarray, local, dtype) -> np.ndarray:
 
     `primes` holds (at least) the ascending primes up to n.  No step divides,
     so integer dtypes (object too) are exact while the values fit.  A prime
-    p <= sqrt n fills one reused buffer with local(p, v_p(j p)), j <= n/p,
-    and multiplies f[p::p] by it.  A prime q > sqrt n divides k at most
-    once: f[i q] *= local(q, 1) runs over all such q at once for each
-    cofactor i.  local gets p as a Python int, q as an array.
+    p <= sqrt n runs over its multiples j p, j <= n/p, CHUNK values of j at
+    a time: it fills one reused CHUNK-entry buffer with local(p, v_p(j p))
+    and multiplies those f[j p] by it, so the buffer never grows with n.  A
+    prime q > sqrt n divides k at most once: f[i q] *= local(q, 1) runs over
+    all such q at once for each cofactor i.  local gets p as a Python int,
+    q as an array.
     """
     f = np.ones(n + 1, dtype=dtype)
     f[0] = 0
     primes = primes[: np.searchsorted(primes, n, "right")]
     split = np.searchsorted(primes, isqrt(n), "right")
-    buf = np.empty(n // 2, dtype=dtype)
+    buf = np.empty(min(CHUNK, n // 2), dtype=dtype)
     for p in primes[:split].tolist():
-        size = n // p
-        buf[:size] = local(p, 1)
-        step, e = p, 2
-        while step <= size:
-            buf[step - 1 : size : step] = local(p, e)
-            step, e = step * p, e + 1
-        f[p::p] *= buf[:size]
-    del buf  # freed before the large-prime pass allocates, which lowers the peak
+        first = local(p, 1)
+        for lo in range(1, n // p + 1, CHUNK):
+            hi = min(lo + CHUNK, n // p + 1)  # j in [lo, hi)
+            buf[: hi - lo] = first
+            step, e = p, 2
+            while step < hi:
+                buf[-lo % step : hi - lo : step] = local(p, e)
+                step, e = step * p, e + 1
+            f[lo * p : hi * p : p] *= buf[: hi - lo]
+    del buf  # freed before the large-prime pass allocates its index arrays
     large = primes[split:]
     vals = local(large.astype(np.result_type(dtype, np.int64)), 1)
     vals = np.broadcast_to(np.asarray(vals, dtype=dtype), large.shape)

@@ -19,18 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .arith import (DEFAULT_MAX_N, CapacityError, build_table, pillai_local, prime_power_sieve,
-                    primes_up_to, sum_over_multiples, totient_local)
+from .arith import (CHUNK, DEFAULT_MAX_N, CapacityError, build_table, pillai_local,
+                    prime_power_sieve, primes_up_to, sum_over_multiples, totient_local)
 
 DEFAULT_CUTOFF = 1_000_000
-
-# slice length of `_over_powers`'s in-place division
-_CHUNK = 1 << 16
 
 # Bernoulli numbers B_2, B_4, ... for the Euler-Maclaurin zeta tail.
 _BERNOULLI = (
@@ -363,6 +359,10 @@ def tauberian_trend(kind: str, n_grid, table=None):
 
     Returns (ratios, target) with ratios aligned to the ascending grid.
     Convergence is O(1/ln N): only trend assertions are meaningful.
+
+    Each sum is the prefix sum of one float64 multiplicative function
+    sieved by `prime_power_sieve` from the table's primes, so a trend reads
+    no sieved table function and holds one (N+1)-entry array at a time.
     """
     grid = sorted(int(x) for x in n_grid)
     if not grid or grid[0] < 10:
@@ -386,44 +386,28 @@ def tauberian_trend(kind: str, n_grid, table=None):
     return ratios, target
 
 
-def _over_powers(out: np.ndarray, power: int) -> np.ndarray:
-    """out[k] /= k^power for k >= 1 of a float64 array, which is returned.
+def _product_local_mass(p, a: int):
+    """h(p^a) = sum_{al+be=a} phi(p^al) phi(p^be) p^min(al,be) / p^(2a).
 
-    Divides in place a slice at a time, so no second array of out's length
-    is made next to it.
+    p is a Python int (exact powers, one rounding per term) or a float array.
     """
-    for lo in range(1, out.size, _CHUNK):
-        k = np.arange(lo, min(lo + _CHUNK, out.size), dtype=np.float64)
-        out[lo : lo + k.size] /= k**power
-    return out
+    phi = [1] + [totient_local(1)(p, e) for e in range(1, a + 1)]
+    total = 0.0
+    for al in range(a + 1):
+        total = total + phi[al] * phi[a - al] * p ** min(al, a - al) / p ** (2 * a)
+    return total
 
 
 def _product_restricted_sums(table, grid):
     """sum_{i j <= N} w(i) w(j) gcd(i,j) with w(i) = phi(i)/i^2, per grid N.
 
-    gcd(i,j) = sum_{d | i, d | j} phi(d) turns the sum into
-    sum_{d <= sqrt N} phi(d) S_d(N/d^2), where S_d(M) = sum_{a b <= M}
-    u(a) u(b) with u(a) = w(d a).  Each S_d is read from one prefix-sum
-    array U of u by the hyperbola identity
-    S_d(M) = 2 sum_{a <= sqrt M} u(a) U(M/a) - U(sqrt M)^2.
+    The summand is multiplicative in the pair, so the mass
+    h(k) = sum_{i j = k} w(i) w(j) gcd(i,j) is multiplicative in k, with
+    `_product_local_mass` on prime powers, and the sum is its prefix sum.
     """
-    top = grid[-1]
-    phi = table.totient(1)
-    w = _over_powers(phi[: top + 1].astype(np.float64), 2)
-    prefix = np.empty(top)
-    out = []
-    for n in grid:
-        total = 0.0
-        for d in range(1, isqrt(n) + 1):
-            m = n // (d * d)
-            u = w[d : d * m + 1 : d]
-            big_u = np.cumsum(u, out=prefix[:m])
-            root = isqrt(m)
-            a = np.arange(1, root + 1)
-            inner = 2.0 * float(np.dot(u[:root], big_u[m // a - 1])) - big_u[root - 1] ** 2
-            total += float(phi[d]) * inner
-        out.append(total)
-    return out
+    mass = prime_power_sieve(grid[-1], table.primes, _product_local_mass, np.float64)
+    prefix = np.cumsum(mass, out=mass)
+    return [float(prefix[n]) for n in grid]
 
 
 def _lcm_local_mass(p, a: int):
@@ -450,10 +434,13 @@ def _pillai_mean_square(table, grid):
 
     P is sieved in float64 from P(p^e) = p^(e-1) ((e+1) p - e).  Every
     partial product is an integer below P(k) <= k tau(k) < 2^53, so P is
-    exact, and each P(k)/k is the correctly rounded quotient.
+    exact, and each P(k)/k is the correctly rounded quotient, divided in
+    place CHUNK entries at a time so no second n-entry array is made.
     """
-    top = grid[-1]
-    val = _over_powers(prime_power_sieve(top, table.primes, pillai_local(1), np.float64), 1)
+    val = prime_power_sieve(grid[-1], table.primes, pillai_local(1), np.float64)
+    for lo in range(1, val.size, CHUNK):
+        k = np.arange(lo, min(lo + CHUNK, val.size), dtype=np.float64)
+        val[lo : lo + k.size] /= k
     val *= val
     prefix = np.cumsum(val, out=val)
     return [float(prefix[n]) / n for n in grid]

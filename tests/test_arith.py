@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from math import gcd as math_gcd
 
 import numpy as np
 import pytest
 
 from gcdstats.arith import (
+    CHUNK,
     DEFAULT_MAX_N,
     CapacityError,
     build_table,
@@ -263,6 +265,48 @@ def test_prime_power_sieve_is_the_plain_sieves():
     want = plain_jordan_sieve(50, 12, dtype=object).tolist()
     assert got.dtype == object and all(type(v) is int for v in got.tolist())
     assert got.tolist() == want
+
+
+def plain_multiplicative(n, locals_):
+    """Each f(k) = f(m) local(p, e) with p^e || k and m = k / p^e, k by k."""
+    spf = np.zeros(n + 1, dtype=np.int64)
+    for p in primes_up_to(n)[::-1].tolist():
+        spf[p::p] = p
+    outs = [[0, 1] for _ in locals_]
+    for k in range(2, n + 1):
+        p = int(spf[k])
+        m, e = k // p, 1
+        while m % p == 0:
+            m, e = m // p, e + 1
+        for out, local in zip(outs, locals_):
+            out.append(out[m] * local(p, e))
+    return outs
+
+
+def test_prime_power_sieve_across_chunk_edges():
+    # the j <= n / p of p = 2 and 3 span more than one chunk, and the chunk edges
+    # fall between multiples of 3^k: each chunk finds its own first multiple of p^k
+    n = 4 * CHUNK + 5
+    cases = ((mobius_local, np.int8), (tau_local, np.int32), (totient_local(1), np.int64),
+             (totient_local(4), object), (pillai_local(1), np.float64))
+    wants = plain_multiplicative(n, [local for local, _ in cases])
+    primes = primes_up_to(n)
+    for (local, dtype), want in zip(cases, wants):
+        got = prime_power_sieve(n, primes, local, dtype)
+        assert got.dtype == dtype and got.tolist() == want, dtype
+
+
+def test_prime_power_sieve_holds_one_chunk_beside_its_output():
+    n = 10**6
+    primes = primes_up_to(n)
+    tracemalloc.start()
+    try:
+        prime_power_sieve(n, primes, totient_local(1), np.int64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output, one chunk and the large-prime pass's index temporaries
+    assert peak <= 8 * (n + 1) + 2.5 * 2**20
 
 
 def test_sum_over_multiples_is_the_plain_divisor_sum():

@@ -191,14 +191,15 @@ def test_exact_mu_sieves_mu_only(sieve_calls, capsys):
     assert sieve_calls == ["mu"]
 
 
-def test_verify_trends_sieves_phi_1_only(sieve_calls, monkeypatch, capsys):
+def test_verify_trends_sieves_no_table_function(sieve_calls, monkeypatch, capsys):
     from gcdstats import verify
     from gcdstats.arith import build_table
 
     monkeypatch.setattr(verify, "_shared_table", build_table)  # a fresh, unsieved table
     code, _ = run_cli(["verify", "--suite", "trends"], capsys)
     assert code == 0
-    assert sieve_calls == ["phi_1"]
+    # each trend sieves its own float64 mass from the table's primes
+    assert sieve_calls == []
 
 
 def test_verify_workers_reach_only_the_suites_that_take_them(monkeypatch, capsys):

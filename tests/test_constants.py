@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -288,6 +290,33 @@ def test_trend_sums_are_the_plain_loops(grid, table_10k):
     # the same exact P(k), then the same float steps: bit-identical
     got = constants._pillai_mean_square(table, list(grid))
     assert repr(got) == repr(_plain_pillai_mean_square(table, list(grid)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_product_local_mass_is_the_sum_over_ij_equal_to_p_to_the_a(p):
+    def w(e):  # phi(p^e) / p^(2e)
+        return Fraction(1 if e == 0 else p**e - p ** (e - 1), p ** (2 * e))
+
+    for a in range(1, 7):
+        want = sum(w(al) * w(a - al) * p ** min(al, a - al) for al in range(a + 1))
+        got = constants._product_local_mass(p, a)
+        assert abs(got - float(want)) <= 1e-15 * float(want), (p, a)
+
+
+def test_product_local_mass_on_a_prime_array():
+    q = primes_up_to(10_000)[-100:].astype(np.float64)
+    assert np.array_equal(constants._product_local_mass(q, 1), 2 * (q - 1) / q**2)
+
+
+def test_corollary22_trend_holds_one_n_entry_array():
+    tracemalloc.start()
+    try:
+        constants.tauberian_trend("corollary22", (1_000, 100_000, 1_000_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 7.6 MiB float64 mass, plus the primes and the sieve's index temporaries
+    assert peak <= 13 * 2**20
 
 
 def test_trend_grid_above_the_table_cap_is_refused_before_sieving(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +146,40 @@ def test_tv_counts_values_beyond_the_support_cap():
     pk = poisson_pmf(1.0, 64)
     gap = abs(0.5 - pk[0]) + float(pk[1:].sum())
     assert abs(tv - 0.5 * (gap + 0.5 + max(0.0, 1 - float(pk.sum())))) < 1e-12
+
+
+def _counter_tv(raw, lam):
+    """The TV distance with collections.Counter: the tail in first-occurrence order."""
+    r, counts = len(raw), Counter(raw)
+    pk = poisson_pmf(lam, 64)
+    emp_tail = 0.0
+    for value, count in counts.items():
+        if value > 64:
+            emp_tail += count / r
+    gap = 0.0
+    for k in range(65):
+        gap += abs(counts[k] / r - pk[k])
+    return 0.5 * (gap + emp_tail + max(0.0, 1.0 - float(pk.sum())))
+
+
+def test_tv_is_the_counter_formula_bit_for_bit():
+    rng = np.random.Generator(np.random.Philox(key=[7, 0]))
+    raw = rng.poisson(3.0, 9973)
+    # distinct values past the cap, first seen in an order other than ascending
+    tail = rng.choice([65, 70, 97, 150, 300, 1000, 12345], size=2003, p=[.3, .05, .2, .1, .15, .1, .1])
+    raw[rng.choice(raw.size, size=tail.size, replace=False)] = tail
+    assert np.unique(tail).size == 7
+    # on these counts the tail shares summed in ascending value order round differently
+    for values in (raw, raw[::-1]):
+        ascending = 0.0
+        for count in np.unique(values[values > 64], return_counts=True)[1].tolist():
+            ascending += count / values.size
+        first_seen = 0.0
+        for value, count in Counter(values.tolist()).items():
+            first_seen += count / values.size if value > 64 else 0.0
+        assert ascending != first_seen
+    for values in (raw, raw.tolist(), raw[::-1].copy(), raw[:50]):
+        assert tv_distance(values, ReferenceLaw.poisson(3.0)) == _counter_tv(values, 3.0)
 
 
 def test_tv_validation():
