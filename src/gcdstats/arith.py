@@ -6,8 +6,11 @@ Everything is exact integer arithmetic.  An `ArithTable` up to a bound
 its first read, so a job pays only for the functions it reads; a value once
 sieved never changes.  All downstream formulas read from it.
 
-Every multiplicative function comes from one `prime_power_sieve` over its
-prime-power values; those of mu, tau, phi_s and P_s are written once, here.
+Every multiplicative function comes from one windowed sieve over its
+prime-power values, `prime_power_windows`: a caller that reads f once in
+order (the trend sums) takes it window by window, and `prime_power_sieve`
+writes the windows into one table.  The prime-power values of mu, tau,
+phi_s and P_s are written once, here.
 Two dual sweeps run prime by prime: `sum_over_multiples` serves the dense
 C/Z route (an (n+1, B) count matrix) and the totient-gcd series (a 1-D
 array), and `sum_over_divisors` the divisor-sum profiles of the exact layer.
@@ -37,7 +40,10 @@ _INT64_MAX = 2**63 - 1
 DEFAULT_MAX_N = 30_000_000
 
 # entries a chunked pass over an n-entry array handles at a time
-CHUNK = 1 << 16
+CHUNK = 1 << 14
+
+# entries of f that one window of `prime_power_windows` covers
+WINDOW = 1 << 18
 
 
 class CapacityError(Exception):
@@ -53,7 +59,7 @@ def primes_up_to(n: int) -> np.ndarray:
     for p in range(2, isqrt(n) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    return np.nonzero(mask)[0].astype(np.int64, copy=False)
 
 
 def _spf_sieve(n: int, primes: np.ndarray) -> np.ndarray:
@@ -93,42 +99,144 @@ def pillai_local(s: int):
     return local
 
 
-def prime_power_sieve(n: int, primes: np.ndarray, local, dtype) -> np.ndarray:
-    """f(k) = prod_{p^e || k} local(p, e) for k = 0..n (f(0) = 0, f(1) = 1).
+def prime_power_windows(n: int, primes: np.ndarray, local, dtype, out=None):
+    """Yield (lo, w), w = f(lo..hi-1), for consecutive windows [lo, hi) covering 0..n.
 
+    f(k) = prod_{p^e || k} local(p, e), with f(0) = 0 and f(1) = 1.  Each
+    window is WINDOW entries wide (the last may be shorter) and is written in
+    one reused buffer, which the next window overwrites; with `out`, an
+    (n+1)-entry array of `dtype`, each w is the view out[lo:hi] instead.
     `primes` holds (at least) the ascending primes up to n.  No step divides,
-    so integer dtypes (object too) are exact while the values fit.  A prime
-    p <= sqrt n runs over its multiples j p, j <= n/p, CHUNK values of j at
-    a time: it fills one reused CHUNK-entry buffer with local(p, v_p(j p))
-    and multiplies those f[j p] by it, so the buffer never grows with n.  A
-    prime q > sqrt n divides k at most once: f[i q] *= local(q, 1) runs over
-    all such q at once for each cofactor i.  local gets p as a Python int,
-    q as an array.
+    so integer dtypes (object too) are exact while the values fit.
+
+    A window starts at 1, and the primes multiply the entries they divide
+    by local(p, v_p(k)) in ascending order, in three bands:
+    - a prime p <= sqrt WINDOW runs over its multiples j p in the window,
+      CHUNK values of j at a time: it fills one reused CHUNK-entry buffer
+      with local(p, v_p(j p)) and multiplies those entries by it;
+    - a prime p in (sqrt WINDOW, sqrt n] has too few multiples in a window
+      to pay numpy calls of its own: the (p, j) pairs of all of them go in
+      one ordered `np.multiply.at` per CHUNK pairs, p ascending;
+    - a prime q > sqrt n divides k at most once, and the cofactor i = k / q
+      is below sqrt n: the entries i q are multiplied by local(q, 1) in one
+      gather and scatter per CHUNK (i, q) pairs.
+    local(p, e) is taken once per prime, not per window: with p a Python
+    int for p <= sqrt n, and over all the q > sqrt n at once as an array.
+    So every entry is multiplied by the same values in the same order,
+    whatever the window width.
     """
-    f = np.ones(n + 1, dtype=dtype)
-    f[0] = 0
     primes = primes[: np.searchsorted(primes, n, "right")]
     split = np.searchsorted(primes, isqrt(n), "right")
-    buf = np.empty(min(CHUNK, n // 2), dtype=dtype)
+    powers = []  # local(p, e) for each p <= sqrt n and each p^e <= n
     for p in primes[:split].tolist():
-        first = local(p, 1)
-        for lo in range(1, n // p + 1, CHUNK):
-            hi = min(lo + CHUNK, n // p + 1)  # j in [lo, hi)
-            buf[: hi - lo] = first
-            step, e = p, 2
-            while step < hi:
-                buf[-lo % step : hi - lo : step] = local(p, e)
-                step, e = step * p, e + 1
-            f[lo * p : hi * p : p] *= buf[: hi - lo]
-    del buf  # freed before the large-prime pass allocates its index arrays
+        values, e = [], 1
+        while p**e <= n:
+            values.append(local(p, e))
+            e += 1
+        powers.append(values)
+    strided = np.searchsorted(primes[:split], isqrt(WINDOW), "right")
+    small = list(zip(primes[:strided].tolist(), powers[:strided]))
+    medium = primes[strided:split]
+    # medium_vals[r, v] = local(medium[r], v + 1)
+    medium_vals = np.ones((medium.size, max(map(len, powers[strided:]), default=0)), dtype)
+    for row, values in zip(medium_vals, powers[strided:]):
+        row[: len(values)] = values
     large = primes[split:]
-    vals = local(large.astype(np.result_type(dtype, np.int64)), 1)
-    vals = np.broadcast_to(np.asarray(vals, dtype=dtype), large.shape)
-    # the cofactor i = k / q is below sqrt n: stop at the first i with no q <= n / i
-    i = 1
-    while (count := np.searchsorted(large, n // i, "right")):
-        f[i * large[:count]] *= vals[:count]
-        i += 1
+    large_vals = local(large.astype(np.result_type(dtype, np.int64)), 1)
+    large_vals = np.broadcast_to(np.asarray(large_vals, dtype=dtype), large.shape)
+    buf = np.empty(min(CHUNK, n // 2), dtype=dtype)
+    window = np.empty(min(WINDOW, n + 1), dtype=dtype) if out is None else None
+    for lo in range(0, n + 1, WINDOW):
+        hi = min(lo + WINDOW, n + 1)
+        w = window[: hi - lo] if out is None else out[lo:hi]
+        w[:] = 1
+        if lo == 0:
+            w[0] = 0
+        _small_primes(w, lo, small, buf)
+        if medium.size:  # none when n <= WINDOW
+            _medium_primes(w, lo, medium, medium_vals)
+        if large.size:
+            _large_primes(w, lo, large, large_vals)
+        yield lo, w
+
+
+def _small_primes(w, lo, small, buf) -> None:
+    """w[k - lo] *= local(p, v_p(k)) for the multiples k of each p of `small`, CHUNK j at a time."""
+    hi = lo + w.size
+    for p, values in small:
+        end = (hi - 1) // p + 1  # the j with j p in [lo, hi)
+        for a in range(max(1, -(-lo // p)), end, CHUNK):
+            b = min(a + CHUNK, end)
+            js = buf[: b - a]
+            js.fill(values[0])
+            step = p
+            for value in values[1:]:
+                if step >= b:
+                    break
+                js[-a % step :: step] = value
+                step *= p
+            w[a * p - lo : b * p - lo : p] *= js
+
+
+def _medium_primes(w, lo, medium, medium_vals) -> None:
+    """w[j p - lo] *= local(p, v_p(j p)) over the (p, j) pairs with j p in the window."""
+    hi = lo + w.size
+    start = np.maximum((lo - 1) // medium + 1, 1)  # the j with lo <= j p < hi
+    for rows, runs, j in _runs(start, (hi - 1) // medium + 1 - start):
+        p = np.repeat(medium[rows], runs)
+        hit = np.flatnonzero(j % p == 0)  # the few j p with p^2 | j p
+        vals = np.repeat(medium_vals[rows, 0], runs)
+        if hit.size:
+            ph = p[hit]
+            jh = j[hit] // ph
+            v = np.ones_like(hit)  # v_p(j)
+            while (more := jh % ph == 0).any():
+                v += more
+                jh[more] //= ph[more]
+            vals[hit] = medium_vals[np.searchsorted(medium, ph), v]
+        j *= p
+        j -= lo
+        np.multiply.at(w, j, vals)
+
+
+def _large_primes(w, lo, large, large_vals) -> None:
+    """w[i q - lo] *= local(q, 1) over the (i, q) pairs with i q in the window."""
+    hi = lo + w.size
+    i = np.arange(1, (hi - 1) // int(large[0]) + 1)
+    start = np.searchsorted(large, (lo - 1) // i, "right")  # the q with lo <= i q < hi
+    for rows, runs, q in _runs(start, np.searchsorted(large, (hi - 1) // i, "right") - start):
+        k = np.repeat(i[rows], runs)
+        k *= large[q]
+        k -= lo
+        w[k] *= large_vals[q]  # no k twice: one q > sqrt n divides it
+
+
+def _runs(start: np.ndarray, count: np.ndarray):
+    """Yield (rows, runs, x) for the pairs (r, start[r] + t), t < count[r], CHUNK pairs at a time.
+
+    The pairs are laid out r ascending, then x ascending.  A yield holds
+    runs[u] pairs of run r = rows.start + u for each u in turn, so
+    np.repeat(a[rows], runs) is a[r] for each of its pairs.
+    """
+    ends = np.cumsum(count)
+    shift = start - ends + count  # pair position -> x, per run
+    total = int(ends[-1]) if ends.size else 0
+    for a in range(0, total, CHUNK):
+        b = min(a + CHUNK, total)
+        r0, r1 = np.searchsorted(ends, (a, b - 1), "right")
+        rows, runs = slice(r0, r1 + 1), np.diff(ends[r0:r1], prepend=a, append=b)
+        x = np.repeat(shift[rows], runs)
+        x += np.arange(a, b)
+        yield rows, runs, x
+
+
+def prime_power_sieve(n: int, primes: np.ndarray, local, dtype) -> np.ndarray:
+    """f(k) = prod_{p^e || k} local(p, e) for k = 0..n, as `prime_power_windows`
+    writes it, window by window, into one (n+1)-entry array.
+    """
+    f = np.empty(n + 1, dtype=dtype)
+    for _ in prime_power_windows(n, primes, local, dtype, out=f):
+        pass
     return f
 
 
@@ -161,8 +269,7 @@ def sum_over_divisors(a: np.ndarray, primes: np.ndarray) -> None:
     slice reads what it writes, and each reads entries the slices before
     have finished.  A prime q > sqrt n divides k at most once, and the
     cofactor i = k / q is below sqrt n, where no such q writes: a[i q] += a[i]
-    runs over all such q at once for each i, as in `prime_power_sieve`.  On
-    integers it is exact.
+    runs over all such q at once for each i.  On integers it is exact.
     """
     n = a.shape[0] - 1
     primes = primes[: np.searchsorted(primes, n, "right")]

@@ -24,7 +24,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .arith import (CHUNK, DEFAULT_MAX_N, CapacityError, build_table, pillai_local,
-                    prime_power_sieve, primes_up_to, sum_over_multiples, totient_local)
+                    prime_power_sieve, prime_power_windows, primes_up_to,
+                    sum_over_multiples, totient_local)
 
 DEFAULT_CUTOFF = 1_000_000
 
@@ -360,9 +361,10 @@ def tauberian_trend(kind: str, n_grid, table=None):
     Returns (ratios, target) with ratios aligned to the ascending grid.
     Convergence is O(1/ln N): only trend assertions are meaningful.
 
-    Each sum is the prefix sum of one float64 multiplicative function
-    sieved by `prime_power_sieve` from the table's primes, so a trend reads
-    no sieved table function and holds one (N+1)-entry array at a time.
+    Each sum is the prefix sum of one float64 multiplicative function,
+    sieved window by window by `prime_power_windows` from the table's primes
+    and summed as each window passes (`_prefix_sums`), so a trend reads no
+    sieved table function and holds no array of N entries.
     """
     grid = sorted(int(x) for x in n_grid)
     if not grid or grid[0] < 10:
@@ -405,9 +407,8 @@ def _product_restricted_sums(table, grid):
     h(k) = sum_{i j = k} w(i) w(j) gcd(i,j) is multiplicative in k, with
     `_product_local_mass` on prime powers, and the sum is its prefix sum.
     """
-    mass = prime_power_sieve(grid[-1], table.primes, _product_local_mass, np.float64)
-    prefix = np.cumsum(mass, out=mass)
-    return [float(prefix[n]) for n in grid]
+    return _prefix_sums(
+        prime_power_windows(grid[-1], table.primes, _product_local_mass, np.float64), grid)
 
 
 def _lcm_local_mass(p, a: int):
@@ -424,9 +425,8 @@ def _lcm_local_mass(p, a: int):
 
 def _lcm_restricted_sums(table, grid):
     """Sum over lcm(i,j) <= N: prefix sums of the per-lcm mass, multiplicative in L."""
-    mass = prime_power_sieve(grid[-1], table.primes, _lcm_local_mass, np.float64)
-    prefix = np.cumsum(mass, out=mass)
-    return [float(prefix[n]) for n in grid]
+    return _prefix_sums(
+        prime_power_windows(grid[-1], table.primes, _lcm_local_mass, np.float64), grid)
 
 
 def _pillai_mean_square(table, grid):
@@ -435,15 +435,33 @@ def _pillai_mean_square(table, grid):
     P is sieved in float64 from P(p^e) = p^(e-1) ((e+1) p - e).  Every
     partial product is an integer below P(k) <= k tau(k) < 2^53, so P is
     exact, and each P(k)/k is the correctly rounded quotient, divided in
-    place CHUNK entries at a time so no second n-entry array is made.
+    place CHUNK entries at a time.
     """
-    val = prime_power_sieve(grid[-1], table.primes, pillai_local(1), np.float64)
-    for lo in range(1, val.size, CHUNK):
-        k = np.arange(lo, min(lo + CHUNK, val.size), dtype=np.float64)
-        val[lo : lo + k.size] /= k
-    val *= val
-    prefix = np.cumsum(val, out=val)
-    return [float(prefix[n]) / n for n in grid]
+    def squares():
+        for lo, w in prime_power_windows(grid[-1], table.primes, pillai_local(1), np.float64):
+            for a in range(max(lo, 1), lo + w.size, CHUNK):
+                k = np.arange(a, min(a + CHUNK, lo + w.size), dtype=np.float64)
+                w[a - lo : a - lo + k.size] /= k
+            w *= w
+            yield lo, w
+
+    return [s / n for n, s in zip(grid, _prefix_sums(squares(), grid))]
+
+
+def _prefix_sums(windows, grid):
+    """sum_{k <= N} f(k) per ascending grid N, from the (lo, w) windows of f.
+
+    The running total is added into each window's first entry before its
+    cumsum, so every partial sum is the one a single cumsum of all of f
+    gives, bit for bit.
+    """
+    sums, carry = [], 0.0
+    for lo, w in windows:
+        w[0] += carry
+        np.cumsum(w, out=w)
+        sums += [float(w[n - lo]) for n in grid[len(sums):] if n < lo + w.size]
+        carry = w[-1]
+    return sums
 
 
 def all_constants(cutoff: int = DEFAULT_CUTOFF) -> dict:

@@ -771,20 +771,22 @@ class Replicates:
         """The law, the replicates' mean and sd, and their distance to the law.
 
         A Poisson law is compared with the raw counts by TV distance, with
-        exact integer moments.  A continuous law is compared with the
-        normalized values by KS distance, with np.mean and np.std of one
-        sorted copy: np.mean sums pairwise, so the order of the values
-        would show in its last bits.
+        exact integer moments, both from one count of the distinct values.
+        A continuous law is compared with the normalized values by KS
+        distance, with np.mean and np.std, all three on one sorted copy:
+        np.mean sums pairwise, so the order of the values would show in its
+        last bits.
         """
         law = self.law
         if law is None:
             raise ValueError("N(t) has a Poisson limit law only for 0 < t < inf")
         if law.kind == "poisson":
-            distance = {"tv": stattest.tv_distance(self.raw, law)}
-            mean, sd = stattest.integer_moments(self.raw)
+            counts = np.unique(self.raw, return_counts=True)
+            distance = {"tv": stattest.tv_distance(self.raw, law, counts)}
+            mean, sd = stattest.integer_moments(self.raw, counts)
         else:
-            distance = {"ks": stattest.ks_distance(self.normalized, law)}
             values = np.sort(self.normalized)
+            distance = {"ks": stattest.ks_distance(values, law)}
             mean, sd = float(np.mean(values)), float(np.std(values))
         return {"law": asdict(law), "mean": mean, "sd": sd, "distance": distance}
 

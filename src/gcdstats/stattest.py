@@ -83,9 +83,12 @@ def ks_distance(values, law: ReferenceLaw) -> float:
     The law's cdf is taken once a run and the gaps only at the runs' first
     and last index, with the same float expressions, _KS_RUNS runs at a
     time: besides the sorted copy, only a bool mask and the runs' start
-    indices are as long as the values.
+    indices are as long as the values.  Values already in ascending order
+    are read as they are, with no copy.
     """
-    v = np.sort(np.asarray(values, dtype=np.float64))
+    v = np.asarray(values, dtype=np.float64)
+    if not np.all(v[:-1] <= v[1:]):
+        v = np.sort(v)
     if v.size == 0:
         raise ValueError("empty empirical distribution")
     n = v.size
@@ -107,10 +110,15 @@ def ks_distance(values, law: ReferenceLaw) -> float:
     return float(gap)
 
 
-def integer_moments(raw) -> tuple[float, float]:
+def integer_moments(raw, counts=None) -> tuple[float, float]:
     """Mean and population sd of the integers `raw`, from exact integer sums
-    over the distinct values, so neither depends on their order."""
-    values, counts = (a.tolist() for a in np.unique(np.asarray(raw), return_counts=True))
+    over the distinct values, so neither depends on their order.
+
+    `counts`, when the caller has it, is np.unique(raw, return_counts=True).
+    """
+    if counts is None:
+        counts = np.unique(np.asarray(raw), return_counts=True)
+    values, counts = (a.tolist() for a in counts)
     r = sum(counts)
     if r == 0:
         raise ValueError("empty empirical distribution")
@@ -121,13 +129,14 @@ def integer_moments(raw) -> tuple[float, float]:
 _TV_SUPPORT_CAP = 64
 
 
-def tv_distance(raw, law: ReferenceLaw) -> float:
+def tv_distance(raw, law: ReferenceLaw, counts=None) -> float:
     """Total variation between the integer counts `raw` and a Poisson law.
 
     Half the L1 gap of the pmfs up to _TV_SUPPORT_CAP, plus half of both tail
     masses (empirical beyond the cap, and the Poisson remainder), so the
     truncation can only overstate the distance.  The empirical tail adds
     its distinct values' shares in the order each value first occurs.
+    `counts`, when the caller has it, is np.unique(raw, return_counts=True).
     """
     if law.kind != "poisson":
         raise ValueError("TV distance compares against a Poisson law")
@@ -135,7 +144,9 @@ def tv_distance(raw, law: ReferenceLaw) -> float:
     if r == 0:
         raise ValueError("empty empirical distribution")
     raw = np.asarray(raw)
-    counts = dict(zip(*(a.tolist() for a in np.unique(raw, return_counts=True))))
+    if counts is None:
+        counts = np.unique(raw, return_counts=True)
+    counts = dict(zip(*(a.tolist() for a in counts)))
     _, first, tail = np.unique(raw[raw > _TV_SUPPORT_CAP], return_index=True, return_counts=True)
     pk = poisson_pmf(law.lam, _TV_SUPPORT_CAP)
     gap = 0.0

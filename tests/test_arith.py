@@ -15,6 +15,7 @@ from gcdstats.arith import (
     pillai,
     pillai_local,
     prime_power_sieve,
+    prime_power_windows,
     primes_up_to,
     sum_over_divisors,
     sum_over_multiples,
@@ -22,6 +23,7 @@ from gcdstats.arith import (
     totient_local,
     weighted_divisors,
 )
+from gcdstats.constants import _lcm_local_mass, _product_local_mass
 
 
 def naive_pillai(k, s):
@@ -294,6 +296,36 @@ def test_prime_power_sieve_across_chunk_edges():
     for (local, dtype), want in zip(cases, wants):
         got = prime_power_sieve(n, primes, local, dtype)
         assert got.dtype == dtype and got.tolist() == want, dtype
+
+
+# the window edges at multiples of 4096 and of 7 fall inside the runs of multiples of
+# 3^k, 5^k and 7^k; width 1 takes every prime as a medium prime, width 7 all but 2,
+# width 4096 the primes above 64, and width n + 1 none; chunk 3 splits the multiples of
+# each small prime and the pair groups of every window
+@pytest.mark.parametrize("n, width, chunk", [(1000, 1, CHUNK), (2000, 7, CHUNK),
+                                             (8197, 4096, CHUNK), (8197, 8198, CHUNK),
+                                             (2000, 7, 3), (8197, 4096, 3), (8197, 8198, 3)])
+def test_prime_power_windows_are_width_independent(n, width, chunk, monkeypatch):
+    from gcdstats import arith
+
+    primes = primes_up_to(n)
+    cases = ((mobius_local, np.int8), (tau_local, np.int32), (totient_local(1), np.int64),
+             (totient_local(4), object), (pillai_local(1), np.float64),
+             (_lcm_local_mass, np.float64), (_product_local_mass, np.float64))
+    wants = [prime_power_sieve(n, primes, local, dtype) for local, dtype in cases]
+    plain = plain_multiplicative(n, [local for local, _ in cases[:5]])
+    # the integer products and Pillai's exact float ones have no rounding to order
+    assert all(want.tolist() == p for want, p in zip(wants, plain))
+    monkeypatch.setattr(arith, "WINDOW", width)
+    monkeypatch.setattr(arith, "CHUNK", chunk)
+    for (local, dtype), want in zip(cases, wants):
+        got = prime_power_sieve(n, primes, local, dtype)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), dtype
+        los, windows = [], []
+        for lo, w in prime_power_windows(n, primes, local, dtype):
+            los.append(lo)
+            windows += w.tolist()  # w is reused: read before the next window
+        assert los == list(range(0, n + 1, width)) and windows == want.tolist(), dtype
 
 
 def test_prime_power_sieve_holds_one_chunk_beside_its_output():

@@ -308,26 +308,49 @@ def test_product_local_mass_on_a_prime_array():
     assert np.array_equal(constants._product_local_mass(q, 1), 2 * (q - 1) / q**2)
 
 
-def test_corollary22_trend_holds_one_n_entry_array():
+def test_trend_sums_from_windows_are_one_whole_cumsum():
+    from gcdstats.arith import CHUNK, prime_power_sieve
+
+    grid = [10, 1_000, 131_071, 262_143, 262_144, 262_145, 999_999, 1_000_000]
+    table = build_table(grid[-1])
+    for sums, local in ((constants._product_restricted_sums, constants._product_local_mass),
+                        (constants._lcm_restricted_sums, constants._lcm_local_mass)):
+        prefix = np.cumsum(prime_power_sieve(grid[-1], table.primes, local, np.float64))
+        assert repr(sums(table, grid)) == repr([float(prefix[n]) for n in grid])
+    val = prime_power_sieve(grid[-1], table.primes, constants.pillai_local(1), np.float64)
+    for lo in range(1, val.size, CHUNK):
+        k = np.arange(lo, min(lo + CHUNK, val.size), dtype=np.float64)
+        val[lo : lo + k.size] /= k
+    prefix = np.cumsum(val * val)
+    assert repr(constants._pillai_mean_square(table, grid)) == repr(
+        [float(prefix[n]) / n for n in grid])
+
+
+def test_corollary22_trend_holds_no_n_entry_array():
+    from gcdstats.arith import WINDOW
+
     tracemalloc.start()
     try:
         constants.tauberian_trend("corollary22", (1_000, 100_000, 1_000_000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 7.6 MiB float64 mass, plus the primes and the sieve's index temporaries
-    assert peak <= 13 * 2**20
+    # one float64 window and the sieve's bounded buffers; the table's primes and
+    # their float values (at most about 1.6 MiB here) are the only arrays that grow
+    # with N, as N / ln N; the 7.6 MiB mass that one n-entry array was is gone
+    assert peak <= 8 * WINDOW + 2 * 2**20
 
 
 def test_trend_grid_above_the_table_cap_is_refused_before_sieving(monkeypatch):
     from gcdstats import arith
 
-    def no_sieve(n, *args):
+    def no_sieve(n, *args, **kwargs):
         raise AssertionError(f"sieved up to {n}")
 
     monkeypatch.setattr(arith, "primes_up_to", no_sieve)
-    monkeypatch.setattr(arith, "prime_power_sieve", no_sieve)
-    monkeypatch.setattr(constants, "prime_power_sieve", no_sieve)
+    for name in ("prime_power_sieve", "prime_power_windows"):
+        monkeypatch.setattr(arith, name, no_sieve)
+        monkeypatch.setattr(constants, name, no_sieve)
     with pytest.raises(CapacityError):
         constants.tauberian_trend("toth", (10, DEFAULT_MAX_N + 1))
 

@@ -345,6 +345,33 @@ def test_summary_takes_the_distance_and_moments_of_its_law():
         "mean": mean, "sd": sd, "distance": {"tv": stattest.tv_distance(rec.raw, rec.law)}}
 
 
+def test_summary_sorts_or_counts_the_replicates_once(monkeypatch):
+    cfg = SampleConfig(m=8, n=30, replicates=500, master_seed=22)
+    records = {statistic: run_replicates(cfg, statistic) for statistic in ("C", "M")}
+    records["N"] = run_replicates(cfg, "N", t=0.5)
+    want = {statistic: rec.summary() for statistic, rec in records.items()}
+    calls = []
+    real_sort, real_unique = np.sort, np.unique
+
+    def sort(a, *args, **kwargs):
+        calls.append(("sort", np.size(a)))
+        return real_sort(a, *args, **kwargs)
+
+    def unique(a, *args, **kwargs):
+        calls.append(("unique", np.size(a)))
+        return real_unique(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", sort)
+    monkeypatch.setattr(np, "unique", unique)
+    for statistic, rec in records.items():
+        calls.clear()
+        assert rec.summary() == want[statistic]
+        # a full-length pass: one sort for KS and the moments, one count for TV and the
+        # moments (the TV tail's own count sees only the values above the cap)
+        assert [c for c in calls if c[1] == rec.raw.size] == (
+            [("unique", 500)] if statistic == "N" else [("sort", 500)]), statistic
+
+
 @pytest.mark.parametrize("t, count", [(0.0, comb(8, 2)), (-1.0, comb(8, 2)), (math.nan, 0),
                                       (math.inf, 0)])
 def test_n_outside_its_limit_regime_runs_but_has_no_summary(t, count):
