@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import isqrt, prod
 
 import numpy as np
@@ -50,16 +50,23 @@ class CapacityError(Exception):
     """Requested table exceeds the fixed table cap DEFAULT_MAX_N."""
 
 
+@lru_cache(maxsize=1)
 def primes_up_to(n: int) -> np.ndarray:
-    """Ascending primes <= n via a boolean Eratosthenes sieve."""
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64, copy=False)
+    """Ascending primes <= n via a boolean Eratosthenes sieve, read-only.
+
+    The last sieve is kept, so a table and the Euler products at its bound
+    (`verify --suite trends`) share one.
+    """
+    primes = np.empty(0, dtype=np.int64)
+    if n >= 2:
+        mask = np.ones(n + 1, dtype=bool)
+        mask[:2] = False
+        for p in range(2, isqrt(n) + 1):
+            if mask[p]:
+                mask[p * p :: p] = False
+        primes = np.nonzero(mask)[0].astype(np.int64, copy=False)
+    primes.flags.writeable = False
+    return primes
 
 
 def _spf_sieve(n: int, primes: np.ndarray) -> np.ndarray:
@@ -121,7 +128,8 @@ def prime_power_windows(n: int, primes: np.ndarray, local, dtype, out=None):
       is below sqrt n: the entries i q are multiplied by local(q, 1) in one
       gather and scatter per CHUNK (i, q) pairs.
     local(p, e) is taken once per prime, not per window: with p a Python
-    int for p <= sqrt n, and over all the q > sqrt n at once as an array.
+    int for p <= sqrt n, and over the q > sqrt n as arrays of CHUNK primes
+    (`_large_values`).
     So every entry is multiplied by the same values in the same order,
     whatever the window width.
     """
@@ -142,8 +150,7 @@ def prime_power_windows(n: int, primes: np.ndarray, local, dtype, out=None):
     for row, values in zip(medium_vals, powers[strided:]):
         row[: len(values)] = values
     large = primes[split:]
-    large_vals = local(large.astype(np.result_type(dtype, np.int64)), 1)
-    large_vals = np.broadcast_to(np.asarray(large_vals, dtype=dtype), large.shape)
+    large_vals = _large_values(large, local, dtype)
     buf = np.empty(min(CHUNK, n // 2), dtype=dtype)
     window = np.empty(min(WINDOW, n + 1), dtype=dtype) if out is None else None
     for lo in range(0, n + 1, WINDOW):
@@ -158,6 +165,22 @@ def prime_power_windows(n: int, primes: np.ndarray, local, dtype, out=None):
         if large.size:
             _large_primes(w, lo, large, large_vals)
         yield lo, w
+
+
+def _large_values(large, local, dtype) -> np.ndarray:
+    """local(q, 1) for each q of `large`, as `dtype`, evaluated CHUNK primes at a time.
+
+    A local that is one constant at e = 1 (mu, tau) is broadcast, not stored.
+    """
+    ctype = np.result_type(dtype, np.int64)  # the type local(q, 1) is evaluated in
+    first = local(large[:CHUNK].astype(ctype), 1)
+    if np.ndim(first) == 0:
+        return np.broadcast_to(np.asarray(first, dtype=dtype), large.shape)
+    vals = np.empty(large.shape, dtype=dtype)
+    vals[:CHUNK] = first
+    for a in range(CHUNK, large.size, CHUNK):
+        vals[a : a + CHUNK] = local(large[a : a + CHUNK].astype(ctype), 1)
+    return vals
 
 
 def _small_primes(w, lo, small, buf) -> None:

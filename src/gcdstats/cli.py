@@ -346,12 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the flag that sizes the sieve a command refuses past the table cap
+_CAPPED_BY = {"exact": "--n", "simulate": "--n", "constants": "--cutoff"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, CapacityError) as err:
+    except CapacityError as err:
+        flag = _CAPPED_BY.get(args.command)
+        parser.exit(2, f"error: {err}: lower {flag}\n" if flag else f"error: {err}\n")
+    except (ValueError, OSError) as err:
         parser.exit(2, f"error: {err}\n")
 
 

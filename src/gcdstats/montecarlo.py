@@ -37,6 +37,8 @@ of short rows is drawn by running Philox4x64-10 itself as numpy array
 rounds over all its rows and mapping the words to [1, n] as numpy's
 bounded draw does; rows with a rejected draw, and blocks of long rows,
 make one numpy Generator call a row.  The bytes are the same either way.
+More than one worker forks a process pool (`_fork_pool`), which imports the
+pool modules only then: a one-worker run never loads them.
 """
 
 from __future__ import annotations
@@ -44,11 +46,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from math import comb
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -862,12 +862,25 @@ def _sim_chunk(bounds):
                           _SIM_CTX["table"], _SIM_CTX["threshold"], *bounds)
 
 
+def _fork_pool(processes: int):
+    """A pool of `processes` worker processes started by fork.
+
+    The pool stack (concurrent.futures, multiprocessing) is imported here,
+    on the first pool, so a run that never forks never loads it.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    return ProcessPoolExecutor(max_workers=processes, mp_context=get_context("fork"))
+
+
 def _raw_replicates(config, statistic, table, threshold, workers) -> np.ndarray:
     """Raw values of all replicates in replicate order, each computed once.
 
     Workers take contiguous index ranges, so the values do not depend on
     the worker count.  The fork context starts every pool process up
-    front, so the pool has no more processes than ranges or CPUs.
+    front, so the pool has no more processes than ranges or CPUs.  One
+    worker runs in this process, and loads no pool (`_fork_pool`).
     """
     total = config.replicates
     if workers <= 1:
@@ -880,7 +893,7 @@ def _raw_replicates(config, statistic, table, threshold, workers) -> np.ndarray:
     chunk = max(1, math.ceil(total / (workers * 4)))
     bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     processes = min(workers, len(bounds), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=processes, mp_context=get_context("fork")) as ex:
+    with _fork_pool(processes) as ex:
         return np.concatenate(list(ex.map(_sim_chunk, bounds)))
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import brute, constants, exact, montecarlo
+from . import constants, exact, montecarlo
 from .arith import build_table
 
 # frozen master seeds for the statistical criteria
@@ -114,6 +114,8 @@ def suite_oracle() -> list[CheckResult]:
 
 
 def _oracle_one_n(table, n, r, qs, fails) -> bool:
+    from . import brute  # the oracle suite alone loads the brute-force oracles
+
     def bad(msg):
         fails.append(f"n={n}: {msg}")
         return False

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from math import gcd as math_gcd
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from gcdstats.arith import (
     CHUNK,
     DEFAULT_MAX_N,
     CapacityError,
+    _large_values,
     build_table,
     divisors,
     mobius_local,
@@ -339,6 +341,23 @@ def test_prime_power_sieve_holds_one_chunk_beside_its_output():
         tracemalloc.stop()
     # the output, one chunk and the large-prime pass's index temporaries
     assert peak <= 8 * (n + 1) + 2.5 * 2**20
+
+
+def test_large_prime_values_hold_a_few_chunks_beside_them():
+    # local(q, 1) over the primes q > sqrt n runs CHUNK primes at a time: the float
+    # mass's temporaries (about five of them) are CHUNK entries each, not pi(n)
+    n = 10**6
+    primes = primes_up_to(n)
+    large = primes[np.searchsorted(primes, isqrt(n), "right") :]
+    tracemalloc.start()
+    try:
+        vals = _large_values(large, _product_local_mass, np.float64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == large.shape and peak <= vals.nbytes + 10 * 8 * CHUNK
+    # a local that is one constant at e = 1 is broadcast, not stored
+    assert _large_values(large, tau_local, np.int32).strides == (0,)
 
 
 def test_sum_over_multiples_is_the_plain_divisor_sum():

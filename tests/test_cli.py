@@ -542,6 +542,24 @@ def test_constants_cutoff_above_sieve_cap_is_refused_before_sieving(monkeypatch,
     assert str(10**11) in text and str(DEFAULT_MAX_N) in text
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["exact", "--quantity", "c", "--n", "40000000"], "--n"),
+    (["simulate", "--statistic", "C", "--m", "20", "--n", "40000000"], "--n"),
+    (["simulate", "--statistic", "Z", "--m", "20", "--n", "m^6"], "--n"),
+    (["constants", "--cutoff", "40000000"], "--cutoff"),
+])
+def test_table_cap_error_names_the_flag(argv, flag, monkeypatch, capsys):
+    from gcdstats import arith, constants
+
+    def no_sieve(n, *args):
+        raise AssertionError(f"sieved up to {n}")
+
+    monkeypatch.setattr(arith, "primes_up_to", no_sieve)
+    monkeypatch.setattr(constants, "primes_up_to", no_sieve)
+    text = _usage_error(argv, capsys)
+    assert text.rstrip().endswith(f"cap of {DEFAULT_MAX_N}: lower {flag}")
+
+
 @pytest.mark.parametrize("quantity", ["mu", "nu", "pmf", "moment", "tail", "varC", "pi"])
 def test_exact_n_above_its_range_is_refused_before_sieving(quantity, monkeypatch, capsys):
     from gcdstats import arith
@@ -663,9 +681,18 @@ def test_missing_out_directory_fails_before_any_replicate(monkeypatch, tmp_path,
     assert calls == []
 
 
+def _fresh_interpreter(*lines: str) -> list[str]:
+    """Stdout lines of a new Python process that runs `lines` against this gcdstats."""
+    src = str(Path(gcdstats.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", "\n".join(lines)], capture_output=True,
+                          text=True, env=env, check=True)
+    return done.stdout.splitlines()
+
+
 def test_exact_and_sparse_simulate_do_not_import_numpy_ma():
     # numpy.ma costs 15-20 ms of import; np.unique without return_* flags loads it
-    script = "\n".join([
+    out = _fresh_interpreter(
         "import sys",
         "from gcdstats import cli, montecarlo",
         "routes = []",
@@ -674,9 +701,33 @@ def test_exact_and_sparse_simulate_do_not_import_numpy_ma():
         "cli.main(['exact', '--quantity', 'varC', '--n', '1000', '--m', '50'])",
         "cli.main(['simulate', '--statistic', 'C', '--m', '20', '--n', '10000', '--reps', '50'])",
         "print(len(routes) > 0, 'numpy.ma' in sys.modules)",
-    ])
-    src = str(Path(gcdstats.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout.splitlines()[-1] == "True False"
+    )
+    assert out[-1] == "True False"
+
+
+def test_pool_and_oracle_modules_load_only_when_run(tmp_path):
+    # the process-pool stack costs 20-33 ms of import and brute 3.5 ms: only a run
+    # with more than one worker and the oracle suite load them
+    sim = ["simulate", "--statistic", "C", "--m", "20", "--n", "1000", "--reps", "50"]
+    one, two = str(tmp_path / "one"), str(tmp_path / "two")
+    out = _fresh_interpreter(
+        "import sys",
+        "from gcdstats import cli, verify",
+        "lazy = ('concurrent.futures', 'multiprocessing', 'gcdstats.brute')",
+        "def loaded(): print('loaded', [name for name in lazy if name in sys.modules])",
+        "loaded()",
+        f"cli.main({sim + ['--workers', '1', '--out', one]!r})",
+        "cli.main(['verify', '--suite', 'trends'])",
+        "loaded()",
+        "verify.ORACLE_MAX_N = 2",
+        "cli.main(['verify', '--suite', 'oracle'])",
+        "loaded()",
+        f"cli.main({sim + ['--workers', '2', '--out', two]!r})",
+        "loaded()",
+    )
+    assert [line for line in out if line.startswith("loaded")] == [
+        "loaded []", "loaded []", "loaded ['gcdstats.brute']",
+        "loaded ['concurrent.futures', 'multiprocessing', 'gcdstats.brute']"]
+    assert [line for line in out if line.startswith("FAIL")] == []
+    for ext in (".csv", ".json"):
+        assert Path(one + ext).read_bytes() == Path(two + ext).read_bytes()

@@ -341,6 +341,18 @@ def test_corollary22_trend_holds_no_n_entry_array():
     assert peak <= 8 * WINDOW + 2 * 2**20
 
 
+def test_trends_suite_sieves_the_primes_to_its_grid_once():
+    # the table's primes and the targets' Euler products share the sieve to 1e6
+    from gcdstats import arith, verify
+
+    for cached in (arith.primes_up_to, constants._prime_cache, constants.delta,
+                   constants.delta_toth, verify._shared_table):
+        cached.cache_clear()
+    assert all(row.passed for row in verify.suite_trends())
+    info = arith.primes_up_to.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_trend_grid_above_the_table_cap_is_refused_before_sieving(monkeypatch):
     from gcdstats import arith
 

@@ -721,8 +721,8 @@ def inline_pool(monkeypatch):
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers, mp_context):
-            sizes.append(max_workers)
+        def __init__(self, processes):
+            sizes.append(processes)
 
         def __enter__(self):
             return self
@@ -733,7 +733,7 @@ def inline_pool(monkeypatch):
         def map(self, fn, items):
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(montecarlo, "_fork_pool", InlinePool)
     return sizes
 
 
