@@ -53,9 +53,9 @@ print()
 
 print("slow divergence, ratio to ln(N)^3:")
 grid = (1000, 100_000, 1_000_000)
-for kind, label in (("corollary22", "sum over i*j<=N  -> delta"),
-                    ("toth", "sum over lcm<=N  -> delta_toth"),
-                    ("pillai_sq", "(1/N) sum (P(k)/k)^2 -> delta_toth")):
-    ratios, target = constants.tauberian_trend(kind, grid)
+for kind, label, target in (("corollary22", "sum over i*j<=N  -> delta", d.value),
+                            ("toth", "sum over lcm<=N  -> delta_toth", dt.value),
+                            ("pillai_sq", "(1/N) sum (P(k)/k)^2 -> delta_toth", dt.value)):
+    ratios = constants.tauberian_trend(kind, grid)
     path = "  ".join(f"{v:.5f}" for v in ratios)
     print(f"  {label}: {path}  (target {target:.5f}; O(1/ln N) convergence)")

@@ -4,7 +4,8 @@ counts, Pillai sums and divisor enumeration.
 Everything is exact integer arithmetic.  An `ArithTable` up to a bound
 `n_max` holds the primes from the start and sieves each other function on
 its first read, so a job pays only for the functions it reads; a value once
-sieved never changes.  All downstream formulas read from it.
+sieved never changes.  All downstream formulas read from it, and every
+prime comes from one kept sieve, `primes_up_to`.
 
 Every multiplicative function comes from one windowed sieve over its
 prime-power values, `prime_power_windows`: a caller that reads f once in
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import isqrt, prod
 
 import numpy as np
@@ -50,23 +51,38 @@ class CapacityError(Exception):
     """Requested table exceeds the fixed table cap DEFAULT_MAX_N."""
 
 
-@lru_cache(maxsize=1)
-def primes_up_to(n: int) -> np.ndarray:
-    """Ascending primes <= n via a boolean Eratosthenes sieve, read-only.
-
-    The last sieve is kept, so a table and the Euler products at its bound
-    (`verify --suite trends`) share one.
-    """
-    primes = np.empty(0, dtype=np.int64)
-    if n >= 2:
-        mask = np.ones(n + 1, dtype=bool)
-        mask[:2] = False
-        for p in range(2, isqrt(n) + 1):
-            if mask[p]:
-                mask[p * p :: p] = False
-        primes = np.nonzero(mask)[0].astype(np.int64, copy=False)
+def _eratosthenes(n: int) -> np.ndarray:
+    """Ascending primes <= n by a boolean sieve; read-only."""
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    primes = np.nonzero(mask)[0].astype(np.int64, copy=False)
     primes.flags.writeable = False
     return primes
+
+
+# the largest sieve made in this process, as (bound, its primes)
+_kept = (1, _eratosthenes(1))
+
+
+def primes_up_to(n: int) -> np.ndarray:
+    """Ascending primes <= n, read-only: the process's one prime source.
+
+    The largest sieve made in the process is kept, and a bound at or below
+    it is answered by a prefix view of its primes; only a larger bound
+    sieves again.  Raises CapacityError, before sieving, when n exceeds
+    DEFAULT_MAX_N.
+    """
+    global _kept
+    bound, primes = _kept
+    if n > bound:
+        if n > DEFAULT_MAX_N:
+            raise CapacityError(f"a sieve up to {n} exceeds the table cap of {DEFAULT_MAX_N}")
+        primes = _eratosthenes(n)
+        _kept = (n, primes)
+    return primes[: np.searchsorted(primes, n, "right")]
 
 
 def _spf_sieve(n: int, primes: np.ndarray) -> np.ndarray:
@@ -390,13 +406,10 @@ class ArithTable:
 def build_table(n_max: int) -> ArithTable:
     """A table up to n_max; only the primes are sieved here, the rest on read.
 
-    Raises CapacityError when n_max exceeds DEFAULT_MAX_N.
+    Raises CapacityError when n_max exceeds DEFAULT_MAX_N (`primes_up_to`).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if n_max > DEFAULT_MAX_N:
-        raise CapacityError(
-            f"a table up to n_max={n_max} exceeds the table cap of {DEFAULT_MAX_N}")
     return ArithTable(n_max=n_max, primes=primes_up_to(n_max))
 
 

@@ -15,6 +15,7 @@ Timing goes to stderr only.  Exit codes: 0 ok, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -22,7 +23,8 @@ import os
 import re
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -57,7 +59,7 @@ def parse_n_rule(text: str, m: int) -> int:
             return round(math.exp(m ** float(expo.group(1))))
     except OverflowError:
         raise ValueError(f"n rule {text!r} overflows a float at m={m}") from None
-    raise ValueError(f"bad n rule {text!r}: use an integer, 'm^2.5' or 'exp(m^0.3)'")
+    raise ValueError(f"--n must be {_plain_integer(text)}, 'm^2.5' or 'exp(m^0.3)', got {text!r}")
 
 
 # The flags whose growth can carry an exact quantity, or a statistic's
@@ -96,7 +98,10 @@ def _json_pieces(payload: dict):
     payload and its `_Runs` are non-empty.
     """
     def dump(value, depth):
-        # the text of a value nested `depth` levels (2 spaces each) deep
+        # the text of a value nested `depth` levels (2 spaces each) deep; a scalar
+        # needs no indent, and without it json runs its C encoder
+        if not isinstance(value, (dict, list, tuple)):
+            return json.dumps(value)
         return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
 
     sep = "{\n"
@@ -283,14 +288,25 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count that must be at least 1."""
-    try:
-        if int(text) >= 1:
+def _plain_integer(text: str, positive: bool = False) -> str:
+    """'a [positive] plain integer', and the integer `text` spells another way ('such as ...')."""
+    what = "a positive plain integer" if positive else "a plain integer"
+    with suppress(InvalidOperation):
+        value = Decimal(text)
+        if value == value.to_integral_value() and (1 if positive else -10**18) <= value < 10**18:
+            return f"{what} such as {int(value)}"
+    return what
+
+
+def _integer(text: str, positive: bool = False) -> int:
+    """argparse type of an integer flag, as int() reads it; `positive`: at least 1."""
+    with suppress(ValueError):
+        if not positive or int(text) >= 1:
             return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    raise argparse.ArgumentTypeError(f"must be {_plain_integer(text, positive)}, got {text!r}")
+
+
+_positive_int = functools.partial(_integer, positive=True)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -309,28 +325,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="evaluate one exact quantity")
     p.add_argument("--quantity", required=True, choices=_EXACT_QUANTITIES)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--r", type=_integer, default=2)
     p.add_argument("--q", type=_positive_int, default=1)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--s", type=_integer, default=None)
+    p.add_argument("--m", type=_integer, default=None)
     p.add_argument("--t", type=float, default=0.0, help="tail threshold for quantity=tail")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("constants", help="emit limiting constants with error bars")
-    p.add_argument("--cutoff", type=int, default=constants.DEFAULT_CUTOFF)
+    p.add_argument("--cutoff", type=_integer, default=constants.DEFAULT_CUTOFF)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("simulate", help="run seeded replicates of one statistic")
     p.add_argument("--statistic", required=True, choices=("C", "Z", "M", "N"))
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_integer, required=True)
     p.add_argument("--n", required=True, help="integer, 'm^2.5', or 'exp(m^0.3)'")
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--r", type=_integer, default=2)
     p.add_argument("--q", type=_positive_int, default=1)
     p.add_argument("--reps", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", default=None, help="prefix for .csv and .json outputs")

@@ -11,21 +11,21 @@ exponent a' drives an explicit error bar
     |log tail|  <=  C * sum_{k>P} k^-a'  <=  C * P^(1-a') / (a'-1),
 
 with C calibrated on the last primes before the cutoff.  Values are
-deterministic given the cutoff; results are cached.
+deterministic given the cutoff.  Nothing is cached here but the primes
+(`arith.primes_up_to`): a caller that needs a constant twice keeps its value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .arith import (CHUNK, DEFAULT_MAX_N, CapacityError, build_table, pillai_local,
-                    prime_power_sieve, prime_power_windows, primes_up_to,
-                    sum_over_multiples, totient_local)
+from .arith import (CHUNK, pillai_local, prime_power_sieve, prime_power_windows,
+                    primes_up_to, sum_over_multiples, totient_local)
 
 DEFAULT_CUTOFF = 1_000_000
 
@@ -84,20 +84,14 @@ class ProductSpec:
 _CALIBRATION_PRIMES = 5
 
 
-@lru_cache(maxsize=8)
-def _prime_cache(cutoff: int) -> np.ndarray:
-    if cutoff > DEFAULT_MAX_N:
-        raise CapacityError(f"cutoff {cutoff} exceeds the sieve cap of {DEFAULT_MAX_N}")
-    return primes_up_to(cutoff).astype(np.float64)
-
-
 def euler_product(spec: ProductSpec) -> ProductValue:
     """Evaluate a ProductSpec; returns (value, tail bound, cutoff).
 
     Raises ValueError when fewer than `_CALIBRATION_PRIMES` primes lie at
     or below the cutoff: the tail bar is calibrated on those last primes.
+    Raises CapacityError past the table cap (`primes_up_to`).
     """
-    p = _prime_cache(spec.prime_cutoff)
+    p = primes_up_to(spec.prime_cutoff).astype(np.float64)
     if p.size < _CALIBRATION_PRIMES:
         raise ValueError(
             f"cutoff {spec.prime_cutoff} leaves {p.size} primes; the tail bound "
@@ -133,7 +127,6 @@ def euler_product(spec: ProductSpec) -> ProductValue:
 
 # --- named constants -------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def pairwise_coprime_T(m: int, cutoff: int = DEFAULT_CUTOFF) -> ProductValue:
     """Limit probability that an m-sample is pairwise coprime.
 
@@ -152,7 +145,6 @@ def pairwise_coprime_T(m: int, cutoff: int = DEFAULT_CUTOFF) -> ProductValue:
     return euler_product(spec)
 
 
-@lru_cache(maxsize=None)
 def schur_constant(s: int, l: int, cutoff: int = DEFAULT_CUTOFF) -> ProductValue:
     """Limiting average of (phi_s(k)/k^s)^l.
 
@@ -168,7 +160,6 @@ def schur_constant(s: int, l: int, cutoff: int = DEFAULT_CUTOFF) -> ProductValue
     return euler_product(spec)
 
 
-@lru_cache(maxsize=None)
 def delta(cutoff: int = DEFAULT_CUTOFF) -> ProductValue:
     """Growth constant of the product-restricted totient-gcd double sum:
 
@@ -183,7 +174,6 @@ def delta(cutoff: int = DEFAULT_CUTOFF) -> ProductValue:
     return euler_product(spec)
 
 
-@lru_cache(maxsize=None)
 def delta_s(s: int, cutoff: int = DEFAULT_CUTOFF) -> ProductValue:
     """Order-s analogue of `delta` for the Jordan-totient double sums.
 
@@ -208,7 +198,6 @@ def delta_s(s: int, cutoff: int = DEFAULT_CUTOFF) -> ProductValue:
     return euler_product(spec)
 
 
-@lru_cache(maxsize=None)
 def delta_toth(cutoff: int = DEFAULT_CUTOFF) -> ProductValue:
     """Growth constant of the mean square of P(k)/k:
 
@@ -233,7 +222,6 @@ def _m_shifts(t: float, s: int):
     return ((t + s, -2), (2 * t, -1), (2 * t + s - 1, -2))
 
 
-@lru_cache(maxsize=None)
 def M_constant(t: float, s: int = 1, cutoff: int = DEFAULT_CUTOFF) -> ProductValue:
     """The convergent totient-gcd double series for t > 1:
 
@@ -260,7 +248,6 @@ def M_constant(t: float, s: int = 1, cutoff: int = DEFAULT_CUTOFF) -> ProductVal
     return ProductValue(pv.value * scale, pv.tail_bound * scale, cutoff)
 
 
-@lru_cache(maxsize=None)
 def m_product_forms(t: float, cutoff: int = DEFAULT_CUTOFF) -> tuple:
     """Both displayed product forms of M(t) (s = 1), each accelerated.
 
@@ -350,48 +337,42 @@ def _totient_gcd_terms(exponent: float, bound: int) -> np.ndarray:
 
 # --- finite partial-sum trends ---------------------------------------------
 
-def tauberian_trend(kind: str, n_grid, table=None):
+def tauberian_trend(kind: str, n_grid) -> list[float]:
     """Ratio-to-ln(N)^3 of the slowly divergent partial sums, per grid point.
 
     kind "corollary22": sum_{i j <= N} phi(i)phi(j) gcd(i,j)/(ij)^2,
-         target `delta`.
-    kind "toth":        same summand over lcm(i,j) <= N, target `delta_toth`.
-    kind "pillai_sq":   (1/N) sum_{k<=N} (P(k)/k)^2, target `delta_toth`.
+         which tends to `delta`.
+    kind "toth":        same summand over lcm(i,j) <= N, tends to `delta_toth`.
+    kind "pillai_sq":   (1/N) sum_{k<=N} (P(k)/k)^2, tends to `delta_toth`.
 
-    Returns (ratios, target) with ratios aligned to the ascending grid.
-    Convergence is O(1/ln N): only trend assertions are meaningful.
+    Returns the ratios aligned to the ascending grid; a caller compares them
+    with the Euler product it evaluates itself.  Convergence is O(1/ln N):
+    only trend assertions are meaningful.
 
     Each sum is the prefix sum of one float64 multiplicative function,
-    sieved window by window by `prime_power_windows` from the table's primes
-    and summed as each window passes (`_prefix_sums`), so a trend reads no
-    sieved table function and holds no array of N entries.
+    sieved window by window by `prime_power_windows` from the primes up to
+    the largest grid point and summed as each window passes (`_prefix_sums`),
+    so a trend reads no sieved table function and holds no array of N entries.
     """
     grid = sorted(int(x) for x in n_grid)
     if not grid or grid[0] < 10:
         raise ValueError("grid points must be >= 10")
-    top = grid[-1]
-    if table is None or table.n_max < top:
-        table = build_table(top)
-
-    if kind == "corollary22":
-        sums = _product_restricted_sums(table, grid)
-        target = delta().value
-    elif kind == "toth":
-        sums = _lcm_restricted_sums(table, grid)
-        target = delta_toth().value
-    elif kind == "pillai_sq":
-        sums = _pillai_mean_square(table, grid)
-        target = delta_toth().value
-    else:
+    sums = {"corollary22": partial(_mass_sums, _product_local_mass),
+            "toth": partial(_mass_sums, _lcm_local_mass),
+            "pillai_sq": _pillai_mean_square}.get(kind)
+    if sums is None:
         raise ValueError(f"unknown trend kind {kind!r}")
-    ratios = [s / math.log(n) ** 3 for n, s in zip(grid, sums)]
-    return ratios, target
+    return [s / math.log(n) ** 3 for n, s in zip(grid, sums(primes_up_to(grid[-1]), grid))]
 
 
 def _product_local_mass(p, a: int):
     """h(p^a) = sum_{al+be=a} phi(p^al) phi(p^be) p^min(al,be) / p^(2a).
 
-    p is a Python int (exact powers, one rounding per term) or a float array.
+    The `corollary22` summand w(i) w(j) gcd(i,j), w(i) = phi(i)/i^2, is
+    multiplicative in the pair, so its mass h(k) = sum_{i j = k} w(i) w(j)
+    gcd(i,j) is multiplicative in k, and the sum over i j <= N is its prefix
+    sum.  p is a Python int (exact powers, one rounding per term) or a float
+    array.
     """
     phi = [1] + [totient_local(1)(p, e) for e in range(1, a + 1)]
     total = 0.0
@@ -400,21 +381,12 @@ def _product_local_mass(p, a: int):
     return total
 
 
-def _product_restricted_sums(table, grid):
-    """sum_{i j <= N} w(i) w(j) gcd(i,j) with w(i) = phi(i)/i^2, per grid N.
-
-    The summand is multiplicative in the pair, so the mass
-    h(k) = sum_{i j = k} w(i) w(j) gcd(i,j) is multiplicative in k, with
-    `_product_local_mass` on prime powers, and the sum is its prefix sum.
-    """
-    return _prefix_sums(
-        prime_power_windows(grid[-1], table.primes, _product_local_mass, np.float64), grid)
-
-
 def _lcm_local_mass(p, a: int):
     """T(p^a) = sum_{max(al,be)=a} phi(p^al) phi(p^be) p^min(al,be) / p^(2(al+be)).
 
-    p is a Python int (exact powers, one rounding per term) or a float array.
+    The per-lcm mass of the same summand, multiplicative in L = lcm(i,j): the
+    `toth` sum over lcm(i,j) <= N is its prefix sum.  p is a Python int
+    (exact powers, one rounding per term) or a float array.
     """
     phi = [1] + [totient_local(1)(p, e) for e in range(1, a + 1)]
     total = 0.0
@@ -423,13 +395,12 @@ def _lcm_local_mass(p, a: int):
     return total
 
 
-def _lcm_restricted_sums(table, grid):
-    """Sum over lcm(i,j) <= N: prefix sums of the per-lcm mass, multiplicative in L."""
-    return _prefix_sums(
-        prime_power_windows(grid[-1], table.primes, _lcm_local_mass, np.float64), grid)
+def _mass_sums(local, primes, grid):
+    """sum_{k <= N} h(k) per grid N, h the float64 multiplicative mass with h(p^a) = local(p, a)."""
+    return _prefix_sums(prime_power_windows(grid[-1], primes, local, np.float64), grid)
 
 
-def _pillai_mean_square(table, grid):
+def _pillai_mean_square(primes, grid):
     """(1/N) sum_{k <= N} (P(k)/k)^2 for Pillai's P(k) = sum_{i<=k} gcd(i,k).
 
     P is sieved in float64 from P(p^e) = p^(e-1) ((e+1) p - e).  Every
@@ -438,7 +409,7 @@ def _pillai_mean_square(table, grid):
     place CHUNK entries at a time.
     """
     def squares():
-        for lo, w in prime_power_windows(grid[-1], table.primes, pillai_local(1), np.float64):
+        for lo, w in prime_power_windows(grid[-1], primes, pillai_local(1), np.float64):
             for a in range(max(lo, 1), lo + w.size, CHUNK):
                 k = np.arange(a, min(a + CHUNK, lo + w.size), dtype=np.float64)
                 w[a - lo : a - lo + k.size] /= k
@@ -465,30 +436,34 @@ def _prefix_sums(windows, grid):
 
 
 def all_constants(cutoff: int = DEFAULT_CUTOFF) -> dict:
-    """Named constants with error bars, for the CLI constants table."""
+    """Named constants with error bars, for the CLI constants table.
+
+    Each Euler product is evaluated once: `delta_1` is `delta`, and the
+    limit variances come from the Schur and M values above, by the formulas
+    of `limit_var_c` and `limit_var_d`.
+    """
     out = {}
+
+    def put(name, pv):
+        out[name] = {"value": pv.value, "tail_bound": pv.tail_bound}
+        return pv.value
+
     for t in (2, 3, 4):
         out[f"zeta({t})"] = {"value": zeta(t), "tail_bound": 1e-15}
     d = delta(cutoff)
-    out["delta"] = {"value": d.value, "tail_bound": d.tail_bound}
+    put("delta", d)
     for s in (1, 2, 3):
-        ds = delta_s(s, cutoff)
-        out[f"delta_{s}"] = {"value": ds.value, "tail_bound": ds.tail_bound}
-    dt = delta_toth(cutoff)
-    out["delta_toth"] = {"value": dt.value, "tail_bound": dt.tail_bound}
+        put(f"delta_{s}", d if s == 1 else delta_s(s, cutoff))
+    put("delta_toth", delta_toth(cutoff))
     for m in (2, 3, 4, 5):
-        tm = pairwise_coprime_T(m, cutoff)
-        out[f"T_{m}"] = {"value": tm.value, "tail_bound": tm.tail_bound}
-    for s in (1, 2, 3):
-        for l in (1, 2):
-            sc = schur_constant(s, l, cutoff)
-            out[f"S_{l}^({s})"] = {"value": sc.value, "tail_bound": sc.tail_bound}
-    for t in (1.5, 2.0, 3.0):
-        mv = M_constant(t, 1, cutoff)
-        out[f"M({t})"] = {"value": mv.value, "tail_bound": mv.tail_bound}
+        put(f"T_{m}", pairwise_coprime_T(m, cutoff))
+    schur = {(s, l): put(f"S_{l}^({s})", schur_constant(s, l, cutoff))
+             for s in (1, 2, 3) for l in (1, 2)}
+    m_values = {t: put(f"M({t})", M_constant(t, 1, cutoff)) for t in (1.5, 2.0, 3.0)}
     for r in (1, 2, 3):
-        out[f"limit_var_c({r})"] = {"value": limit_var_c(r, cutoff), "tail_bound": None}
+        out[f"limit_var_c({r})"] = {"value": schur[r, 2] - schur[r, 1] ** 2, "tail_bound": None}
     for r in (2, 3):
-        out[f"limit_var_d({r})"] = {"value": limit_var_d(r, cutoff), "tail_bound": None}
+        out[f"limit_var_d({r})"] = {"value": m_values[r] - (zeta(r) / zeta(r + 1)) ** 2,
+                                    "tail_bound": None}
     out["cutoff"] = cutoff
     return out

@@ -10,7 +10,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -69,11 +68,6 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
 
 
-@lru_cache(maxsize=32)
-def _shared_table(n: int):
-    return build_table(n)
-
-
 def _at(cfg, names=("m", "n")) -> str:
     """A check label's '(m=64, n=32768, R=2000)': the config's figures named
     in `names`, then R; a power of ten past 1e4 reads '1eK'."""
@@ -96,10 +90,10 @@ def suite_oracle() -> list[CheckResult]:
     out = []
     rs = (2, 3)
     qs = (1, 2)
+    tables = {n: build_table(n) for n in range(1, ORACLE_MAX_N + 1)}  # shared by both r
     for r in rs:
         fails = []
-        for n in range(1, ORACLE_MAX_N + 1):
-            table = _shared_table(n)
+        for n, table in tables.items():
             if not _oracle_one_n(table, n, r, qs, fails):
                 break
         out.append(
@@ -352,11 +346,12 @@ TREND_GRID = (1_000, 100_000, 1_000_000)
 
 def suite_trends() -> list[CheckResult]:
     out = []
-    table = _shared_table(TREND_GRID[-1])
+    toth = constants.delta_toth(CONSTANTS_CUTOFF).value
+    targets = {"corollary22": constants.delta(CONSTANTS_CUTOFF).value,
+               "toth": toth, "pillai_sq": toth}
     ratios = {}
-    for kind in ("corollary22", "toth", "pillai_sq"):
-        rs, target = constants.tauberian_trend(kind, TREND_GRID, table)
-        ratios[kind] = rs
+    for kind, target in targets.items():
+        rs = ratios[kind] = constants.tauberian_trend(kind, TREND_GRID)
         dists = [abs(v - target) for v in rs]
         decreasing = all(b < a for a, b in zip(dists, dists[1:]))
         out.append(CheckResult(
@@ -417,9 +412,8 @@ def suite_determinism() -> list[CheckResult]:
 
     # trend ratios and the strong-law trajectory carry no worker dimension;
     # their determinism contract is rerun stability
-    table = _shared_table(TREND_GRID[-1])
-    r1, _ = constants.tauberian_trend("pillai_sq", TREND_GRID, table)
-    r2, _ = constants.tauberian_trend("pillai_sq", TREND_GRID, table)
+    r1 = constants.tauberian_trend("pillai_sq", TREND_GRID)
+    r2 = constants.tauberian_trend("pillai_sq", TREND_GRID)
     out.append(CheckResult(
         "determinism: trend ratios byte-identical across reruns",
         repr(r1) == repr(r2), repr(r1),

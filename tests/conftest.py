@@ -18,6 +18,23 @@ def table_10k():
     return build_table(10_000)
 
 
+@pytest.fixture(scope="session")
+def table_1e6():
+    return build_table(1_000_000)
+
+
+@pytest.fixture
+def sieved_bounds(monkeypatch):
+    """The bounds the prime sieve runs for during the test, starting with no kept sieve."""
+    from gcdstats import arith
+
+    bounds = []
+    real = arith._eratosthenes
+    monkeypatch.setattr(arith, "_kept", (1, arith._eratosthenes(1)))
+    monkeypatch.setattr(arith, "_eratosthenes", lambda n: bounds.append(n) or real(n))
+    return bounds
+
+
 @pytest.fixture
 def sieve_calls(monkeypatch):
     """The table sieves run during the test, in order: 'mu', 'tau', 'spf', 'phi_<s>'."""

@@ -235,12 +235,55 @@ def test_divisors(table_100):
         assert all(k % d == 0 for d in ds)
 
 
-def test_build_table_validation():
+def test_primes_up_to_reads_prefixes_of_the_kept_sieve(sieved_bounds, monkeypatch):
+    # trial division, the plain reference
+    plain = [p for p in range(2, 2001) if all(p % d for d in range(2, isqrt(p) + 1))]
+    primes_up_to(2000)
+    for k in range(-1, 2001):
+        got = primes_up_to(k)
+        assert got.tolist() == [p for p in plain if p <= k], k
+        assert not got.flags.writeable
+    assert sieved_bounds == [2000]
+    with pytest.raises(ValueError):
+        primes_up_to(1000)[0] = 4
+    # at both sides of a kept bound: the bound itself is a view, one past it sieves
+    from gcdstats import arith
+
+    monkeypatch.setattr(arith, "_kept", (1000, arith._eratosthenes(1000)))
+    del sieved_bounds[:]
+    for k in (999, 1000, 1001, 1002):
+        assert primes_up_to(k).tolist() == [p for p in plain if p <= k], k
+    assert sieved_bounds == [1001, 1002]
+
+
+def test_no_module_keeps_a_functools_cache():
+    # the kept prime sieve is the one process-wide cache: a new memo cache
+    # needs a decision of its own, and an edit here
+    import importlib
+    import pkgutil
+
+    import gcdstats
+
+    caches = []
+    for info in pkgutil.iter_modules(gcdstats.__path__):
+        module = importlib.import_module(f"gcdstats.{info.name}")
+        for name, value in vars(module).items():
+            members = vars(value).items() if isinstance(value, type) else [(None, value)]
+            caches += [f"{info.name}.{name}" + (f".{attr}" if attr else "")
+                       for attr, member in members
+                       if callable(member) and hasattr(member, "cache_info")]
+    assert caches == []
+
+
+def test_build_table_validation(sieved_bounds):
     with pytest.raises(ValueError):
         build_table(0)
-    # the cap is checked before anything is sieved
+    # the cap is checked, by the prime sieve alone, before anything is sieved
     with pytest.raises(CapacityError):
         build_table(DEFAULT_MAX_N + 1)
+    with pytest.raises(CapacityError, match="table cap"):
+        primes_up_to(DEFAULT_MAX_N + 1)
+    assert sieved_bounds == []
 
 
 def test_high_order_totient_falls_back_to_big_ints():

@@ -191,15 +191,18 @@ def test_exact_mu_sieves_mu_only(sieve_calls, capsys):
     assert sieve_calls == ["mu"]
 
 
-def test_verify_trends_sieves_no_table_function(sieve_calls, monkeypatch, capsys):
-    from gcdstats import verify
-    from gcdstats.arith import build_table
-
-    monkeypatch.setattr(verify, "_shared_table", build_table)  # a fresh, unsieved table
+def test_verify_trends_sieves_no_table_function(sieve_calls, capsys):
     code, _ = run_cli(["verify", "--suite", "trends"], capsys)
     assert code == 0
-    # each trend sieves its own float64 mass from the table's primes
+    # each trend sieves its own float64 mass from the primes
     assert sieve_calls == []
+
+
+def test_exact_var_c_sieves_the_primes_once(sieved_bounds, capsys):
+    # the table's sieve to n serves the sieve to L = 2116 of `_summatory`
+    code, _ = run_cli(["exact", "--quantity", "varC", "--n", "100000", "--m", "50"], capsys)
+    assert code == 0
+    assert sieved_bounds == [100_000]
 
 
 def test_verify_workers_reach_only_the_suites_that_take_them(monkeypatch, capsys):
@@ -482,6 +485,13 @@ def test_simulate_frechet_window_beyond_table_cap(tmp_path, capsys):
     (["simulate", "--statistic", "C", "--m", "5", "--n", "10", "--reps", "-3"],
      "--reps", "-3"),
     (["simulate", "--statistic", "Z", "--m", "5", "--n", "10", "--q", "0"], "--q", "0"),
+    # no flag takes scientific notation, and each says so the same way
+    (["exact", "--quantity", "mu", "--n", "4e7"], "--n",
+     "must be a plain integer such as 40000000, got '4e7'"),
+    (["constants", "--cutoff", "1e13"], "--cutoff",
+     "must be a plain integer such as 10000000000000, got '1e13'"),
+    (["simulate", "--statistic", "C", "--m", "5", "--n", "1e9"], "--n",
+     "must be a plain integer such as 1000000000, 'm^2.5' or 'exp(m^0.3)', got '1e9'"),
 ])
 def test_usage_error_names_flag_and_value(argv, flag, value, capsys):
     text = _usage_error(argv, capsys)
@@ -531,13 +541,13 @@ def test_mu_of_one_variable_is_one_over_n(capsys):
 
 
 def test_constants_cutoff_above_sieve_cap_is_refused_before_sieving(monkeypatch, capsys):
-    from gcdstats import constants
+    from gcdstats import arith
     from gcdstats.arith import DEFAULT_MAX_N
 
     def no_sieve(n):
         raise AssertionError(f"sieved up to {n}")
 
-    monkeypatch.setattr(constants, "primes_up_to", no_sieve)
+    monkeypatch.setattr(arith, "_eratosthenes", no_sieve)
     text = _usage_error(["constants", "--cutoff", str(10**11)], capsys)
     assert str(10**11) in text and str(DEFAULT_MAX_N) in text
 
@@ -549,13 +559,12 @@ def test_constants_cutoff_above_sieve_cap_is_refused_before_sieving(monkeypatch,
     (["constants", "--cutoff", "40000000"], "--cutoff"),
 ])
 def test_table_cap_error_names_the_flag(argv, flag, monkeypatch, capsys):
-    from gcdstats import arith, constants
+    from gcdstats import arith
 
     def no_sieve(n, *args):
         raise AssertionError(f"sieved up to {n}")
 
-    monkeypatch.setattr(arith, "primes_up_to", no_sieve)
-    monkeypatch.setattr(constants, "primes_up_to", no_sieve)
+    monkeypatch.setattr(arith, "_eratosthenes", no_sieve)
     text = _usage_error(argv, capsys)
     assert text.rstrip().endswith(f"cap of {DEFAULT_MAX_N}: lower {flag}")
 
@@ -568,7 +577,7 @@ def test_exact_n_above_its_range_is_refused_before_sieving(quantity, monkeypatch
     def no_sieve(n, *args):
         raise AssertionError(f"sieved up to {n}")
 
-    for name in ("primes_up_to", "prime_power_sieve", "_spf_sieve"):
+    for name in ("_eratosthenes", "prime_power_sieve", "_spf_sieve"):
         monkeypatch.setattr(arith, name, no_sieve)
     argv = ["exact", "--quantity", quantity, "--m", "50", "--t", "3"]
     if quantity in cli._TABLE_FREE:

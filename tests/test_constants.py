@@ -267,10 +267,9 @@ def test_limit_var_d_routes_agree():
 
 def test_tauberian_trend_small_grid():
     grid = (100, 1000, 10_000)
-    cor, d_target = constants.tauberian_trend("corollary22", grid)
-    toth, dt_target = constants.tauberian_trend("toth", grid)
-    pil, _ = constants.tauberian_trend("pillai_sq", grid)
-    assert dt_target > d_target
+    cor = constants.tauberian_trend("corollary22", grid)
+    toth = constants.tauberian_trend("toth", grid)
+    pil = constants.tauberian_trend("pillai_sq", grid)
     assert all(t >= c for t, c in zip(toth, cor))  # lcm <= ij
     assert all(v > 0 for v in cor + toth + pil)
     with pytest.raises(ValueError):
@@ -281,14 +280,14 @@ def test_tauberian_trend_small_grid():
                                   (10, 2_000, 19_999, 20_000)])
 def test_trend_sums_are_the_plain_loops(grid, table_10k):
     table = table_10k if grid[-1] <= table_10k.n_max else build_table(grid[-1])
-    got = constants._product_restricted_sums(table, list(grid))
+    got = constants._mass_sums(constants._product_local_mass, table.primes, list(grid))
     want = _plain_product_restricted_sums(table, list(grid))
     assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
-    got = constants._lcm_restricted_sums(table, list(grid))
+    got = constants._mass_sums(constants._lcm_local_mass, table.primes, list(grid))
     want = _plain_lcm_restricted_sums(table, list(grid))
     assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
     # the same exact P(k), then the same float steps: bit-identical
-    got = constants._pillai_mean_square(table, list(grid))
+    got = constants._pillai_mean_square(table.primes, list(grid))
     assert repr(got) == repr(_plain_pillai_mean_square(table, list(grid)))
 
 
@@ -313,16 +312,16 @@ def test_trend_sums_from_windows_are_one_whole_cumsum():
 
     grid = [10, 1_000, 131_071, 262_143, 262_144, 262_145, 999_999, 1_000_000]
     table = build_table(grid[-1])
-    for sums, local in ((constants._product_restricted_sums, constants._product_local_mass),
-                        (constants._lcm_restricted_sums, constants._lcm_local_mass)):
+    for local in (constants._product_local_mass, constants._lcm_local_mass):
         prefix = np.cumsum(prime_power_sieve(grid[-1], table.primes, local, np.float64))
-        assert repr(sums(table, grid)) == repr([float(prefix[n]) for n in grid])
+        assert repr(constants._mass_sums(local, table.primes, grid)) == repr(
+            [float(prefix[n]) for n in grid])
     val = prime_power_sieve(grid[-1], table.primes, constants.pillai_local(1), np.float64)
     for lo in range(1, val.size, CHUNK):
         k = np.arange(lo, min(lo + CHUNK, val.size), dtype=np.float64)
         val[lo : lo + k.size] /= k
     prefix = np.cumsum(val * val)
-    assert repr(constants._pillai_mean_square(table, grid)) == repr(
+    assert repr(constants._pillai_mean_square(table.primes, grid)) == repr(
         [float(prefix[n]) / n for n in grid])
 
 
@@ -341,16 +340,46 @@ def test_corollary22_trend_holds_no_n_entry_array():
     assert peak <= 8 * WINDOW + 2 * 2**20
 
 
-def test_trends_suite_sieves_the_primes_to_its_grid_once():
-    # the table's primes and the targets' Euler products share the sieve to 1e6
-    from gcdstats import arith, verify
+def test_trends_suite_sieves_the_primes_to_its_grid_once(sieved_bounds):
+    # the trend sums and the targets' Euler products share the sieve to 1e6
+    from gcdstats import verify
 
-    for cached in (arith.primes_up_to, constants._prime_cache, constants.delta,
-                   constants.delta_toth, verify._shared_table):
-        cached.cache_clear()
     assert all(row.passed for row in verify.suite_trends())
-    info = arith.primes_up_to.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert sieved_bounds == [1_000_000]
+
+
+def test_four_suites_sieve_the_primes_to_1e6_once(sieved_bounds, monkeypatch):
+    # every smaller bound (the _summatory limits, the constants suite's 1e4 and
+    # 1e5, the strong law's tables) reads a prefix of a sieve already made;
+    # each suite evaluates each Euler product it reads once
+    from gcdstats import verify
+
+    products = []
+    real = constants.euler_product
+    monkeypatch.setattr(constants, "euler_product",
+                        lambda spec: products.append(spec) or real(spec))
+    counts = {}
+    for suite in (verify.suite_limits, verify.suite_constants, verify.suite_trends,
+                  verify.suite_stronglaw):
+        assert all(row.passed for row in suite())
+        counts[suite.__name__], products[:] = len(products), []
+    assert sieved_bounds == [10_000, 1_000_000]
+    assert counts == {"suite_limits": 0, "suite_constants": 9, "suite_trends": 2,
+                      "suite_stronglaw": 0}
+
+
+def test_all_constants_evaluates_each_euler_product_once(monkeypatch):
+    products = []
+    real = constants.euler_product
+    monkeypatch.setattr(constants, "euler_product",
+                        lambda spec: products.append(spec) or real(spec))
+    table = constants.all_constants(1000)
+    assert len(products) == 17
+    assert table["delta_1"] == table["delta"]
+    for r in (1, 2, 3):
+        assert table[f"limit_var_c({r})"]["value"] == constants.limit_var_c(r, 1000)
+    for r in (2, 3):
+        assert table[f"limit_var_d({r})"]["value"] == constants.limit_var_d(r, 1000)
 
 
 def test_trend_grid_above_the_table_cap_is_refused_before_sieving(monkeypatch):
@@ -359,7 +388,7 @@ def test_trend_grid_above_the_table_cap_is_refused_before_sieving(monkeypatch):
     def no_sieve(n, *args, **kwargs):
         raise AssertionError(f"sieved up to {n}")
 
-    monkeypatch.setattr(arith, "primes_up_to", no_sieve)
+    monkeypatch.setattr(arith, "_eratosthenes", no_sieve)
     for name in ("prime_power_sieve", "prime_power_windows"):
         monkeypatch.setattr(arith, name, no_sieve)
         monkeypatch.setattr(constants, name, no_sieve)
@@ -370,8 +399,5 @@ def test_trend_grid_above_the_table_cap_is_refused_before_sieving(monkeypatch):
 def test_pillai_mean_square_magnitude_at_1e6():
     # O(1/ln N) convergence leaves the ratio at 2.02x the constant here;
     # the band freezes the measured magnitude, not a precision claim
-    from gcdstats.verify import _shared_table
-
-    ratios, target = constants.tauberian_trend(
-        "pillai_sq", (1_000_000,), _shared_table(1_000_000))
-    assert 0.5 < ratios[0] / target < 2.1
+    ratios = constants.tauberian_trend("pillai_sq", (1_000_000,))
+    assert 0.5 < ratios[0] / constants.delta_toth().value < 2.1

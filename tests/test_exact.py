@@ -10,7 +10,6 @@ import pytest
 from gcdstats import brute, constants, exact
 from gcdstats.arith import DEFAULT_MAX_N, build_table
 from gcdstats.cli import main
-from gcdstats.verify import _shared_table
 
 
 def frac(res):
@@ -148,10 +147,9 @@ def test_summatory_is_the_plain_prefix_for_every_n_to_2000(table_10k, q, monkeyp
             assert exact._floor_power_sum(fast, n, r) == blockwise_floor_power_sum(prefix, n, r)
 
 
-def test_summatory_numerators_at_seeded_n_take_both_dtypes():
+def test_summatory_numerators_at_seeded_n_take_both_dtypes(table_1e6):
     # q up to 3 at n <= 1e6 and r up to 5 flip every int64/object choice:
     # the dense prefix, the points above L one by one, and the floor sums
-    table = _shared_table(1_000_000)
     rng = np.random.default_rng(1013)
     cases = [(n, q) for n in [10**6, *rng.integers(10**5, 10**6, 2).tolist()]
              for q in (None, 1, 2, 3)]
@@ -161,7 +159,7 @@ def test_summatory_numerators_at_seeded_n_take_both_dtypes():
     tables = {None: build_table(10**7), 7: build_table(20_000)}
     dtypes = set()
     for n, q in cases:
-        source = table if n <= 10**6 and q != 7 else tables[q]
+        source = table_1e6 if n <= 10**6 and q != 7 else tables[q]
         g = source.mobius if q is None else source.totient(q)
         fast, slow = exact._summatory(n, q), exact._exact_prefix(g, n)
         dtypes.update((fast.dense.dtype, fast.high.dtype))
@@ -390,15 +388,13 @@ def test_var_c_example(table_100):
     assert frac(exact.var_c(table_100, 2, 1)) == Fraction(1, 16)
 
 
-def test_var_c_limit():
-    table = _shared_table(1_000_000)
-    c1 = exact.var_c(table, 1_000_000, 1).float_value
+def test_var_c_limit(table_1e6):
+    c1 = exact.var_c(table_1e6, 1_000_000, 1).float_value
     assert abs(c1 - constants.limit_var_c(1)) < 1e-3
 
 
-def test_var_d_limit():
-    table = _shared_table(1_000_000)
-    d2 = exact.var_d(table, 100_000, 2).float_value
+def test_var_d_limit(table_1e6):
+    d2 = exact.var_d(table_1e6, 100_000, 2).float_value
     assert abs(d2 - constants.limit_var_d(2)) < 1e-2
 
 
@@ -617,17 +613,15 @@ def test_omega_from_pi_matches_shared_covariance(table_100):
             assert lhs == rhs
 
 
-def test_pi_log_cubed_trend():
-    table = _shared_table(1_000_000)
+def test_pi_log_cubed_trend(table_1e6):
     toth = constants.delta_toth().value
-    near = exact.mixed_moment_pi(table, 10_000, 2, 1).float_value / math.log(10_000) ** 3
-    far = exact.mixed_moment_pi(table, 100, 2, 1).float_value / math.log(100) ** 3
+    near = exact.mixed_moment_pi(table_1e6, 10_000, 2, 1).float_value / math.log(10_000) ** 3
+    far = exact.mixed_moment_pi(table_1e6, 100, 2, 1).float_value / math.log(100) ** 3
     assert abs(near - toth) < abs(far - toth)
 
 
-def test_omega_r3_near_limit():
-    table = _shared_table(1_000_000)
-    omega = exact.mixed_moment_omega(table, 10_000, 3, 1).float_value
+def test_omega_r3_near_limit(table_1e6):
+    omega = exact.mixed_moment_omega(table_1e6, 10_000, 3, 1).float_value
     assert abs(omega - constants.limit_var_d(2)) < 1e-2
 
 
