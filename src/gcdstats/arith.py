@@ -8,10 +8,10 @@ sieved never changes.  All downstream formulas read from it, and every
 prime comes from one kept sieve, `primes_up_to`.
 
 Every multiplicative function comes from one windowed sieve over its
-prime-power values, `prime_power_windows`: a caller that reads f once in
-order (the trend sums) takes it window by window, and `prime_power_sieve`
-writes the windows into one table.  The prime-power values of mu, tau,
-phi_s and P_s are written once, here.
+prime-power values, `prime_power_windows`: `prefix_sums_at` sums the windows
+with a carry (the trend sums, the Mertens and Jordan sums of the exact
+layer), and `prime_power_sieve` writes them into one table.  The
+prime-power values of mu, tau, phi_s and P_s are written once, here.
 Two dual sweeps run prime by prime: `sum_over_multiples` serves the dense
 C/Z route (an (n+1, B) count matrix) and the totient-gcd series (a 1-D
 array), and `sum_over_divisors` the divisor-sum profiles of the exact layer.
@@ -279,6 +279,26 @@ def prime_power_sieve(n: int, primes: np.ndarray, local, dtype) -> np.ndarray:
     return f
 
 
+def prefix_sums_at(windows, points, dtype) -> np.ndarray:
+    """sum_{k <= x} f(k) at each x of the ascending `points`, as `dtype` (float64,
+    int64 where the caller proves the sums fit, or object), from the (lo, w)
+    windows of f over 0..max(points).  The running total is added into each
+    window's first entry before its cumsum, so every sum is the one a single
+    cumsum of all of f gives, bit for bit.  A window of `dtype` is summed in
+    place, any other as a cast copy; nothing else is written.
+    """
+    points = np.asarray(points, dtype=np.int64)
+    out, carry = np.zeros(points.size, dtype=dtype), 0
+    for lo, w in windows:
+        w = w.astype(dtype, copy=False)
+        w[0] += carry
+        np.cumsum(w, out=w)
+        a, b = np.searchsorted(points, (lo, lo + w.size))
+        out[a:b] = w[points[a:b] - lo]
+        carry = w[-1]
+    return out
+
+
 def sum_over_multiples(a: np.ndarray, primes) -> None:
     """In place, a[d] becomes sum_{d | k <= n} a[k], n = a.shape[0] - 1.
 
@@ -326,9 +346,9 @@ def sum_over_divisors(a: np.ndarray, primes: np.ndarray) -> None:
         i += 1
 
 
-def totient_fits_int64(n: int, s: int) -> bool:
-    """Whether phi_s(k) <= n^s fits int64 for every k <= n (no big power for s >= 64)."""
-    return n < 2 or (s < 64 and n**s <= _INT64_MAX)
+def totient_dtype(n: int, s: int):
+    """int64 when every phi_s(k) <= n^s, k <= n, fits it (no big power for s >= 64), else object."""
+    return np.int64 if n < 2 or (s < 64 and n**s <= _INT64_MAX) else object
 
 
 @dataclass
@@ -369,9 +389,8 @@ class ArithTable:
         if vals is None:
             if s < 1:
                 raise ValueError(f"totient order must be >= 1, got {s}")
-            dtype = np.int64 if totient_fits_int64(self.n_max, s) else object
-            vals = self.totient_s[s] = prime_power_sieve(self.n_max, self.primes,
-                                                         totient_local(s), dtype)
+            vals = self.totient_s[s] = prime_power_sieve(
+                self.n_max, self.primes, totient_local(s), totient_dtype(self.n_max, s))
         return vals
 
     def factorize(self, k: int) -> list[tuple[int, int]]:

@@ -144,10 +144,9 @@ def cmd_exact(args) -> int:
     quantity = args.quantity
     if n < 1:
         raise ValueError(f"--n must be >= 1, got {n}")
-    # mu and nu are expectations over r + 1 variables, so r = 0 is valid
-    # and the library's own check would report r + 1
-    if quantity in ("mu", "nu") and r < 0:
-        raise ValueError(f"--r must be >= 0 for quantity {quantity}, got {r}")
+    least = {"mu": 0, "nu": 0, "varC": 2, "varZ": 2, "pi": 2}.get(quantity, 1)
+    if r < least and quantity != "tail":  # mu and nu take r + 1 variables; tail reads no r
+        raise ValueError(f"--r must be >= {least} for quantity {quantity}, got {r}")
     if quantity == "tail" and not 0 <= args.t <= n:
         raise ValueError(f"--t must lie in 0..{n} for quantity tail, got {args.t}")
     if quantity not in _TABLE_FREE:
@@ -230,15 +229,22 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"--out directory {folder!r} does not exist")
     statistic = args.statistic
     n = parse_n_rule(args.n, args.m)
+    if args.r < 2 or args.m < args.r:
+        raise ValueError(f"--r must be >= 2 and --m at least --r, got --r {args.r}, --m {args.m}")
     config = montecarlo.SampleConfig(
         m=args.m, n=n, r=args.r, q=args.q,
         replicates=args.reps, master_seed=args.seed,
     )
-    if statistic == "N" and not 0 < args.t < math.inf:
-        raise ValueError(f"--t must be positive and finite for N, got {args.t}")
+    finite = 0 < args.t < math.inf and 1 / (args.t * constants.zeta(2)) < math.inf
+    if statistic == "N" and not finite:
+        raise ValueError(f"--t and 1/(t zeta(2)) must be positive and finite for N, got {args.t}")
 
     with _float_range(statistic):
-        rec = montecarlo.run_replicates(config, statistic, t=args.t, workers=args.workers)
+        try:
+            rec = montecarlo.run_replicates(config, statistic, t=args.t, workers=args.workers)
+        except MemoryError:
+            raise ValueError(f"--reps {args.reps} samples of --m {args.m} values "
+                             "do not fit in memory") from None
         if args.format == "csv" and not args.out:
             rec.write_csv(sys.stdout)
         else:

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .arith import (CHUNK, pillai_local, prime_power_sieve, prime_power_windows,
+from .arith import (CHUNK, pillai_local, prefix_sums_at, prime_power_sieve, prime_power_windows,
                     primes_up_to, sum_over_multiples, totient_local)
 
 DEFAULT_CUTOFF = 1_000_000
@@ -351,7 +351,7 @@ def tauberian_trend(kind: str, n_grid) -> list[float]:
 
     Each sum is the prefix sum of one float64 multiplicative function,
     sieved window by window by `prime_power_windows` from the primes up to
-    the largest grid point and summed as each window passes (`_prefix_sums`),
+    the largest grid point and summed as each window passes (`prefix_sums_at`),
     so a trend reads no sieved table function and holds no array of N entries.
     """
     grid = sorted(int(x) for x in n_grid)
@@ -397,7 +397,8 @@ def _lcm_local_mass(p, a: int):
 
 def _mass_sums(local, primes, grid):
     """sum_{k <= N} h(k) per grid N, h the float64 multiplicative mass with h(p^a) = local(p, a)."""
-    return _prefix_sums(prime_power_windows(grid[-1], primes, local, np.float64), grid)
+    return prefix_sums_at(prime_power_windows(grid[-1], primes, local, np.float64), grid,
+                          np.float64).tolist()
 
 
 def _pillai_mean_square(primes, grid):
@@ -416,23 +417,7 @@ def _pillai_mean_square(primes, grid):
             w *= w
             yield lo, w
 
-    return [s / n for n, s in zip(grid, _prefix_sums(squares(), grid))]
-
-
-def _prefix_sums(windows, grid):
-    """sum_{k <= N} f(k) per ascending grid N, from the (lo, w) windows of f.
-
-    The running total is added into each window's first entry before its
-    cumsum, so every partial sum is the one a single cumsum of all of f
-    gives, bit for bit.
-    """
-    sums, carry = [], 0.0
-    for lo, w in windows:
-        w[0] += carry
-        np.cumsum(w, out=w)
-        sums += [float(w[n - lo]) for n in grid[len(sums):] if n < lo + w.size]
-        carry = w[-1]
-    return sums
+    return [s / n for n, s in zip(grid, prefix_sums_at(squares(), grid, np.float64).tolist())]
 
 
 def all_constants(cutoff: int = DEFAULT_CUTOFF) -> dict:

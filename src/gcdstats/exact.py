@@ -11,13 +11,13 @@ exact rationals: an integer numerator over a structural power of n.
 One numpy kernel (`_floor_power_sums`) evaluates such a floor sum against
 exact prefix sums for a whole array of upper limits v at once, each by
 Dirichlet's hyperbola split into O(sqrt v) blocks of constant floor(v/j).
-It reads the prefix sums only at the floor points of n, from one
-floor-indexed form (`_FloorPrefix`).  For g = mu or phi_q, `_summatory`
-fills that form without an n-entry table: a sieve to about n^(2/3) and
-the recursion sum_{d<=x} G(x // d) = sum_{j<=x} (g * 1)(j) at the
-O(n^(1/3)) points above it.  So the first moments (mean_mu, mean_nu,
-gcd_moment) and the gcd pmf and tail take no table and cost about
-O(n^(2/3)), up to n = TABLE_FREE_MAX_N (about 1.6e11).
+It reads the prefix sums only at the O(sqrt n) floor points of n, from
+one floor-indexed form (`_FloorPrefix`).  For g = mu or phi_q, `_summatory`
+fills it with no table: g sieved to about n^(2/3) window by window and
+summed as it passes, then sum_{d<=x} G(x // d) = sum_{j<=x} (g * 1)(j) at
+the O(n^(1/3)) points above.  So the first moments (mean_mu, mean_nu,
+gcd_moment) and the gcd pmf and tail cost about O(n^(2/3)) time and
+O(sqrt n) memory, up to n = TABLE_FREE_MAX_N (about 1.6e11).
 
 Whole profiles over k = 1..n are divisor sums h(k) = sum_{j|k} w(j),
 which `arith.sum_over_divisors` takes in place, prime by prime, in about
@@ -40,7 +40,9 @@ from math import comb, isqrt, log10
 
 import numpy as np
 
-from .arith import DEFAULT_MAX_N, ArithTable, build_table, pillai, sum_over_divisors
+from .arith import (DEFAULT_MAX_N, ArithTable, mobius_local, pillai, prefix_sums_at,
+                    prime_power_windows, primes_up_to, sum_over_divisors, totient_dtype,
+                    totient_local)
 
 _INT64_SAFE = 2**62
 
@@ -79,39 +81,21 @@ class ExactResult:
 
     def record(self, quantity: str, **params) -> dict:
         """JSON-ready record with the standard field layout."""
-        rec = {"quantity": quantity}
-        rec.update(params)
-        rec["value"] = self.float_value
-        rec["exact"] = True
-        rec["numerator"] = str(self.numerator)
-        rec["denom_base"] = self.denom_base
-        rec["denom_power"] = self.denom_power
-        return rec
+        return {"quantity": quantity, **params, "value": self.float_value, "exact": True,
+                "numerator": str(self.numerator), "denom_base": self.denom_base,
+                "denom_power": self.denom_power}
 
 
 # --- prefix sums at the floor points ---------------------------------------
-
-def _cumsum(head: np.ndarray, bound: int) -> np.ndarray:
-    """Exact prefix sums of head: int64 when bound >= every |partial sum|
-    is below 2^62, else Python ints in an object array.
-
-    The int64 sums are taken in place: np.cumsum(head, dtype=np.int64)
-    would hold a cast copy of head beside them.
-    """
-    if head.dtype != object and bound < _INT64_SAFE:
-        sums = head.astype(np.int64)
-        return np.cumsum(sums, out=sums)
-    return np.cumsum(head.astype(object))
-
 
 @dataclass(frozen=True)
 class _FloorPrefix:
     """G(x) = sum_{j <= x} g(j) at every point a floor sum for n reads.
 
-    dense[x] = G(x) for x = 0..L, and high[k] = G(n // k) for the points
-    above L, k = 1..n // (L+1) (high[0] is unused).  A floor sum for n reads
-    G only at x <= sqrt(n) <= L and at x = n // k, and n // x is then the
-    slot of x in high.  peak bounds |g(j)| for j <= n.
+    dense[x] = G(x) for x = 0..R, R = isqrt(n), and high[k] = G(n // k)
+    for k = 1..n // (R+1) (high[0] is unused).  A floor sum for n reads G
+    only at x <= R and at x = n // k, and n // x is then the slot of x in
+    high.  peak bounds |g(j)| for j <= n.
     """
 
     n: int
@@ -120,33 +104,30 @@ class _FloorPrefix:
     peak: int
 
     def at(self, x: np.ndarray) -> np.ndarray:
-        """G at the int64 points x, each at most L or of the form n // k."""
+        """G at the int64 points x, each at most isqrt(n) or of the form n // k."""
         above = x >= self.dense.size
-        out = self.dense[np.where(above, 0, x)]
-        if self.high.dtype == object:
-            out = out.astype(object)
+        out = self.dense[np.where(above, 0, x)].astype(self.high.dtype, copy=False)
         out[above] = self.high[self.n // x[above]]
         return out
 
 
 def _exact_prefix(g: np.ndarray, n: int) -> _FloorPrefix:
-    """The floor-indexed prefix of an integer array g over 0..n, with L = isqrt(n).
+    """The floor-indexed prefix of an integer array g over 0..n, by one plain cumsum.
 
     The n-entry prefix sums are int64 when (n+1) peak < 2^62 proves they
     fit, peak = max |g(j)|, j <= n; only their O(sqrt n) floor points are kept.
     """
     head = g[: n + 1]
     peak = int(np.abs(head).max()) if head.size else 0
-    sums = _cumsum(head, (n + 1) * peak)
+    fits = head.dtype != object and (n + 1) * peak < _INT64_SAFE
+    sums = np.cumsum(head, dtype=np.int64 if fits else object)
     return _at_floor_points(sums.__getitem__, n, peak)
 
 
 def _at_floor_points(prefix, n: int, peak: int) -> _FloorPrefix:
-    """The `_FloorPrefix` with L = isqrt(n) of G = prefix, a function of an
-    int64 array of points."""
+    """The `_FloorPrefix` of G = prefix, a function of an int64 array of points."""
     root = isqrt(n)
-    slots = np.arange(n // (root + 1) + 1)
-    slots[0] = 1
+    slots = np.arange(n // (root + 1) + 1).clip(1)  # high[0] is unused
     return _FloorPrefix(n, prefix(np.arange(root + 1)), prefix(n // slots), peak)
 
 
@@ -181,30 +162,29 @@ def _power_sums(x, q: int):
 
 
 def _summatory(n: int, q: int | None) -> _FloorPrefix:
-    """The floor-indexed prefix of g = mu (q None) or phi_q for n, with no n-entry table.
+    """The floor-indexed prefix of g = mu (q None) or phi_q for n, with no table.
 
-    A table to L = `_sieve_limit(n)` gives G(0..L) by a cumsum.  Above L,
-    g * 1 = t (the delta at 1 for mu, j^q for phi_q) gives the recursion of
-    Deleglise and Rivat,
+    g is sieved to L = `_sieve_limit(n)` window by window and summed with a
+    carry (`arith.prefix_sums_at`), and G is kept only at the floor points
+    of n up to L.  Above L, g * 1 = t (the delta at 1 for mu, j^q for
+    phi_q) gives the recursion of Deleglise and Rivat,
 
         G(x) = T(x) - sum_{2 <= d <= x} G(x // d),   T(x) = sum_{j <= x} t(j),
 
     with T = 1 for mu and Faulhaber's sum for phi_q.  With K = isqrt(x), the
     d <= x // (K+1) are taken one by one and the others through the count
     x // t - x // (t+1) of d with x // d = t, t = 1..K.  The points x = n // k
-    go in ascending x (descending k), so x // d = n // (k d) is below L or
-    is high[k d], already filled: one numpy pass over O(sqrt x) entries for
-    each of the O(n^(1/3)) points.  |G(y)| <= peak y for peak = max |g(j)|,
-    j <= x (1 for mu, x^q for phi_q), so every sum at x is below
-    peak x (1 + bitlen(x)); a point is summed in int64 where that fits, else
-    in Python ints.
+    go in ascending x (descending k), so x // d = n // (k d) is high[k d],
+    already filled, or at most isqrt(n) in dense: one numpy pass over
+    O(sqrt x) entries for each of the O(n^(1/3)) points.  |G(y)| <= peak y
+    for peak = max |g(j)|, j <= x (1 for mu, x^q for phi_q), so every sum
+    at x is below peak x (1 + bitlen(x)), and those to L below (L+1) peak:
+    each is summed in int64 where its bound fits, else in Python ints.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    top = _sieve_limit(n)
-    table = build_table(top)
-    g = table.mobius if q is None else table.totient(q)
-    dense = _cumsum(g, (top + 1) * (1 if q is None else top**q))
+    top, root = _sieve_limit(n), isqrt(n)
+    mid, last = n // (root + 1), n // (top + 1)
 
     def peak(x):
         return 1 if q is None else x**q
@@ -212,17 +192,24 @@ def _summatory(n: int, q: int | None) -> _FloorPrefix:
     def fits(x):
         return peak(x) * x * (x.bit_length() + 1) < _INT64_SAFE
 
-    last = n // (top + 1)
-    high = np.zeros(last + 1, dtype=np.int64 if fits(n) else object)
+    local = mobius_local if q is None else totient_local(q)
+    dtype = np.int8 if q is None else totient_dtype(top, q)
+    # 0..isqrt(n), then n // k for k = mid .. last+1: the floor points up to L
+    points = np.concatenate((np.arange(root + 1), n // np.arange(mid, last, -1)))
+    sums = prefix_sums_at(prime_power_windows(top, primes_up_to(top), local, dtype), points,
+                          np.int64 if (top + 1) * peak(top) < _INT64_SAFE else object)
+    dense = sums[: root + 1]
+    high = np.zeros(mid + 1, dtype=np.int64 if fits(n) else object)
+    high[last + 1 :] = sums[:root:-1]
     for k in range(last, 0, -1):
         x = n // k
-        root = isqrt(x)
-        single = x // (root + 1)
-        inner = min(single, last // k)
+        x_root = isqrt(x)
+        single = x // (x_root + 1)
+        inner = min(single, mid // k)
         below = dense[x // np.arange(inner + 1, single + 1)]
-        quot = x // np.arange(1, root + 2)
+        quot = x // np.arange(1, x_root + 2)
         runs = quot[:-1] - quot[1:]
-        head = dense[1 : root + 1]
+        head = dense[1 : x_root + 1]
         if not fits(x):
             below, runs, head = below.astype(object), runs.astype(object), head.astype(object)
         rest = int(high[2 * k : inner * k + 1 : k].sum()) + int(below.sum()) + int(head @ runs)

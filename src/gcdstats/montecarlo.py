@@ -844,7 +844,10 @@ def _raws_in_range(config: SampleConfig, statistic: str, table, threshold: float
     """
     per_block = max(1, _BLOCK_ELEMENTS // config.m)
     cut = _pair_cut(threshold)
-    raws = np.empty(stop - start, dtype=_raw_dtype(config, statistic))
+    try:
+        raws = np.empty(stop - start, dtype=_raw_dtype(config, statistic))
+    except ValueError:  # numpy's size check: more bytes than an address space holds
+        raise MemoryError(f"{stop - start} replicates exceed the address space") from None
     for lo in range(start, stop, per_block):
         hi = min(lo + per_block, stop)
         xs = _draw_block(config, lo, hi)

@@ -24,10 +24,10 @@ class ReferenceLaw:
     def __post_init__(self):
         if self.kind not in ("standard-normal", "frechet", "poisson"):
             raise ValueError(f"unknown law kind {self.kind!r}")
-        if self.kind == "frechet" and self.scale <= 0:
-            raise ValueError("frechet scale must be positive")
-        if self.kind == "poisson" and self.lam <= 0:
-            raise ValueError("poisson rate must be positive")
+        if self.kind == "frechet" and not 0 < self.scale < math.inf:
+            raise ValueError(f"frechet scale must be positive and finite, got {self.scale}")
+        if self.kind == "poisson" and not 0 < self.lam < math.inf:
+            raise ValueError(f"poisson rate must be positive and finite, got {self.lam}")
 
     @staticmethod
     def normal() -> "ReferenceLaw":

@@ -37,25 +37,29 @@ def sieved_bounds(monkeypatch):
 
 @pytest.fixture
 def sieve_calls(monkeypatch):
-    """The table sieves run during the test, in order: 'mu', 'tau', 'spf', 'phi_<s>'."""
-    from gcdstats import arith
+    """The table-function sieves run during the test, in order, as (name, bound):
+    name 'mu', 'tau', 'spf' or 'phi_<s>', sieved whole into a table or window by
+    window (`exact._summatory`)."""
+    from gcdstats import arith, exact
 
     calls = []
-    real_sieve, real_spf = arith.prime_power_sieve, arith._spf_sieve
+    real_windows, real_spf = arith.prime_power_windows, arith._spf_sieve
 
-    def sieve(n, primes, local, dtype):
+    def windows(n, primes, local, dtype, out=None):
         if local is arith.mobius_local:
-            calls.append("mu")
+            calls.append(("mu", n))
         elif local is arith.tau_local:
-            calls.append("tau")
+            calls.append(("tau", n))
         else:  # totient_local(s), read off phi_s(2) = 2^s - 1
-            calls.append(f"phi_{(local(2, 1) + 1).bit_length() - 1}")
-        return real_sieve(n, primes, local, dtype)
+            calls.append((f"phi_{(local(2, 1) + 1).bit_length() - 1}", n))
+        return real_windows(n, primes, local, dtype, out)
 
     def spf(n, primes):
-        calls.append("spf")
+        calls.append(("spf", n))
         return real_spf(n, primes)
 
-    monkeypatch.setattr(arith, "prime_power_sieve", sieve)
+    # `prime_power_sieve` takes its windows from the arith module's name
+    for module in (arith, exact):
+        monkeypatch.setattr(module, "prime_power_windows", windows)
     monkeypatch.setattr(arith, "_spf_sieve", spf)
     return calls

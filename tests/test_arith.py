@@ -16,6 +16,7 @@ from gcdstats.arith import (
     mobius_local,
     pillai,
     pillai_local,
+    prefix_sums_at,
     prime_power_sieve,
     prime_power_windows,
     primes_up_to,
@@ -221,7 +222,7 @@ def test_pillai_and_divisors_sieve_only_spf(sieve_calls):
     table = build_table(1000)
     assert pillai(table, 2, 360) == naive_pillai(360, 2)
     assert divisors(table, 840) == [d for d in range(1, 841) if 840 % d == 0]
-    assert sieve_calls == ["spf"]
+    assert sieve_calls == [("spf", 1000)]
 
 
 def test_divisors(table_100):
@@ -373,6 +374,30 @@ def test_prime_power_windows_are_width_independent(n, width, chunk, monkeypatch)
         assert los == list(range(0, n + 1, width)) and windows == want.tolist(), dtype
 
 
+@pytest.mark.parametrize("width", [1000, 5001])
+def test_prefix_sums_at_are_one_whole_cumsum(width, monkeypatch):
+    from gcdstats import arith
+
+    monkeypatch.setattr(arith, "WINDOW", width)
+    n = 5000
+    primes = primes_up_to(n)
+    points = np.array([0, 1, 2, 999, 1000, 1000, 1001, 2500, 4999, 5000])
+    cases = ((mobius_local, np.int8, np.int64), (totient_local(1), np.int64, np.int64),
+             (totient_local(7), object, object), (totient_local(2), np.int64, object),
+             (pillai_local(1), np.float64, np.float64), (_lcm_local_mass, np.float64, np.float64))
+    for local, dtype, sums in cases:
+        f = prime_power_sieve(n, primes, local, dtype)
+        got = prefix_sums_at(prime_power_windows(n, primes, local, dtype), points, sums)
+        want = np.cumsum(f.astype(sums))[points]
+        # bit for bit in float64: the carry makes the sums one cumsum's
+        assert got.dtype == sums and repr(got.tolist()) == repr(want.tolist()), (dtype, sums)
+        if dtype != object:  # a table's windows of another dtype are summed as cast copies
+            kept = f.copy()
+            windows = ((lo, f[lo : lo + 700]) for lo in range(0, n + 1, 700))
+            assert prefix_sums_at(windows, points, object).tolist() == want.tolist()
+            assert f.tolist() == kept.tolist()
+
+
 def test_prime_power_sieve_holds_one_chunk_beside_its_output():
     n = 10**6
     primes = primes_up_to(n)
@@ -439,9 +464,10 @@ def test_table_sieves_each_function_on_first_read_only(sieve_calls):
     table = build_table(1000)
     assert sieve_calls == []  # only the primes
     mu = table.mobius
-    assert table.mobius is mu and sieve_calls == ["mu"]
+    assert table.mobius is mu and sieve_calls == [("mu", 1000)]
     table.tau, table.tau, table.smallest_prime_factor, table.smallest_prime_factor
     table.totient(2), table.totient(2)
-    assert sieve_calls == ["mu", "tau", "spf", "phi_2"]
+    want = [("mu", 1000), ("tau", 1000), ("spf", 1000), ("phi_2", 1000)]
+    assert sieve_calls == want
     assert table.factorize(360) == [(2, 3), (3, 2), (5, 1)]
-    assert sieve_calls == ["mu", "tau", "spf", "phi_2"]
+    assert sieve_calls == want

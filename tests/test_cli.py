@@ -188,7 +188,8 @@ def test_every_json_output_is_the_plain_json_dump(argv, tmp_path, monkeypatch, c
 def test_exact_mu_sieves_mu_only(sieve_calls, capsys):
     code, _ = run_cli(["exact", "--quantity", "mu", "--n", "1000", "--r", "1"], capsys)
     assert code == 0
-    assert sieve_calls == ["mu"]
+    # mu to L = n^(2/3) = 100, window by window
+    assert sieve_calls == [("mu", 100)]
 
 
 def test_verify_trends_sieves_no_table_function(sieve_calls, capsys):
@@ -443,6 +444,33 @@ def test_simulate_N_threshold_scale_must_be_positive(t, capsys):
                   "--reps", "5", "--t", t], capsys)
 
 
+def test_simulate_N_rate_past_the_float_range_is_a_usage_error(capsys):
+    # the limit law's rate 1/(t zeta(2)) overflows a float at t = 1e-320
+    argv = ["simulate", "--statistic", "N", "--m", "8", "--n", "100", "--reps", "5"]
+    assert "--t" in _usage_error(argv + ["--t", "1e-320"], capsys)
+    code, text = run_cli(argv + ["--t", "1e-300"], capsys)
+
+    def no_constant(name):
+        raise AssertionError(f"{name} is not RFC 8259 JSON")
+
+    payload = json.loads(text, parse_constant=no_constant)
+    assert code == 0 and math.isclose(payload["law"]["lam"], 1 / (1e-300 * math.pi**2 / 6))
+
+
+def test_replicates_past_memory_are_a_usage_error(monkeypatch, capsys):
+    from gcdstats import montecarlo
+
+    argv = ["simulate", "--statistic", "M", "--m", "8", "--n", "100", "--reps"]
+    # 2^62 int64 values fail numpy's size check, which allocates nothing
+    assert "--reps 4611686018427387904" in _usage_error(argv + [str(2**62)], capsys)
+
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+    monkeypatch.setattr(montecarlo, "_raws_in_range", no_memory)
+    assert "--reps 1000000000000000" in _usage_error(argv + [str(10**15)], capsys)
+
+
 def test_simulate_negative_seed_is_usage_error(capsys):
     _usage_error(["simulate", "--statistic", "C", "--m", "8", "--n", "30",
                   "--reps", "2", "--seed", "-1"], capsys)
@@ -492,6 +520,11 @@ def test_simulate_frechet_window_beyond_table_cap(tmp_path, capsys):
      "must be a plain integer such as 10000000000000, got '1e13'"),
     (["simulate", "--statistic", "C", "--m", "5", "--n", "1e9"], "--n",
      "must be a plain integer such as 1000000000, 'm^2.5' or 'exp(m^0.3)', got '1e9'"),
+    # the ranges of r and m, checked before the library's own messages
+    (["simulate", "--statistic", "Z", "--m", "5", "--n", "10", "--r", "1"], "--r", "--r 1"),
+    (["simulate", "--statistic", "C", "--m", "1", "--n", "10"], "--m", "--m 1"),
+    (["exact", "--quantity", "c", "--n", "10", "--r", "0"], "--r", "got 0"),
+    (["exact", "--quantity", "pi", "--n", "10", "--r", "1"], "--r", "got 1"),
 ])
 def test_usage_error_names_flag_and_value(argv, flag, value, capsys):
     text = _usage_error(argv, capsys)

@@ -1,6 +1,6 @@
-import functools
 import itertools
 import math
+import tracemalloc
 from math import isqrt
 from fractions import Fraction
 
@@ -133,9 +133,7 @@ def floor_points(n):
 
 
 @pytest.mark.parametrize("q", [None, 1, 2, 3])
-def test_summatory_is_the_plain_prefix_for_every_n_to_2000(table_10k, q, monkeypatch):
-    # the n share few sieve limits; a table is built once per limit
-    monkeypatch.setattr(exact, "build_table", functools.lru_cache(exact.build_table))
+def test_summatory_is_the_plain_prefix_for_every_n_to_2000(table_10k, q):
     g = table_10k.mobius if q is None else table_10k.totient(q)
     plain = np.cumsum(g[:2001].astype(object))
     for n in range(1, 2001):
@@ -188,6 +186,21 @@ def test_mertens_at_powers_of_ten_and_phi_1_at_1e10():
     assert 2 * int(phi.at(np.array([n]))[0]) - 1 == exact._floor_power_sum(mertens, n, 2)
 
 
+@pytest.mark.parametrize("q", [None, 1])
+def test_summatory_holds_only_the_floor_points(q):
+    for n in (1, 2, 3, 8, 99, 10**6 + 1):
+        prefix = exact._summatory(n, q)
+        assert prefix.dense.size == isqrt(n) + 1 and prefix.high.size == n // (isqrt(n) + 1) + 1
+    # sieved to L = 1e6 one window at a time: the L-entry int64 prefix alone is 8 MiB
+    tracemalloc.start()
+    try:
+        exact._summatory(10**9, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 7])
 def test_squarefree_floor_power_sum_is_the_abs_mu_floor_sum(table_10k, p):
     # the profile bound for g = mu, and so its int64/object choice
@@ -219,11 +232,13 @@ def test_sieve_limit_and_the_table_free_bound():
 def test_table_free_quantities_sieve_nothing_above_l(monkeypatch):
     from gcdstats import arith
 
+    # the bound of every prime sieve and every sieve of g, whole or windowed
     sieved = []
-    real_primes, real_sieve = arith.primes_up_to, arith.prime_power_sieve
-    monkeypatch.setattr(arith, "primes_up_to", lambda n: sieved.append(n) or real_primes(n))
-    monkeypatch.setattr(arith, "prime_power_sieve",
-                        lambda n, *a: sieved.append(n) or real_sieve(n, *a))
+    real_primes, real_windows = arith.primes_up_to, arith.prime_power_windows
+    for module in (arith, exact):
+        monkeypatch.setattr(module, "primes_up_to", lambda n: sieved.append(n) or real_primes(n))
+        monkeypatch.setattr(module, "prime_power_windows",
+                            lambda n, *a, **k: sieved.append(n) or real_windows(n, *a, **k))
     n = 10**6
     exact.mean_mu(n, 1)
     exact.mean_nu(n, 2)

@@ -170,7 +170,7 @@ def test_replicates_sieve_no_tau(statistic, monkeypatch, sieve_calls):
     for n in (30, 10_000):
         run_replicates(SampleConfig(m=20, n=n, replicates=3, master_seed=1), statistic)
     assert taken == ["_dense_route", "_sparse_route"]
-    assert "tau" not in sieve_calls
+    assert "tau" not in [name for name, _ in sieve_calls]
 
 
 def test_block_statistics_match_naive_loops(monkeypatch):
@@ -770,8 +770,10 @@ def test_pool_workers_sieve_nothing(statistic, q, n, monkeypatch, inline_pool, s
     sieve_calls.clear()
     assert _same_record(run_replicates(cfg, statistic, workers=2), serial)
     assert len(inline_pool) == 1 and in_workers == []
-    # the kernel's weights to n; the exact moments sieve their own tables to
-    # n^(2/3): the weights once for the mean and the variance, and mu for the
-    # gcd counts (one table serves both for C)
-    weights = ["mu"] * 2 if statistic == "C" else [f"phi_{q}"] * 2 + ["mu"]
-    assert sorted(sieve_calls) == sorted(["spf", *weights])
+    # the kernel's weights and spf to n; the exact moments sieve to L = n^(2/3)
+    # window by window: the weights once for the mean and the variance, and mu
+    # for the gcd counts (one sieve serves both for C)
+    top = exact._sieve_limit(n)
+    weights = [("mu", n), ("mu", top)] if statistic == "C" else \
+        [(f"phi_{q}", n), (f"phi_{q}", top), ("mu", top)]
+    assert sorted(sieve_calls) == sorted([("spf", n), *weights])

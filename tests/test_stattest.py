@@ -20,6 +20,16 @@ def test_law_validation():
         ReferenceLaw.poisson(0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+def test_law_rejects_a_non_finite_scale_or_rate(value):
+    # an Infinity or NaN would reach a record's JSON, which RFC 8259 forbids
+    with pytest.raises(ValueError, match="positive and finite"):
+        ReferenceLaw.frechet(value)
+    with pytest.raises(ValueError, match="positive and finite"):
+        ReferenceLaw.poisson(value)
+    assert ReferenceLaw.poisson(6e299).lam == 6e299
+
+
 def test_cdf_examples():
     assert cdf(ReferenceLaw.normal(), 0.0) == 0.5
     law = ReferenceLaw.frechet(1 / zeta(2))
