@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .arith import ArithTable, build_table, divisors, pillai, primes_up_to
+from .arith import ArithTable, build_table, primes_up_to
 from .constants import (
     DEFAULT_CUTOFF,
     M_constant,

@@ -1,5 +1,5 @@
 """Sieved arithmetic functions: Mobius mu, Euler/Jordan totients, divisor
-counts, Pillai sums and divisor enumeration.
+counts and Pillai sums; factorisation and divisor enumeration of arrays.
 
 Everything is exact integer arithmetic.  An `ArithTable` up to a bound
 `n_max` holds the primes from the start and sieves each other function on
@@ -393,34 +393,6 @@ class ArithTable:
                 self.n_max, self.primes, totient_local(s), totient_dtype(self.n_max, s))
         return vals
 
-    def factorize(self, k: int) -> list[tuple[int, int]]:
-        """Prime factorization [(p, e), ...] of k >= 1, primes ascending.
-
-        The spf array gives each factor inside the table.  Beyond it, trial
-        division by the table's primes, then by the odd numbers past them,
-        runs until the cofactor is inside the table or is prime.
-        """
-        if k < 1:
-            raise ValueError(f"can only factorize k >= 1, got {k}")
-        # 2 is among the table's primes whenever n_max >= 2
-        trial = itertools.chain(map(int, self.primes) if self.n_max >= 2 else (2,),
-                                itertools.count(self.n_max + 1 | 1, 2))
-        out = []
-        while k > 1:
-            if k <= self.n_max:
-                p = int(self.smallest_prime_factor[k])
-            else:
-                p = next(trial)
-                if p * p > k:
-                    p = k
-            e = 0
-            while k % p == 0:
-                k //= p
-                e += 1
-            if e:
-                out.append((p, e))
-        return out
-
 
 def build_table(n_max: int) -> ArithTable:
     """A table up to n_max; only the primes are sieved here, the rest on read.
@@ -432,31 +404,78 @@ def build_table(n_max: int) -> ArithTable:
     return ArithTable(n_max=n_max, primes=primes_up_to(n_max))
 
 
-def weighted_divisors(table: ArithTable, k: int, local) -> list[tuple[int, int]]:
-    """(d, w(d)) for the divisors d of k with w(d) != 0, from `factorize`.
+def factorize(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prime factorisations of `values`, integers in 1..DEFAULT_MAX_N^2, as int64
+    arrays (owner, p, e): p^e exactly divides values[owner], owner ascending, then p.
 
-    w is the multiplicative function with w(p^i) = local(p, i).
+    The values are divided at once by the primes up to the root of the largest,
+    ascending, CHUNK (value, prime) pairs at a time; a value drops out once its
+    cofactor is below p^2, as 1 or a prime, so one path serves values inside a
+    table and beyond it.  Raises CapacityError, before any sieve, past DEFAULT_MAX_N^2.
     """
-    pairs = [(1, 1)]
-    for p, e in table.factorize(k):
-        powers = [(p**i, local(p, i)) for i in range(1, e + 1)]
-        pairs += [(d * pd, w * pw) for d, w in pairs for pd, pw in powers if pw]
-    return pairs
+    values = np.asarray(values, dtype=np.int64).ravel()
+    if values.size and values.min() < 1:
+        raise ValueError(f"can only factorize values >= 1, got {values.min()}")
+    top = int(values.max(initial=1))
+    if top > DEFAULT_MAX_N**2:
+        raise CapacityError(f"factorising {top} needs primes past the table cap of {DEFAULT_MAX_N}")
+    # root + 1 ends the walk: its square is above every cofactor
+    primes = np.append(primes_up_to(isqrt(top)), isqrt(top) + 1)
+    cof, at, lo = values.copy(), np.arange(values.size), 0
+    parts = [(at[:0], cof[:0], cof[:0])]  # (owner, p, e) of each p met, then of the primes left
+    while cof.size:
+        if (done := cof < primes[lo] ** 2).any():
+            left = done & (cof > 1)
+            parts.append((at[left], cof[left], np.ones(left.sum(), dtype=np.int64)))
+            cof, at = cof[~done], at[~done]
+        ps = primes[lo : min(lo + max(1, CHUNK // max(1, cof.size)), primes.size - 1)]
+        row, col = (cof[:, None] % ps == 0).nonzero()
+        c, q, e = cof[row], ps[col], np.zeros(row.size, dtype=np.int64)
+        while (more := c % q == 0).any():
+            c[more] //= q[more]
+            e += more
+        np.floor_divide.at(cof, row, q**e)
+        parts.append((at[row], q, e))
+        lo += ps.size
+    owner, p, e = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(owner, kind="stable")  # each owner's primes were met ascending
+    return owner[order], p[order], e[order]
 
 
-def divisors(table: ArithTable, k: int) -> list[int]:
-    """Ascending divisor list of k, all tau(k) of them: tau is never 0 on a prime power."""
-    return sorted(d for d, _ in weighted_divisors(table, k, tau_local))
+def run_positions(sizes: np.ndarray, of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, counts = sizes[of]): runs of sizes[g] items laid end to end, g = 0, 1, ...,
+    and pos the positions of run of[0], then of run of[1], and so on."""
+    counts = sizes[of]
+    ends = np.cumsum(counts)
+    pos = np.repeat(np.cumsum(sizes)[of] - ends, counts)
+    pos += np.arange(pos.size)
+    return pos, counts
 
 
-def pillai(table: ArithTable, s: int, k: int) -> int:
-    """P_s(k) = sum_{i<=k} gcd(i,k)^s, the product of `pillai_local(s)` over
-    the prime powers of k.
+def weighted_divisors(values, local, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The divisors d of `values` (as `factorize` takes them) with w(d) != 0, as
+    arrays (owner, d, w), owner ascending; w(p^i) = local(p, i), as `dtype`.
 
-    Never the defining O(k) sum (that one is kept as a test oracle).
+    Each value's entries grow one prime slot at a time, slot j holding its j-th
+    prime p^e: (d, w) becomes (d p^i, w local(p, i)) for the i <= e with
+    local(p, i) != 0, read from a (value, i) table by broadcasting.
     """
-    table.check_index(k)
-    if s < 1:
-        raise ValueError(f"Pillai order must be >= 1, got {s}")
-    local = pillai_local(s)
-    return prod(local(p, e) for p, e in table.factorize(k))
+    owner_p, p, e = factorize(values)
+    count = np.size(values)
+    owner, d, w = np.arange(count), np.ones(count, dtype=np.int64), np.ones(count, dtype=dtype)
+    slot = np.arange(owner_p.size) - np.searchsorted(owner_p, owner_p)
+    for j in range(int(slot.max(initial=-1)) + 1):
+        # each value's slot-j prime power, or 1^0 where it has none
+        pj, ej = np.ones(count, dtype=np.int64), np.zeros(count, dtype=np.int64)
+        pj[owner_p[slot == j]], ej[owner_p[slot == j]] = p[slot == j], e[slot == j]
+        i = np.arange(int(ej.max()) + 1)
+        powers = pj[:, None] ** np.minimum(i, ej[:, None])
+        weights = np.ones((count, 1), dtype=dtype) * (i == 0)  # local(p, 0) = 1
+        for k in range(1, i.size):  # local(p, k) is taken in int64, or in Python ints
+            weights[ej >= k, k] = local(pj[ej >= k].astype(np.result_type(dtype, np.int64)), k)
+        cells = np.flatnonzero(weights)  # the kept (value, i), value by value
+        pos, counts = run_positions(np.bincount(cells // i.size, minlength=count), owner)
+        owner = np.repeat(owner, counts)
+        d = np.repeat(d, counts) * powers.ravel()[cells[pos]]
+        w = np.repeat(w, counts) * weights.ravel()[cells[pos]]
+    return owner, d, w

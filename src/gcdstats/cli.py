@@ -147,6 +147,10 @@ def cmd_exact(args) -> int:
     least = {"mu": 0, "nu": 0, "varC": 2, "varZ": 2, "pi": 2}.get(quantity, 1)
     if r < least and quantity != "tail":  # mu and nu take r + 1 variables; tail reads no r
         raise ValueError(f"--r must be >= {least} for quantity {quantity}, got {r}")
+    if quantity in ("varC", "varZ") and (m is None or m < r):
+        raise ValueError(f"--m must be given, at least --r = {r}, for quantity {quantity}, got {m}")
+    if quantity in ("gamma", "omega") and (s is None or not 0 <= s <= r):
+        raise ValueError(f"--s must be given, in 0..{r} (--r), for quantity {quantity}, got {s}")
     if quantity == "tail" and not 0 <= args.t <= n:
         raise ValueError(f"--t must lie in 0..{n} for quantity tail, got {args.t}")
     if quantity not in _TABLE_FREE:
@@ -178,13 +182,13 @@ def cmd_exact(args) -> int:
             elif quantity == "moment":
                 res = exact.gcd_moment(n, r, q)
             elif quantity == "varC":
-                res = exact.var_C(table, n, _require(m, "--m"), r)
+                res = exact.var_C(table, n, m, r)
             elif quantity == "varZ":
-                res = exact.var_Z(table, n, _require(m, "--m"), r, q)
+                res = exact.var_Z(table, n, m, r, q)
             elif quantity == "gamma":
-                res = exact.shared_covariance(table, n, r, _require(s, "--s"), "indicator")
+                res = exact.shared_covariance(table, n, r, s, "indicator")
             elif quantity == "omega":
-                res = exact.shared_covariance(table, n, r, _require(s, "--s"), "moment", q)
+                res = exact.shared_covariance(table, n, r, s, "moment", q)
             elif quantity == "pi":
                 res = exact.mixed_moment_pi(table, n, r, q)
             else:  # tail
@@ -200,12 +204,6 @@ def cmd_exact(args) -> int:
         print(args.out)
     print(f"elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return 0
-
-
-def _require(value, flag):
-    if value is None:
-        raise ValueError(f"{flag} is required for this quantity")
-    return value
 
 
 def cmd_constants(args) -> int:
@@ -279,15 +277,10 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     if args.suite not in ("all", *verify.SUITES):
         raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(verify.SUITES)}")
-    if args.workers is not None and args.suite not in ("all", *verify.WORKER_SUITES):
-        raise ValueError(f"--workers applies only to the suites {', '.join(verify.WORKER_SUITES)} "
-                         f"and all; suite {args.suite!r} does not take it")
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     for name in names:
-        fn = verify.SUITES[name]
-        results = fn(workers=args.workers or 1) if name in verify.WORKER_SUITES else fn()
-        for res in results:
+        for res in verify.SUITES[name]():
             print(res.line())
             failures += 0 if res.passed else 1
     print(f"elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
@@ -362,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run acceptance suites")
     p.add_argument("--suite", default="all",
                    help="one of %s or 'all'" % ", ".join(sorted(verify.SUITES)))
-    p.add_argument("--workers", type=_positive_int, default=None,
-                   help="worker processes for %s (default 1)" % ", ".join(verify.WORKER_SUITES))
     p.set_defaults(func=cmd_verify)
     return parser
 

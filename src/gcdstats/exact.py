@@ -40,9 +40,9 @@ from math import comb, isqrt, log10
 
 import numpy as np
 
-from .arith import (DEFAULT_MAX_N, ArithTable, mobius_local, pillai, prefix_sums_at,
-                    prime_power_windows, primes_up_to, sum_over_divisors, totient_dtype,
-                    totient_local)
+from .arith import (DEFAULT_MAX_N, ArithTable, mobius_local, pillai_local, prefix_sums_at,
+                    prime_power_sieve, prime_power_windows, primes_up_to, sum_over_divisors,
+                    totient_dtype, totient_local)
 
 _INT64_SAFE = 2**62
 
@@ -493,18 +493,19 @@ def marginal_error_bound_check(profile: MarginalProfile, table: ArithTable):
     deviation-to-bound ratio; raises if any k violates its bound.
     """
     n, r = profile.n, profile.r
-    phi_r = table.totient(r)
+    # phi_r, or Pillai's P_r(k) = sum_{i<=k} gcd(i,k)^r sieved from its prime powers
+    f = (table.totient(r) if profile.kind == "probability" else
+         prime_power_sieve(n, table.primes, pillai_local(r), object))
     worst = Fraction(0)
     worst_k = 1
     for k in range(1, n + 1):
         val = Fraction(int(profile.numerators[k]), n**r)
+        target = Fraction(int(f[k]), k**r)
         tau_k = int(table.tau[k])
         if profile.kind == "probability":
-            target = Fraction(int(phi_r[k]), k**r)
             dev = abs(val - target)
             bnd = Fraction(r * tau_k, n)
         else:
-            target = Fraction(pillai(table, r, k), k**r)
             dev = target - val
             if dev < 0:
                 raise AssertionError(f"one-sided bound violated at k={k}: W exceeds P_r/k^r")

@@ -16,7 +16,8 @@ multiplicities cnt(d) = #{i : d | x_i}:
 since sum_{d | g} mu(d) = [g = 1] and sum_{d | g} phi_q(d) = g^q.  One
 kernel evaluates them for a whole block of replicates, exactly: over an
 (n+1, B) count matrix, one column per replicate, when n is small next to
-the block's divisor count, else over one key per (replicate, divisor).
+the block's divisor count, else over one key per (replicate, divisor),
+its values factorised all at once with no table (`arith.weighted_divisors`).
 C(cnt, r) is read from a table of C(k, r) for k up to the largest count.
 M and N(t) are functions of the C(m,2) pair gcds alone and read no table;
 n may then be as large as int64 allows.  They need only the large gcds: a
@@ -53,8 +54,8 @@ from math import comb
 import numpy as np
 
 from . import constants, exact, stattest
-from .arith import (ArithTable, build_table, mobius_local, sum_over_multiples, totient_local,
-                    weighted_divisors)
+from .arith import (ArithTable, build_table, mobius_local, run_positions, sum_over_multiples,
+                    totient_dtype, totient_local, weighted_divisors)
 
 _INT64_SAFE = 2**62
 _INT64_MAX = 2**63 - 1
@@ -64,8 +65,8 @@ _INT32_MAX = 2**31 - 1
 # one numpy call of the pair kernel holds, the most cells of a dense C/Z
 # count matrix and the most words a vectorised Philox pass holds at once:
 # 0.5 MB per 64-bit array there, whatever the replicate count, m and n.
-# The sparse C/Z route is not bounded by it: its divisor lists and keys
-# grow with the block's divisor count, about 46 MB traced for one full
+# The sparse C/Z route is not bounded by it: its divisor arrays and keys
+# grow with the block's divisor count, about 26 MB traced for one full
 # block of Z --m 20 --n 10000 --q 3.  Larger blocks gain no speed; at
 # 1 << 20 the (m=2000, n=40) Z run peaked 14 MB above the per-replicate loop.
 _BLOCK_ELEMENTS = 1 << 16
@@ -655,44 +656,35 @@ def _dense_route(xs: np.ndarray, r: int, g, primes) -> np.ndarray:
     return g @ _binom(cnt.astype(g.dtype, copy=False), r)
 
 
-def _sparse_route(xs: np.ndarray, r: int, q: int | None, table: ArithTable) -> np.ndarray:
+def _sparse_route(xs: np.ndarray, r: int, q: int | None) -> np.ndarray:
     """Per row, sum_d w(d) C(cnt(d), r) over the divisors its values have.
 
-    Each distinct value of the block is expanded once into its divisors of
-    nonzero weight (`weighted_divisors`: the table's spf inside it, trial
-    division beyond).  One key per (row, divisor) occurrence;
-    a sort and the starts of its runs of equal keys count them into cnt,
-    and reduceat sums each row's terms.
+    The block's distinct values are expanded once into their divisors of
+    nonzero weight (`weighted_divisors`, which factorises them all at once),
+    and each occurrence of a value takes its value's run of them.  One key
+    per (row, divisor) occurrence; a sort and the starts of its runs of
+    equal keys count them into cnt, and reduceat sums each row's terms.
     """
     rows, m = xs.shape
-    local = mobius_local if q is None else totient_local(q)
     vals, inv = np.unique(xs.ravel(), return_inverse=True)
-    per_value = [weighted_divisors(table, v, local) for v in vals.tolist()]
-    sizes = np.array([len(pairs) for pairs in per_value], dtype=np.int64)
-    divs, weights = zip(*[pair for pairs in per_value for pair in pairs])
-    dvals, div_id = np.unique(np.array(divs, dtype=np.int64), return_inverse=True)
-    w = np.empty(dvals.size, dtype=object)
-    w[div_id] = weights
-    w = w.astype(_exact_dtype(int(np.abs(w).sum()), m, r))
+    local = mobius_local if q is None else totient_local(q)
+    dtype = np.int64 if q is None else totient_dtype(int(vals[-1]), q)
+    owner, divs, weights = weighted_divisors(vals, local, dtype)
+    dvals, at, div_id = np.unique(divs, return_index=True, return_inverse=True)
+    w = weights[at]
+    w = w.astype(_exact_dtype(int(exact._block_sums(np.abs(w), [0], 1)[0]), m, r))
 
-    per_elem = sizes[inv]
-    # position in the flat divisor list of each (element, divisor) occurrence
-    shift = (np.cumsum(sizes) - sizes)[inv] - (np.cumsum(per_elem) - per_elem)
-    pos = np.arange(per_elem.sum()) + np.repeat(shift, per_elem)
-    row = np.repeat(np.arange(rows * m) // m, per_elem)
-    keys = np.sort(row * dvals.size + div_id[pos])
+    pos, per_elem = run_positions(np.bincount(owner, minlength=vals.size), inv)
+    keys = np.repeat(np.arange(rows * m) // m * dvals.size, per_elem)  # row D + divisor id
+    keys += div_id[pos]
+    del pos  # freed before the sort, which lowers the peak
+    keys.sort()
     first = np.flatnonzero(np.diff(keys, prepend=-1))
     keys, cnt = keys[first], np.diff(first, append=keys.size)
     terms = _binom(cnt.astype(w.dtype, copy=False), r) * w[keys % dvals.size]
     # every row holds divisor 1 (weight 1), so every row has a key
     row_starts = np.flatnonzero(np.diff(keys // dvals.size, prepend=-1))
     return np.add.reduceat(terms, row_starts)
-
-
-def _kernel_fields(table: ArithTable, q: int | None) -> tuple:
-    """The table arrays `_subset_weighted_block` reads for C (q None) or Z."""
-    weights = table.mobius if q is None else table.totient(q)
-    return table.smallest_prime_factor, weights
 
 
 def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, table: ArithTable,
@@ -718,7 +710,7 @@ def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, table: ArithTa
             step = max(1, _BLOCK_ELEMENTS // (n + 1))
             return np.concatenate([_dense_route(xs[lo : lo + step], r, g, primes.tolist())
                                    for lo in range(0, rows, step)])
-    return _sparse_route(xs, r, q, table)
+    return _sparse_route(xs, r, q)
 
 
 def stat_C(sample, r: int, table: ArithTable) -> int:
@@ -889,8 +881,8 @@ def _raw_replicates(config, statistic, table, threshold, workers) -> np.ndarray:
     if workers <= 1:
         return _raws_in_range(config, statistic, table, threshold, 0, total)
     if statistic in ("C", "Z"):
-        # sieve what the block kernel reads once, here, not in every worker
-        _kernel_fields(table, None if statistic == "C" else config.q)
+        # sieve the weights the dense route reads once, here, not in every worker
+        table.mobius if statistic == "C" else table.totient(config.q)
     _SIM_CTX.update(config=config, statistic=statistic, table=table,
                     threshold=threshold)
     chunk = max(1, math.ceil(total / (workers * 4)))

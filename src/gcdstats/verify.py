@@ -79,7 +79,7 @@ def _at(cfg, names=("m", "n")) -> str:
     return "(" + ", ".join(f"{name}={figure(x)}" for name, x in pairs) + ")"
 
 
-def _run_experiment(name: str, workers: int):
+def _run_experiment(name: str, workers: int = 1):
     config, statistic = EXPERIMENTS[name]
     return montecarlo.run_replicates(config, statistic, workers=workers)
 
@@ -261,13 +261,13 @@ def _m2_truncated_double_sum(bound: int) -> float:
 
 # --- criterion 5: variance formulas vs simulation -----------------------------
 
-def suite_variance(workers: int = 1) -> list[CheckResult]:
+def suite_variance() -> list[CheckResult]:
     out = []
     for statistic in ("C", "Z"):
         name = f"variance {statistic}"
         cfg = EXPERIMENTS[name][0]
         at = _at(cfg, ("n", "m"))
-        rec = _run_experiment(name, workers)
+        rec = _run_experiment(name)
         vals = rec.raw.astype(np.float64)
         mean_exact, sd_exact = rec.shift, rec.scale
         var_exact = sd_exact**2
@@ -295,11 +295,11 @@ def suite_variance(workers: int = 1) -> list[CheckResult]:
 
 # --- criterion 6: asymptotic normality ----------------------------------------
 
-def suite_clt(workers: int = 1) -> list[CheckResult]:
+def suite_clt() -> list[CheckResult]:
     out = []
     for name in ("clt C", "clt Z"):
         cfg, statistic = EXPERIMENTS[name]
-        ks = _run_experiment(name, workers).summary()["distance"]["ks"]
+        ks = _run_experiment(name).summary()["distance"]["ks"]
         out.append(CheckResult(
             f"clt: normalized {statistic} at {_at(cfg)}, KS vs normal < 0.06",
             ks < 0.06, f"KS={ks:.4f}",
@@ -309,9 +309,9 @@ def suite_clt(workers: int = 1) -> list[CheckResult]:
 
 # --- criterion 7: Frechet limit ------------------------------------------------
 
-def suite_frechet(workers: int = 1) -> list[CheckResult]:
+def suite_frechet() -> list[CheckResult]:
     cfg = EXPERIMENTS["frechet"][0]
-    ks = _run_experiment("frechet", workers).summary()["distance"]["ks"]
+    ks = _run_experiment("frechet").summary()["distance"]["ks"]
     return [CheckResult(
         f"frechet: scaled max gcd at {_at(cfg)}, KS vs exp(-1/(t zeta(2))) < 0.07",
         ks < 0.07, f"KS={ks:.4f}",
@@ -320,10 +320,10 @@ def suite_frechet(workers: int = 1) -> list[CheckResult]:
 
 # --- criterion 8: Poisson limit -------------------------------------------------
 
-def suite_poisson(workers: int = 1) -> list[CheckResult]:
+def suite_poisson() -> list[CheckResult]:
     out = []
     cfg = EXPERIMENTS["poisson"][0]
-    rec = _run_experiment("poisson", workers)
+    rec = _run_experiment("poisson")
     summary, lam = rec.summary(), rec.law.lam
     tv, mean = summary["distance"]["tv"], summary["mean"]
     out.append(CheckResult(
@@ -426,9 +426,6 @@ def suite_determinism() -> list[CheckResult]:
     ))
     return out
 
-
-# the suites that run EXPERIMENTS entries, whose worker count is an argument
-WORKER_SUITES = ("variance", "clt", "frechet", "poisson")
 
 SUITES = {
     "oracle": suite_oracle,

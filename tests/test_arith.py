@@ -12,9 +12,8 @@ from gcdstats.arith import (
     CapacityError,
     _large_values,
     build_table,
-    divisors,
+    factorize,
     mobius_local,
-    pillai,
     pillai_local,
     prefix_sums_at,
     prime_power_sieve,
@@ -27,6 +26,25 @@ from gcdstats.arith import (
     weighted_divisors,
 )
 from gcdstats.constants import _lcm_local_mass, _product_local_mass
+
+
+def divisor_pairs(ks):
+    """(k, d) for every divisor d of each k of `ks`, from one `weighted_divisors` call."""
+    owner, d, _ = weighted_divisors(ks, tau_local, np.int64)
+    return np.asarray(ks)[owner], d
+
+
+def per_value(owner, x):
+    """The sums of x over the runs of equal owners, every owner present."""
+    return np.add.reduceat(x, np.flatnonzero(np.diff(owner, prepend=-1)))
+
+
+def factor_lists(ks):
+    """[(p, e), ...] for each k of `ks`, from one `factorize` call."""
+    out = [[] for _ in ks]
+    for at, p, e in zip(*(a.tolist() for a in factorize(ks))):
+        out[at].append((p, e))
+    return out
 
 
 def naive_pillai(k, s):
@@ -78,24 +96,24 @@ def test_totient_values(table_100):
 
 def test_totient_divisor_sum_identity(table_1000):
     phi = table_1000.totient(1)
-    for k in range(1, 201):
-        assert sum(int(phi[d]) for d in divisors(table_1000, k)) == k
+    k, d = divisor_pairs(np.arange(1, 201))
+    assert per_value(k, phi[d]).tolist() == list(range(1, 201))
 
 
 def test_mobius_divisor_sum_identity(table_1000):
-    mu = table_1000.mobius
-    for k in range(1, 201):
-        total = sum(int(mu[d]) for d in divisors(table_1000, k))
-        assert total == (1 if k == 1 else 0)
+    mu = table_1000.mobius.astype(np.int64)
+    k, d = divisor_pairs(np.arange(1, 201))
+    assert per_value(k, mu[d]).tolist() == [1] + [0] * 199
 
 
 def test_jordan_product_form(table_1000):
     # phi_s(k) = k^s prod_{p|k} (1 - p^-s), exact in integers
+    factors = factor_lists(range(1, 501))
     for s in (1, 2, 3):
         vals = table_1000.totient(s)
         for k in range(1, 501):
             expected = k**s
-            for p, _ in table_1000.factorize(k):
+            for p, _ in factors[k - 1]:
                 expected = expected // p**s * (p**s - 1)
             assert int(vals[k]) == expected
             assert 1 <= int(vals[k]) <= k**s
@@ -120,40 +138,39 @@ def test_multiplicativity_spot_checks(table_1000):
 
 def test_dirichlet_convolution_identities_to_1e4():
     table = build_table(10_000)
-    phi, mu = table.totient(1), table.mobius
+    phi, mu = table.totient(1), table.mobius.astype(np.int64)
+    k, d = divisor_pairs(np.arange(1, 10_001))
     for s in (1, 2):
         phi_s = table.totient(s)
-        for k in range(1, 10_001):
-            ds = divisors(table, k)
-            # (mu * I_s)(k) = phi_s(k)
-            assert sum(int(mu[d]) * (k // d) ** s for d in ds) == int(phi_s[k])
-            p_s = pillai(table, s, k)
-            # (phi * I_s)(k) = P_s(k)
-            assert sum(int(phi[d]) * (k // d) ** s for d in ds) == p_s
-            # (phi_s * I)(k) = P_s(k)
-            assert sum(int(phi_s[d]) * (k // d) for d in ds) == p_s
+        p_s = prime_power_sieve(10_000, table.primes, pillai_local(s), np.int64)[1:]
+        # (mu * I_s)(k) = phi_s(k)
+        assert np.array_equal(per_value(k, mu[d] * (k // d) ** s), phi_s[1:])
+        # (phi * I_s)(k) = P_s(k)
+        assert np.array_equal(per_value(k, phi[d] * (k // d) ** s), p_s)
+        # (phi_s * I)(k) = P_s(k)
+        assert np.array_equal(per_value(k, phi_s[d] * (k // d)), p_s)
 
 
 def test_pillai_bound_chain_to_1e4():
     table = build_table(10_000)
-    for k in range(1, 10_001):
-        p1 = pillai(table, 1, k)
-        p2 = pillai(table, 2, k)
-        tau_k = int(table.tau[k])
-        # P_2(k)/k^2 <= P(k)/k <= tau(k), compared in integers
-        assert p2 * k <= p1 * k**2
-        assert p1 <= tau_k * k
+    k = np.arange(10_001)
+    p1, p2 = (prime_power_sieve(10_000, table.primes, pillai_local(s), np.int64) for s in (1, 2))
+    # P_2(k)/k^2 <= P(k)/k <= tau(k), compared in integers
+    assert np.all(p2 * k <= p1 * k**2)
+    assert np.all(p1 <= table.tau * k)
 
 
 def test_pillai_examples_and_oracle(table_100):
-    assert pillai(table_100, 1, 6) == 15
-    assert pillai(table_100, 2, 6) == 55
-    assert pillai(table_100, 1, 1) == 1
+    pillai = {s: prime_power_sieve(100, table_100.primes, pillai_local(s), np.int64)
+              for s in (1, 2, 3)}
+    assert pillai[1][6] == 15
+    assert pillai[2][6] == 55
+    assert pillai[1][1] == 1
     rng = random.Random(11)
     for _ in range(25):
         k = rng.randint(1, 100)
         s = rng.randint(1, 3)
-        assert pillai(table_100, s, k) == naive_pillai(k, s)
+        assert pillai[s][k] == naive_pillai(k, s)
 
 
 def naive_factorize(k):
@@ -170,16 +187,39 @@ def naive_factorize(k):
     return out + [(k, 1)] if k > 1 else out
 
 
-def test_factorize_inside_and_beyond_the_table():
+def test_factorize_inside_and_beyond_the_table(monkeypatch):
+    from gcdstats import arith
+
     rng = random.Random(3)
     ks = list(range(1, 300)) + [rng.randint(1, 10**9) for _ in range(100)]
     ks += [1009 * 1013, 2**40, 3**20 * 7, 2**31 - 1, 99_991**2]
     expected = [naive_factorize(k) for k in ks]
-    for n_max in (1, 2, 3, 10, 97, 1000):
-        table = build_table(n_max)
-        assert [table.factorize(k) for k in ks] == expected
+    # whatever sieve the process keeps, below the largest root or above it
+    for bound in (1, 2, 3, 10, 97, 1000, 10**6):
+        monkeypatch.setattr(arith, "_kept", (bound, arith._eratosthenes(bound)))
+        assert factor_lists(ks) == expected
+        assert factor_lists(ks[::-1]) == expected[::-1]
+    assert all(a.dtype == np.int64 for a in factorize(ks))
+    assert [a.size for a in factorize([])] == [0, 0, 0]
     with pytest.raises(ValueError):
-        table.factorize(0)
+        factorize([5, 0])
+
+
+def test_factorize_sieves_only_primes(sieve_calls, sieved_bounds, monkeypatch):
+    from gcdstats import arith
+
+    assert factor_lists([360, 99_991**2, 1]) == [[(2, 3), (3, 2), (5, 1)], [(99_991, 2)], []]
+    assert sieve_calls == [] and sieved_bounds == [99_991]
+    # past DEFAULT_MAX_N^2 a value is refused before its root is sieved
+    with pytest.raises(CapacityError):
+        factorize([6, DEFAULT_MAX_N**2 + 1])
+    assert sieved_bounds == [99_991]
+    # at a smaller cap (a prime), its square is the largest value taken
+    monkeypatch.setattr(arith, "DEFAULT_MAX_N", 100_003)
+    assert factor_lists([100_003**2]) == [[(100_003, 2)]]
+    with pytest.raises(CapacityError):
+        factorize([100_003**2 + 1])
+    assert sieve_calls == [] and sieved_bounds == [99_991, 100_003]
 
 
 def naive_spf(k):
@@ -200,15 +240,21 @@ def test_smallest_prime_factor_is_trial_division():
 
 
 def test_weighted_divisors_is_plain_enumeration():
-    # a table to 97: every k above it factorises by trial division
-    table, top = build_table(97), 2000
-    for local, w in ((mobius_local, plain_mobius_sieve(top)),
-                     (totient_local(1), plain_jordan_sieve(top, 1)),
-                     (totient_local(3), plain_jordan_sieve(top, 3)),
-                     (tau_local, plain_tau_sieve(top))):
+    top = 2000
+    for local, w, dtype in ((mobius_local, plain_mobius_sieve(top), np.int8),
+                            (totient_local(1), plain_jordan_sieve(top, 1), np.int64),
+                            (totient_local(3), plain_jordan_sieve(top, 3), np.int64),
+                            (totient_local(30), plain_jordan_sieve(top, 30, object), object),
+                            (tau_local, plain_tau_sieve(top), np.int32)):
+        owner, d, got_w = weighted_divisors(range(1, top + 1), local, dtype)
+        assert owner.dtype == d.dtype == np.int64 and got_w.dtype == dtype
+        assert np.all(np.diff(owner) >= 0)
+        got = [[] for _ in range(top)]
+        for k, pair in zip(owner.tolist(), zip(d.tolist(), got_w.tolist())):
+            got[k].append(pair)
         for k in range(1, top + 1):
             want = [(d, int(w[d])) for d in range(1, k + 1) if k % d == 0 and w[d]]
-            assert sorted(weighted_divisors(table, k, local)) == want, k
+            assert sorted(got[k - 1]) == want, k
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -218,22 +264,15 @@ def test_pillai_local_sieves_the_defining_sum(s):
     assert got.tolist() == [0] + [naive_pillai(k, s) for k in range(1, n + 1)]
 
 
-def test_pillai_and_divisors_sieve_only_spf(sieve_calls):
-    table = build_table(1000)
-    assert pillai(table, 2, 360) == naive_pillai(360, 2)
-    assert divisors(table, 840) == [d for d in range(1, 841) if 840 % d == 0]
-    assert sieve_calls == [("spf", 1000)]
-
-
 def test_divisors(table_100):
-    assert divisors(table_100, 1) == [1]
-    assert divisors(table_100, 12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(table_100, 7) == [1, 7]
-    for k in range(1, 101):
-        ds = divisors(table_100, k)
-        assert len(ds) == int(table_100.tau[k])
-        assert ds == sorted(ds)
-        assert all(k % d == 0 for d in ds)
+    k, d = divisor_pairs(np.arange(1, 101))
+    ds = [sorted(d[k == v].tolist()) for v in range(1, 101)]
+    assert ds[0] == [1]
+    assert ds[11] == [1, 2, 3, 4, 6, 12]
+    assert ds[6] == [1, 7]
+    assert [len(x) for x in ds] == table_100.tau[1:].tolist()
+    assert all(len(set(x)) == len(x) for x in ds)
+    assert np.all(k % d == 0)
 
 
 def test_primes_up_to_reads_prefixes_of_the_kept_sieve(sieved_bounds, monkeypatch):
@@ -469,5 +508,5 @@ def test_table_sieves_each_function_on_first_read_only(sieve_calls):
     table.totient(2), table.totient(2)
     want = [("mu", 1000), ("tau", 1000), ("spf", 1000), ("phi_2", 1000)]
     assert sieve_calls == want
-    assert table.factorize(360) == [(2, 3), (3, 2), (5, 1)]
+    assert factor_lists([360]) == [[(2, 3), (3, 2), (5, 1)]]
     assert sieve_calls == want

@@ -206,36 +206,6 @@ def test_exact_var_c_sieves_the_primes_once(sieved_bounds, capsys):
     assert sieved_bounds == [100_000]
 
 
-def test_verify_workers_reach_only_the_suites_that_take_them(monkeypatch, capsys):
-    from gcdstats import verify
-
-    calls = []
-
-    def suite(name):
-        def run(**kwargs):
-            calls.append((name, kwargs))
-            return [verify.CheckResult(name, True)]
-        return run
-
-    monkeypatch.setattr(verify, "SUITES", {name: suite(name) for name in verify.SUITES})
-    for name in verify.SUITES:
-        if name in verify.WORKER_SUITES:
-            continue
-        text = _usage_error(["verify", "--suite", name, "--workers", "4"], capsys)
-        assert "--workers" in text and name in text
-    assert calls == []
-    assert run_cli(["verify", "--suite", "all", "--workers", "4"], capsys)[0] == 0
-    assert calls == [(name, {"workers": 4} if name in verify.WORKER_SUITES else {})
-                     for name in verify.SUITES]
-    calls.clear()
-    assert run_cli(["verify", "--suite", "all"], capsys)[0] == 0
-    assert calls == [(name, {"workers": 1} if name in verify.WORKER_SUITES else {})
-                     for name in verify.SUITES]
-    calls.clear()
-    assert run_cli(["verify", "--suite", "clt", "--workers", "3"], capsys)[0] == 0
-    assert calls == [("clt", {"workers": 3})]
-
-
 def test_constants_table(capsys):
     code, text = run_cli(["constants", "--cutoff", "20000"], capsys)
     assert code == 0
@@ -525,6 +495,10 @@ def test_simulate_frechet_window_beyond_table_cap(tmp_path, capsys):
     (["simulate", "--statistic", "C", "--m", "1", "--n", "10"], "--m", "--m 1"),
     (["exact", "--quantity", "c", "--n", "10", "--r", "0"], "--r", "got 0"),
     (["exact", "--quantity", "pi", "--n", "10", "--r", "1"], "--r", "got 1"),
+    (["exact", "--quantity", "varC", "--n", "10", "--m", "1"], "--m", "got 1"),
+    (["exact", "--quantity", "varZ", "--n", "10", "--m", "1", "--r", "3"], "--m", "got 1"),
+    (["exact", "--quantity", "gamma", "--n", "10", "--s", "5"], "--s", "got 5"),
+    (["exact", "--quantity", "omega", "--n", "10", "--s", "-1"], "--s", "got -1"),
 ])
 def test_usage_error_names_flag_and_value(argv, flag, value, capsys):
     text = _usage_error(argv, capsys)

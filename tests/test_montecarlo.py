@@ -117,7 +117,7 @@ def test_dense_and_sparse_routes_agree(table_50):
         for q in (None, 1, 2):
             g = table_50.mobius if q is None else table_50.totient(q)
             dense = montecarlo._dense_route(xs, 2, g[: n + 1].astype(np.int64), primes)
-            sparse = montecarlo._sparse_route(xs, 2, q, table_50)
+            sparse = montecarlo._sparse_route(xs, 2, q)
             assert dense.tolist() == sparse.tolist()
 
 
@@ -130,7 +130,7 @@ def test_dense_route_on_blocks_narrower_square_and_wider(rows, n, table_50):
     for r, q in ((2, None), (3, None), (2, 1), (3, 2)):
         g = (table_50.mobius if q is None else table_50.totient(q))[: n + 1].astype(np.int64)
         dense = montecarlo._dense_route(xs, r, g, primes).tolist()
-        assert dense == montecarlo._sparse_route(xs, r, q, table_50).tolist()
+        assert dense == montecarlo._sparse_route(xs, r, q).tolist()
         assert dense == [brute.naive_stat_C(x, r) if q is None else brute.naive_stat_Z(x, r, q)
                          for x in xs.tolist()]
 
@@ -770,10 +770,10 @@ def test_pool_workers_sieve_nothing(statistic, q, n, monkeypatch, inline_pool, s
     sieve_calls.clear()
     assert _same_record(run_replicates(cfg, statistic, workers=2), serial)
     assert len(inline_pool) == 1 and in_workers == []
-    # the kernel's weights and spf to n; the exact moments sieve to L = n^(2/3)
+    # the kernel's weights to n; the exact moments sieve to L = n^(2/3)
     # window by window: the weights once for the mean and the variance, and mu
     # for the gcd counts (one sieve serves both for C)
     top = exact._sieve_limit(n)
     weights = [("mu", n), ("mu", top)] if statistic == "C" else \
         [(f"phi_{q}", n), (f"phi_{q}", top), ("mu", top)]
-    assert sorted(sieve_calls) == sorted([("spf", n), *weights])
+    assert sorted(sieve_calls) == sorted(weights)
