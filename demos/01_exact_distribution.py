@@ -7,7 +7,7 @@ the drift toward the classical limits (P(coprime pair) -> 1/zeta(2),
 P(gcd = k) -> 1/(zeta(2) k^2)).
 """
 
-from gcdstats import build_table, constants, exact
+from gcdstats import constants, exact
 
 n = 50_000
 z2 = constants.zeta(2)
@@ -45,11 +45,10 @@ print(f"  limit (1/3)(2 zeta(2)/zeta(3) - 1) = {target:.6f}")
 print()
 
 print("marginal profile U_1(k) = P(gcd(X, k) = 1), small k:")
-table = build_table(1000)  # the profiles read a table; the moments above need none
-prof = exact.marginal_profile(table, 1000, 1, "probability")
-phi = table.totient(1)
+# a profile sieves its weight (mu here) to n; the moments above sieve none to n
+prof = exact.marginal_profile(1000, 1, "probability")
+phi = exact.sieve_weight(1000, 1)
 for k in (2, 6, 12, 30):
     print(f"  k={k:3d}  U={prof.value(k).float_value:.6f}   phi(k)/k={int(phi[k]) / k:.6f}")
-worst, at_k = exact.marginal_error_bound_check(
-    exact.marginal_profile(table, 1000, 1, "probability"), table)
+worst, at_k = exact.marginal_error_bound_check(prof)
 print(f"  worst deviation-to-bound ratio over k <= 1000: {worst:.4f} (at k={at_k})")

@@ -8,7 +8,7 @@ come from the closed formulas, not from the sample.
 
 import numpy as np
 
-from gcdstats import build_table, exact, montecarlo
+from gcdstats import exact, montecarlo
 
 for statistic, m, n, note in (
     ("C", 1000, 1000, "any n >= 2 works for C"),
@@ -30,9 +30,8 @@ for statistic, m, n, note in (
     print()
 
 print("the variance formula behind the normalization, at (n=100, m=20):")
-table = build_table(100)
-v = exact.var_C(table, 100, 20, 2)
+v = exact.var_C(100, 20, 2)
 mu = exact.mean_mu(100, 1).as_fraction()
-c1 = exact.var_c(table, 100, 1).as_fraction()
+c1 = exact.var_c(100, 1).as_fraction()
 print(f"  var C = C(m,2) mu (1-mu) + m(m-1)(m-2) c_1 = {v.float_value:.6f}")
 print(f"  with mu = {float(mu):.6f} and c_1 = {float(c1):.6f} (both exact rationals)")

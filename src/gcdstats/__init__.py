@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .arith import ArithTable, build_table, primes_up_to
+from .arith import primes_up_to
 from .constants import (
     DEFAULT_CUTOFF,
     M_constant,
@@ -31,6 +31,7 @@ from .exact import (
     mixed_moment_omega,
     mixed_moment_pi,
     shared_covariance,
+    sieve_weight,
     var_C,
     var_Z,
     var_c,

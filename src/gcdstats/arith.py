@@ -1,17 +1,14 @@
 """Sieved arithmetic functions: Mobius mu, Euler/Jordan totients, divisor
 counts and Pillai sums; factorisation and divisor enumeration of arrays.
 
-Everything is exact integer arithmetic.  An `ArithTable` up to a bound
-`n_max` holds the primes from the start and sieves each other function on
-its first read, so a job pays only for the functions it reads; a value once
-sieved never changes.  All downstream formulas read from it, and every
-prime comes from one kept sieve, `primes_up_to`.
-
-Every multiplicative function comes from one windowed sieve over its
-prime-power values, `prime_power_windows`: `prefix_sums_at` sums the windows
-with a carry (the trend sums, the Mertens and Jordan sums of the exact
-layer), and `prime_power_sieve` writes them into one table.  The
-prime-power values of mu, tau, phi_s and P_s are written once, here.
+Everything is exact integer arithmetic.  Every prime comes from one kept
+sieve, `primes_up_to`, and every multiplicative function from one windowed
+sieve over its prime-power values, `prime_power_windows`: `prefix_sums_at`
+sums the windows with a carry (the trend sums, the Mertens and Jordan sums
+of the exact layer), and `prime_power_sieve` writes them into one n-entry
+table, which a caller sieves for the one function it reads and holds no
+longer than it needs it.  The prime-power values of mu, tau, phi_s and P_s
+are written once, here.
 Two dual sweeps run prime by prime: `sum_over_multiples` serves the dense
 C/Z route (an (n+1, B) count matrix) and the totient-gcd series (a 1-D
 array), and `sum_over_divisors` the divisor-sum profiles of the exact layer.
@@ -27,10 +24,7 @@ Function conventions (k >= 1):
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
-from math import isqrt, prod
+from math import isqrt
 
 import numpy as np
 
@@ -83,17 +77,6 @@ def primes_up_to(n: int) -> np.ndarray:
         primes = _eratosthenes(n)
         _kept = (n, primes)
     return primes[: np.searchsorted(primes, n, "right")]
-
-
-def _spf_sieve(n: int, primes: np.ndarray) -> np.ndarray:
-    """Smallest-prime-factor array; spf[1] = 1, spf[p] = p for primes.
-
-    Each p <= sqrt n of the ascending `primes`, largest first, writes p from p^2 on.
-    """
-    spf = np.arange(n + 1, dtype=np.int32)
-    for p in primes[: np.searchsorted(primes, isqrt(n), "right")][::-1].tolist():
-        spf[p * p :: p] = p
-    return spf
 
 
 def mobius_local(p, e):
@@ -349,59 +332,6 @@ def sum_over_divisors(a: np.ndarray, primes: np.ndarray) -> None:
 def totient_dtype(n: int, s: int):
     """int64 when every phi_s(k) <= n^s, k <= n, fits it (no big power for s >= 64), else object."""
     return np.int64 if n < 2 or (s < 64 and n**s <= _INT64_MAX) else object
-
-
-@dataclass
-class ArithTable:
-    """Sieved values of mu, phi_s, tau and smallest prime factors on 0..n_max.
-
-    Only `primes` is sieved when the table is built.  mu, tau and the
-    smallest prime factors are sieved on their first read and cached
-    (`cached_property`); each totient order is sieved on its first
-    `totient(s)` call and cached in `totient_s`.  A value once read never
-    changes.  First reads are single-threaded only; a process pool reads
-    what its workers need before it forks (`montecarlo._raw_replicates`).
-    """
-
-    n_max: int
-    primes: np.ndarray
-    totient_s: dict = field(default_factory=dict)
-
-    @cached_property
-    def mobius(self) -> np.ndarray:
-        return prime_power_sieve(self.n_max, self.primes, mobius_local, np.int8)
-
-    @cached_property
-    def tau(self) -> np.ndarray:
-        return prime_power_sieve(self.n_max, self.primes, tau_local, np.int32)
-
-    @cached_property
-    def smallest_prime_factor(self) -> np.ndarray:
-        return _spf_sieve(self.n_max, self.primes)
-
-    def check_index(self, k: int) -> None:
-        if not 1 <= k <= self.n_max:
-            raise ValueError(f"index {k} outside table range 1..{self.n_max}")
-
-    def totient(self, s: int = 1) -> np.ndarray:
-        """phi_s(0..n_max), sieved on demand: int64, or Python ints past int64."""
-        vals = self.totient_s.get(s)
-        if vals is None:
-            if s < 1:
-                raise ValueError(f"totient order must be >= 1, got {s}")
-            vals = self.totient_s[s] = prime_power_sieve(
-                self.n_max, self.primes, totient_local(s), totient_dtype(self.n_max, s))
-        return vals
-
-
-def build_table(n_max: int) -> ArithTable:
-    """A table up to n_max; only the primes are sieved here, the rest on read.
-
-    Raises CapacityError when n_max exceeds DEFAULT_MAX_N (`primes_up_to`).
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return ArithTable(n_max=n_max, primes=primes_up_to(n_max))
 
 
 def factorize(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -29,7 +29,7 @@ from decimal import Decimal, InvalidOperation
 import numpy as np
 
 from . import __version__, constants, exact, montecarlo, verify
-from .arith import DEFAULT_MAX_N, CapacityError, build_table
+from .arith import DEFAULT_MAX_N, CapacityError
 
 
 def _manifest(subcommand: str, params: dict) -> dict:
@@ -153,9 +153,7 @@ def cmd_exact(args) -> int:
         raise ValueError(f"--s must be given, in 0..{r} (--r), for quantity {quantity}, got {s}")
     if quantity == "tail" and not 0 <= args.t <= n:
         raise ValueError(f"--t must lie in 0..{n} for quantity tail, got {args.t}")
-    if quantity not in _TABLE_FREE:
-        table = build_table(n)
-    elif n > exact.TABLE_FREE_MAX_N:
+    if quantity in _TABLE_FREE and n > exact.TABLE_FREE_MAX_N:
         raise ValueError(f"--n must be at most {exact.TABLE_FREE_MAX_N} for quantity {quantity} "
                          f"(a sieve to n^(2/3) within the table cap of {DEFAULT_MAX_N}), got {n}")
     t0 = time.perf_counter()
@@ -176,21 +174,21 @@ def cmd_exact(args) -> int:
             elif quantity == "nu":
                 res = exact.mean_nu(n, r)
             elif quantity == "c":
-                res = exact.var_c(table, n, r)
+                res = exact.var_c(n, r)
             elif quantity == "d":
-                res = exact.var_d(table, n, r)
+                res = exact.var_d(n, r)
             elif quantity == "moment":
                 res = exact.gcd_moment(n, r, q)
             elif quantity == "varC":
-                res = exact.var_C(table, n, m, r)
+                res = exact.var_C(n, m, r)
             elif quantity == "varZ":
-                res = exact.var_Z(table, n, m, r, q)
+                res = exact.var_Z(n, m, r, q)
             elif quantity == "gamma":
-                res = exact.shared_covariance(table, n, r, s, "indicator")
+                res = exact.shared_covariance(n, r, s, "indicator")
             elif quantity == "omega":
-                res = exact.shared_covariance(table, n, r, s, "moment", q)
+                res = exact.shared_covariance(n, r, s, "moment", q)
             elif quantity == "pi":
-                res = exact.mixed_moment_pi(table, n, r, q)
+                res = exact.mixed_moment_pi(n, r, q)
             else:  # tail
                 res = exact.gcd_tail(n, int(args.t))
         record = res.record(quantity, n=n, r=r, q=q, s=s, m=m)

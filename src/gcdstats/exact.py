@@ -21,11 +21,13 @@ O(sqrt n) memory, up to n = TABLE_FREE_MAX_N (about 1.6e11).
 
 Whole profiles over k = 1..n are divisor sums h(k) = sum_{j|k} w(j),
 which `arith.sum_over_divisors` takes in place, prime by prime, in about
-n ln ln n adds.  Shared-variable covariances reduce to
-sum_d G_s(d) h(d)^2, with G_s(d) the number of s-tuples whose gcd is
-exactly d.  G_s(d) depends on d only through floor(n/d), so the batched
-kernel gives it for all O(sqrt n) quotient blocks (`_quotient_blocks`) in
-one call, and `_block_sums` gives each block's sum of h^2; at s = r,
+n ln ln n adds; each second-order quantity sieves the one weight g = mu
+or phi_q it reads to n (`sieve_weight`), once per call.  Shared-variable
+covariances reduce to sum_d G_s(d) h(d)^2, with G_s(d) the number of
+s-tuples whose gcd is exactly d.  G_s(d) depends on d only through
+floor(n/d), so the batched kernel gives it for all O(sqrt n) quotient
+blocks (`_quotient_blocks`) in one call, and `_block_sums` gives each
+block's sum of h^2; at s = r,
 h = g * 1 is known in closed form and needs no profile.  Sums are int64
 where a bound proves they fit; the square sums otherwise cut int64 values
 into limbs, and values past int64 are Python ints.  No n-entry array is
@@ -40,8 +42,8 @@ from math import comb, isqrt, log10
 
 import numpy as np
 
-from .arith import (DEFAULT_MAX_N, ArithTable, mobius_local, pillai_local, prefix_sums_at,
-                    prime_power_sieve, prime_power_windows, primes_up_to, sum_over_divisors,
+from .arith import (DEFAULT_MAX_N, mobius_local, pillai_local, prefix_sums_at, prime_power_sieve,
+                    prime_power_windows, primes_up_to, sum_over_divisors, tau_local,
                     totient_dtype, totient_local)
 
 _INT64_SAFE = 2**62
@@ -84,6 +86,18 @@ class ExactResult:
         return {"quantity": quantity, **params, "value": self.float_value, "exact": True,
                 "numerator": str(self.numerator), "denom_base": self.denom_base,
                 "denom_power": self.denom_power}
+
+
+def _refuse_past_float(n: int, power: int, shift: int) -> None:
+    """Raise FloatRangeError, before any sieve, for a value proven to be at least
+    n^power / 2^shift when that bound is itself past the float range.
+
+    n^power >= 2^(power (bitlen(n) - 1)), so the test is in integers.
+    """
+    bits = power * (n.bit_length() - 1) - shift
+    if n >= 2 and bits >= 1024:
+        raise FloatRangeError(f"an exact value of at least 10^{int(bits * log10(2))} "
+                              f"overflows a float")
 
 
 # --- prefix sums at the floor points ---------------------------------------
@@ -215,6 +229,23 @@ def _summatory(n: int, q: int | None) -> _FloorPrefix:
         rest = int(high[2 * k : inner * k + 1 : k].sum()) + int(below.sum()) + int(head @ runs)
         high[k] = (1 if q is None else _power_sums(x, q)) - rest
     return _FloorPrefix(n, dense, high, peak(n))
+
+
+def sieve_weight(n: int, q: int | None) -> np.ndarray:
+    """mu (q None) or phi_q on 0..n, sieved whole: int8 for mu, int64 or Python
+    ints for phi_q (`arith.totient_dtype`).
+
+    Raises ValueError for n < 1 or q < 1, and CapacityError, before any
+    sieve, past DEFAULT_MAX_N (`arith.primes_up_to`).
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if q is not None and q < 1:
+        raise ValueError(f"totient order must be >= 1, got {q}")
+    primes = primes_up_to(n)
+    if q is None:
+        return prime_power_sieve(n, primes, mobius_local, np.int8)
+    return prime_power_sieve(n, primes, totient_local(q), totient_dtype(n, q))
 
 
 # --- exact floor-power sums ----------------------------------------------
@@ -373,18 +404,17 @@ def _squarefree_floor_power_sum(mu: np.ndarray, n: int, power: int) -> int:
     return int(mu[d].astype(object) @ sums.astype(object))
 
 
-def _divisor_profile(g: np.ndarray, n: int, power: int, primes: np.ndarray,
+def _divisor_profile(g: np.ndarray, n: int, power: int,
                      g_prefix: _FloorPrefix | None) -> np.ndarray:
     """h(k) = sum_{j|k} g(j) floor(n/j)^power for k = 1..n, exactly (h(0) = 0).
 
-    int64 when the bound sum_j |g(j)| floor(n/j)^power on every |h(k)|
-    fits, else Python ints in an object array.  Every weight g here has
-    g(1) = 1, so the bound also covers the powers floor(n/j)^power.
-    g_prefix is `_summatory(n, q)` for g = phi_q >= 0, whose floor sum is
-    the bound, or None for g = mu (`_squarefree_floor_power_sum`).  primes
-    are the table's.
+    g is the weight on 0..n (`sieve_weight`).  h is int64 when the bound
+    sum_j |g(j)| floor(n/j)^power on every |h(k)| fits, else Python ints in
+    an object array.  Every weight g here has g(1) = 1, so the bound also
+    covers the powers floor(n/j)^power.  g_prefix is `_summatory(n, q)` for
+    g = phi_q >= 0, whose floor sum is the bound, or None for g = mu
+    (`_squarefree_floor_power_sum`).
     """
-    head = g[: n + 1]
     if g_prefix is None:
         bound = _squarefree_floor_power_sum(g, n, power)
     else:
@@ -392,12 +422,13 @@ def _divisor_profile(g: np.ndarray, n: int, power: int, primes: np.ndarray,
     w = np.arange(n + 1, dtype=np.int64)
     np.floor_divide(n, w[1:], out=w[1:])
     if bound < _INT64_SAFE:
-        # every |g(j)| is at most the bound, so an object g fits int64 too
+        # g is int8 or int64 here: an object phi_q has n^q past int64, and
+        # the bound is at least phi_q(n) >= n^q / zeta(q) > 2^62
         w **= power
-        w *= head if head.dtype != object else head.astype(np.int64)
+        w *= g
     else:
-        w = w.astype(object) ** power * head
-    sum_over_divisors(w, primes)
+        w = w.astype(object) ** power * g
+    sum_over_divisors(w, primes_up_to(n))
     return w
 
 
@@ -426,6 +457,7 @@ def gcd_moment(n: int, r: int, q: int) -> ExactResult:
     """E gcd(X_1..X_r)^q = (1/n^r) sum phi_q(j) floor(n/j)^r."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
+    _refuse_past_float(n, q - r, 0)  # E gcd^q >= P(every X_i = n) n^q = n^(q-r)
     return _first_moment(n, q, r)
 
 
@@ -469,21 +501,20 @@ class MarginalProfile:
         return ExactResult.from_ratio(self.n * s2 - s1 * s1, self.n, 2 * self.r + 2)
 
 
-def marginal_profile(table: ArithTable, n: int, r: int, kind: str) -> MarginalProfile:
-    """The whole profile as the divisor sums sum_{j|k} g(j) floor(n/j)^r."""
-    table.check_index(n)
+def marginal_profile(n: int, r: int, kind: str) -> MarginalProfile:
+    """The whole profile as the divisor sums sum_{j|k} g(j) floor(n/j)^r,
+    g = mu (probability) or phi (expectation) sieved to n."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if kind == "probability":
-        g, g_prefix = table.mobius, None
-    elif kind == "expectation":
-        g, g_prefix = table.totient(1), _summatory(n, 1)
-    else:
+    if kind not in ("probability", "expectation"):
         raise ValueError(f"unknown profile kind {kind!r}")
-    return MarginalProfile(n, r, kind, _divisor_profile(g, n, r, table.primes, g_prefix))
+    q = None if kind == "probability" else 1
+    g = sieve_weight(n, q)
+    g_prefix = None if q is None else _summatory(n, q)
+    return MarginalProfile(n, r, kind, _divisor_profile(g, n, r, g_prefix))
 
 
-def marginal_error_bound_check(profile: MarginalProfile, table: ArithTable):
+def marginal_error_bound_check(profile: MarginalProfile):
     """Slack of the divisor-sum approximation bounds over the whole profile.
 
     probability kind:  |U_r(k) - phi_r(k)/k^r|          <=  r tau(k)/n
@@ -494,14 +525,15 @@ def marginal_error_bound_check(profile: MarginalProfile, table: ArithTable):
     """
     n, r = profile.n, profile.r
     # phi_r, or Pillai's P_r(k) = sum_{i<=k} gcd(i,k)^r sieved from its prime powers
-    f = (table.totient(r) if profile.kind == "probability" else
-         prime_power_sieve(n, table.primes, pillai_local(r), object))
+    f = (sieve_weight(n, r) if profile.kind == "probability" else
+         prime_power_sieve(n, primes_up_to(n), pillai_local(r), object))
+    tau = prime_power_sieve(n, primes_up_to(n), tau_local, np.int32)
     worst = Fraction(0)
     worst_k = 1
     for k in range(1, n + 1):
         val = Fraction(int(profile.numerators[k]), n**r)
         target = Fraction(int(f[k]), k**r)
-        tau_k = int(table.tau[k])
+        tau_k = int(tau[k])
         if profile.kind == "probability":
             dev = abs(val - target)
             bnd = Fraction(r * tau_k, n)
@@ -528,14 +560,14 @@ def mean_nu(n: int, r: int) -> ExactResult:
     return _first_moment(n, 1, r + 1)
 
 
-def var_c(table: ArithTable, n: int, r: int) -> ExactResult:
+def var_c(n: int, r: int) -> ExactResult:
     """Population variance of the marginal probability profile U_r."""
-    return marginal_profile(table, n, r, "probability").variance()
+    return marginal_profile(n, r, "probability").variance()
 
 
-def var_d(table: ArithTable, n: int, r: int) -> ExactResult:
+def var_d(n: int, r: int) -> ExactResult:
     """Population variance of the marginal expectation profile W_r."""
-    return marginal_profile(table, n, r, "expectation").variance()
+    return marginal_profile(n, r, "expectation").variance()
 
 
 # --- shared-variable covariances ------------------------------------------
@@ -551,13 +583,7 @@ def _kernel_order(kind: str, q: int) -> int | None:
     raise ValueError(f"kind must be one of ['gcd', 'indicator', 'moment'], got {kind!r}")
 
 
-def _kernel_weights(table: ArithTable, kind: str, q: int) -> np.ndarray:
-    order = _kernel_order(kind, q)
-    return table.mobius if order is None else table.totient(order)
-
-
 def shared_covariance(
-    table: ArithTable,
     n: int,
     r: int,
     s: int,
@@ -582,37 +608,44 @@ def shared_covariance(
     is constant on each block of equal floor(n/d), so the sum is a Python
     int dot of the O(sqrt n) block counts with the blocks' sums of h^2.
     The result is exact; it is gated against exhaustive enumeration and
-    the literal double sum in the test suite.
+    the literal double sum in the test suite.  The covariance is the
+    variance of the kernel's mean given the s shared values; for the gcd^q
+    kernel it is at least n^(2q-2r+s) / 8, from the two points where those
+    values are all n and where the first is 1, so a q that puts it past the
+    float range is refused before the weight is sieved.
     """
-    table.check_index(n)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if not 0 <= s <= r:
         raise ValueError(f"need 0 <= s <= r, got s={s}, r={r}")
+    order = _kernel_order(kind, q)
     if s == 0:
-        # no shared variables: the kernels are independent
+        # no shared variables: the kernels are independent, and no weight is read
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         return ExactResult.from_ratio(0, n, 2 * r)
-    _, (cov,) = _covariance_numerators(table, n, r, (s,), kind, q)
+    if order is not None:
+        _refuse_past_float(n, 2 * order - 2 * r + s, 3)
+    _, (cov,) = _covariance_numerators(sieve_weight(n, order), n, r, (s,), order)
     return ExactResult.from_ratio(cov, n, 2 * r)
 
 
-def _covariance_numerators(table, n, r, shares, kind, q) -> tuple[int, list[int]]:
+def _covariance_numerators(g, n, r, shares, order) -> tuple[int, list[int]]:
     """n^r times the kernel mean, and n^(2r) times the covariance of
-    `shared_covariance` for each s >= 1 in shares.
+    `shared_covariance` for each s >= 1 in shares, for the kernel of weight
+    g = mu (order None) or phi_order on 0..n.
 
     The prefix sums of mu and g and the kernel mean are built once and
     serve every s.
     """
-    order = _kernel_order(kind, q)
-    g = _kernel_weights(table, kind, q)
     mu_prefix = _summatory(n, None)
     g_prefix = mu_prefix if order is None else _summatory(n, order)
     mean_num = _floor_power_sum(g_prefix, n, r)
-    return mean_num, [_shared_moment(g, order, n, r, s, table.primes, mu_prefix, g_prefix)
-                      * n**s - mean_num**2 for s in shares]
+    return mean_num, [_shared_moment(g, order, n, r, s, mu_prefix, g_prefix) * n**s
+                      - mean_num**2 for s in shares]
 
 
-def _shared_moment(g, order, n, r, s, primes, mu_prefix, g_prefix) -> int:
+def _shared_moment(g, order, n, r, s, mu_prefix, g_prefix) -> int:
     """sum_{d<=n} G_s(d) h(d)^2 with h = `_divisor_profile` of g at power r - s.
 
     One call per s, so each n-entry profile is freed before the next is built.
@@ -627,29 +660,35 @@ def _shared_moment(g, order, n, r, s, primes, mu_prefix, g_prefix) -> int:
         ends = _power_sums(hi.astype(object), 2 * order)
         squares = ends - np.concatenate(([0], ends[:-1]))
     else:
-        h = _divisor_profile(g, n, r - s, primes, None if order is None else g_prefix)
+        h = _divisor_profile(g, n, r - s, None if order is None else g_prefix)
         squares = _block_sums(h, lo, 2)
     return int(counts.astype(object) @ squares)
 
 
-def var_C(table: ArithTable, n: int, m: int, r: int) -> ExactResult:
+def var_C(n: int, m: int, r: int) -> ExactResult:
     """Variance of the count of coprime r-subsets in a sample of length m."""
-    return u_statistic_moments(table, n, m, r, "indicator")[1]
+    return u_statistic_moments(sieve_weight(n, None), n, m, r, "indicator")[1]
 
 
-def var_Z(table: ArithTable, n: int, m: int, r: int, q: int = 1) -> ExactResult:
-    """Variance of the sum of gcd^q over r-subsets of a sample of length m."""
-    return u_statistic_moments(table, n, m, r, "moment", q)[1]
+def var_Z(n: int, m: int, r: int, q: int = 1) -> ExactResult:
+    """Variance of the sum of gcd^q over r-subsets of a sample of length m.
+
+    It is at least the covariance of `shared_covariance` at s = r, so a q
+    that puts n^(2q-r) / 8 past the float range is refused before any sieve.
+    """
+    _refuse_past_float(n, 2 * q - r, 3)
+    return u_statistic_moments(sieve_weight(n, q), n, m, r, "moment", q)[1]
 
 
-def u_statistic_moments(table: ArithTable, n: int, m: int, r: int, kind: str,
+def u_statistic_moments(g: np.ndarray, n: int, m: int, r: int, kind: str,
                         q: int = 1) -> tuple[ExactResult, ExactResult]:
     """(E k, Var S), S the sum of a kernel k over the r-subsets of a sample of length m.
 
     k is the coprimality indicator of r values (kind "indicator", S = C)
-    or their gcd^q (kind "moment", S = Z).  E k, which is mean_mu(n, r - 1)
-    or gcd_moment(n, r, q), is read off the prefix sums the variance
-    builds, so each weight is sieved once for both.
+    or their gcd^q (kind "moment", S = Z), and g its weight on 0..n:
+    `sieve_weight(n, None)` or `sieve_weight(n, q)`, which a caller may
+    share with other readers.  E k, which is mean_mu(n, r - 1) or
+    gcd_moment(n, r, q), is read off the prefix sums the variance builds.
     Var S = sum_{s=0..r} C(m,s) C(m-s,r-s) C(m-r,r-s) gamma_{r,s}; the
     binomial product counts pairs of r-subsets of {1..m} with intersection
     size s.
@@ -658,34 +697,33 @@ def u_statistic_moments(table: ArithTable, n: int, m: int, r: int, kind: str,
         raise ValueError(f"r must be >= 2, got {r}")
     if m < r:
         raise ValueError(f"need m >= r, got m={m}, r={r}")
-    table.check_index(n)
     # s = 0 shares nothing and adds a zero covariance
     weights = {s: comb(m, s) * comb(m - s, r - s) * comb(m - r, r - s) for s in range(1, r + 1)}
     shares = [s for s, weight in weights.items() if weight]
-    mean_num, covs = _covariance_numerators(table, n, r, shares, kind, q)
+    mean_num, covs = _covariance_numerators(g, n, r, shares, _kernel_order(kind, q))
     return (ExactResult.from_ratio(mean_num, n, r),
             ExactResult.from_ratio(sum(weights[s] * c for s, c in zip(shares, covs)), n, 2 * r))
 
 
 # --- mixed second moment (two kernels sharing one variable) ----------------
 
-def mixed_moment_pi(table: ArithTable, n: int, r: int, q: int) -> ExactResult:
+def mixed_moment_pi(n: int, r: int, q: int) -> ExactResult:
     """E[gcd(X_1,..,X_r)^q * gcd(X_1,X_{r+1},..,X_{2r-1})^q], exactly.
 
     Conditioning on the shared variable X_1 = k gives
       pi = (1/n) sum_k ( (1/n^{r-1}) sum_{j|k} phi_q(j) floor(n/j)^{r-1} )^2.
     """
-    table.check_index(n)
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    h = _divisor_profile(table.totient(q), n, r - 1, table.primes, _summatory(n, q))
+    _refuse_past_float(n, 2 * q - 2 * r + 1, 0)  # pi >= P(all 2r-1 values are n) n^(2q)
+    h = _divisor_profile(sieve_weight(n, q), n, r - 1, _summatory(n, q))
     return ExactResult.from_ratio(_block_sums(h, [1], 2)[0], n, 2 * r - 1)
 
 
-def mixed_moment_omega(table: ArithTable, n: int, r: int, q: int) -> ExactResult:
+def mixed_moment_omega(n: int, r: int, q: int) -> ExactResult:
     """Covariance form of the mixed moment: omega = pi - (E gcd^q)^2."""
-    pi = mixed_moment_pi(table, n, r, q)
+    pi = mixed_moment_pi(n, r, q)
     mean = gcd_moment(n, r, q)
     return ExactResult.from_ratio(pi.numerator * n - mean.numerator**2, n, 2 * r)

@@ -18,8 +18,11 @@ kernel evaluates them for a whole block of replicates, exactly: over an
 (n+1, B) count matrix, one column per replicate, when n is small next to
 the block's divisor count, else over one key per (replicate, divisor),
 its values factorised all at once with no table (`arith.weighted_divisors`).
-C(cnt, r) is read from a table of C(k, r) for k up to the largest count.
-M and N(t) are functions of the C(m,2) pair gcds alone and read no table;
+A run sieves the weight, mu or phi_q, to n once (`exact.sieve_weight`), and
+that one array serves both the exact moments that normalise C and Z and
+the dense route.  C(cnt, r) is read from a table of C(k, r) for k up to
+the largest count.
+M and N(t) are functions of the C(m,2) pair gcds alone and sieve nothing;
 n may then be as large as int64 allows.  They need only the large gcds: a
 pair gcd g > T makes both values g times a cofactor below n/T, so a
 floor_divide by each small cofactor lists every divisor above T of every
@@ -54,8 +57,8 @@ from math import comb
 import numpy as np
 
 from . import constants, exact, stattest
-from .arith import (ArithTable, build_table, mobius_local, run_positions, sum_over_multiples,
-                    totient_dtype, totient_local, weighted_divisors)
+from .arith import (mobius_local, primes_up_to, run_positions, sum_over_multiples, totient_dtype,
+                    totient_local, weighted_divisors)
 
 _INT64_SAFE = 2**62
 _INT64_MAX = 2**63 - 1
@@ -687,12 +690,12 @@ def _sparse_route(xs: np.ndarray, r: int, q: int | None) -> np.ndarray:
     return np.add.reduceat(terms, row_starts)
 
 
-def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, table: ArithTable,
-                           n: int) -> np.ndarray:
+def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, g: np.ndarray) -> np.ndarray:
     """Exact C (q None) or Z with exponent q of every row of xs, values in 1..n.
 
     Both are sum_d w(d) C(cnt(d), r), with w = mu or phi_q and
-    cnt(d) = #{i : d | x_i} in the row.  The cheaper route runs: the dense
+    cnt(d) = #{i : d | x_i} in the row; g is w on 0..n
+    (`exact.sieve_weight`), which the dense route reads.  The cheaper route runs: the dense
     sweep touches n + 1 + sum_{p <= n} floor(n/p) cells a row, the sparse
     route sorts D keys in D log2 D comparisons, D = xs.size D(n) / n the
     block's expected divisor count.  Dense blocks hold at most _BLOCK_ELEMENTS cells.
@@ -700,29 +703,29 @@ def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, table: ArithTa
     the sums could pass int64.
     """
     rows, m = xs.shape
-    if n <= table.n_max:
-        primes = table.primes[: np.searchsorted(table.primes, n, "right")]
-        s = math.isqrt(n)  # D(n) = sum_{k<=n} tau(k) = 2 sum_{j<=s} floor(n/j) - s^2
-        divisor_count = xs.size * (2 * int((n // np.arange(1, s + 1)).sum()) - s * s) / n
-        if rows * (n + 1 + int((n // primes).sum())) <= divisor_count * math.log2(divisor_count):
-            g = np.array((table.mobius if q is None else table.totient(q))[: n + 1], dtype=object)
-            g = g.astype(_exact_dtype(int(np.abs(g).sum()), m, r))
-            step = max(1, _BLOCK_ELEMENTS // (n + 1))
-            return np.concatenate([_dense_route(xs[lo : lo + step], r, g, primes.tolist())
-                                   for lo in range(0, rows, step)])
+    n = g.size - 1
+    primes = primes_up_to(n)
+    s = math.isqrt(n)  # D(n) = sum_{k<=n} tau(k) = 2 sum_{j<=s} floor(n/j) - s^2
+    divisor_count = xs.size * (2 * int((n // np.arange(1, s + 1)).sum()) - s * s) / n
+    if rows * (n + 1 + int((n // primes).sum())) <= divisor_count * math.log2(divisor_count):
+        w = np.array(g, dtype=object)
+        w = w.astype(_exact_dtype(int(np.abs(w).sum()), m, r))
+        step = max(1, _BLOCK_ELEMENTS // (n + 1))
+        return np.concatenate([_dense_route(xs[lo : lo + step], r, w, primes.tolist())
+                               for lo in range(0, rows, step)])
     return _sparse_route(xs, r, q)
 
 
-def stat_C(sample, r: int, table: ArithTable) -> int:
+def stat_C(sample, r: int) -> int:
     """Number of r-subsets of the sample whose gcd is exactly 1."""
     x = np.asarray(sample, dtype=np.int64)[None, :]
-    return int(_subset_weighted_block(x, r, None, table, int(x.max()))[0])
+    return int(_subset_weighted_block(x, r, None, exact.sieve_weight(int(x.max()), None))[0])
 
 
-def stat_Z(sample, r: int, q: int, table: ArithTable) -> int:
+def stat_Z(sample, r: int, q: int) -> int:
     """Sum of gcd^q over all r-subsets of the sample."""
     x = np.asarray(sample, dtype=np.int64)[None, :]
-    return int(_subset_weighted_block(x, r, q, table, int(x.max()))[0])
+    return int(_subset_weighted_block(x, r, q, exact.sieve_weight(int(x.max()), q))[0])
 
 
 # --- replicate running -------------------------------------------------------
@@ -828,10 +831,11 @@ def _raw_dtype(config: SampleConfig, statistic: str):
     return np.int64 if bound <= _INT64_MAX else object
 
 
-def _raws_in_range(config: SampleConfig, statistic: str, table, threshold: float,
+def _raws_in_range(config: SampleConfig, statistic: str, g, threshold: float,
                    start: int, stop: int) -> np.ndarray:
     """Raw statistic of replicates start..stop-1, a block of samples at a time.
 
+    g is the weight of C or Z on 0..n (`exact.sieve_weight`), None for M and N.
     Each block's kernel output is written into one array of `_raw_dtype`.
     """
     per_block = max(1, _BLOCK_ELEMENTS // config.m)
@@ -847,14 +851,14 @@ def _raws_in_range(config: SampleConfig, statistic: str, table, threshold: float
             block = _pair_gcd_reduce(xs, None if statistic == "M" else cut)
         else:
             q = None if statistic == "C" else config.q
-            block = _subset_weighted_block(xs, config.r, q, table, config.n)
+            block = _subset_weighted_block(xs, config.r, q, g)
         raws[lo - start : hi - start] = block
     return raws
 
 
 def _sim_chunk(bounds):
     return _raws_in_range(_SIM_CTX["config"], _SIM_CTX["statistic"],
-                          _SIM_CTX["table"], _SIM_CTX["threshold"], *bounds)
+                          _SIM_CTX["g"], _SIM_CTX["threshold"], *bounds)
 
 
 def _fork_pool(processes: int):
@@ -869,22 +873,19 @@ def _fork_pool(processes: int):
     return ProcessPoolExecutor(max_workers=processes, mp_context=get_context("fork"))
 
 
-def _raw_replicates(config, statistic, table, threshold, workers) -> np.ndarray:
+def _raw_replicates(config, statistic, g, threshold, workers) -> np.ndarray:
     """Raw values of all replicates in replicate order, each computed once.
 
     Workers take contiguous index ranges, so the values do not depend on
     the worker count.  The fork context starts every pool process up
-    front, so the pool has no more processes than ranges or CPUs.  One
-    worker runs in this process, and loads no pool (`_fork_pool`).
+    front, so the pool has no more processes than ranges or CPUs, and the
+    workers inherit the weight g sieved here.  One worker runs in this
+    process, and loads no pool (`_fork_pool`).
     """
     total = config.replicates
     if workers <= 1:
-        return _raws_in_range(config, statistic, table, threshold, 0, total)
-    if statistic in ("C", "Z"):
-        # sieve the weights the dense route reads once, here, not in every worker
-        table.mobius if statistic == "C" else table.totient(config.q)
-    _SIM_CTX.update(config=config, statistic=statistic, table=table,
-                    threshold=threshold)
+        return _raws_in_range(config, statistic, g, threshold, 0, total)
+    _SIM_CTX.update(config=config, statistic=statistic, g=g, threshold=threshold)
     chunk = max(1, math.ceil(total / (workers * 4)))
     bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     processes = min(workers, len(bounds), os.cpu_count() or 1)
@@ -892,13 +893,14 @@ def _raw_replicates(config, statistic, table, threshold, workers) -> np.ndarray:
         return np.concatenate(list(ex.map(_sim_chunk, bounds)))
 
 
-def exact_moments(config: SampleConfig, statistic: str, table: ArithTable):
-    """(mean, sd) of the statistic from the exact closed formulas."""
+def exact_moments(config: SampleConfig, statistic: str, g: np.ndarray):
+    """(mean, sd) of the statistic from the exact closed formulas, with g its
+    weight on 0..n: `exact.sieve_weight(n, None)` for C, `(n, q)` for Z."""
     m, n, r = config.m, config.n, config.r
     kinds = {"C": "indicator", "Z": "moment"}
     if statistic not in kinds:
         raise ValueError(f"exact moments only exist for C and Z, got {statistic!r}")
-    kernel_mean, var = exact.u_statistic_moments(table, n, m, r, kinds[statistic], config.q)
+    kernel_mean, var = exact.u_statistic_moments(g, n, m, r, kinds[statistic], config.q)
     mean, var = comb(m, r) * kernel_mean.float_value, var.float_value
     if var == 0:
         # n = 1: every gcd is 1, so the statistic is a constant
@@ -912,23 +914,27 @@ def run_replicates(config: SampleConfig, statistic: str, t: float = 1.0,
     """R replicate values of one statistic, with the normalisation and the
     limit law it fixes.
 
-    C and Z build a table to n; M and N need none.  N(t) has a limit law
-    only for 0 < t < inf; at any other t its counts still run, with none.
-    Each replicate is drawn and evaluated once.
+    C and Z sieve their weight, mu or phi_q, to n once, for the exact
+    moments and the replicates alike; M and N sieve nothing.  N(t) has a
+    limit law only for 0 < t < inf; at any other t its counts still run,
+    with none.  Each replicate is drawn and evaluated once.
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"statistic must be one of {_STATISTICS}, got {statistic!r}")
-    table, shift, scale, law = None, 0, 1, None
+    g, shift, scale, law = None, 0, 1, None
     if statistic in ("C", "Z"):
-        table = build_table(config.n)
-        shift, scale = exact_moments(config, statistic, table)
+        q = None if statistic == "C" else config.q
+        if q is not None:  # Var Z >= n^(2q-r) / 8 (`exact.var_Z`), checked before the sieve
+            exact._refuse_past_float(config.n, 2 * q - config.r, 3)
+        g = exact.sieve_weight(config.n, q)
+        shift, scale = exact_moments(config, statistic, g)
         law = stattest.ReferenceLaw.normal()
     elif statistic == "M":
         scale = comb(config.m, 2)
         law = stattest.ReferenceLaw.frechet(1 / constants.zeta(2))
     elif 0 < t < math.inf:
         law = stattest.ReferenceLaw.poisson(1 / (t * constants.zeta(2)))
-    raws = _raw_replicates(config, statistic, table, t * comb(config.m, 2), workers)
+    raws = _raw_replicates(config, statistic, g, t * comb(config.m, 2), workers)
     raws.flags.writeable = False
     return Replicates(raws, law, shift, scale)
 
@@ -949,9 +955,9 @@ def strong_law_trajectory(n: int, r: int, m_grid, seed: int) -> np.ndarray:
         raise ValueError(f"grid starts below r={r}")
     # replicate 0 of a one-replicate config: the stream keyed by (seed, 0)
     config = SampleConfig(m=grid[-1], n=n, r=r, master_seed=seed)
-    table = build_table(n)
+    mu = exact.sieve_weight(n, None)
     xs = _draw_block(config, 0, 1)[0]
 
     mean_single = exact.mean_mu(n, r - 1).float_value
-    return np.array([_subset_weighted_block(xs[None, :m], r, None, table, n)[0]
+    return np.array([_subset_weighted_block(xs[None, :m], r, None, mu)[0]
                      / (comb(m, r) * mean_single) for m in grid])

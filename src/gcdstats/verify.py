@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants, exact, montecarlo
-from .arith import build_table
 
 # frozen master seeds for the statistical criteria
 SEEDS = {
@@ -90,11 +89,10 @@ def suite_oracle() -> list[CheckResult]:
     out = []
     rs = (2, 3)
     qs = (1, 2)
-    tables = {n: build_table(n) for n in range(1, ORACLE_MAX_N + 1)}  # shared by both r
     for r in rs:
         fails = []
-        for n, table in tables.items():
-            if not _oracle_one_n(table, n, r, qs, fails):
+        for n in range(1, ORACLE_MAX_N + 1):
+            if not _oracle_one_n(n, r, qs, fails):
                 break
         out.append(
             CheckResult(
@@ -107,7 +105,7 @@ def suite_oracle() -> list[CheckResult]:
     return out
 
 
-def _oracle_one_n(table, n, r, qs, fails) -> bool:
+def _oracle_one_n(n, r, qs, fails) -> bool:
     from . import brute  # the oracle suite alone loads the brute-force oracles
 
     def bad(msg):
@@ -127,7 +125,7 @@ def _oracle_one_n(table, n, r, qs, fails) -> bool:
     # marginals and their mean/variance
     hist = brute.gcd_histogram(n, r)
     for kind in ("probability", "expectation"):
-        prof = exact.marginal_profile(table, n, r, kind)
+        prof = exact.marginal_profile(n, r, kind)
         for k in range(1, n + 1):
             if prof.value(k).as_fraction() != brute.marginal_value(n, r, k, kind, hist):
                 return bad(f"marginal {kind} mismatch at k={k}")
@@ -135,7 +133,7 @@ def _oracle_one_n(table, n, r, qs, fails) -> bool:
         if prof.mean().as_fraction() != bmean:
             return bad(f"profile mean {kind} mismatch")
         mine_var = (
-            exact.var_c(table, n, r) if kind == "probability" else exact.var_d(table, n, r)
+            exact.var_c(n, r) if kind == "probability" else exact.var_d(n, r)
         )
         if mine_var.as_fraction() != bvar:
             return bad(f"profile variance {kind} mismatch")
@@ -143,28 +141,28 @@ def _oracle_one_n(table, n, r, qs, fails) -> bool:
         return bad("mean_mu mismatch")
     # shared covariances
     for s in range(0, r + 1):
-        if exact.shared_covariance(table, n, r, s, "indicator").as_fraction() != \
+        if exact.shared_covariance(n, r, s, "indicator").as_fraction() != \
                 brute.shared_covariance(n, r, s, "indicator"):
             return bad(f"gamma(r,{s}) mismatch")
         for q in qs:
-            if exact.shared_covariance(table, n, r, s, "moment", q).as_fraction() != \
+            if exact.shared_covariance(n, r, s, "moment", q).as_fraction() != \
                     brute.shared_covariance(n, r, s, "moment", q):
                 return bad(f"omega(r,{s}) q={q} mismatch")
     # U-statistic variances over all n^m samples, smallest nontrivial m
     m = r + 1
     _, bvar = brute.statistic_mean_and_var(n, m, r, "indicator")
-    if exact.var_C(table, n, m, r).as_fraction() != bvar:
+    if exact.var_C(n, m, r).as_fraction() != bvar:
         return bad(f"var_C(m={m}) mismatch")
     for q in qs:
         _, bvar = brute.statistic_mean_and_var(n, m, r, "moment", q)
-        if exact.var_Z(table, n, m, r, q).as_fraction() != bvar:
+        if exact.var_Z(n, m, r, q).as_fraction() != bvar:
             return bad(f"var_Z(m={m}) q={q} mismatch")
     # mixed second moment
     for q in qs:
-        if exact.mixed_moment_pi(table, n, r, q).as_fraction() != \
+        if exact.mixed_moment_pi(n, r, q).as_fraction() != \
                 brute.mixed_moment_pi(n, r, q):
             return bad(f"pi q={q} mismatch")
-        omega = exact.mixed_moment_omega(table, n, r, q).as_fraction()
+        omega = exact.mixed_moment_omega(n, r, q).as_fraction()
         if omega != brute.shared_covariance(n, r, 1, "moment", q):
             return bad(f"omega-from-pi q={q} mismatch")
     return True

@@ -1,27 +1,5 @@
 import pytest
 
-from gcdstats.arith import build_table
-
-
-@pytest.fixture(scope="session")
-def table_100():
-    return build_table(100)
-
-
-@pytest.fixture(scope="session")
-def table_1000():
-    return build_table(1000)
-
-
-@pytest.fixture(scope="session")
-def table_10k():
-    return build_table(10_000)
-
-
-@pytest.fixture(scope="session")
-def table_1e6():
-    return build_table(1_000_000)
-
 
 @pytest.fixture
 def sieved_bounds(monkeypatch):
@@ -37,13 +15,13 @@ def sieved_bounds(monkeypatch):
 
 @pytest.fixture
 def sieve_calls(monkeypatch):
-    """The table-function sieves run during the test, in order, as (name, bound):
-    name 'mu', 'tau', 'spf' or 'phi_<s>', sieved whole into a table or window by
+    """The multiplicative sieves run during the test, in order, as (name, bound):
+    name 'mu', 'tau' or 'phi_<s>', sieved whole into a table or window by
     window (`exact._summatory`)."""
     from gcdstats import arith, exact
 
     calls = []
-    real_windows, real_spf = arith.prime_power_windows, arith._spf_sieve
+    real_windows = arith.prime_power_windows
 
     def windows(n, primes, local, dtype, out=None):
         if local is arith.mobius_local:
@@ -54,12 +32,7 @@ def sieve_calls(monkeypatch):
             calls.append((f"phi_{(local(2, 1) + 1).bit_length() - 1}", n))
         return real_windows(n, primes, local, dtype, out)
 
-    def spf(n, primes):
-        calls.append(("spf", n))
-        return real_spf(n, primes)
-
     # `prime_power_sieve` takes its windows from the arith module's name
     for module in (arith, exact):
         monkeypatch.setattr(module, "prime_power_windows", windows)
-    monkeypatch.setattr(arith, "_spf_sieve", spf)
     return calls

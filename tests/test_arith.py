@@ -11,7 +11,6 @@ from gcdstats.arith import (
     DEFAULT_MAX_N,
     CapacityError,
     _large_values,
-    build_table,
     factorize,
     mobius_local,
     pillai_local,
@@ -26,6 +25,7 @@ from gcdstats.arith import (
     weighted_divisors,
 )
 from gcdstats.constants import _lcm_local_mass, _product_local_mass
+from gcdstats.exact import sieve_weight
 
 
 def divisor_pairs(ks):
@@ -45,6 +45,11 @@ def factor_lists(ks):
     for at, p, e in zip(*(a.tolist() for a in factorize(ks))):
         out[at].append((p, e))
     return out
+
+
+def sieved(n, local, dtype=np.int64):
+    """f(0..n) of the prime-power values `local`, by `prime_power_sieve`."""
+    return prime_power_sieve(n, primes_up_to(n), local, dtype)
 
 
 def naive_pillai(k, s):
@@ -77,8 +82,8 @@ def plain_jordan_sieve(n, s, dtype=np.int64):
     return phi
 
 
-def test_mobius_values(table_100):
-    mu = table_100.mobius
+def test_mobius_values():
+    mu = sieve_weight(100, None)
     assert mu[1] == 1
     assert mu[6] == 1
     assert mu[4] == 0
@@ -87,30 +92,31 @@ def test_mobius_values(table_100):
     assert set(np.unique(mu[1:]).tolist()) <= {-1, 0, 1}
 
 
-def test_totient_values(table_100):
-    phi = table_100.totient(1)
+def test_totient_values():
+    phi = sieve_weight(100, 1)
     assert phi[12] == 4  # {1,5,7,11}
-    assert table_100.totient(2)[6] == 24
-    assert table_100.tau[12] == 6
+    assert sieve_weight(100, 2)[6] == 24
+    assert int(sieve_weight(100, 4)[3]) == 3**4 - 1
+    assert sieved(100, tau_local, np.int32)[12] == 6
 
 
-def test_totient_divisor_sum_identity(table_1000):
-    phi = table_1000.totient(1)
+def test_totient_divisor_sum_identity():
+    phi = sieve_weight(1000, 1)
     k, d = divisor_pairs(np.arange(1, 201))
     assert per_value(k, phi[d]).tolist() == list(range(1, 201))
 
 
-def test_mobius_divisor_sum_identity(table_1000):
-    mu = table_1000.mobius.astype(np.int64)
+def test_mobius_divisor_sum_identity():
+    mu = sieve_weight(1000, None).astype(np.int64)
     k, d = divisor_pairs(np.arange(1, 201))
     assert per_value(k, mu[d]).tolist() == [1] + [0] * 199
 
 
-def test_jordan_product_form(table_1000):
+def test_jordan_product_form():
     # phi_s(k) = k^s prod_{p|k} (1 - p^-s), exact in integers
     factors = factor_lists(range(1, 501))
     for s in (1, 2, 3):
-        vals = table_1000.totient(s)
+        vals = sieve_weight(1000, s)
         for k in range(1, 501):
             expected = k**s
             for p, _ in factors[k - 1]:
@@ -119,9 +125,9 @@ def test_jordan_product_form(table_1000):
             assert 1 <= int(vals[k]) <= k**s
 
 
-def test_multiplicativity_spot_checks(table_1000):
+def test_multiplicativity_spot_checks():
     rng = random.Random(7)
-    mu, tau = table_1000.mobius, table_1000.tau
+    mu, tau = sieve_weight(1000, None), sieved(1000, tau_local, np.int32)
     checked = 0
     while checked < 60:
         a = rng.randint(2, 31)
@@ -129,7 +135,7 @@ def test_multiplicativity_spot_checks(table_1000):
         if math_gcd(a, b) != 1:
             continue
         for s in (1, 2):
-            phi_s = table_1000.totient(s)
+            phi_s = sieve_weight(1000, s)
             assert int(phi_s[a * b]) == int(phi_s[a]) * int(phi_s[b])
         assert int(tau[a * b]) == int(tau[a]) * int(tau[b])
         assert int(mu[a * b]) == int(mu[a]) * int(mu[b])
@@ -137,12 +143,11 @@ def test_multiplicativity_spot_checks(table_1000):
 
 
 def test_dirichlet_convolution_identities_to_1e4():
-    table = build_table(10_000)
-    phi, mu = table.totient(1), table.mobius.astype(np.int64)
+    phi, mu = sieve_weight(10_000, 1), sieve_weight(10_000, None).astype(np.int64)
     k, d = divisor_pairs(np.arange(1, 10_001))
     for s in (1, 2):
-        phi_s = table.totient(s)
-        p_s = prime_power_sieve(10_000, table.primes, pillai_local(s), np.int64)[1:]
+        phi_s = sieve_weight(10_000, s)
+        p_s = sieved(10_000, pillai_local(s))[1:]
         # (mu * I_s)(k) = phi_s(k)
         assert np.array_equal(per_value(k, mu[d] * (k // d) ** s), phi_s[1:])
         # (phi * I_s)(k) = P_s(k)
@@ -152,17 +157,15 @@ def test_dirichlet_convolution_identities_to_1e4():
 
 
 def test_pillai_bound_chain_to_1e4():
-    table = build_table(10_000)
     k = np.arange(10_001)
-    p1, p2 = (prime_power_sieve(10_000, table.primes, pillai_local(s), np.int64) for s in (1, 2))
+    p1, p2 = (sieved(10_000, pillai_local(s)) for s in (1, 2))
     # P_2(k)/k^2 <= P(k)/k <= tau(k), compared in integers
     assert np.all(p2 * k <= p1 * k**2)
-    assert np.all(p1 <= table.tau * k)
+    assert np.all(p1 <= sieved(10_000, tau_local, np.int32) * k)
 
 
-def test_pillai_examples_and_oracle(table_100):
-    pillai = {s: prime_power_sieve(100, table_100.primes, pillai_local(s), np.int64)
-              for s in (1, 2, 3)}
+def test_pillai_examples_and_oracle():
+    pillai = {s: sieved(100, pillai_local(s)) for s in (1, 2, 3)}
     assert pillai[1][6] == 15
     assert pillai[2][6] == 55
     assert pillai[1][1] == 1
@@ -222,23 +225,6 @@ def test_factorize_sieves_only_primes(sieve_calls, sieved_bounds, monkeypatch):
     assert sieve_calls == [] and sieved_bounds == [99_991, 100_003]
 
 
-def naive_spf(k):
-    """Smallest prime factor by trial division over every d >= 2 (reference)."""
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            return d
-        d += 1
-    return k
-
-
-def test_smallest_prime_factor_is_trial_division():
-    want = np.array([naive_spf(k) for k in range(99_992)], dtype=np.int32)
-    for n in [*range(1, 301), 2**16 + 1, 99_991]:
-        got = build_table(n).smallest_prime_factor
-        assert got.dtype == np.int32 and np.array_equal(got, want[: n + 1]), n
-
-
 def test_weighted_divisors_is_plain_enumeration():
     top = 2000
     for local, w, dtype in ((mobius_local, plain_mobius_sieve(top), np.int8),
@@ -264,13 +250,13 @@ def test_pillai_local_sieves_the_defining_sum(s):
     assert got.tolist() == [0] + [naive_pillai(k, s) for k in range(1, n + 1)]
 
 
-def test_divisors(table_100):
+def test_divisors():
     k, d = divisor_pairs(np.arange(1, 101))
     ds = [sorted(d[k == v].tolist()) for v in range(1, 101)]
     assert ds[0] == [1]
     assert ds[11] == [1, 2, 3, 4, 6, 12]
     assert ds[6] == [1, 7]
-    assert [len(x) for x in ds] == table_100.tau[1:].tolist()
+    assert [len(x) for x in ds] == sieved(100, tau_local, np.int32)[1:].tolist()
     assert all(len(set(x)) == len(x) for x in ds)
     assert np.all(k % d == 0)
 
@@ -315,40 +301,22 @@ def test_no_module_keeps_a_functools_cache():
     assert caches == []
 
 
-def test_build_table_validation(sieved_bounds):
-    with pytest.raises(ValueError):
-        build_table(0)
-    # the cap is checked, by the prime sieve alone, before anything is sieved
-    with pytest.raises(CapacityError):
-        build_table(DEFAULT_MAX_N + 1)
-    with pytest.raises(CapacityError, match="table cap"):
-        primes_up_to(DEFAULT_MAX_N + 1)
-    assert sieved_bounds == []
-
-
 def test_high_order_totient_falls_back_to_big_ints():
-    table = build_table(50)
-    vals = table.totient(12)
+    vals = sieve_weight(50, 12)
     assert vals.dtype == object  # 50^12 exceeds int64
     assert vals[2] == 2**12 - 1
     assert vals[6] == 6**12 * (2**12 - 1) * (3**12 - 1) // (2**12 * 3**12)
 
 
-def test_lazy_totient_order(table_100):
-    vals = table_100.totient(4)
-    assert int(vals[3]) == 3**4 - 1
-
-
 def test_prime_power_sieve_is_the_plain_sieves():
     for n in list(range(1, 130)) + [255, 256, 257, 1000, 4096, 9973, 10_000]:
-        table = build_table(n)
-        for got, want in ((table.mobius, plain_mobius_sieve(n)),
-                          (table.tau, plain_tau_sieve(n)),
-                          (table.totient(1), plain_jordan_sieve(n, 1)),
-                          (table.totient(2), plain_jordan_sieve(n, 2))):
+        for got, want in ((sieve_weight(n, None), plain_mobius_sieve(n)),
+                          (sieved(n, tau_local, np.int32), plain_tau_sieve(n)),
+                          (sieve_weight(n, 1), plain_jordan_sieve(n, 1)),
+                          (sieve_weight(n, 2), plain_jordan_sieve(n, 2))):
             assert got.dtype == want.dtype and np.array_equal(got, want), n
     # 50^12 exceeds int64: the order is an array of Python ints
-    got = build_table(50).totient(12)
+    got = sieve_weight(50, 12)
     want = plain_jordan_sieve(50, 12, dtype=object).tolist()
     assert got.dtype == object and all(type(v) is int for v in got.tolist())
     assert got.tolist() == want
@@ -497,16 +465,3 @@ def test_sum_over_divisors_is_the_plain_loop(dtype):
         got = a.copy()
         assert sum_over_divisors(got, primes) is None
         assert got.dtype == a.dtype and np.array_equal(got, want), n
-
-
-def test_table_sieves_each_function_on_first_read_only(sieve_calls):
-    table = build_table(1000)
-    assert sieve_calls == []  # only the primes
-    mu = table.mobius
-    assert table.mobius is mu and sieve_calls == [("mu", 1000)]
-    table.tau, table.tau, table.smallest_prime_factor, table.smallest_prime_factor
-    table.totient(2), table.totient(2)
-    want = [("mu", 1000), ("tau", 1000), ("spf", 1000), ("phi_2", 1000)]
-    assert sieve_calls == want
-    assert factor_lists([360]) == [[(2, 3), (3, 2), (5, 1)]]
-    assert sieve_calls == want

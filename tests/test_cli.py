@@ -192,6 +192,24 @@ def test_exact_mu_sieves_mu_only(sieve_calls, capsys):
     assert sieve_calls == [("mu", 100)]
 
 
+@pytest.mark.parametrize("quantity, want", [
+    ("c", [("mu", 1000)]),
+    ("d", [("phi_1", 1000), ("phi_1", 100)]),
+    ("varC", [("mu", 1000), ("mu", 100)]),
+    ("gamma", [("mu", 1000), ("mu", 100)]),
+    ("varZ", [("phi_2", 1000), ("mu", 100), ("phi_2", 100)]),
+    ("omega", [("phi_2", 1000), ("mu", 100), ("phi_2", 100)]),
+    ("pi", [("phi_2", 1000), ("phi_2", 100)]),
+])
+def test_exact_second_order_quantities_sieve_their_one_weight(quantity, want, sieve_calls,
+                                                              capsys):
+    code, _ = run_cli(["exact", "--quantity", quantity, "--n", "1000", "--r", "2", "--m", "5",
+                       "--s", "1", "--q", "2"], capsys)
+    assert code == 0
+    # the weight to n once, then mu and phi_q window by window to L = n^(2/3) = 100
+    assert sieve_calls == want
+
+
 def test_verify_trends_sieves_no_table_function(sieve_calls, capsys):
     code, _ = run_cli(["verify", "--suite", "trends"], capsys)
     assert code == 0
@@ -200,7 +218,7 @@ def test_verify_trends_sieves_no_table_function(sieve_calls, capsys):
 
 
 def test_exact_var_c_sieves_the_primes_once(sieved_bounds, capsys):
-    # the table's sieve to n serves the sieve to L = 2116 of `_summatory`
+    # the prime sieve to n of the weight serves the sieve to L = 2116 of `_summatory`
     code, _ = run_cli(["exact", "--quantity", "varC", "--n", "100000", "--m", "50"], capsys)
     assert code == 0
     assert sieved_bounds == [100_000]
@@ -520,6 +538,23 @@ def test_values_past_the_float_range_are_a_usage_error(argv, flags, capsys):
     assert f"overflows a float: lower {flags}" in text
 
 
+@pytest.mark.parametrize("argv, flags", [
+    # E gcd^q >= n^(q-r): the value, and the mean that normalises Z
+    (["exact", "--quantity", "moment", "--n", "10", "--q", "3000"], "--q"),
+    # Var Z >= omega_r >= n^(2q-r) / 8, omega_s >= n^(2q-2r+s) / 8, pi >= n^(2q-2r+1)
+    (["exact", "--quantity", "varZ", "--n", "10", "--m", "3", "--q", "3000"], "--q, --m or --r"),
+    (["simulate", "--statistic", "Z", "--m", "10", "--n", "100", "--reps", "1", "--q", "1000"],
+     "--q, --m or --r"),
+    (["exact", "--quantity", "omega", "--n", "10", "--s", "1", "--q", "3000"], "--q"),
+    (["exact", "--quantity", "pi", "--n", "10", "--q", "3000"], "--q"),
+], ids=["moment", "varZ", "Z", "omega", "pi"])
+def test_a_q_past_the_float_range_is_refused_before_any_sieve(argv, flags, sieve_calls,
+                                                              sieved_bounds, capsys):
+    text = _usage_error(argv, capsys)
+    assert f"overflows a float: lower {flags}" in text
+    assert sieve_calls == [] and sieved_bounds == []
+
+
 @pytest.mark.parametrize("statistic", ["C", "Z"])
 def test_exact_moments_of_a_constant_statistic_is_usage_error(statistic, capsys):
     # at n = 1 every gcd is 1, so C and Z are constants with no sd to scale by
@@ -578,14 +613,15 @@ def test_table_cap_error_names_the_flag(argv, flag, monkeypatch, capsys):
 
 @pytest.mark.parametrize("quantity", ["mu", "nu", "pmf", "moment", "tail", "varC", "pi"])
 def test_exact_n_above_its_range_is_refused_before_sieving(quantity, monkeypatch, capsys):
-    from gcdstats import arith
+    from gcdstats import arith, exact
     from gcdstats.exact import TABLE_FREE_MAX_N
 
     def no_sieve(n, *args):
         raise AssertionError(f"sieved up to {n}")
 
-    for name in ("_eratosthenes", "prime_power_sieve", "_spf_sieve"):
-        monkeypatch.setattr(arith, name, no_sieve)
+    for module, name in ((arith, "_eratosthenes"), (arith, "prime_power_windows"),
+                         (exact, "prime_power_windows")):
+        monkeypatch.setattr(module, name, no_sieve)
     argv = ["exact", "--quantity", quantity, "--m", "50", "--t", "3"]
     if quantity in cli._TABLE_FREE:
         # a sieve to n^(2/3) is the only bound: n up to about 1.6e11

@@ -1,13 +1,15 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
 from scipy.special import zeta as scipy_zeta
 
 from gcdstats import constants
-from gcdstats.arith import DEFAULT_MAX_N, CapacityError, build_table, primes_up_to
+from gcdstats.arith import DEFAULT_MAX_N, CapacityError, primes_up_to
+from gcdstats.exact import sieve_weight
 from gcdstats.constants import ProductSpec, euler_product, zeta
 
 CUTOFF = 1_000_000
@@ -22,10 +24,10 @@ def _plain_gcd_double_sum(w):
     return total
 
 
-def _plain_product_restricted_sums(table, grid):
+def _plain_product_restricted_sums(grid):
     """sum_{i j <= N} w(i) w(j) gcd(i,j), w = phi/k^2, one row of i at a time."""
     top = grid[-1]
-    w = table.totient(1)[: top + 1].astype(np.float64)
+    w = sieve_weight(top, 1).astype(np.float64)
     w[1:] /= np.arange(1, top + 1, dtype=np.float64) ** 2
     out = []
     for n in grid:
@@ -38,10 +40,10 @@ def _plain_product_restricted_sums(table, grid):
     return out
 
 
-def _plain_lcm_restricted_sums(table, grid):
-    """sum over lcm(i,j) <= N, the per-lcm mass built k by k from spf divisions."""
+def _plain_lcm_restricted_sums(grid):
+    """sum over lcm(i,j) <= N, the per-lcm mass built k by k from divisions by
+    the smallest prime factor, found by trial division."""
     top = grid[-1]
-    spf = table.smallest_prime_factor
 
     def local_mass(p, a):
         def ph(e):
@@ -57,7 +59,7 @@ def _plain_lcm_restricted_sums(table, grid):
     mass = np.zeros(top + 1)
     mass[1] = 1.0
     for k in range(2, top + 1):
-        p = int(spf[k])
+        p = next((d for d in range(2, isqrt(k) + 1) if k % d == 0), k)
         rest = k // p
         a = 1
         while rest % p == 0:
@@ -73,11 +75,11 @@ def _plain_lcm_restricted_sums(table, grid):
     return [float(prefix[n]) for n in grid]
 
 
-def _plain_pillai_mean_square(table, grid):
+def _plain_pillai_mean_square(grid):
     """(1/N) sum_{k <= N} (P(k)/k)^2, with P(k) = sum_{d|k} phi(d) k/d added
     in exact integers at every multiple k of each d."""
     top = grid[-1]
-    phi = table.totient(1)
+    phi = sieve_weight(top, 1)
     pillai = np.zeros(top + 1, dtype=np.int64)
     for d in range(1, top + 1):
         pillai[d::d] += int(phi[d]) * np.arange(1, top // d + 1)
@@ -278,17 +280,17 @@ def test_tauberian_trend_small_grid():
 
 @pytest.mark.parametrize("grid", [(10, 11, 12, 13, 16, 17), (100, 999, 1000, 1001),
                                   (10, 2_000, 19_999, 20_000)])
-def test_trend_sums_are_the_plain_loops(grid, table_10k):
-    table = table_10k if grid[-1] <= table_10k.n_max else build_table(grid[-1])
-    got = constants._mass_sums(constants._product_local_mass, table.primes, list(grid))
-    want = _plain_product_restricted_sums(table, list(grid))
+def test_trend_sums_are_the_plain_loops(grid):
+    primes = primes_up_to(grid[-1])
+    got = constants._mass_sums(constants._product_local_mass, primes, list(grid))
+    want = _plain_product_restricted_sums(list(grid))
     assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
-    got = constants._mass_sums(constants._lcm_local_mass, table.primes, list(grid))
-    want = _plain_lcm_restricted_sums(table, list(grid))
+    got = constants._mass_sums(constants._lcm_local_mass, primes, list(grid))
+    want = _plain_lcm_restricted_sums(list(grid))
     assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
     # the same exact P(k), then the same float steps: bit-identical
-    got = constants._pillai_mean_square(table.primes, list(grid))
-    assert repr(got) == repr(_plain_pillai_mean_square(table, list(grid)))
+    got = constants._pillai_mean_square(primes, list(grid))
+    assert repr(got) == repr(_plain_pillai_mean_square(list(grid)))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -311,17 +313,17 @@ def test_trend_sums_from_windows_are_one_whole_cumsum():
     from gcdstats.arith import CHUNK, prime_power_sieve
 
     grid = [10, 1_000, 131_071, 262_143, 262_144, 262_145, 999_999, 1_000_000]
-    table = build_table(grid[-1])
+    primes = primes_up_to(grid[-1])
     for local in (constants._product_local_mass, constants._lcm_local_mass):
-        prefix = np.cumsum(prime_power_sieve(grid[-1], table.primes, local, np.float64))
-        assert repr(constants._mass_sums(local, table.primes, grid)) == repr(
+        prefix = np.cumsum(prime_power_sieve(grid[-1], primes, local, np.float64))
+        assert repr(constants._mass_sums(local, primes, grid)) == repr(
             [float(prefix[n]) for n in grid])
-    val = prime_power_sieve(grid[-1], table.primes, constants.pillai_local(1), np.float64)
+    val = prime_power_sieve(grid[-1], primes, constants.pillai_local(1), np.float64)
     for lo in range(1, val.size, CHUNK):
         k = np.arange(lo, min(lo + CHUNK, val.size), dtype=np.float64)
         val[lo : lo + k.size] /= k
     prefix = np.cumsum(val * val)
-    assert repr(constants._pillai_mean_square(table.primes, grid)) == repr(
+    assert repr(constants._pillai_mean_square(primes, grid)) == repr(
         [float(prefix[n]) / n for n in grid])
 
 
@@ -334,7 +336,7 @@ def test_corollary22_trend_holds_no_n_entry_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one float64 window and the sieve's bounded buffers; the table's primes and
+    # one float64 window and the sieve's bounded buffers; the primes and
     # their float values (at most about 1.6 MiB here) are the only arrays that grow
     # with N, as N / ln N; the 7.6 MiB mass that one n-entry array was is gone
     assert peak <= 8 * WINDOW + 2 * 2**20
@@ -350,7 +352,7 @@ def test_trends_suite_sieves_the_primes_to_its_grid_once(sieved_bounds):
 
 def test_four_suites_sieve_the_primes_to_1e6_once(sieved_bounds, monkeypatch):
     # every smaller bound (the _summatory limits, the constants suite's 1e4 and
-    # 1e5, the strong law's tables) reads a prefix of a sieve already made;
+    # 1e5, the strong law's sieves of mu) reads a prefix of a sieve already made;
     # each suite evaluates each Euler product it reads once
     from gcdstats import verify
 

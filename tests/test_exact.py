@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gcdstats import brute, constants, exact
-from gcdstats.arith import DEFAULT_MAX_N, build_table
+from gcdstats.arith import DEFAULT_MAX_N, CapacityError, prime_power_sieve, primes_up_to, tau_local
 from gcdstats.cli import main
 
 
@@ -26,9 +26,8 @@ def plain_divisor_sums(g, n, power):
     return acc
 
 
-def per_k_gcd_counts(table, n, r):
+def per_k_gcd_counts(mu, n, r):
     """#{r-tuples in [n]^r with gcd k} = sum_{j <= n/k} mu(j) floor(n/(k j))^r, term by term (reference)."""
-    mu = table.mobius
     return [sum(int(mu[j]) * (n // (k * j)) ** r for j in range(1, n // k + 1))
             for k in range(1, n + 1)]
 
@@ -64,13 +63,12 @@ def plain_block_sums(h, starts, power):
 def test_big_integer_profiles_at_r7():
     # 1000^7 exceeds int64, so the kernel runs on Python ints
     n, r = 1000, 7
-    table = build_table(n)
-    for kind, g in (("probability", table.mobius), ("expectation", table.totient(1))):
-        prof = exact.marginal_profile(table, n, r, kind)
+    for kind, q in (("probability", None), ("expectation", 1)):
+        prof = exact.marginal_profile(n, r, kind)
         assert prof.numerators.dtype == object
-        assert prof.numerators.tolist() == plain_divisor_sums(g, n, r)
-    want = sum(v * v for v in plain_divisor_sums(table.totient(1), n, r - 1)[1:])
-    assert exact.mixed_moment_pi(table, n, r, 1).numerator == want
+        assert prof.numerators.tolist() == plain_divisor_sums(exact.sieve_weight(n, q), n, r)
+    want = sum(v * v for v in plain_divisor_sums(exact.sieve_weight(n, 1), n, r - 1)[1:])
+    assert exact.mixed_moment_pi(n, r, 1).numerator == want
 
 
 # --- quotient blocks and batched floor sums -----------------------------------
@@ -90,8 +88,8 @@ def test_quotient_blocks_are_the_runs_of_equal_quotients():
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
-def test_floor_power_sums_are_the_plain_loop(table_1000, s):
-    for g in (table_1000.mobius, table_1000.totient(1)):
+def test_floor_power_sums_are_the_plain_loop(s):
+    for g in (exact.sieve_weight(300, None), exact.sieve_weight(300, 1)):
         want = [0] + [plain_floor_power_sum(g, v, s) for v in range(1, 301)]
         for n in range(1, 301):
             values = distinct_quotients(n)
@@ -100,12 +98,12 @@ def test_floor_power_sums_are_the_plain_loop(table_1000, s):
 
 
 def test_floor_power_sums_at_random_n_take_both_dtypes(monkeypatch):
-    table = build_table(200_000)
+    mu, phi = exact.sieve_weight(200_000, None), exact.sieve_weight(200_000, 1)
     rng = np.random.default_rng(2357)
     dtypes = set()
     for n in [200_000, *rng.integers(2, 200_000, 4).tolist()]:
         values = distinct_quotients(n)
-        for g in (table.mobius, table.totient(1)):
+        for g in (mu, phi):
             prefix = [0]
             for x in g[1 : n + 1].tolist():
                 prefix.append(prefix[-1] + x)
@@ -114,15 +112,15 @@ def test_floor_power_sums_at_random_n_take_both_dtypes(monkeypatch):
                 dtypes.add(got.dtype)
                 assert got.tolist() == [blockwise_floor_power_sum(prefix, v, s) for v in values]
         for v in (n, n // 3, 5):
-            assert exact._floor_power_sum(exact._exact_prefix(table.mobius, v), v, 5) == \
-                plain_floor_power_sum(table.mobius, v, 5)
+            assert exact._floor_power_sum(exact._exact_prefix(mu, v), v, 5) == \
+                plain_floor_power_sum(mu, v, 5)
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
     # values split across many batches of breakpoints
     monkeypatch.setattr(exact, "_BREAKPOINT_BATCH", 50)
     n = 12_345
     values = distinct_quotients(n)
-    got = exact._floor_power_sums(exact._exact_prefix(table.mobius, n), values, 2)
-    assert got.tolist() == [plain_floor_power_sum(table.mobius, v, 2) for v in values]
+    got = exact._floor_power_sums(exact._exact_prefix(mu, n), values, 2)
+    assert got.tolist() == [plain_floor_power_sum(mu, v, 2) for v in values]
 
 
 # --- table-free summatory functions ---------------------------------------------
@@ -133,9 +131,8 @@ def floor_points(n):
 
 
 @pytest.mark.parametrize("q", [None, 1, 2, 3])
-def test_summatory_is_the_plain_prefix_for_every_n_to_2000(table_10k, q):
-    g = table_10k.mobius if q is None else table_10k.totient(q)
-    plain = np.cumsum(g[:2001].astype(object))
+def test_summatory_is_the_plain_prefix_for_every_n_to_2000(q):
+    plain = np.cumsum(exact.sieve_weight(2000, q).astype(object))
     for n in range(1, 2001):
         fast = exact._summatory(n, q)
         points = floor_points(n)
@@ -145,21 +142,21 @@ def test_summatory_is_the_plain_prefix_for_every_n_to_2000(table_10k, q):
             assert exact._floor_power_sum(fast, n, r) == blockwise_floor_power_sum(prefix, n, r)
 
 
-def test_summatory_numerators_at_seeded_n_take_both_dtypes(table_1e6):
+def test_summatory_numerators_at_seeded_n_take_both_dtypes():
     # q up to 3 at n <= 1e6 and r up to 5 flip every int64/object choice:
     # the dense prefix, the points above L one by one, and the floor sums
     rng = np.random.default_rng(1013)
     cases = [(n, q) for n in [10**6, *rng.integers(10**5, 10**6, 2).tolist()]
              for q in (None, 1, 2, 3)]
-    # mu to 1e7, and phi_7, whose dense prefix is Python ints, from tables of their own
+    # mu to 1e7, and phi_7, whose dense prefix is Python ints
     cases += [(n, None) for n in [10**7, *rng.integers(10**6, 10**7, 1).tolist()]]
     cases += [(n, 7) for n in rng.integers(2000, 20_000, 2).tolist()]
-    tables = {None: build_table(10**7), 7: build_table(20_000)}
+    # each weight sieved once, to the largest n it serves
+    weights = {q: exact.sieve_weight(max(n for n, k in cases if k == q), q)
+               for q in (None, 1, 2, 3, 7)}
     dtypes = set()
     for n, q in cases:
-        source = table_1e6 if n <= 10**6 and q != 7 else tables[q]
-        g = source.mobius if q is None else source.totient(q)
-        fast, slow = exact._summatory(n, q), exact._exact_prefix(g, n)
+        fast, slow = exact._summatory(n, q), exact._exact_prefix(weights[q], n)
         dtypes.update((fast.dense.dtype, fast.high.dtype))
         points = floor_points(n)
         assert fast.at(points).tolist() == slow.at(points).tolist(), (n, q)
@@ -202,10 +199,10 @@ def test_summatory_holds_only_the_floor_points(q):
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 7])
-def test_squarefree_floor_power_sum_is_the_abs_mu_floor_sum(table_10k, p):
+def test_squarefree_floor_power_sum_is_the_abs_mu_floor_sum(p):
     # the profile bound for g = mu, and so its int64/object choice
-    mu = table_10k.mobius
-    abs_mu = np.abs(mu[:3001])
+    mu = exact.sieve_weight(3000, None)
+    abs_mu = np.abs(mu)
     for n in range(1, 3001):
         assert exact._squarefree_floor_power_sum(mu, n, p) == \
             exact._floor_power_sum(exact._exact_prefix(abs_mu, n), n, p), n
@@ -308,10 +305,10 @@ def test_gcd_pmf_r1_is_uniform():
     assert len(pmf) == 10 and all(frac(v) == Fraction(1, 10) for v in pmf)
 
 
-def test_gcd_pmf_and_tail_are_the_per_k_floor_sums(table_1000):
+def test_gcd_pmf_and_tail_are_the_per_k_floor_sums():
     for n in (1, 2, 17, 100, 1000):
         for r in (1, 2, 3):
-            want = per_k_gcd_counts(table_1000, n, r)
+            want = per_k_gcd_counts(exact.sieve_weight(n, None), n, r)
             assert [v.numerator for v in pmf_entries(n, r)] == want
             if r == 2:
                 for t in {0, 1, n // 3, n - 1, n}:
@@ -326,49 +323,50 @@ def test_gcd_pmf_limit_at_k1():
 
 # --- marginal profiles ---------------------------------------------------------
 
-def test_marginal_examples(table_100):
-    prof = exact.marginal_profile(table_100, 10, 1, "probability")
+def test_marginal_examples():
+    prof = exact.marginal_profile(10, 1, "probability")
     assert frac(prof.value(6)) == Fraction(3, 10)  # {1,5,7} coprime to 6
-    prof = exact.marginal_profile(table_100, 10, 1, "expectation")
+    prof = exact.marginal_profile(10, 1, "expectation")
     assert frac(prof.value(6)) == Fraction(23, 10)  # sum gcd(j,6), j<=10
 
 
-def test_marginal_value_at_1_is_1(table_100):
+def test_marginal_value_at_1_is_1():
     for n, r in ((7, 1), (10, 2), (25, 3)):
         for kind in ("probability", "expectation"):
-            prof = exact.marginal_profile(table_100, n, r, kind)
+            prof = exact.marginal_profile(n, r, kind)
             assert frac(prof.value(1)) == 1
 
 
-def test_marginal_envelopes(table_1000):
+def test_marginal_envelopes():
     n = 200
+    tau = prime_power_sieve(n, primes_up_to(n), tau_local, np.int32)
     for r in (1, 2):
-        prob = exact.marginal_profile(table_1000, n, r, "probability")
-        expe = exact.marginal_profile(table_1000, n, r, "expectation")
+        prob = exact.marginal_profile(n, r, "probability")
+        expe = exact.marginal_profile(n, r, "expectation")
         for k in range(1, n + 1):
             u = frac(prob.value(k))
             assert 0 <= u <= 1
             w = frac(expe.value(k))
-            tau_k = int(table_1000.tau[k])
+            tau_k = int(tau[k])
             assert 1 <= w <= tau_k + Fraction(r * tau_k, n)
 
 
-def test_marginal_error_bounds_grid(table_1000):
+def test_marginal_error_bounds_grid():
     # deviation-to-bound ratio <= 1 across the whole profile
     for n in (10, 100, 1000):
         for r in (1, 2, 3):
             for kind in ("probability", "expectation"):
-                prof = exact.marginal_profile(table_1000, n, r, kind)
-                worst, _ = exact.marginal_error_bound_check(prof, table_1000)
+                prof = exact.marginal_profile(n, r, kind)
+                worst, _ = exact.marginal_error_bound_check(prof)
                 assert worst <= 1
 
 
-def test_marginal_bound_example(table_100):
-    prof = exact.marginal_profile(table_100, 10, 1, "probability")
+def test_marginal_bound_example():
+    prof = exact.marginal_profile(10, 1, "probability")
     dev = abs(frac(prof.value(6)) - Fraction(1, 3))  # phi(6)/6 = 1/3
     assert dev == Fraction(1, 30)
-    assert dev <= Fraction(int(table_100.tau[6]), 10)
-    prof = exact.marginal_profile(table_100, 10, 1, "expectation")
+    assert dev <= Fraction(4, 10)  # tau(6) = 4
+    prof = exact.marginal_profile(10, 1, "expectation")
     slack = Fraction(15, 6) - frac(prof.value(6))  # P(6)/6 - W(6)
     assert slack == Fraction(1, 5)
     assert slack <= Fraction(6, 10)
@@ -376,12 +374,12 @@ def test_marginal_bound_example(table_100):
 
 # --- means and variances of profiles -------------------------------------------
 
-def test_mean_identity_profile_vs_cesaro(table_100):
+def test_mean_identity_profile_vs_cesaro():
     for n in (2, 7, 30):
         for r in (1, 2, 3):
-            prof = exact.marginal_profile(table_100, n, r, "probability")
+            prof = exact.marginal_profile(n, r, "probability")
             assert frac(prof.mean()) == frac(exact.mean_mu(n, r))
-            prof = exact.marginal_profile(table_100, n, r, "expectation")
+            prof = exact.marginal_profile(n, r, "expectation")
             assert frac(prof.mean()) == frac(exact.mean_nu(n, r))
 
 
@@ -399,17 +397,17 @@ def test_mean_nu_limit_r2():
     assert abs(nu2 - constants.zeta(2) / constants.zeta(3)) < 1e-2
 
 
-def test_var_c_example(table_100):
-    assert frac(exact.var_c(table_100, 2, 1)) == Fraction(1, 16)
+def test_var_c_example():
+    assert frac(exact.var_c(2, 1)) == Fraction(1, 16)
 
 
-def test_var_c_limit(table_1e6):
-    c1 = exact.var_c(table_1e6, 1_000_000, 1).float_value
+def test_var_c_limit():
+    c1 = exact.var_c(1_000_000, 1).float_value
     assert abs(c1 - constants.limit_var_c(1)) < 1e-3
 
 
-def test_var_d_limit(table_1e6):
-    d2 = exact.var_d(table_1e6, 100_000, 2).float_value
+def test_var_d_limit():
+    d2 = exact.var_d(100_000, 2).float_value
     assert abs(d2 - constants.limit_var_d(2)) < 1e-2
 
 
@@ -429,37 +427,37 @@ def test_gcd_moment_limits():
 
 # --- shared covariances ------------------------------------------------------------
 
-def test_shared_covariance_zero_at_s0(table_100):
+def test_shared_covariance_zero_at_s0():
     for n in (2, 9, 30):
         for r in (2, 3):
-            assert frac(exact.shared_covariance(table_100, n, r, 0, "indicator")) == 0
-            assert frac(exact.shared_covariance(table_100, n, r, 0, "moment", 2)) == 0
+            assert frac(exact.shared_covariance(n, r, 0, "indicator")) == 0
+            assert frac(exact.shared_covariance(n, r, 0, "moment", 2)) == 0
 
 
-def test_shared_covariance_example(table_100):
-    got = exact.shared_covariance(table_100, 2, 2, 1, "indicator")
+def test_shared_covariance_example():
+    got = exact.shared_covariance(2, 2, 1, "indicator")
     assert frac(got) == Fraction(1, 16)
 
 
-def test_gamma_r1_equals_profile_variance(table_100):
+def test_gamma_r1_equals_profile_variance():
     # two kernels sharing one variable covary exactly like the U profile
     for n in (3, 10, 25):
         for r in (2, 3):
-            gamma = frac(exact.shared_covariance(table_100, n, r, 1, "indicator"))
-            assert gamma == frac(exact.var_c(table_100, n, r - 1))
-            omega = frac(exact.shared_covariance(table_100, n, r, 1, "gcd"))
-            assert omega == frac(exact.var_d(table_100, n, r - 1))
+            gamma = frac(exact.shared_covariance(n, r, 1, "indicator"))
+            assert gamma == frac(exact.var_c(n, r - 1))
+            omega = frac(exact.shared_covariance(n, r, 1, "gcd"))
+            assert omega == frac(exact.var_d(n, r - 1))
 
 
-def test_covariances_monotone_in_s(table_100):
+def test_covariances_monotone_in_s():
     for n in (4, 12, 30):
         for r in (2, 3):
             gammas = [
-                frac(exact.shared_covariance(table_100, n, r, s, "indicator"))
+                frac(exact.shared_covariance(n, r, s, "indicator"))
                 for s in range(r + 1)
             ]
             omegas = [
-                frac(exact.shared_covariance(table_100, n, r, s, "moment", 1))
+                frac(exact.shared_covariance(n, r, s, "moment", 1))
                 for s in range(r + 1)
             ]
             assert gammas[0] == 0 and omegas[0] == 0
@@ -467,21 +465,21 @@ def test_covariances_monotone_in_s(table_100):
             assert all(b >= a for a, b in zip(omegas, omegas[1:]))
 
 
-def test_gamma_rr_is_bernoulli_variance(table_100):
+def test_gamma_rr_is_bernoulli_variance():
     for n in (2, 10, 24):
         for r in (2, 3):
             mu = brute.pmf(n, r)[0]
-            got = frac(exact.shared_covariance(table_100, n, r, r, "indicator"))
+            got = frac(exact.shared_covariance(n, r, r, "indicator"))
             assert got == mu * (1 - mu)
 
 
-def test_omega_rr_is_kernel_variance(table_100):
+def test_omega_rr_is_kernel_variance():
     # full overlap: variance of gcd^q itself, via the 2q-th moment
     for n in (3, 12):
         for r, q in ((2, 1), (2, 2), (3, 1)):
             first = frac(exact.gcd_moment(n, r, q))
             second = frac(exact.gcd_moment(n, r, 2 * q))
-            got = frac(exact.shared_covariance(table_100, n, r, r, "moment", q))
+            got = frac(exact.shared_covariance(n, r, r, "moment", q))
             assert got == second - first * first
 
 
@@ -495,40 +493,71 @@ def test_covariance_refused_above_table_cap(capsys):
     assert str(DEFAULT_MAX_N) in text
 
 
+# each second-order entry point, as a function of n and the order q of its weight
+_SECOND_ORDER = {
+    "sieve_weight": lambda n, q: exact.sieve_weight(n, q),
+    "marginal_profile": lambda n, q: exact.marginal_profile(n, 2, "expectation"),
+    "var_c": lambda n, q: exact.var_c(n, 2),
+    "var_d": lambda n, q: exact.var_d(n, 2),
+    "gamma": lambda n, q: exact.shared_covariance(n, 2, 1, "indicator"),
+    "omega": lambda n, q: exact.shared_covariance(n, 2, 1, "moment", q),
+    "var_C": lambda n, q: exact.var_C(n, 3, 2),
+    "var_Z": lambda n, q: exact.var_Z(n, 3, 2, q),
+    "pi": lambda n, q: exact.mixed_moment_pi(n, 2, q),
+    "omega_from_pi": lambda n, q: exact.mixed_moment_omega(n, 2, q),
+}
+
+
+def test_second_order_entry_points_check_n_and_q_before_sieving(sieved_bounds, sieve_calls):
+    for name, quantity in _SECOND_ORDER.items():
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            quantity(0, 1)
+        # the cap is checked, by the prime sieve alone, before anything is sieved
+        with pytest.raises(CapacityError, match="table cap"):
+            quantity(DEFAULT_MAX_N + 1, 1)
+    for name in ("sieve_weight", "omega", "var_Z", "pi", "omega_from_pi"):
+        with pytest.raises(ValueError, match=">= 1, got 0"):
+            _SECOND_ORDER[name](10, 0)
+    # no shared variable: no weight is read, but n is checked all the same
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        exact.shared_covariance(0, 2, 0)
+    assert sieved_bounds == [] and sieve_calls == []
+
+
 # --- U-statistic variances -----------------------------------------------------------
 
-def test_var_C_example_and_shape(table_100):
-    assert frac(exact.var_C(table_100, 2, 3, 2)) == Fraction(15, 16)
+def test_var_C_example_and_shape():
+    assert frac(exact.var_C(2, 3, 2)) == Fraction(15, 16)
     # single-pair case reduces to the Bernoulli variance
     mu = frac(exact.mean_mu(2, 1))
-    assert frac(exact.var_C(table_100, 2, 2, 2)) == mu * (1 - mu)
+    assert frac(exact.var_C(2, 2, 2)) == mu * (1 - mu)
 
 
-def test_var_C_pairs_closed_shape(table_100):
+def test_var_C_pairs_closed_shape():
     # C(m,2) mu(1-mu) + m(m-1)(m-2) c_1
     for n in (2, 10, 40):
         for m in (2, 3, 5, 12):
             mu = frac(exact.mean_mu(n, 1))
-            c1 = frac(exact.var_c(table_100, n, 1))
+            c1 = frac(exact.var_c(n, 1))
             want = math.comb(m, 2) * mu * (1 - mu) + m * (m - 1) * (m - 2) * c1
-            assert frac(exact.var_C(table_100, n, m, 2)) == want
+            assert frac(exact.var_C(n, m, 2)) == want
 
 
-def test_var_Z_pairs_closed_shape(table_100):
+def test_var_Z_pairs_closed_shape():
     for n in (2, 10, 40):
         for m in (2, 4, 9):
             e1 = frac(exact.gcd_moment(n, 2, 1))
             e2 = frac(exact.gcd_moment(n, 2, 2))
-            d1 = frac(exact.var_d(table_100, n, 1))
+            d1 = frac(exact.var_d(n, 1))
             want = math.comb(m, 2) * (e2 - e1 * e1) + m * (m - 1) * (m - 2) * d1
-            assert frac(exact.var_Z(table_100, n, m, 2, 1)) == want
+            assert frac(exact.var_Z(n, m, 2, 1)) == want
 
 
-def test_var_validation(table_100):
+def test_var_validation():
     with pytest.raises(ValueError):
-        exact.var_C(table_100, 10, 2, 1)
+        exact.var_C(10, 2, 1)
     with pytest.raises(ValueError):
-        exact.var_C(table_100, 10, 2, 3)  # m < r
+        exact.var_C(10, 2, 3)  # m < r
 
 
 # --- second-order numerators against plain Python --------------------------------
@@ -540,14 +569,16 @@ class PlainSecondOrder:
     term by term, and every sum of squares is a plain loop.
     """
 
-    def __init__(self, table, n):
-        self.table, self.n = table, n
-        self.mu = [int(v) for v in table.mobius[: n + 1]]
+    def __init__(self, n):
+        self.n = n
+        self.mu = [int(v) for v in exact.sieve_weight(n, None)]
         self.profiles = {}
         self.covariances = {}
 
     def weights(self, kind, q):
-        return self.mu if kind == "indicator" else self.table.totient(1 if kind == "gcd" else q)
+        if kind == "indicator":
+            return self.mu
+        return exact.sieve_weight(self.n, 1 if kind == "gcd" else q)
 
     def profile(self, kind, q, power):
         key = (kind, q, power)
@@ -589,54 +620,49 @@ class PlainSecondOrder:
                    * self.covariance(r, s, kind, q) for s in range(r + 1))
 
 
-@pytest.fixture(scope="module")
-def table_30k():
-    return build_table(30_000)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 97, 1000, 30_000])
-def test_second_order_numerators_are_the_plain_sums(table_30k, n):
-    ref = PlainSecondOrder(table_30k, n)
+def test_second_order_numerators_are_the_plain_sums(n):
+    ref = PlainSecondOrder(n)
     for r in (2, 3):
-        assert exact.var_c(table_30k, n, r).numerator == ref.profile_variance("indicator", r)
-        assert exact.var_d(table_30k, n, r).numerator == ref.profile_variance("gcd", r)
+        assert exact.var_c(n, r).numerator == ref.profile_variance("indicator", r)
+        assert exact.var_d(n, r).numerator == ref.profile_variance("gcd", r)
         for m in (r, 50):
-            assert exact.var_C(table_30k, n, m, r).numerator == ref.u_variance(m, r, "indicator", 1)
+            assert exact.var_C(n, m, r).numerator == ref.u_variance(m, r, "indicator", 1)
         for s in range(r + 1):
-            got = exact.shared_covariance(table_30k, n, r, s, "indicator").numerator
+            got = exact.shared_covariance(n, r, s, "indicator").numerator
             assert got == ref.covariance(r, s, "indicator", 1), (r, s)
         for q in (1, 2):
-            assert exact.mixed_moment_pi(table_30k, n, r, q).numerator == ref.pi(r, q)
+            assert exact.mixed_moment_pi(n, r, q).numerator == ref.pi(r, q)
             for m in (r, 50):
-                assert exact.var_Z(table_30k, n, m, r, q).numerator == ref.u_variance(m, r, "moment", q)
+                assert exact.var_Z(n, m, r, q).numerator == ref.u_variance(m, r, "moment", q)
             for s in range(r + 1):
-                got = exact.shared_covariance(table_30k, n, r, s, "moment", q).numerator
+                got = exact.shared_covariance(n, r, s, "moment", q).numerator
                 assert got == ref.covariance(r, s, "moment", q), (r, s, q)
 
 
 # --- mixed moment -----------------------------------------------------------------
 
-def test_mixed_moment_example(table_100):
-    assert frac(exact.mixed_moment_pi(table_100, 2, 2, 1)) == Fraction(13, 8)
+def test_mixed_moment_example():
+    assert frac(exact.mixed_moment_pi(2, 2, 1)) == Fraction(13, 8)
 
 
-def test_omega_from_pi_matches_shared_covariance(table_100):
+def test_omega_from_pi_matches_shared_covariance():
     for n in (4, 15, 40):
         for r, q in ((2, 1), (2, 2), (3, 1)):
-            lhs = frac(exact.mixed_moment_omega(table_100, n, r, q))
-            rhs = frac(exact.shared_covariance(table_100, n, r, 1, "moment", q))
+            lhs = frac(exact.mixed_moment_omega(n, r, q))
+            rhs = frac(exact.shared_covariance(n, r, 1, "moment", q))
             assert lhs == rhs
 
 
-def test_pi_log_cubed_trend(table_1e6):
+def test_pi_log_cubed_trend():
     toth = constants.delta_toth().value
-    near = exact.mixed_moment_pi(table_1e6, 10_000, 2, 1).float_value / math.log(10_000) ** 3
-    far = exact.mixed_moment_pi(table_1e6, 100, 2, 1).float_value / math.log(100) ** 3
+    near = exact.mixed_moment_pi(10_000, 2, 1).float_value / math.log(10_000) ** 3
+    far = exact.mixed_moment_pi(100, 2, 1).float_value / math.log(100) ** 3
     assert abs(near - toth) < abs(far - toth)
 
 
-def test_omega_r3_near_limit(table_1e6):
-    omega = exact.mixed_moment_omega(table_1e6, 10_000, 3, 1).float_value
+def test_omega_r3_near_limit():
+    omega = exact.mixed_moment_omega(10_000, 3, 1).float_value
     assert abs(omega - constants.limit_var_d(2)) < 1e-2
 
 

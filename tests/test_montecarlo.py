@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gcdstats import brute, constants, exact, montecarlo, stattest
-from gcdstats.arith import build_table
+from gcdstats.arith import primes_up_to
 from gcdstats.montecarlo import (
     SampleConfig,
     draw_sample,
@@ -22,11 +22,6 @@ from gcdstats.montecarlo import (
 from gcdstats.stattest import ReferenceLaw
 
 NORMAL = ReferenceLaw.normal()
-
-
-@pytest.fixture(scope="module")
-def table_50():
-    return build_table(50)
 
 
 def test_config_validation():
@@ -77,58 +72,58 @@ def test_draw_sample_uniform_mean():
     assert abs(float(x.mean()) - (n + 1) / 2) < 5 * se
 
 
-def test_stat_examples(table_50):
-    assert stat_C([1, 2], 2, table_50) == 1
-    assert stat_Z([1, 2], 2, 1, table_50) == 1
-    assert stat_C([2, 4, 6], 2, table_50) == 0
-    assert stat_Z([2, 4, 6], 2, 1, table_50) == 6
-    assert stat_Z([2, 4, 6], 3, 1, table_50) == 2
+def test_stat_examples():
+    assert stat_C([1, 2], 2) == 1
+    assert stat_Z([1, 2], 2, 1) == 1
+    assert stat_C([2, 4, 6], 2) == 0
+    assert stat_Z([2, 4, 6], 2, 1) == 6
+    assert stat_Z([2, 4, 6], 3, 1) == 2
     assert stat_M([6, 10, 15]) == 5
     assert stat_M([7, 7, 3]) >= 7  # repeated value
     assert poisson_count([2, 4, 6], 1) == 3
     assert poisson_count([2, 4, 6], 2) == 0
 
 
-def test_fast_statistics_match_naive_loops(table_50):
+def test_fast_statistics_match_naive_loops():
     rng = random.Random(1234)
     for trial in range(40):
         m = rng.randint(4, 60)
         n = rng.randint(2, 50)
         cfg = SampleConfig(m=m, n=n, replicates=1, master_seed=trial)
         x = draw_sample(cfg, 0)
-        assert stat_C(x, 2, table_50) == brute.naive_stat_C(x, 2)
-        assert stat_Z(x, 2, 2, table_50) == brute.naive_stat_Z(x, 2, 2)
+        assert stat_C(x, 2) == brute.naive_stat_C(x, 2)
+        assert stat_Z(x, 2, 2) == brute.naive_stat_Z(x, 2, 2)
         assert stat_M(x) == brute.naive_stat_M(x)
         thr = rng.choice([0.5, 1, 2, 5, n])
         assert poisson_count(x, thr) == brute.naive_poisson_count(x, thr)
         if m <= 15:
-            assert stat_C(x, 3, table_50) == brute.naive_stat_C(x, 3)
-            assert stat_Z(x, 3, 1, table_50) == brute.naive_stat_Z(x, 3, 1)
+            assert stat_C(x, 3) == brute.naive_stat_C(x, 3)
+            assert stat_Z(x, 3, 1) == brute.naive_stat_Z(x, 3, 1)
 
 
-def test_dense_and_sparse_routes_agree(table_50):
+def test_dense_and_sparse_routes_agree():
     rng = random.Random(77)
     for trial in range(10):
         n = rng.randint(5, 50)
         m = rng.randint(4, 30)
         cfg = SampleConfig(m=m, n=n, replicates=6, master_seed=1000 + trial)
         xs = montecarlo._draw_block(cfg, 0, 6)
-        primes = [p for p in table_50.primes.tolist() if p <= n]
+        primes = primes_up_to(n).tolist()
         for q in (None, 1, 2):
-            g = table_50.mobius if q is None else table_50.totient(q)
-            dense = montecarlo._dense_route(xs, 2, g[: n + 1].astype(np.int64), primes)
+            g = exact.sieve_weight(n, q).astype(np.int64)
+            dense = montecarlo._dense_route(xs, 2, g, primes)
             sparse = montecarlo._sparse_route(xs, 2, q)
             assert dense.tolist() == sparse.tolist()
 
 
 @pytest.mark.parametrize("rows, n", [(6, 40), (41, 40), (90, 40)])
-def test_dense_route_on_blocks_narrower_square_and_wider(rows, n, table_50):
+def test_dense_route_on_blocks_narrower_square_and_wider(rows, n):
     # the count matrix is (n+1, rows): a square one would hide a transposition
     cfg = SampleConfig(m=9, n=n, replicates=rows, master_seed=rows)
     xs = montecarlo._draw_block(cfg, 0, rows)
-    primes = [p for p in table_50.primes.tolist() if p <= n]
+    primes = primes_up_to(n).tolist()
     for r, q in ((2, None), (3, None), (2, 1), (3, 2)):
-        g = (table_50.mobius if q is None else table_50.totient(q))[: n + 1].astype(np.int64)
+        g = exact.sieve_weight(n, q).astype(np.int64)
         dense = montecarlo._dense_route(xs, r, g, primes).tolist()
         assert dense == montecarlo._sparse_route(xs, r, q).tolist()
         assert dense == [brute.naive_stat_C(x, r) if q is None else brute.naive_stat_Z(x, r, q)
@@ -186,10 +181,9 @@ def test_block_statistics_match_naive_loops(monkeypatch):
         n = rng.choice([1, 2, 7, 30, 100, 400, 5000])
         reps = rng.randint(1, 12)
         cfg = SampleConfig(m=m, n=n, r=r, q=q, replicates=reps, master_seed=900 + trial)
-        table = build_table(n)
         # the raw values: run_replicates would also normalise, and n = 1 has no sd
-        c_raw = montecarlo._raws_in_range(cfg, "C", table, 0.0, 0, reps)
-        z_raw = montecarlo._raws_in_range(cfg, "Z", table, 0.0, 0, reps)
+        c_raw = montecarlo._raws_in_range(cfg, "C", exact.sieve_weight(n, None), 0.0, 0, reps)
+        z_raw = montecarlo._raws_in_range(cfg, "Z", exact.sieve_weight(n, q), 0.0, 0, reps)
         for i in range(reps):
             x = draw_sample(cfg, i)
             assert c_raw[i] == brute.naive_stat_C(x, r)
@@ -207,44 +201,40 @@ def test_python_int_fallback_matches_naive_loops(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_binom", spy)
     taken = _route_spy(monkeypatch)
-    table = build_table(1000)
     # m^r times the sum of the phi_q weights passes 2^62: through m^r at
-    # r = 7, through the weights (Python ints in the table) at q = 14.
-    # n = 1000 runs sparse, n <= 30 dense.
+    # r = 7, through the weights at q = 14.  n = 1000 runs sparse, n <= 30 dense.
     for m, n, r, q in ((16, 1000, 7, 7), (16, 30, 7, 7), (9, 1000, 2, 14), (9, 20, 2, 14)):
         cfg = SampleConfig(m=m, n=n, r=r, q=q, replicates=2, master_seed=m + n)
         xs = montecarlo._draw_block(cfg, 0, 2)
         dtypes.clear()
-        got = montecarlo._subset_weighted_block(xs, r, q, table, n)
+        got = montecarlo._subset_weighted_block(xs, r, q, exact.sieve_weight(n, q))
         assert dtypes and all(dt == object for dt in dtypes)
         assert got.dtype == object and got.tolist() == [brute.naive_stat_Z(x, r, q) for x in xs]
     assert taken == ["_sparse_route", "_dense_route"] * 2
 
 
-def test_values_beyond_the_table_match_naive_loops():
+def test_sparse_route_on_values_up_to_1e9_matches_naive_loops():
+    # the sparse route reads no weight table, so n may pass the table cap
     rng = random.Random(55)
-    for table_n in (1, 2, 10, 97):
-        table = build_table(table_n)
-        for trial in range(6):
-            n = rng.choice([200, 10**4, 10**6, 10**9])
-            r = rng.choice([2, 3])
-            q = rng.choice([1, 2])
-            cfg = SampleConfig(m=rng.randint(r, 10), n=n, r=r, q=q, replicates=3,
-                               master_seed=trial + 40 * table_n)
-            xs = montecarlo._draw_block(cfg, 0, 3)
-            assert montecarlo._subset_weighted_block(xs, r, None, table, n).tolist() == \
-                [brute.naive_stat_C(x, r) for x in xs]
-            assert montecarlo._subset_weighted_block(xs, r, q, table, n).tolist() == \
-                [brute.naive_stat_Z(x, r, q) for x in xs]
+    for trial in range(24):
+        n = rng.choice([200, 10**4, 10**6, 10**9])
+        r = rng.choice([2, 3])
+        q = rng.choice([1, 2])
+        cfg = SampleConfig(m=rng.randint(r, 10), n=n, r=r, q=q, replicates=3,
+                           master_seed=trial)
+        xs = montecarlo._draw_block(cfg, 0, 3)
+        assert montecarlo._sparse_route(xs, r, None).tolist() == \
+            [brute.naive_stat_C(x, r) for x in xs]
+        assert montecarlo._sparse_route(xs, r, q).tolist() == \
+            [brute.naive_stat_Z(x, r, q) for x in xs]
 
 
-def test_sparse_path_beyond_table_range():
-    # elements exceed the table bound: trial-division divisor fallback
-    table = build_table(10)
-    x = [1009 * 2, 1009 * 3, 14]  # 1009 is prime, far above n_max=10
+def test_stats_of_values_sharing_a_large_prime():
+    # a large prime factor shared by two values
+    x = [1009 * 2, 1009 * 3, 14]  # 1009 is prime
     assert stat_M(x) == 1009
-    assert stat_C(x, 2, table) == brute.naive_stat_C(x, 2)
-    assert stat_Z(x, 2, 1, table) == brute.naive_stat_Z(x, 2, 1)
+    assert stat_C(x, 2) == brute.naive_stat_C(x, 2)
+    assert stat_Z(x, 2, 1) == brute.naive_stat_Z(x, 2, 1)
     assert poisson_count(x, 100) == brute.naive_poisson_count(x, 100)
 
 
@@ -280,10 +270,9 @@ def test_run_replicates_matches_exact_moments():
     # reduced version of the simulation-vs-formula consistency check
     n, m, reps = 30, 12, 2000
     cfg = SampleConfig(m=m, n=n, replicates=reps, master_seed=424242)
-    table = build_table(n)
-    for statistic in ("C", "Z"):
+    for statistic, q in (("C", None), ("Z", 1)):
         rec = run_replicates(cfg, statistic)
-        mean, sd = montecarlo.exact_moments(cfg, statistic, table)
+        mean, sd = montecarlo.exact_moments(cfg, statistic, exact.sieve_weight(n, q))
         assert (rec.shift, rec.scale) == (mean, sd)
         assert abs(float(np.mean(rec.raw)) - mean) < 4 * sd / math.sqrt(reps)
 
@@ -299,7 +288,7 @@ def test_raw_variance_approaches_exact():
 def test_normalized_replicates():
     cfg = SampleConfig(m=6, n=20, replicates=32, master_seed=7)
     rec = run_replicates(cfg, "C")
-    mean, sd = montecarlo.exact_moments(cfg, "C", build_table(20))
+    mean, sd = montecarlo.exact_moments(cfg, "C", exact.sieve_weight(20, None))
     # bit for bit the float arithmetic of one replicate at a time
     assert rec.normalized.tolist() == [(float(v) - mean) / sd for v in rec.raw]
     rec = run_replicates(cfg, "M")
@@ -446,11 +435,10 @@ def test_strong_law_trajectory():
 
 def test_strong_law_matches_direct_statistic():
     n, r, top = 30, 2, 200
-    table = build_table(n)
     ratios = strong_law_trajectory(n, r, (top,), seed=77)
     cfg = SampleConfig(m=top, n=n, replicates=1, master_seed=77)
     x = draw_sample(cfg, 0)
-    direct = stat_C(x, r, table)
+    direct = stat_C(x, r)
     expected = comb(top, r) * exact.mean_mu(n, r - 1).float_value
     assert abs(ratios[0] - direct / expected) < 1e-12
 

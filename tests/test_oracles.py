@@ -13,23 +13,16 @@ from math import lcm
 
 import pytest
 
+import numpy as np
+
 from gcdstats import brute, exact
-from gcdstats.arith import build_table
 
 GATE_MAX_N = 20
 
 
-@pytest.fixture(scope="module")
-def tables():
-    return {n: build_table(n) for n in range(1, GATE_MAX_N + 1)}
-
-
-def quadratic_shared_exy(table, n, r, s, kind, q=1):
-    """The O(n^2) double sum, written exactly as derived (oracle form)."""
-    if kind == "indicator":
-        g = table.mobius
-    else:
-        g = table.totient(q if kind == "moment" else 1)
+def quadratic_shared_exy(g, n, r, s):
+    """The O(n^2) double sum over the kernel's weight g, written exactly as
+    derived (oracle form)."""
     total = 0
     for i in range(1, n + 1):
         gi = int(g[i])
@@ -47,63 +40,57 @@ def quadratic_shared_exy(table, n, r, s, kind, q=1):
 
 
 @pytest.mark.parametrize("r", [2, 3])
-def test_shared_covariance_gate(tables, r):
+def test_shared_covariance_gate(r):
     for n in range(1, GATE_MAX_N + 1):
-        table = tables[n]
         for s in range(0, r + 1):
             want = brute.shared_covariance(n, r, s, "indicator")
-            assert exact.shared_covariance(table, n, r, s, "indicator").as_fraction() == want, (n, s)
+            assert exact.shared_covariance(n, r, s, "indicator").as_fraction() == want, (n, s)
             for q in (1, 2):
                 want = brute.shared_covariance(n, r, s, "moment", q)
-                got = exact.shared_covariance(table, n, r, s, "moment", q).as_fraction()
+                got = exact.shared_covariance(n, r, s, "moment", q).as_fraction()
                 assert got == want, (n, s, q)
 
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_quadratic_form_matches_lcm_enumeration(r):
     # the gcd-count grouping is the same sum as the literal O(n^2) form
-    table = build_table(150)
     for n in (1, 2, 3, 5, 8, 12, 31, 64, 97, 150):
         for s in range(0, r + 1):
             for kind, q in (("indicator", 1), ("gcd", 1), ("moment", 1), ("moment", 2)):
-                g = exact._kernel_weights(table, kind, q)
+                g = exact.sieve_weight(n, exact._kernel_order(kind, q))
                 # the plain Cesaro sum: E F(gcd) = sum_i (mu*F)(i) floor(n/i)^r / n^r
                 mean = Fraction(sum(int(g[i]) * (n // i) ** r for i in range(1, n + 1)), n**r)
-                want = quadratic_shared_exy(table, n, r, s, kind, q) - mean * mean
-                got = exact.shared_covariance(table, n, r, s, kind, q).as_fraction()
+                want = quadratic_shared_exy(g, n, r, s) - mean * mean
+                got = exact.shared_covariance(n, r, s, kind, q).as_fraction()
                 assert got == want, (n, r, s, kind, q)
 
 
-def test_var_statistics_gate(tables):
+def test_var_statistics_gate():
     for n in (2, 3, 5, 7):
-        table = tables[n]
         for r, m in ((2, 3), (2, 4), (3, 4), (3, 5)):
             _, want = brute.statistic_mean_and_var(n, m, r, "indicator")
-            assert exact.var_C(table, n, m, r).as_fraction() == want
+            assert exact.var_C(n, m, r).as_fraction() == want
             for q in (1, 2):
                 _, want = brute.statistic_mean_and_var(n, m, r, "moment", q)
-                assert exact.var_Z(table, n, m, r, q).as_fraction() == want
+                assert exact.var_Z(n, m, r, q).as_fraction() == want
 
 
-def test_var_sampled_example(tables):
+def test_var_sampled_example():
     # 5^5 samples at (n=5, m=5, r=3)
-    table = tables[5]
     _, want = brute.statistic_mean_and_var(5, 5, 3, "moment", 1)
-    assert exact.var_Z(table, 5, 5, 3, 1).as_fraction() == want
+    assert exact.var_Z(5, 5, 3, 1).as_fraction() == want
 
 
-def test_pi_gate(tables):
+def test_pi_gate():
     for n in range(2, 13):
-        table = tables[n]
         for r in (2, 3):
             for q in (1, 2):
                 want = brute.mixed_moment_pi(n, r, q)
-                assert exact.mixed_moment_pi(table, n, r, q).as_fraction() == want
+                assert exact.mixed_moment_pi(n, r, q).as_fraction() == want
 
 
-def test_pmf_and_moment_gate(tables):
+def test_pmf_and_moment_gate():
     for n in range(1, GATE_MAX_N + 1):
-        table = tables[n]
         for r in (2, 3):
             pmf = [v.as_fraction() for v, count in exact.gcd_pmf(n, r)
                    for _ in range(count)]
@@ -112,35 +99,34 @@ def test_pmf_and_moment_gate(tables):
                 assert exact.gcd_moment(n, r, q).as_fraction() == brute.moment(n, r, q)
 
 
-def test_tail_gate(tables):
+def test_tail_gate():
     for n in (2, 5, 9):
-        table = tables[n]
         hist = brute.gcd_histogram(n, 2)
         for k in range(0, n + 1):
             want = Fraction(int(hist[k + 1 :].sum()), n**2)
             assert exact.gcd_tail(n, k).as_fraction() == want
 
 
-def test_shared_exy_is_mean_for_indicator(tables):
+def test_shared_exy_is_mean_for_indicator():
     # an indicator kernel squares to itself: E[X^2] = E[X] at full overlap
     for n in (2, 6, 11):
-        table = tables[n]
         for r in (2, 3):
             mu = brute.pmf(n, r)[0]
-            cov = exact.shared_covariance(table, n, r, r, "indicator").as_fraction()
+            cov = exact.shared_covariance(n, r, r, "indicator").as_fraction()
             assert cov == mu - mu * mu
 
 
 def test_big_integer_weight_path():
-    # 50^12 exceeds int64, so the order-12 totients of a table to 50 are
-    # Python ints.  At n = 10 their prefix sums and profiles still fit int64,
-    # at n = 30 only the profiles do, and at n = 50 neither does.
-    table = build_table(50)
+    # 50^12 exceeds int64, so the order-12 totients sieved to 50 are Python
+    # ints, and so are the profiles and the prefix sums above sqrt n.  At
+    # n = 30 the totients (30^12 < 2^63) and profiles fit int64 and those
+    # prefix sums do not; at n = 10 all of them fit.
     q = 12
-    assert table.totient(q).dtype == object
+    assert exact.sieve_weight(30, q).dtype == np.int64
+    assert exact.sieve_weight(50, q).dtype == object
     for n in (10, 30, 50):
         assert exact.gcd_moment(n, 2, q).as_fraction() == brute.moment(n, 2, q)
-        assert exact.mixed_moment_pi(table, n, 2, q).as_fraction() == \
+        assert exact.mixed_moment_pi(n, 2, q).as_fraction() == \
             brute.mixed_moment_pi(n, 2, q)
-        got = exact.shared_covariance(table, n, 2, 1, "moment", q).as_fraction()
+        got = exact.shared_covariance(n, 2, 1, "moment", q).as_fraction()
         assert got == brute.shared_covariance(n, 2, 1, "moment", q)
