@@ -87,6 +87,11 @@ _CALIBRATION_PRIMES = 5
 def euler_product(spec: ProductSpec) -> ProductValue:
     """Evaluate a ProductSpec; returns (value, tail bound, cutoff).
 
+    The corrected factors are evaluated CHUNK primes at a time into one
+    array of their logs, so beside the float primes the product holds one
+    more prime-sized array and a few CHUNK-entry temporaries; each factor
+    and the log sum are the values one whole-array pass gives.
+
     Raises ValueError when fewer than `_CALIBRATION_PRIMES` primes lie at
     or below the cutoff: the tail bar is calibrated on those last primes.
     Raises CapacityError past the table cap (`primes_up_to`).
@@ -97,13 +102,16 @@ def euler_product(spec: ProductSpec) -> ProductValue:
             f"cutoff {spec.prime_cutoff} leaves {p.size} primes; the tail bound "
             f"is calibrated on the last {_CALIBRATION_PRIMES} (cutoff >= 11)"
         )
-    factors = np.asarray(spec.local_factor(p), dtype=np.float64)
-    for s, e in spec.zeta_shifts:
-        factors = factors * (1.0 - p**-s) ** e
-    if np.any(factors <= 0):
-        bad = int(p[np.argmax(factors <= 0)])
-        raise ValueError(f"nonpositive local factor at p={bad}")
-    logs = np.log(factors)
+    logs = np.empty_like(p)
+    for a in range(0, p.size, CHUNK):
+        q = p[a : a + CHUNK]
+        factors = np.asarray(spec.local_factor(q), dtype=np.float64)
+        for s, e in spec.zeta_shifts:
+            factors = factors * (1.0 - q**-s) ** e
+        if np.any(factors <= 0):
+            bad = int(q[np.argmax(factors <= 0)])
+            raise ValueError(f"nonpositive local factor at p={bad}")
+        np.log(factors, out=logs[a : a + CHUNK])
     log_total = float(logs.sum())
     value = math.exp(log_total) * spec.prefactor
     for s, e in spec.zeta_shifts:

@@ -347,9 +347,9 @@ def _exact_gcd_counts(mu_prefix, n: int, s: int, top: int):
     return lo, hi, _floor_power_sums(mu_prefix, v, s)
 
 
-# `_block_sums` reads an int64 array in chunks of 2^16 entries cut into
-# 23-bit limbs: a chunk's sum of limb products is at most 2^16 2^46 = 2^62
-_SUM_CHUNK = 1 << 16
+# `_block_sums` reads an int64 array in chunks of 2^14 entries cut into
+# 23-bit limbs: a chunk's sum of limb products is at most 2^14 2^46 = 2^60
+_SUM_CHUNK = 1 << 14
 _LIMB_BITS = 23
 
 
@@ -363,7 +363,9 @@ def _block_sums(h: np.ndarray, starts, power: int) -> np.ndarray:
     the largest |h|: the lower limbs lie in [0, 2^_LIMB_BITS) and the top
     one, which keeps the sign, in [-2^_LIMB_BITS, 2^_LIMB_BITS).  So every
     per-chunk sum of limbs or of limb products c_i c_j fits int64; the
-    chunk sums are shifted and added as Python ints.
+    chunk sums are shifted and added as Python ints.  A chunk's limb
+    products are made one at a time, so the working arrays are a few
+    chunks, whatever the size of h.
     """
     starts = np.asarray(starts, dtype=np.int64)
     if h.dtype == object:
@@ -382,10 +384,10 @@ def _block_sums(h: np.ndarray, starts, power: int) -> np.ndarray:
         limbs = [(x >> (_LIMB_BITS * i)) & mask for i in range(k - 1)]
         limbs.append(x >> (_LIMB_BITS * (k - 1)))
         if power == 1:
-            parts = [(limbs[i], _LIMB_BITS * i) for i in range(k)]
+            parts = ((limbs[i], _LIMB_BITS * i) for i in range(k))
         else:  # the cross terms c_i c_j, i < j, count twice
-            parts = [(limbs[i] * limbs[j], _LIMB_BITS * (i + j) + (i != j))
-                     for i in range(k) for j in range(i, k)]
+            parts = ((limbs[i] * limbs[j], _LIMB_BITS * (i + j) + (i != j))
+                     for i in range(k) for j in range(i, k))
         for part, shift in parts:
             out[first:last] += np.add.reduceat(part, local).astype(object) << shift
     return out

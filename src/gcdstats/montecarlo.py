@@ -690,24 +690,36 @@ def _sparse_route(xs: np.ndarray, r: int, q: int | None) -> np.ndarray:
     return np.add.reduceat(terms, row_starts)
 
 
-def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, g: np.ndarray) -> np.ndarray:
+def _route_costs(n: int) -> tuple[int, int]:
+    """The terms of the C/Z route rule that depend on n alone: the cells
+    n + 1 + sum_{p <= n} floor(n/p) the dense sweep touches a row, and
+    D(n) = sum_{k<=n} tau(k) = 2 sum_{j<=s} floor(n/j) - s^2, s = isqrt(n).
+    A run computes them once, not once a block."""
+    s = math.isqrt(n)
+    return (n + 1 + int((n // primes_up_to(n)).sum()),
+            2 * int((n // np.arange(1, s + 1)).sum()) - s * s)
+
+
+def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, g: np.ndarray,
+                           costs: tuple[int, int]) -> np.ndarray:
     """Exact C (q None) or Z with exponent q of every row of xs, values in 1..n.
 
     Both are sum_d w(d) C(cnt(d), r), with w = mu or phi_q and
     cnt(d) = #{i : d | x_i} in the row; g is w on 0..n
-    (`exact.sieve_weight`), which the dense route reads.  The cheaper route runs: the dense
-    sweep touches n + 1 + sum_{p <= n} floor(n/p) cells a row, the sparse
-    route sorts D keys in D log2 D comparisons, D = xs.size D(n) / n the
-    block's expected divisor count.  Dense blocks hold at most _BLOCK_ELEMENTS cells.
+    (`exact.sieve_weight`), which the dense route reads, and costs is
+    `_route_costs(n)`.  The cheaper route runs: the dense sweep touches
+    costs[0] cells a row, the sparse route sorts D keys in D log2 D
+    comparisons, D = xs.size D(n) / n the block's expected divisor count.
+    Dense blocks hold at most _BLOCK_ELEMENTS cells.
     The result is int64, or object (Python ints) where `_exact_dtype` says
     the sums could pass int64.
     """
     rows, m = xs.shape
     n = g.size - 1
-    primes = primes_up_to(n)
-    s = math.isqrt(n)  # D(n) = sum_{k<=n} tau(k) = 2 sum_{j<=s} floor(n/j) - s^2
-    divisor_count = xs.size * (2 * int((n // np.arange(1, s + 1)).sum()) - s * s) / n
-    if rows * (n + 1 + int((n // primes).sum())) <= divisor_count * math.log2(divisor_count):
+    cells, divisors = costs
+    divisor_count = xs.size * divisors / n
+    if rows * cells <= divisor_count * math.log2(divisor_count):
+        primes = primes_up_to(n)
         w = np.array(g, dtype=object)
         w = w.astype(_exact_dtype(int(np.abs(w).sum()), m, r))
         step = max(1, _BLOCK_ELEMENTS // (n + 1))
@@ -719,13 +731,17 @@ def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, g: np.ndarray)
 def stat_C(sample, r: int) -> int:
     """Number of r-subsets of the sample whose gcd is exactly 1."""
     x = np.asarray(sample, dtype=np.int64)[None, :]
-    return int(_subset_weighted_block(x, r, None, exact.sieve_weight(int(x.max()), None))[0])
+    n = int(x.max())
+    g = exact.sieve_weight(n, None)
+    return int(_subset_weighted_block(x, r, None, g, _route_costs(n))[0])
 
 
 def stat_Z(sample, r: int, q: int) -> int:
     """Sum of gcd^q over all r-subsets of the sample."""
     x = np.asarray(sample, dtype=np.int64)[None, :]
-    return int(_subset_weighted_block(x, r, q, exact.sieve_weight(int(x.max()), q))[0])
+    n = int(x.max())
+    g = exact.sieve_weight(n, q)
+    return int(_subset_weighted_block(x, r, q, g, _route_costs(n))[0])
 
 
 # --- replicate running -------------------------------------------------------
@@ -840,6 +856,7 @@ def _raws_in_range(config: SampleConfig, statistic: str, g, threshold: float,
     """
     per_block = max(1, _BLOCK_ELEMENTS // config.m)
     cut = _pair_cut(threshold)
+    costs = None if g is None else _route_costs(config.n)
     try:
         raws = np.empty(stop - start, dtype=_raw_dtype(config, statistic))
     except ValueError:  # numpy's size check: more bytes than an address space holds
@@ -851,7 +868,7 @@ def _raws_in_range(config: SampleConfig, statistic: str, g, threshold: float,
             block = _pair_gcd_reduce(xs, None if statistic == "M" else cut)
         else:
             q = None if statistic == "C" else config.q
-            block = _subset_weighted_block(xs, config.r, q, g)
+            block = _subset_weighted_block(xs, config.r, q, g, costs)
         raws[lo - start : hi - start] = block
     return raws
 
@@ -959,5 +976,6 @@ def strong_law_trajectory(n: int, r: int, m_grid, seed: int) -> np.ndarray:
     xs = _draw_block(config, 0, 1)[0]
 
     mean_single = exact.mean_mu(n, r - 1).float_value
-    return np.array([_subset_weighted_block(xs[None, :m], r, None, mu)[0]
+    costs = _route_costs(n)
+    return np.array([_subset_weighted_block(xs[None, :m], r, None, mu, costs)[0]
                      / (comb(m, r) * mean_single) for m in grid])

@@ -261,6 +261,33 @@ def test_divisors():
     assert np.all(k % d == 0)
 
 
+def boolean_sieve(n):
+    """Ascending primes <= n by a sieve over every number to n, the reference
+    for the odd-only `_eratosthenes`."""
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.nonzero(mask)[0].astype(np.int64)
+
+
+def test_odd_only_sieve_is_the_boolean_sieve(monkeypatch):
+    from gcdstats import arith
+
+    for n in range(0, 10_001):
+        got = arith._eratosthenes(n)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, boolean_sieve(n)), n
+    for n in (2**16 - 1, 2**16, 10**6 + 1, 2**20 + 7, 9_999_991):
+        assert np.array_equal(arith._eratosthenes(n), boolean_sieve(n)), n
+    # the kept sieve at the cap: its prefix views are the reference's primes
+    want = boolean_sieve(DEFAULT_MAX_N)
+    monkeypatch.setattr(arith, "_kept", (DEFAULT_MAX_N, arith._eratosthenes(DEFAULT_MAX_N)))
+    for n in (0, 1, 2, 3, 10**4, 2**20, 10**7, 29_999_999, DEFAULT_MAX_N):
+        assert np.array_equal(primes_up_to(n), want[: np.searchsorted(want, n, "right")]), n
+
+
 def test_primes_up_to_reads_prefixes_of_the_kept_sieve(sieved_bounds, monkeypatch):
     # trial division, the plain reference
     plain = [p for p in range(2, 2001) if all(p % d for d in range(2, isqrt(p) + 1))]
@@ -348,6 +375,21 @@ def test_prime_power_sieve_across_chunk_edges():
     primes = primes_up_to(n)
     for (local, dtype), want in zip(cases, wants):
         got = prime_power_sieve(n, primes, local, dtype)
+        assert got.dtype == dtype and got.tolist() == want, dtype
+
+
+@pytest.mark.parametrize("n, width", [(1000, 1), (2000, 7), (8197, 4096)])
+def test_table_windows_are_width_independent(n, width, monkeypatch):
+    # a table is sieved in windows of TABLE_WINDOW entries, views of it: at any
+    # width, as the streamed windows of WINDOW entries, the same values
+    from gcdstats import arith
+
+    cases = ((mobius_local, np.int8), (tau_local, np.int32), (totient_local(1), np.int64),
+             (totient_local(4), object), (pillai_local(1), np.float64))
+    wants = plain_multiplicative(n, [local for local, _ in cases])
+    monkeypatch.setattr(arith, "TABLE_WINDOW", width)
+    for (local, dtype), want in zip(cases, wants):
+        got = prime_power_sieve(n, primes_up_to(n), local, dtype)
         assert got.dtype == dtype and got.tolist() == want, dtype
 
 

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.special import zeta as scipy_zeta
 
 from gcdstats import constants
-from gcdstats.arith import DEFAULT_MAX_N, CapacityError, primes_up_to
+from gcdstats.arith import CHUNK, DEFAULT_MAX_N, CapacityError, primes_up_to
 from gcdstats.exact import sieve_weight
 from gcdstats.constants import ProductSpec, euler_product, zeta
 
@@ -325,6 +326,35 @@ def test_trend_sums_from_windows_are_one_whole_cumsum():
     prefix = np.cumsum(val * val)
     assert repr(constants._pillai_mean_square(primes, grid)) == repr(
         [float(prefix[n]) / n for n in grid])
+
+
+@pytest.mark.parametrize("kind", ["corollary22", "toth", "pillai_sq"])
+def test_trend_sums_hold_one_narrow_window(kind):
+    # one 2^16-entry float64 window, the large-prime values and CHUNK-entry
+    # temporaries: about 1.8-1.9 MiB at N = 1e6, against 3.3 MiB at 2^18 entries
+    primes_up_to(1_000_000)
+    tracemalloc.start()
+    try:
+        constants.tauberian_trend(kind, (1_000, 100_000, 1_000_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 2**20
+
+
+def test_euler_product_holds_two_prime_arrays():
+    # the float primes and their logs, beside CHUNK-entry temporaries: the
+    # factors and each zeta shift are evaluated CHUNK primes at a time
+    cutoff = 10**7
+    float_primes = 8 * primes_up_to(cutoff).size
+    for product in (partial(constants.M_constant, 2.0, 1), partial(constants.pairwise_coprime_T, 3)):
+        tracemalloc.start()
+        try:
+            product(cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * float_primes + 16 * 8 * CHUNK
 
 
 def test_corollary22_trend_holds_no_n_entry_array():

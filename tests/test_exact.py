@@ -245,6 +245,21 @@ def test_table_free_quantities_sieve_nothing_above_l(monkeypatch):
     assert sieved and max(sieved) == exact._sieve_limit(n) == 10**4
 
 
+def test_block_sums_hold_a_few_chunks_whatever_the_size():
+    # three limbs and one limb product at a time, each _SUM_CHUNK entries: under
+    # 1 MiB for an 8 MB h, as for one a tenth of its size
+    rng = np.random.default_rng(43)
+    for size in (10**5, 10**6):
+        h = rng.integers(-2**62, 2**62, size, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            exact._block_sums(h, [1], 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, size
+
+
 @pytest.mark.parametrize("chunk", [7, 1 << 16])
 def test_block_sums_are_exact_across_the_limb_boundaries(monkeypatch, chunk):
     monkeypatch.setattr(exact, "_SUM_CHUNK", chunk)

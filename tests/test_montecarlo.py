@@ -158,6 +158,22 @@ def test_route_follows_row_width_against_divisor_count(monkeypatch):
         assert set(taken) == {"_sparse_route"}
 
 
+def test_route_costs_are_taken_once_a_run(monkeypatch):
+    # the rule's terms in n alone, against plain loops, and taken once per
+    # replicate range, not once per block
+    for n in range(1, 150):
+        cells = n + 1 + sum(n // p for p in range(2, n + 1) if all(p % d for d in range(2, p)))
+        divisors = sum(1 for k in range(1, n + 1) for d in range(1, k + 1) if k % d == 0)
+        assert montecarlo._route_costs(n) == (cells, divisors), n
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 40)
+    calls = []
+    real = montecarlo._route_costs
+    monkeypatch.setattr(montecarlo, "_route_costs", lambda n: calls.append(n) or real(n))
+    cfg = SampleConfig(m=10, n=5000, replicates=30, master_seed=3)
+    montecarlo._raws_in_range(cfg, "C", exact.sieve_weight(5000, None), 0.0, 0, 30)
+    assert calls == [5000]
+
+
 @pytest.mark.parametrize("statistic", ["C", "Z"])
 def test_replicates_sieve_no_tau(statistic, monkeypatch, sieve_calls):
     # the route choice reads n alone, on both sides of it
@@ -207,7 +223,8 @@ def test_python_int_fallback_matches_naive_loops(monkeypatch):
         cfg = SampleConfig(m=m, n=n, r=r, q=q, replicates=2, master_seed=m + n)
         xs = montecarlo._draw_block(cfg, 0, 2)
         dtypes.clear()
-        got = montecarlo._subset_weighted_block(xs, r, q, exact.sieve_weight(n, q))
+        got = montecarlo._subset_weighted_block(xs, r, q, exact.sieve_weight(n, q),
+                                                montecarlo._route_costs(n))
         assert dtypes and all(dt == object for dt in dtypes)
         assert got.dtype == object and got.tolist() == [brute.naive_stat_Z(x, r, q) for x in xs]
     assert taken == ["_sparse_route", "_dense_route"] * 2
