@@ -8,7 +8,8 @@ sums the windows with a carry (the trend sums, the Mertens and Jordan sums
 of the exact layer), and `prime_power_sieve` writes them into one n-entry
 table, which a caller sieves for the one function it reads and holds no
 longer than it needs it.  The prime-power values of mu, tau, phi_s and P_s
-are written once, here.
+are written once, here.  Whether an integer array is int64 or Python ints
+is decided here too, by one rule on a bound its caller proves (`int_dtype`).
 Two dual sweeps run prime by prime: `sum_over_multiples` serves the dense
 C/Z route (an (n+1, B) count matrix) and the totient-gcd series (a 1-D
 array), and `sum_over_divisors` the divisor-sum profiles of the exact layer.
@@ -28,7 +29,7 @@ from math import isqrt
 
 import numpy as np
 
-_INT64_MAX = 2**63 - 1
+INT64_MAX = 2**63 - 1
 
 # Fixed ceiling on table size, which no parameter raises; a table of this
 # size costs roughly 1 GB across all arrays.
@@ -46,6 +47,13 @@ WINDOW = 1 << 16
 # buffer, so it is wider and each prime pays fewer windows (mu to 3e7 is
 # sieved in 0.53 s at this width, 0.91 s at WINDOW, on a 2-vCPU Xeon)
 TABLE_WINDOW = 1 << 18
+
+
+def int_dtype(bound: int):
+    """int64 when `bound`, which covers every value, product and partial sum
+    the caller's array holds, is at most INT64_MAX, else object (Python ints):
+    the one int64-or-Python-int rule, so a lower INT64_MAX forces Python ints."""
+    return np.int64 if bound <= INT64_MAX else object
 
 
 class CapacityError(Exception):
@@ -345,11 +353,6 @@ def sum_over_divisors(a: np.ndarray, primes: np.ndarray) -> None:
     while (count := np.searchsorted(large, n // i, "right")):
         a[i * large[:count]] += a[i]
         i += 1
-
-
-def totient_dtype(n: int, s: int):
-    """int64 when every phi_s(k) <= n^s, k <= n, fits it (no big power for s >= 64), else object."""
-    return np.int64 if n < 2 or (s < 64 and n**s <= _INT64_MAX) else object
 
 
 def factorize(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

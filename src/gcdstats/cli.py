@@ -70,14 +70,18 @@ _GROWS_WITH = {"moment": "--q", "omega": "--q", "pi": "--q", "varC": "--m or --r
 
 @contextmanager
 def _float_range(key: str):
-    """Turn a value past the float range into a usage error that names the
-    flags to lower, for the quantity or statistic `key`."""
+    """Turn a value past the float range, or a numerator past the digits of
+    int-to-str conversion, into a usage error that names the flags to lower,
+    for the quantity or statistic `key`."""
     try:
         yield
     except exact.FloatRangeError as err:
         if key not in _GROWS_WITH:
             raise
         raise ValueError(f"{err}: lower {_GROWS_WITH[key]}") from None
+    except exact.DigitLimitError as err:
+        # a value within the float range: the size is its denominator's, n^power
+        raise ValueError(f"{err}: lower --n or --r") from None
 
 
 class _Runs(list):
@@ -157,18 +161,20 @@ def cmd_exact(args) -> int:
         raise ValueError(f"--n must be at most {exact.TABLE_FREE_MAX_N} for quantity {quantity} "
                          f"(a sieve to n^(2/3) within the table cap of {DEFAULT_MAX_N}), got {n}")
     t0 = time.perf_counter()
-    if quantity == "pmf":
-        runs = exact.gcd_pmf(n, r)
-        payload = {
-            "manifest": _manifest("exact", {"quantity": quantity, "n": n, "r": r}),
-            "quantity": quantity, "n": n, "r": r,
-            "values": _Runs((v.float_value, k) for v, k in runs),
-            "numerators": _Runs((str(v.numerator), k) for v, k in runs),
-            "denom_power": r,
-            "exact": True,
-        }
-    else:
-        with _float_range(quantity):
+    with _float_range(quantity):
+        if quantity == "pmf":
+            runs = exact.gcd_pmf(n, r)
+            # before the numerators are written, which happens run by run
+            exact.check_digits(max(v.numerator for v, _ in runs))
+            payload = {
+                "manifest": _manifest("exact", {"quantity": quantity, "n": n, "r": r}),
+                "quantity": quantity, "n": n, "r": r,
+                "values": _Runs((v.float_value, k) for v, k in runs),
+                "numerators": _Runs((str(v.numerator), k) for v, k in runs),
+                "denom_power": r,
+                "exact": True,
+            }
+        else:
             if quantity == "mu":
                 res = exact.mean_mu(n, r)
             elif quantity == "nu":
@@ -191,12 +197,11 @@ def cmd_exact(args) -> int:
                 res = exact.mixed_moment_pi(n, r, q)
             else:  # tail
                 res = exact.gcd_tail(n, int(args.t))
-        record = res.record(quantity, n=n, r=r, q=q, s=s, m=m)
-        payload = {"manifest": _manifest("exact", {
-            "quantity": quantity, "n": n, "r": r, "q": q, "s": s, "m": m,
-            "t": args.t,
-        })}
-        payload.update(record)
+            payload = {"manifest": _manifest("exact", {
+                "quantity": quantity, "n": n, "r": r, "q": q, "s": s, "m": m,
+                "t": args.t,
+            })}
+            payload.update(res.record(quantity, n=n, r=r, q=q, s=s, m=m))
     _emit(payload, args.out)
     if args.out:
         print(args.out)
@@ -273,8 +278,6 @@ def _simulate_summary(args, config, rec) -> dict:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    if args.suite not in ("all", *verify.SUITES):
-        raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(verify.SUITES)}")
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     for name in names:
@@ -351,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run acceptance suites")
-    p.add_argument("--suite", default="all",
-                   help="one of %s or 'all'" % ", ".join(sorted(verify.SUITES)))
+    p.add_argument("--suite", default="all", choices=("all", *verify.SUITES))
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -28,29 +28,45 @@ s-tuples whose gcd is exactly d.  G_s(d) depends on d only through
 floor(n/d), so the batched kernel gives it for all O(sqrt n) quotient
 blocks (`_quotient_blocks`) in one call, and `_block_sums` gives each
 block's sum of h^2; at s = r,
-h = g * 1 is known in closed form and needs no profile.  Sums are int64
-where a bound proves they fit; the square sums otherwise cut int64 values
-into limbs, and values past int64 are Python ints.  No n-entry array is
-turned into a Python list.
+h = g * 1 is known in closed form and needs no profile.  Every integer
+array is int64 or Python ints by one rule, `arith.int_dtype`, on a bound
+that covers its values and partial sums; the square sums cut int64 values
+into limbs.  No n-entry array is turned into a Python list.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, log10
 
 import numpy as np
 
-from .arith import (DEFAULT_MAX_N, mobius_local, pillai_local, prefix_sums_at, prime_power_sieve,
-                    prime_power_windows, primes_up_to, sum_over_divisors, tau_local,
-                    totient_dtype, totient_local)
-
-_INT64_SAFE = 2**62
+from .arith import (DEFAULT_MAX_N, int_dtype, mobius_local, pillai_local, prefix_sums_at,
+                    prime_power_sieve, prime_power_windows, primes_up_to, sum_over_divisors,
+                    tau_local, totient_local)
 
 
 class FloatRangeError(ValueError):
     """An exact value, or a replicate, too large in magnitude for a float."""
+
+
+class DigitLimitError(ValueError):
+    """An exact numerator with more decimal digits than int-to-str allows."""
+
+
+def check_digits(numerator: int) -> None:
+    """Raise DigitLimitError, before any str(), for a numerator with more decimal
+    digits than int-to-str converts (sys.get_int_max_str_digits), a limit that
+    a reader's int() of the text keeps too.  A value of b bits is below
+    10^(b log10(2)), so only a bit length near the limit is compared further."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    size = abs(numerator)
+    digits = size.bit_length() * log10(2)
+    if limit and digits >= limit and size >= 10**limit:
+        raise DigitLimitError(f"an exact numerator of about 10^{round(digits)} passes the "
+                              f"{limit}-digit limit of int-to-str conversion")
 
 
 @dataclass(frozen=True)
@@ -82,7 +98,8 @@ class ExactResult:
         return Fraction(self.numerator, self.denom_base**self.denom_power)
 
     def record(self, quantity: str, **params) -> dict:
-        """JSON-ready record with the standard field layout."""
+        """JSON-ready record with the standard field layout (`check_digits` first)."""
+        check_digits(self.numerator)
         return {"quantity": quantity, **params, "value": self.float_value, "exact": True,
                 "numerator": str(self.numerator), "denom_base": self.denom_base,
                 "denom_power": self.denom_power}
@@ -128,13 +145,12 @@ class _FloorPrefix:
 def _exact_prefix(g: np.ndarray, n: int) -> _FloorPrefix:
     """The floor-indexed prefix of an integer array g over 0..n, by one plain cumsum.
 
-    The n-entry prefix sums are int64 when (n+1) peak < 2^62 proves they
-    fit, peak = max |g(j)|, j <= n; only their O(sqrt n) floor points are kept.
+    Each of the n-entry prefix sums is at most (n+1) peak, peak = max |g(j)|,
+    j <= n, which sets their width; only their O(sqrt n) floor points are kept.
     """
     head = g[: n + 1]
     peak = int(np.abs(head).max()) if head.size else 0
-    fits = head.dtype != object and (n + 1) * peak < _INT64_SAFE
-    sums = np.cumsum(head, dtype=np.int64 if fits else object)
+    sums = np.cumsum(head, dtype=int_dtype((n + 1) * peak))
     return _at_floor_points(sums.__getitem__, n, peak)
 
 
@@ -193,7 +209,7 @@ def _summatory(n: int, q: int | None) -> _FloorPrefix:
     O(sqrt x) entries for each of the O(n^(1/3)) points.  |G(y)| <= peak y
     for peak = max |g(j)|, j <= x (1 for mu, x^q for phi_q), so every sum
     at x is below peak x (1 + bitlen(x)), and those to L below (L+1) peak:
-    each is summed in int64 where its bound fits, else in Python ints.
+    each bound sets the width its sums are taken in (`arith.int_dtype`).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -203,17 +219,17 @@ def _summatory(n: int, q: int | None) -> _FloorPrefix:
     def peak(x):
         return 1 if q is None else x**q
 
-    def fits(x):
-        return peak(x) * x * (x.bit_length() + 1) < _INT64_SAFE
+    def width(x):  # of every sum at a point x
+        return int_dtype(peak(x) * x * (x.bit_length() + 1))
 
     local = mobius_local if q is None else totient_local(q)
-    dtype = np.int8 if q is None else totient_dtype(top, q)
+    dtype = np.int8 if q is None else int_dtype(peak(top))
     # 0..isqrt(n), then n // k for k = mid .. last+1: the floor points up to L
     points = np.concatenate((np.arange(root + 1), n // np.arange(mid, last, -1)))
     sums = prefix_sums_at(prime_power_windows(top, primes_up_to(top), local, dtype), points,
-                          np.int64 if (top + 1) * peak(top) < _INT64_SAFE else object)
+                          int_dtype((top + 1) * peak(top)))
     dense = sums[: root + 1]
-    high = np.zeros(mid + 1, dtype=np.int64 if fits(n) else object)
+    high = np.zeros(mid + 1, dtype=width(n))
     high[last + 1 :] = sums[:root:-1]
     for k in range(last, 0, -1):
         x = n // k
@@ -224,16 +240,15 @@ def _summatory(n: int, q: int | None) -> _FloorPrefix:
         quot = x // np.arange(1, x_root + 2)
         runs = quot[:-1] - quot[1:]
         head = dense[1 : x_root + 1]
-        if not fits(x):
-            below, runs, head = below.astype(object), runs.astype(object), head.astype(object)
+        below, runs, head = (a.astype(width(x), copy=False) for a in (below, runs, head))
         rest = int(high[2 * k : inner * k + 1 : k].sum()) + int(below.sum()) + int(head @ runs)
         high[k] = (1 if q is None else _power_sums(x, q)) - rest
     return _FloorPrefix(n, dense, high, peak(n))
 
 
 def sieve_weight(n: int, q: int | None) -> np.ndarray:
-    """mu (q None) or phi_q on 0..n, sieved whole: int8 for mu, int64 or Python
-    ints for phi_q (`arith.totient_dtype`).
+    """mu (q None) or phi_q on 0..n, sieved whole: int8 for mu, and for phi_q
+    the width of its bound n^q (`arith.int_dtype`).
 
     Raises ValueError for n < 1 or q < 1, and CapacityError, before any
     sieve, past DEFAULT_MAX_N (`arith.primes_up_to`).
@@ -245,7 +260,7 @@ def sieve_weight(n: int, q: int | None) -> np.ndarray:
     primes = primes_up_to(n)
     if q is None:
         return prime_power_sieve(n, primes, mobius_local, np.int8)
-    return prime_power_sieve(n, primes, totient_local(q), totient_dtype(n, q))
+    return prime_power_sieve(n, primes, totient_local(q), int_dtype(n**q))
 
 
 # --- exact floor-power sums ----------------------------------------------
@@ -277,15 +292,14 @@ def _floor_power_sums(prefix: _FloorPrefix, values, s: int) -> np.ndarray:
     and cumsum) and each F(v) is one reduceat segment; P is read once per
     breakpoint, and P[b_(i-1)] is the entry before.  Every partial sum is
     at most sum_j |g(j)| floor(v/j)^s <= peak v^s H_v, and the harmonic sum
-    H_v <= 1 + ln v is below 1 + bitlen(v); the sums are int64 when that
-    bound at the largest v is below 2^62, else Python ints.
+    H_v <= 1 + ln v is below 1 + bitlen(v); that bound at the largest v,
+    which also covers each P read and each floor(v/b)^s, sets the width.
     """
     v = np.asarray(values, dtype=np.int64)
     if v.size == 0:
         return np.zeros(0, dtype=np.int64)
     top = int(v.max())
-    fits = (object not in (prefix.dense.dtype, prefix.high.dtype)
-            and max(prefix.peak, 1) * top**s * (top.bit_length() + 1) < _INT64_SAFE)
+    width = int_dtype(max(prefix.peak, 1) * top**s * (top.bit_length() + 1))
     root = _isqrt_array(v)
     single = v // (root + 1)
     count = single + root
@@ -302,13 +316,11 @@ def _floor_power_sums(prefix: _FloorPrefix, values, s: int) -> np.ndarray:
         # t = floor(v/b) on the block breakpoints; it exceeds K on the single j's
         t = (root[a:b] + single[a:b])[owner] - i
         point = np.where(i < single[a:b][owner], i + 1, vo // t)
-        at = prefix.at(point)
+        at = prefix.at(point).astype(width, copy=False)
         step = at.copy()
         step[1:] -= at[:-1]
         step[starts] = at[starts]
-        quot = vo // point
-        if not fits:
-            step, quot = step.astype(object), quot.astype(object)
+        quot = (vo // point).astype(width, copy=False)
         out.append(np.add.reduceat(step * quot**s, starts))
         a = b
     return np.concatenate(out)
@@ -393,43 +405,24 @@ def _block_sums(h: np.ndarray, starts, power: int) -> np.ndarray:
     return out
 
 
-def _squarefree_floor_power_sum(mu: np.ndarray, n: int, power: int) -> int:
-    """sum_{j <= n} |mu(j)| floor(n/j)^power, exactly, with no n-entry array.
-
-    |mu(j)| = sum_{d^2 | j} mu(d), so the sum is
-    sum_{d <= sqrt n} mu(d) S(n // d^2), S(v) = sum_{i <= v} floor(v/i)^power:
-    each S(v) is the floor sum of g = 1 (G(x) = x) at a floor point of n.
-    mu is read only up to isqrt(n).
-    """
-    d = np.flatnonzero(mu[: isqrt(n) + 1])
-    sums = _floor_power_sums(_at_floor_points(lambda x: x, n, 1), n // (d * d), power)
-    return int(mu[d].astype(object) @ sums.astype(object))
-
-
-def _divisor_profile(g: np.ndarray, n: int, power: int,
-                     g_prefix: _FloorPrefix | None) -> np.ndarray:
+def _divisor_profile(g: np.ndarray, n: int, power: int, q: int | None) -> np.ndarray:
     """h(k) = sum_{j|k} g(j) floor(n/j)^power for k = 1..n, exactly (h(0) = 0).
 
-    g is the weight on 0..n (`sieve_weight`).  h is int64 when the bound
-    sum_j |g(j)| floor(n/j)^power on every |h(k)| fits, else Python ints in
-    an object array.  Every weight g here has g(1) = 1, so the bound also
-    covers the powers floor(n/j)^power.  g_prefix is `_summatory(n, q)` for
-    g = phi_q >= 0, whose floor sum is the bound, or None for g = mu
-    (`_squarefree_floor_power_sum`).
+    g is mu (q None) or phi_q on 0..n (`sieve_weight`).  As |mu(j)| <= 1 and
+    phi_q(j) <= j^q, every |h(k)|, and every term and partial sum of one, is
+    at most sum_{j<=n} j^q floor(n/j)^power (q = 0 for mu), the floor sum of
+    the power sums, which sets h's width.  Its terms j = 1 and j = n cover
+    each floor(n/j)^power and each g(j), so an object phi_q gives an object h.
     """
-    if g_prefix is None:
-        bound = _squarefree_floor_power_sum(g, n, power)
-    else:
-        bound = _floor_power_sum(g_prefix, n, power)
+    def power_sums(x):  # sum_{i <= x} i^q at the int64 points x
+        return x if q is None else _power_sums(x.astype(object), q)
+
+    bound = _floor_power_sum(_at_floor_points(power_sums, n, n ** (q or 0)), n, power)
     w = np.arange(n + 1, dtype=np.int64)
     np.floor_divide(n, w[1:], out=w[1:])
-    if bound < _INT64_SAFE:
-        # g is int8 or int64 here: an object phi_q has n^q past int64, and
-        # the bound is at least phi_q(n) >= n^q / zeta(q) > 2^62
-        w **= power
-        w *= g
-    else:
-        w = w.astype(object) ** power * g
+    w = w.astype(int_dtype(bound), copy=False)
+    w **= power
+    w *= g
     sum_over_divisors(w, primes_up_to(n))
     return w
 
@@ -511,9 +504,7 @@ def marginal_profile(n: int, r: int, kind: str) -> MarginalProfile:
     if kind not in ("probability", "expectation"):
         raise ValueError(f"unknown profile kind {kind!r}")
     q = None if kind == "probability" else 1
-    g = sieve_weight(n, q)
-    g_prefix = None if q is None else _summatory(n, q)
-    return MarginalProfile(n, r, kind, _divisor_profile(g, n, r, g_prefix))
+    return MarginalProfile(n, r, kind, _divisor_profile(sieve_weight(n, q), n, r, q))
 
 
 def marginal_error_bound_check(profile: MarginalProfile):
@@ -637,17 +628,17 @@ def _covariance_numerators(g, n, r, shares, order) -> tuple[int, list[int]]:
     `shared_covariance` for each s >= 1 in shares, for the kernel of weight
     g = mu (order None) or phi_order on 0..n.
 
-    The prefix sums of mu and g and the kernel mean are built once and
+    The prefix sums of mu, and of g for the kernel mean, are built once and
     serve every s.
     """
     mu_prefix = _summatory(n, None)
     g_prefix = mu_prefix if order is None else _summatory(n, order)
     mean_num = _floor_power_sum(g_prefix, n, r)
-    return mean_num, [_shared_moment(g, order, n, r, s, mu_prefix, g_prefix) * n**s
-                      - mean_num**2 for s in shares]
+    return mean_num, [_shared_moment(g, order, n, r, s, mu_prefix) * n**s - mean_num**2
+                      for s in shares]
 
 
-def _shared_moment(g, order, n, r, s, mu_prefix, g_prefix) -> int:
+def _shared_moment(g, order, n, r, s, mu_prefix) -> int:
     """sum_{d<=n} G_s(d) h(d)^2 with h = `_divisor_profile` of g at power r - s.
 
     One call per s, so each n-entry profile is freed before the next is built.
@@ -662,7 +653,7 @@ def _shared_moment(g, order, n, r, s, mu_prefix, g_prefix) -> int:
         ends = _power_sums(hi.astype(object), 2 * order)
         squares = ends - np.concatenate(([0], ends[:-1]))
     else:
-        h = _divisor_profile(g, n, r - s, None if order is None else g_prefix)
+        h = _divisor_profile(g, n, r - s, order)
         squares = _block_sums(h, lo, 2)
     return int(counts.astype(object) @ squares)
 
@@ -720,7 +711,7 @@ def mixed_moment_pi(n: int, r: int, q: int) -> ExactResult:
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     _refuse_past_float(n, 2 * q - 2 * r + 1, 0)  # pi >= P(all 2r-1 values are n) n^(2q)
-    h = _divisor_profile(sieve_weight(n, q), n, r - 1, _summatory(n, q))
+    h = _divisor_profile(sieve_weight(n, q), n, r - 1, q)
     return ExactResult.from_ratio(_block_sums(h, [1], 2)[0], n, 2 * r - 1)
 
 

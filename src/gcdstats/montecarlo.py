@@ -21,7 +21,9 @@ its values factorised all at once with no table (`arith.weighted_divisors`).
 A run sieves the weight, mu or phi_q, to n once (`exact.sieve_weight`), and
 that one array serves both the exact moments that normalise C and Z and
 the dense route.  C(cnt, r) is read from a table of C(k, r) for k up to
-the largest count.
+the largest count.  The sums, like the raw values a run keeps, are int64
+or Python ints by `arith.int_dtype` of a proven bound: m^r times the sum
+of |w| the route reads, taken once a run for the dense route's whole g.
 M and N(t) are functions of the C(m,2) pair gcds alone and sieve nothing;
 n may then be as large as int64 allows.  They need only the large gcds: a
 pair gcd g > T makes both values g times a cofactor below n/T, so a
@@ -57,11 +59,9 @@ from math import comb
 import numpy as np
 
 from . import constants, exact, stattest
-from .arith import (mobius_local, primes_up_to, run_positions, sum_over_multiples, totient_dtype,
-                    totient_local, weighted_divisors)
+from .arith import (INT64_MAX, int_dtype, mobius_local, primes_up_to, run_positions,
+                    sum_over_multiples, totient_local, weighted_divisors)
 
-_INT64_SAFE = 2**62
-_INT64_MAX = 2**63 - 1
 _INT32_MAX = 2**31 - 1
 
 # Sample values held by one block of replicates, and so the most pair gcds
@@ -106,9 +106,9 @@ class SampleConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.n > _INT64_MAX:
+        if self.n > INT64_MAX:
             raise ValueError(
-                f"n must be <= 2^63 - 1 = {_INT64_MAX} (samples are int64), got {self.n}")
+                f"n must be <= 2^63 - 1 = {INT64_MAX} (samples are int64), got {self.n}")
         if self.r < 2:
             raise ValueError(f"r must be >= 2, got {self.r}")
         if self.m < self.r:
@@ -345,8 +345,8 @@ def _draw_block(config: SampleConfig, start: int, stop: int) -> np.ndarray:
 
 def _pair_cut(threshold: float) -> int:
     """Integer cut with gcd > threshold iff gcd > cut, inside [0, 2^63 - 1]."""
-    if not threshold < _INT64_MAX:  # also NaN: no gcd exceeds it
-        return _INT64_MAX
+    if not threshold < INT64_MAX:  # also NaN: no gcd exceeds it
+        return INT64_MAX
     return max(math.floor(threshold), 0)
 
 
@@ -592,7 +592,7 @@ def _pair_gcd_reduce(xs: np.ndarray, cut: int | None = None) -> np.ndarray:
     if m < 2:
         return np.zeros(rows, dtype=np.int64)
     n = int(xs.max())
-    if xs.size * (n + 1) <= _INT64_MAX:
+    if xs.size * (n + 1) <= INT64_MAX:
         if cut is None:
             if _cofactor_max_cost(rows, m, n) < _pair_cost(rows, m, n):
                 return _cofactor_max(xs, n)
@@ -633,21 +633,12 @@ def _binom(cnt: np.ndarray, r: int) -> np.ndarray:
     return table[cnt.astype(np.intp, copy=False)]
 
 
-def _exact_dtype(weight_sum: int, m: int, r: int):
-    """int64 when weight_sum m^r < 2^62, else object (Python ints).
-
-    With cnt <= m, every C(cnt, r) and every `_binom` intermediate is at
-    most m^r, so a row's sum_d w(d) C(cnt(d), r) is at most sum |w| m^r.
-    """
-    return np.int64 if weight_sum * m**r < _INT64_SAFE else object
-
-
-def _dense_route(xs: np.ndarray, r: int, g, primes) -> np.ndarray:
+def _dense_route(xs: np.ndarray, r: int, g, dtype, primes) -> np.ndarray:
     """Per row, sum_{d <= n} g(d) C(cnt(d), r) from an (n+1, B) count matrix.
 
-    g holds the weights g(0..n) in the result dtype and `primes` the primes
-    up to n.  Column b of the matrix is row b of xs: one bincount over the
-    keys x B + b gives each row's value frequencies, and
+    g holds the weights g(0..n), `dtype` is the result's width and `primes`
+    the primes up to n.  Column b of the matrix is row b of xs: one bincount
+    over the keys x B + b gives each row's value frequencies, and
     `sum_over_multiples` down each column turns them into cnt(d).
     """
     rows, n = xs.shape[0], g.size - 1
@@ -656,7 +647,7 @@ def _dense_route(xs: np.ndarray, r: int, g, primes) -> np.ndarray:
     cnt = np.bincount(keys.ravel(), minlength=(n + 1) * rows).reshape(n + 1, rows)
     del keys  # freed before `_binom` allocates, which lowers the peak
     sum_over_multiples(cnt, primes)
-    return g @ _binom(cnt.astype(g.dtype, copy=False), r)
+    return g @ _binom(cnt.astype(dtype, copy=False), r)
 
 
 def _sparse_route(xs: np.ndarray, r: int, q: int | None) -> np.ndarray:
@@ -671,11 +662,12 @@ def _sparse_route(xs: np.ndarray, r: int, q: int | None) -> np.ndarray:
     rows, m = xs.shape
     vals, inv = np.unique(xs.ravel(), return_inverse=True)
     local = mobius_local if q is None else totient_local(q)
-    dtype = np.int64 if q is None else totient_dtype(int(vals[-1]), q)
-    owner, divs, weights = weighted_divisors(vals, local, dtype)
+    # |mu(d)| <= 1, and phi_q(d) <= d^q for d up to the largest value
+    owner, divs, weights = weighted_divisors(
+        vals, local, int_dtype(1 if q is None else int(vals[-1]) ** q))
     dvals, at, div_id = np.unique(divs, return_index=True, return_inverse=True)
     w = weights[at]
-    w = w.astype(_exact_dtype(int(exact._block_sums(np.abs(w), [0], 1)[0]), m, r))
+    w = w.astype(int_dtype(int(exact._block_sums(np.abs(w), [0], 1)[0]) * m**r))
 
     pos, per_elem = run_positions(np.bincount(owner, minlength=vals.size), inv)
     keys = np.repeat(np.arange(rows * m) // m * dvals.size, per_elem)  # row D + divisor id
@@ -690,14 +682,17 @@ def _sparse_route(xs: np.ndarray, r: int, q: int | None) -> np.ndarray:
     return np.add.reduceat(terms, row_starts)
 
 
-def _route_costs(n: int) -> tuple[int, int]:
-    """The terms of the C/Z route rule that depend on n alone: the cells
-    n + 1 + sum_{p <= n} floor(n/p) the dense sweep touches a row, and
-    D(n) = sum_{k<=n} tau(k) = 2 sum_{j<=s} floor(n/j) - s^2, s = isqrt(n).
-    A run computes them once, not once a block."""
+def _route_costs(g: np.ndarray) -> tuple[int, int, int]:
+    """The terms of the C/Z kernel that depend on its weight g on 0..n alone:
+    the cells n + 1 + sum_{p <= n} floor(n/p) the dense sweep touches a row,
+    D(n) = sum_{k<=n} tau(k) = 2 sum_{j<=s} floor(n/j) - s^2, s = isqrt(n),
+    and sum_d |g(d)|, which bounds the dense route's sums.  A run computes
+    them once, not once a block."""
+    n = g.size - 1
     s = math.isqrt(n)
     return (n + 1 + int((n // primes_up_to(n)).sum()),
-            2 * int((n // np.arange(1, s + 1)).sum()) - s * s)
+            2 * int((n // np.arange(1, s + 1)).sum()) - s * s,
+            int(exact._block_sums(np.abs(g), [0], 1)[0]))
 
 
 def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, g: np.ndarray,
@@ -707,23 +702,24 @@ def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, g: np.ndarray,
     Both are sum_d w(d) C(cnt(d), r), with w = mu or phi_q and
     cnt(d) = #{i : d | x_i} in the row; g is w on 0..n
     (`exact.sieve_weight`), which the dense route reads, and costs is
-    `_route_costs(n)`.  The cheaper route runs: the dense sweep touches
+    `_route_costs(g)`.  The cheaper route runs: the dense sweep touches
     costs[0] cells a row, the sparse route sorts D keys in D log2 D
     comparisons, D = xs.size D(n) / n the block's expected divisor count.
     Dense blocks hold at most _BLOCK_ELEMENTS cells.
-    The result is int64, or object (Python ints) where `_exact_dtype` says
-    the sums could pass int64.
+    With cnt <= m, every C(cnt, r), `_binom` intermediate and term
+    w(d) C(cnt(d), r) is at most |w(d)| m^r, so m^r sum_d |w(d)| over the
+    weights a route reads (all of g dense, the block's divisors' sparse)
+    bounds each row's sum and partial sums, and sets the result's width.
     """
     rows, m = xs.shape
     n = g.size - 1
-    cells, divisors = costs
+    cells, divisors, weight_sum = costs
     divisor_count = xs.size * divisors / n
     if rows * cells <= divisor_count * math.log2(divisor_count):
-        primes = primes_up_to(n)
-        w = np.array(g, dtype=object)
-        w = w.astype(_exact_dtype(int(np.abs(w).sum()), m, r))
+        primes = primes_up_to(n).tolist()
+        dtype = int_dtype(weight_sum * m**r)
         step = max(1, _BLOCK_ELEMENTS // (n + 1))
-        return np.concatenate([_dense_route(xs[lo : lo + step], r, w, primes.tolist())
+        return np.concatenate([_dense_route(xs[lo : lo + step], r, g, dtype, primes)
                                for lo in range(0, rows, step)])
     return _sparse_route(xs, r, q)
 
@@ -733,7 +729,7 @@ def stat_C(sample, r: int) -> int:
     x = np.asarray(sample, dtype=np.int64)[None, :]
     n = int(x.max())
     g = exact.sieve_weight(n, None)
-    return int(_subset_weighted_block(x, r, None, g, _route_costs(n))[0])
+    return int(_subset_weighted_block(x, r, None, g, _route_costs(g))[0])
 
 
 def stat_Z(sample, r: int, q: int) -> int:
@@ -741,7 +737,7 @@ def stat_Z(sample, r: int, q: int) -> int:
     x = np.asarray(sample, dtype=np.int64)[None, :]
     n = int(x.max())
     g = exact.sieve_weight(n, q)
-    return int(_subset_weighted_block(x, r, q, g, _route_costs(n))[0])
+    return int(_subset_weighted_block(x, r, q, g, _route_costs(g))[0])
 
 
 # --- replicate running -------------------------------------------------------
@@ -756,8 +752,8 @@ class Replicates:
     Frechet law of scale 1/zeta(2).  N(t) is left as it is and tends to the
     Poisson law of rate 1/(t zeta(2)), which exists only for 0 < t < inf;
     at any other t law is None.  The CSV rows and `summary` are all read
-    from this one record.  raw is a read-only array: int64, or object
-    (Python ints) for a statistic whose bound passes int64 (`_raw_dtype`).
+    from this one record.  raw is a read-only array whose width is
+    `arith.int_dtype` of the statistic's bound (`_raw_dtype`).
     Records hold arrays, so they have no value equality; compare their fields.
     """
 
@@ -833,7 +829,7 @@ _SIM_CTX = {}
 
 
 def _raw_dtype(config: SampleConfig, statistic: str):
-    """int64 when the statistic's closed-form bound fits, else object.
+    """The width of the statistic's closed-form bound (`arith.int_dtype`).
 
     C counts r-subsets, Z adds at most n^q for each, M is a gcd of values
     up to n, and N counts pairs.
@@ -844,7 +840,7 @@ def _raw_dtype(config: SampleConfig, statistic: str):
         bound = comb(config.m, 2)
     else:
         bound = comb(config.m, config.r) * (config.n**config.q if statistic == "Z" else 1)
-    return np.int64 if bound <= _INT64_MAX else object
+    return int_dtype(bound)
 
 
 def _raws_in_range(config: SampleConfig, statistic: str, g, threshold: float,
@@ -856,7 +852,7 @@ def _raws_in_range(config: SampleConfig, statistic: str, g, threshold: float,
     """
     per_block = max(1, _BLOCK_ELEMENTS // config.m)
     cut = _pair_cut(threshold)
-    costs = None if g is None else _route_costs(config.n)
+    costs = None if g is None else _route_costs(g)
     try:
         raws = np.empty(stop - start, dtype=_raw_dtype(config, statistic))
     except ValueError:  # numpy's size check: more bytes than an address space holds
@@ -976,6 +972,6 @@ def strong_law_trajectory(n: int, r: int, m_grid, seed: int) -> np.ndarray:
     xs = _draw_block(config, 0, 1)[0]
 
     mean_single = exact.mean_mu(n, r - 1).float_value
-    costs = _route_costs(n)
+    costs = _route_costs(mu)
     return np.array([_subset_weighted_block(xs[None, :m], r, None, mu, costs)[0]
                      / (comb(m, r) * mean_single) for m in grid])

@@ -36,3 +36,22 @@ def sieve_calls(monkeypatch):
     for module in (arith, exact):
         monkeypatch.setattr(module, "prime_power_windows", windows)
     return calls
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The int64-or-Python-int choices made in `exact` and `montecarlo` during the
+    test, in order, as (name of the function that asked, the bound it passed)."""
+    import sys
+
+    from gcdstats import arith, exact, montecarlo
+
+    calls = []
+
+    def spy(bound):
+        calls.append((sys._getframe(1).f_code.co_name, bound))
+        return arith.int_dtype(bound)
+
+    for module in (exact, montecarlo):
+        monkeypatch.setattr(module, "int_dtype", spy)
+    return calls

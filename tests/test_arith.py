@@ -328,6 +328,22 @@ def test_no_module_keeps_a_functools_cache():
     assert caches == []
 
 
+def test_only_arith_spells_the_int64_limit():
+    # every int64-or-Python-int choice goes through arith.int_dtype, and every
+    # other int64 range check reads arith.INT64_MAX
+    import re
+    from pathlib import Path
+
+    import gcdstats
+
+    spelled = []
+    for path in sorted(Path(gcdstats.__file__).parent.glob("*.py")):
+        lines = path.read_text().splitlines()
+        spelled += [f"{path.name}:{i}" for i, line in enumerate(lines, 1)
+                    if path.name != "arith.py" and re.search(r"2\s*\*\*\s*6[23]\b|iinfo", line)]
+    assert spelled == []
+
+
 def test_high_order_totient_falls_back_to_big_ints():
     vals = sieve_weight(50, 12)
     assert vals.dtype == object  # 50^12 exceeds int64

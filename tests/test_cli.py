@@ -194,19 +194,20 @@ def test_exact_mu_sieves_mu_only(sieve_calls, capsys):
 
 @pytest.mark.parametrize("quantity, want", [
     ("c", [("mu", 1000)]),
-    ("d", [("phi_1", 1000), ("phi_1", 100)]),
+    ("d", [("phi_1", 1000)]),
     ("varC", [("mu", 1000), ("mu", 100)]),
     ("gamma", [("mu", 1000), ("mu", 100)]),
     ("varZ", [("phi_2", 1000), ("mu", 100), ("phi_2", 100)]),
     ("omega", [("phi_2", 1000), ("mu", 100), ("phi_2", 100)]),
-    ("pi", [("phi_2", 1000), ("phi_2", 100)]),
+    ("pi", [("phi_2", 1000)]),
 ])
 def test_exact_second_order_quantities_sieve_their_one_weight(quantity, want, sieve_calls,
                                                               capsys):
     code, _ = run_cli(["exact", "--quantity", quantity, "--n", "1000", "--r", "2", "--m", "5",
                        "--s", "1", "--q", "2"], capsys)
     assert code == 0
-    # the weight to n once, then mu and phi_q window by window to L = n^(2/3) = 100
+    # the weight to n once, then, for the kernel means and G_s, mu and phi_q window
+    # by window to L = n^(2/3) = 100; a profile's bound needs no sieve
     assert sieve_calls == want
 
 
@@ -385,9 +386,8 @@ def test_verify_suite_constants_exits_zero(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "--suite", "nope"])
-    assert err.value.code == 2
+    text = _usage_error(["verify", "--suite", "nope"], capsys)
+    assert "invalid choice: 'nope'" in text and "'all', 'oracle'" in text
 
 
 def _usage_error(argv, capsys) -> str:
@@ -536,6 +536,24 @@ def test_usage_error_names_flag_and_value(argv, flag, value, capsys):
 def test_values_past_the_float_range_are_a_usage_error(argv, flags, capsys):
     text = _usage_error(argv, capsys)
     assert f"overflows a float: lower {flags}" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--quantity", "mu", "--n", "100", "--r", "5000"],
+    ["exact", "--quantity", "pmf", "--n", "1000", "--r", "1500"],
+    ["exact", "--quantity", "moment", "--n", "1000", "--r", "1500", "--q", "3"],
+    ["exact", "--quantity", "c", "--n", "50", "--r", "2600"],
+    ["exact", "--quantity", "pi", "--n", "50", "--r", "1300"],
+], ids=["mu", "pmf", "moment", "c", "pi"])
+def test_numerators_past_the_int_to_str_digits_are_a_usage_error(argv, capsys):
+    # the values are floats, but the numerators over n^power pass 4300 digits;
+    # nothing is written before the refusal
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    out, text = capsys.readouterr()
+    assert err.value.code == 2 and out == ""
+    assert text.startswith("error: ") and text.count("\n") == 1
+    assert "4300-digit limit" in text and text.endswith(": lower --n or --r\n")
 
 
 @pytest.mark.parametrize("argv, flags", [

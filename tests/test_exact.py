@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 from math import isqrt
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gcdstats import brute, constants, exact
+from gcdstats import arith, brute, constants, exact
 from gcdstats.arith import DEFAULT_MAX_N, CapacityError, prime_power_sieve, primes_up_to, tau_local
 from gcdstats.cli import main
 
@@ -198,14 +199,21 @@ def test_summatory_holds_only_the_floor_points(q):
     assert peak < 8 * 2**20
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 7])
-def test_squarefree_floor_power_sum_is_the_abs_mu_floor_sum(p):
-    # the profile bound for g = mu, and so its int64/object choice
-    mu = exact.sieve_weight(3000, None)
-    abs_mu = np.abs(mu)
-    for n in range(1, 3001):
-        assert exact._squarefree_floor_power_sum(mu, n, p) == \
-            exact._floor_power_sum(exact._exact_prefix(abs_mu, n), n, p), n
+@pytest.mark.parametrize("q", [None, 1, 2])
+def test_profile_bound_is_the_power_floor_sum_below_twice_the_exact_one(q, widths):
+    # h's width comes from sum_j j^q floor(n/j)^p (q = 0 for mu): at least the
+    # exact bound sum_j |g(j)| floor(n/j)^p, and below twice it, so a profile
+    # whose exact bound is below 2^62 stays within int64
+    g = exact.sieve_weight(200, q)
+    for n in range(1, 201):
+        for p in range(1, 8):
+            widths.clear()
+            exact._divisor_profile(g[: n + 1], n, p, q)
+            terms = [(n // j) ** p for j in range(1, n + 1)]
+            closed = sum(j ** (q or 0) * t for j, t in enumerate(terms, 1))
+            assert [b for name, b in widths if name == "_divisor_profile"] == [closed]
+            bound = sum(abs(int(g[j])) * t for j, t in enumerate(terms, 1))
+            assert bound <= closed < 2 * bound, (n, p)
 
 
 def test_power_sums_are_the_plain_sums():
@@ -704,3 +712,68 @@ def test_gcd_pmf_runs_are_the_floor_blocks():
                   itertools.groupby(range(1, n + 1), key=lambda k: n // k)]
         assert [count for _, count in runs] == blocks
         assert sum(count for _, count in runs) == n
+
+
+# --- one int64-or-Python-int rule ------------------------------------------------
+
+def every_quantity(n, r, q):
+    """The numerators of every exact quantity at (n, r, q), with m = r + 2."""
+    results = [exact.mean_mu(n, r), exact.mean_nu(n, r), exact.var_c(n, r), exact.var_d(n, r),
+               *(v for v, _ in exact.gcd_pmf(n, r)), exact.gcd_moment(n, r, q),
+               exact.var_C(n, r + 2, r), exact.var_Z(n, r + 2, r, q),
+               exact.mixed_moment_pi(n, r, q), exact.mixed_moment_omega(n, r, q),
+               exact.gcd_tail(n, n // 2)]
+    results += [exact.shared_covariance(n, r, s, kind, q) for s in range(r + 1)
+                for kind in ("indicator", "gcd", "moment")]
+    return [res.numerator for res in results]
+
+
+def test_every_exact_quantity_is_the_same_in_python_ints(monkeypatch):
+    grid = [(n, r, q) for n in range(1, 31) for r in (2, 3) for q in (1, 2)]
+    default = [every_quantity(*case) for case in grid]
+    monkeypatch.setattr(arith, "INT64_MAX", -1)  # every width choice gives Python ints
+    assert exact.marginal_profile(30, 2, "probability").numerators.dtype == object
+    assert [every_quantity(*case) for case in grid] == default
+
+
+def prefix_points(prefix):
+    return prefix.dense.tolist() + prefix.high.tolist()
+
+
+# a case for each width choice that moved from below 2^62 to within 2^63 - 1, by
+# the name of the function that makes it; `_summatory`'s sums at the points above
+# L are the nested `width`
+_PAST_2_62 = {
+    # (n+1) max phi_3(j), j <= n
+    "_exact_prefix": lambda: prefix_points(exact._exact_prefix(exact.sieve_weight(50_000, 3),
+                                                               50_000)),
+    # (L+1) L^4 for the sums of phi_4 to L = 76^2
+    "_summatory": lambda: prefix_points(exact._summatory(440_000, 4)),
+    # x^5 (1 + bitlen(x)) at the points x above L
+    "width": lambda: prefix_points(exact._summatory(3300, 4)),
+    # 900^6 (1 + bitlen(900))
+    "_floor_power_sums": lambda: exact.mean_mu(900, 5).numerator,
+    # sum_j j^q floor(500/j)^7, q = 0 and 1
+    "_divisor_profile": lambda: [exact.marginal_profile(500, 7, kind).numerators.tolist()
+                                 for kind in ("probability", "expectation")],
+}
+
+
+@pytest.mark.parametrize("site", sorted(_PAST_2_62))
+def test_widths_past_2_62_are_the_python_int_values(site, monkeypatch, widths):
+    default = _PAST_2_62[site]()
+    assert any(2**62 < b <= arith.INT64_MAX for name, b in widths if name == site)
+    monkeypatch.setattr(arith, "INT64_MAX", -1)
+    assert _PAST_2_62[site]() == default
+
+
+def test_check_digits_is_the_int_to_str_limit():
+    limit = sys.get_int_max_str_digits()
+    for value in (0, 10**limit - 1, -(10**limit - 1)):
+        exact.check_digits(value)
+        str(value)
+    for value in (10**limit, -(10**limit), 10**limit * 7):
+        with pytest.raises(exact.DigitLimitError):
+            exact.check_digits(value)
+        with pytest.raises(ValueError):
+            str(value)

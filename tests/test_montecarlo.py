@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from gcdstats import brute, constants, exact, montecarlo, stattest
+from gcdstats import arith, brute, constants, exact, montecarlo, stattest
 from gcdstats.arith import primes_up_to
 from gcdstats.montecarlo import (
     SampleConfig,
@@ -110,8 +110,8 @@ def test_dense_and_sparse_routes_agree():
         xs = montecarlo._draw_block(cfg, 0, 6)
         primes = primes_up_to(n).tolist()
         for q in (None, 1, 2):
-            g = exact.sieve_weight(n, q).astype(np.int64)
-            dense = montecarlo._dense_route(xs, 2, g, primes)
+            g = exact.sieve_weight(n, q)
+            dense = montecarlo._dense_route(xs, 2, g, np.int64, primes)
             sparse = montecarlo._sparse_route(xs, 2, q)
             assert dense.tolist() == sparse.tolist()
 
@@ -123,8 +123,8 @@ def test_dense_route_on_blocks_narrower_square_and_wider(rows, n):
     xs = montecarlo._draw_block(cfg, 0, rows)
     primes = primes_up_to(n).tolist()
     for r, q in ((2, None), (3, None), (2, 1), (3, 2)):
-        g = exact.sieve_weight(n, q).astype(np.int64)
-        dense = montecarlo._dense_route(xs, r, g, primes).tolist()
+        g = exact.sieve_weight(n, q)
+        dense = montecarlo._dense_route(xs, r, g, np.int64, primes).tolist()
         assert dense == montecarlo._sparse_route(xs, r, q).tolist()
         assert dense == [brute.naive_stat_C(x, r) if q is None else brute.naive_stat_Z(x, r, q)
                          for x in xs.tolist()]
@@ -159,16 +159,19 @@ def test_route_follows_row_width_against_divisor_count(monkeypatch):
 
 
 def test_route_costs_are_taken_once_a_run(monkeypatch):
-    # the rule's terms in n alone, against plain loops, and taken once per
-    # replicate range, not once per block
+    # the rule's terms in n and the weight sum, against plain loops, and taken
+    # once per replicate range, not once per block
     for n in range(1, 150):
         cells = n + 1 + sum(n // p for p in range(2, n + 1) if all(p % d for d in range(2, p)))
         divisors = sum(1 for k in range(1, n + 1) for d in range(1, k + 1) if k % d == 0)
-        assert montecarlo._route_costs(n) == (cells, divisors), n
+        for q in (None, 2):
+            g = exact.sieve_weight(n, q)
+            weights = sum(abs(int(w)) for w in g)
+            assert montecarlo._route_costs(g) == (cells, divisors, weights), (n, q)
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 40)
     calls = []
     real = montecarlo._route_costs
-    monkeypatch.setattr(montecarlo, "_route_costs", lambda n: calls.append(n) or real(n))
+    monkeypatch.setattr(montecarlo, "_route_costs", lambda g: calls.append(g.size - 1) or real(g))
     cfg = SampleConfig(m=10, n=5000, replicates=30, master_seed=3)
     montecarlo._raws_in_range(cfg, "C", exact.sieve_weight(5000, None), 0.0, 0, 30)
     assert calls == [5000]
@@ -223,11 +226,53 @@ def test_python_int_fallback_matches_naive_loops(monkeypatch):
         cfg = SampleConfig(m=m, n=n, r=r, q=q, replicates=2, master_seed=m + n)
         xs = montecarlo._draw_block(cfg, 0, 2)
         dtypes.clear()
-        got = montecarlo._subset_weighted_block(xs, r, q, exact.sieve_weight(n, q),
-                                                montecarlo._route_costs(n))
+        g = exact.sieve_weight(n, q)
+        got = montecarlo._subset_weighted_block(xs, r, q, g, montecarlo._route_costs(g))
         assert dtypes and all(dt == object for dt in dtypes)
         assert got.dtype == object and got.tolist() == [brute.naive_stat_Z(x, r, q) for x in xs]
     assert taken == ["_sparse_route", "_dense_route"] * 2
+
+
+def test_cz_raws_on_each_route_are_the_same_in_python_ints(monkeypatch):
+    # one block of C and of Z a config: n = 30 takes the dense route, 10^4 the sparse one
+    taken = _route_spy(monkeypatch)
+    configs = [SampleConfig(m=20, n=n, r=r, q=q, replicates=4, master_seed=n + r)
+               for n in (30, 10_000) for r, q in ((2, 1), (3, 2))]
+
+    def raws():
+        return [montecarlo._raws_in_range(cfg, s, exact.sieve_weight(cfg.n, q), 0.0, 0, 4)
+                for cfg in configs for s, q in (("C", None), ("Z", cfg.q))]
+
+    default = raws()
+    monkeypatch.setattr(arith, "INT64_MAX", -1)  # every width choice gives Python ints
+    forced = raws()
+    assert all(a.dtype == np.int64 and b.dtype == object for a, b in zip(default, forced))
+    assert [a.tolist() for a in default] == [b.tolist() for b in forced]
+    assert set(taken) == {"_dense_route", "_sparse_route"}
+
+
+@pytest.mark.parametrize("m, n, r, q, site", [
+    (160, 30, 8, None, "_subset_weighted_block"),  # 19 squarefree d <= 30, times 160^8
+    (110, 30, 8, 1, "_subset_weighted_block"),  # sum_{d <= 30} phi(d) = 278, times 110^8
+    (68, 10**4, 9, None, "_sparse_route"),
+    (20, 10**10, 6, 1, "_sparse_route"),
+], ids=["dense-C", "dense-Z", "sparse-C", "sparse-Z"])
+def test_cz_sums_past_2_62_are_the_python_int_values(m, n, r, q, site, monkeypatch, widths):
+    # the bound sum |w| m^r lies in (2^62, 2^63 - 1]: int64 now, object below the old 2^62
+    xs = montecarlo._draw_block(SampleConfig(m=m, n=n, r=r, replicates=1), 0, 1)
+
+    def sums():
+        if site == "_sparse_route":
+            return montecarlo._sparse_route(xs, r, q)
+        g = exact.sieve_weight(n, q)
+        return montecarlo._subset_weighted_block(xs, r, q, g, montecarlo._route_costs(g))
+
+    default = sums()
+    assert any(2**62 < b <= arith.INT64_MAX for name, b in widths if name == site)
+    monkeypatch.setattr(arith, "INT64_MAX", -1)
+    forced = sums()
+    assert (default.dtype, forced.dtype) == (np.int64, object)
+    assert default.tolist() == forced.tolist()
 
 
 def test_sparse_route_on_values_up_to_1e9_matches_naive_loops():
@@ -599,7 +644,7 @@ def test_pair_gcd_routes_match_naive_loops(monkeypatch):
             n = rng.choice((1, 2, 30, 1000, 2**31 - 1, 2**31, 2**40))
             reps = rng.randint(1, 10)
             cut = rng.choice(_cuts(rng, n))
-            t = math.nan if cut == montecarlo._INT64_MAX else (cut + 0.5) / comb(m, 2)
+            t = math.nan if cut == arith.INT64_MAX else (cut + 0.5) / comb(m, 2)
             cfg = SampleConfig(m=m, n=n, replicates=reps, master_seed=700 + trial)
             maxima = run_replicates(cfg, "M").raw
             counts = run_replicates(cfg, "N", t=t).raw
