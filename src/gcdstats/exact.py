@@ -61,12 +61,29 @@ def check_digits(numerator: int) -> None:
     digits than int-to-str converts (sys.get_int_max_str_digits), a limit that
     a reader's int() of the text keeps too.  A value of b bits is below
     10^(b log10(2)), so only a bit length near the limit is compared further."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    limit = _digit_limit()
     size = abs(numerator)
     digits = size.bit_length() * log10(2)
     if limit and digits >= limit and size >= 10**limit:
         raise DigitLimitError(f"an exact numerator of about 10^{round(digits)} passes the "
                               f"{limit}-digit limit of int-to-str conversion")
+
+
+def _digit_limit() -> int:
+    """sys.get_int_max_str_digits(), 0 (no limit) before Python 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _refuse_past_digits(bits: int) -> None:
+    """Raise DigitLimitError, before any sieve, for a numerator proven to
+    exceed 2^bits when 2^bits itself passes the int-to-str digit limit.
+
+    2^bits > 10^limit once bits >= bitlen(10^limit), so the test is in integers.
+    """
+    limit = _digit_limit()
+    if limit and bits >= (10**limit).bit_length():
+        raise DigitLimitError(f"an exact numerator of at least 10^{int(bits * log10(2))} "
+                              f"passes the {limit}-digit limit of int-to-str conversion")
 
 
 @dataclass(frozen=True)
@@ -553,14 +570,31 @@ def mean_nu(n: int, r: int) -> ExactResult:
     return _first_moment(n, 1, r + 1)
 
 
+def _profile_variance(n: int, r: int, kind: str) -> ExactResult:
+    """The profile's variance, refused before any sieve when its numerator
+    is proven past the int-to-str digit limit.
+
+    The numerator is n^(2r+2) Var, and n Var is the sum of the n squared
+    deviations from the mean, so the numerator is at least
+    n^(2r+1) (v(1) - mean)^2.  Here v(1) = U_r(1) = W_r(1) = 1, as gcd(x, 1)
+    = 1.  The mean is P(gcd of r+1 values = 1), or E gcd of r+1 values, and
+    a sample whose r+1 values are all even has gcd >= 2; there are h^(r+1)
+    of them, h = floor(n/2).  So |v(1) - mean| >= (h/n)^(r+1), and the
+    numerator is at least h^(2r+2) / n > 2^((2r+2)(bitlen(h) - 1) - bitlen(n))
+    for n >= 2; at n = 1 that exponent is negative, and nothing is refused.
+    """
+    _refuse_past_digits((2 * r + 2) * ((n // 2).bit_length() - 1) - n.bit_length())
+    return marginal_profile(n, r, kind).variance()
+
+
 def var_c(n: int, r: int) -> ExactResult:
     """Population variance of the marginal probability profile U_r."""
-    return marginal_profile(n, r, "probability").variance()
+    return _profile_variance(n, r, "probability")
 
 
 def var_d(n: int, r: int) -> ExactResult:
     """Population variance of the marginal expectation profile W_r."""
-    return marginal_profile(n, r, "expectation").variance()
+    return _profile_variance(n, r, "expectation")
 
 
 # --- shared-variable covariances ------------------------------------------

@@ -366,6 +366,10 @@ _BAND_U_NS = 4_200
 _SCAN_NS = 1.65
 _KEY_NS = 36
 
+# `_cofactor_max` drops finished rows' values, a gather of every value held,
+# only once they pass this share of those held (chosen in BENCH_m_walk.json)
+_DROP_SHARE = 0.25
+
 
 def _pair_cost(rows: int, m: int, n: int) -> float:
     """Estimated ns of `_pair_route`: a numpy step per value, and Euclid's
@@ -385,7 +389,7 @@ def _band_below(hi: int, floor: int) -> int:
 
 
 def _band_cost(values: int, n: int, lo: int, hi: int) -> float:
-    """Estimated ns of `_band_keys` over `values` uniform values.
+    """Estimated ns of a band (`_band_divisors` and its keys) on `values` uniform values.
 
     A value x is scanned once per u with x/u in [lo, hi), about
     x (1/lo - 1/hi) times, and has about ln(hi/lo) divisors there.
@@ -448,11 +452,11 @@ def _pair_route(xs: np.ndarray, cut: int | None = None) -> np.ndarray:
 def _sorted_values(xs: np.ndarray, n: int) -> tuple:
     """The block's values in ascending order, and the flat position of each.
 
-    One int64 sort of value * size + position orders both; the results are
-    int32 when every value, and every bound up to n + 1, fits.
+    One int64 sort of value * size + position orders both; the values are
+    int32 when every value, every bound up to n + 1 and every position fits.
     """
     size = xs.size
-    values = np.empty(size, dtype=np.int32 if n < _INT32_MAX else np.int64)
+    values = np.empty(size, dtype=np.int32 if max(n, size) < _INT32_MAX else np.int64)
     pos = np.arange(size, dtype=np.int32 if size <= _INT32_MAX else np.int64)
     key = xs.ravel() * size
     key += pos
@@ -462,10 +466,10 @@ def _sorted_values(xs: np.ndarray, n: int) -> tuple:
     return values, pos
 
 
-def _band_keys(values: np.ndarray, pos: np.ndarray, m: int, n: int, lo: int,
-               hi: int) -> np.ndarray:
-    """Sorted keys (row (n+1) + d) m + col of every divisor d in [lo, hi) of
-    every value, given `_sorted_values` (or a subset of them).
+def _band_divisors(values: np.ndarray, n: int, lo: int, hi: int) -> tuple:
+    """Every divisor d in [lo, hi) of every value, as (idx, d): the index of
+    its value in `values` (from `_sorted_values`, or a subset of them) and
+    d, both in the values' dtype.
 
     x has the divisor d = x/u in [lo, hi) exactly when u divides x and x
     lies in [u lo, u hi): a slice of the sorted values, for u = 1..n//lo.
@@ -483,25 +487,16 @@ def _band_keys(values: np.ndarray, pos: np.ndarray, m: int, n: int, lo: int,
                 hits.append(hit)
                 found.append((u, a, hit.size))
     if not hits:
-        return np.empty(0, dtype=np.int64)
-    # a band has about ln(hi/lo) < 1 key a value: build them one array at
-    # a time, in the narrowest dtypes, to hold few bytes per block value
-    u, a, size = np.array(found, dtype=pos.dtype).T
-    idx = np.concatenate(hits, dtype=pos.dtype, casting="same_kind")
+        return np.empty(0, dtype=values.dtype), np.empty(0, dtype=values.dtype)
+    # a band has about ln(hi/lo) < 1 divisor a value: build the arrays one
+    # at a time, in the values' dtype, to hold few bytes per block value
+    u, a, size = np.array(found, dtype=values.dtype).T
+    idx = np.concatenate(hits, dtype=values.dtype, casting="same_kind")
     del hits
     idx += np.repeat(a, size)
     d = values[idx]
     d //= np.repeat(u, size)
-    keys = pos[idx].astype(np.int64)
-    del idx
-    col = np.remainder(keys, m, out=np.empty(keys.size, dtype=pos.dtype))
-    keys //= m
-    keys *= n + 1
-    keys += d
-    keys *= m
-    keys += col
-    keys.sort()
-    return keys
+    return idx, d
 
 
 def _shared_pairs(keys: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -535,7 +530,19 @@ def _cofactor_count(xs: np.ndarray, n: int, cut: int) -> np.ndarray:
     hi = n + 1
     while hi > cut + 1:
         lo = _band_below(hi, cut + 1)
-        codes.append(_shared_pairs(_band_keys(values, pos, m, n, lo, hi), m, n))
+        idx, d = _band_divisors(values, n, lo, hi)
+        keys = pos[idx].astype(np.int64)
+        del idx
+        col = np.remainder(keys, m, out=np.empty(keys.size, dtype=pos.dtype))
+        keys //= m
+        keys *= n + 1
+        keys += d
+        keys *= m
+        keys += col
+        del d, col
+        keys.sort()
+        codes.append(_shared_pairs(keys, m, n))
+        del keys
         hi = lo
     codes = np.sort(np.concatenate(codes)) if codes else np.empty(0, dtype=np.int64)
     first = np.ones(codes.size, dtype=bool)
@@ -546,31 +553,39 @@ def _cofactor_count(xs: np.ndarray, n: int, cut: int) -> np.ndarray:
 def _cofactor_max(xs: np.ndarray, n: int) -> np.ndarray:
     """Per row, the largest pair gcd: the largest d that divides two values.
 
-    Bands [lo, hi) of d run from the top down.  After a band every
-    divisor >= lo of every value is known, so the first band in which a
-    row has a shared d gives its largest one, and the row drops out.  The
-    rows left when a band would cost more than their pair gcds finish on
-    the pair route.
+    Bands [lo, hi) of d run from the top down; a key row (n+1) + d met twice
+    is a d shared in a row.  After a band every divisor >= lo of every value
+    is known, so the first band in which a row has a shared d gives its
+    largest one, and later bands leave it.  The rows left when a band would
+    cost more than their pair gcds finish on the pair route.
     """
     rows, m = xs.shape
-    values, pos = _sorted_values(xs, n)
+    values, row = _sorted_values(xs, n)
+    row //= m  # positions to rows: no column is needed
     out = np.zeros(rows, dtype=np.int64)
-    hi = n + 1
-    while values.size:
+    hi, live = n + 1, rows
+    while live:
         lo = _band_below(hi, 1)
-        if _band_cost(values.size, n, lo, hi) > _pair_cost(values.size // m, m, n):
+        if _band_cost(values.size, n, lo, hi) > _pair_cost(live, m, n):
             left = (out == 0).nonzero()[0]
             out[left] = _pair_route(xs[left])
             break
-        group = _band_keys(values, pos, m, n, lo, hi) // m
-        shared = group[1:][group[1:] == group[:-1]]
-        # keys ascend, so a row's last shared group holds its largest d
-        row = shared // (n + 1)
-        last = np.ones(row.size, dtype=bool)
-        last[:-1] = row[1:] != row[:-1]
-        out[row[last]] = shared[last] % (n + 1)
-        keep = (out == 0)[pos // m]
-        values, pos = values[keep], pos[keep]
+        idx, d = _band_divisors(values, n, lo, hi)
+        keys = row[idx].astype(np.int64)
+        del idx
+        keys *= n + 1
+        keys += d
+        keys.sort()
+        shared = keys[1:][keys[1:] == keys[:-1]]
+        found = shared // (n + 1)
+        # keys ascend: a row's last shared key is its largest d; found rows keep theirs
+        new = out[found] == 0
+        new[:-1] &= found[1:] != found[:-1]
+        out[found[new]] = shared[new] % (n + 1)
+        live -= int(np.count_nonzero(new))
+        if values.size - live * m > _DROP_SHARE * values.size:
+            keep = (out == 0)[row]
+            values, row = values[keep], row[keep]
         hi = lo
     return out
 
@@ -582,11 +597,11 @@ def _pair_gcd_reduce(xs: np.ndarray, cut: int | None = None) -> np.ndarray:
     Two routes give the same integers.  The pair route runs np.gcd over
     the C(m,2) pairs.  The cofactor route finds the large gcds only: a
     pair gcd g > T means both values are g times a cofactor u <= n/T, so a
-    floor_divide by each small u lists every divisor above T of every
-    value (`_band_keys`), and a d met twice in a row is a shared divisor.
-    The cheaper route for the block's m, n, row count and cut runs.  Keys
-    (row (n+1) + d) m + col are int64, so blocks where they could overflow
-    take the pair route.
+    floor_divide by each small u lists every divisor above T of every value
+    (`_band_divisors`).  N keys them (row (n+1) + d) m + col, M row (n+1) + d,
+    and a (row, d) met twice is a shared divisor.  The cheaper route for the
+    block's m, n, row count and cut runs.  Keys are int64, so blocks where
+    they could overflow take the pair route.
     """
     rows, m = xs.shape
     if m < 2:
@@ -687,7 +702,7 @@ def _route_costs(g: np.ndarray) -> tuple[int, int, int]:
     the cells n + 1 + sum_{p <= n} floor(n/p) the dense sweep touches a row,
     D(n) = sum_{k<=n} tau(k) = 2 sum_{j<=s} floor(n/j) - s^2, s = isqrt(n),
     and sum_d |g(d)|, which bounds the dense route's sums.  A run computes
-    them once, not once a block."""
+    them once (`run_replicates`), not once a replicate range or block."""
     n = g.size - 1
     s = math.isqrt(n)
     return (n + 1 + int((n // primes_up_to(n)).sum()),
@@ -843,16 +858,15 @@ def _raw_dtype(config: SampleConfig, statistic: str):
     return int_dtype(bound)
 
 
-def _raws_in_range(config: SampleConfig, statistic: str, g, threshold: float,
+def _raws_in_range(config: SampleConfig, statistic: str, g, costs, threshold: float,
                    start: int, stop: int) -> np.ndarray:
     """Raw statistic of replicates start..stop-1, a block of samples at a time.
 
-    g is the weight of C or Z on 0..n (`exact.sieve_weight`), None for M and N.
-    Each block's kernel output is written into one array of `_raw_dtype`.
+    g is the weight of C or Z on 0..n (`exact.sieve_weight`), costs its
+    `_route_costs`, both None for M and N.  Blocks fill one `_raw_dtype` array.
     """
     per_block = max(1, _BLOCK_ELEMENTS // config.m)
     cut = _pair_cut(threshold)
-    costs = None if g is None else _route_costs(g)
     try:
         raws = np.empty(stop - start, dtype=_raw_dtype(config, statistic))
     except ValueError:  # numpy's size check: more bytes than an address space holds
@@ -870,8 +884,8 @@ def _raws_in_range(config: SampleConfig, statistic: str, g, threshold: float,
 
 
 def _sim_chunk(bounds):
-    return _raws_in_range(_SIM_CTX["config"], _SIM_CTX["statistic"],
-                          _SIM_CTX["g"], _SIM_CTX["threshold"], *bounds)
+    return _raws_in_range(_SIM_CTX["config"], _SIM_CTX["statistic"], _SIM_CTX["g"],
+                          _SIM_CTX["costs"], _SIM_CTX["threshold"], *bounds)
 
 
 def _fork_pool(processes: int):
@@ -886,19 +900,19 @@ def _fork_pool(processes: int):
     return ProcessPoolExecutor(max_workers=processes, mp_context=get_context("fork"))
 
 
-def _raw_replicates(config, statistic, g, threshold, workers) -> np.ndarray:
+def _raw_replicates(config, statistic, g, costs, threshold, workers) -> np.ndarray:
     """Raw values of all replicates in replicate order, each computed once.
 
     Workers take contiguous index ranges, so the values do not depend on
     the worker count.  The fork context starts every pool process up
     front, so the pool has no more processes than ranges or CPUs, and the
-    workers inherit the weight g sieved here.  One worker runs in this
-    process, and loads no pool (`_fork_pool`).
+    workers inherit the weight g and its route costs taken here.  One worker
+    runs in this process, and loads no pool (`_fork_pool`).
     """
     total = config.replicates
     if workers <= 1:
-        return _raws_in_range(config, statistic, g, threshold, 0, total)
-    _SIM_CTX.update(config=config, statistic=statistic, g=g, threshold=threshold)
+        return _raws_in_range(config, statistic, g, costs, threshold, 0, total)
+    _SIM_CTX.update(config=config, statistic=statistic, g=g, costs=costs, threshold=threshold)
     chunk = max(1, math.ceil(total / (workers * 4)))
     bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     processes = min(workers, len(bounds), os.cpu_count() or 1)
@@ -928,18 +942,20 @@ def run_replicates(config: SampleConfig, statistic: str, t: float = 1.0,
     limit law it fixes.
 
     C and Z sieve their weight, mu or phi_q, to n once, for the exact
-    moments and the replicates alike; M and N sieve nothing.  N(t) has a
-    limit law only for 0 < t < inf; at any other t its counts still run,
-    with none.  Each replicate is drawn and evaluated once.
+    moments and the replicates alike, and take its `_route_costs` once; M
+    and N sieve nothing.  N(t) has a limit law only for 0 < t < inf; at any
+    other t its counts still run, with none.  Each replicate is drawn and
+    evaluated once.
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"statistic must be one of {_STATISTICS}, got {statistic!r}")
-    g, shift, scale, law = None, 0, 1, None
+    g, costs, shift, scale, law = None, None, 0, 1, None
     if statistic in ("C", "Z"):
         q = None if statistic == "C" else config.q
         if q is not None:  # Var Z >= n^(2q-r) / 8 (`exact.var_Z`), checked before the sieve
             exact._refuse_past_float(config.n, 2 * q - config.r, 3)
         g = exact.sieve_weight(config.n, q)
+        costs = _route_costs(g)
         shift, scale = exact_moments(config, statistic, g)
         law = stattest.ReferenceLaw.normal()
     elif statistic == "M":
@@ -947,7 +963,7 @@ def run_replicates(config: SampleConfig, statistic: str, t: float = 1.0,
         law = stattest.ReferenceLaw.frechet(1 / constants.zeta(2))
     elif 0 < t < math.inf:
         law = stattest.ReferenceLaw.poisson(1 / (t * constants.zeta(2)))
-    raws = _raw_replicates(config, statistic, g, t * comb(config.m, 2), workers)
+    raws = _raw_replicates(config, statistic, g, costs, t * comb(config.m, 2), workers)
     raws.flags.writeable = False
     return Replicates(raws, law, shift, scale)
 

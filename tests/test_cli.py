@@ -544,7 +544,11 @@ def test_values_past_the_float_range_are_a_usage_error(argv, flags, capsys):
     ["exact", "--quantity", "moment", "--n", "1000", "--r", "1500", "--q", "3"],
     ["exact", "--quantity", "c", "--n", "50", "--r", "2600"],
     ["exact", "--quantity", "pi", "--n", "50", "--r", "1300"],
-], ids=["mu", "pmf", "moment", "c", "pi"])
+    # refused by a bound before any sieve, then just below it after the profile
+    ["exact", "--quantity", "c", "--n", "20000", "--r", "2000"],
+    ["exact", "--quantity", "d", "--n", "20000", "--r", "2000"],
+    ["exact", "--quantity", "d", "--n", "100", "--r", "1428"],
+], ids=["mu", "pmf", "moment", "c", "pi", "c_bound", "d_bound", "d_below_bound"])
 def test_numerators_past_the_int_to_str_digits_are_a_usage_error(argv, capsys):
     # the values are floats, but the numerators over n^power pass 4300 digits;
     # nothing is written before the refusal

@@ -777,3 +777,34 @@ def test_check_digits_is_the_int_to_str_limit():
             exact.check_digits(value)
         with pytest.raises(ValueError):
             str(value)
+
+
+def test_profile_variance_numerators_are_above_the_refusal_bound():
+    # n^(2r+2) Var >= floor(n/2)^(2r+2) / n > 2^bits, the bound in integers
+    # that `_profile_variance` refuses on, for both profiles
+    for n in range(2, 80):
+        for r in (1, 2, 3, 6):
+            power, h = 2 * r + 2, n // 2
+            bits = power * (h.bit_length() - 1) - n.bit_length()
+            for var in (exact.var_c(n, r), exact.var_d(n, r)):
+                assert (var.denom_base, var.denom_power) == (n, power)
+                assert n * var.numerator >= h**power
+                assert bits < 0 or h**power > n * 2**bits
+
+
+def test_profile_variances_past_the_digits_are_refused_before_any_sieve(monkeypatch):
+    profiles = []
+    real = exact.marginal_profile
+    monkeypatch.setattr(exact, "marginal_profile", lambda *args: profiles.append(args) or real(*args))
+    for var in (exact.var_c, exact.var_d):
+        # at n = 100 the bound passes 10^4300 > 2^14284 from r = 1429 on:
+        # 5 (2r + 2) - 7 >= 14285
+        for n, r in ((20000, 2000), (100, 1429)):
+            with pytest.raises(exact.DigitLimitError, match="at least 10"):
+                var(n, r)
+        assert profiles == []
+        # just below the bound the profile runs; the numerator is still past
+        # the limit, which `check_digits` then refuses
+        with pytest.raises(exact.DigitLimitError, match="about 10"):
+            exact.check_digits(var(100, 1428).numerator)
+        assert profiles.pop()[:2] == (100, 1428)

@@ -158,9 +158,9 @@ def test_route_follows_row_width_against_divisor_count(monkeypatch):
         assert set(taken) == {"_sparse_route"}
 
 
-def test_route_costs_are_taken_once_a_run(monkeypatch):
+def test_route_costs_are_taken_once_a_run(monkeypatch, inline_pool):
     # the rule's terms in n and the weight sum, against plain loops, and taken
-    # once per replicate range, not once per block
+    # once a run, before any replicate range: none in the pool workers
     for n in range(1, 150):
         cells = n + 1 + sum(n // p for p in range(2, n + 1) if all(p % d for d in range(2, p)))
         divisors = sum(1 for k in range(1, n + 1) for d in range(1, k + 1) if k % d == 0)
@@ -172,9 +172,23 @@ def test_route_costs_are_taken_once_a_run(monkeypatch):
     calls = []
     real = montecarlo._route_costs
     monkeypatch.setattr(montecarlo, "_route_costs", lambda g: calls.append(g.size - 1) or real(g))
+    in_workers = []
+    real_chunk = montecarlo._sim_chunk
+
+    def chunk(bounds):
+        start = len(calls)
+        out = real_chunk(bounds)
+        in_workers.extend(calls[start:])
+        return out
+
+    monkeypatch.setattr(montecarlo, "_sim_chunk", chunk)
     cfg = SampleConfig(m=10, n=5000, replicates=30, master_seed=3)
-    montecarlo._raws_in_range(cfg, "C", exact.sieve_weight(5000, None), 0.0, 0, 30)
-    assert calls == [5000]
+    for workers in (1, 4):
+        calls.clear()
+        run_replicates(cfg, "C", workers=workers)
+        assert calls == [5000] and in_workers == [], workers
+    # four workers split the 30 replicates into 15 ranges, in one pool
+    assert len(inline_pool) == 1
 
 
 @pytest.mark.parametrize("statistic", ["C", "Z"])
@@ -185,6 +199,12 @@ def test_replicates_sieve_no_tau(statistic, monkeypatch, sieve_calls):
         run_replicates(SampleConfig(m=20, n=n, replicates=3, master_seed=1), statistic)
     assert taken == ["_dense_route", "_sparse_route"]
     assert "tau" not in [name for name, _ in sieve_calls]
+
+
+def _raws(cfg, statistic, q, reps):
+    """The raw C or Z of replicates 0..reps-1, with no normalisation."""
+    g = exact.sieve_weight(cfg.n, q)
+    return montecarlo._raws_in_range(cfg, statistic, g, montecarlo._route_costs(g), 0.0, 0, reps)
 
 
 def test_block_statistics_match_naive_loops(monkeypatch):
@@ -201,8 +221,8 @@ def test_block_statistics_match_naive_loops(monkeypatch):
         reps = rng.randint(1, 12)
         cfg = SampleConfig(m=m, n=n, r=r, q=q, replicates=reps, master_seed=900 + trial)
         # the raw values: run_replicates would also normalise, and n = 1 has no sd
-        c_raw = montecarlo._raws_in_range(cfg, "C", exact.sieve_weight(n, None), 0.0, 0, reps)
-        z_raw = montecarlo._raws_in_range(cfg, "Z", exact.sieve_weight(n, q), 0.0, 0, reps)
+        c_raw = _raws(cfg, "C", None, reps)
+        z_raw = _raws(cfg, "Z", q, reps)
         for i in range(reps):
             x = draw_sample(cfg, i)
             assert c_raw[i] == brute.naive_stat_C(x, r)
@@ -240,8 +260,7 @@ def test_cz_raws_on_each_route_are_the_same_in_python_ints(monkeypatch):
                for n in (30, 10_000) for r, q in ((2, 1), (3, 2))]
 
     def raws():
-        return [montecarlo._raws_in_range(cfg, s, exact.sieve_weight(cfg.n, q), 0.0, 0, 4)
-                for cfg in configs for s, q in (("C", None), ("Z", cfg.q))]
+        return [_raws(cfg, s, q, 4) for cfg in configs for s, q in (("C", None), ("Z", cfg.q))]
 
     default = raws()
     monkeypatch.setattr(arith, "INT64_MAX", -1)  # every width choice gives Python ints
@@ -740,6 +759,50 @@ def test_cofactor_route_memory_stays_near_the_pair_route():
             tracemalloc.stop()
     assert counts[0] == counts[1] and sum(counts[0]) > 0
     assert peaks[1] <= peaks[0] + 2**20
+
+
+@pytest.mark.parametrize("share", [0.0, math.inf], ids=["drop_always", "drop_never"])
+@pytest.mark.parametrize("m, n", [(64, round(64**2.5)), (64, 64**3), (20, 2**20), (8, 1000)])
+def test_cofactor_max_holds_or_drops_finished_rows_alike(m, n, share, monkeypatch):
+    # finished rows' values dropped after every band, or held to the end
+    monkeypatch.setattr(montecarlo, "_DROP_SHARE", share)
+    rows = montecarlo._BLOCK_ELEMENTS // m
+    xs = montecarlo._draw_block(SampleConfig(m=m, n=n, replicates=rows, master_seed=m + n),
+                                0, rows)
+    got = montecarlo._cofactor_max(xs, int(xs.max()))
+    assert got.tolist() == montecarlo._pair_route(xs).tolist()
+    assert got[:40].tolist() == [brute.naive_stat_M(x) for x in xs[:40]]
+
+
+@pytest.mark.parametrize("share", [montecarlo._DROP_SHARE, math.inf])
+def test_cofactor_max_keeps_the_first_band_found(share, monkeypatch):
+    # row 0 shares 700 in the band [668, 1001), then 500 in [446, 668) while
+    # its values are still held: 700 must stay.  Every band runs.
+    monkeypatch.setattr(montecarlo, "_DROP_SHARE", share)
+    monkeypatch.setattr(montecarlo, "_pair_cost", lambda *args: math.inf)
+    xs = np.array([[700, 700, 500, 1000]] + [[1, 2, 3, 5 + k] for k in range(7)])
+    assert montecarlo._band_below(1001, 1) == 668 and montecarlo._band_below(668, 1) == 446
+    got = montecarlo._cofactor_max(xs, 1000)
+    assert got.tolist() == [brute.naive_stat_M(x) for x in xs]
+    assert got[0] == 700
+
+
+def test_cofactor_max_memory_on_the_benchmark_block():
+    # one full block of the benchmark's M job at n = m^3: 1.24 MiB traced
+    # when finished rows' values were dropped after every band
+    m = 64
+    cfg = SampleConfig(m=m, n=m**3, replicates=1000, master_seed=1)
+    xs = montecarlo._draw_block(cfg, 0, montecarlo._BLOCK_ELEMENTS // m)
+    n = int(xs.max())
+    expected = montecarlo._cofactor_max(xs, n)  # numpy's first calls allocate caches
+    tracemalloc.start()
+    try:
+        got = montecarlo._cofactor_max(xs, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == expected.tolist()
+    assert peak <= 1.34 * 2**20
 
 
 def test_cli_simulate_draws_each_replicate_once(monkeypatch, tmp_path, capsys):
