@@ -46,7 +46,7 @@ print()
 
 print("marginal profile U_1(k) = P(gcd(X, k) = 1), small k:")
 # a profile sieves its weight (mu here) to n; the moments above sieve none to n
-prof = exact.marginal_profile(1000, 1, "probability")
+prof = exact.marginal_profile(1000, 1)
 phi = exact.sieve_weight(1000, 1)
 for k in (2, 6, 12, 30):
     print(f"  k={k:3d}  U={prof.value(k).float_value:.6f}   phi(k)/k={int(phi[k]) / k:.6f}")

@@ -7,7 +7,9 @@ enumerations are organized around the exact histogram
     gcd_histogram(n, L)[g] = #{(x_1..x_L) in [n]^L : gcd = g}
 
 obtained by reducing gcd over a full meshgrid, so every derived check
-remains an exact integer computation over the complete space.
+remains an exact integer computation over the complete space.  As in
+`exact`, a kernel is named by q: None for the coprimality indicator,
+q >= 1 for gcd^q.
 """
 
 from __future__ import annotations
@@ -41,35 +43,31 @@ def moment(n: int, r: int, q: int) -> Fraction:
     return Fraction(num, n**r)
 
 
-def marginal_value(n: int, r: int, k: int, kind: str, hist=None) -> Fraction:
-    """U_r(k) or W_r(k) by summing over the exact r-tuple histogram."""
+def marginal_value(n: int, r: int, k: int, q: int | None, hist=None) -> Fraction:
+    """U_r(k) (q None) or W_r(k) (q 1) by summing over the exact r-tuple histogram."""
     if hist is None:
         hist = gcd_histogram(n, r)
-    if kind == "probability":
-        num = sum(int(hist[a]) for a in range(1, n + 1) if gcd(a, k) == 1)
-    else:
-        num = sum(int(hist[a]) * gcd(a, k) for a in range(1, n + 1))
+    f = _kernel(q)
+    num = sum(int(hist[a]) * f(gcd(a, k)) for a in range(1, n + 1))
     return Fraction(num, n**r)
 
 
-def profile_mean_and_var(n: int, r: int, kind: str):
+def profile_mean_and_var(n: int, r: int, q: int | None):
     hist = gcd_histogram(n, r)
-    vals = [marginal_value(n, r, k, kind, hist) for k in range(1, n + 1)]
+    vals = [marginal_value(n, r, k, q, hist) for k in range(1, n + 1)]
     mean = sum(vals) / n
     second = sum(v * v for v in vals) / n
     return mean, second - mean * mean
 
 
-def _kernel(kind: str, q: int):
-    if kind == "indicator":
+def _kernel(q: int | None):
+    """The coprimality indicator (q None) or gcd^q, as a function of the gcd."""
+    if q is None:
         return lambda g: 1 if g == 1 else 0
-    if kind in ("gcd", "moment"):
-        qq = 1 if kind == "gcd" else q
-        return lambda g: g**qq
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    return lambda g: g**q
 
 
-def shared_covariance(n: int, r: int, s: int, kind: str, q: int = 1) -> Fraction:
+def shared_covariance(n: int, r: int, s: int, q: int | None = None) -> Fraction:
     """Covariance of two r-tuple kernels sharing s variables, exhaustively.
 
     Conditions on the shared block: with cntV the gcd histogram of the s
@@ -79,7 +77,7 @@ def shared_covariance(n: int, r: int, s: int, kind: str, q: int = 1) -> Fraction
     """
     if not 0 <= s <= r:
         raise ValueError(f"need 0 <= s <= r, got s={s}")
-    f = _kernel(kind, q)
+    f = _kernel(q)
     mean_hist = gcd_histogram(n, r)
     mean_num = sum(int(mean_hist[g]) * f(g) for g in range(1, n + 1))
     mean = Fraction(mean_num, n**r)
@@ -111,9 +109,9 @@ def mixed_moment_pi(n: int, r: int, q: int) -> Fraction:
     return Fraction(num, n ** (2 * r - 1))
 
 
-def statistic_mean_and_var(n: int, m: int, r: int, kind: str, q: int = 1):
+def statistic_mean_and_var(n: int, m: int, r: int, q: int | None = None):
     """Exact mean and variance of the subset-sum statistic over all n^m samples."""
-    f = _kernel(kind, q)
+    f = _kernel(q)
     grids = np.indices((n,) * m, dtype=np.int64) + 1
     flat = grids.reshape(m, -1)
     totals = np.zeros(flat.shape[1], dtype=np.int64)

@@ -137,19 +137,32 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.writelines(_json_pieces(payload))
 
 
-_EXACT_QUANTITIES = ("mu", "nu", "c", "d", "pmf", "moment", "varC", "varZ",
-                     "gamma", "omega", "pi", "tail")
-# first moments, from sums of mu and phi_q at the floor points of n: no table to n
-_TABLE_FREE = ("mu", "nu", "pmf", "moment", "tail")
+# quantity: (the least --r, None for tail, which reads no r; whether it is a
+# first moment, from sums of mu and phi_q at the floor points of n with no
+# table to n; its exact value from the parsed flags)
+_EXACT = {
+    "mu": (0, True, lambda a: exact.mean_mu(a.n, a.r)),  # mu and nu take r + 1 variables
+    "nu": (0, True, lambda a: exact.mean_nu(a.n, a.r)),
+    "c": (1, False, lambda a: exact.var_c(a.n, a.r)),
+    "d": (1, False, lambda a: exact.var_d(a.n, a.r)),
+    "pmf": (1, True, lambda a: exact.gcd_pmf(a.n, a.r)),
+    "moment": (1, True, lambda a: exact.gcd_moment(a.n, a.r, a.q)),
+    "varC": (2, False, lambda a: exact.var_C(a.n, a.m, a.r)),
+    "varZ": (2, False, lambda a: exact.var_Z(a.n, a.m, a.r, a.q)),
+    "gamma": (1, False, lambda a: exact.shared_covariance(a.n, a.r, a.s)),
+    "omega": (1, False, lambda a: exact.shared_covariance(a.n, a.r, a.s, a.q)),
+    "pi": (2, False, lambda a: exact.mixed_moment_pi(a.n, a.r, a.q)),
+    "tail": (None, True, lambda a: exact.gcd_tail(a.n, int(a.t))),
+}
 
 
 def cmd_exact(args) -> int:
     n, r, q, s, m = args.n, args.r, args.q, args.s, args.m
     quantity = args.quantity
+    least, first_moment, evaluate = _EXACT[quantity]
     if n < 1:
         raise ValueError(f"--n must be >= 1, got {n}")
-    least = {"mu": 0, "nu": 0, "varC": 2, "varZ": 2, "pi": 2}.get(quantity, 1)
-    if r < least and quantity != "tail":  # mu and nu take r + 1 variables; tail reads no r
+    if least is not None and r < least:
         raise ValueError(f"--r must be >= {least} for quantity {quantity}, got {r}")
     if quantity in ("varC", "varZ") and (m is None or m < r):
         raise ValueError(f"--m must be given, at least --r = {r}, for quantity {quantity}, got {m}")
@@ -157,13 +170,13 @@ def cmd_exact(args) -> int:
         raise ValueError(f"--s must be given, in 0..{r} (--r), for quantity {quantity}, got {s}")
     if quantity == "tail" and not 0 <= args.t <= n:
         raise ValueError(f"--t must lie in 0..{n} for quantity tail, got {args.t}")
-    if quantity in _TABLE_FREE and n > exact.TABLE_FREE_MAX_N:
+    if first_moment and n > exact.TABLE_FREE_MAX_N:
         raise ValueError(f"--n must be at most {exact.TABLE_FREE_MAX_N} for quantity {quantity} "
                          f"(a sieve to n^(2/3) within the table cap of {DEFAULT_MAX_N}), got {n}")
     t0 = time.perf_counter()
     with _float_range(quantity):
         if quantity == "pmf":
-            runs = exact.gcd_pmf(n, r)
+            runs = evaluate(args)
             # before the numerators are written, which happens run by run
             exact.check_digits(max(v.numerator for v, _ in runs))
             payload = {
@@ -175,33 +188,11 @@ def cmd_exact(args) -> int:
                 "exact": True,
             }
         else:
-            if quantity == "mu":
-                res = exact.mean_mu(n, r)
-            elif quantity == "nu":
-                res = exact.mean_nu(n, r)
-            elif quantity == "c":
-                res = exact.var_c(n, r)
-            elif quantity == "d":
-                res = exact.var_d(n, r)
-            elif quantity == "moment":
-                res = exact.gcd_moment(n, r, q)
-            elif quantity == "varC":
-                res = exact.var_C(n, m, r)
-            elif quantity == "varZ":
-                res = exact.var_Z(n, m, r, q)
-            elif quantity == "gamma":
-                res = exact.shared_covariance(n, r, s, "indicator")
-            elif quantity == "omega":
-                res = exact.shared_covariance(n, r, s, "moment", q)
-            elif quantity == "pi":
-                res = exact.mixed_moment_pi(n, r, q)
-            else:  # tail
-                res = exact.gcd_tail(n, int(args.t))
             payload = {"manifest": _manifest("exact", {
                 "quantity": quantity, "n": n, "r": r, "q": q, "s": s, "m": m,
                 "t": args.t,
             })}
-            payload.update(res.record(quantity, n=n, r=r, q=q, s=s, m=m))
+            payload.update(evaluate(args).record(quantity, n=n, r=r, q=q, s=s, m=m))
     _emit(payload, args.out)
     if args.out:
         print(args.out)
@@ -324,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exact", help="evaluate one exact quantity")
-    p.add_argument("--quantity", required=True, choices=_EXACT_QUANTITIES)
+    p.add_argument("--quantity", required=True, choices=_EXACT)
     p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--r", type=_integer, default=2)
     p.add_argument("--q", type=_positive_int, default=1)

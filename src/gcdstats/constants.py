@@ -284,13 +284,6 @@ def m_product_forms(t: float, cutoff: int = DEFAULT_CUTOFF) -> tuple:
     return (euler_product(spec_a).value * za, euler_product(spec_b).value * zb)
 
 
-def gcd_double_series_closed_form(t: float) -> float:
-    """sum_{i,j} gcd(i,j)/(ij)^t = zeta(2t-1) zeta(t)^2 / zeta(2t), t > 1."""
-    if t <= 1:
-        raise ValueError(f"requires t > 1, got {t}")
-    return zeta(2 * t - 1) * zeta(t) ** 2 / zeta(2 * t)
-
-
 # --- limit variances --------------------------------------------------------
 
 def limit_var_c(r: int, cutoff: int = DEFAULT_CUTOFF) -> float:

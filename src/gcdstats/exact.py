@@ -7,6 +7,9 @@ Everything here evaluates closed formulas of the form
 and its marginal variant over divisors of a pinned value k, together with
 the derived means, variances and U-statistic covariances.  All results are
 exact rationals: an integer numerator over a structural power of n.
+A kernel is named by its weight alone, q: None for g = mu (the
+coprimality indicator, behind C and U_r) and q >= 1 for g = phi_q (gcd^q,
+behind Z, and W_r at q = 1).
 
 One numpy kernel (`_floor_power_sums`) evaluates such a floor sum against
 exact prefix sums for a whole array of upper limits v at once, each by
@@ -488,14 +491,14 @@ def gcd_tail(n: int, threshold: int) -> ExactResult:
 class MarginalProfile:
     """U_r(k) or W_r(k) for every k in 1..n, stored as exact numerators.
 
-    kind "probability": value(k) = P(gcd(X_1..X_r, k) = 1)
-    kind "expectation": value(k) = E gcd(X_1..X_r, k)
+    q None: value(k) = U_r(k) = P(gcd(X_1..X_r, k) = 1)   (weight mu)
+    q 1:    value(k) = W_r(k) = E gcd(X_1..X_r, k)        (weight phi)
     Both have denominator n^r.
     """
 
     n: int
     r: int
-    kind: str
+    q: int | None  # None or 1, checked by `marginal_profile`
     numerators: np.ndarray  # int64, or object (Python ints); index 0 unused
 
     def value(self, k: int) -> ExactResult:
@@ -513,29 +516,28 @@ class MarginalProfile:
         return ExactResult.from_ratio(self.n * s2 - s1 * s1, self.n, 2 * self.r + 2)
 
 
-def marginal_profile(n: int, r: int, kind: str) -> MarginalProfile:
+def marginal_profile(n: int, r: int, q: int | None = None) -> MarginalProfile:
     """The whole profile as the divisor sums sum_{j|k} g(j) floor(n/j)^r,
-    g = mu (probability) or phi (expectation) sieved to n."""
+    g = mu (q None, U_r) or phi (q 1, W_r) sieved to n."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if kind not in ("probability", "expectation"):
-        raise ValueError(f"unknown profile kind {kind!r}")
-    q = None if kind == "probability" else 1
-    return MarginalProfile(n, r, kind, _divisor_profile(sieve_weight(n, q), n, r, q))
+    if q not in (None, 1):
+        raise ValueError(f"a marginal profile's q must be None or 1, got {q!r}")
+    return MarginalProfile(n, r, q, _divisor_profile(sieve_weight(n, q), n, r, q))
 
 
 def marginal_error_bound_check(profile: MarginalProfile):
     """Slack of the divisor-sum approximation bounds over the whole profile.
 
-    probability kind:  |U_r(k) - phi_r(k)/k^r|          <=  r tau(k)/n
-    expectation kind:  0 <= P_r(k)/k^r - W_r(k)         <=  k/n      (r = 1)
-                                                            r tau(k)/n (r >= 2)
+    q None (U_r):  |U_r(k) - phi_r(k)/k^r|          <=  r tau(k)/n
+    q 1 (W_r):     0 <= P_r(k)/k^r - W_r(k)         <=  k/n      (r = 1)
+                                                        r tau(k)/n (r >= 2)
     Returns (max_ratio, argmax_k) where max_ratio is the largest observed
     deviation-to-bound ratio; raises if any k violates its bound.
     """
     n, r = profile.n, profile.r
     # phi_r, or Pillai's P_r(k) = sum_{i<=k} gcd(i,k)^r sieved from its prime powers
-    f = (sieve_weight(n, r) if profile.kind == "probability" else
+    f = (sieve_weight(n, r) if profile.q is None else
          prime_power_sieve(n, primes_up_to(n), pillai_local(r), object))
     tau = prime_power_sieve(n, primes_up_to(n), tau_local, np.int32)
     worst = Fraction(0)
@@ -544,7 +546,7 @@ def marginal_error_bound_check(profile: MarginalProfile):
         val = Fraction(int(profile.numerators[k]), n**r)
         target = Fraction(int(f[k]), k**r)
         tau_k = int(tau[k])
-        if profile.kind == "probability":
+        if profile.q is None:
             dev = abs(val - target)
             bnd = Fraction(r * tau_k, n)
         else:
@@ -570,7 +572,7 @@ def mean_nu(n: int, r: int) -> ExactResult:
     return _first_moment(n, 1, r + 1)
 
 
-def _profile_variance(n: int, r: int, kind: str) -> ExactResult:
+def _profile_variance(n: int, r: int, q: int | None) -> ExactResult:
     """The profile's variance, refused before any sieve when its numerator
     is proven past the int-to-str digit limit.
 
@@ -584,42 +586,25 @@ def _profile_variance(n: int, r: int, kind: str) -> ExactResult:
     for n >= 2; at n = 1 that exponent is negative, and nothing is refused.
     """
     _refuse_past_digits((2 * r + 2) * ((n // 2).bit_length() - 1) - n.bit_length())
-    return marginal_profile(n, r, kind).variance()
+    return marginal_profile(n, r, q).variance()
 
 
 def var_c(n: int, r: int) -> ExactResult:
     """Population variance of the marginal probability profile U_r."""
-    return _profile_variance(n, r, "probability")
+    return _profile_variance(n, r, None)
 
 
 def var_d(n: int, r: int) -> ExactResult:
     """Population variance of the marginal expectation profile W_r."""
-    return _profile_variance(n, r, "expectation")
+    return _profile_variance(n, r, 1)
 
 
 # --- shared-variable covariances ------------------------------------------
 
-def _kernel_order(kind: str, q: int) -> int | None:
-    """The kernel's weights: mu (None) or the order of phi_q."""
-    if kind == "indicator":
-        return None
-    if kind == "gcd":
-        return 1
-    if kind == "moment":
-        return q
-    raise ValueError(f"kind must be one of ['gcd', 'indicator', 'moment'], got {kind!r}")
-
-
-def shared_covariance(
-    n: int,
-    r: int,
-    s: int,
-    kind: str = "indicator",
-    q: int = 1,
-) -> ExactResult:
+def shared_covariance(n: int, r: int, s: int, q: int | None = None) -> ExactResult:
     """Covariance of two r-tuple gcd kernels sharing exactly s variables.
 
-    With g = mu (indicator kernel) or g = phi_q (gcd^q kernel),
+    With g = mu (q None, the coprimality indicator) or g = phi_q (the gcd^q kernel),
 
       E[XY] = (1/n^(2r-s)) sum_{i,j<=n} g(i) g(j)
                 floor(n/i)^(r-s) floor(n/j)^(r-s) floor(n/lcm(i,j))^s
@@ -645,34 +630,35 @@ def shared_covariance(
         raise ValueError(f"r must be >= 1, got {r}")
     if not 0 <= s <= r:
         raise ValueError(f"need 0 <= s <= r, got s={s}, r={r}")
-    order = _kernel_order(kind, q)
+    if q is not None and q < 1:  # checked here too, as s = 0 sieves no weight
+        raise ValueError(f"totient order must be >= 1, got {q}")
     if s == 0:
         # no shared variables: the kernels are independent, and no weight is read
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         return ExactResult.from_ratio(0, n, 2 * r)
-    if order is not None:
-        _refuse_past_float(n, 2 * order - 2 * r + s, 3)
-    _, (cov,) = _covariance_numerators(sieve_weight(n, order), n, r, (s,), order)
+    if q is not None:
+        _refuse_past_float(n, 2 * q - 2 * r + s, 3)
+    _, (cov,) = _covariance_numerators(sieve_weight(n, q), n, r, (s,), q)
     return ExactResult.from_ratio(cov, n, 2 * r)
 
 
-def _covariance_numerators(g, n, r, shares, order) -> tuple[int, list[int]]:
+def _covariance_numerators(g, n, r, shares, q) -> tuple[int, list[int]]:
     """n^r times the kernel mean, and n^(2r) times the covariance of
     `shared_covariance` for each s >= 1 in shares, for the kernel of weight
-    g = mu (order None) or phi_order on 0..n.
+    g = mu (q None) or phi_q on 0..n.
 
     The prefix sums of mu, and of g for the kernel mean, are built once and
     serve every s.
     """
     mu_prefix = _summatory(n, None)
-    g_prefix = mu_prefix if order is None else _summatory(n, order)
+    g_prefix = mu_prefix if q is None else _summatory(n, q)
     mean_num = _floor_power_sum(g_prefix, n, r)
-    return mean_num, [_shared_moment(g, order, n, r, s, mu_prefix) * n**s - mean_num**2
+    return mean_num, [_shared_moment(g, q, n, r, s, mu_prefix) * n**s - mean_num**2
                       for s in shares]
 
 
-def _shared_moment(g, order, n, r, s, mu_prefix) -> int:
+def _shared_moment(g, q, n, r, s, mu_prefix) -> int:
     """sum_{d<=n} G_s(d) h(d)^2 with h = `_divisor_profile` of g at power r - s.
 
     One call per s, so each n-entry profile is freed before the next is built.
@@ -680,21 +666,21 @@ def _shared_moment(g, order, n, r, s, mu_prefix) -> int:
     d^q for phi_q, so each block of equal G_r adds G_r times its sum of
     d^(2q), a difference of Faulhaber sums.
     """
-    if s == r and order is None:
+    if s == r and q is None:
         return _floor_power_sum(mu_prefix, n, r)
     lo, hi, counts = _exact_gcd_counts(mu_prefix, n, s, n)
     if s == r:
-        ends = _power_sums(hi.astype(object), 2 * order)
+        ends = _power_sums(hi.astype(object), 2 * q)
         squares = ends - np.concatenate(([0], ends[:-1]))
     else:
-        h = _divisor_profile(g, n, r - s, order)
+        h = _divisor_profile(g, n, r - s, q)
         squares = _block_sums(h, lo, 2)
     return int(counts.astype(object) @ squares)
 
 
 def var_C(n: int, m: int, r: int) -> ExactResult:
     """Variance of the count of coprime r-subsets in a sample of length m."""
-    return u_statistic_moments(sieve_weight(n, None), n, m, r, "indicator")[1]
+    return u_statistic_moments(sieve_weight(n, None), n, m, r, None)[1]
 
 
 def var_Z(n: int, m: int, r: int, q: int = 1) -> ExactResult:
@@ -704,17 +690,16 @@ def var_Z(n: int, m: int, r: int, q: int = 1) -> ExactResult:
     that puts n^(2q-r) / 8 past the float range is refused before any sieve.
     """
     _refuse_past_float(n, 2 * q - r, 3)
-    return u_statistic_moments(sieve_weight(n, q), n, m, r, "moment", q)[1]
+    return u_statistic_moments(sieve_weight(n, q), n, m, r, q)[1]
 
 
-def u_statistic_moments(g: np.ndarray, n: int, m: int, r: int, kind: str,
-                        q: int = 1) -> tuple[ExactResult, ExactResult]:
+def u_statistic_moments(g: np.ndarray, n: int, m: int, r: int,
+                        q: int | None) -> tuple[ExactResult, ExactResult]:
     """(E k, Var S), S the sum of a kernel k over the r-subsets of a sample of length m.
 
-    k is the coprimality indicator of r values (kind "indicator", S = C)
-    or their gcd^q (kind "moment", S = Z), and g its weight on 0..n:
-    `sieve_weight(n, None)` or `sieve_weight(n, q)`, which a caller may
-    share with other readers.  E k, which is mean_mu(n, r - 1) or
+    k is the coprimality indicator of r values (q None, S = C) or their
+    gcd^q (S = Z), and g its weight on 0..n, `sieve_weight(n, q)`, which a
+    caller may share with other readers.  E k, which is mean_mu(n, r - 1) or
     gcd_moment(n, r, q), is read off the prefix sums the variance builds.
     Var S = sum_{s=0..r} C(m,s) C(m-s,r-s) C(m-r,r-s) gamma_{r,s}; the
     binomial product counts pairs of r-subsets of {1..m} with intersection
@@ -727,7 +712,7 @@ def u_statistic_moments(g: np.ndarray, n: int, m: int, r: int, kind: str,
     # s = 0 shares nothing and adds a zero covariance
     weights = {s: comb(m, s) * comb(m - s, r - s) * comb(m - r, r - s) for s in range(1, r + 1)}
     shares = [s for s, weight in weights.items() if weight]
-    mean_num, covs = _covariance_numerators(g, n, r, shares, _kernel_order(kind, q))
+    mean_num, covs = _covariance_numerators(g, n, r, shares, q)
     return (ExactResult.from_ratio(mean_num, n, r),
             ExactResult.from_ratio(sum(weights[s] * c for s, c in zip(shares, covs)), n, 2 * r))
 

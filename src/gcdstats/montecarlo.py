@@ -18,10 +18,10 @@ kernel evaluates them for a whole block of replicates, exactly: over an
 (n+1, B) count matrix, one column per replicate, when n is small next to
 the block's divisor count, else over one key per (replicate, divisor),
 its values factorised all at once with no table (`arith.weighted_divisors`).
-A run sieves the weight, mu or phi_q, to n once (`exact.sieve_weight`), and
-that one array serves both the exact moments that normalise C and Z and
-the dense route.  C(cnt, r) is read from a table of C(k, r) for k up to
-the largest count.  The sums, like the raw values a run keeps, are int64
+A run sieves the weight of order q, None (mu) for C and config.q for Z,
+to n once (`exact.sieve_weight`), and that one array serves both the
+exact moments that normalise C and Z and the dense route.  C(cnt, r) is
+read from a table of C(k, r) for k up to the largest count.  The sums, like the raw values a run keeps, are int64
 or Python ints by `arith.int_dtype` of a proven bound: m^r times the sum
 of |w| the route reads, taken once a run for the dense route's whole g.
 M and N(t) are functions of the C(m,2) pair gcds alone and sieve nothing;
@@ -922,12 +922,12 @@ def _raw_replicates(config, statistic, g, costs, threshold, workers) -> np.ndarr
 
 def exact_moments(config: SampleConfig, statistic: str, g: np.ndarray):
     """(mean, sd) of the statistic from the exact closed formulas, with g its
-    weight on 0..n: `exact.sieve_weight(n, None)` for C, `(n, q)` for Z."""
+    weight on 0..n, `exact.sieve_weight(n, q)`: q None for C, config.q for Z."""
     m, n, r = config.m, config.n, config.r
-    kinds = {"C": "indicator", "Z": "moment"}
-    if statistic not in kinds:
+    if statistic not in ("C", "Z"):
         raise ValueError(f"exact moments only exist for C and Z, got {statistic!r}")
-    kernel_mean, var = exact.u_statistic_moments(g, n, m, r, kinds[statistic], config.q)
+    q = None if statistic == "C" else config.q
+    kernel_mean, var = exact.u_statistic_moments(g, n, m, r, q)
     mean, var = comb(m, r) * kernel_mean.float_value, var.float_value
     if var == 0:
         # n = 1: every gcd is 1, so the statistic is a constant

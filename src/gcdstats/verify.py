@@ -124,46 +124,40 @@ def _oracle_one_n(n, r, qs, fails) -> bool:
             return bad(f"moment q={q} mismatch")
     # marginals and their mean/variance
     hist = brute.gcd_histogram(n, r)
-    for kind in ("probability", "expectation"):
-        prof = exact.marginal_profile(n, r, kind)
+    for q, kind in ((None, "probability"), (1, "expectation")):
+        prof = exact.marginal_profile(n, r, q)
         for k in range(1, n + 1):
-            if prof.value(k).as_fraction() != brute.marginal_value(n, r, k, kind, hist):
+            if prof.value(k).as_fraction() != brute.marginal_value(n, r, k, q, hist):
                 return bad(f"marginal {kind} mismatch at k={k}")
-        bmean, bvar = brute.profile_mean_and_var(n, r, kind)
+        bmean, bvar = brute.profile_mean_and_var(n, r, q)
         if prof.mean().as_fraction() != bmean:
             return bad(f"profile mean {kind} mismatch")
-        mine_var = (
-            exact.var_c(n, r) if kind == "probability" else exact.var_d(n, r)
-        )
+        mine_var = exact.var_c(n, r) if q is None else exact.var_d(n, r)
         if mine_var.as_fraction() != bvar:
             return bad(f"profile variance {kind} mismatch")
-    if exact.mean_mu(n, r).as_fraction() != brute.profile_mean_and_var(n, r, "probability")[0]:
+    if exact.mean_mu(n, r).as_fraction() != brute.profile_mean_and_var(n, r, None)[0]:
         return bad("mean_mu mismatch")
-    # shared covariances
+    # shared covariances: gamma of the coprimality indicator (q None), omega of gcd^q
     for s in range(0, r + 1):
-        if exact.shared_covariance(n, r, s, "indicator").as_fraction() != \
-                brute.shared_covariance(n, r, s, "indicator"):
-            return bad(f"gamma(r,{s}) mismatch")
-        for q in qs:
-            if exact.shared_covariance(n, r, s, "moment", q).as_fraction() != \
-                    brute.shared_covariance(n, r, s, "moment", q):
-                return bad(f"omega(r,{s}) q={q} mismatch")
+        for q in (None, *qs):
+            if exact.shared_covariance(n, r, s, q).as_fraction() != \
+                    brute.shared_covariance(n, r, s, q):
+                return bad(f"gamma(r,{s}) mismatch" if q is None else
+                           f"omega(r,{s}) q={q} mismatch")
     # U-statistic variances over all n^m samples, smallest nontrivial m
     m = r + 1
-    _, bvar = brute.statistic_mean_and_var(n, m, r, "indicator")
-    if exact.var_C(n, m, r).as_fraction() != bvar:
-        return bad(f"var_C(m={m}) mismatch")
-    for q in qs:
-        _, bvar = brute.statistic_mean_and_var(n, m, r, "moment", q)
-        if exact.var_Z(n, m, r, q).as_fraction() != bvar:
-            return bad(f"var_Z(m={m}) q={q} mismatch")
+    for q in (None, *qs):
+        mine_var = exact.var_C(n, m, r) if q is None else exact.var_Z(n, m, r, q)
+        if mine_var.as_fraction() != brute.statistic_mean_and_var(n, m, r, q)[1]:
+            return bad(f"var_C(m={m}) mismatch" if q is None else
+                       f"var_Z(m={m}) q={q} mismatch")
     # mixed second moment
     for q in qs:
         if exact.mixed_moment_pi(n, r, q).as_fraction() != \
                 brute.mixed_moment_pi(n, r, q):
             return bad(f"pi q={q} mismatch")
         omega = exact.mixed_moment_omega(n, r, q).as_fraction()
-        if omega != brute.shared_covariance(n, r, 1, "moment", q):
+        if omega != brute.shared_covariance(n, r, 1, q):
             return bad(f"omega-from-pi q={q} mismatch")
     return True
 

@@ -344,6 +344,20 @@ def test_only_arith_spells_the_int64_limit():
     assert spelled == []
 
 
+def test_no_exact_or_brute_function_takes_a_kind():
+    # a kernel is named by the order q of its weight alone, None for mu
+    import inspect
+
+    from gcdstats import brute, exact
+
+    takes_kind = [f"{module.__name__}.{name}" for module in (exact, brute)
+                  for name, obj in vars(module).items()
+                  if inspect.isfunction(obj) and not name.startswith("_")
+                  and obj.__module__ == module.__name__
+                  and "kind" in inspect.signature(obj).parameters]
+    assert takes_kind == []
+
+
 def test_high_order_totient_falls_back_to_big_ints():
     vals = sieve_weight(50, 12)
     assert vals.dtype == object  # 50^12 exceeds int64

@@ -13,7 +13,7 @@ import pytest
 import gcdstats
 from gcdstats import cli
 from gcdstats.arith import DEFAULT_MAX_N
-from gcdstats.cli import _EXACT_QUANTITIES, main, parse_n_rule
+from gcdstats.cli import _EXACT, main, parse_n_rule
 from gcdstats.exact import TABLE_FREE_MAX_N
 
 
@@ -81,7 +81,7 @@ _REQUIRED_FLAGS = {"varC": ["--m", "6"], "varZ": ["--m", "6"], "gamma": ["--s", 
                    "omega": ["--s", "1"], "tail": ["--t", "3"]}
 
 
-@pytest.mark.parametrize("quantity", _EXACT_QUANTITIES)
+@pytest.mark.parametrize("quantity", _EXACT)
 def test_every_exact_quantity_runs_at_n30(quantity, capsys):
     argv = ["exact", "--quantity", quantity, "--n", "30"] + _REQUIRED_FLAGS.get(quantity, [])
     code, text = run_cli(argv, capsys)
@@ -174,7 +174,7 @@ def test_pmf_output_is_written_in_bounded_pieces(monkeypatch, tmp_path, capsys):
     ["simulate", "--statistic", "Z", "--m", "6", "--n", "30", "--reps", "5", "--q", "2"],
     ["simulate", "--statistic", "M", "--m", "6", "--n", "30", "--reps", "5", "--out", "run"],
     *(["exact", "--quantity", q, "--n", "40", "--m", "6", "--s", "1", "--t", "3"]
-      for q in _EXACT_QUANTITIES if q != "omega"),
+      for q in _EXACT if q != "omega"),
 ])
 def test_every_json_output_is_the_plain_json_dump(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -645,7 +645,7 @@ def test_exact_n_above_its_range_is_refused_before_sieving(quantity, monkeypatch
                          (exact, "prime_power_windows")):
         monkeypatch.setattr(module, name, no_sieve)
     argv = ["exact", "--quantity", quantity, "--m", "50", "--t", "3"]
-    if quantity in cli._TABLE_FREE:
+    if cli._EXACT[quantity][1]:  # a first moment
         # a sieve to n^(2/3) is the only bound: n up to about 1.6e11
         text = _usage_error(argv + ["--n", str(TABLE_FREE_MAX_N + 1)], capsys)
         assert "--n" in text and str(TABLE_FREE_MAX_N) in text
@@ -686,7 +686,7 @@ def _sweep_cases():
              for s in ("C", "Z", "M", "N")]
     bases += [(["exact", "--quantity", q, "--n", "10", "--m", "6", "--s", "1", "--t", "3"],
                ("--n", "--r", "--q", "--s", "--m", "--t"))
-              for q in _EXACT_QUANTITIES]
+              for q in _EXACT]
     bases += [(["constants", "--cutoff", "100"], ("--cutoff",)),
               (["verify", "--suite", "stronglaw"], ("--workers",))]
     cases = [_with_flag(argv, flag, value)
@@ -707,7 +707,7 @@ _STRING_SWEEP = [
     (_SIM, "--statistic", ("C", "Z", "M", "N", "X", "c", "")),
     (_SIM, "--format", ("csv", "json", "xml", "")),
     (["exact", "--n", "10", "--m", "6", "--s", "1", "--t", "3"], "--quantity",
-     (*_EXACT_QUANTITIES, "bogus", "")),
+     (*_EXACT, "bogus", "")),
     (["verify"], "--suite", ("stronglaw", "constants", "frechet", "poisson", "nope", "",
                              "ALL")),
     (["verify", "--suite", "frechet"], "--workers", ("1", "0", "x")),
@@ -716,14 +716,14 @@ _STRING_SWEEP = [
     # entries, so it takes only that one)
     *((["exact", "--quantity", q, "--n", "10", "--m", "6", "--s", "1", "--t", "3"], "--n",
        (str(TABLE_FREE_MAX_N + 1),) if q == "pmf" else
-       (str(DEFAULT_MAX_N + 1), str(TABLE_FREE_MAX_N + 1))) for q in _EXACT_QUANTITIES),
+       (str(DEFAULT_MAX_N + 1), str(TABLE_FREE_MAX_N + 1))) for q in _EXACT),
     *((argv, "--out", (_MISSING_DIR_OUT,)) for argv in (
         _SIM, _with_flag(_SIM, "--statistic", "M"),
         ["exact", "--quantity", "pmf", "--n", "10"], ["constants", "--cutoff", "100"])),
     *((argv, "--out", (_MISSING_DIR_OUT,)) for argv in (
         *(_with_flag(_SIM, "--statistic", s) for s in ("Z", "N")),
         *(["exact", "--quantity", q, "--n", "10", "--m", "6", "--s", "1", "--t", "3"]
-          for q in _EXACT_QUANTITIES if q != "pmf"))),
+          for q in _EXACT if q != "pmf"))),
 ]
 
 

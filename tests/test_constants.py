@@ -246,15 +246,6 @@ def test_m_constant_s2_vs_truncated_sum():
     assert 0 < prod - trunc < 5.0 / bound
 
 
-def test_gcd_double_series_closed_form():
-    # sum gcd(i,j)/(ij)^2 = zeta(3) zeta(2)^2 / zeta(4), truncation from below
-    bound = 3000
-    w = 1 / np.arange(1, bound + 1, dtype=np.float64) ** 2
-    trunc = _plain_gcd_double_sum(w)
-    closed = constants.gcd_double_series_closed_form(2.0)
-    assert 0 < closed - trunc < 6.0 / bound
-
-
 def test_limit_var_c_positive():
     for r in (1, 2, 3):
         assert constants.limit_var_c(r, CUTOFF) > 0

@@ -64,8 +64,8 @@ def plain_block_sums(h, starts, power):
 def test_big_integer_profiles_at_r7():
     # 1000^7 exceeds int64, so the kernel runs on Python ints
     n, r = 1000, 7
-    for kind, q in (("probability", None), ("expectation", 1)):
-        prof = exact.marginal_profile(n, r, kind)
+    for q in (None, 1):
+        prof = exact.marginal_profile(n, r, q)
         assert prof.numerators.dtype == object
         assert prof.numerators.tolist() == plain_divisor_sums(exact.sieve_weight(n, q), n, r)
     want = sum(v * v for v in plain_divisor_sums(exact.sieve_weight(n, 1), n, r - 1)[1:])
@@ -347,16 +347,16 @@ def test_gcd_pmf_limit_at_k1():
 # --- marginal profiles ---------------------------------------------------------
 
 def test_marginal_examples():
-    prof = exact.marginal_profile(10, 1, "probability")
+    prof = exact.marginal_profile(10, 1)
     assert frac(prof.value(6)) == Fraction(3, 10)  # {1,5,7} coprime to 6
-    prof = exact.marginal_profile(10, 1, "expectation")
+    prof = exact.marginal_profile(10, 1, 1)
     assert frac(prof.value(6)) == Fraction(23, 10)  # sum gcd(j,6), j<=10
 
 
 def test_marginal_value_at_1_is_1():
     for n, r in ((7, 1), (10, 2), (25, 3)):
-        for kind in ("probability", "expectation"):
-            prof = exact.marginal_profile(n, r, kind)
+        for q in (None, 1):
+            prof = exact.marginal_profile(n, r, q)
             assert frac(prof.value(1)) == 1
 
 
@@ -364,8 +364,8 @@ def test_marginal_envelopes():
     n = 200
     tau = prime_power_sieve(n, primes_up_to(n), tau_local, np.int32)
     for r in (1, 2):
-        prob = exact.marginal_profile(n, r, "probability")
-        expe = exact.marginal_profile(n, r, "expectation")
+        prob = exact.marginal_profile(n, r)
+        expe = exact.marginal_profile(n, r, 1)
         for k in range(1, n + 1):
             u = frac(prob.value(k))
             assert 0 <= u <= 1
@@ -378,18 +378,18 @@ def test_marginal_error_bounds_grid():
     # deviation-to-bound ratio <= 1 across the whole profile
     for n in (10, 100, 1000):
         for r in (1, 2, 3):
-            for kind in ("probability", "expectation"):
-                prof = exact.marginal_profile(n, r, kind)
+            for q in (None, 1):
+                prof = exact.marginal_profile(n, r, q)
                 worst, _ = exact.marginal_error_bound_check(prof)
                 assert worst <= 1
 
 
 def test_marginal_bound_example():
-    prof = exact.marginal_profile(10, 1, "probability")
+    prof = exact.marginal_profile(10, 1)
     dev = abs(frac(prof.value(6)) - Fraction(1, 3))  # phi(6)/6 = 1/3
     assert dev == Fraction(1, 30)
     assert dev <= Fraction(4, 10)  # tau(6) = 4
-    prof = exact.marginal_profile(10, 1, "expectation")
+    prof = exact.marginal_profile(10, 1, 1)
     slack = Fraction(15, 6) - frac(prof.value(6))  # P(6)/6 - W(6)
     assert slack == Fraction(1, 5)
     assert slack <= Fraction(6, 10)
@@ -400,9 +400,9 @@ def test_marginal_bound_example():
 def test_mean_identity_profile_vs_cesaro():
     for n in (2, 7, 30):
         for r in (1, 2, 3):
-            prof = exact.marginal_profile(n, r, "probability")
+            prof = exact.marginal_profile(n, r)
             assert frac(prof.mean()) == frac(exact.mean_mu(n, r))
-            prof = exact.marginal_profile(n, r, "expectation")
+            prof = exact.marginal_profile(n, r, 1)
             assert frac(prof.mean()) == frac(exact.mean_nu(n, r))
 
 
@@ -450,15 +450,30 @@ def test_gcd_moment_limits():
 
 # --- shared covariances ------------------------------------------------------------
 
+def test_the_old_kernel_spellings_fail_loudly():
+    # a kernel is named by q alone: a kind string, or a profile q other than
+    # None or 1, raises and returns no number
+    g = exact.sieve_weight(5, 2)
+    for call in (lambda: exact.shared_covariance(5, 2, 1, "indicator"),
+                 lambda: exact.shared_covariance(5, 2, 0, "moment"),
+                 lambda: exact.u_statistic_moments(g, 5, 3, 2, "moment", 2),
+                 lambda: exact.u_statistic_moments(g, 5, 3, 2, "moment")):
+        with pytest.raises((TypeError, ValueError)):
+            call()
+    for q in ("probability", "expectation", 2, 0):
+        with pytest.raises(ValueError, match="None or 1"):
+            exact.marginal_profile(5, 2, q)
+
+
 def test_shared_covariance_zero_at_s0():
     for n in (2, 9, 30):
         for r in (2, 3):
-            assert frac(exact.shared_covariance(n, r, 0, "indicator")) == 0
-            assert frac(exact.shared_covariance(n, r, 0, "moment", 2)) == 0
+            assert frac(exact.shared_covariance(n, r, 0)) == 0
+            assert frac(exact.shared_covariance(n, r, 0, 2)) == 0
 
 
 def test_shared_covariance_example():
-    got = exact.shared_covariance(2, 2, 1, "indicator")
+    got = exact.shared_covariance(2, 2, 1)
     assert frac(got) == Fraction(1, 16)
 
 
@@ -466,23 +481,17 @@ def test_gamma_r1_equals_profile_variance():
     # two kernels sharing one variable covary exactly like the U profile
     for n in (3, 10, 25):
         for r in (2, 3):
-            gamma = frac(exact.shared_covariance(n, r, 1, "indicator"))
+            gamma = frac(exact.shared_covariance(n, r, 1))
             assert gamma == frac(exact.var_c(n, r - 1))
-            omega = frac(exact.shared_covariance(n, r, 1, "gcd"))
+            omega = frac(exact.shared_covariance(n, r, 1, 1))
             assert omega == frac(exact.var_d(n, r - 1))
 
 
 def test_covariances_monotone_in_s():
     for n in (4, 12, 30):
         for r in (2, 3):
-            gammas = [
-                frac(exact.shared_covariance(n, r, s, "indicator"))
-                for s in range(r + 1)
-            ]
-            omegas = [
-                frac(exact.shared_covariance(n, r, s, "moment", 1))
-                for s in range(r + 1)
-            ]
+            gammas = [frac(exact.shared_covariance(n, r, s)) for s in range(r + 1)]
+            omegas = [frac(exact.shared_covariance(n, r, s, 1)) for s in range(r + 1)]
             assert gammas[0] == 0 and omegas[0] == 0
             assert all(b >= a for a, b in zip(gammas, gammas[1:]))
             assert all(b >= a for a, b in zip(omegas, omegas[1:]))
@@ -492,7 +501,7 @@ def test_gamma_rr_is_bernoulli_variance():
     for n in (2, 10, 24):
         for r in (2, 3):
             mu = brute.pmf(n, r)[0]
-            got = frac(exact.shared_covariance(n, r, r, "indicator"))
+            got = frac(exact.shared_covariance(n, r, r))
             assert got == mu * (1 - mu)
 
 
@@ -502,7 +511,7 @@ def test_omega_rr_is_kernel_variance():
         for r, q in ((2, 1), (2, 2), (3, 1)):
             first = frac(exact.gcd_moment(n, r, q))
             second = frac(exact.gcd_moment(n, r, 2 * q))
-            got = frac(exact.shared_covariance(n, r, r, "moment", q))
+            got = frac(exact.shared_covariance(n, r, r, q))
             assert got == second - first * first
 
 
@@ -519,11 +528,11 @@ def test_covariance_refused_above_table_cap(capsys):
 # each second-order entry point, as a function of n and the order q of its weight
 _SECOND_ORDER = {
     "sieve_weight": lambda n, q: exact.sieve_weight(n, q),
-    "marginal_profile": lambda n, q: exact.marginal_profile(n, 2, "expectation"),
+    "marginal_profile": lambda n, q: exact.marginal_profile(n, 2, 1),
     "var_c": lambda n, q: exact.var_c(n, 2),
     "var_d": lambda n, q: exact.var_d(n, 2),
-    "gamma": lambda n, q: exact.shared_covariance(n, 2, 1, "indicator"),
-    "omega": lambda n, q: exact.shared_covariance(n, 2, 1, "moment", q),
+    "gamma": lambda n, q: exact.shared_covariance(n, 2, 1),
+    "omega": lambda n, q: exact.shared_covariance(n, 2, 1, q),
     "var_C": lambda n, q: exact.var_C(n, 3, 2),
     "var_Z": lambda n, q: exact.var_Z(n, 3, 2, q),
     "pi": lambda n, q: exact.mixed_moment_pi(n, 2, q),
@@ -598,36 +607,35 @@ class PlainSecondOrder:
         self.profiles = {}
         self.covariances = {}
 
-    def weights(self, kind, q):
-        if kind == "indicator":
-            return self.mu
-        return exact.sieve_weight(self.n, 1 if kind == "gcd" else q)
+    def weights(self, q):
+        """mu (q None) or phi_q."""
+        return self.mu if q is None else exact.sieve_weight(self.n, q)
 
-    def profile(self, kind, q, power):
-        key = (kind, q, power)
+    def profile(self, q, power):
+        key = (q, power)
         if key not in self.profiles:
-            self.profiles[key] = plain_divisor_sums(self.weights(kind, q), self.n, power)
+            self.profiles[key] = plain_divisor_sums(self.weights(q), self.n, power)
         return self.profiles[key]
 
-    def profile_variance(self, kind, r):
-        h = self.profile(kind, 1, r)[1:]
+    def profile_variance(self, q, r):
+        h = self.profile(q, r)[1:]
         return self.n * sum(v * v for v in h) - sum(h) ** 2
 
     def pi(self, r, q):
-        return sum(v * v for v in self.profile("moment", q, r - 1)[1:])
+        return sum(v * v for v in self.profile(q, r - 1)[1:])
 
-    def covariance(self, r, s, kind, q):
-        key = (r, s, kind, q)
+    def covariance(self, r, s, q):
+        key = (r, s, q)
         if key not in self.covariances:
-            self.covariances[key] = self.plain_covariance(r, s, kind, q)
+            self.covariances[key] = self.plain_covariance(r, s, q)
         return self.covariances[key]
 
-    def plain_covariance(self, r, s, kind, q):
+    def plain_covariance(self, r, s, q):
         n = self.n
         if s == 0:
             return 0
-        g = self.weights(kind, q)
-        h = self.profile(kind, q, r - s)
+        g = self.weights(q)
+        h = self.profile(q, r - s)
         counts = {}
         exy = 0
         for d in range(1, n + 1):
@@ -638,29 +646,29 @@ class PlainSecondOrder:
         mean = sum(int(g[j]) * (n // j) ** r for j in range(1, n + 1))
         return exy * n**s - mean * mean
 
-    def u_variance(self, m, r, kind, q):
+    def u_variance(self, m, r, q):
         return sum(math.comb(m, s) * math.comb(m - s, r - s) * math.comb(m - r, r - s)
-                   * self.covariance(r, s, kind, q) for s in range(r + 1))
+                   * self.covariance(r, s, q) for s in range(r + 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 97, 1000, 30_000])
 def test_second_order_numerators_are_the_plain_sums(n):
     ref = PlainSecondOrder(n)
     for r in (2, 3):
-        assert exact.var_c(n, r).numerator == ref.profile_variance("indicator", r)
-        assert exact.var_d(n, r).numerator == ref.profile_variance("gcd", r)
+        assert exact.var_c(n, r).numerator == ref.profile_variance(None, r)
+        assert exact.var_d(n, r).numerator == ref.profile_variance(1, r)
         for m in (r, 50):
-            assert exact.var_C(n, m, r).numerator == ref.u_variance(m, r, "indicator", 1)
+            assert exact.var_C(n, m, r).numerator == ref.u_variance(m, r, None)
         for s in range(r + 1):
-            got = exact.shared_covariance(n, r, s, "indicator").numerator
-            assert got == ref.covariance(r, s, "indicator", 1), (r, s)
+            got = exact.shared_covariance(n, r, s).numerator
+            assert got == ref.covariance(r, s, None), (r, s)
         for q in (1, 2):
             assert exact.mixed_moment_pi(n, r, q).numerator == ref.pi(r, q)
             for m in (r, 50):
-                assert exact.var_Z(n, m, r, q).numerator == ref.u_variance(m, r, "moment", q)
+                assert exact.var_Z(n, m, r, q).numerator == ref.u_variance(m, r, q)
             for s in range(r + 1):
-                got = exact.shared_covariance(n, r, s, "moment", q).numerator
-                assert got == ref.covariance(r, s, "moment", q), (r, s, q)
+                got = exact.shared_covariance(n, r, s, q).numerator
+                assert got == ref.covariance(r, s, q), (r, s, q)
 
 
 # --- mixed moment -----------------------------------------------------------------
@@ -673,7 +681,7 @@ def test_omega_from_pi_matches_shared_covariance():
     for n in (4, 15, 40):
         for r, q in ((2, 1), (2, 2), (3, 1)):
             lhs = frac(exact.mixed_moment_omega(n, r, q))
-            rhs = frac(exact.shared_covariance(n, r, 1, "moment", q))
+            rhs = frac(exact.shared_covariance(n, r, 1, q))
             assert lhs == rhs
 
 
@@ -723,8 +731,8 @@ def every_quantity(n, r, q):
                exact.var_C(n, r + 2, r), exact.var_Z(n, r + 2, r, q),
                exact.mixed_moment_pi(n, r, q), exact.mixed_moment_omega(n, r, q),
                exact.gcd_tail(n, n // 2)]
-    results += [exact.shared_covariance(n, r, s, kind, q) for s in range(r + 1)
-                for kind in ("indicator", "gcd", "moment")]
+    results += [exact.shared_covariance(n, r, s, weight) for s in range(r + 1)
+                for weight in (None, 1, q)]
     return [res.numerator for res in results]
 
 
@@ -732,7 +740,7 @@ def test_every_exact_quantity_is_the_same_in_python_ints(monkeypatch):
     grid = [(n, r, q) for n in range(1, 31) for r in (2, 3) for q in (1, 2)]
     default = [every_quantity(*case) for case in grid]
     monkeypatch.setattr(arith, "INT64_MAX", -1)  # every width choice gives Python ints
-    assert exact.marginal_profile(30, 2, "probability").numerators.dtype == object
+    assert exact.marginal_profile(30, 2).numerators.dtype == object
     assert [every_quantity(*case) for case in grid] == default
 
 
@@ -754,8 +762,8 @@ _PAST_2_62 = {
     # 900^6 (1 + bitlen(900))
     "_floor_power_sums": lambda: exact.mean_mu(900, 5).numerator,
     # sum_j j^q floor(500/j)^7, q = 0 and 1
-    "_divisor_profile": lambda: [exact.marginal_profile(500, 7, kind).numerators.tolist()
-                                 for kind in ("probability", "expectation")],
+    "_divisor_profile": lambda: [exact.marginal_profile(500, 7, q).numerators.tolist()
+                                 for q in (None, 1)],
 }
 
 

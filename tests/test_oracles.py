@@ -43,12 +43,9 @@ def quadratic_shared_exy(g, n, r, s):
 def test_shared_covariance_gate(r):
     for n in range(1, GATE_MAX_N + 1):
         for s in range(0, r + 1):
-            want = brute.shared_covariance(n, r, s, "indicator")
-            assert exact.shared_covariance(n, r, s, "indicator").as_fraction() == want, (n, s)
-            for q in (1, 2):
-                want = brute.shared_covariance(n, r, s, "moment", q)
-                got = exact.shared_covariance(n, r, s, "moment", q).as_fraction()
-                assert got == want, (n, s, q)
+            for q in (None, 1, 2):
+                want = brute.shared_covariance(n, r, s, q)
+                assert exact.shared_covariance(n, r, s, q).as_fraction() == want, (n, s, q)
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -56,28 +53,28 @@ def test_quadratic_form_matches_lcm_enumeration(r):
     # the gcd-count grouping is the same sum as the literal O(n^2) form
     for n in (1, 2, 3, 5, 8, 12, 31, 64, 97, 150):
         for s in range(0, r + 1):
-            for kind, q in (("indicator", 1), ("gcd", 1), ("moment", 1), ("moment", 2)):
-                g = exact.sieve_weight(n, exact._kernel_order(kind, q))
+            for q in (None, 1, 2):
+                g = exact.sieve_weight(n, q)
                 # the plain Cesaro sum: E F(gcd) = sum_i (mu*F)(i) floor(n/i)^r / n^r
                 mean = Fraction(sum(int(g[i]) * (n // i) ** r for i in range(1, n + 1)), n**r)
                 want = quadratic_shared_exy(g, n, r, s) - mean * mean
-                got = exact.shared_covariance(n, r, s, kind, q).as_fraction()
-                assert got == want, (n, r, s, kind, q)
+                got = exact.shared_covariance(n, r, s, q).as_fraction()
+                assert got == want, (n, r, s, q)
 
 
 def test_var_statistics_gate():
     for n in (2, 3, 5, 7):
         for r, m in ((2, 3), (2, 4), (3, 4), (3, 5)):
-            _, want = brute.statistic_mean_and_var(n, m, r, "indicator")
+            _, want = brute.statistic_mean_and_var(n, m, r)
             assert exact.var_C(n, m, r).as_fraction() == want
             for q in (1, 2):
-                _, want = brute.statistic_mean_and_var(n, m, r, "moment", q)
+                _, want = brute.statistic_mean_and_var(n, m, r, q)
                 assert exact.var_Z(n, m, r, q).as_fraction() == want
 
 
 def test_var_sampled_example():
     # 5^5 samples at (n=5, m=5, r=3)
-    _, want = brute.statistic_mean_and_var(5, 5, 3, "moment", 1)
+    _, want = brute.statistic_mean_and_var(5, 5, 3, 1)
     assert exact.var_Z(5, 5, 3, 1).as_fraction() == want
 
 
@@ -112,7 +109,7 @@ def test_shared_exy_is_mean_for_indicator():
     for n in (2, 6, 11):
         for r in (2, 3):
             mu = brute.pmf(n, r)[0]
-            cov = exact.shared_covariance(n, r, r, "indicator").as_fraction()
+            cov = exact.shared_covariance(n, r, r).as_fraction()
             assert cov == mu - mu * mu
 
 
@@ -128,5 +125,5 @@ def test_big_integer_weight_path():
         assert exact.gcd_moment(n, 2, q).as_fraction() == brute.moment(n, 2, q)
         assert exact.mixed_moment_pi(n, 2, q).as_fraction() == \
             brute.mixed_moment_pi(n, 2, q)
-        got = exact.shared_covariance(n, 2, 1, "moment", q).as_fraction()
-        assert got == brute.shared_covariance(n, 2, 1, "moment", q)
+        got = exact.shared_covariance(n, 2, 1, q).as_fraction()
+        assert got == brute.shared_covariance(n, 2, 1, q)
