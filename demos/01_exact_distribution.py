@@ -7,7 +7,12 @@ the drift toward the classical limits (P(coprime pair) -> 1/zeta(2),
 P(gcd = k) -> 1/(zeta(2) k^2)).
 """
 
+from fractions import Fraction
+
+import numpy as np
+
 from gcdstats import constants, exact
+from gcdstats.arith import prime_power_sieve, primes_up_to, tau_local
 
 n = 50_000
 z2 = constants.zeta(2)
@@ -50,5 +55,14 @@ prof = exact.marginal_profile(1000, 1)
 phi = exact.sieve_weight(1000, 1)
 for k in (2, 6, 12, 30):
     print(f"  k={k:3d}  U={prof.value(k).float_value:.6f}   phi(k)/k={int(phi[k]) / k:.6f}")
-worst, at_k = exact.marginal_error_bound_check(prof)
-print(f"  worst deviation-to-bound ratio over k <= 1000: {worst:.4f} (at k={at_k})")
+# |U_1(k) - phi(k)/k| <= tau(k)/n at every k: the largest share of its bound taken
+tau = prime_power_sieve(1000, primes_up_to(1000), tau_local, np.int32)
+
+
+def ratio(k):
+    dev = abs(Fraction(int(prof.numerators[k]), 1000) - Fraction(int(phi[k]), k))
+    return dev / Fraction(int(tau[k]), 1000)
+
+
+at_k = max(range(1, 1001), key=ratio)  # the first k of the largest ratio
+print(f"  worst deviation-to-bound ratio over k <= 1000: {float(ratio(at_k)):.4f} (at k={at_k})")

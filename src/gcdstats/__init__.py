@@ -24,7 +24,6 @@ from .exact import (
     gcd_moment,
     gcd_pmf,
     gcd_tail,
-    marginal_error_bound_check,
     marginal_profile,
     mean_mu,
     mean_nu,

@@ -46,9 +46,8 @@ from math import comb, isqrt, log10
 
 import numpy as np
 
-from .arith import (DEFAULT_MAX_N, int_dtype, mobius_local, pillai_local, prefix_sums_at,
-                    prime_power_sieve, prime_power_windows, primes_up_to, sum_over_divisors,
-                    tau_local, totient_local)
+from .arith import (DEFAULT_MAX_N, int_dtype, mobius_local, prefix_sums_at, prime_power_sieve,
+                    prime_power_windows, primes_up_to, sum_over_divisors, totient_local)
 
 
 class FloatRangeError(ValueError):
@@ -160,18 +159,6 @@ class _FloorPrefix:
         out = self.dense[np.where(above, 0, x)].astype(self.high.dtype, copy=False)
         out[above] = self.high[self.n // x[above]]
         return out
-
-
-def _exact_prefix(g: np.ndarray, n: int) -> _FloorPrefix:
-    """The floor-indexed prefix of an integer array g over 0..n, by one plain cumsum.
-
-    Each of the n-entry prefix sums is at most (n+1) peak, peak = max |g(j)|,
-    j <= n, which sets their width; only their O(sqrt n) floor points are kept.
-    """
-    head = g[: n + 1]
-    peak = int(np.abs(head).max()) if head.size else 0
-    sums = np.cumsum(head, dtype=int_dtype((n + 1) * peak))
-    return _at_floor_points(sums.__getitem__, n, peak)
 
 
 def _at_floor_points(prefix, n: int, peak: int) -> _FloorPrefix:
@@ -448,9 +435,14 @@ def _divisor_profile(g: np.ndarray, n: int, power: int, q: int | None) -> np.nda
 
 
 def _first_moment(n: int, q: int | None, s: int) -> ExactResult:
-    """(1/n^s) sum_{j <= n} g(j) floor(n/j)^s for g = mu (q None) or phi_q."""
+    """(1/n^s) sum_{j <= n} g(j) floor(n/j)^s for g = mu (q None) or phi_q.
+
+    The numerator counts the coprime s-tuples, at least the n^(s-1) with
+    X_1 = 1, or sums gcd^q >= 1 over all n^s: refused before any sieve when
+    that power of n is past the digit limit."""
     if s < 1:
         raise ValueError(f"r must be >= 1, got {s}")
+    _refuse_past_digits((s - (q is None)) * (n.bit_length() - 1))
     return ExactResult.from_ratio(_floor_power_sum(_summatory(n, q), n, s), n, s)
 
 
@@ -463,6 +455,8 @@ def gcd_pmf(n: int, r: int) -> list[tuple[ExactResult, int]]:
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
+    # the count at k = 1 is at least the n^(r-1) tuples with X_1 = 1
+    _refuse_past_digits((r - 1) * (n.bit_length() - 1))
     lo, hi, counts = _exact_gcd_counts(_summatory(n, None), n, r, n)
     return [(ExactResult.from_ratio(c, n, r), size)
             for c, size in zip(counts.tolist(), (hi - lo + 1).tolist())]
@@ -524,42 +518,6 @@ def marginal_profile(n: int, r: int, q: int | None = None) -> MarginalProfile:
     if q not in (None, 1):
         raise ValueError(f"a marginal profile's q must be None or 1, got {q!r}")
     return MarginalProfile(n, r, q, _divisor_profile(sieve_weight(n, q), n, r, q))
-
-
-def marginal_error_bound_check(profile: MarginalProfile):
-    """Slack of the divisor-sum approximation bounds over the whole profile.
-
-    q None (U_r):  |U_r(k) - phi_r(k)/k^r|          <=  r tau(k)/n
-    q 1 (W_r):     0 <= P_r(k)/k^r - W_r(k)         <=  k/n      (r = 1)
-                                                        r tau(k)/n (r >= 2)
-    Returns (max_ratio, argmax_k) where max_ratio is the largest observed
-    deviation-to-bound ratio; raises if any k violates its bound.
-    """
-    n, r = profile.n, profile.r
-    # phi_r, or Pillai's P_r(k) = sum_{i<=k} gcd(i,k)^r sieved from its prime powers
-    f = (sieve_weight(n, r) if profile.q is None else
-         prime_power_sieve(n, primes_up_to(n), pillai_local(r), object))
-    tau = prime_power_sieve(n, primes_up_to(n), tau_local, np.int32)
-    worst = Fraction(0)
-    worst_k = 1
-    for k in range(1, n + 1):
-        val = Fraction(int(profile.numerators[k]), n**r)
-        target = Fraction(int(f[k]), k**r)
-        tau_k = int(tau[k])
-        if profile.q is None:
-            dev = abs(val - target)
-            bnd = Fraction(r * tau_k, n)
-        else:
-            dev = target - val
-            if dev < 0:
-                raise AssertionError(f"one-sided bound violated at k={k}: W exceeds P_r/k^r")
-            bnd = Fraction(k, n) if r == 1 else Fraction(r * tau_k, n)
-        ratio = dev / bnd if bnd else Fraction(0)
-        if ratio > worst:
-            worst, worst_k = ratio, k
-        if ratio > 1:
-            raise AssertionError(f"marginal bound violated at k={k}: ratio {float(ratio):.6f}")
-    return float(worst), worst_k
 
 
 def mean_mu(n: int, r: int) -> ExactResult:

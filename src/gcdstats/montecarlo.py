@@ -19,11 +19,13 @@ kernel evaluates them for a whole block of replicates, exactly: over an
 the block's divisor count, else over one key per (replicate, divisor),
 its values factorised all at once with no table (`arith.weighted_divisors`).
 A run sieves the weight of order q, None (mu) for C and config.q for Z,
-to n once (`exact.sieve_weight`), and that one array serves both the
-exact moments that normalise C and Z and the dense route.  C(cnt, r) is
-read from a table of C(k, r) for k up to the largest count.  The sums, like the raw values a run keeps, are int64
-or Python ints by `arith.int_dtype` of a proven bound: m^r times the sum
-of |w| the route reads, taken once a run for the dense route's whole g.
+to n once (`exact.sieve_weight`), for the exact moments that normalise C
+and Z and the dense route alike; a lone sample (`stat_C`, `stat_Z`) sieves
+it only once the route rule, which reads n alone, picks that route, so its
+values run sparse up to DEFAULT_MAX_N^2.  C(cnt, r) is read from a table
+of C(k, r) for k up to the largest count.  The sums, like the raw values a
+run keeps, are int64 or Python ints by `arith.int_dtype` of a proven
+bound: m^r times the sum of |w| the route reads.
 M and N(t) are functions of the C(m,2) pair gcds alone and sieve nothing;
 n may then be as large as int64 allows.  They need only the large gcds: a
 pair gcd g > T makes both values g times a cofactor below n/T, so a
@@ -59,7 +61,7 @@ from math import comb
 import numpy as np
 
 from . import constants, exact, stattest
-from .arith import (INT64_MAX, int_dtype, mobius_local, primes_up_to, run_positions,
+from .arith import (DEFAULT_MAX_N, INT64_MAX, int_dtype, mobius_local, primes_up_to, run_positions,
                     sum_over_multiples, totient_local, weighted_divisors)
 
 _INT32_MAX = 2**31 - 1
@@ -616,9 +618,20 @@ def _pair_gcd_reduce(xs: np.ndarray, cut: int | None = None) -> np.ndarray:
     return _pair_route(xs, cut)
 
 
+def _sample_row(sample) -> np.ndarray:
+    """The sample of a scalar statistic as int64, or a ValueError before any work
+    unless it is a non-empty 1-D array of integers in 1..2^63 - 1."""
+    x = np.asarray(sample)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"a sample must be a non-empty 1-D array, got shape {x.shape}")
+    if x.dtype.kind not in "iu" or x.min() < 1 or x.max() > INT64_MAX:
+        raise ValueError("sample values must be integers in 1..2^63 - 1")
+    return x.astype(np.int64, copy=False)
+
+
 def stat_M(sample) -> int:
     """Maximum gcd over the pairs of the sample (values below 2^63)."""
-    x = np.asarray(sample, dtype=np.int64)
+    x = _sample_row(sample)
     if x.size < 2:
         raise ValueError("stat_M needs at least two sample values")
     return int(_pair_gcd_reduce(x[None, :])[0])
@@ -626,8 +639,7 @@ def stat_M(sample) -> int:
 
 def poisson_count(sample, threshold: float) -> int:
     """Number of unordered pairs with gcd strictly above `threshold`."""
-    x = np.asarray(sample, dtype=np.int64)
-    return int(_pair_gcd_reduce(x[None, :], _pair_cut(threshold))[0])
+    return int(_pair_gcd_reduce(_sample_row(sample)[None, :], _pair_cut(threshold))[0])
 
 
 # --- divisor multiplicities: C and Z -----------------------------------------
@@ -697,29 +709,46 @@ def _sparse_route(xs: np.ndarray, r: int, q: int | None) -> np.ndarray:
     return np.add.reduceat(terms, row_starts)
 
 
-def _route_costs(g: np.ndarray) -> tuple[int, int, int]:
-    """The terms of the C/Z kernel that depend on its weight g on 0..n alone:
-    the cells n + 1 + sum_{p <= n} floor(n/p) the dense sweep touches a row,
-    D(n) = sum_{k<=n} tau(k) = 2 sum_{j<=s} floor(n/j) - s^2, s = isqrt(n),
-    and sum_d |g(d)|, which bounds the dense route's sums.  A run computes
-    them once (`run_replicates`), not once a replicate range or block."""
-    n = g.size - 1
+def _divisor_total(n: int) -> int:
+    """D(n) = sum_{k<=n} tau(k) = 2 sum_{j<=s} floor(n/j) - s^2, s = isqrt(n)."""
     s = math.isqrt(n)
-    return (n + 1 + int((n // primes_up_to(n)).sum()),
-            2 * int((n // np.arange(1, s + 1)).sum()) - s * s,
-            int(exact._block_sums(np.abs(g), [0], 1)[0]))
+    return 2 * int((n // np.arange(1, s + 1)).sum()) - s * s
 
 
-def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, g: np.ndarray,
-                           costs: tuple[int, int]) -> np.ndarray:
+def _route_costs(n: int) -> tuple[int, int]:
+    """The terms of the C/Z route rule from n alone, which a run takes once: the
+    cells n + 1 + sum_{p <= n} floor(n/p) the dense sweep touches a row (which
+    sieve the primes to n), and D(n)."""
+    return n + 1 + int((n // primes_up_to(n)).sum()), _divisor_total(n)
+
+
+def _dense_is_cheaper(rows: int, size: int, n: int, cells: int, divisors: int) -> bool:
+    """The C/Z route rule: `cells` dense cells a row against the D log2 D sort
+    comparisons of D = size D(n) / n keys, the block's expected divisor count."""
+    count = size * divisors / n
+    return rows * cells <= count * math.log2(count)
+
+
+def _weight(n: int, q: int | None) -> tuple[np.ndarray, int]:
+    """(g, sum_d |g(d)|): the weight of order q on 0..n and the sum that bounds
+    the dense route's sums."""
+    g = exact.sieve_weight(n, q)
+    return g, int(exact._block_sums(np.abs(g), [0], 1)[0])
+
+
+def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, n: int,
+                           costs: tuple[int, int] | None = None,
+                           weight: tuple[np.ndarray, int] | None = None) -> np.ndarray:
     """Exact C (q None) or Z with exponent q of every row of xs, values in 1..n.
 
     Both are sum_d w(d) C(cnt(d), r), with w = mu or phi_q and
-    cnt(d) = #{i : d | x_i} in the row; g is w on 0..n
-    (`exact.sieve_weight`), which the dense route reads, and costs is
-    `_route_costs(g)`.  The cheaper route runs: the dense sweep touches
-    costs[0] cells a row, the sparse route sorts D keys in D log2 D
-    comparisons, D = xs.size D(n) / n the block's expected divisor count.
+    cnt(d) = #{i : d | x_i} in the row.  The cheaper route by
+    `_dense_is_cheaper` runs, on costs `_route_costs(n)`; the dense route
+    reads weight, `_weight(n, q)`.  A run passes both, taken once.  A lone
+    sample passes neither, and each is taken only when the rule reads it:
+    none past DEFAULT_MAX_N, where no weight is sieved and the values run
+    sparse up to DEFAULT_MAX_N^2; the costs only when rows (n + 1), a lower
+    bound on the cells, does not already lose; the weight on the dense route.
     Dense blocks hold at most _BLOCK_ELEMENTS cells.
     With cnt <= m, every C(cnt, r), `_binom` intermediate and term
     w(d) C(cnt(d), r) is at most |w(d)| m^r, so m^r sum_d |w(d)| over the
@@ -727,10 +756,11 @@ def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, g: np.ndarray,
     bounds each row's sum and partial sums, and sets the result's width.
     """
     rows, m = xs.shape
-    n = g.size - 1
-    cells, divisors, weight_sum = costs
-    divisor_count = xs.size * divisors / n
-    if rows * cells <= divisor_count * math.log2(divisor_count):
+    if (costs is None and n <= DEFAULT_MAX_N
+            and _dense_is_cheaper(rows, xs.size, n, n + 1, _divisor_total(n))):
+        costs = _route_costs(n)
+    if costs and _dense_is_cheaper(rows, xs.size, n, *costs):
+        g, weight_sum = weight or _weight(n, q)
         primes = primes_up_to(n).tolist()
         dtype = int_dtype(weight_sum * m**r)
         step = max(1, _BLOCK_ELEMENTS // (n + 1))
@@ -739,20 +769,24 @@ def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, g: np.ndarray,
     return _sparse_route(xs, r, q)
 
 
+def _lone_sum(sample, r: int, q: int | None) -> int:
+    """C (q None) or Z with exponent q of one sample, n its largest value."""
+    x = _sample_row(sample)
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    return int(_subset_weighted_block(x[None, :], r, q, int(x.max()))[0])
+
+
 def stat_C(sample, r: int) -> int:
     """Number of r-subsets of the sample whose gcd is exactly 1."""
-    x = np.asarray(sample, dtype=np.int64)[None, :]
-    n = int(x.max())
-    g = exact.sieve_weight(n, None)
-    return int(_subset_weighted_block(x, r, None, g, _route_costs(g))[0])
+    return _lone_sum(sample, r, None)
 
 
 def stat_Z(sample, r: int, q: int) -> int:
     """Sum of gcd^q over all r-subsets of the sample."""
-    x = np.asarray(sample, dtype=np.int64)[None, :]
-    n = int(x.max())
-    g = exact.sieve_weight(n, q)
-    return int(_subset_weighted_block(x, r, q, g, _route_costs(g))[0])
+    if q is None or q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    return _lone_sum(sample, r, q)
 
 
 # --- replicate running -------------------------------------------------------
@@ -858,12 +892,12 @@ def _raw_dtype(config: SampleConfig, statistic: str):
     return int_dtype(bound)
 
 
-def _raws_in_range(config: SampleConfig, statistic: str, g, costs, threshold: float,
+def _raws_in_range(config: SampleConfig, statistic: str, weight, costs, threshold: float,
                    start: int, stop: int) -> np.ndarray:
     """Raw statistic of replicates start..stop-1, a block of samples at a time.
 
-    g is the weight of C or Z on 0..n (`exact.sieve_weight`), costs its
-    `_route_costs`, both None for M and N.  Blocks fill one `_raw_dtype` array.
+    weight is `_weight(n, q)` of C or Z and costs `_route_costs(n)`, both
+    None for M and N.  Blocks fill one `_raw_dtype` array.
     """
     per_block = max(1, _BLOCK_ELEMENTS // config.m)
     cut = _pair_cut(threshold)
@@ -878,13 +912,13 @@ def _raws_in_range(config: SampleConfig, statistic: str, g, costs, threshold: fl
             block = _pair_gcd_reduce(xs, None if statistic == "M" else cut)
         else:
             q = None if statistic == "C" else config.q
-            block = _subset_weighted_block(xs, config.r, q, g, costs)
+            block = _subset_weighted_block(xs, config.r, q, config.n, costs, weight)
         raws[lo - start : hi - start] = block
     return raws
 
 
 def _sim_chunk(bounds):
-    return _raws_in_range(_SIM_CTX["config"], _SIM_CTX["statistic"], _SIM_CTX["g"],
+    return _raws_in_range(_SIM_CTX["config"], _SIM_CTX["statistic"], _SIM_CTX["weight"],
                           _SIM_CTX["costs"], _SIM_CTX["threshold"], *bounds)
 
 
@@ -900,19 +934,20 @@ def _fork_pool(processes: int):
     return ProcessPoolExecutor(max_workers=processes, mp_context=get_context("fork"))
 
 
-def _raw_replicates(config, statistic, g, costs, threshold, workers) -> np.ndarray:
+def _raw_replicates(config, statistic, weight, costs, threshold, workers) -> np.ndarray:
     """Raw values of all replicates in replicate order, each computed once.
 
     Workers take contiguous index ranges, so the values do not depend on
     the worker count.  The fork context starts every pool process up
     front, so the pool has no more processes than ranges or CPUs, and the
-    workers inherit the weight g and its route costs taken here.  One worker
+    workers inherit the weight and route costs taken here.  One worker
     runs in this process, and loads no pool (`_fork_pool`).
     """
     total = config.replicates
     if workers <= 1:
-        return _raws_in_range(config, statistic, g, costs, threshold, 0, total)
-    _SIM_CTX.update(config=config, statistic=statistic, g=g, costs=costs, threshold=threshold)
+        return _raws_in_range(config, statistic, weight, costs, threshold, 0, total)
+    _SIM_CTX.update(config=config, statistic=statistic, weight=weight, costs=costs,
+                    threshold=threshold)
     chunk = max(1, math.ceil(total / (workers * 4)))
     bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     processes = min(workers, len(bounds), os.cpu_count() or 1)
@@ -942,28 +977,28 @@ def run_replicates(config: SampleConfig, statistic: str, t: float = 1.0,
     limit law it fixes.
 
     C and Z sieve their weight, mu or phi_q, to n once, for the exact
-    moments and the replicates alike, and take its `_route_costs` once; M
-    and N sieve nothing.  N(t) has a limit law only for 0 < t < inf; at any
-    other t its counts still run, with none.  Each replicate is drawn and
-    evaluated once.
+    moments and the replicates alike, and take its sum and the
+    `_route_costs` once; M and N sieve nothing.  N(t) has a limit law only
+    for 0 < t < inf; at any other t its counts still run, with none.  Each
+    replicate is drawn and evaluated once.
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"statistic must be one of {_STATISTICS}, got {statistic!r}")
-    g, costs, shift, scale, law = None, None, 0, 1, None
+    weight, costs, shift, scale, law = None, None, 0, 1, None
     if statistic in ("C", "Z"):
         q = None if statistic == "C" else config.q
         if q is not None:  # Var Z >= n^(2q-r) / 8 (`exact.var_Z`), checked before the sieve
             exact._refuse_past_float(config.n, 2 * q - config.r, 3)
-        g = exact.sieve_weight(config.n, q)
-        costs = _route_costs(g)
-        shift, scale = exact_moments(config, statistic, g)
+        weight = _weight(config.n, q)
+        costs = _route_costs(config.n)
+        shift, scale = exact_moments(config, statistic, weight[0])
         law = stattest.ReferenceLaw.normal()
     elif statistic == "M":
         scale = comb(config.m, 2)
         law = stattest.ReferenceLaw.frechet(1 / constants.zeta(2))
     elif 0 < t < math.inf:
         law = stattest.ReferenceLaw.poisson(1 / (t * constants.zeta(2)))
-    raws = _raw_replicates(config, statistic, g, costs, t * comb(config.m, 2), workers)
+    raws = _raw_replicates(config, statistic, weight, costs, t * comb(config.m, 2), workers)
     raws.flags.writeable = False
     return Replicates(raws, law, shift, scale)
 
@@ -973,7 +1008,8 @@ def strong_law_trajectory(n: int, r: int, m_grid, seed: int) -> np.ndarray:
 
     The same stream is extended as m grows (values are reused), so the
     trajectory is a single realization of the almost-sure limit statement.
-    It is replicate 0 of a SampleConfig, so r >= 2 as there.
+    It is replicate 0 of a SampleConfig, so r >= 2 as there; each prefix
+    is a lone sample, n its largest value (`_subset_weighted_block`).
     """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
@@ -984,10 +1020,7 @@ def strong_law_trajectory(n: int, r: int, m_grid, seed: int) -> np.ndarray:
         raise ValueError(f"grid starts below r={r}")
     # replicate 0 of a one-replicate config: the stream keyed by (seed, 0)
     config = SampleConfig(m=grid[-1], n=n, r=r, master_seed=seed)
-    mu = exact.sieve_weight(n, None)
-    xs = _draw_block(config, 0, 1)[0]
-
+    xs = _draw_block(config, 0, 1)
     mean_single = exact.mean_mu(n, r - 1).float_value
-    costs = _route_costs(mu)
-    return np.array([_subset_weighted_block(xs[None, :m], r, None, mu, costs)[0]
+    return np.array([_subset_weighted_block(xs[:, :m], r, None, int(xs[0, :m].max()))[0]
                      / (comb(m, r) * mean_single) for m in grid])

@@ -1,4 +1,24 @@
+import numpy as np
 import pytest
+
+
+@pytest.fixture
+def exact_prefix():
+    """The floor-indexed prefix (`exact._FloorPrefix`) of an integer array g over
+    0..n, by one plain cumsum: the reference for `exact._summatory`.
+
+    Each of the n-entry prefix sums is at most (n+1) peak, peak = max |g(j)|,
+    j <= n, which sets their width; only their O(sqrt n) floor points are kept.
+    """
+    from gcdstats import arith, exact
+
+    def prefix(g, n):
+        head = g[: n + 1]
+        peak = int(np.abs(head).max()) if head.size else 0
+        sums = np.cumsum(head, dtype=arith.int_dtype((n + 1) * peak))
+        return exact._at_floor_points(sums.__getitem__, n, peak)
+
+    return prefix
 
 
 @pytest.fixture

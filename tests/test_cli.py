@@ -560,6 +560,15 @@ def test_numerators_past_the_int_to_str_digits_are_a_usage_error(argv, capsys):
     assert "4300-digit limit" in text and text.endswith(": lower --n or --r\n")
 
 
+@pytest.mark.parametrize("quantity", ["mu", "nu", "moment", "pmf"])
+def test_first_moments_past_the_digits_are_refused_before_any_sieve(quantity, sieve_calls,
+                                                                    sieved_bounds, capsys):
+    text = _usage_error(["exact", "--quantity", quantity, "--n", "1000000", "--r", "3000"], capsys)
+    assert "at least 10^" in text and text.endswith("4300-digit limit of int-to-str "
+                                                     "conversion: lower --n or --r\n")
+    assert sieve_calls == [] and sieved_bounds == []
+
+
 @pytest.mark.parametrize("argv, flags", [
     # E gcd^q >= n^(q-r): the value, and the mean that normalises Z
     (["exact", "--quantity", "moment", "--n", "10", "--q", "3000"], "--q"),

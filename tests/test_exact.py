@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from gcdstats import arith, brute, constants, exact
-from gcdstats.arith import DEFAULT_MAX_N, CapacityError, prime_power_sieve, primes_up_to, tau_local
+from gcdstats.arith import (DEFAULT_MAX_N, CapacityError, pillai_local, prime_power_sieve,
+                            primes_up_to, tau_local)
 from gcdstats.cli import main
 
 
@@ -89,16 +90,16 @@ def test_quotient_blocks_are_the_runs_of_equal_quotients():
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
-def test_floor_power_sums_are_the_plain_loop(s):
+def test_floor_power_sums_are_the_plain_loop(s, exact_prefix):
     for g in (exact.sieve_weight(300, None), exact.sieve_weight(300, 1)):
         want = [0] + [plain_floor_power_sum(g, v, s) for v in range(1, 301)]
         for n in range(1, 301):
             values = distinct_quotients(n)
-            got = exact._floor_power_sums(exact._exact_prefix(g, n), values, s)
+            got = exact._floor_power_sums(exact_prefix(g, n), values, s)
             assert got.tolist() == [want[v] for v in values], (n, s)
 
 
-def test_floor_power_sums_at_random_n_take_both_dtypes(monkeypatch):
+def test_floor_power_sums_at_random_n_take_both_dtypes(monkeypatch, exact_prefix):
     mu, phi = exact.sieve_weight(200_000, None), exact.sieve_weight(200_000, 1)
     rng = np.random.default_rng(2357)
     dtypes = set()
@@ -109,18 +110,18 @@ def test_floor_power_sums_at_random_n_take_both_dtypes(monkeypatch):
             for x in g[1 : n + 1].tolist():
                 prefix.append(prefix[-1] + x)
             for s in range(1, 6):
-                got = exact._floor_power_sums(exact._exact_prefix(g, n), values, s)
+                got = exact._floor_power_sums(exact_prefix(g, n), values, s)
                 dtypes.add(got.dtype)
                 assert got.tolist() == [blockwise_floor_power_sum(prefix, v, s) for v in values]
         for v in (n, n // 3, 5):
-            assert exact._floor_power_sum(exact._exact_prefix(mu, v), v, 5) == \
+            assert exact._floor_power_sum(exact_prefix(mu, v), v, 5) == \
                 plain_floor_power_sum(mu, v, 5)
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
     # values split across many batches of breakpoints
     monkeypatch.setattr(exact, "_BREAKPOINT_BATCH", 50)
     n = 12_345
     values = distinct_quotients(n)
-    got = exact._floor_power_sums(exact._exact_prefix(mu, n), values, 2)
+    got = exact._floor_power_sums(exact_prefix(mu, n), values, 2)
     assert got.tolist() == [plain_floor_power_sum(mu, v, 2) for v in values]
 
 
@@ -143,7 +144,7 @@ def test_summatory_is_the_plain_prefix_for_every_n_to_2000(q):
             assert exact._floor_power_sum(fast, n, r) == blockwise_floor_power_sum(prefix, n, r)
 
 
-def test_summatory_numerators_at_seeded_n_take_both_dtypes():
+def test_summatory_numerators_at_seeded_n_take_both_dtypes(exact_prefix):
     # q up to 3 at n <= 1e6 and r up to 5 flip every int64/object choice:
     # the dense prefix, the points above L one by one, and the floor sums
     rng = np.random.default_rng(1013)
@@ -157,7 +158,7 @@ def test_summatory_numerators_at_seeded_n_take_both_dtypes():
                for q in (None, 1, 2, 3, 7)}
     dtypes = set()
     for n, q in cases:
-        fast, slow = exact._summatory(n, q), exact._exact_prefix(weights[q], n)
+        fast, slow = exact._summatory(n, q), exact_prefix(weights[q], n)
         dtypes.update((fast.dense.dtype, fast.high.dtype))
         points = floor_points(n)
         assert fast.at(points).tolist() == slow.at(points).tolist(), (n, q)
@@ -375,13 +376,23 @@ def test_marginal_envelopes():
 
 
 def test_marginal_error_bounds_grid():
-    # deviation-to-bound ratio <= 1 across the whole profile
+    # across the whole profile, over the common denominator n^r k^r:
+    #   |U_r(k) - phi_r(k)/k^r| <= r tau(k)/n
+    #   0 <= P_r(k)/k^r - W_r(k) <= k/n (r = 1), r tau(k)/n (r >= 2)
     for n in (10, 100, 1000):
+        k = np.arange(1, n + 1).astype(object)
+        tau = prime_power_sieve(n, primes_up_to(n), tau_local, np.int32)[1:].astype(object)
         for r in (1, 2, 3):
             for q in (None, 1):
-                prof = exact.marginal_profile(n, r, q)
-                worst, _ = exact.marginal_error_bound_check(prof)
-                assert worst <= 1
+                num = exact.marginal_profile(n, r, q).numerators[1:].astype(object)
+                if q is None:  # phi_r
+                    dev = abs(exact.sieve_weight(n, r)[1:].astype(object) * n**r - num * k**r)
+                else:  # Pillai's P_r
+                    pillai = prime_power_sieve(n, primes_up_to(n), pillai_local(r), object)[1:]
+                    dev = pillai * n**r - num * k**r
+                    assert (dev >= 0).all(), (n, r)
+                bound = k if q == 1 and r == 1 else r * tau
+                assert (dev * n <= bound * n**r * k**r).all(), (n, r, q)
 
 
 def test_marginal_bound_example():
@@ -752,9 +763,6 @@ def prefix_points(prefix):
 # the name of the function that makes it; `_summatory`'s sums at the points above
 # L are the nested `width`
 _PAST_2_62 = {
-    # (n+1) max phi_3(j), j <= n
-    "_exact_prefix": lambda: prefix_points(exact._exact_prefix(exact.sieve_weight(50_000, 3),
-                                                               50_000)),
     # (L+1) L^4 for the sums of phi_4 to L = 76^2
     "_summatory": lambda: prefix_points(exact._summatory(440_000, 4)),
     # x^5 (1 + bitlen(x)) at the points x above L
@@ -816,3 +824,25 @@ def test_profile_variances_past_the_digits_are_refused_before_any_sieve(monkeypa
         with pytest.raises(exact.DigitLimitError, match="about 10"):
             exact.check_digits(var(100, 1428).numerator)
         assert profiles.pop()[:2] == (100, 1428)
+
+
+def test_first_moments_past_the_digits_are_refused_before_any_sieve(monkeypatch):
+    summed = []
+    real = exact._summatory
+    monkeypatch.setattr(exact, "_summatory", lambda *args: summed.append(args) or real(*args))
+    # numerators of at least 3^power > 2^power pass 10^4300 > 2^14284 from
+    # power 14285 on: the X_1 = 1 tuples of mu (power r) and of the pmf's
+    # k = 1 count (r - 1), and every tuple of nu (r + 1) and moment (r)
+    for least, numerator in ((14285, lambda r: exact.mean_mu(3, r).numerator),
+                             (14284, lambda r: exact.mean_nu(3, r).numerator),
+                             (14285, lambda r: exact.gcd_moment(3, r, 1).numerator),
+                             (14286, lambda r: max(v.numerator for v, _ in exact.gcd_pmf(3, r)))):
+        with pytest.raises(exact.DigitLimitError, match="at least 10"):
+            numerator(least)
+        assert summed == []
+        # just below the bound the sums run; the numerator is still past the
+        # limit, which `check_digits` then refuses
+        with pytest.raises(exact.DigitLimitError, match="about 10"):
+            exact.check_digits(numerator(least - 1))
+        assert summed and all(args[0] == 3 for args in summed)
+        summed.clear()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gcdstats import arith, brute, constants, exact, montecarlo, stattest
-from gcdstats.arith import primes_up_to
+from gcdstats.arith import DEFAULT_MAX_N, primes_up_to
 from gcdstats.montecarlo import (
     SampleConfig,
     draw_sample,
@@ -164,14 +164,17 @@ def test_route_costs_are_taken_once_a_run(monkeypatch, inline_pool):
     for n in range(1, 150):
         cells = n + 1 + sum(n // p for p in range(2, n + 1) if all(p % d for d in range(2, p)))
         divisors = sum(1 for k in range(1, n + 1) for d in range(1, k + 1) if k % d == 0)
+        assert montecarlo._route_costs(n) == (cells, divisors), n
         for q in (None, 2):
-            g = exact.sieve_weight(n, q)
-            weights = sum(abs(int(w)) for w in g)
-            assert montecarlo._route_costs(g) == (cells, divisors, weights), (n, q)
+            g, weight_sum = montecarlo._weight(n, q)
+            assert g.tolist() == exact.sieve_weight(n, q).tolist()
+            assert weight_sum == sum(abs(int(w)) for w in g), (n, q)
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 40)
     calls = []
-    real = montecarlo._route_costs
-    monkeypatch.setattr(montecarlo, "_route_costs", lambda g: calls.append(g.size - 1) or real(g))
+    for name in ("_route_costs", "_weight"):
+        real = getattr(montecarlo, name)
+        monkeypatch.setattr(montecarlo, name,
+                            lambda n, *q, _real=real: calls.append(n) or _real(n, *q))
     in_workers = []
     real_chunk = montecarlo._sim_chunk
 
@@ -186,7 +189,7 @@ def test_route_costs_are_taken_once_a_run(monkeypatch, inline_pool):
     for workers in (1, 4):
         calls.clear()
         run_replicates(cfg, "C", workers=workers)
-        assert calls == [5000] and in_workers == [], workers
+        assert calls == [5000, 5000] and in_workers == [], workers
     # four workers split the 30 replicates into 15 ranges, in one pool
     assert len(inline_pool) == 1
 
@@ -203,8 +206,8 @@ def test_replicates_sieve_no_tau(statistic, monkeypatch, sieve_calls):
 
 def _raws(cfg, statistic, q, reps):
     """The raw C or Z of replicates 0..reps-1, with no normalisation."""
-    g = exact.sieve_weight(cfg.n, q)
-    return montecarlo._raws_in_range(cfg, statistic, g, montecarlo._route_costs(g), 0.0, 0, reps)
+    return montecarlo._raws_in_range(cfg, statistic, montecarlo._weight(cfg.n, q),
+                                     montecarlo._route_costs(cfg.n), 0.0, 0, reps)
 
 
 def test_block_statistics_match_naive_loops(monkeypatch):
@@ -246,8 +249,8 @@ def test_python_int_fallback_matches_naive_loops(monkeypatch):
         cfg = SampleConfig(m=m, n=n, r=r, q=q, replicates=2, master_seed=m + n)
         xs = montecarlo._draw_block(cfg, 0, 2)
         dtypes.clear()
-        g = exact.sieve_weight(n, q)
-        got = montecarlo._subset_weighted_block(xs, r, q, g, montecarlo._route_costs(g))
+        got = montecarlo._subset_weighted_block(xs, r, q, n, montecarlo._route_costs(n),
+                                                montecarlo._weight(n, q))
         assert dtypes and all(dt == object for dt in dtypes)
         assert got.dtype == object and got.tolist() == [brute.naive_stat_Z(x, r, q) for x in xs]
     assert taken == ["_sparse_route", "_dense_route"] * 2
@@ -283,8 +286,8 @@ def test_cz_sums_past_2_62_are_the_python_int_values(m, n, r, q, site, monkeypat
     def sums():
         if site == "_sparse_route":
             return montecarlo._sparse_route(xs, r, q)
-        g = exact.sieve_weight(n, q)
-        return montecarlo._subset_weighted_block(xs, r, q, g, montecarlo._route_costs(g))
+        return montecarlo._subset_weighted_block(xs, r, q, n, montecarlo._route_costs(n),
+                                                 montecarlo._weight(n, q))
 
     default = sums()
     assert any(2**62 < b <= arith.INT64_MAX for name, b in widths if name == site)
@@ -317,6 +320,67 @@ def test_stats_of_values_sharing_a_large_prime():
     assert stat_C(x, 2) == brute.naive_stat_C(x, 2)
     assert stat_Z(x, 2, 1) == brute.naive_stat_Z(x, 2, 1)
     assert poisson_count(x, 100) == brute.naive_poisson_count(x, 100)
+
+
+def test_lone_samples_past_the_table_cap_match_naive_loops(sieve_calls, sieved_bounds):
+    # a lone sample past DEFAULT_MAX_N runs sparse: no weight sieved, and the
+    # primes only to the root of its largest value
+    big = 999_983  # prime, shared by values past the cap
+    rng = random.Random(31)
+    samples = [[6 * big * 1009, 7 * big * 1009, 10**12, 5 * big, 6],
+               [DEFAULT_MAX_N + 1, 2 * (DEFAULT_MAX_N + 1), 3, 10**11 - 1]]
+    samples += [[rng.randint(1, top) for _ in range(rng.randint(2, 7))]
+                for top in (DEFAULT_MAX_N + 1, 10**9, 10**11, 10**12) for _ in range(3)]
+    for x in samples:
+        for r in (1, 2, 3):
+            assert stat_C(x, r) == brute.naive_stat_C(x, r), (x, r)
+            for q in (1, 2):
+                assert stat_Z(x, r, q) == brute.naive_stat_Z(x, r, q), (x, r, q)
+    assert sieve_calls == []
+    assert max(sieved_bounds) <= math.isqrt(max(map(max, samples)))
+
+
+def test_a_short_lone_sample_sieves_no_weight(monkeypatch, sieve_calls, sieved_bounds):
+    # n + 1 cells already lose to 3 values' divisors: no primes to n, no weight
+    taken = _route_spy(monkeypatch)
+    x = [29_000_000, 14_500_000, 3]
+    assert stat_C(x, 2) == brute.naive_stat_C(x, 2)
+    assert stat_Z(x, 2, 1) == brute.naive_stat_Z(x, 2, 1)
+    assert taken == ["_sparse_route"] * 2
+    assert sieve_calls == [] and max(sieved_bounds) <= math.isqrt(max(x))
+
+
+def test_a_long_lone_sample_at_small_n_takes_the_dense_route(monkeypatch, sieve_calls):
+    # the weight is sieved to the largest value once the dense route is picked
+    x = draw_sample(SampleConfig(m=2000, n=40, master_seed=4), 0)
+    n = int(x.max())
+    taken = _route_spy(monkeypatch)
+    assert stat_C(x, 2) == montecarlo._sparse_route(x[None, :], 2, None)[0]
+    assert stat_Z(x, 3, 2) == montecarlo._sparse_route(x[None, :], 3, 2)[0]
+    assert taken == ["_dense_route", "_sparse_route"] * 2
+    assert sieve_calls == [("mu", n), ("phi_2", n)]
+
+
+def test_scalar_statistics_check_their_input_before_any_work(sieve_calls, sieved_bounds):
+    statistics = (lambda x: stat_C(x, 2), lambda x: stat_Z(x, 2, 1), stat_M,
+                  lambda x: poisson_count(x, 1))
+    # empty, not 1-D, not integers (2^63 and above read as floats), below 1
+    for sample in ([], [[2, 3], [4, 5]], 7, [2.5, 3], [True, False], [1, 2**63],
+                   [0, 1], [-3, 4]):
+        for statistic in statistics:
+            with pytest.raises(ValueError):
+                statistic(sample)
+    for r, q in ((0, 1), (-1, 1), (2, None), (2, 0)):
+        with pytest.raises(ValueError):
+            stat_Z([2, 3, 4], r, q)
+        if q == 1:
+            with pytest.raises(ValueError):
+                stat_C([2, 3, 4], r)
+    assert sieve_calls == [] and sieved_bounds == []
+    # r = 1, unsigned values and the largest int64 still run
+    x = np.array([1, 6, 10, 15], dtype=np.uint64)
+    assert (stat_C(x, 1), stat_Z(x, 1, 1)) == (1, 32)
+    assert stat_M([arith.INT64_MAX, arith.INT64_MAX]) == arith.INT64_MAX
 
 
 def _csv_text(rec):
@@ -522,6 +586,15 @@ def test_strong_law_matches_direct_statistic():
     direct = stat_C(x, r)
     expected = comb(top, r) * exact.mean_mu(n, r - 1).float_value
     assert abs(ratios[0] - direct / expected) < 1e-12
+
+
+def test_strong_law_trajectory_past_the_table_cap():
+    # each prefix is a lone sample, which runs sparse past DEFAULT_MAX_N
+    n, grid, seed = 10**9, (2, 10, 100, 1000), 13
+    ratios = strong_law_trajectory(n, 2, grid, seed)
+    x = draw_sample(SampleConfig(m=grid[-1], n=n, master_seed=seed), 0)
+    mean = exact.mean_mu(n, 1).float_value
+    assert ratios.tolist() == [stat_C(x[:m], 2) / (comb(m, 2) * mean) for m in grid]
 
 
 def test_seed_outside_uint64_is_rejected():
