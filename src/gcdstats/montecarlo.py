@@ -41,10 +41,13 @@ Replicate i draws from a counter-based Philox stream keyed by
 (master_seed, i), so results are independent of worker count and
 scheduling; uniform integers use rejection-based bounded draws.  A run
 draws and evaluates its replicates once each, a block at a time.  A block
-of short rows is drawn by running Philox4x64-10 itself as numpy array
-rounds over all its rows and mapping the words to [1, n] as numpy's
-bounded draw does; rows with a rejected draw, and blocks of long rows,
-make one numpy Generator call a row.  The bytes are the same either way.
+takes its Philox4x64-10 words from one of two sources, numpy array rounds
+over all rows of a pass (many short rows) or numpy's own Philox re-keyed
+per row (long rows, or a few dozen short ones), and maps them to [1, n]
+as numpy's bounded draw does, by one map for both.  A row with a rejected
+draw is redrawn by one numpy Generator call, and so is every row of a
+block whose rows would mostly be redrawn.  The bytes are the same on
+every route.
 More than one worker forks a process pool (`_fork_pool`), which imports the
 pool modules only then: a one-worker run never loads them.
 """
@@ -67,9 +70,12 @@ from .arith import (DEFAULT_MAX_N, INT64_MAX, int_dtype, mobius_local, primes_up
 _INT32_MAX = 2**31 - 1
 
 # Sample values held by one block of replicates, and so the most pair gcds
-# one numpy call of the pair kernel holds, the most cells of a dense C/Z
-# count matrix and the most words a vectorised Philox pass holds at once:
-# 0.5 MB per 64-bit array there, whatever the replicate count, m and n.
+# one numpy call of the pair kernel holds and the most cells of a dense C/Z
+# count matrix: 0.5 MB per 64-bit array there, whatever the replicate
+# count, m and n.  A draw pass holds at most a quarter of it in an array
+# of Philox state: array rounds four lanes, their high words and three
+# scratch arrays, eight arrays of 128 KB at most, and then the words laid
+# out by row, 512 KB; raw words one array of 128 KB.
 # The sparse C/Z route is not bounded by it: its divisor arrays and keys
 # grow with the block's divisor count, about 26 MB traced for one full
 # block of Z --m 20 --n 10000 --q 3.  Larger blocks gain no speed; at
@@ -158,43 +164,57 @@ def draw_sample(config: SampleConfig, replicate_index: int) -> np.ndarray:
     return rng.integers(1, config.n + 1, size=config.m, dtype=np.int64)
 
 
-def _draw_rows(config: SampleConfig, indices) -> np.ndarray:
-    """Samples of the given replicates as rows, one Generator call each.
+def _rekeyed_philox(seed: int):
+    """(bitgen, rekey): one numpy Philox, and rekey(i), which makes it the
+    fresh stream keyed by (seed, i).
 
-    One Philox is re-keyed per replicate rather than a Generator built for
-    each: restoring the state of a freshly keyed Philox (zero counter, empty
+    Restoring the state of a freshly keyed Philox (zero counter, empty
     buffer, no cached 32-bit half) with only the key's index word changed
-    gives the same stream.
+    gives the same stream as a Philox built for that key (22 us on a 2-vCPU
+    Xeon), and a state whose words are lists of Python ints, not arrays,
+    restores in 0.5 us there, not 1.25.
     """
-    bitgen = np.random.Philox(key=_philox_key(config.master_seed, 0))
-    rng = np.random.Generator(bitgen)
+    bitgen = np.random.Philox(key=_philox_key(seed, 0))
     fresh = bitgen.state
+    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
+
+    def rekey(index: int) -> None:
+        key[1] = index
+        bitgen.state = fresh
+
+    return bitgen, rekey
+
+
+def _draw_rows(config: SampleConfig, indices) -> np.ndarray:
+    """Samples of the given replicates as rows, one Generator call each."""
+    bitgen, rekey = _rekeyed_philox(config.master_seed)
+    rng = np.random.Generator(bitgen)
     out = np.empty((len(indices), config.m), dtype=np.int64)
     for row, idx in enumerate(indices):
-        key[1] = idx
-        bitgen.state = fresh
+        rekey(idx)
         out[row] = rng.integers(1, config.n + 1, size=config.m, dtype=np.int64)
     return out
 
 
 # Philox4x64-10 (Salmon et al., SC'11): the multipliers of lanes 0 and 2,
 # and the Weyl increments of the two key words between rounds.
-_PHILOX_MUL = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
-_PHILOX_BUMP = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
 _HALF = np.uint64(32)
 
 
-def _mulhi(x: np.ndarray, mul, out: np.ndarray, scratch) -> None:
+def _mulhi(x: np.ndarray, mul: int, out: np.ndarray, scratch) -> None:
     """out = the high words of the 128-bit products x * mul, exactly.
 
-    mul (uint64) broadcasts against x.  The product is put together from
-    32-bit halves, whose products fit a uint64: hi = xh mh + carries of
-    xl ml, xl mh and xh ml.  `scratch` holds three arrays of x's shape.
+    The product is put together from 32-bit halves, whose products fit a
+    uint64: hi = xh mh + carries of xl ml, xl mh and xh ml.  `scratch`
+    holds three arrays of x's shape.
     """
     lo, t, u = scratch
-    mul_lo, mul_hi = mul & _LO32, mul >> _HALF
+    mul_lo, mul_hi = np.uint64(mul & 0xFFFFFFFF), np.uint64(mul >> 32)
     np.bitwise_and(x, _LO32, out=lo)
     np.multiply(lo, mul_lo, out=t)
     t >>= _HALF
@@ -217,130 +237,191 @@ def _philox_words(seed: int, start: int, stop: int, words: int) -> np.ndarray:
 
     Replicate i's stream is keyed by (seed, i); its word j is lane j % 4 of
     the block with counter (j // 4 + 1, 0, 0, 0), as numpy's Philox makes
-    them.  All blocks go through the ten rounds together, lanes 0 and 2
-    (which get multiplied) in one (2, blocks, rows) array and lanes 1 and 3
-    in another; rows run along the last axis, so the per-row key does too.
+    them.  All blocks go through the ten rounds together, each lane in one
+    (blocks, rows) array, so every multiplier is a scalar.  Rows run along
+    the last axis, and so does the per-row key word; the seed's key word is
+    one Python int a round, as a uint64 scalar would warn when it wraps.
     """
     rows, blocks = stop - start, -(-words // 4)
-    shape = (2, blocks, rows)
-    even = np.zeros(shape, dtype=np.uint64)
-    odd = np.zeros(shape, dtype=np.uint64)
-    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
-    key = np.empty((2, 1, rows), dtype=np.uint64)
-    key[0] = seed
-    key[1, 0] = np.arange(start, stop, dtype=np.uint64)
-    hi, *scratch = (np.empty(shape, dtype=np.uint64) for _ in range(4))
-    for rnd in range(10):
-        if rnd:
-            key += _PHILOX_BUMP
-        _mulhi(even, _PHILOX_MUL, hi, scratch)
-        even *= _PHILOX_MUL
+    mul0, mul1 = _PHILOX_MUL
+    # round 0 meets x = (counter, 0, 0, 0), so the counters' products with
+    # M0, as Python ints, give (k0, 0, hi(counter M0) ^ k1, lo(counter M0))
+    k1 = np.arange(start, stop, dtype=np.uint64)
+    products = [counter * mul0 for counter in range(1, blocks + 1)]
+    x0 = np.full((blocks, rows), seed, dtype=np.uint64)
+    x1 = np.zeros_like(x0)
+    x2 = np.array([p >> 64 for p in products], dtype=np.uint64)[:, None] ^ k1
+    x3 = np.empty_like(x0)
+    x3[...] = np.array([p % 2**64 for p in products], dtype=np.uint64)[:, None]
+    hi, *scratch = (np.empty_like(x0) for _ in range(4))
+    for rnd in range(1, 10):
+        k1 += np.uint64(_PHILOX_BUMP[1])
         # (x0, x1, x2, x3) <- (hi(x2 M1) ^ x1 ^ k0, lo(x2 M1), hi(x0 M0) ^ x3 ^ k1, lo(x0 M0))
-        odd ^= hi[::-1]
-        odd ^= key
-        even, odd = odd, even[::-1]
+        _mulhi(x0, mul0, hi, scratch)
+        x0 *= np.uint64(mul0)
+        x3 ^= hi
+        x3 ^= k1
+        _mulhi(x2, mul1, hi, scratch)
+        x2 *= np.uint64(mul1)
+        x1 ^= hi
+        x1 ^= np.uint64((seed + rnd * _PHILOX_BUMP[0]) % 2**64)
+        x0, x1, x2, x3 = x1, x2, x3, x0
+    del hi, scratch  # freed before the words are laid out, which lowers the peak
     out = np.empty((rows, blocks, 4), dtype=np.uint64)
-    out[..., 0::2] = even.transpose(2, 1, 0)
-    out[..., 1::2] = odd.transpose(2, 1, 0)
+    for lane, x in enumerate((x0, x1, x2, x3)):
+        out[..., lane] = x.T
     return out.reshape(rows, 4 * blocks)
 
 
 def _philox_plan(m: int, n: int) -> tuple:
-    """(bits, threshold, words, rows) of a vectorised draw of m values in [1, n].
+    """(bits, threshold, words) of a draw of m values in [1, n].
 
     numpy takes one 32-bit half of a Philox word per value when n <= 2^32,
     else one whole word, and rejects a half or word u when u n mod 2^bits
-    falls below the threshold (2^bits - n) mod n.  `words` is a row's words
-    rounded up to whole blocks of four (256 bits), and `rows` how many rows
-    one pass takes: a pass holds at most four arrays of its words at once,
-    so at most _BLOCK_ELEMENTS elements.
+    falls below the threshold (2^bits - n) mod n.  `words` is how many
+    Philox words a row's m values take when none is rejected.
     """
     bits = 32 if n <= 2**32 else 64
-    words = 4 * -(-m // (256 // bits))
-    return bits, (2**bits - n) % n, words, max(1, _BLOCK_ELEMENTS // (4 * words))
+    return bits, (2**bits - n) % n, -(-m * bits // 64)
 
 
-def _draw_philox(config: SampleConfig, start: int, stop: int) -> np.ndarray:
-    """Samples of replicates start..stop-1 as rows, from numpy array rounds.
+def _bounded_map(w: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """Map Philox words to values in [1, n] as numpy's bounded draws do
+    (Lemire, ACM TOMACS 2019); returns the rows that hold a rejected draw.
 
-    Computes the rows' Philox words all at once and maps them to [1, n] the
-    way numpy's bounded draws do (Lemire, ACM TOMACS 2019): half or word u
-    gives (u n >> bits) + 1.  A rejected u would shift every later value of
-    its row onto the next one, so rows with a rejection are redrawn with
-    `_draw_rows`; every row equals draw_sample.
-
-    This reproduces numpy's own Philox buffering (four words a counter, a
-    32-bit draw taking the low half of a fresh word first) and its bounded
-    map, neither of which numpy promises to keep across feature releases.
-    The route taken depends on a block's row count, and so on --workers;
-    test_draw_block_rows_equal_draw_sample compares every route with
-    draw_sample and is the gate that keeps results independent of the
-    worker count on the installed numpy.
+    w holds a row's words a row, out (int64) a row's values; half or word u
+    gives (u n >> bits) + 1 and is rejected when u n mod 2^bits falls below
+    the threshold (`_philox_plan`).  numpy would draw again there, shifting
+    every later value of the row, so those rows are wrong here and must be
+    redrawn.  The test overwrites w.
     """
-    m, n = config.m, config.n
-    bits, threshold, words, per_pass = _philox_plan(m, n)
-    out = np.empty((stop - start, m), dtype=np.int64)
-    for lo in range(start, stop, per_pass):
-        hi = min(lo + per_pass, stop)
-        w = _philox_words(config.master_seed, lo, hi, words)
-        u = out[lo - start : hi - start].view(np.uint64)
-        if bits == 32:
-            # the halves of each word, low half first; dtype= keeps the
-            # product in a uint64 loop on numpy 1.x, whose value-based
-            # casting would otherwise multiply uint32 halves mod 2^32
-            halves = w.astype("<u8", copy=False).view("<u4")[:, :m]
-            np.multiply(halves, np.uint64(n), dtype=np.uint64, out=u)
-            rejected = (u & _LO32) < threshold
-            u >>= _HALF
-        else:
-            w = w[:, :m]
-            _mulhi(w, np.uint64(n), u, [np.empty_like(u) for _ in range(3)])
-            w *= np.uint64(n)
-            rejected = w < threshold
-        u += np.uint64(1)
-        redo = np.flatnonzero(rejected.any(axis=1))
+    m = out.shape[1]
+    bits, threshold, _ = _philox_plan(m, n)
+    u = out.view(np.uint64)
+    if bits == 32:
+        low = w.astype("<u8", copy=False).view("<u4")[:, :m]  # the halves, low half first
+        np.multiply(low, np.uint64(n), dtype=np.uint64, out=u)
+        u >>= _HALF
+    else:
+        low = w[:, :m]
+        _mulhi(low, n, u, [np.empty_like(u) for _ in range(3)])
+    u += np.uint64(1)
+    if not threshold:
+        return np.empty(0, dtype=np.intp)
+    # u n mod 2^bits in place of u; dtype= keeps the product in that width on
+    # numpy 1.x too, whose value-based casting would otherwise widen it
+    np.multiply(low, low.dtype.type(n % 2**bits), dtype=low.dtype, out=low)
+    rows = np.flatnonzero(low < threshold) // m
+    return rows[np.diff(rows, prepend=-1) > 0]  # np.unique would import numpy.ma, 15 ms
+
+
+def _pass_rows(per_row: int) -> int:
+    """Rows a pass takes when each of its arrays holds per_row elements a
+    row: those that hold at most _BLOCK_ELEMENTS / 4 elements."""
+    return max(1, _BLOCK_ELEMENTS // (4 * per_row))
+
+
+def _raw_passes(config: SampleConfig, start: int, stop: int):
+    """(lo, hi, w) for each pass over replicates start..stop-1: w holds the
+    Philox words rows lo..hi-1 take when none is rejected, a row at a time
+    from numpy's own Philox re-keyed per row (`_rekeyed_philox`)."""
+    words = _philox_plan(config.m, config.n)[2]
+    bitgen, rekey = _rekeyed_philox(config.master_seed)
+    step = _pass_rows(words)
+    for lo in range(start, stop, step):
+        w = np.empty((min(step, stop - lo), words), dtype=np.uint64)
+        for row in range(w.shape[0]):
+            rekey(lo + row)
+            w[row] = bitgen.random_raw(words)
+        yield lo, lo + w.shape[0], w
+
+
+def _philox_passes(config: SampleConfig, start: int, stop: int):
+    """(lo, hi, w) as `_raw_passes` gives them, from numpy array rounds over
+    all rows of a pass at once (`_philox_words`)."""
+    words = _philox_plan(config.m, config.n)[2]
+    step = _pass_rows(-(-words // 4))
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        yield lo, hi, _philox_words(config.master_seed, lo, hi, words)
+
+
+def _draw_mapped(config: SampleConfig, start: int, stop: int, passes) -> np.ndarray:
+    """Samples of replicates start..stop-1 as rows, mapped by `_bounded_map`
+    from the words of `passes` (`_raw_passes` or `_philox_passes`); rows
+    with a rejected draw are redrawn by `_draw_rows`."""
+    out = np.empty((stop - start, config.m), dtype=np.int64)
+    for lo, hi, w in passes(config, start, stop):
+        redo = _bounded_map(w, config.n, out[lo - start : hi - start])
         if redo.size:
             out[redo + (lo - start)] = _draw_rows(config, (redo + lo).tolist())
     return out
 
 
-# Route costs in ns, from least-squares lines through median times of
-# each route on m = 2..2000 with n = 100 and 2^40, numpy 2.4.6 on one core
-# of a 2-vCPU Intel Xeon: per-row 11.5-12.3 us a row plus 8.1-10.6 ns a
-# value; vectorised 57-62 ns a word plus 297-316 us a pass.  With these,
-# full blocks go vectorised up to m ~ 350 for n <= 2^32 and m ~ 160 above.
-_ROW_NS = 12_000
-_ROW_VALUE_NS = 9
-_PHILOX_WORD_NS = 60
-_PHILOX_PASS_NS = 300_000
+# Route costs in ns, from weighted least-squares fits through the best
+# times of each route on the grid of BENCH_sampler_routes.json, numpy 2.4.6
+# on one core of a 2-vCPU Intel Xeon.  Per-row: 8.5 us a row plus 9.4 ns a
+# value.  Raw words: 1.7 us a row plus 9.7 ns a word, and 51 us a pass.
+# Array rounds: 154 ns a block of four words, and 298 us a pass.  Both
+# mapped routes add a per-row redraw of each row with a rejected draw.
+_ROW_NS = 8_500
+_ROW_VALUE_NS = 9.4
+_RAW_ROW_NS = 1_700
+_RAW_WORD_NS = 9.7
+_RAW_PASS_NS = 51_000
+_LANE_BLOCK_NS = 154
+_LANE_PASS_NS = 298_000
 
 
-def _philox_is_cheaper(config: SampleConfig, rows: int) -> bool:
-    """Whether `_draw_philox` costs less than `_draw_rows` on `rows` rows.
+def _draw_route(config: SampleConfig, rows: int) -> str:
+    """The cheapest draw route for `rows` rows by the fitted costs: "rows"
+    (`_draw_rows` on the whole block), "raw" (`_raw_passes`) or "philox"
+    (`_philox_passes`).
 
-    The per-row route costs a Generator call a row plus a little per value;
-    the vectorised one a fixed cost a pass plus much more per Philox word,
-    and it also redraws each row that has a rejection on the per-row route.
+    The per-row route pays a Generator call a row plus a little a value.
+    Raw words pay a state restore a row plus a little a word, array rounds
+    a little a block of four words but much more a pass.  Both mapped
+    routes also redraw, on the per-row route, each row that has a rejected
+    draw: the share of rows with one among m draws.
     """
     m, n = config.m, config.n
-    bits, threshold, words, per_pass = _philox_plan(m, n)
-    per_row = rows * (_ROW_NS + _ROW_VALUE_NS * m)
-    redrawn = 1 - (1 - threshold / 2**bits) ** m
-    philox = rows * words * _PHILOX_WORD_NS + -(-rows // per_pass) * _PHILOX_PASS_NS
-    return philox + redrawn * per_row < per_row
+    bits, threshold, words = _philox_plan(m, n)
+    blocks = -(-words // 4)
+    by_row = rows * (_ROW_NS + _ROW_VALUE_NS * m)
+    redrawn = (1 - (1 - threshold / 2**bits) ** m) * by_row
+    costs = {
+        "rows": by_row,
+        "raw": (rows * (_RAW_ROW_NS + _RAW_WORD_NS * words)
+                + -(-rows // _pass_rows(words)) * _RAW_PASS_NS + redrawn),
+        "philox": (rows * blocks * _LANE_BLOCK_NS
+                   + -(-rows // _pass_rows(blocks)) * _LANE_PASS_NS + redrawn),
+    }
+    return min(costs, key=costs.get)
 
 
 def _draw_block(config: SampleConfig, start: int, stop: int) -> np.ndarray:
     """Samples of replicates start..stop-1 as rows, each equal to draw_sample.
 
-    Two routes give the same bytes: `_draw_rows` makes one Generator call a
-    row, `_draw_philox` computes the whole block's Philox words in numpy
-    array rounds and redraws the rare rows with a rejected word one at a
-    time.  The cheaper route for the block's m, n and row count runs.
+    Three routes give the same bytes.  `_draw_rows` makes one Generator
+    call a row.  The other two map Philox words to values a pass at a time
+    (`_bounded_map`) and redraw the rows with a rejected draw by
+    `_draw_rows`; they take the words from numpy's own Philox, re-keyed per
+    row (`_raw_passes`), or from numpy array rounds over all rows of the
+    pass (`_philox_passes`).  The cheapest for the block's m, n and row
+    count runs (`_draw_route`).
+
+    The mapped routes reproduce numpy's Philox buffering (four words a
+    counter, a 32-bit draw taking the low half of a fresh word first) and
+    its bounded map, neither of which numpy promises to keep across feature
+    releases.  The route taken depends on a block's row count, and so on
+    --workers; test_draw_block_rows_equal_draw_sample compares every route
+    with draw_sample and is the gate that keeps results independent of the
+    worker count on the installed numpy.
     """
-    if _philox_is_cheaper(config, stop - start):
-        return _draw_philox(config, start, stop)
-    return _draw_rows(config, range(start, stop))
+    route = _draw_route(config, stop - start)
+    if route == "rows":
+        return _draw_rows(config, range(start, stop))
+    return _draw_mapped(config, start, stop, _raw_passes if route == "raw" else _philox_passes)
 
 
 # --- pair gcds: M and N -----------------------------------------------------
@@ -729,11 +810,21 @@ def _dense_is_cheaper(rows: int, size: int, n: int, cells: int, divisors: int) -
     return rows * cells <= count * math.log2(count)
 
 
-def _weight(n: int, q: int | None) -> tuple[np.ndarray, int]:
+def _weight(n: int, q: int | None, sieved: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """(g, sum_d |g(d)|): the weight of order q on 0..n and the sum that bounds
-    the dense route's sums."""
-    g = exact.sieve_weight(n, q)
+    the dense route's sums.  g is sieved, unless `sieved` holds the weight
+    on 0..n or further, whose head it is then."""
+    g = exact.sieve_weight(n, q) if sieved is None else sieved[: n + 1]
     return g, int(exact._block_sums(np.abs(g), [0], 1)[0])
+
+
+def _lone_costs(rows: int, size: int, n: int) -> tuple[int, int] | None:
+    """`_route_costs(n)` for a block that brings none, when the dense route
+    could win there: never past DEFAULT_MAX_N, and not when rows (n + 1), a
+    lower bound on its cells, already loses, so no prime is sieved to n."""
+    if n <= DEFAULT_MAX_N and _dense_is_cheaper(rows, size, n, n + 1, _divisor_total(n)):
+        return _route_costs(n)
+    return None
 
 
 def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, n: int,
@@ -756,9 +847,8 @@ def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, n: int,
     bounds each row's sum and partial sums, and sets the result's width.
     """
     rows, m = xs.shape
-    if (costs is None and n <= DEFAULT_MAX_N
-            and _dense_is_cheaper(rows, xs.size, n, n + 1, _divisor_total(n))):
-        costs = _route_costs(n)
+    if costs is None:
+        costs = _lone_costs(rows, xs.size, n)
     if costs and _dense_is_cheaper(rows, xs.size, n, *costs):
         g, weight_sum = weight or _weight(n, q)
         primes = primes_up_to(n).tolist()
@@ -1009,7 +1099,9 @@ def strong_law_trajectory(n: int, r: int, m_grid, seed: int) -> np.ndarray:
     The same stream is extended as m grows (values are reused), so the
     trajectory is a single realization of the almost-sure limit statement.
     It is replicate 0 of a SampleConfig, so r >= 2 as there; each prefix
-    is a lone sample, n its largest value (`_subset_weighted_block`).
+    is a lone sample, n its largest value (`_subset_weighted_block`).  The
+    route of every prefix is picked first, and mu is sieved once, to the
+    largest value of the longest dense prefix, whose heads serve the rest.
     """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
@@ -1021,6 +1113,14 @@ def strong_law_trajectory(n: int, r: int, m_grid, seed: int) -> np.ndarray:
     # replicate 0 of a one-replicate config: the stream keyed by (seed, 0)
     config = SampleConfig(m=grid[-1], n=n, r=r, master_seed=seed)
     xs = _draw_block(config, 0, 1)
+    tops = np.maximum.accumulate(xs[0])[np.array(grid) - 1].tolist()
+    costs = [_lone_costs(1, m, top) for m, top in zip(grid, tops)]
+    dense = [c is not None and _dense_is_cheaper(1, m, top, *c)
+             for m, top, c in zip(grid, tops, costs)]
+    dense_tops = [top for top, d in zip(tops, dense) if d]
+    sieved = exact.sieve_weight(dense_tops[-1], None) if dense_tops else None
     mean_single = exact.mean_mu(n, r - 1).float_value
-    return np.array([_subset_weighted_block(xs[:, :m], r, None, int(xs[0, :m].max()))[0]
-                     / (comb(m, r) * mean_single) for m in grid])
+    return np.array([_subset_weighted_block(xs[:, :m], r, None, top, c,
+                                            _weight(top, None, sieved) if d else None)[0]
+                     / (comb(m, r) * mean_single)
+                     for m, top, c, d in zip(grid, tops, costs, dense)])

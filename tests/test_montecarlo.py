@@ -597,6 +597,26 @@ def test_strong_law_trajectory_past_the_table_cap():
     assert ratios.tolist() == [stat_C(x[:m], 2) / (comb(m, 2) * mean) for m in grid]
 
 
+def test_strong_law_trajectory_sieves_mu_once(monkeypatch, sieve_calls):
+    # two sparse prefixes, then three dense ones whose largest values differ:
+    # mu is sieved once, to the largest of them, and its heads serve the rest
+    n, grid, seed = 10**6, (10, 1000, 20000, 30000, 40000), 23
+    taken = _route_spy(monkeypatch)
+    weights = []
+    real = exact.sieve_weight
+    monkeypatch.setattr(exact, "sieve_weight", lambda n, q: weights.append((n, q)) or real(n, q))
+    ratios = strong_law_trajectory(n, 2, grid, seed)
+    x = draw_sample(SampleConfig(m=grid[-1], n=n, master_seed=seed), 0)
+    assert len({int(x[:m].max()) for m in grid[2:]}) == 3
+    assert taken == ["_sparse_route"] * 2 + ["_dense_route"] * 3
+    assert weights == [(int(x.max()), None)]
+    # the exact mean sieves mu again, window by window to n^(2/3) only
+    assert sieve_calls == [("mu", int(x.max())), ("mu", exact._sieve_limit(n))]
+    mean = exact.mean_mu(n, 1).float_value
+    assert ratios.tolist() == [montecarlo._sparse_route(x[None, :m], 2, None)[0] / (comb(m, 2) * mean)
+                               for m in grid]
+
+
 def test_seed_outside_uint64_is_rejected():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
@@ -631,18 +651,20 @@ def test_sample_space_bounded_by_int64():
     assert x.min() >= 1 and x.max() > 2**62 // 4
 
 
+_DRAW_ROUTES = {"philox": "_philox_passes", "raw": "_raw_passes", "rows": "_draw_rows"}
+
+
 def test_draw_block_rows_equal_draw_sample(monkeypatch):
     # few words a pass, so blocks split into passes; 3 2^30 and 2^62 + 1
     # reject about a quarter of their draws, so most rows are redrawn
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 200)
-    taken = _route_spy(monkeypatch, ("_draw_philox", "_draw_rows"))
+    taken = _route_spy(monkeypatch, tuple(_DRAW_ROUTES.values()))
     rng = random.Random(2024)
     seeds = (rng.randrange(2**64), rng.randrange(2**64), 2**63, 2**64 - 1)
     spaces = (1, 2, 100, 3 * 2**30, 2**31, 2**32 - 1, 2**32, 2**32 + 1,
               2**62 + 1, 2**63 - 1)
-    for route in ("_draw_philox", "_draw_rows"):
-        monkeypatch.setattr(montecarlo, "_philox_is_cheaper",
-                            lambda config, rows: route == "_draw_philox")
+    for route, name in _DRAW_ROUTES.items():
+        monkeypatch.setattr(montecarlo, "_draw_route", lambda config, rows: route)
         for seed in seeds:
             for m in (2, 7, 20):
                 for n in spaces:
@@ -650,29 +672,70 @@ def test_draw_block_rows_equal_draw_sample(monkeypatch):
                     start = rng.randrange(0, 20)
                     taken.clear()
                     block = montecarlo._draw_block(cfg, start, 40)
-                    assert taken[0] == route
+                    assert taken[0] == name
                     for row, idx in enumerate(range(start, 40)):
                         assert np.array_equal(block[row], draw_sample(cfg, idx))
 
 
-def test_draw_route_follows_values_a_row(monkeypatch):
-    taken = _route_spy(monkeypatch, ("_draw_philox", "_draw_rows"))
-    # the benchmark's shapes, one full block each: few values a row pay
-    # mostly the per-row Generator call, many mostly the per-word rounds
-    for m, n, reps, route in ((20, 100, 20000, "_draw_philox"),
-                              (64, 32768, 2000, "_draw_philox"),
-                              (64, 262144, 1000, "_draw_philox"),
-                              (1000, 1000, 300, "_draw_rows"),
-                              (2000, 40, 1000, "_draw_rows")):
+def test_draw_block_philox_words_equal_numpy_philox(monkeypatch):
+    # the lane-split rounds against numpy's own Philox word stream, row by
+    # row: every pass of a block, and `_philox_words` alone past a pass
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 256)
+    for seed in (0, 2**63, 2**64 - 1):
+        for words in (4, 5, 7, 8, 9, 63, 64, 65, 1000):
+            cfg = SampleConfig(m=2 * words, n=100, replicates=140, master_seed=seed)
+            passes = list(montecarlo._philox_passes(cfg, 3, 140))
+            assert len(passes) > 1
+            rows = [(idx, w[idx - lo]) for lo, hi, w in passes for idx in range(lo, hi)]
+            lone = montecarlo._philox_words(seed, 3, 140, words)
+            assert [idx for idx, _ in rows] == list(range(3, 140))
+            for (idx, row), whole in zip(rows, lone):
+                expected = np.random.Philox(key=montecarlo._philox_key(seed, idx)).random_raw(words)
+                assert np.array_equal(row[:words], expected)
+                assert np.array_equal(whole[:words], expected)
+
+
+def test_draw_block_route_follows_values_a_row(monkeypatch):
+    taken = _route_spy(monkeypatch, tuple(_DRAW_ROUTES.values()))
+    # the benchmark's shapes, one full block each: short rows pay mostly the
+    # per-row costs, which array rounds spread over a pass; long rows pay
+    # mostly the per-value Generator cost, which raw words and one map undercut
+    for m, n, reps, route in ((20, 100, 20000, "philox"),
+                              (64, 32768, 2000, "philox"),
+                              (64, 262144, 1000, "philox"),
+                              (1000, 1000, 300, "raw"),
+                              (2000, 40, 1000, "raw")):
         cfg = SampleConfig(m=m, n=n, replicates=reps, master_seed=1)
         taken.clear()
         montecarlo._draw_block(cfg, 0, min(reps, montecarlo._BLOCK_ELEMENTS // m))
-        assert taken == [route]
+        assert taken == [_DRAW_ROUTES[route]]
     # a single row cannot repay a pass, and nor can rows that are mostly redrawn
     for n, rows in ((100, 1), (3 * 2**30, 3000)):
         taken.clear()
         montecarlo._draw_block(SampleConfig(m=20, n=n, replicates=rows), 0, rows)
         assert taken == ["_draw_rows"]
+
+
+@pytest.mark.parametrize("statistic, m, n", [("C", 20, 100), ("Z", 20, 100),
+                                             ("M", 3, 3 * 2**30), ("N", 3, 3 * 2**30)])
+def test_draw_block_routes_across_worker_counts_give_the_same_bytes(statistic, m, n, monkeypatch,
+                                                                     inline_pool):
+    # one worker draws full blocks by array rounds; 16 workers split the 2000
+    # replicates into ranges of 32 rows, which take raw words.  3 2^30 rejects
+    # a quarter of its draws, so many rows are redrawn on either route
+    taken = _route_spy(monkeypatch, tuple(_DRAW_ROUTES.values()))
+    cfg = SampleConfig(m=m, n=n, replicates=2000, master_seed=2**64 - 5)
+    routes = {}
+    for workers in (1, 2, 16):
+        taken.clear()
+        record = run_replicates(cfg, statistic, workers=workers)
+        routes[workers] = set(taken)
+        if workers == 1:
+            serial = record
+        else:
+            assert _same_record(record, serial), workers
+    assert "_philox_passes" in routes[1] and "_raw_passes" not in routes[1]
+    assert "_raw_passes" in routes[16] and "_philox_passes" not in routes[16]
 
 
 def test_block_pair_kernel_matches_naive_loops(monkeypatch):
