@@ -18,10 +18,11 @@ kernel evaluates them for a whole block of replicates, exactly: over an
 (n+1, B) count matrix, one column per replicate, when n is small next to
 the block's divisor count, else over one key per (replicate, divisor),
 its values factorised all at once with no table (`arith.weighted_divisors`).
-A run sieves the weight of order q, None (mu) for C and config.q for Z,
-to n once (`exact.sieve_weight`), for the exact moments that normalise C
-and Z and the dense route alike; a lone sample (`stat_C`, `stat_Z`) sieves
-it only once the route rule, which reads n alone, picks that route, so its
+Each block is priced on its own, from its shape and n alone, with no sieve
+(`_dense_is_cheaper`).  A run sieves the weight of order q, None (mu) for
+C and config.q for Z, to n once (`exact.sieve_weight`), for the exact
+moments that normalise C and Z and the dense route alike; a lone sample
+(`stat_C`, `stat_Z`) sieves it only once the rule picks that route, so its
 values run sparse up to DEFAULT_MAX_N^2.  C(cnt, r) is read from a table
 of C(k, r) for k up to the largest count.  The sums, like the raw values a
 run keeps, are int64 or Python ints by `arith.int_dtype` of a proven
@@ -796,60 +797,48 @@ def _divisor_total(n: int) -> int:
     return 2 * int((n // np.arange(1, s + 1)).sum()) - s * s
 
 
-def _route_costs(n: int) -> tuple[int, int]:
-    """The terms of the C/Z route rule from n alone, which a run takes once: the
-    cells n + 1 + sum_{p <= n} floor(n/p) the dense sweep touches a row (which
-    sieve the primes to n), and D(n)."""
-    return n + 1 + int((n // primes_up_to(n)).sum()), _divisor_total(n)
+def _dense_is_cheaper(rows: int, size: int, n: int) -> bool:
+    """The C/Z route rule, from the block's shape and n alone: the dense
+    sweep's cells a row against the D log2 D sort comparisons of
+    D = size D(n) / n keys, the block's expected divisor count.
 
-
-def _dense_is_cheaper(rows: int, size: int, n: int, cells: int, divisors: int) -> bool:
-    """The C/Z route rule: `cells` dense cells a row against the D log2 D sort
-    comparisons of D = size D(n) / n keys, the block's expected divisor count."""
-    count = size * divisors / n
+    The cells, n + 1 + sum_{p <= n} floor(n/p), are priced by Mertens'
+    second theorem, sum_{p <= n} 1/p = ln ln n + 0.2615 + o(1) (exact below
+    n = 3), so the rule sieves nothing.  Past DEFAULT_MAX_N, where no weight
+    can be sieved, it is False before any pricing.
+    """
+    if n > DEFAULT_MAX_N:
+        return False
+    cells = n + 1 + (n // 2 if n < 3 else n * (math.log(math.log(n)) + 0.2615))
+    count = size * _divisor_total(n) / n
     return rows * cells <= count * math.log2(count)
 
 
-def _weight(n: int, q: int | None, sieved: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """(g, sum_d |g(d)|): the weight of order q on 0..n and the sum that bounds
-    the dense route's sums.  g is sieved, unless `sieved` holds the weight
-    on 0..n or further, whose head it is then."""
-    g = exact.sieve_weight(n, q) if sieved is None else sieved[: n + 1]
+def _weight(n: int, q: int | None) -> tuple[np.ndarray, int]:
+    """(g, sum_d |g(d)|): the weight of order q sieved on 0..n, and the sum
+    that bounds the dense route's sums."""
+    g = exact.sieve_weight(n, q)
     return g, int(exact._block_sums(np.abs(g), [0], 1)[0])
 
 
-def _lone_costs(rows: int, size: int, n: int) -> tuple[int, int] | None:
-    """`_route_costs(n)` for a block that brings none, when the dense route
-    could win there: never past DEFAULT_MAX_N, and not when rows (n + 1), a
-    lower bound on its cells, already loses, so no prime is sieved to n."""
-    if n <= DEFAULT_MAX_N and _dense_is_cheaper(rows, size, n, n + 1, _divisor_total(n)):
-        return _route_costs(n)
-    return None
-
-
 def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, n: int,
-                           costs: tuple[int, int] | None = None,
                            weight: tuple[np.ndarray, int] | None = None) -> np.ndarray:
     """Exact C (q None) or Z with exponent q of every row of xs, values in 1..n.
 
     Both are sum_d w(d) C(cnt(d), r), with w = mu or phi_q and
-    cnt(d) = #{i : d | x_i} in the row.  The cheaper route by
-    `_dense_is_cheaper` runs, on costs `_route_costs(n)`; the dense route
-    reads weight, `_weight(n, q)`.  A run passes both, taken once.  A lone
-    sample passes neither, and each is taken only when the rule reads it:
-    none past DEFAULT_MAX_N, where no weight is sieved and the values run
-    sparse up to DEFAULT_MAX_N^2; the costs only when rows (n + 1), a lower
-    bound on the cells, does not already lose; the weight on the dense route.
-    Dense blocks hold at most _BLOCK_ELEMENTS cells.
+    cnt(d) = #{i : d | x_i} in the row.  Every block is priced on its own
+    by `_dense_is_cheaper`, which reads n and the block's shape alone, and
+    the cheaper route runs.  The dense route reads weight, `_weight(n, q)`,
+    which a run passes, taken once; a lone sample passes none, and sieves
+    it only on the dense route, so past DEFAULT_MAX_N its values run sparse
+    up to DEFAULT_MAX_N^2.  Dense blocks hold at most _BLOCK_ELEMENTS cells.
     With cnt <= m, every C(cnt, r), `_binom` intermediate and term
     w(d) C(cnt(d), r) is at most |w(d)| m^r, so m^r sum_d |w(d)| over the
     weights a route reads (all of g dense, the block's divisors' sparse)
     bounds each row's sum and partial sums, and sets the result's width.
     """
     rows, m = xs.shape
-    if costs is None:
-        costs = _lone_costs(rows, xs.size, n)
-    if costs and _dense_is_cheaper(rows, xs.size, n, *costs):
+    if _dense_is_cheaper(rows, xs.size, n):
         g, weight_sum = weight or _weight(n, q)
         primes = primes_up_to(n).tolist()
         dtype = int_dtype(weight_sum * m**r)
@@ -963,7 +952,8 @@ _STATISTICS = ("C", "Z", "M", "N")
 NORMALIZATION_NAMES = {"C": "exact-moments", "Z": "exact-moments",
                        "M": "frechet-scale", "N": "none"}
 
-# worker context inherited over fork; set immediately before pool creation
+# worker context inherited over fork: set immediately before pool creation
+# and cleared once the pool is done
 _SIM_CTX = {}
 
 
@@ -982,12 +972,12 @@ def _raw_dtype(config: SampleConfig, statistic: str):
     return int_dtype(bound)
 
 
-def _raws_in_range(config: SampleConfig, statistic: str, weight, costs, threshold: float,
+def _raws_in_range(config: SampleConfig, statistic: str, weight, threshold: float,
                    start: int, stop: int) -> np.ndarray:
     """Raw statistic of replicates start..stop-1, a block of samples at a time.
 
-    weight is `_weight(n, q)` of C or Z and costs `_route_costs(n)`, both
-    None for M and N.  Blocks fill one `_raw_dtype` array.
+    weight is `_weight(n, q)` of C or Z, None for M and N.  Blocks fill one
+    `_raw_dtype` array.
     """
     per_block = max(1, _BLOCK_ELEMENTS // config.m)
     cut = _pair_cut(threshold)
@@ -1002,14 +992,14 @@ def _raws_in_range(config: SampleConfig, statistic: str, weight, costs, threshol
             block = _pair_gcd_reduce(xs, None if statistic == "M" else cut)
         else:
             q = None if statistic == "C" else config.q
-            block = _subset_weighted_block(xs, config.r, q, config.n, costs, weight)
+            block = _subset_weighted_block(xs, config.r, q, config.n, weight)
         raws[lo - start : hi - start] = block
     return raws
 
 
 def _sim_chunk(bounds):
     return _raws_in_range(_SIM_CTX["config"], _SIM_CTX["statistic"], _SIM_CTX["weight"],
-                          _SIM_CTX["costs"], _SIM_CTX["threshold"], *bounds)
+                          _SIM_CTX["threshold"], *bounds)
 
 
 def _fork_pool(processes: int):
@@ -1024,25 +1014,28 @@ def _fork_pool(processes: int):
     return ProcessPoolExecutor(max_workers=processes, mp_context=get_context("fork"))
 
 
-def _raw_replicates(config, statistic, weight, costs, threshold, workers) -> np.ndarray:
+def _raw_replicates(config, statistic, weight, threshold, workers) -> np.ndarray:
     """Raw values of all replicates in replicate order, each computed once.
 
     Workers take contiguous index ranges, so the values do not depend on
     the worker count.  The fork context starts every pool process up
     front, so the pool has no more processes than ranges or CPUs, and the
-    workers inherit the weight and route costs taken here.  One worker
+    workers inherit the weight taken here; the context is cleared once the
+    pool is done, so the run's weight does not outlive it.  One worker
     runs in this process, and loads no pool (`_fork_pool`).
     """
     total = config.replicates
     if workers <= 1:
-        return _raws_in_range(config, statistic, weight, costs, threshold, 0, total)
-    _SIM_CTX.update(config=config, statistic=statistic, weight=weight, costs=costs,
-                    threshold=threshold)
+        return _raws_in_range(config, statistic, weight, threshold, 0, total)
+    _SIM_CTX.update(config=config, statistic=statistic, weight=weight, threshold=threshold)
     chunk = max(1, math.ceil(total / (workers * 4)))
     bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     processes = min(workers, len(bounds), os.cpu_count() or 1)
-    with _fork_pool(processes) as ex:
-        return np.concatenate(list(ex.map(_sim_chunk, bounds)))
+    try:
+        with _fork_pool(processes) as ex:
+            return np.concatenate(list(ex.map(_sim_chunk, bounds)))
+    finally:
+        _SIM_CTX.clear()
 
 
 def exact_moments(config: SampleConfig, statistic: str, g: np.ndarray):
@@ -1067,20 +1060,19 @@ def run_replicates(config: SampleConfig, statistic: str, t: float = 1.0,
     limit law it fixes.
 
     C and Z sieve their weight, mu or phi_q, to n once, for the exact
-    moments and the replicates alike, and take its sum and the
-    `_route_costs` once; M and N sieve nothing.  N(t) has a limit law only
-    for 0 < t < inf; at any other t its counts still run, with none.  Each
-    replicate is drawn and evaluated once.
+    moments and the dense route alike, and take its sum once; every block
+    prices its route from n alone (`_dense_is_cheaper`).  M and N sieve
+    nothing.  N(t) has a limit law only for 0 < t < inf; at any other t its
+    counts still run, with none.  Each replicate is drawn and evaluated once.
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"statistic must be one of {_STATISTICS}, got {statistic!r}")
-    weight, costs, shift, scale, law = None, None, 0, 1, None
+    weight, shift, scale, law = None, 0, 1, None
     if statistic in ("C", "Z"):
         q = None if statistic == "C" else config.q
         if q is not None:  # Var Z >= n^(2q-r) / 8 (`exact.var_Z`), checked before the sieve
             exact._refuse_past_float(config.n, 2 * q - config.r, 3)
         weight = _weight(config.n, q)
-        costs = _route_costs(config.n)
         shift, scale = exact_moments(config, statistic, weight[0])
         law = stattest.ReferenceLaw.normal()
     elif statistic == "M":
@@ -1088,7 +1080,7 @@ def run_replicates(config: SampleConfig, statistic: str, t: float = 1.0,
         law = stattest.ReferenceLaw.frechet(1 / constants.zeta(2))
     elif 0 < t < math.inf:
         law = stattest.ReferenceLaw.poisson(1 / (t * constants.zeta(2)))
-    raws = _raw_replicates(config, statistic, weight, costs, t * comb(config.m, 2), workers)
+    raws = _raw_replicates(config, statistic, weight, t * comb(config.m, 2), workers)
     raws.flags.writeable = False
     return Replicates(raws, law, shift, scale)
 
@@ -1099,9 +1091,9 @@ def strong_law_trajectory(n: int, r: int, m_grid, seed: int) -> np.ndarray:
     The same stream is extended as m grows (values are reused), so the
     trajectory is a single realization of the almost-sure limit statement.
     It is replicate 0 of a SampleConfig, so r >= 2 as there; each prefix
-    is a lone sample, n its largest value (`_subset_weighted_block`).  The
-    route of every prefix is picked first, and mu is sieved once, to the
-    largest value of the longest dense prefix, whose heads serve the rest.
+    is one block of values in 1..n (`_subset_weighted_block`), priced from
+    n alone.  At fixed n a longer prefix is no less dense, so mu is sieved
+    to n once, and only when the longest prefix takes the dense route.
     """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
@@ -1113,14 +1105,7 @@ def strong_law_trajectory(n: int, r: int, m_grid, seed: int) -> np.ndarray:
     # replicate 0 of a one-replicate config: the stream keyed by (seed, 0)
     config = SampleConfig(m=grid[-1], n=n, r=r, master_seed=seed)
     xs = _draw_block(config, 0, 1)
-    tops = np.maximum.accumulate(xs[0])[np.array(grid) - 1].tolist()
-    costs = [_lone_costs(1, m, top) for m, top in zip(grid, tops)]
-    dense = [c is not None and _dense_is_cheaper(1, m, top, *c)
-             for m, top, c in zip(grid, tops, costs)]
-    dense_tops = [top for top, d in zip(tops, dense) if d]
-    sieved = exact.sieve_weight(dense_tops[-1], None) if dense_tops else None
+    weight = _weight(n, None) if _dense_is_cheaper(1, grid[-1], n) else None
     mean_single = exact.mean_mu(n, r - 1).float_value
-    return np.array([_subset_weighted_block(xs[:, :m], r, None, top, c,
-                                            _weight(top, None, sieved) if d else None)[0]
-                     / (comb(m, r) * mean_single)
-                     for m, top, c, d in zip(grid, tops, costs, dense)])
+    return np.array([_subset_weighted_block(xs[:, :m], r, None, n, weight)[0]
+                     / (comb(m, r) * mean_single) for m in grid])

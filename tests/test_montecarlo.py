@@ -1,8 +1,12 @@
+import gc
 import io
+import json
 import math
 import random
 import tracemalloc
+import weakref
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from gcdstats.montecarlo import (
 from gcdstats.stattest import ReferenceLaw
 
 NORMAL = ReferenceLaw.normal()
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_config_validation():
@@ -158,23 +163,20 @@ def test_route_follows_row_width_against_divisor_count(monkeypatch):
         assert set(taken) == {"_sparse_route"}
 
 
-def test_route_costs_are_taken_once_a_run(monkeypatch, inline_pool):
-    # the rule's terms in n and the weight sum, against plain loops, and taken
-    # once a run, before any replicate range: none in the pool workers
+def test_weight_is_taken_once_a_run(monkeypatch, inline_pool):
+    # D(n) and the weight sum against plain loops; the weight is taken once a
+    # run, before any replicate range: none in the pool workers
     for n in range(1, 150):
-        cells = n + 1 + sum(n // p for p in range(2, n + 1) if all(p % d for d in range(2, p)))
         divisors = sum(1 for k in range(1, n + 1) for d in range(1, k + 1) if k % d == 0)
-        assert montecarlo._route_costs(n) == (cells, divisors), n
+        assert montecarlo._divisor_total(n) == divisors, n
         for q in (None, 2):
             g, weight_sum = montecarlo._weight(n, q)
             assert g.tolist() == exact.sieve_weight(n, q).tolist()
             assert weight_sum == sum(abs(int(w)) for w in g), (n, q)
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 40)
     calls = []
-    for name in ("_route_costs", "_weight"):
-        real = getattr(montecarlo, name)
-        monkeypatch.setattr(montecarlo, name,
-                            lambda n, *q, _real=real: calls.append(n) or _real(n, *q))
+    real = montecarlo._weight
+    monkeypatch.setattr(montecarlo, "_weight", lambda n, q: calls.append(n) or real(n, q))
     in_workers = []
     real_chunk = montecarlo._sim_chunk
 
@@ -189,9 +191,41 @@ def test_route_costs_are_taken_once_a_run(monkeypatch, inline_pool):
     for workers in (1, 4):
         calls.clear()
         run_replicates(cfg, "C", workers=workers)
-        assert calls == [5000, 5000] and in_workers == [], workers
+        assert calls == [5000] and in_workers == [], workers
     # four workers split the 30 replicates into 15 ranges, in one pool
     assert len(inline_pool) == 1
+
+
+def test_route_rule_picks_the_recorded_routes():
+    # every cell of the route grid, its 4 misses too: the rule is priced from
+    # n alone and refits nothing
+    cells = json.loads((ROOT / "BENCH_cz_routes.json").read_text())["cells"]
+    assert len(cells) == 64
+    for cell in cells:
+        rows, m, n = cell["rows"], cell["m"], cell["n"]
+        assert montecarlo._dense_is_cheaper(rows, rows * m, n) == (cell["pick"] == "dense"), cell
+
+
+def test_route_rule_moves_only_where_the_exact_rule_is_near_a_tie():
+    # the reference prices the dense sweep by its exact cells a row,
+    # n + 1 + sum_{p <= n} floor(n/p); a pick may differ from it only where
+    # the exact rule's two sides lie within 5% of each other
+    ns = [*range(2, 11), 20, 30, 40, 100, 300, 1000, 3000, 10**4, 10**5, 10**6, 10**7,
+          DEFAULT_MAX_N]
+    ms = [2, 3, 5, 8, 20, 100, 1000, 2000, 10**4, 10**5, 10**6]
+    moved = 0
+    for n in ns:
+        cells = n + 1 + int((n // primes_up_to(n)).sum())
+        for m in ms:
+            for rows in {1, 32, max(1, montecarlo._BLOCK_ELEMENTS // m)}:
+                count = rows * m * montecarlo._divisor_total(n) / n
+                ratio = rows * cells / (count * math.log2(count)) if count > 1 else math.inf
+                if montecarlo._dense_is_cheaper(rows, rows * m, n) != (ratio <= 1):
+                    moved += 1
+                    assert abs(ratio - 1) < 0.05, (n, m, rows, ratio)
+    assert moved <= 3
+    # past the table cap no weight can be sieved: sparse, however long the block
+    assert not montecarlo._dense_is_cheaper(1, 10**9, DEFAULT_MAX_N + 1)
 
 
 @pytest.mark.parametrize("statistic", ["C", "Z"])
@@ -206,8 +240,7 @@ def test_replicates_sieve_no_tau(statistic, monkeypatch, sieve_calls):
 
 def _raws(cfg, statistic, q, reps):
     """The raw C or Z of replicates 0..reps-1, with no normalisation."""
-    return montecarlo._raws_in_range(cfg, statistic, montecarlo._weight(cfg.n, q),
-                                     montecarlo._route_costs(cfg.n), 0.0, 0, reps)
+    return montecarlo._raws_in_range(cfg, statistic, montecarlo._weight(cfg.n, q), 0.0, 0, reps)
 
 
 def test_block_statistics_match_naive_loops(monkeypatch):
@@ -249,8 +282,7 @@ def test_python_int_fallback_matches_naive_loops(monkeypatch):
         cfg = SampleConfig(m=m, n=n, r=r, q=q, replicates=2, master_seed=m + n)
         xs = montecarlo._draw_block(cfg, 0, 2)
         dtypes.clear()
-        got = montecarlo._subset_weighted_block(xs, r, q, n, montecarlo._route_costs(n),
-                                                montecarlo._weight(n, q))
+        got = montecarlo._subset_weighted_block(xs, r, q, n, montecarlo._weight(n, q))
         assert dtypes and all(dt == object for dt in dtypes)
         assert got.dtype == object and got.tolist() == [brute.naive_stat_Z(x, r, q) for x in xs]
     assert taken == ["_sparse_route", "_dense_route"] * 2
@@ -286,8 +318,7 @@ def test_cz_sums_past_2_62_are_the_python_int_values(m, n, r, q, site, monkeypat
     def sums():
         if site == "_sparse_route":
             return montecarlo._sparse_route(xs, r, q)
-        return montecarlo._subset_weighted_block(xs, r, q, n, montecarlo._route_costs(n),
-                                                 montecarlo._weight(n, q))
+        return montecarlo._subset_weighted_block(xs, r, q, n, montecarlo._weight(n, q))
 
     default = sums()
     assert any(2**62 < b <= arith.INT64_MAX for name, b in widths if name == site)
@@ -598,8 +629,8 @@ def test_strong_law_trajectory_past_the_table_cap():
 
 
 def test_strong_law_trajectory_sieves_mu_once(monkeypatch, sieve_calls):
-    # two sparse prefixes, then three dense ones whose largest values differ:
-    # mu is sieved once, to the largest of them, and its heads serve the rest
+    # two sparse prefixes, then three dense ones, all priced at n: mu is
+    # sieved once, to n, which lies above every sampled value
     n, grid, seed = 10**6, (10, 1000, 20000, 30000, 40000), 23
     taken = _route_spy(monkeypatch)
     weights = []
@@ -607,11 +638,11 @@ def test_strong_law_trajectory_sieves_mu_once(monkeypatch, sieve_calls):
     monkeypatch.setattr(exact, "sieve_weight", lambda n, q: weights.append((n, q)) or real(n, q))
     ratios = strong_law_trajectory(n, 2, grid, seed)
     x = draw_sample(SampleConfig(m=grid[-1], n=n, master_seed=seed), 0)
-    assert len({int(x[:m].max()) for m in grid[2:]}) == 3
+    assert int(x.max()) < n
     assert taken == ["_sparse_route"] * 2 + ["_dense_route"] * 3
-    assert weights == [(int(x.max()), None)]
+    assert weights == [(n, None)]
     # the exact mean sieves mu again, window by window to n^(2/3) only
-    assert sieve_calls == [("mu", int(x.max())), ("mu", exact._sieve_limit(n))]
+    assert sieve_calls == [("mu", n), ("mu", exact._sieve_limit(n))]
     mean = exact.mean_mu(n, 1).float_value
     assert ratios.tolist() == [montecarlo._sparse_route(x[None, :m], 2, None)[0] / (comb(m, 2) * mean)
                                for m in grid]
@@ -998,6 +1029,26 @@ def test_pool_has_no_more_processes_than_ranges_or_cpus(monkeypatch, inline_pool
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
     assert _same_record(run_replicates(cfg, "C", workers=64), serial)
     assert sizes[-1] == 5  # one process per replicate range
+
+
+def test_a_pooled_run_keeps_no_weight(monkeypatch):
+    # the workers' context goes with the pool: once the record is dropped,
+    # nothing in this process holds the weight the run sieved
+    refs = []
+    real = montecarlo._weight
+
+    def weight(n, q):
+        g, total = real(n, q)
+        refs.append(weakref.ref(g))
+        return g, total
+
+    monkeypatch.setattr(montecarlo, "_weight", weight)
+    cfg = SampleConfig(m=20, n=100_000, replicates=40, master_seed=3)
+    record = run_replicates(cfg, "C", workers=2)
+    assert len(refs) == 1 and record.raw.size == 40
+    del record
+    gc.collect()
+    assert refs[0]() is None
 
 
 @pytest.mark.parametrize("statistic, q, n", [("C", 1, 30), ("C", 1, 10_000),
