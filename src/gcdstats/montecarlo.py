@@ -18,15 +18,14 @@ kernel evaluates them for a whole block of replicates, exactly: over an
 (n+1, B) count matrix, one column per replicate, when n is small next to
 the block's divisor count, else over one key per (replicate, divisor),
 its values factorised all at once with no table (`arith.weighted_divisors`).
-Each block is priced on its own, from its shape and n alone, with no sieve
-(`_dense_is_cheaper`).  A run sieves the weight of order q, None (mu) for
-C and config.q for Z, to n once (`exact.sieve_weight`), for the exact
-moments that normalise C and Z and the dense route alike; a lone sample
-(`stat_C`, `stat_Z`) sieves it only once the rule picks that route, so its
-values run sparse up to DEFAULT_MAX_N^2.  C(cnt, r) is read from a table
-of C(k, r) for k up to the largest count.  The sums, like the raw values a
-run keeps, are int64 or Python ints by `arith.int_dtype` of a proven
-bound: m^r times the sum of |w| the route reads.
+Each block's route and width are read from m, r, q, n and its values'
+range alone (`_dense_is_cheaper`, `_kernel_dtype`), the width by
+`arith.int_dtype` of a proven bound, as for the raw values a run keeps.  A
+run sieves the weight of order q, None (mu) for C and config.q for Z, to n
+once (`exact.sieve_weight`), for the exact moments that normalise C and Z
+and the dense route alike; a lone sample (`stat_C`, `stat_Z`) sieves it
+only on that route, so its values run sparse up to DEFAULT_MAX_N^2.
+C(cnt, r) is read from a table of C(k, r) for k up to the largest count.
 M and N(t) are functions of the C(m,2) pair gcds alone and sieve nothing;
 n may then be as large as int64 allows.  They need only the large gcds: a
 pair gcd g > T makes both values g times a cofactor below n/T, so a
@@ -771,12 +770,8 @@ def _sparse_route(xs: np.ndarray, r: int, q: int | None) -> np.ndarray:
     rows, m = xs.shape
     vals, inv = np.unique(xs.ravel(), return_inverse=True)
     local = mobius_local if q is None else totient_local(q)
-    # |mu(d)| <= 1, and phi_q(d) <= d^q for d up to the largest value
-    owner, divs, weights = weighted_divisors(
-        vals, local, int_dtype(1 if q is None else int(vals[-1]) ** q))
+    owner, divs, weights = weighted_divisors(vals, local, _kernel_dtype(m, r, q, int(vals[-1])))
     dvals, at, div_id = np.unique(divs, return_index=True, return_inverse=True)
-    w = weights[at]
-    w = w.astype(int_dtype(int(exact._block_sums(np.abs(w), [0], 1)[0]) * m**r))
 
     pos, per_elem = run_positions(np.bincount(owner, minlength=vals.size), inv)
     keys = np.repeat(np.arange(rows * m) // m * dvals.size, per_elem)  # row D + divisor id
@@ -785,7 +780,7 @@ def _sparse_route(xs: np.ndarray, r: int, q: int | None) -> np.ndarray:
     keys.sort()
     first = np.flatnonzero(np.diff(keys, prepend=-1))
     keys, cnt = keys[first], np.diff(first, append=keys.size)
-    terms = _binom(cnt.astype(w.dtype, copy=False), r) * w[keys % dvals.size]
+    terms = _binom(cnt.astype(weights.dtype, copy=False), r) * weights[at][keys % dvals.size]
     # every row holds divisor 1 (weight 1), so every row has a key
     row_starts = np.flatnonzero(np.diff(keys // dvals.size, prepend=-1))
     return np.add.reduceat(terms, row_starts)
@@ -814,34 +809,41 @@ def _dense_is_cheaper(rows: int, size: int, n: int) -> bool:
     return rows * cells <= count * math.log2(count)
 
 
-def _weight(n: int, q: int | None) -> tuple[np.ndarray, int]:
-    """(g, sum_d |g(d)|): the weight of order q sieved on 0..n, and the sum
-    that bounds the dense route's sums."""
-    g = exact.sieve_weight(n, q)
-    return g, int(exact._block_sums(np.abs(g), [0], 1)[0])
+def _kernel_dtype(m: int, r: int, q: int | None, top: int):
+    """The width of the C/Z weights and sums over rows of m values <= top:
+    `arith.int_dtype` of max(m^r, C(m,r) F, F), F = top^q for Z, and 2^k for
+    C with k the number of primes in the largest primorial <= top.
+
+    |w(d)| <= F, even where m < r makes C(m,r) = 0, and each C(cnt, r) and
+    `_binom` intermediate is <= m^r, as cnt <= m.  The phi_q terms are
+    non-negative, so a row's partial sums are <= Z <= C(m,r) top^q.  The
+    |mu(d)| C(cnt(d), r) add up to the sum of 2^omega(gcd S) over the row's
+    r-subsets S, and gcd S <= top has at most k primes, so the mu terms'
+    partial sums are <= C(m,r) 2^k.
+    """
+    f = 1 if q is None else top**q
+    primes = (p for p in itertools.count(2) if all(p % d for d in range(2, p)))
+    primorial = next(primes)
+    while q is None and primorial <= top:
+        f, primorial = 2 * f, primorial * next(primes)
+    return int_dtype(max(m**r, comb(m, r) * f, f))
 
 
 def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, n: int,
-                           weight: tuple[np.ndarray, int] | None = None) -> np.ndarray:
+                           g: np.ndarray | None = None) -> np.ndarray:
     """Exact C (q None) or Z with exponent q of every row of xs, values in 1..n.
 
     Both are sum_d w(d) C(cnt(d), r), with w = mu or phi_q and
-    cnt(d) = #{i : d | x_i} in the row.  Every block is priced on its own
-    by `_dense_is_cheaper`, which reads n and the block's shape alone, and
-    the cheaper route runs.  The dense route reads weight, `_weight(n, q)`,
-    which a run passes, taken once; a lone sample passes none, and sieves
-    it only on the dense route, so past DEFAULT_MAX_N its values run sparse
-    up to DEFAULT_MAX_N^2.  Dense blocks hold at most _BLOCK_ELEMENTS cells.
-    With cnt <= m, every C(cnt, r), `_binom` intermediate and term
-    w(d) C(cnt(d), r) is at most |w(d)| m^r, so m^r sum_d |w(d)| over the
-    weights a route reads (all of g dense, the block's divisors' sparse)
-    bounds each row's sum and partial sums, and sets the result's width.
+    cnt(d) = #{i : d | x_i} in the row.  The block takes the cheaper route
+    (`_dense_is_cheaper`) and sums in `_kernel_dtype` of its top value: n
+    dense, its largest value sparse.  The dense route reads g, the weight
+    `exact.sieve_weight(n, q)` a run passes, or sieves it for a lone sample.
+    Dense blocks hold at most _BLOCK_ELEMENTS cells.
     """
     rows, m = xs.shape
     if _dense_is_cheaper(rows, xs.size, n):
-        g, weight_sum = weight or _weight(n, q)
-        primes = primes_up_to(n).tolist()
-        dtype = int_dtype(weight_sum * m**r)
+        g = exact.sieve_weight(n, q) if g is None else g
+        dtype, primes = _kernel_dtype(m, r, q, n), primes_up_to(n).tolist()
         step = max(1, _BLOCK_ELEMENTS // (n + 1))
         return np.concatenate([_dense_route(xs[lo : lo + step], r, g, dtype, primes)
                                for lo in range(0, rows, step)])
@@ -952,8 +954,7 @@ _STATISTICS = ("C", "Z", "M", "N")
 NORMALIZATION_NAMES = {"C": "exact-moments", "Z": "exact-moments",
                        "M": "frechet-scale", "N": "none"}
 
-# worker context inherited over fork: set immediately before pool creation
-# and cleared once the pool is done
+# a pooled run's arguments, inherited over fork: set before the pool, cleared after
 _SIM_CTX = {}
 
 
@@ -972,12 +973,12 @@ def _raw_dtype(config: SampleConfig, statistic: str):
     return int_dtype(bound)
 
 
-def _raws_in_range(config: SampleConfig, statistic: str, weight, threshold: float,
+def _raws_in_range(config: SampleConfig, statistic: str, g, threshold: float,
                    start: int, stop: int) -> np.ndarray:
     """Raw statistic of replicates start..stop-1, a block of samples at a time.
 
-    weight is `_weight(n, q)` of C or Z, None for M and N.  Blocks fill one
-    `_raw_dtype` array.
+    g is the weight on 0..n of C or Z, None for M and N; C/Z blocks sum in
+    `_kernel_dtype`, and every block fills one `_raw_dtype` array.
     """
     per_block = max(1, _BLOCK_ELEMENTS // config.m)
     cut = _pair_cut(threshold)
@@ -992,14 +993,13 @@ def _raws_in_range(config: SampleConfig, statistic: str, weight, threshold: floa
             block = _pair_gcd_reduce(xs, None if statistic == "M" else cut)
         else:
             q = None if statistic == "C" else config.q
-            block = _subset_weighted_block(xs, config.r, q, config.n, weight)
+            block = _subset_weighted_block(xs, config.r, q, config.n, g)
         raws[lo - start : hi - start] = block
     return raws
 
 
 def _sim_chunk(bounds):
-    return _raws_in_range(_SIM_CTX["config"], _SIM_CTX["statistic"], _SIM_CTX["weight"],
-                          _SIM_CTX["threshold"], *bounds)
+    return _raws_in_range(*_SIM_CTX["run"], *bounds)
 
 
 def _fork_pool(processes: int):
@@ -1014,20 +1014,20 @@ def _fork_pool(processes: int):
     return ProcessPoolExecutor(max_workers=processes, mp_context=get_context("fork"))
 
 
-def _raw_replicates(config, statistic, weight, threshold, workers) -> np.ndarray:
+def _raw_replicates(config, statistic, g, threshold, workers) -> np.ndarray:
     """Raw values of all replicates in replicate order, each computed once.
 
     Workers take contiguous index ranges, so the values do not depend on
     the worker count.  The fork context starts every pool process up
     front, so the pool has no more processes than ranges or CPUs, and the
-    workers inherit the weight taken here; the context is cleared once the
+    workers inherit the weight sieved here; the context is cleared once the
     pool is done, so the run's weight does not outlive it.  One worker
     runs in this process, and loads no pool (`_fork_pool`).
     """
     total = config.replicates
     if workers <= 1:
-        return _raws_in_range(config, statistic, weight, threshold, 0, total)
-    _SIM_CTX.update(config=config, statistic=statistic, weight=weight, threshold=threshold)
+        return _raws_in_range(config, statistic, g, threshold, 0, total)
+    _SIM_CTX["run"] = (config, statistic, g, threshold)
     chunk = max(1, math.ceil(total / (workers * 4)))
     bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     processes = min(workers, len(bounds), os.cpu_count() or 1)
@@ -1060,27 +1060,27 @@ def run_replicates(config: SampleConfig, statistic: str, t: float = 1.0,
     limit law it fixes.
 
     C and Z sieve their weight, mu or phi_q, to n once, for the exact
-    moments and the dense route alike, and take its sum once; every block
-    prices its route from n alone (`_dense_is_cheaper`).  M and N sieve
-    nothing.  N(t) has a limit law only for 0 < t < inf; at any other t its
-    counts still run, with none.  Each replicate is drawn and evaluated once.
+    moments and the dense route alike; a block's route and width read no
+    weight (`_dense_is_cheaper`, `_kernel_dtype`).  M and N sieve nothing.
+    N(t) has a limit law only for 0 < t < inf; at any other t its counts
+    still run, with none.  Each replicate is drawn and evaluated once.
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"statistic must be one of {_STATISTICS}, got {statistic!r}")
-    weight, shift, scale, law = None, 0, 1, None
+    g, shift, scale, law = None, 0, 1, None
     if statistic in ("C", "Z"):
         q = None if statistic == "C" else config.q
         if q is not None:  # Var Z >= n^(2q-r) / 8 (`exact.var_Z`), checked before the sieve
             exact._refuse_past_float(config.n, 2 * q - config.r, 3)
-        weight = _weight(config.n, q)
-        shift, scale = exact_moments(config, statistic, weight[0])
+        g = exact.sieve_weight(config.n, q)
+        shift, scale = exact_moments(config, statistic, g)
         law = stattest.ReferenceLaw.normal()
     elif statistic == "M":
         scale = comb(config.m, 2)
         law = stattest.ReferenceLaw.frechet(1 / constants.zeta(2))
     elif 0 < t < math.inf:
         law = stattest.ReferenceLaw.poisson(1 / (t * constants.zeta(2)))
-    raws = _raw_replicates(config, statistic, weight, t * comb(config.m, 2), workers)
+    raws = _raw_replicates(config, statistic, g, t * comb(config.m, 2), workers)
     raws.flags.writeable = False
     return Replicates(raws, law, shift, scale)
 
@@ -1090,10 +1090,9 @@ def strong_law_trajectory(n: int, r: int, m_grid, seed: int) -> np.ndarray:
 
     The same stream is extended as m grows (values are reused), so the
     trajectory is a single realization of the almost-sure limit statement.
-    It is replicate 0 of a SampleConfig, so r >= 2 as there; each prefix
-    is one block of values in 1..n (`_subset_weighted_block`), priced from
-    n alone.  At fixed n a longer prefix is no less dense, so mu is sieved
-    to n once, and only when the longest prefix takes the dense route.
+    It is replicate 0 of a SampleConfig, so r >= 2 as there.  Each prefix
+    is one block (`_subset_weighted_block`), denser the longer it is, so mu
+    is sieved to n once, only when the longest prefix is dense.
     """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
@@ -1105,7 +1104,7 @@ def strong_law_trajectory(n: int, r: int, m_grid, seed: int) -> np.ndarray:
     # replicate 0 of a one-replicate config: the stream keyed by (seed, 0)
     config = SampleConfig(m=grid[-1], n=n, r=r, master_seed=seed)
     xs = _draw_block(config, 0, 1)
-    weight = _weight(n, None) if _dense_is_cheaper(1, grid[-1], n) else None
+    g = exact.sieve_weight(n, None) if _dense_is_cheaper(1, grid[-1], n) else None
     mean_single = exact.mean_mu(n, r - 1).float_value
-    return np.array([_subset_weighted_block(xs[:, :m], r, None, n, weight)[0]
+    return np.array([_subset_weighted_block(xs[:, :m], r, None, n, g)[0]
                      / (comb(m, r) * mean_single) for m in grid])

@@ -445,6 +445,17 @@ def test_var_d_limit():
     assert abs(d2 - constants.limit_var_d(2)) < 1e-2
 
 
+def test_profile_variances_are_the_covariances_sharing_one_variable():
+    # Var U_r (Var W_r) is the covariance of two (r+1)-tuple mu (phi) kernels
+    # that share one variable: the variance of a kernel's mean given it
+    for n in range(1, 201):
+        for r in range(1, 4):
+            for variance, q in ((exact.var_c, None), (exact.var_d, 1)):
+                a, b = variance(n, r), exact.shared_covariance(n, r + 1, 1, q)
+                assert (a.numerator, a.denom_base ** a.denom_power) == \
+                    (b.numerator, b.denom_base ** b.denom_power), (n, r, q)
+
+
 # --- moments ---------------------------------------------------------------------
 
 def test_gcd_moment_examples():

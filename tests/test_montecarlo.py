@@ -164,19 +164,15 @@ def test_route_follows_row_width_against_divisor_count(monkeypatch):
 
 
 def test_weight_is_taken_once_a_run(monkeypatch, inline_pool):
-    # D(n) and the weight sum against plain loops; the weight is taken once a
-    # run, before any replicate range: none in the pool workers
+    # D(n) against the plain divisor count; the weight is sieved once a run,
+    # to n, before any replicate range: none in the pool workers
     for n in range(1, 150):
         divisors = sum(1 for k in range(1, n + 1) for d in range(1, k + 1) if k % d == 0)
         assert montecarlo._divisor_total(n) == divisors, n
-        for q in (None, 2):
-            g, weight_sum = montecarlo._weight(n, q)
-            assert g.tolist() == exact.sieve_weight(n, q).tolist()
-            assert weight_sum == sum(abs(int(w)) for w in g), (n, q)
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 40)
     calls = []
-    real = montecarlo._weight
-    monkeypatch.setattr(montecarlo, "_weight", lambda n, q: calls.append(n) or real(n, q))
+    real = exact.sieve_weight
+    monkeypatch.setattr(exact, "sieve_weight", lambda n, q: calls.append(n) or real(n, q))
     in_workers = []
     real_chunk = montecarlo._sim_chunk
 
@@ -240,7 +236,7 @@ def test_replicates_sieve_no_tau(statistic, monkeypatch, sieve_calls):
 
 def _raws(cfg, statistic, q, reps):
     """The raw C or Z of replicates 0..reps-1, with no normalisation."""
-    return montecarlo._raws_in_range(cfg, statistic, montecarlo._weight(cfg.n, q), 0.0, 0, reps)
+    return montecarlo._raws_in_range(cfg, statistic, exact.sieve_weight(cfg.n, q), 0.0, 0, reps)
 
 
 def test_block_statistics_match_naive_loops(monkeypatch):
@@ -276,16 +272,63 @@ def test_python_int_fallback_matches_naive_loops(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_binom", spy)
     taken = _route_spy(monkeypatch)
-    # m^r times the sum of the phi_q weights passes 2^62: through m^r at
-    # r = 7, through the weights at q = 14.  n = 1000 runs sparse, n <= 30 dense.
-    for m, n, r, q in ((16, 1000, 7, 7), (16, 30, 7, 7), (9, 1000, 2, 14), (9, 20, 2, 14)):
+    # the width's bound C(m,r) top^q passes 2^63 on each route, at r = 7 and
+    # at q = 14: top is the largest value sparse (n = 1000), n dense (n <= 30)
+    for m, n, r, q in ((16, 1000, 7, 7), (16, 30, 7, 12), (9, 1000, 2, 14), (9, 20, 2, 14)):
         cfg = SampleConfig(m=m, n=n, r=r, q=q, replicates=2, master_seed=m + n)
         xs = montecarlo._draw_block(cfg, 0, 2)
         dtypes.clear()
-        got = montecarlo._subset_weighted_block(xs, r, q, n, montecarlo._weight(n, q))
+        got = montecarlo._subset_weighted_block(xs, r, q, n, exact.sieve_weight(n, q))
         assert dtypes and all(dt == object for dt in dtypes)
         assert got.dtype == object and got.tolist() == [brute.naive_stat_Z(x, r, q) for x in xs]
     assert taken == ["_sparse_route", "_dense_route"] * 2
+
+
+def _divisor_counts(x) -> dict:
+    """cnt(d) = #{i : d | x_i} of one row, by trial division up to sqrt(x_i)."""
+    counts = {}
+    for v in map(int, x):
+        small = [d for d in range(1, math.isqrt(v) + 1) if v % d == 0]
+        for d in {*small, *(v // d for d in small)}:
+            counts[d] = counts.get(d, 0) + 1
+    return counts
+
+
+def test_kernel_width_bounds_every_row_s_absolute_terms(monkeypatch, widths):
+    # sum_d |w(d)| C(cnt(d), r), the most any partial sum of either route can
+    # reach, by brute force a row, against the bound the route's width read
+    taken = _route_spy(monkeypatch)
+    rng = random.Random(34)
+    for trial in range(240):
+        q, r = (None, 1, 2)[trial % 3], rng.randint(2, 4)
+        m, n, rows = rng.randint(r, 12), rng.choice([2, 10, 30, 100, 1000, 10**4, 10**5]), \
+            rng.choice([1, 2, 8])
+        xs = np.array([[rng.randint(1, n) for _ in range(m)] for _ in range(rows)])
+        if trial % 2:
+            xs[0] = xs.max()  # equal values: Z = C(m,r) top^q, where the bound is tight
+        widths.clear()
+        montecarlo._subset_weighted_block(xs, r, q, n)
+        (bound,) = [b for name, b in widths if name == "_kernel_dtype"]
+        # the weights the route reads: to n dense, to the largest value sparse
+        w = exact.sieve_weight(n if taken[-1] == "_dense_route" else int(xs.max()), q)
+        assert m**r <= bound and int(np.abs(w).max()) <= bound
+        for x in xs:
+            assert sum(abs(int(w[d])) * comb(c, r) for d, c in _divisor_counts(x).items()) <= bound
+    assert set(taken) == {"_dense_route", "_sparse_route"}
+
+
+def test_dense_width_is_never_wider_than_the_weight_sum_bound(monkeypatch):
+    # the bound at top = n against sum_{d <= n} |g(d)| m^r, which set the
+    # dense route's width before: n^q <= sum_{d | n} phi_q(d), the 2^k
+    # squarefree divisors of the largest primorial <= n, and C(m,r) <= m^r
+    monkeypatch.setattr(montecarlo, "int_dtype", lambda bound: bound)
+    ns = [*range(1, 2001), 10**4, 10**5, 10**6]
+    for q in (None, 1, 2):
+        sums = np.cumsum(np.abs(exact.sieve_weight(10**6, q)))  # < 10^18 at q = 2
+        for n in ns:
+            for m in (2, 3, 7, 100, 10**4, 10**6):
+                for r in range(2, min(m, 5) + 1):
+                    assert montecarlo._kernel_dtype(m, r, q, n) <= int(sums[n]) * m**r, (n, m, r, q)
 
 
 def test_cz_raws_on_each_route_are_the_same_in_python_ints(monkeypatch):
@@ -305,25 +348,22 @@ def test_cz_raws_on_each_route_are_the_same_in_python_ints(monkeypatch):
     assert set(taken) == {"_dense_route", "_sparse_route"}
 
 
-@pytest.mark.parametrize("m, n, r, q, site", [
-    (160, 30, 8, None, "_subset_weighted_block"),  # 19 squarefree d <= 30, times 160^8
-    (110, 30, 8, 1, "_subset_weighted_block"),  # sum_{d <= 30} phi(d) = 278, times 110^8
-    (68, 10**4, 9, None, "_sparse_route"),
-    (20, 10**10, 6, 1, "_sparse_route"),
+@pytest.mark.parametrize("m, n, r, q, route", [
+    (40000, 30030, 4, None, "_dense_route"),  # C(m,4) 2^6: 30030 = 2 3 5 7 11 13
+    (5, 30, 2, 12, "_dense_route"),  # C(5,2) 30^12
+    (1150, 10**12, 6, None, "_sparse_route"),  # C(m,6) 2^11: 31# < 10^12 < 37#
+    (1600, 10**10, 3, 1, "_sparse_route"),  # C(m,3) times the largest value
 ], ids=["dense-C", "dense-Z", "sparse-C", "sparse-Z"])
-def test_cz_sums_past_2_62_are_the_python_int_values(m, n, r, q, site, monkeypatch, widths):
-    # the bound sum |w| m^r lies in (2^62, 2^63 - 1]: int64 now, object below the old 2^62
+def test_cz_sums_past_2_62_are_the_python_int_values(m, n, r, q, route, monkeypatch, widths):
+    # the width's bound lies in (2^62, 2^63 - 1]: int64 here, Python ints
+    # once INT64_MAX is lowered
     xs = montecarlo._draw_block(SampleConfig(m=m, n=n, r=r, replicates=1), 0, 1)
-
-    def sums():
-        if site == "_sparse_route":
-            return montecarlo._sparse_route(xs, r, q)
-        return montecarlo._subset_weighted_block(xs, r, q, n, montecarlo._weight(n, q))
-
-    default = sums()
-    assert any(2**62 < b <= arith.INT64_MAX for name, b in widths if name == site)
+    taken = _route_spy(monkeypatch)
+    default = montecarlo._subset_weighted_block(xs, r, q, n)
+    assert any(2**62 < b <= arith.INT64_MAX for name, b in widths if name == "_kernel_dtype")
     monkeypatch.setattr(arith, "INT64_MAX", -1)
-    forced = sums()
+    forced = montecarlo._subset_weighted_block(xs, r, q, n)
+    assert taken == [route] * 2
     assert (default.dtype, forced.dtype) == (np.int64, object)
     assert default.tolist() == forced.tolist()
 
@@ -1035,14 +1075,14 @@ def test_a_pooled_run_keeps_no_weight(monkeypatch):
     # the workers' context goes with the pool: once the record is dropped,
     # nothing in this process holds the weight the run sieved
     refs = []
-    real = montecarlo._weight
+    real = exact.sieve_weight
 
     def weight(n, q):
-        g, total = real(n, q)
+        g = real(n, q)
         refs.append(weakref.ref(g))
-        return g, total
+        return g
 
-    monkeypatch.setattr(montecarlo, "_weight", weight)
+    monkeypatch.setattr(exact, "sieve_weight", weight)
     cfg = SampleConfig(m=20, n=100_000, replicates=40, master_seed=3)
     record = run_replicates(cfg, "C", workers=2)
     assert len(refs) == 1 and record.raw.size == 40
