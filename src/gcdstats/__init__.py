@@ -18,6 +18,7 @@ from .constants import (
     tauberian_trend,
     zeta,
 )
+# omega is shared_covariance(n, r, 1, q); a MarginalProfile holds values alone
 from .exact import (
     ExactResult,
     MarginalProfile,
@@ -27,7 +28,6 @@ from .exact import (
     marginal_profile,
     mean_mu,
     mean_nu,
-    mixed_moment_omega,
     mixed_moment_pi,
     shared_covariance,
     sieve_weight,

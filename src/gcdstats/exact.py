@@ -30,11 +30,15 @@ covariances reduce to sum_d G_s(d) h(d)^2, with G_s(d) the number of
 s-tuples whose gcd is exactly d.  G_s(d) depends on d only through
 floor(n/d), so the batched kernel gives it for all O(sqrt n) quotient
 blocks (`_quotient_blocks`) in one call, and `_block_sums` gives each
-block's sum of h^2; at s = r,
-h = g * 1 is known in closed form and needs no profile.  Every integer
-array is int64 or Python ints by one rule, `arith.int_dtype`, on a bound
-that covers its values and partial sums; the square sums cut int64 values
-into limbs.  No n-entry array is turned into a Python list.
+block's sum of h^2; at s = r, h = g * 1 is known in closed form and needs
+no profile.  `_shared_moment` alone sums a squared profile; its s = 1 term
+(G_1 = 1, no gcd counts) serves var_c(n, r) = shared_covariance(n, r+1, 1),
+var_d(n, r) = shared_covariance(n, r+1, 1, 1), mixed_moment_pi and omega,
+which is shared_covariance(n, r, 1, q).  A `MarginalProfile` holds values
+alone; its mean is mean_mu or mean_nu.  Every integer array is int64 or
+Python ints by one rule, `arith.int_dtype`, on a bound that covers its
+values and partial sums; the square sums cut int64 values into limbs.  No
+n-entry array is turned into a Python list.
 """
 
 from __future__ import annotations
@@ -323,10 +327,15 @@ def _floor_power_sums(prefix: _FloorPrefix, values, s: int) -> np.ndarray:
         # t = floor(v/b) on the block breakpoints; it exceeds K on the single j's
         t = (root[a:b] + single[a:b])[owner] - i
         point = np.where(i < single[a:b][owner], i + 1, vo // t)
-        at = prefix.at(point).astype(width, copy=False)
+        # steps in the prefix's own width, then widened.  An int64 step fits: the prefix
+        # of g >= 0 (phi_q, or the 1s of `_divisor_profile`'s bound) is monotone from 0,
+        # so a step is within +-max P, and |G(x)| <= x for mu, so a step is below 2^53
+        at = prefix.at(point)
         step = at.copy()
         step[1:] -= at[:-1]
         step[starts] = at[starts]
+        del at
+        step = step.astype(width, copy=False)
         quot = (vo // point).astype(width, copy=False)
         out.append(np.add.reduceat(step * quot**s, starts))
         a = b
@@ -372,8 +381,8 @@ _SUM_CHUNK = 1 << 14
 _LIMB_BITS = 23
 
 
-def _block_sums(h: np.ndarray, starts, power: int) -> np.ndarray:
-    """Exact sums of h[d]^power (power 1 or 2) over the blocks of d in h.
+def _block_sums(h: np.ndarray, starts) -> np.ndarray:
+    """Exact sums of h[d]^2 over the blocks of d in h.
 
     Block b runs from starts[b] to starts[b+1] - 1, the last block to the
     end of h.  Returns Python ints in an object array.  An object h is
@@ -381,14 +390,14 @@ def _block_sums(h: np.ndarray, starts, power: int) -> np.ndarray:
     each value written as sum_i c_i 2^(_LIMB_BITS i) over k limbs, k from
     the largest |h|: the lower limbs lie in [0, 2^_LIMB_BITS) and the top
     one, which keeps the sign, in [-2^_LIMB_BITS, 2^_LIMB_BITS).  So every
-    per-chunk sum of limbs or of limb products c_i c_j fits int64; the
+    per-chunk sum of limb products c_i c_j fits int64; the
     chunk sums are shifted and added as Python ints.  A chunk's limb
     products are made one at a time, so the working arrays are a few
     chunks, whatever the size of h.
     """
     starts = np.asarray(starts, dtype=np.int64)
     if h.dtype == object:
-        return np.add.reduceat(h * h if power == 2 else h, starts)
+        return np.add.reduceat(h * h, starts)
     body = h[starts[0] :]
     peak = max(int(body.max()), -int(body.min()))
     k = max(1, -(-peak.bit_length() // _LIMB_BITS))
@@ -402,11 +411,9 @@ def _block_sums(h: np.ndarray, starts, power: int) -> np.ndarray:
         x = h[a:b]
         limbs = [(x >> (_LIMB_BITS * i)) & mask for i in range(k - 1)]
         limbs.append(x >> (_LIMB_BITS * (k - 1)))
-        if power == 1:
-            parts = ((limbs[i], _LIMB_BITS * i) for i in range(k))
-        else:  # the cross terms c_i c_j, i < j, count twice
-            parts = ((limbs[i] * limbs[j], _LIMB_BITS * (i + j) + (i != j))
-                     for i in range(k) for j in range(i, k))
+        # the cross terms c_i c_j, i < j, count twice
+        parts = ((limbs[i] * limbs[j], _LIMB_BITS * (i + j) + (i != j))
+                 for i in range(k) for j in range(i, k))
         for part, shift in parts:
             out[first:last] += np.add.reduceat(part, local).astype(object) << shift
     return out
@@ -500,15 +507,6 @@ class MarginalProfile:
             raise ValueError(f"k={k} outside 1..{self.n}")
         return ExactResult.from_ratio(int(self.numerators[k]), self.n, self.r)
 
-    def mean(self) -> ExactResult:
-        total = _block_sums(self.numerators, [1], 1)[0]
-        return ExactResult.from_ratio(total, self.n, self.r + 1)
-
-    def variance(self) -> ExactResult:
-        s1 = _block_sums(self.numerators, [1], 1)[0]
-        s2 = _block_sums(self.numerators, [1], 2)[0]
-        return ExactResult.from_ratio(self.n * s2 - s1 * s1, self.n, 2 * self.r + 2)
-
 
 def marginal_profile(n: int, r: int, q: int | None = None) -> MarginalProfile:
     """The whole profile as the divisor sums sum_{j|k} g(j) floor(n/j)^r,
@@ -543,8 +541,10 @@ def _profile_variance(n: int, r: int, q: int | None) -> ExactResult:
     numerator is at least h^(2r+2) / n > 2^((2r+2)(bitlen(h) - 1) - bitlen(n))
     for n >= 2; at n = 1 that exponent is negative, and nothing is refused.
     """
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     _refuse_past_digits((2 * r + 2) * ((n // 2).bit_length() - 1) - n.bit_length())
-    return marginal_profile(n, r, q).variance()
+    return shared_covariance(n, r + 1, 1, q)
 
 
 def var_c(n: int, r: int) -> ExactResult:
@@ -607,9 +607,10 @@ def _covariance_numerators(g, n, r, shares, q) -> tuple[int, list[int]]:
     g = mu (q None) or phi_q on 0..n.
 
     The prefix sums of mu, and of g for the kernel mean, are built once and
-    serve every s.
+    serve every s; mu's only when G_s is read (`_shared_moment`: not at s = 1 < r).
     """
-    mu_prefix = _summatory(n, None)
+    counted = q is None or any(s > 1 or s == r for s in shares)
+    mu_prefix = _summatory(n, None) if counted else None
     g_prefix = mu_prefix if q is None else _summatory(n, q)
     mean_num = _floor_power_sum(g_prefix, n, r)
     return mean_num, [_shared_moment(g, q, n, r, s, mu_prefix) * n**s - mean_num**2
@@ -620,19 +621,22 @@ def _shared_moment(g, q, n, r, s, mu_prefix) -> int:
     """sum_{d<=n} G_s(d) h(d)^2 with h = `_divisor_profile` of g at power r - s.
 
     One call per s, so each n-entry profile is freed before the next is built.
-    At s = r, h = g * 1 is the delta at 1 for mu, so the sum is G_r(1), and
-    d^q for phi_q, so each block of equal G_r adds G_r times its sum of
-    d^(2q), a difference of Faulhaber sums.
+    At s = 1 < r, G_1(d) = 1 for every d: h's whole square sum, with no gcd
+    counts (mu_prefix unread).  At s = r, h = g * 1 is the delta at 1 for mu,
+    so the sum is G_r(1), and d^q for phi_q, so each block of equal G_r adds
+    G_r times its sum of d^(2q), a difference of Faulhaber sums.
     """
     if s == r and q is None:
         return _floor_power_sum(mu_prefix, n, r)
-    lo, hi, counts = _exact_gcd_counts(mu_prefix, n, s, n)
+    if s == 1 < r:  # the whole range is one block, of count 1
+        lo, counts = [1], np.ones(1, dtype=np.int64)
+    else:
+        lo, hi, counts = _exact_gcd_counts(mu_prefix, n, s, n)
     if s == r:
         ends = _power_sums(hi.astype(object), 2 * q)
         squares = ends - np.concatenate(([0], ends[:-1]))
     else:
-        h = _divisor_profile(g, n, r - s, q)
-        squares = _block_sums(h, lo, 2)
+        squares = _block_sums(_divisor_profile(g, n, r - s, q), lo)
     return int(counts.astype(object) @ squares)
 
 
@@ -688,12 +692,5 @@ def mixed_moment_pi(n: int, r: int, q: int) -> ExactResult:
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     _refuse_past_float(n, 2 * q - 2 * r + 1, 0)  # pi >= P(all 2r-1 values are n) n^(2q)
-    h = _divisor_profile(sieve_weight(n, q), n, r - 1, q)
-    return ExactResult.from_ratio(_block_sums(h, [1], 2)[0], n, 2 * r - 1)
-
-
-def mixed_moment_omega(n: int, r: int, q: int) -> ExactResult:
-    """Covariance form of the mixed moment: omega = pi - (E gcd^q)^2."""
-    pi = mixed_moment_pi(n, r, q)
-    mean = gcd_moment(n, r, q)
-    return ExactResult.from_ratio(pi.numerator * n - mean.numerator**2, n, 2 * r)
+    return ExactResult.from_ratio(_shared_moment(sieve_weight(n, q), q, n, r, 1, None),
+                                  n, 2 * r - 1)

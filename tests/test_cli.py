@@ -193,12 +193,12 @@ def test_exact_mu_sieves_mu_only(sieve_calls, capsys):
 
 
 @pytest.mark.parametrize("quantity, want", [
-    ("c", [("mu", 1000)]),
-    ("d", [("phi_1", 1000)]),
+    ("c", [("mu", 1000), ("mu", 100)]),
+    ("d", [("phi_1", 1000), ("phi_1", 100)]),
     ("varC", [("mu", 1000), ("mu", 100)]),
     ("gamma", [("mu", 1000), ("mu", 100)]),
     ("varZ", [("phi_2", 1000), ("mu", 100), ("phi_2", 100)]),
-    ("omega", [("phi_2", 1000), ("mu", 100), ("phi_2", 100)]),
+    ("omega", [("phi_2", 1000), ("phi_2", 100)]),
     ("pi", [("phi_2", 1000)]),
 ])
 def test_exact_second_order_quantities_sieve_their_one_weight(quantity, want, sieve_calls,
@@ -207,7 +207,8 @@ def test_exact_second_order_quantities_sieve_their_one_weight(quantity, want, si
                        "--s", "1", "--q", "2"], capsys)
     assert code == 0
     # the weight to n once, then, for the kernel means and G_s, mu and phi_q window
-    # by window to L = n^(2/3) = 100; a profile's bound needs no sieve
+    # by window to L = n^(2/3) = 100; a profile's bound needs no sieve, and G_1 = 1
+    # no mu (c, d and omega share one variable; pi reads no kernel mean)
     assert sieve_calls == want
 
 

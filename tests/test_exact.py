@@ -54,10 +54,10 @@ def distinct_quotients(n):
     return sorted({n // d for d in range(1, n + 1)}, reverse=True)
 
 
-def plain_block_sums(h, starts, power):
-    """sum of h[d]^power over each block starts[b] .. starts[b+1] - 1 in Python ints (reference)."""
+def plain_block_sums(h, starts):
+    """sum of h[d]^2 over each block starts[b] .. starts[b+1] - 1 in Python ints (reference)."""
     bounds = list(starts) + [len(h)]
-    return [sum(int(x) ** power for x in h[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [sum(int(x) ** 2 for x in h[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 # --- divisor-sum profiles ------------------------------------------------------
@@ -262,7 +262,7 @@ def test_block_sums_hold_a_few_chunks_whatever_the_size():
         h = rng.integers(-2**62, 2**62, size, dtype=np.int64)
         tracemalloc.start()
         try:
-            exact._block_sums(h, [1], 2)
+            exact._block_sums(h, [1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -279,12 +279,12 @@ def test_block_sums_are_exact_across_the_limb_boundaries(monkeypatch, chunk):
         h = rng.integers(-peak, peak, size, dtype=np.int64, endpoint=True)
         h[rng.integers(1, size)] = peak
         h[rng.integers(1, size)] = -peak
-        for power in (1, 2):
-            got = exact._block_sums(h, starts, power)
-            assert got.tolist() == plain_block_sums(h.tolist(), starts.tolist(), power), (peak, power)
-            assert all(type(v) is int for v in got.tolist())
+        got = exact._block_sums(h, starts)
+        assert got.tolist() == plain_block_sums(h.tolist(), starts.tolist()), peak
+        assert all(type(v) is int for v in got.tolist())
     big = np.array([int(v) * 10**25 for v in h], dtype=object)
-    assert exact._block_sums(big, starts, 2).tolist() == plain_block_sums(big.tolist(), starts.tolist(), 2)
+    want = plain_block_sums(big.tolist(), starts.tolist())
+    assert exact._block_sums(big, starts).tolist() == want
 
 
 # --- Cesaro formula and pmf --------------------------------------------------
@@ -409,12 +409,12 @@ def test_marginal_bound_example():
 # --- means and variances of profiles -------------------------------------------
 
 def test_mean_identity_profile_vs_cesaro():
+    # the average of a profile's values is the first moment over r + 1 variables
     for n in (2, 7, 30):
         for r in (1, 2, 3):
-            prof = exact.marginal_profile(n, r)
-            assert frac(prof.mean()) == frac(exact.mean_mu(n, r))
-            prof = exact.marginal_profile(n, r, 1)
-            assert frac(prof.mean()) == frac(exact.mean_nu(n, r))
+            for q, mean in ((None, exact.mean_mu), (1, exact.mean_nu)):
+                total = sum(exact.marginal_profile(n, r, q).numerators[1:].tolist())
+                assert Fraction(total, n ** (r + 1)) == frac(mean(n, r)), (n, r, q)
 
 
 def test_mean_examples():
@@ -443,17 +443,6 @@ def test_var_c_limit():
 def test_var_d_limit():
     d2 = exact.var_d(100_000, 2).float_value
     assert abs(d2 - constants.limit_var_d(2)) < 1e-2
-
-
-def test_profile_variances_are_the_covariances_sharing_one_variable():
-    # Var U_r (Var W_r) is the covariance of two (r+1)-tuple mu (phi) kernels
-    # that share one variable: the variance of a kernel's mean given it
-    for n in range(1, 201):
-        for r in range(1, 4):
-            for variance, q in ((exact.var_c, None), (exact.var_d, 1)):
-                a, b = variance(n, r), exact.shared_covariance(n, r + 1, 1, q)
-                assert (a.numerator, a.denom_base ** a.denom_power) == \
-                    (b.numerator, b.denom_base ** b.denom_power), (n, r, q)
 
 
 # --- moments ---------------------------------------------------------------------
@@ -558,7 +547,6 @@ _SECOND_ORDER = {
     "var_C": lambda n, q: exact.var_C(n, 3, 2),
     "var_Z": lambda n, q: exact.var_Z(n, 3, 2, q),
     "pi": lambda n, q: exact.mixed_moment_pi(n, 2, q),
-    "omega_from_pi": lambda n, q: exact.mixed_moment_omega(n, 2, q),
 }
 
 
@@ -569,7 +557,7 @@ def test_second_order_entry_points_check_n_and_q_before_sieving(sieved_bounds, s
         # the cap is checked, by the prime sieve alone, before anything is sieved
         with pytest.raises(CapacityError, match="table cap"):
             quantity(DEFAULT_MAX_N + 1, 1)
-    for name in ("sieve_weight", "omega", "var_Z", "pi", "omega_from_pi"):
+    for name in ("sieve_weight", "omega", "var_Z", "pi"):
         with pytest.raises(ValueError, match=">= 1, got 0"):
             _SECOND_ORDER[name](10, 0)
     # no shared variable: no weight is read, but n is checked all the same
@@ -676,9 +664,10 @@ class PlainSecondOrder:
 @pytest.mark.parametrize("n", [1, 2, 3, 97, 1000, 30_000])
 def test_second_order_numerators_are_the_plain_sums(n):
     ref = PlainSecondOrder(n)
-    for r in (2, 3):
+    for r in (1, 2, 3):
         assert exact.var_c(n, r).numerator == ref.profile_variance(None, r)
         assert exact.var_d(n, r).numerator == ref.profile_variance(1, r)
+    for r in (2, 3):
         for m in (r, 50):
             assert exact.var_C(n, m, r).numerator == ref.u_variance(m, r, None)
         for s in range(r + 1):
@@ -700,9 +689,10 @@ def test_mixed_moment_example():
 
 
 def test_omega_from_pi_matches_shared_covariance():
+    # omega, the covariance of two kernels sharing one variable, is pi - (E gcd^q)^2
     for n in (4, 15, 40):
         for r, q in ((2, 1), (2, 2), (3, 1)):
-            lhs = frac(exact.mixed_moment_omega(n, r, q))
+            lhs = frac(exact.mixed_moment_pi(n, r, q)) - frac(exact.gcd_moment(n, r, q)) ** 2
             rhs = frac(exact.shared_covariance(n, r, 1, q))
             assert lhs == rhs
 
@@ -715,7 +705,7 @@ def test_pi_log_cubed_trend():
 
 
 def test_omega_r3_near_limit():
-    omega = exact.mixed_moment_omega(10_000, 3, 1).float_value
+    omega = exact.shared_covariance(10_000, 3, 1, 1).float_value
     assert abs(omega - constants.limit_var_d(2)) < 1e-2
 
 
@@ -751,8 +741,7 @@ def every_quantity(n, r, q):
     results = [exact.mean_mu(n, r), exact.mean_nu(n, r), exact.var_c(n, r), exact.var_d(n, r),
                *(v for v, _ in exact.gcd_pmf(n, r)), exact.gcd_moment(n, r, q),
                exact.var_C(n, r + 2, r), exact.var_Z(n, r + 2, r, q),
-               exact.mixed_moment_pi(n, r, q), exact.mixed_moment_omega(n, r, q),
-               exact.gcd_tail(n, n // 2)]
+               exact.mixed_moment_pi(n, r, q), exact.gcd_tail(n, n // 2)]
     results += [exact.shared_covariance(n, r, s, weight) for s in range(r + 1)
                 for weight in (None, 1, q)]
     return [res.numerator for res in results]
@@ -794,6 +783,22 @@ def test_widths_past_2_62_are_the_python_int_values(site, monkeypatch, widths):
     assert _PAST_2_62[site]() == default
 
 
+def test_floor_sum_steps_of_an_int64_prefix_past_2_63_are_the_python_int_values(
+        monkeypatch, widths):
+    # 1000^6 (1 + bitlen(1000)) for mu at s = 6, and 1000 1000^5 (1 + 10) for
+    # phi_1 at s = 5, are just above 2^63, while both prefixes are int64: each
+    # step is taken in int64 and then widened to Python ints
+    def sums():
+        return [exact.mean_mu(1000, 5).numerator, exact.gcd_moment(1000, 5, 1).numerator]
+
+    assert all(exact._summatory(1000, q).high.dtype == np.int64 for q in (None, 1))
+    default = sums()
+    bounds = [b for name, b in widths if name == "_floor_power_sums"]
+    assert len(bounds) == 2 and all(2**63 < b < 2**64 for b in bounds)
+    monkeypatch.setattr(arith, "INT64_MAX", -1)
+    assert sums() == default
+
+
 def test_check_digits_is_the_int_to_str_limit():
     limit = sys.get_int_max_str_digits()
     for value in (0, 10**limit - 1, -(10**limit - 1)):
@@ -819,22 +824,24 @@ def test_profile_variance_numerators_are_above_the_refusal_bound():
                 assert bits < 0 or h**power > n * 2**bits
 
 
-def test_profile_variances_past_the_digits_are_refused_before_any_sieve(monkeypatch):
-    profiles = []
-    real = exact.marginal_profile
-    monkeypatch.setattr(exact, "marginal_profile", lambda *args: profiles.append(args) or real(*args))
-    for var in (exact.var_c, exact.var_d):
+def test_profile_variances_past_the_digits_are_refused_before_any_sieve(monkeypatch,
+                                                                        sieved_bounds):
+    weights = []
+    real = exact.sieve_weight
+    monkeypatch.setattr(exact, "sieve_weight", lambda *args: weights.append(args) or real(*args))
+    for var, q in ((exact.var_c, None), (exact.var_d, 1)):
         # at n = 100 the bound passes 10^4300 > 2^14284 from r = 1429 on:
         # 5 (2r + 2) - 7 >= 14285
         for n, r in ((20000, 2000), (100, 1429)):
             with pytest.raises(exact.DigitLimitError, match="at least 10"):
                 var(n, r)
-        assert profiles == []
-        # just below the bound the profile runs; the numerator is still past
-        # the limit, which `check_digits` then refuses
+        assert weights == [] and sieved_bounds == []
+        # just below the bound the weight is sieved; the numerator is still
+        # past the limit, which `check_digits` then refuses
         with pytest.raises(exact.DigitLimitError, match="about 10"):
             exact.check_digits(var(100, 1428).numerator)
-        assert profiles.pop()[:2] == (100, 1428)
+        assert weights.pop() == (100, q)
+        sieved_bounds.clear()
 
 
 def test_first_moments_past_the_digits_are_refused_before_any_sieve(monkeypatch):
