@@ -24,8 +24,8 @@ O(sqrt n) memory, up to n = TABLE_FREE_MAX_N (about 1.6e11).
 
 Whole profiles over k = 1..n are divisor sums h(k) = sum_{j|k} w(j),
 which `arith.sum_over_divisors` takes in place, prime by prime, in about
-n ln ln n adds; each second-order quantity sieves the one weight g = mu
-or phi_q it reads to n (`sieve_weight`), once per call.  Shared-variable
+n ln ln n adds; a profile reads its weight g = mu or phi_q one sieve window
+at a time, so it is the one n-entry array of its quantity.  Shared-variable
 covariances reduce to sum_d G_s(d) h(d)^2, with G_s(d) the number of
 s-tuples whose gcd is exactly d.  G_s(d) depends on d only through
 floor(n/d), so the batched kernel gives it for all O(sqrt n) quotient
@@ -233,11 +233,9 @@ def _summatory(n: int, q: int | None) -> _FloorPrefix:
     def width(x):  # of every sum at a point x
         return int_dtype(peak(x) * x * (x.bit_length() + 1))
 
-    local = mobius_local if q is None else totient_local(q)
-    dtype = np.int8 if q is None else int_dtype(peak(top))
     # 0..isqrt(n), then n // k for k = mid .. last+1: the floor points up to L
     points = np.concatenate((np.arange(root + 1), n // np.arange(mid, last, -1)))
-    sums = prefix_sums_at(prime_power_windows(top, primes_up_to(top), local, dtype), points,
+    sums = prefix_sums_at(prime_power_windows(top, *_weight_sieve(top, q)), points,
                           int_dtype((top + 1) * peak(top)))
     dense = sums[: root + 1]
     high = np.zeros(mid + 1, dtype=width(n))
@@ -257,21 +255,23 @@ def _summatory(n: int, q: int | None) -> _FloorPrefix:
     return _FloorPrefix(n, dense, high, peak(n))
 
 
-def sieve_weight(n: int, q: int | None) -> np.ndarray:
-    """mu (q None) or phi_q on 0..n, sieved whole: int8 for mu, and for phi_q
-    the width of its bound n^q (`arith.int_dtype`).
-
-    Raises ValueError for n < 1 or q < 1, and CapacityError, before any
-    sieve, past DEFAULT_MAX_N (`arith.primes_up_to`).
-    """
+def _weight_sieve(n: int, q: int | None):
+    """(primes, local, dtype) that sieve mu (q None) or phi_q on 0..n: int8 for mu, and
+    for phi_q the width of its bound n^q (`arith.int_dtype`).  Raises ValueError for n < 1
+    or q < 1, and CapacityError, before any sieve, past DEFAULT_MAX_N (`primes_up_to`)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if q is not None and q < 1:
         raise ValueError(f"totient order must be >= 1, got {q}")
     primes = primes_up_to(n)
     if q is None:
-        return prime_power_sieve(n, primes, mobius_local, np.int8)
-    return prime_power_sieve(n, primes, totient_local(q), int_dtype(n**q))
+        return primes, mobius_local, np.int8
+    return primes, totient_local(q), int_dtype(n**q)
+
+
+def sieve_weight(n: int, q: int | None) -> np.ndarray:
+    """mu (q None) or phi_q on 0..n, sieved whole (`_weight_sieve`)."""
+    return prime_power_sieve(n, *_weight_sieve(n, q))
 
 
 # --- exact floor-power sums ----------------------------------------------
@@ -279,8 +279,9 @@ def sieve_weight(n: int, q: int | None) -> np.ndarray:
 def _isqrt_array(v: np.ndarray) -> np.ndarray:
     """floor(sqrt(v)) elementwise for int64 v >= 0 below 2^52."""
     root = np.sqrt(v).astype(np.int64)
+    # v, k = floor(sqrt v) and k + 1 are exact floats, and np.sqrt is correctly
+    # rounded, so monotone: k <= root <= k + 1, and one step down corrects it
     root -= root * root > v
-    root += (root + 1) * (root + 1) <= v
     return root
 
 
@@ -352,7 +353,9 @@ def _quotient_blocks(n: int, top: int):
 
     With R = isqrt(n), each d <= R has a quotient of its own, and the d > R
     take each quotient v <= n // (R+1) on the block that starts at
-    n // (v+1) + 1.
+    n // (v+1) + 1.  G_s(d), the number of s-tuples in [n]^s with gcd exactly
+    d, is sum_{j <= n/d} mu(j) floor(n/(d j))^s = F(v) of `_floor_power_sums`
+    with g = mu (`_summatory(n, None)`): one value a block.
     """
     root = isqrt(n)
     small = np.arange(1, root + 1, dtype=np.int64)
@@ -361,18 +364,6 @@ def _quotient_blocks(n: int, top: int):
     lo = lo[lo <= top]
     v = n // lo
     return lo, np.minimum(n // v, top), v
-
-
-def _exact_gcd_counts(mu_prefix, n: int, s: int, top: int):
-    """(lo, hi, G): G[b] = G_s(d) for the d = lo[b]..hi[b] <= top.
-
-    G_s(d), the number of s-tuples in [n]^s with gcd exactly d, is
-    sum_{j <= n/d} mu(j) floor(n/(d j))^s = F(n // d) of `_floor_power_sums`
-    with g = mu, so it is evaluated once per block of equal quotients.
-    mu_prefix is `_summatory(n, None)`.
-    """
-    lo, hi, v = _quotient_blocks(n, top)
-    return lo, hi, _floor_power_sums(mu_prefix, v, s)
 
 
 # `_block_sums` reads an int64 array in chunks of 2^14 entries cut into
@@ -419,25 +410,27 @@ def _block_sums(h: np.ndarray, starts) -> np.ndarray:
     return out
 
 
-def _divisor_profile(g: np.ndarray, n: int, power: int, q: int | None) -> np.ndarray:
+def _divisor_profile(n: int, power: int, q: int | None) -> np.ndarray:
     """h(k) = sum_{j|k} g(j) floor(n/j)^power for k = 1..n, exactly (h(0) = 0).
 
-    g is mu (q None) or phi_q on 0..n (`sieve_weight`).  As |mu(j)| <= 1 and
-    phi_q(j) <= j^q, every |h(k)|, and every term and partial sum of one, is
-    at most sum_{j<=n} j^q floor(n/j)^power (q = 0 for mu), the floor sum of
-    the power sums, which sets h's width.  Its terms j = 1 and j = n cover
-    each floor(n/j)^power and each g(j), so an object phi_q gives an object h.
+    g is mu (q None) or phi_q, checked (`_weight_sieve`) before h is laid out,
+    then sieved into it a window at a time.  As |mu(j)| <= 1 and phi_q(j) <= j^q,
+    each |h(k)|, term and partial sum is at most sum_{j<=n} j^q floor(n/j)^power
+    (q = 0 for mu), the floor sum of the power sums, which sets h's width.  Its terms
+    j = 1 and n cover each floor(n/j)^power and g(j): an object phi_q gives an object h.
     """
     def power_sums(x):  # sum_{i <= x} i^q at the int64 points x
         return x if q is None else _power_sums(x.astype(object), q)
 
+    primes, local, dtype = _weight_sieve(n, q)
     bound = _floor_power_sum(_at_floor_points(power_sums, n, n ** (q or 0)), n, power)
     w = np.arange(n + 1, dtype=np.int64)
     np.floor_divide(n, w[1:], out=w[1:])
     w = w.astype(int_dtype(bound), copy=False)
     w **= power
-    w *= g
-    sum_over_divisors(w, primes_up_to(n))
+    for lo, g in prime_power_windows(n, primes, local, dtype):
+        w[lo : lo + g.size] *= g
+    sum_over_divisors(w, primes)
     return w
 
 
@@ -464,7 +457,8 @@ def gcd_pmf(n: int, r: int) -> list[tuple[ExactResult, int]]:
         raise ValueError(f"r must be >= 1, got {r}")
     # the count at k = 1 is at least the n^(r-1) tuples with X_1 = 1
     _refuse_past_digits((r - 1) * (n.bit_length() - 1))
-    lo, hi, counts = _exact_gcd_counts(_summatory(n, None), n, r, n)
+    lo, hi, v = _quotient_blocks(n, n)
+    counts = _floor_power_sums(_summatory(n, None), v, r)
     return [(ExactResult.from_ratio(c, n, r), size)
             for c, size in zip(counts.tolist(), (hi - lo + 1).tolist())]
 
@@ -481,7 +475,8 @@ def gcd_tail(n: int, threshold: int) -> ExactResult:
     """P(gcd(X_1, X_2) > threshold), an exact pmf tail sum."""
     if not 0 <= threshold <= n:
         raise ValueError(f"threshold must be in 0..{n}, got {threshold}")
-    lo, hi, counts = _exact_gcd_counts(_summatory(n, None), n, 2, threshold)
+    lo, hi, v = _quotient_blocks(n, threshold)
+    counts = _floor_power_sums(_summatory(n, None), v, 2)
     head = sum(size * c for size, c in zip((hi - lo + 1).tolist(), counts.tolist()))
     return ExactResult.from_ratio(n**2 - head, n, 2)
 
@@ -510,12 +505,12 @@ class MarginalProfile:
 
 def marginal_profile(n: int, r: int, q: int | None = None) -> MarginalProfile:
     """The whole profile as the divisor sums sum_{j|k} g(j) floor(n/j)^r,
-    g = mu (q None, U_r) or phi (q 1, W_r) sieved to n."""
+    g = mu (q None, U_r) or phi (q 1, W_r)."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if q not in (None, 1):
         raise ValueError(f"a marginal profile's q must be None or 1, got {q!r}")
-    return MarginalProfile(n, r, q, _divisor_profile(sieve_weight(n, q), n, r, q))
+    return MarginalProfile(n, r, q, _divisor_profile(n, r, q))
 
 
 def mean_mu(n: int, r: int) -> ExactResult:
@@ -582,7 +577,7 @@ def shared_covariance(n: int, r: int, s: int, q: int | None = None) -> ExactResu
     variance of the kernel's mean given the s shared values; for the gcd^q
     kernel it is at least n^(2q-2r+s) / 8, from the two points where those
     values are all n and where the first is 1, so a q that puts it past the
-    float range is refused before the weight is sieved.
+    float range is refused before any sieve.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -597,28 +592,29 @@ def shared_covariance(n: int, r: int, s: int, q: int | None = None) -> ExactResu
         return ExactResult.from_ratio(0, n, 2 * r)
     if q is not None:
         _refuse_past_float(n, 2 * q - 2 * r + s, 3)
-    _, (cov,) = _covariance_numerators(sieve_weight(n, q), n, r, (s,), q)
+    _, (cov,) = _covariance_numerators(n, r, (s,), q)
     return ExactResult.from_ratio(cov, n, 2 * r)
 
 
-def _covariance_numerators(g, n, r, shares, q) -> tuple[int, list[int]]:
+def _covariance_numerators(n, r, shares, q) -> tuple[int, list[int]]:
     """n^r times the kernel mean, and n^(2r) times the covariance of
     `shared_covariance` for each s >= 1 in shares, for the kernel of weight
-    g = mu (q None) or phi_q on 0..n.
+    g = mu (q None) or phi_q, once n and q pass `_weight_sieve`.
 
     The prefix sums of mu, and of g for the kernel mean, are built once and
     serve every s; mu's only when G_s is read (`_shared_moment`: not at s = 1 < r).
     """
+    _weight_sieve(n, q)  # its primes to n serve every later sieve
     counted = q is None or any(s > 1 or s == r for s in shares)
     mu_prefix = _summatory(n, None) if counted else None
     g_prefix = mu_prefix if q is None else _summatory(n, q)
     mean_num = _floor_power_sum(g_prefix, n, r)
-    return mean_num, [_shared_moment(g, q, n, r, s, mu_prefix) * n**s - mean_num**2
+    return mean_num, [_shared_moment(q, n, r, s, mu_prefix) * n**s - mean_num**2
                       for s in shares]
 
 
-def _shared_moment(g, q, n, r, s, mu_prefix) -> int:
-    """sum_{d<=n} G_s(d) h(d)^2 with h = `_divisor_profile` of g at power r - s.
+def _shared_moment(q, n, r, s, mu_prefix) -> int:
+    """sum_{d<=n} G_s(d) h(d)^2 with h = `_divisor_profile` at power r - s.
 
     One call per s, so each n-entry profile is freed before the next is built.
     At s = 1 < r, G_1(d) = 1 for every d: h's whole square sum, with no gcd
@@ -631,18 +627,19 @@ def _shared_moment(g, q, n, r, s, mu_prefix) -> int:
     if s == 1 < r:  # the whole range is one block, of count 1
         lo, counts = [1], np.ones(1, dtype=np.int64)
     else:
-        lo, hi, counts = _exact_gcd_counts(mu_prefix, n, s, n)
+        lo, hi, v = _quotient_blocks(n, n)
+        counts = _floor_power_sums(mu_prefix, v, s)
     if s == r:
         ends = _power_sums(hi.astype(object), 2 * q)
         squares = ends - np.concatenate(([0], ends[:-1]))
     else:
-        squares = _block_sums(_divisor_profile(g, n, r - s, q), lo)
+        squares = _block_sums(_divisor_profile(n, r - s, q), lo)
     return int(counts.astype(object) @ squares)
 
 
 def var_C(n: int, m: int, r: int) -> ExactResult:
     """Variance of the count of coprime r-subsets in a sample of length m."""
-    return u_statistic_moments(sieve_weight(n, None), n, m, r, None)[1]
+    return u_statistic_moments(n, m, r, None)[1]
 
 
 def var_Z(n: int, m: int, r: int, q: int = 1) -> ExactResult:
@@ -652,17 +649,16 @@ def var_Z(n: int, m: int, r: int, q: int = 1) -> ExactResult:
     that puts n^(2q-r) / 8 past the float range is refused before any sieve.
     """
     _refuse_past_float(n, 2 * q - r, 3)
-    return u_statistic_moments(sieve_weight(n, q), n, m, r, q)[1]
+    return u_statistic_moments(n, m, r, q)[1]
 
 
-def u_statistic_moments(g: np.ndarray, n: int, m: int, r: int,
+def u_statistic_moments(n: int, m: int, r: int,
                         q: int | None) -> tuple[ExactResult, ExactResult]:
     """(E k, Var S), S the sum of a kernel k over the r-subsets of a sample of length m.
 
     k is the coprimality indicator of r values (q None, S = C) or their
-    gcd^q (S = Z), and g its weight on 0..n, `sieve_weight(n, q)`, which a
-    caller may share with other readers.  E k, which is mean_mu(n, r - 1) or
-    gcd_moment(n, r, q), is read off the prefix sums the variance builds.
+    gcd^q (S = Z).  E k, mean_mu(n, r - 1) or gcd_moment(n, r, q), is read
+    off the prefix sums the variance builds.
     Var S = sum_{s=0..r} C(m,s) C(m-s,r-s) C(m-r,r-s) gamma_{r,s}; the
     binomial product counts pairs of r-subsets of {1..m} with intersection
     size s.
@@ -674,7 +670,7 @@ def u_statistic_moments(g: np.ndarray, n: int, m: int, r: int,
     # s = 0 shares nothing and adds a zero covariance
     weights = {s: comb(m, s) * comb(m - s, r - s) * comb(m - r, r - s) for s in range(1, r + 1)}
     shares = [s for s, weight in weights.items() if weight]
-    mean_num, covs = _covariance_numerators(g, n, r, shares, q)
+    mean_num, covs = _covariance_numerators(n, r, shares, q)
     return (ExactResult.from_ratio(mean_num, n, r),
             ExactResult.from_ratio(sum(weights[s] * c for s, c in zip(shares, covs)), n, 2 * r))
 
@@ -692,5 +688,4 @@ def mixed_moment_pi(n: int, r: int, q: int) -> ExactResult:
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     _refuse_past_float(n, 2 * q - 2 * r + 1, 0)  # pi >= P(all 2r-1 values are n) n^(2q)
-    return ExactResult.from_ratio(_shared_moment(sieve_weight(n, q), q, n, r, 1, None),
-                                  n, 2 * r - 1)
+    return ExactResult.from_ratio(_shared_moment(q, n, r, 1, None), n, 2 * r - 1)

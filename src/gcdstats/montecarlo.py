@@ -20,11 +20,11 @@ the block's divisor count, else over one key per (replicate, divisor),
 its values factorised all at once with no table (`arith.weighted_divisors`).
 Each block's route and width are read from m, r, q, n and its values'
 range alone (`_dense_is_cheaper`, `_kernel_dtype`), the width by
-`arith.int_dtype` of a proven bound, as for the raw values a run keeps.  A
-run sieves the weight of order q, None (mu) for C and config.q for Z, to n
-once (`exact.sieve_weight`), for the exact moments that normalise C and Z
-and the dense route alike; a lone sample (`stat_C`, `stat_Z`) sieves it
-only on that route, so its values run sparse up to DEFAULT_MAX_N^2.
+`arith.int_dtype` of a proven bound, as for the raw values a run keeps.  Only
+the dense route reads the weight of order q, None (mu) for C and config.q
+for Z, sieved to n (`exact.sieve_weight`): by a run once, when its largest
+block could go dense, and by a lone sample (`stat_C`, `stat_Z`) only on
+it, so its values run sparse up to DEFAULT_MAX_N^2.
 C(cnt, r) is read from a table of C(k, r) for k up to the largest count.
 M and N(t) are functions of the C(m,2) pair gcds alone and sieve nothing;
 n may then be as large as int64 allows.  They need only the large gcds: a
@@ -837,7 +837,7 @@ def _subset_weighted_block(xs: np.ndarray, r: int, q: int | None, n: int,
     cnt(d) = #{i : d | x_i} in the row.  The block takes the cheaper route
     (`_dense_is_cheaper`) and sums in `_kernel_dtype` of its top value: n
     dense, its largest value sparse.  The dense route reads g, the weight
-    `exact.sieve_weight(n, q)` a run passes, or sieves it for a lone sample.
+    `exact.sieve_weight(n, q)` a run passes, or sieves it when g is None.
     Dense blocks hold at most _BLOCK_ELEMENTS cells.
     """
     rows, m = xs.shape
@@ -1038,14 +1038,14 @@ def _raw_replicates(config, statistic, g, threshold, workers) -> np.ndarray:
         _SIM_CTX.clear()
 
 
-def exact_moments(config: SampleConfig, statistic: str, g: np.ndarray):
-    """(mean, sd) of the statistic from the exact closed formulas, with g its
-    weight on 0..n, `exact.sieve_weight(n, q)`: q None for C, config.q for Z."""
+def exact_moments(config: SampleConfig, statistic: str):
+    """(mean, sd) of the statistic from the exact closed formulas
+    (`exact.u_statistic_moments`): q None for C, config.q for Z."""
     m, n, r = config.m, config.n, config.r
     if statistic not in ("C", "Z"):
         raise ValueError(f"exact moments only exist for C and Z, got {statistic!r}")
     q = None if statistic == "C" else config.q
-    kernel_mean, var = exact.u_statistic_moments(g, n, m, r, q)
+    kernel_mean, var = exact.u_statistic_moments(n, m, r, q)
     mean, var = comb(m, r) * kernel_mean.float_value, var.float_value
     if var == 0:
         # n = 1: every gcd is 1, so the statistic is a constant
@@ -1059,9 +1059,9 @@ def run_replicates(config: SampleConfig, statistic: str, t: float = 1.0,
     """R replicate values of one statistic, with the normalisation and the
     limit law it fixes.
 
-    C and Z sieve their weight, mu or phi_q, to n once, for the exact
-    moments and the dense route alike; a block's route and width read no
-    weight (`_dense_is_cheaper`, `_kernel_dtype`).  M and N sieve nothing.
+    C and Z sieve their weight, mu or phi_q, to n once, after the exact moments,
+    only if the largest block could go dense (`_dense_is_cheaper`, likelier with
+    more rows); a block's width reads no weight.  M and N sieve nothing.
     N(t) has a limit law only for 0 < t < inf; at any other t its counts
     still run, with none.  Each replicate is drawn and evaluated once.
     """
@@ -1070,10 +1070,12 @@ def run_replicates(config: SampleConfig, statistic: str, t: float = 1.0,
     g, shift, scale, law = None, 0, 1, None
     if statistic in ("C", "Z"):
         q = None if statistic == "C" else config.q
-        if q is not None:  # Var Z >= n^(2q-r) / 8 (`exact.var_Z`), checked before the sieve
+        if q is not None:  # Var Z >= n^(2q-r) / 8 (`exact.var_Z`), checked before any sieve
             exact._refuse_past_float(config.n, 2 * q - config.r, 3)
-        g = exact.sieve_weight(config.n, q)
-        shift, scale = exact_moments(config, statistic, g)
+        shift, scale = exact_moments(config, statistic)
+        rows = min(max(1, _BLOCK_ELEMENTS // config.m), config.replicates)
+        if _dense_is_cheaper(rows, rows * config.m, config.n):
+            g = exact.sieve_weight(config.n, q)
         law = stattest.ReferenceLaw.normal()
     elif statistic == "M":
         scale = comb(config.m, 2)

@@ -193,12 +193,12 @@ def test_exact_mu_sieves_mu_only(sieve_calls, capsys):
 
 
 @pytest.mark.parametrize("quantity, want", [
-    ("c", [("mu", 1000), ("mu", 100)]),
-    ("d", [("phi_1", 1000), ("phi_1", 100)]),
-    ("varC", [("mu", 1000), ("mu", 100)]),
-    ("gamma", [("mu", 1000), ("mu", 100)]),
-    ("varZ", [("phi_2", 1000), ("mu", 100), ("phi_2", 100)]),
-    ("omega", [("phi_2", 1000), ("phi_2", 100)]),
+    ("c", [("mu", 100), ("mu", 1000)]),
+    ("d", [("phi_1", 100), ("phi_1", 1000)]),
+    ("varC", [("mu", 100), ("mu", 1000)]),
+    ("gamma", [("mu", 100), ("mu", 1000)]),
+    ("varZ", [("mu", 100), ("phi_2", 100), ("phi_2", 1000)]),
+    ("omega", [("phi_2", 100), ("phi_2", 1000)]),
     ("pi", [("phi_2", 1000)]),
 ])
 def test_exact_second_order_quantities_sieve_their_one_weight(quantity, want, sieve_calls,
@@ -206,9 +206,10 @@ def test_exact_second_order_quantities_sieve_their_one_weight(quantity, want, si
     code, _ = run_cli(["exact", "--quantity", quantity, "--n", "1000", "--r", "2", "--m", "5",
                        "--s", "1", "--q", "2"], capsys)
     assert code == 0
-    # the weight to n once, then, for the kernel means and G_s, mu and phi_q window
-    # by window to L = n^(2/3) = 100; a profile's bound needs no sieve, and G_1 = 1
-    # no mu (c, d and omega share one variable; pi reads no kernel mean)
+    # for the kernel means and G_s, mu and phi_q window by window to L = n^(2/3)
+    # = 100, then the weight to n once, window by window into the one profile; a
+    # profile's bound needs no sieve, and G_1 = 1 no mu (c, d and omega share one
+    # variable; pi reads no kernel mean)
     assert sieve_calls == want
 
 

@@ -185,6 +185,35 @@ def test_mertens_at_powers_of_ten_and_phi_1_at_1e10():
     assert 2 * int(phi.at(np.array([n]))[0]) - 1 == exact._floor_power_sum(mertens, n, 2)
 
 
+def test_isqrt_array_is_math_isqrt():
+    # about each square k^2 < 2^52, where one float rounding step decides, and
+    # at random v < 2^52; in cache-sized chunks of k
+    for lo in range(1, 2**26, 2**16):
+        k = np.arange(lo, min(lo + 2**16, 2**26), dtype=np.int64)
+        square = k * k
+        for v, want in ((square - 1, k - 1), (square, k), (square + 1, k)):
+            assert np.array_equal(exact._isqrt_array(v), want), lo
+    for k in (1, 2**13 + 1, 2**26 - 1):
+        assert [isqrt(k * k + d) for d in (-1, 0, 1)] == [k - 1, k, k]
+    v = np.random.default_rng(4099).integers(0, 2**52, 200_000)
+    assert exact._isqrt_array(v).tolist() == [isqrt(x) for x in v.tolist()]
+
+
+def test_the_profile_is_the_one_n_entry_array(monkeypatch):
+    # the weight is read window by window, so a second-order quantity's traced
+    # peak, prime sieve included, is well below two n-entry int64 arrays
+    n = 10**6
+    for quantity in (lambda: exact.var_d(n, 2), lambda: exact.mixed_moment_pi(n, 2, 1)):
+        monkeypatch.setattr(arith, "_kept", (1, arith._eratosthenes(1)))
+        tracemalloc.start()
+        try:
+            quantity()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (n + 1) * 8
+
+
 @pytest.mark.parametrize("q", [None, 1])
 def test_summatory_holds_only_the_floor_points(q):
     for n in (1, 2, 3, 8, 99, 10**6 + 1):
@@ -209,7 +238,7 @@ def test_profile_bound_is_the_power_floor_sum_below_twice_the_exact_one(q, width
     for n in range(1, 201):
         for p in range(1, 8):
             widths.clear()
-            exact._divisor_profile(g[: n + 1], n, p, q)
+            exact._divisor_profile(n, p, q)
             terms = [(n // j) ** p for j in range(1, n + 1)]
             closed = sum(j ** (q or 0) * t for j, t in enumerate(terms, 1))
             assert [b for name, b in widths if name == "_divisor_profile"] == [closed]
@@ -464,11 +493,10 @@ def test_gcd_moment_limits():
 def test_the_old_kernel_spellings_fail_loudly():
     # a kernel is named by q alone: a kind string, or a profile q other than
     # None or 1, raises and returns no number
-    g = exact.sieve_weight(5, 2)
     for call in (lambda: exact.shared_covariance(5, 2, 1, "indicator"),
                  lambda: exact.shared_covariance(5, 2, 0, "moment"),
-                 lambda: exact.u_statistic_moments(g, 5, 3, 2, "moment", 2),
-                 lambda: exact.u_statistic_moments(g, 5, 3, 2, "moment")):
+                 lambda: exact.u_statistic_moments(5, 3, 2, "moment", 2),
+                 lambda: exact.u_statistic_moments(5, 3, 2, "moment")):
         with pytest.raises((TypeError, ValueError)):
             call()
     for q in ("probability", "expectation", 2, 0):
@@ -827,8 +855,9 @@ def test_profile_variance_numerators_are_above_the_refusal_bound():
 def test_profile_variances_past_the_digits_are_refused_before_any_sieve(monkeypatch,
                                                                         sieved_bounds):
     weights = []
-    real = exact.sieve_weight
-    monkeypatch.setattr(exact, "sieve_weight", lambda *args: weights.append(args) or real(*args))
+    real = exact._divisor_profile
+    monkeypatch.setattr(exact, "_divisor_profile",
+                        lambda *args: weights.append(args) or real(*args))
     for var, q in ((exact.var_c, None), (exact.var_d, 1)):
         # at n = 100 the bound passes 10^4300 > 2^14284 from r = 1429 on:
         # 5 (2r + 2) - 7 >= 14285
@@ -836,11 +865,11 @@ def test_profile_variances_past_the_digits_are_refused_before_any_sieve(monkeypa
             with pytest.raises(exact.DigitLimitError, match="at least 10"):
                 var(n, r)
         assert weights == [] and sieved_bounds == []
-        # just below the bound the weight is sieved; the numerator is still
-        # past the limit, which `check_digits` then refuses
+        # just below the bound the profile reads the weight; the numerator is
+        # still past the limit, which `check_digits` then refuses
         with pytest.raises(exact.DigitLimitError, match="about 10"):
             exact.check_digits(var(100, 1428).numerator)
-        assert weights.pop() == (100, q)
+        assert weights.pop() == (100, 1428, q)
         sieved_bounds.clear()
 
 

@@ -149,6 +149,18 @@ def _route_spy(monkeypatch, routes=("_dense_route", "_sparse_route")):
     return taken
 
 
+def test_a_sparse_run_sieves_no_weight(monkeypatch):
+    # the largest block, 4 rows of 20 values at n = 1e6, takes the sparse route,
+    # so no weight is sieved whole: the exact moments read it window by window
+    taken = _route_spy(monkeypatch)
+    calls = []
+    real = exact.sieve_weight
+    monkeypatch.setattr(exact, "sieve_weight", lambda n, q: calls.append(n) or real(n, q))
+    for statistic in ("C", "Z"):
+        run_replicates(SampleConfig(m=20, n=10**6, replicates=4, master_seed=5), statistic)
+    assert calls == [] and set(taken) == {"_sparse_route"}
+
+
 def test_route_follows_row_width_against_divisor_count(monkeypatch):
     taken = _route_spy(monkeypatch)
     # n small next to the block's divisor count: the dense sweep is cheaper
@@ -165,7 +177,8 @@ def test_route_follows_row_width_against_divisor_count(monkeypatch):
 
 def test_weight_is_taken_once_a_run(monkeypatch, inline_pool):
     # D(n) against the plain divisor count; the weight is sieved once a run,
-    # to n, before any replicate range: none in the pool workers
+    # to n, before any replicate range: none in the pool workers.  At n = 100
+    # a full block, 4 rows of 10 values, takes the dense route
     for n in range(1, 150):
         divisors = sum(1 for k in range(1, n + 1) for d in range(1, k + 1) if k % d == 0)
         assert montecarlo._divisor_total(n) == divisors, n
@@ -183,11 +196,11 @@ def test_weight_is_taken_once_a_run(monkeypatch, inline_pool):
         return out
 
     monkeypatch.setattr(montecarlo, "_sim_chunk", chunk)
-    cfg = SampleConfig(m=10, n=5000, replicates=30, master_seed=3)
+    cfg = SampleConfig(m=10, n=100, replicates=30, master_seed=3)
     for workers in (1, 4):
         calls.clear()
         run_replicates(cfg, "C", workers=workers)
-        assert calls == [5000] and in_workers == [], workers
+        assert calls == [100] and in_workers == [], workers
     # four workers split the 30 replicates into 15 ranges, in one pool
     assert len(inline_pool) == 1
 
@@ -488,7 +501,7 @@ def test_run_replicates_matches_exact_moments():
     cfg = SampleConfig(m=m, n=n, replicates=reps, master_seed=424242)
     for statistic, q in (("C", None), ("Z", 1)):
         rec = run_replicates(cfg, statistic)
-        mean, sd = montecarlo.exact_moments(cfg, statistic, exact.sieve_weight(n, q))
+        mean, sd = montecarlo.exact_moments(cfg, statistic)
         assert (rec.shift, rec.scale) == (mean, sd)
         assert abs(float(np.mean(rec.raw)) - mean) < 4 * sd / math.sqrt(reps)
 
@@ -504,7 +517,7 @@ def test_raw_variance_approaches_exact():
 def test_normalized_replicates():
     cfg = SampleConfig(m=6, n=20, replicates=32, master_seed=7)
     rec = run_replicates(cfg, "C")
-    mean, sd = montecarlo.exact_moments(cfg, "C", exact.sieve_weight(20, None))
+    mean, sd = montecarlo.exact_moments(cfg, "C")
     # bit for bit the float arithmetic of one replicate at a time
     assert rec.normalized.tolist() == [(float(v) - mean) / sd for v in rec.raw]
     rec = run_replicates(cfg, "M")
@@ -695,6 +708,12 @@ def test_seed_outside_uint64_is_rejected():
         with pytest.raises(ValueError):
             strong_law_trajectory(10, 2, (2, 5), seed=seed)
     SampleConfig(m=5, n=10, master_seed=2**64 - 1)
+
+
+def test_strong_law_grid_must_increase_strictly():
+    for grid in ((5, 5, 9), (9, 5)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            strong_law_trajectory(10, 2, grid, seed=1)
 
 
 def test_strong_law_needs_r_at_least_2():
@@ -1083,7 +1102,8 @@ def test_a_pooled_run_keeps_no_weight(monkeypatch):
         return g
 
     monkeypatch.setattr(exact, "sieve_weight", weight)
-    cfg = SampleConfig(m=20, n=100_000, replicates=40, master_seed=3)
+    # n = 300 takes the dense route, which alone sieves the weight
+    cfg = SampleConfig(m=20, n=300, replicates=40, master_seed=3)
     record = run_replicates(cfg, "C", workers=2)
     assert len(refs) == 1 and record.raw.size == 40
     del record
@@ -1110,10 +1130,13 @@ def test_pool_workers_sieve_nothing(statistic, q, n, monkeypatch, inline_pool, s
     sieve_calls.clear()
     assert _same_record(run_replicates(cfg, statistic, workers=2), serial)
     assert len(inline_pool) == 1 and in_workers == []
-    # the kernel's weights to n; the exact moments sieve to L = n^(2/3)
-    # window by window: the weights once for the mean and the variance, and mu
-    # for the gcd counts (one sieve serves both for C)
+    # the exact moments sieve window by window: the weights to n for the
+    # profile, and to L = n^(2/3) once for the mean and the variance, and mu
+    # for the gcd counts (one sieve serves both for C); the dense route alone
+    # sieves the kernel's weight whole, to n
     top = exact._sieve_limit(n)
     weights = [("mu", n), ("mu", top)] if statistic == "C" else \
         [(f"phi_{q}", n), (f"phi_{q}", top), ("mu", top)]
+    if n == 30:
+        weights.append(weights[0])
     assert sorted(sieve_calls) == sorted(weights)
